@@ -26,7 +26,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
 from .graded import (Element, GradedBasis, Word, WordSum, add_term, maltese,
-                     words_over)
+                     tensor_coefficient, words_over)
 from .report import Report
 
 
@@ -52,6 +52,7 @@ class AInftyAlgebra:
     higher_arities_zero: bool = True
     name: str = "algebra"
     _m_cache: dict = field(default_factory=dict, repr=False)
+    _words_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
@@ -118,6 +119,15 @@ class AInftyAlgebra:
 
     def stored_arities(self) -> set:
         return {k for (k, _) in self.ops}
+
+    def stored_words(self, k: int) -> tuple:
+        """The words of some arity-k table, sorted; m_word vanishes off them."""
+        words = self._words_cache.get(k)
+        if words is None:
+            words = tuple(sorted({word for (arity, _), table in self.ops.items()
+                                  if arity == k for word in table}))
+            self._words_cache[k] = words
+        return words
 
     def max_stored_arity(self) -> int:
         arities = self.stored_arities()
@@ -187,24 +197,24 @@ class AInftyAlgebra:
 def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
     """Multilinear evaluation of the assembled operation on module elements.
 
-    Coefficient variables all have even degree, so ring coefficients commute
-    past inputs without signs and can be collected up front.
+    Visits only the stored words of arity k = len(inputs), in sorted order,
+    and multiplies only the input coefficients at their letters, so a call
+    costs O(|support| * k) ring products with |support| the number of
+    stored words of arity k, not the size of the tensor product of the
+    inputs.  Coefficient variables all have even degree, so ring
+    coefficients commute past inputs without signs.
     """
     k = len(inputs)
     if k > algebra.k_max:
         raise ConfigurationError("arity %d exceeds the arity cutoff %d" % (k, algebra.k_max))
     algebra._check_arity(k)
+    if not k:
+        return algebra.m_word_element(())
     acc: Dict[int, RingElement] = {}
-    stack = [((), algebra.one_ring())]
-    for element in inputs:
-        new_stack = []
-        for word, coeff in stack:
-            for i, value in element.components.items():
-                c = coeff * value
-                if c:
-                    new_stack.append((word + (i,), c))
-        stack = new_stack
-    for word, coeff in stack:
+    for word in algebra.stored_words(k):
+        coeff = tensor_coefficient(inputs, word)
+        if not coeff:
+            continue
         for comp, value in algebra.m_word(word).items():
             piece = coeff * value
             if not piece:
@@ -656,15 +666,22 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
 def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
     """Comodule extension of a bimodule map phi into the dual bimodule.
 
-    phi must expose eval_word(alpha, v, beta, w) -> RingElement and an
-    integer ``degree`` (its shift as a map).  The extension is graded: the
-    left prefix crossed by phi contributes (-1)^{deg(phi) * prefix}.  The
+    phi must expose eval_word(alpha, v, beta, w) -> RingElement, an integer
+    ``degree`` (its shift as a map) and the ``tower`` it reads, and
+    eval_word must vanish off the support of phi.tower.psi0: it is called
+    only at the final arguments w for which some psi_0 entry reads
+    (alpha, v, beta, w) as psi_0[v | beta, w, alpha] or
+    psi_0[w | alpha, v, beta], in increasing order.  A split (alpha, y, beta)
+    so costs O(|support| * n), with |support| the number of psi_0 entries of
+    cyclic length n = len(alpha) + len(beta) + 2.  The extension is graded:
+    the left prefix crossed by phi contributes (-1)^{deg(phi) * prefix}.  The
     produced dual slot carries covector degree deg(phi) plus the shifted
     degrees of the consumed slots.
     """
     basis = algebra.basis
     out: DualSum = {}
     d = phi.degree
+    support = phi.tower.psi0.support_by_length()
     for (lw, y, rw), coeff in words.items():
         ldeg = [basis.degree(i) for i in lw]
         for p in range(len(lw) + 1):
@@ -675,12 +692,28 @@ def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
                 sign = -1 if prefix % 2 else 1
                 cdeg = d + sum(basis.degree(i) - 1 for i in alpha) \
                     + (basis.degree(y) - 1) + sum(basis.degree(i) - 1 for i in beta)
-                for w in range(len(basis)):
+                for w in _support_arguments(support, alpha, y, beta):
                     value = phi.eval_word(alpha, y, beta, w)
                     if not value:
                         continue
                     _dadd(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
+
+
+def _support_arguments(support, alpha: Word, y: int, beta: Word) -> list:
+    """Sorted final arguments w at which some psi_0 entry reads (alpha, y, beta, w)."""
+    entries = support.get(len(alpha) + len(beta) + 2)
+    if not entries:
+        return []
+    q = len(beta)
+    word_w = alpha + (y,) + beta
+    found = set()
+    for v0, word0, _ in entries:
+        if word0 == word_w:
+            found.add(v0)
+        if v0 == y and word0[:q] == beta and word0[q + 1:] == alpha:
+            found.add(word0[q])
+    return sorted(found)
 
 
 def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None) -> Report:

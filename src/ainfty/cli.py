@@ -113,6 +113,19 @@ def _load(args):
         algebra.l_max = args.lmax
     if args.nmax is not None:
         algebra.n_max = args.nmax
+    # A cutoff below its least value would check nothing and still PASS.
+    errors = []
+    for flag, field, override, value in (
+        ("--kmax", "cutoffs.arity", args.kmax, algebra.k_max),
+        ("--lmax", "cutoffs.word_length", args.lmax, algebra.l_max),
+        ("--nmax", "cutoffs.n_max", args.nmax, algebra.n_max),
+    ):
+        if value < 0:
+            errors.append((field if override is None else flag, "must be >= 0"))
+    if getattr(args, "chains", 1) < 1:
+        errors.append(("--chains", "must be >= 1"))
+    if errors:
+        raise DocumentError(errors)
     return doc
 
 
@@ -137,7 +150,7 @@ def cmd_cocycle(args, doc) -> int:
         reports.append(validation)
         if not validation.passed:
             continue
-        phi = pr.build_phi(algebra, tower)
+        phi = pr.InfinityInnerProduct(algebra, tower)
         for rep in (
             core.check_bimodule_hom(algebra, phi),
             pr.check_skew(algebra, phi),

@@ -186,6 +186,9 @@ def load(path) -> LoadedDocument:
 
 
 def load_dict(raw: dict) -> LoadedDocument:
+    if not isinstance(raw, dict):
+        raise DocumentError([("(top level)", "must be a JSON object, not %s"
+                              % type(raw).__name__)])
     errors = _Collector()
     if raw.get("version") != SCHEMA_VERSION:
         errors.error("version", "missing or unsupported schema version (expected %d)"

@@ -194,6 +194,22 @@ def add_term(acc: WordSum, word: Word, value: RingElement) -> None:
         del acc[word]
 
 
+def tensor_coefficient(elements: Sequence[Element], word: Word) -> Optional[RingElement]:
+    """Coefficient of the pure tensor ``word`` in elements[0] (x) ... (x) elements[-1].
+
+    The product of the coefficient each element has at its letter of the
+    (nonempty, equally long) word; None as soon as an element lacks its
+    letter.  Coefficients are even, so they commute out without signs.
+    """
+    coeff = None
+    for element, letter in zip(elements, word):
+        c = element.components.get(letter)
+        if c is None:
+            return None
+        coeff = c if coeff is None else coeff * c
+    return coeff
+
+
 def substitute(
     basis: GradedBasis,
     word: Word,

@@ -279,11 +279,12 @@ class Functional:
     zero functional).
     """
 
-    __slots__ = ("basis", "spec", "table", "degree")
+    __slots__ = ("basis", "spec", "table", "degree", "_by_length")
 
     def __init__(self, basis, spec, table: Optional[ChainTerms] = None):
         self.basis = basis
         self.spec = spec
+        self._by_length = None
         self.table: ChainTerms = {}
         if table:
             unit = basis.unit
@@ -323,6 +324,24 @@ class Functional:
 
     def supported_lengths(self) -> set:
         return {len(word) for (_, word) in self.table}
+
+    def support_by_length(self) -> Dict[int, tuple]:
+        """The entries (v, word, value) grouped by cyclic length len(word) + 1.
+
+        Built on first use and kept; each group is in key order.  Entries
+        whose word contains the unit are left out, as evaluation on reduced
+        chains ignores them: the constructor refuses such words, so this
+        only matters for a table edited in place before the first use.
+        """
+        if self._by_length is None:
+            unit = self.basis.unit
+            groups: Dict[int, list] = {}
+            for (v, word), value in self.sorted_entries():
+                if unit is not None and unit in word:
+                    continue
+                groups.setdefault(len(word) + 1, []).append((v, word, value))
+            self._by_length = {n: tuple(entries) for n, entries in groups.items()}
+        return self._by_length
 
     def scale(self, r) -> "Functional":
         return Functional(self.basis, self.spec, {k: r * v for k, v in self.table.items()})

@@ -30,9 +30,19 @@ from .ainfty import AInftyAlgebra, apply_m
 from .coeff import RingElement
 from .errors import ConfigurationError, DivergenceError, TowerError
 from .exactla import column_space_pivots
-from .graded import Element, Word, words_over as _tuples
+from .graded import Element, Word, tensor_coefficient, words_over as _tuples
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
+
+
+def reading_signs(A: int, V: int, B: int, W: int):
+    """Signs of the two readings of phi_{p,q}(alpha (x) v (x) beta)(w).
+
+    (-1)^{A(V+B+W)} on psi_0[v | beta, w, alpha] and -(-1)^{W(A+V+B)} on
+    psi_0[w | alpha, v, beta], with A, V, B, W the shifted-degree parities.
+    """
+    return (-1 if A * (V + B + W) % 2 else 1,
+            1 if W * (A + V + B) % 2 else -1)
 
 
 class InfinityInnerProduct:
@@ -42,33 +52,31 @@ class InfinityInnerProduct:
         self.algebra = algebra
         self.basis = algebra.basis
         self.tower = tower
+        self._shifted = tuple(d - 1 for d in algebra.basis.degrees)
         d = tower.degree()
         self.degree = 0 if d is None else d
 
     # -- evaluation on pure basis words ------------------------------------
 
     def eval_word(self, alpha: Word, v: int, beta: Word, w: int) -> RingElement:
-        basis = self.basis
+        shifted = self._shifted
         psi0 = self.tower.psi0
-        A = sum(basis.degree(i) - 1 for i in alpha)
-        B = sum(basis.degree(i) - 1 for i in beta)
-        V = basis.degree(v) - 1
-        W = basis.degree(w) - 1
+        A = sum(shifted[i] for i in alpha)
+        B = sum(shifted[i] for i in beta)
+        first, second = reading_signs(A, shifted[v], B, shifted[w])
         acc = RingElement.zero(self.algebra.spec)
-        unit = basis.unit
+        unit = self.basis.unit
 
         word_v = beta + (w,) + alpha
         if unit is None or unit not in word_v:
             entry = psi0.table.get((v, word_v))
             if entry:
-                sign = -1 if (A * (V + B + W)) % 2 else 1
-                acc = acc + (entry.scale(sign) if sign < 0 else entry)
+                acc = acc + (entry.scale(first) if first < 0 else entry)
         word_w = alpha + (v,) + beta
         if unit is None or unit not in word_w:
             entry = psi0.table.get((w, word_w))
             if entry:
-                sign = 1 if (W * (A + V + B)) % 2 else -1
-                acc = acc + (entry.scale(sign) if sign < 0 else entry)
+                acc = acc + (entry.scale(second) if second < 0 else entry)
         return acc
 
     # -- multilinear wrapper -------------------------------------------------
@@ -80,32 +88,40 @@ class InfinityInnerProduct:
         betas: Sequence[Element],
         w: Element,
     ) -> RingElement:
-        """Expand Elements into basis components (even coefficients commute out)."""
+        """phi_{p,q}(alphas (x) v (x) betas)(w), multilinear in every slot.
+
+        Visits only the psi_0 entries of cyclic length p + q + 2, each under
+        both readings, and multiplies only the input coefficients an entry
+        selects, stopping at the first letter an input lacks: a call costs
+        O(|support| * n) with |support| the number of such entries and
+        n = p + q + 2, not the size of the tensor product of the inputs.
+        Coefficients are even, so they commute out without signs.
+        """
         acc = RingElement.zero(self.algebra.spec)
-        one = self.algebra.one_ring()
-
-        def expand(elements):
-            stack = [((), one)]
-            for el in elements:
-                new = []
-                for word, coeff in stack:
-                    for i, value in el.components.items():
-                        c = coeff * value
-                        if c:
-                            new.append((word + (i,), c))
-                stack = new
-            return stack
-
-        for alpha, ca in expand(alphas):
-            for i_v, cv in v.components.items():
-                for beta, cb in expand(betas):
-                    for i_w, cw in w.components.items():
-                        coeff = ca * cv * cb * cw
-                        if not coeff:
-                            continue
-                        value = self.eval_word(alpha, i_v, beta, i_w)
-                        if value:
-                            acc = acc + coeff * value
+        p, q = len(alphas), len(betas)
+        entries = self.tower.psi0.support_by_length().get(p + q + 2)
+        if not entries:
+            return acc
+        shifted = self._shifted
+        # Each reading lists the inputs in the order of the cyclic key
+        # (v0,) + word0 it matches, with m letters between the two marked
+        # slots.
+        readings = (((v, *betas, w, *alphas), q),   # psi_0[v | beta, w, alpha]
+                    ((w, *alphas, v, *betas), p))   # psi_0[w | alpha, v, beta]
+        for v0, word0, value in entries:
+            key = (v0,) + word0
+            for reading, (slots, m) in enumerate(readings):
+                coeff = tensor_coefficient(slots, key)
+                if not coeff:
+                    continue
+                s = [shifted[i] for i in key]
+                sums = (s[0], sum(s[1:m + 1]), s[m + 1], sum(s[m + 2:]))
+                if reading == 0:
+                    V, B, W, A = sums
+                else:
+                    W, A, V, B = sums
+                sign = reading_signs(A, V, B, W)[reading]
+                acc = acc + coeff * (value.scale(sign) if sign < 0 else value)
         return acc
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfty.ainfty import (
     Covector,
@@ -26,8 +27,11 @@ from ainfty.graded import Element, GradedBasis
 from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
+from oracles import SCALARS, elements, expand_apply_m
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
+# curvature (E2, SV1), a differential (G1, SV1) and a genuine m_3 (Q1)
+APPLY_M_MAKERS = (make_e2, make_g1, make_q1, make_sv1)
 
 
 @pytest.mark.parametrize("maker", ALL_MAKERS)
@@ -66,6 +70,33 @@ def test_apply_m_multilinear(e2, rng):
 def test_apply_m_arity_guard(e2):
     with pytest.raises(ConfigurationError):
         apply_m(e2, [e2.unit_element()] * (e2.k_max + 1))
+    # no stored word of that arity: the guard still comes first
+    with pytest.raises(ConfigurationError):
+        apply_m(e2, [Element.zero(e2.basis)] * (e2.k_max + 1))
+
+
+def test_apply_m_beyond_tables_errors_when_not_flagged():
+    algebra = make_e1()
+    algebra.higher_arities_zero = False
+    x = Element.generator(algebra.basis, 1, algebra.one_ring())
+    with pytest.raises(ConfigurationError):
+        apply_m(algebra, [x, x, x])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_apply_m_matches_expansion(data):
+    algebra = data.draw(st.sampled_from(APPLY_M_MAKERS))()
+    scalars = data.draw(st.sampled_from(SCALARS))
+    k = data.draw(st.integers(0, algebra.max_stored_arity() + 1))
+    inputs = [data.draw(elements(algebra, scalars)) for _ in range(k)]
+    got = apply_m(algebra, inputs)
+    want = expand_apply_m(algebra, inputs)
+    assert got == want
+    if scalars != "mixed":
+        # A constant reached by cancelling Poly against rational terms is
+        # stored as either type, depending on the order of the sum.
+        assert got.text() == want.text()
 
 
 def test_arity_beyond_table_errors_when_not_flagged():

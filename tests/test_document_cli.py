@@ -199,3 +199,35 @@ def test_cli_seed_changes_suite_but_not_result(tmp_path):
     assert main(["check", "--input", corpus("e2.json"), "--chains", "30",
                  "--seed", "2", "--report", str(b)]) == 0
     assert a.read_bytes() != b.read_bytes()  # seed is echoed in the report
+
+
+@pytest.mark.parametrize("argv,location", (
+    (["check", "--input", corpus("e2.json"), "--kmax", "-1"], "--kmax: must be >= 0"),
+    (["cocycle", "--input", corpus("e1.json"), "--lmax", "-1"], "--lmax: must be >= 0"),
+    (["potential", "--input", corpus("e2.json"), "--nmax", "-1"], "--nmax: must be >= 0"),
+    (["check", "--input", corpus("e2.json"), "--chains", "0"], "--chains: must be >= 1"),
+))
+def test_cli_rejects_cutoffs_that_check_nothing(capsys, argv, location):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert location in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_cli_rejects_negative_cutoff_from_document(tmp_path, capsys):
+    raw = minimal_doc()
+    raw["cutoffs"]["arity"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", "--input", str(path)]) == 2
+    assert "cutoffs.arity: must be >= 0" in capsys.readouterr().err
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    with pytest.raises(DocumentError) as err:
+        load_dict([minimal_doc()])
+    assert err.value.diagnostics[0][0] == "(top level)"
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([minimal_doc()]))
+    assert main(["check", "--input", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err

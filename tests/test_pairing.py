@@ -1,11 +1,15 @@
 """Inner products from towers: construction, symmetries, nondegeneracy."""
 
-import pytest
+import random
 
-from ainfty.ainfty import check_bimodule_hom
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ainfty import hochschild, pairing
+from ainfty.ainfty import check_bimodule_hom, phi_hat
 from ainfty.coeff import RingElement
 from ainfty.errors import DivergenceError, TowerError
-from ainfty.graded import Element
+from ainfty.graded import Element, words_over
 from ainfty.hochschild import CocycleTower, Functional
 from ainfty.pairing import (
     InfinityInnerProduct,
@@ -20,8 +24,9 @@ from ainfty.pairing import (
 from conftest import (
     make_e1, make_e2, make_g1, make_p1, make_q1,
     poincare_tower, random_bstar_tower, random_coboundary_tower,
-    random_degree_one, ring,
+    random_degree_one, random_functional, ring,
 )
+from oracles import SCALARS, elements, expand_eval_elements, mutant_module, phi_hat_all_arguments
 
 
 def build_poincare(maker):
@@ -288,3 +293,153 @@ def test_weak_cyclic_corpus_g1_tower(g1, rng):
         for y_idx in range(len(algebra.basis)):
             y = Element.generator(algebra.basis, y_idx, algebra.one_ring())
             assert weak_cyclic_check(algebra, phi, b, y, n_max=4).passed
+
+
+# -- the support-driven kernels against the brute-force expansion ------------
+
+
+def _corpus_g1():
+    import os
+
+    import ainfty
+    from ainfty.document import load
+
+    doc = load(os.path.join(os.path.dirname(ainfty.__file__), "corpus",
+                            "g1_gauge.json"))
+    return doc.algebra, doc.towers["pair"]
+
+
+def _nonstrict_psi0(functional_cls, algebra, rng):
+    """psi_0 on words of length up to 4, plus entries on words with the unit.
+
+    The constructor refuses words containing the unit, so those entries are
+    written into the table afterwards; they stand for a table edited in
+    place, which every evaluation must ignore as it ignores unreduced words.
+    """
+    fixed = random_functional(algebra, rng, d=rng.choice((0, 1)), max_len=4)
+    psi0 = functional_cls(algebra.basis, algebra.spec, fixed.table)
+    unit = algebra.basis.require_unit()
+    n = len(algebra.basis)
+    for _ in range(4):
+        word = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+        word[rng.randrange(len(word))] = unit
+        psi0.table[(rng.randrange(n), tuple(word))] = ring(algebra.spec, rng.choice((-1, 2)))
+    return psi0
+
+
+def _phi_case(case, rng):
+    """(algebra, phi): strict E2, the corpus G1 tower, or a non-strict G1 psi_0."""
+    if case == 0:
+        algebra = make_e2()
+        return algebra, InfinityInnerProduct(algebra, poincare_tower(algebra))
+    if case == 1:
+        algebra, pair = _corpus_g1()
+        return algebra, InfinityInnerProduct(algebra, pair)
+    algebra = make_g1()
+    psi0 = _nonstrict_psi0(Functional, algebra, rng)
+    return algebra, InfinityInnerProduct(algebra, CocycleTower((psi0,)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_eval_elements_matches_expansion(data):
+    case = data.draw(st.integers(0, 2))
+    algebra, phi = _phi_case(case, random.Random(data.draw(st.integers(0, 2 ** 16))))
+    scalars = data.draw(st.sampled_from(SCALARS))
+    # up to one slot past the longest psi_0 entry, where the result is 0
+    longest = max(phi.tower.psi0.support_by_length()) - 2
+    total = data.draw(st.integers(0, min(longest + 1, 3)))
+    p = data.draw(st.integers(0, total))
+    q = total - p
+    element = elements(algebra, scalars)
+    alphas = [data.draw(element) for _ in range(p)]
+    betas = [data.draw(element) for _ in range(q)]
+    v, w = data.draw(element), data.draw(element)
+    got = phi.eval_elements(alphas, v, betas, w)
+    want = expand_eval_elements(phi, alphas, v, betas, w)
+    assert got == want
+    if scalars != "mixed":
+        # A constant reached by cancelling Poly against rational terms is
+        # stored as either type, depending on the order of the sum.
+        assert got.text() == want.text()
+
+
+def test_eval_elements_cancelling_inputs():
+    # x - y against a pairing symmetric in x and y: every term cancels
+    algebra, pair = _corpus_g1()
+    phi = InfinityInnerProduct(algebra, pair)
+    one = algebra.one_ring()
+    x, y = (Element.generator(algebra.basis, i, one) for i in (1, 2))
+    for args in (([], x - y, [], x + y), ([x - y], x, [], x), ([x], x - y, [x - y], x)):
+        assert phi.eval_elements(*args) == expand_eval_elements(phi, *args)
+    assert phi.eval_elements([x], x, [x, x], x).is_zero()  # no psi_0 entry that long
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_phi_hat_matches_all_arguments(case):
+    algebra, phi = _phi_case(case, random.Random(case))
+    one = algebra.one_ring()
+    letters = range(len(algebra.basis))
+    for total in range(4):
+        for nl in range(total + 1):
+            for lw in words_over(letters, nl):
+                for rw in words_over(letters, total - nl):
+                    for y in letters:
+                        start = {(lw, y, rw): one}
+                        assert phi_hat(algebra, phi, start) == \
+                            phi_hat_all_arguments(algebra, phi, start)
+
+
+# Mutants of the support-driven kernel, each applied to a fresh copy of the
+# module that holds it: (module, original fragment, mutated fragment).
+KERNEL_MUTANTS = {
+    "reading-2 sign flipped": (
+        pairing, "1 if W * (A + V + B) % 2 else -1)", "-1 if W * (A + V + B) % 2 else 1)"),
+    "unit exclusion dropped": (
+        hochschild, "                if unit is not None and unit in word:\n"
+                    "                    continue\n", ""),
+    "reading-1 split off by one": (
+        pairing, "((v, *betas, w, *alphas), q),", "((v, *betas, w, *alphas), q + 1),"),
+}
+
+
+def _kernel_disagrees(pairing_mod, hochschild_mod) -> bool:
+    """Does eval_elements from these modules differ from the expansion anywhere?
+
+    The expansion runs on the unmutated evaluator.  Every input carries
+    every basis component, with scalars differing from slot to slot so that
+    the two readings cannot cancel, so every psi_0 entry of the right length
+    is selected.  A mutant that crashes counts as detected.
+    """
+    algebra = make_g1()
+    psi0 = _nonstrict_psi0(hochschild_mod.Functional, algebra, random.Random(4))
+    tower = CocycleTower((psi0,))
+    mutant = pairing_mod.InfinityInnerProduct(algebra, tower)
+    reference = InfinityInnerProduct(algebra, tower)
+    rng = random.Random(5)
+    full = [Element(algebra.basis, {i: ring(algebra.spec, rng.randint(1, 9))
+                                    for i in range(len(algebra.basis))})
+            for _ in range(5)]
+    for p in range(4):
+        for q in range(4 - p):
+            args = (full[:p], full[p], full[p + 1:p + 1 + q], full[p + 1 + q])
+            try:
+                got = mutant.eval_elements(*args)
+            except IndexError:
+                return True
+            if got != expand_eval_elements(reference, *args):
+                return True
+    return False
+
+
+def test_kernel_detector_accepts_the_kernel():
+    assert not _kernel_disagrees(pairing, hochschild)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+def test_kernel_mutant_killed(name):
+    module, old, new = KERNEL_MUTANTS[name]
+    mutant = mutant_module(module, old, new)
+    modules = {"pairing": pairing, "hochschild": hochschild}
+    modules[module.__name__.rsplit(".", 1)[1]] = mutant
+    assert _kernel_disagrees(modules["pairing"], modules["hochschild"])
