@@ -7,7 +7,9 @@ m_{k,beta} at evaluation time, so the gapped structure stays explicit.
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
   * the coderivation sign at insertion position i is (-1)^{maltese_i} with
-    maltese_i the sum of shifted degrees of the first i inputs;
+    maltese_i the sum of shifted degrees of the first i inputs; ``insertions``
+    is the one loop over insertion positions and their signs, and every
+    differential here and in the Hochschild layer is a sum over it;
   * the full coderivation includes the curvature insertions (arity 0), so
     "coderivation squares to zero" is equivalent to the curved relations.
 
@@ -53,6 +55,7 @@ class AInftyAlgebra:
     name: str = "algebra"
     _m_cache: dict = field(default_factory=dict, repr=False)
     _words_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _arities: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
@@ -117,8 +120,14 @@ class AInftyAlgebra:
 
     # -- evaluation ----------------------------------------------------------
 
-    def stored_arities(self) -> set:
-        return {k for (k, _) in self.ops}
+    def stored_arities(self) -> tuple:
+        """The arities of the stored tables, ascending; cached on first use.
+
+        Like the word cache, it assumes the table keys stay fixed after that.
+        """
+        if self._arities is None:
+            self._arities = tuple(sorted({k for (k, _) in self.ops}))
+        return self._arities
 
     def stored_words(self, k: int) -> tuple:
         """The words of some arity-k table, sorted; m_word vanishes off them."""
@@ -131,7 +140,7 @@ class AInftyAlgebra:
 
     def max_stored_arity(self) -> int:
         arities = self.stored_arities()
-        return max(arities) if arities else 0
+        return arities[-1] if arities else 0
 
     def _check_arity(self, k: int):
         if k > self.max_stored_arity() and not self.higher_arities_zero:
@@ -162,12 +171,7 @@ class AInftyAlgebra:
                 continue
             factor = self.assembly_coefficient(bidx)
             for comp, value in entry.items():
-                piece = factor * value
-                if not piece:
-                    continue
-                acc = out.get(comp)
-                out[comp] = piece if acc is None else acc + piece
-        out = {i: v for i, v in out.items() if v}
+                add_term(out, comp, factor * value)
         self._m_cache[word] = out
         return out
 
@@ -216,36 +220,43 @@ def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
         if not coeff:
             continue
         for comp, value in algebra.m_word(word).items():
-            piece = coeff * value
-            if not piece:
-                continue
-            old = acc.get(comp)
-            acc[comp] = piece if old is None else old + piece
+            add_term(acc, comp, coeff * value)
     return Element(algebra.basis, acc)
 
 
-def coderivation(algebra: AInftyAlgebra, words: WordSum, arities=None) -> WordSum:
+def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
+    """The nonzero insertions of the operations into a word, with their signs.
+
+    Yields (i, k, inner, sign) for each nonzero inner = m_word(word[i:i+k]),
+    with k ascending over the stored arities (arity 0 included), then i
+    ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
+    shifted degrees of the first i letters.  Every differential of the
+    engine is a sum over these insertions: the coderivation and the curved
+    relations, the word parts of the diagonal and dual bar differentials,
+    and the interior parts of Hochschild b and b'.
+    """
+    basis_degrees = algebra.basis.degrees
+    degrees = [basis_degrees[x] for x in word]
+    n = len(word)
+    for k in algebra.stored_arities():
+        for i in range(n - k + 1):
+            inner = algebra.m_word(word[i : i + k])
+            if inner:
+                yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
+
+
+def coderivation(algebra: AInftyAlgebra, words: WordSum) -> WordSum:
     """The coderivation extending the operations to tensor words.
 
     Includes the arity-0 insertions; on the empty word the arity-0 part
     produces the one-letter curvature word.
     """
     out: WordSum = {}
-    basis = algebra.basis
     for word, coeff in words.items():
-        degrees = [basis.degree(i) for i in word]
-        ks = arities if arities is not None else sorted(algebra.stored_arities())
-        for k in ks:
-            if k > len(word):
-                continue
-            for i in range(len(word) - k + 1):
-                inner = algebra.m_word(word[i : i + k])
-                if not inner:
-                    continue
-                sign = -1 if maltese(degrees, i) % 2 else 1
-                signed = coeff.scale(sign) if sign < 0 else coeff
-                for comp, value in inner.items():
-                    add_term(out, word[:i] + (comp,) + word[i + k :], signed * value)
+        for i, k, inner, sign in insertions(algebra, word):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                add_term(out, word[:i] + (comp,) + word[i + k :], signed * value)
     return out
 
 
@@ -255,37 +266,23 @@ def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
     The residual at a word (x_1..x_n) is
         sum_{l,i} (-1)^{maltese_i} m_{n-l+1}(x_1.., m_l(x_{i+1}..x_{i+l}), ..x_n)
     including the l = 0 curvature insertions; all residuals must vanish
-    modulo the energy cutoff.
+    modulo the energy cutoff.  Products are formed only where the outer
+    operation is nonzero.
     """
     k_max = algebra.k_max if k_max is None else k_max
     report = Report("ainfty-relations")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
     basis = algebra.basis
-    arities = sorted(algebra.stored_arities())
     for n in range(k_max + 1):
-        for word in _words(len(basis), n):
-            degrees = [basis.degree(i) for i in word]
+        for word in words_over(range(len(basis)), n):
             residual: Dict[int, RingElement] = {}
-            for l in arities:
-                if l > n:
-                    continue
-                for i in range(n - l + 1):
-                    inner = algebra.m_word(word[i : i + l])
-                    if not inner:
-                        continue
-                    sign = -1 if maltese(degrees, i) % 2 else 1
-                    for comp, value in inner.items():
-                        outer_word = word[:i] + (comp,) + word[i + l :]
-                        for ocomp, ovalue in algebra.m_word(outer_word).items():
-                            piece = value * ovalue
-                            if sign < 0:
-                                piece = -piece
-                            if not piece:
-                                continue
-                            old = residual.get(ocomp)
-                            residual[ocomp] = piece if old is None else old + piece
-            residual = {i: v for i, v in residual.items() if v}
+            for i, l, inner, sign in insertions(algebra, word):
+                for comp, value in inner.items():
+                    outer = algebra.m_word(word[:i] + (comp,) + word[i + l :])
+                    for ocomp, ovalue in outer.items():
+                        piece = value * ovalue
+                        add_term(residual, ocomp, -piece if sign < 0 else piece)
             report.tick()
             if residual:
                 report.fail(
@@ -321,7 +318,7 @@ def check_strict_unit(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Re
         if k > algebra.max_stored_arity() and algebra.higher_arities_zero:
             continue
         for slot in range(k):
-            for rest in _words(len(basis), k - 1):
+            for rest in words_over(range(len(basis)), k - 1):
                 word = rest[:slot] + (unit,) + rest[slot:]
                 report.tick()
                 if algebra.m_word(word):
@@ -330,14 +327,6 @@ def check_strict_unit(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Re
                         % (k, algebra.word_text(word), slot)
                     )
     return report
-
-
-def _words(width: int, length: int):
-    return words_over(range(width), length)
-
-
-def _tuples(letters: Sequence[int], length: int):
-    return words_over(letters, length)
 
 
 # -- weak bounding cochains -------------------------------------------------
@@ -455,102 +444,12 @@ def solve_mc(algebra: AInftyAlgebra, h: Dict[int, Element], seed: Element):
     raise ConfigurationError("energy filtration did not terminate")
 
 
-# -- dual bimodule ------------------------------------------------------------
-
-
-@dataclass
-class Covector:
-    """Functional on the module, tabulated on the basis, with its own degree."""
-
-    table: Dict[int, RingElement]
-    degree: int
-
-    @classmethod
-    def dual_basis(cls, algebra: AInftyAlgebra, i: int) -> "Covector":
-        return cls({i: algebra.one_ring()}, -algebra.basis.degree(i))
-
-    def apply(self, element: Element, zero: Optional[RingElement] = None) -> RingElement:
-        acc = None
-        for i, value in element.components.items():
-            entry = self.table.get(i)
-            if not entry:
-                continue
-            piece = entry * value
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            for value in self.table.values():
-                return RingElement.zero(value.spec)
-            if zero is not None:
-                return zero
-            raise ConfigurationError("cannot type an empty covector")
-        return acc
-
-
-def dual_action(
-    algebra: AInftyAlgebra,
-    k: int,
-    l: int,
-    left: Sequence[Element],
-    covector: Covector,
-    right: Sequence[Element],
-    w: Element,
-) -> RingElement:
-    """Structure maps of the dual bimodule, evaluated on the final argument.
-
-    Computes (-1)^eps covector(m_{k+l+1}(right..., w, left...)) where, with
-    L and R the shifted-degree sums of the left and right words and |cov|
-    the covector's unshifted degree,
-
-        eps = |cov| + 1 + L (|cov| + R + |w|').
-
-    Crossings of the dual slot count its unshifted degree (dualizing flips
-    the shift); this is the unique small convention under which the dual
-    differential squares to zero exactly, the bimodule homomorphism check
-    closes on generic cocycle towers, and the k = l = 0 case still reduces
-    to (-1)^{|cov|'} cov(m_1(w)).
-    """
-    if len(left) != k or len(right) != l:
-        raise ConfigurationError("dual action called with mismatched word sizes")
-
-    def shifted_sum(elements):
-        total = 0
-        for el in elements:
-            degs = el.total_degrees()
-            if len(degs) > 1:
-                raise ConfigurationError("dual action needs homogeneous inputs")
-            if degs:
-                total += degs.pop() - 1
-        return total
-
-    wdegs = w.total_degrees()
-    if len(wdegs) > 1:
-        raise ConfigurationError("dual action needs a homogeneous final argument")
-    w_shift = (wdegs.pop() - 1) if wdegs else 0
-    lsum = shifted_sum(left)
-    rsum = shifted_sum(right)
-    eps = covector.degree + 1 + lsum * (covector.degree + rsum + w_shift)
-    inner = apply_m(algebra, list(right) + [w] + list(left))
-    value = covector.apply(inner, zero=algebra.zero_ring())
-    return -value if eps % 2 else value
-
-
 # -- bimodule words and the homomorphism check --------------------------------
 
 BimodWord = Tuple[Word, int, Word]
 BimodSum = Dict[BimodWord, RingElement]
 DualWord = Tuple[Word, int, int, Word]  # (left, covector degree, argument, right)
 DualSum = Dict[DualWord, RingElement]
-
-
-def _dadd(acc, key, value):
-    if not value:
-        return
-    old = acc.get(key)
-    new = value if old is None else old + value
-    if new:
-        acc[key] = new
-    elif old is not None:
-        del acc[key]
 
 
 def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
@@ -562,32 +461,21 @@ def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
     basis = algebra.basis
     unit = basis.unit
     out: BimodSum = {}
-    arities = sorted(algebra.stored_arities())
     for (lw, y, rw), coeff in words.items():
         ldeg = [basis.degree(i) for i in lw]
-        rdeg = [basis.degree(i) for i in rw]
-        y_shift = basis.degree(y) - 1
         # operations inside the left word
-        for k in arities:
-            for i in range(len(lw) - k + 1):
-                inner = algebra.m_word(lw[i : i + k])
-                sign = -1 if maltese(ldeg, i) % 2 else 1
-                for comp, value in inner.items():
-                    if comp == unit:
-                        continue
-                    _dadd(out, (lw[:i] + (comp,) + lw[i + k :], y, rw),
-                          coeff.scale(sign) * value)
-        # operations inside the right word
-        base = maltese(ldeg, len(lw)) + y_shift
-        for k in arities:
-            for i in range(len(rw) - k + 1):
-                inner = algebra.m_word(rw[i : i + k])
-                sign = -1 if (base + maltese(rdeg, i)) % 2 else 1
-                for comp, value in inner.items():
-                    if comp == unit:
-                        continue
-                    _dadd(out, (lw, y, rw[:i] + (comp,) + rw[i + k :]),
-                          coeff.scale(sign) * value)
+        for i, k, inner, sign in insertions(algebra, lw):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw[:i] + (comp,) + lw[i + k :], y, rw), signed * value)
+        # operations inside the right word, past the left word and y
+        base = maltese(ldeg, len(lw)) + basis.degree(y) - 1
+        for i, k, inner, sign in insertions(algebra, rw, base):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw, y, rw[:i] + (comp,) + rw[i + k :]), signed * value)
         # operations absorbing the module slot
         for p in range(len(lw) + 1):
             for q in range(len(rw) + 1):
@@ -597,7 +485,7 @@ def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
                 inner = algebra.m_word(word)
                 sign = -1 if maltese(ldeg, p) % 2 else 1
                 for comp, value in inner.items():
-                    _dadd(out, (lw[:p], comp, rw[q:]), coeff.scale(sign) * value)
+                    add_term(out, (lw[:p], comp, rw[q:]), coeff.scale(sign) * value)
     return out
 
 
@@ -606,38 +494,37 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
 
     The covector slot is carried as (degree, evaluated argument); absorbing
     a span (x_(p+1)..x_k | cov | z_1..z_q) produces, at each basis argument
-    w, the value (-1)^eps cov(m(z_1..z_q, w, x_(p+1)..x_k)) which is again
-    evaluated on basis arguments, keeping the representation flat.  Signs
-    follow the dual_action convention: the covector crosses with its
-    unshifted-degree parity.
+    w, the value (-1)^eps cov(m(z_1..z_q, w, x_(p+1)..x_k)) with, for L and
+    R the shifted-degree sums of the absorbed left and right letters and c
+    the covector's unshifted degree,
+
+        eps = c + 1 + L (c + R + |w|').
+
+    The covector crosses with the parity of its unshifted degree (dualizing
+    flips the shift): the unique small convention under which this
+    differential squares to zero, the bimodule homomorphism check closes on
+    generic cocycle towers, and p = q = 0 reduces to (-1)^{|cov|'} cov(m_1(w)).
+    The result is again evaluated on basis arguments, keeping the
+    representation flat.
     """
     basis = algebra.basis
     unit = basis.unit
     out: DualSum = {}
-    arities = sorted(algebra.stored_arities())
     for (lw, cdeg, arg, rw), coeff in words.items():
         ldeg = [basis.degree(i) for i in lw]
-        rdeg = [basis.degree(i) for i in rw]
-        c_cross = cdeg  # dual slot crosses with unshifted-degree parity
-        for k in arities:
-            for i in range(len(lw) - k + 1):
-                inner = algebra.m_word(lw[i : i + k])
-                sign = -1 if maltese(ldeg, i) % 2 else 1
-                for comp, value in inner.items():
-                    if comp == unit:
-                        continue
-                    _dadd(out, (lw[:i] + (comp,) + lw[i + k :], cdeg, arg, rw),
-                          coeff.scale(sign) * value)
-        base = maltese(ldeg, len(lw)) + c_cross
-        for k in arities:
-            for i in range(len(rw) - k + 1):
-                inner = algebra.m_word(rw[i : i + k])
-                sign = -1 if (base + maltese(rdeg, i)) % 2 else 1
-                for comp, value in inner.items():
-                    if comp == unit:
-                        continue
-                    _dadd(out, (lw, cdeg, arg, rw[:i] + (comp,) + rw[i + k :]),
-                          coeff.scale(sign) * value)
+        for i, k, inner, sign in insertions(algebra, lw):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw[:i] + (comp,) + lw[i + k :], cdeg, arg, rw),
+                             signed * value)
+        base = maltese(ldeg, len(lw)) + cdeg
+        for i, k, inner, sign in insertions(algebra, rw, base):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw, cdeg, arg, rw[:i] + (comp,) + rw[i + k :]),
+                             signed * value)
         # dual structure maps absorbing the covector slot
         for p in range(len(lw) + 1):
             for q in range(len(rw) + 1):
@@ -656,10 +543,9 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
                     if not value:
                         continue
                     w_shift = basis.degree(w) - 1
-                    eps = c_cross + 1 + sum_left * (c_cross + sum_right + w_shift)
+                    eps = cdeg + 1 + sum_left * (cdeg + sum_right + w_shift)
                     sign = prefix_sign * (-1 if eps % 2 else 1)
-                    _dadd(out, (lw[:p], new_cdeg, w, rw[q:]),
-                          coeff.scale(sign) * value)
+                    add_term(out, (lw[:p], new_cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
 
 
@@ -696,7 +582,7 @@ def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
                     value = phi.eval_word(alpha, y, beta, w)
                     if not value:
                         continue
-                    _dadd(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
+                    add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
 
 
@@ -729,15 +615,14 @@ def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None)
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
     basis = algebra.basis
-    unit = basis.require_unit()
-    letters = [i for i in range(len(basis)) if i != unit]
+    letters = basis.reduced_letters()
     one = algebra.one_ring()
     gsign = -1 if phi.degree % 2 else 1
     for total in range(l_max + 1):
         for nl in range(total + 1):
             nr = total - nl
-            for lw in _tuples(letters, nl):
-                for rw in _tuples(letters, nr):
+            for lw in words_over(letters, nl):
+                for rw in words_over(letters, nr):
                     for y in range(len(basis)):
                         start: BimodSum = {(lw, y, rw): one}
                         lhs = phi_hat(algebra, phi, delta_diagonal(algebra, start))
@@ -745,7 +630,7 @@ def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None)
                         report.tick()
                         diff = dict(lhs)
                         for key, value in rhs.items():
-                            _dadd(diff, key, value.scale(-gsign))
+                            add_term(diff, key, value.scale(-gsign))
                         if diff:
                             key = sorted(diff)[0]
                             report.fail(

@@ -28,8 +28,7 @@ DEFAULT_SEED = 20240601
 
 def _random_reduced_chain(algebra, rng, max_len=5):
     basis = algebra.basis
-    unit = basis.require_unit()
-    letters = [i for i in range(len(basis)) if i != unit]
+    letters = basis.reduced_letters()
     terms = {}
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))

@@ -429,29 +429,3 @@ class RingElement:
     def __repr__(self):
         return "RingElement(%s)" % self.text()
 
-
-# Module-level views of the core operations, matching the engine's public
-# operation names.
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def valuation(a: RingElement):
-    return a.valuation()
-
-
-def truncate(a: RingElement, energy) -> RingElement:
-    return a.truncate(energy)
-
-
-def extend_path(a: RingElement) -> RingElement:
-    return a.extend_path()
-
-
-def specialize(p: RingElement, point) -> RingElement:
-    return p.specialize(point)

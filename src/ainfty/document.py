@@ -60,6 +60,14 @@ def _fraction(value, where, errors, default=None):
         return default
 
 
+def _int(value, where, errors, default=None):
+    """A JSON integer; a bool, float, string or null is a located error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    errors.error(where, "not an integer: %r" % (value,))
+    return default
+
+
 def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False):
     """One serialized monomial term -> (Monomial, scalar)."""
     lam = _fraction(term.get("T", "0"), where + ".T", errors, Fraction(0))
@@ -202,8 +210,9 @@ def load_dict(raw: dict) -> LoadedDocument:
     energy = _fraction(cutoffs.get("energy", "10"), "cutoffs.energy", errors, Fraction(10))
     try:
         spec = RingSpec(
-            s_degree=int(coeffs.get("s_degree", 2)),
-            t_degrees=tuple(int(d) for d in coeffs.get("t_degrees", [])),
+            s_degree=_int(coeffs.get("s_degree", 2), "coefficients.s_degree", errors, 2),
+            t_degrees=tuple(_int(d, "coefficients.t_degrees[%d]" % j, errors, 0)
+                            for j, d in enumerate(coeffs.get("t_degrees", []))),
             cutoff=energy,
         )
     except ConfigurationError as exc:
@@ -214,7 +223,7 @@ def load_dict(raw: dict) -> LoadedDocument:
     names, degrees, unit = [], [], None
     for i, entry in enumerate(raw.get("basis", [])):
         names.append(entry.get("name", "b%d" % i))
-        degrees.append(int(entry.get("degree", 0)))
+        degrees.append(_int(entry.get("degree", 0), "basis[%d].degree" % i, errors, 0))
         if entry.get("unit"):
             if unit is not None:
                 errors.error("basis[%d]" % i, "more than one unit designated")
@@ -231,19 +240,21 @@ def load_dict(raw: dict) -> LoadedDocument:
     monoid = []
     for i, entry in enumerate(raw.get("monoid", [])):
         lam = _fraction(entry.get("energy", "0"), "monoid[%d].energy" % i, errors, Fraction(0))
-        monoid.append((lam, int(entry.get("index", 0))))
+        monoid.append((lam, _int(entry.get("index", 0), "monoid[%d].index" % i, errors, 0)))
     if not monoid:
         monoid = [(Fraction(0), 0)]
 
     ops: dict = {}
     for i, entry in enumerate(raw.get("operations", [])):
         where = "operations[%d]" % i
-        arity = int(entry.get("arity", len(entry.get("inputs", []))))
-        bidx = int(entry.get("monoid", 0))
+        inputs = entry.get("inputs", [])
+        arity = _int(entry.get("arity", len(inputs)), where + ".arity", errors)
+        bidx = _int(entry.get("monoid", 0), where + ".monoid", errors)
+        if arity is None or bidx is None:
+            continue
         if bidx >= len(monoid):
             errors.error(where + ".monoid", "monoid index out of range")
             continue
-        inputs = entry.get("inputs", [])
         if len(inputs) != arity:
             errors.error(where, "arity %d but %d inputs" % (arity, len(inputs)))
             continue
@@ -270,6 +281,12 @@ def load_dict(raw: dict) -> LoadedDocument:
         if word in table:
             errors.error(where, "duplicate table entry for this input word")
         table[word] = out
+    k_max = _int(cutoffs.get("arity", 6), "cutoffs.arity", errors, 6)
+    l_max = _int(cutoffs.get("word_length", 4), "cutoffs.word_length", errors, 4)
+    n_max = _int(cutoffs.get("n_max", 5), "cutoffs.n_max", errors, 5)
+    higher_zero = raw.get("higher_arities_zero", True)
+    if not isinstance(higher_zero, bool):
+        errors.error("higher_arities_zero", "not a JSON boolean: %r" % (higher_zero,))
     errors.raise_if_any()
 
     try:
@@ -278,10 +295,10 @@ def load_dict(raw: dict) -> LoadedDocument:
             monoid=tuple(monoid),
             ops=ops,
             spec=spec,
-            k_max=int(cutoffs.get("arity", 6)),
-            l_max=int(cutoffs.get("word_length", 4)),
-            n_max=int(cutoffs.get("n_max", 5)),
-            higher_arities_zero=bool(raw.get("higher_arities_zero", True)),
+            k_max=k_max,
+            l_max=l_max,
+            n_max=n_max,
+            higher_arities_zero=higher_zero,
             name=str(raw.get("name", "algebra")),
         )
     except ConfigurationError as exc:

@@ -58,9 +58,3 @@ def column_space_pivots(matrix: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices of the lexicographically first independent columns."""
     return rref(matrix)[1]
 
-
-def in_column_space(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    if not matrix:
-        return all(x == 0 for x in vector)
-    augmented = [list(row) + [v] for row, v in zip(matrix, vector)]
-    return rank(matrix) == rank(augmented)

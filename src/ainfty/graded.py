@@ -64,6 +64,11 @@ class GradedBasis:
             raise ConfigurationError("no unit designated")
         return self.unit
 
+    def reduced_letters(self) -> list:
+        """The basis indices other than the unit: the letters of reduced words."""
+        unit = self.require_unit()
+        return [i for i in range(len(self.names)) if i != unit]
+
 
 def maltese(degrees: Sequence[int], i: int) -> int:
     """Sum of shifted degrees of the first i entries.
@@ -72,7 +77,7 @@ def maltese(degrees: Sequence[int], i: int) -> int:
     """
     if i < 0 or i > len(degrees):
         raise ConfigurationError("maltese index out of range")
-    return sum(d - 1 for d in degrees[:i])
+    return sum(degrees[:i]) - i
 
 
 def koszul_sign_cyclic(degrees: Sequence[int]) -> int:
@@ -179,19 +184,20 @@ class Element:
         return "Element(%s)" % self.text()
 
 
-def word_shifted_degree(basis: GradedBasis, word: Word) -> int:
-    return sum(basis.degree(i) - 1 for i in word)
+def add_term(acc: dict, key, value: RingElement) -> None:
+    """Add value into the sparse sum acc at key, keeping only nonzero entries.
 
-
-def add_term(acc: WordSum, word: Word, value: RingElement) -> None:
+    The one accumulator of the engine: word sums, chain terms, bimodule and
+    dual words, functional tables and component maps all go through it.
+    """
     if not value:
         return
-    old = acc.get(word)
+    old = acc.get(key)
     new = value if old is None else old + value
     if new:
-        acc[word] = new
+        acc[key] = new
     elif old is not None:
-        del acc[word]
+        del acc[key]
 
 
 def tensor_coefficient(elements: Sequence[Element], word: Word) -> Optional[RingElement]:
@@ -208,39 +214,6 @@ def tensor_coefficient(elements: Sequence[Element], word: Word) -> Optional[Ring
             return None
         coeff = c if coeff is None else coeff * c
     return coeff
-
-
-def substitute(
-    basis: GradedBasis,
-    word: Word,
-    coeff: RingElement,
-    position: int,
-    span: int,
-    value: Element,
-) -> WordSum:
-    """Replace word[position:position+span] by an Element, with Koszul sign.
-
-    The replaced span is removed and each component of ``value`` is inserted
-    in its place; the coefficient picks up (-1)^{maltese(word, position)} and
-    the component's ring coefficient.  Returns a word sum.
-    """
-    if position < 0 or span < 0 or position + span > len(word):
-        raise ConfigurationError("substitution span out of range")
-    degrees = [basis.degree(i) for i in word]
-    sign = -1 if maltese(degrees, position) % 2 else 1
-    out: WordSum = {}
-    signed = coeff.scale(sign) if sign < 0 else coeff
-    for comp, cval in value.components.items():
-        new_word = word[:position] + (comp,) + word[position + span:]
-        add_term(out, new_word, signed * cval)
-    return out
-
-
-def rotate_word(basis: GradedBasis, word: Word) -> Tuple[Word, int]:
-    """One cyclic rotation (last factor to the front) and its Koszul sign."""
-    degrees = [basis.degree(i) for i in word]
-    sign = koszul_sign_cyclic(degrees)
-    return (word[-1],) + word[:-1], sign
 
 
 def words_over(letters: Sequence[int], length: int):

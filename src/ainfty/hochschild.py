@@ -11,8 +11,9 @@ Sign conventions, all derived from shifted degrees:
   * b (module differential): wrap-around terms absorb a tail block of the
     word together with the module slot; the block pays the Koszul cost of
     crossing everything it moves past (module slot plus the remaining
-    prefix).  Interior insertions pay |v|' plus the shifted prefix, and
-    include the arity-0 insertions.
+    prefix).  Interior insertions are ``ainfty.insertions`` into the word
+    with base |v|': they pay |v|' plus the shifted prefix, and include the
+    arity-0 insertions.
   * b' (bar-type differential): the coderivation on the full marked word,
     output marked at slot 0.
   * t: signed rotation of the full marked word (last factor to the front),
@@ -36,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .ainfty import AInftyAlgebra
+from .ainfty import AInftyAlgebra, insertions
 from .coeff import RingElement
 from .errors import ConfigurationError
-from .graded import Word, maltese, words_over as _tuples
+from .graded import Word, add_term, koszul_sign_cyclic, maltese, words_over
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -58,17 +59,9 @@ class HochschildChain:
         if terms:
             unit = basis.unit
             for (v, word), coeff in terms.items():
-                if not coeff:
-                    continue
                 if reduced and unit is not None and unit in word:
                     continue
-                key = (v, word)
-                old = clean.get(key)
-                new = coeff if old is None else old + coeff
-                if new:
-                    clean[key] = new
-                elif old is not None:
-                    del clean[key]
+                add_term(clean, (v, word), coeff)
         self.terms = clean
 
     @classmethod
@@ -80,12 +73,7 @@ class HochschildChain:
             raise ConfigurationError("cannot mix reduced and unreduced chains")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            old = terms.get(key)
-            new = coeff if old is None else old + coeff
-            if new:
-                terms[key] = new
-            elif old is not None:
-                del terms[key]
+            add_term(terms, key, coeff)
         return HochschildChain(self.basis, terms, self.reduced)
 
     def __neg__(self):
@@ -113,10 +101,6 @@ class HochschildChain:
             )
         return NotImplemented
 
-    def degree_of_key(self, key: ChainKey) -> int:
-        v, word = key
-        return self.basis.degree(v) + sum(self.basis.degree(i) - 1 for i in word)
-
     def text(self) -> str:
         if not self.terms:
             return "0"
@@ -139,67 +123,43 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     """The module differential, wrap-around and interior sums with exact signs."""
     basis = algebra.basis
     out: ChainTerms = {}
-    arities = sorted(algebra.stored_arities())
-    arity_set = set(arities)
+    arity_set = set(algebra.stored_arities())
     for (v, word), coeff in chain.terms.items():
         k = len(word)
-        shifts = [basis.degree(i) - 1 for i in word]
-        v_shift = basis.degree(v) - 1
+        marked = [basis.degree(v)] + [basis.degree(i) for i in word]
         # wrap-around: m_{i+j+1}(a_{k-i+1}..a_k, v, a_1..a_j) keeps a_{j+1}..a_{k-i}
         for i in range(k + 1):
-            tail = sum(shifts[k - i :])
+            tail = sum(marked[k - i + 1 :]) - i
             for j in range(k - i + 1):
-                arity = i + j + 1
-                if arity not in arity_set:
+                if i + j + 1 not in arity_set:
                     continue
-                inner_word = word[k - i :] + (v,) + word[:j]
-                inner = algebra.m_word(inner_word)
+                inner = algebra.m_word(word[k - i :] + (v,) + word[:j])
                 if not inner:
                     continue
-                crossed = v_shift + sum(shifts[: k - i])
-                sign = -1 if (tail * crossed) % 2 else 1
+                # the tail block crosses v and the kept prefix a_1..a_{k-i}
+                sign = -1 if (tail * maltese(marked, k - i + 1)) % 2 else 1
                 signed = coeff.scale(sign) if sign < 0 else coeff
                 for comp, value in inner.items():
-                    _cadd(out, (comp, word[j : k - i]), signed * value)
+                    add_term(out, (comp, word[j : k - i]), signed * value)
         # interior: m_j inserted in the tensor word, arity 0 included
-        for arity in arities:
-            for p in range(k - arity + 1):
-                inner = algebra.m_word(word[p : p + arity])
-                if not inner:
-                    continue
-                sign = -1 if (v_shift + sum(shifts[:p])) % 2 else 1
-                signed = coeff.scale(sign) if sign < 0 else coeff
-                for comp, value in inner.items():
-                    _cadd(out, (v, word[:p] + (comp,) + word[p + arity :]), signed * value)
+        for p, arity, inner, sign in insertions(algebra, word, marked[0] - 1):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                add_term(out, (v, word[:p] + (comp,) + word[p + arity :]), signed * value)
     return HochschildChain(basis, out, chain.reduced)
 
 
 def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """Bar-type differential: coderivation on the full marked word, unreduced."""
-    basis = algebra.basis
     out: ChainTerms = {}
-    arities = sorted(algebra.stored_arities())
     for (v, word), coeff in chain.terms.items():
         full = (v,) + word
-        degrees = [basis.degree(i) for i in full]
-        for arity in arities:
-            for p in range(len(full) - arity + 1):
-                inner = algebra.m_word(full[p : p + arity])
-                if not inner:
-                    continue
-                sign = -1 if maltese(degrees, p) % 2 else 1
-                signed = coeff.scale(sign) if sign < 0 else coeff
-                for comp, value in inner.items():
-                    new_full = full[:p] + (comp,) + full[p + arity :]
-                    _cadd(out, (new_full[0], new_full[1:]), signed * value)
-    return HochschildChain(basis, out, reduced=False)
-
-
-def bar_differential(algebra: AInftyAlgebra, words) -> dict:
-    """Coderivation on plain (unmarked) tensor words; see ainfty.coderivation."""
-    from .ainfty import coderivation
-
-    return coderivation(algebra, words)
+        for p, arity, inner, sign in insertions(algebra, full):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                new_full = full[:p] + (comp,) + full[p + arity :]
+                add_term(out, (new_full[0], new_full[1:]), signed * value)
+    return HochschildChain(algebra.basis, out, reduced=False)
 
 
 def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
@@ -207,13 +167,9 @@ def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
     out: ChainTerms = {}
     for (v, word), coeff in chain.terms.items():
         full = (v,) + word
-        if len(full) == 1:
-            _cadd(out, (v, word), coeff)
-            continue
-        shifts = [basis.degree(i) - 1 for i in full]
-        sign = -1 if (shifts[-1] * sum(shifts[:-1])) % 2 else 1
+        sign = koszul_sign_cyclic([basis.degree(i) for i in full])
         rotated = (full[-1],) + full[:-1]
-        _cadd(out, (rotated[0], rotated[1:]), coeff.scale(sign) if sign < 0 else coeff)
+        add_term(out, (rotated[0], rotated[1:]), coeff.scale(sign) if sign < 0 else coeff)
     return HochschildChain(basis, out, reduced=False)
 
 
@@ -225,7 +181,7 @@ def operator_N(basis, chain: HochschildChain) -> HochschildChain:
         n = 1 + len(key[1])
         for _ in range(n):
             for pkey, pcoeff in piece.terms.items():
-                _cadd(out, pkey, pcoeff)
+                add_term(out, pkey, pcoeff)
             piece = cyclic_t(basis, piece)
     return HochschildChain(basis, out, reduced=False)
 
@@ -239,32 +195,15 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
     unit = basis.require_unit()
     out: ChainTerms = {}
     for (v, word), coeff in chain.terms.items():
-        full = (v,) + word
-        n = len(full)
-        current = full
+        current = (v,) + word
         acc = coeff
-        for _ in range(n):
+        for _ in range(len(current)):
             if unit not in current:
-                _cadd(out, (unit, current), acc)
-            if n == 1:
-                break
-            shifts = [basis.degree(i) - 1 for i in current]
-            sign = -1 if (shifts[-1] * sum(shifts[:-1])) % 2 else 1
-            current = (current[-1],) + current[:-1]
-            if sign < 0:
+                add_term(out, (unit, current), acc)
+            if koszul_sign_cyclic([basis.degree(i) for i in current]) < 0:
                 acc = -acc
+            current = (current[-1],) + current[:-1]
     return HochschildChain(basis, out, True)
-
-
-def _cadd(acc: ChainTerms, key: ChainKey, value: RingElement):
-    if not value:
-        return
-    old = acc.get(key)
-    new = value if old is None else old + value
-    if new:
-        acc[key] = new
-    elif old is not None:
-        del acc[key]
 
 
 # -- functionals and towers ---------------------------------------------------
@@ -349,12 +288,7 @@ class Functional:
     def __add__(self, other: "Functional") -> "Functional":
         table = dict(self.table)
         for key, value in other.table.items():
-            old = table.get(key)
-            new = value if old is None else old + value
-            if new:
-                table[key] = new
-            elif old is not None:
-                del table[key]
+            add_term(table, key, value)
         return Functional(self.basis, self.spec, table)
 
     def __sub__(self, other: "Functional") -> "Functional":
@@ -415,15 +349,11 @@ def tabulate(algebra: AInftyAlgebra, functional, l_max: int) -> Functional:
 def iter_basis_chains(algebra: AInftyAlgebra, l_max: int):
     """All (module, reduced word) keys with word length <= l_max, in order."""
     basis = algebra.basis
-    unit = basis.require_unit()
-    letters = [i for i in range(len(basis)) if i != unit]
+    letters = basis.reduced_letters()
     for length in range(l_max + 1):
-        for word in _tuples(letters, length):
+        for word in words_over(letters, length):
             for module in range(len(basis)):
                 yield module, word
-
-
-
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .ainfty import AInftyAlgebra, apply_m
 from .coeff import RingElement
 from .errors import ConfigurationError, DivergenceError, TowerError
 from .exactla import column_space_pivots
-from .graded import Element, Word, tensor_coefficient, words_over as _tuples
+from .graded import Element, Word, tensor_coefficient, words_over
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
 
@@ -142,13 +142,12 @@ def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
     basis = algebra.basis
-    unit = basis.require_unit()
-    letters = [i for i in range(len(basis)) if i != unit]
+    letters = basis.reduced_letters()
     for total in range(l_max + 1):
         for p in range(total + 1):
             q = total - p
-            for alpha in _tuples(letters, p):
-                for beta in _tuples(letters, q):
+            for alpha in words_over(letters, p):
+                for beta in words_over(letters, q):
                     for v in range(len(basis)):
                         for w in range(len(basis)):
                             A = sum(basis.degree(i) - 1 for i in alpha)
@@ -205,10 +204,9 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
     basis = algebra.basis
-    unit = basis.require_unit()
-    letters = [i for i in range(len(basis)) if i != unit]
+    letters = basis.reduced_letters()
     for n in range(3, l_max + 3):
-        for word in _tuples(letters, n):
+        for word in words_over(letters, n):
             shifts = [basis.degree(i) - 1 for i in word]
             total = sum(shifts)
             for i in range(n - 2):

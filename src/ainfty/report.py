@@ -30,11 +30,6 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "Report"):
-        self.checked += other.checked
-        for msg in other.failures:
-            self.failures.append("%s: %s" % (other.name, msg))
-
     def lines(self) -> list:
         out = ["[%s] %s" % (self.name, "PASS" if self.passed else "FAIL")]
         for key, value in self.context.items():

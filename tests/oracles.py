@@ -3,9 +3,11 @@
 These are the brute-force forms: expand every tensor product of the inputs
 into pure words, evaluate each word, and only then find out whether the
 structure tables have an entry there.  They are slow and obviously right,
-which is what an oracle should be.  Also here: hypothesis strategies for
-their inputs, and a helper that builds a mutated copy of an engine module
-from its source, for mutation tests.
+which is what an oracle should be.  The dual bimodule's structure maps are
+here too, in their unflattened form (a covector applied to m of module
+elements), as the reference for ``delta_dual``.  Also here: hypothesis
+strategies for their inputs, and a helper that builds a mutated copy of an
+engine module from its source, for mutation tests.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ from __future__ import annotations
 import inspect
 import sys
 import types
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from ainfty.ainfty import _dadd
+from ainfty.ainfty import apply_m
 from ainfty.coeff import Poly, RingElement
-from ainfty.graded import Element, maltese
+from ainfty.errors import ConfigurationError
+from ainfty.graded import Element, add_term, maltese
 
 
 SCALARS = ("rational", "poly", "mixed")
@@ -105,7 +109,116 @@ def phi_hat_all_arguments(algebra, phi, words):
                 for w in range(len(basis)):
                     value = phi.eval_word(alpha, y, beta, w)
                     if value:
-                        _dadd(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
+                        add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
+    return out
+
+
+@dataclass
+class Covector:
+    """Functional on the module, tabulated on the basis, with its own degree."""
+
+    table: Dict[int, RingElement]
+    degree: int
+
+    @classmethod
+    def dual_basis(cls, algebra, i: int) -> "Covector":
+        return cls({i: algebra.one_ring()}, -algebra.basis.degree(i))
+
+    def apply(self, element: Element, zero: Optional[RingElement] = None) -> RingElement:
+        acc = None
+        for i, value in element.components.items():
+            entry = self.table.get(i)
+            if not entry:
+                continue
+            piece = entry * value
+            acc = piece if acc is None else acc + piece
+        if acc is None:
+            for value in self.table.values():
+                return RingElement.zero(value.spec)
+            if zero is not None:
+                return zero
+            raise ConfigurationError("cannot type an empty covector")
+        return acc
+
+
+def dual_action(algebra, k: int, l: int, left: Sequence[Element], covector: Covector,
+                right: Sequence[Element], w: Element) -> RingElement:
+    """Structure maps of the dual bimodule, evaluated on the final argument.
+
+    Computes (-1)^eps covector(m_{k+l+1}(right..., w, left...)) where, with
+    L and R the shifted-degree sums of the left and right words and |cov|
+    the covector's unshifted degree,
+
+        eps = |cov| + 1 + L (|cov| + R + |w|').
+
+    The k = l = 0 case reduces to (-1)^{|cov|'} cov(m_1(w)).
+    """
+    if len(left) != k or len(right) != l:
+        raise ConfigurationError("dual action called with mismatched word sizes")
+
+    def shifted_sum(elements):
+        total = 0
+        for el in elements:
+            degs = el.total_degrees()
+            if len(degs) > 1:
+                raise ConfigurationError("dual action needs homogeneous inputs")
+            if degs:
+                total += degs.pop() - 1
+        return total
+
+    wdegs = w.total_degrees()
+    if len(wdegs) > 1:
+        raise ConfigurationError("dual action needs a homogeneous final argument")
+    w_shift = (wdegs.pop() - 1) if wdegs else 0
+    lsum = shifted_sum(left)
+    rsum = shifted_sum(right)
+    eps = covector.degree + 1 + lsum * (covector.degree + rsum + w_shift)
+    inner = apply_m(algebra, list(right) + [w] + list(left))
+    value = covector.apply(inner, zero=algebra.zero_ring())
+    return -value if eps % 2 else value
+
+
+def delta_dual_reference(algebra, words):
+    """delta_dual from dual_action and position-by-position insertions.
+
+    A flat dual word (lw, c, arg, rw) stands for the covector of degree c
+    dual to the basis element arg.  Insertions into the words are written
+    out position by position (unit outputs dropped: the bar factors are
+    reduced); absorbing lw[p:] and rw[:q] into the covector is dual_action
+    on basis generators, read off at every basis argument w.
+    """
+    basis = algebra.basis
+    one = algebra.one_ring()
+
+    def gens(word):
+        return [Element.generator(basis, i, one) for i in word]
+
+    def inserted(word, base):
+        degrees = [basis.degree(i) for i in word]
+        for k in range(len(word) + 1):
+            for i in range(len(word) - k + 1):
+                sign = -1 if (base + maltese(degrees, i)) % 2 else 1
+                for comp, value in algebra.m_word(word[i:i + k]).items():
+                    if comp != basis.unit:
+                        yield word[:i] + (comp,) + word[i + k:], value.scale(sign)
+
+    out = {}
+    for (lw, cdeg, arg, rw), coeff in words.items():
+        ldeg = [basis.degree(i) for i in lw]
+        for new, value in inserted(lw, 0):
+            add_term(out, (new, cdeg, arg, rw), coeff * value)
+        for new, value in inserted(rw, maltese(ldeg, len(lw)) + cdeg):
+            add_term(out, (lw, cdeg, arg, new), coeff * value)
+        covector = Covector({arg: one}, cdeg)
+        for p in range(len(lw) + 1):
+            for q in range(len(rw) + 1):
+                left, right = lw[p:], rw[:q]
+                prefix = -1 if maltese(ldeg, p) % 2 else 1
+                new_cdeg = cdeg + sum(basis.degree(i) - 1 for i in left + right) + 1
+                for w in range(len(basis)):
+                    value = dual_action(algebra, len(left), len(right), gens(left),
+                                        covector, gens(right), gens((w,))[0])
+                    add_term(out, (lw[:p], new_cdeg, w, rw[q:]), coeff * value.scale(prefix))
     return out
 
 

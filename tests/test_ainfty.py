@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import ainfty
 from ainfty.ainfty import (
-    Covector,
     Obstruction,
     apply_m,
     check_ainfty,
@@ -16,18 +16,19 @@ from ainfty.ainfty import (
     curvature,
     delta_diagonal,
     delta_dual,
-    dual_action,
     solve_mc,
-    _tuples,
 )
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError, DivergenceError
-from ainfty.graded import Element, GradedBasis
+from ainfty.graded import Element, GradedBasis, words_over
 
 from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
-from oracles import SCALARS, elements, expand_apply_m
+from oracles import (
+    SCALARS, Covector, delta_dual_reference, dual_action, elements, expand_apply_m,
+    mutant_module,
+)
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
 # curvature (E2, SV1), a differential (G1, SV1) and a genuine m_3 (Q1)
@@ -227,35 +228,90 @@ def test_dual_action_unit_m1_vanishes(e1):
     assert dual_action(e1, 0, 0, [], cov, [], e1.unit_element()).is_zero()
 
 
+def _bimodule_start_words(algebra):
+    """Every (lw, y, rw) with reduced words of total length |lw| + |rw| <= 2."""
+    letters = algebra.basis.reduced_letters()
+    for nl in range(3):
+        for nr in range(3 - nl):
+            for lw in words_over(letters, nl):
+                for rw in words_over(letters, nr):
+                    for y in range(len(algebra.basis)):
+                        yield lw, y, rw
+
+
+def _dual_start_words(algebra):
+    """Every flat dual word (lw, cdeg, arg, rw) on those, cdeg in [-2, 2]."""
+    for lw, arg, rw in _bimodule_start_words(algebra):
+        for cdeg in range(-2, 3):
+            yield lw, cdeg, arg, rw
+
+
 @pytest.mark.parametrize("maker", (make_e2, make_g1, make_p1, make_q1))
 def test_delta_diagonal_squares_to_zero(maker):
     algebra = maker()
-    unit = algebra.basis.require_unit()
-    letters = [i for i in range(len(algebra.basis)) if i != unit]
     one = algebra.one_ring()
-    for nl in range(3):
-        for nr in range(3 - nl):
-            for lw in _tuples(letters, nl):
-                for rw in _tuples(letters, nr):
-                    for y in range(len(algebra.basis)):
-                        start = {(lw, y, rw): one}
-                        assert delta_diagonal(algebra, delta_diagonal(algebra, start)) == {}
+    for key in _bimodule_start_words(algebra):
+        start = {key: one}
+        assert delta_diagonal(algebra, delta_diagonal(algebra, start)) == {}
 
 
 @pytest.mark.parametrize("maker", (make_e2, make_g1, make_p1, make_q1))
 def test_delta_dual_squares_to_zero(maker):
     algebra = maker()
-    unit = algebra.basis.require_unit()
-    letters = [i for i in range(len(algebra.basis)) if i != unit]
     one = algebra.one_ring()
-    for nl in range(3):
-        for nr in range(3 - nl):
-            for lw in _tuples(letters, nl):
-                for rw in _tuples(letters, nr):
-                    for arg in range(len(algebra.basis)):
-                        for cdeg in (-2, -1, 0, 1, 2):
-                            start = {(lw, cdeg, arg, rw): one}
-                            assert delta_dual(algebra, delta_dual(algebra, start)) == {}
+    for key in _dual_start_words(algebra):
+        start = {key: one}
+        assert delta_dual(algebra, delta_dual(algebra, start)) == {}
+
+
+@pytest.mark.parametrize("maker", (make_g1, make_e2))
+def test_delta_dual_matches_dual_action_reference(maker):
+    algebra = maker()
+    one = algebra.one_ring()
+    for key in _dual_start_words(algebra):
+        start = {key: one}
+        assert delta_dual(algebra, start) == delta_dual_reference(algebra, start), key
+
+
+# Mutants of the insertion kernel and its call sites, each applied to a
+# fresh copy of the ainfty module: (original fragment, mutated fragment).
+INSERTION_MUTANTS = {
+    "base ignored": ("(base + maltese(degrees, i))", "(maltese(degrees, i))"),
+    "position range cut short": ("range(n - k + 1)", "range(n - k)"),
+    "delta_dual right-word parity flipped": ("maltese(ldeg, len(lw)) + cdeg",
+                                             "maltese(ldeg, len(lw)) + cdeg + 1"),
+}
+
+
+def _insertion_kernel_disagrees(module) -> bool:
+    """Does this copy of the ainfty module break a relation or its reference?
+
+    Checks the curved relations on E2, the square of the diagonal bar
+    differential and delta_dual against the dual_action reference on G1.
+    """
+    if not module.check_ainfty(make_e2(), k_max=4).passed:
+        return True
+    g1 = make_g1()
+    one = g1.one_ring()
+    for key in _bimodule_start_words(g1):
+        start = {key: one}
+        if module.delta_diagonal(g1, module.delta_diagonal(g1, start)):
+            return True
+    for key in _dual_start_words(g1):
+        start = {key: one}
+        if module.delta_dual(g1, start) != delta_dual_reference(g1, start):
+            return True
+    return False
+
+
+def test_insertion_detector_accepts_the_kernel():
+    assert not _insertion_kernel_disagrees(ainfty)
+
+
+@pytest.mark.parametrize("name", sorted(INSERTION_MUTANTS))
+def test_insertion_mutant_killed(name):
+    old, new = INSERTION_MUTANTS[name]
+    assert _insertion_kernel_disagrees(mutant_module(ainfty, old, new))
 
 
 def test_coderivation_squares_to_zero(e2, rng):

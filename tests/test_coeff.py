@@ -204,13 +204,12 @@ def test_fraction_strings():
         as_fraction(0.5)
 
 
-def test_module_level_operation_aliases():
-    from ainfty.coeff import extend_path, ring_add, ring_mul, specialize, truncate, valuation
-
+def test_core_operation_methods():
     a = el(2, lam=Fraction(1, 2))
     b = el(3, lam=1)
-    assert ring_add(a, b) == a + b
-    assert ring_mul(a, b) == a * b
-    assert valuation(a) == Fraction(1, 2)
-    assert truncate(a + b, Fraction(3, 4)) == (a + b).truncate(Fraction(3, 4))
-    assert specialize(extend_path(a), Fraction(1, 7)) == a
+    assert (a + b).terms == {**a.terms, **b.terms}
+    assert a * b == el(6, lam=Fraction(3, 2))
+    assert a.valuation() == Fraction(1, 2)
+    cut = (a + b).truncate(Fraction(3, 4))
+    assert (cut.terms, cut.spec.cutoff) == (a.terms, Fraction(3, 4))
+    assert a.extend_path().specialize(Fraction(1, 7)) == a

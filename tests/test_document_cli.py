@@ -231,3 +231,33 @@ def test_top_level_must_be_an_object(tmp_path, capsys):
     path.write_text(json.dumps([minimal_doc()]))
     assert main(["check", "--input", str(path)]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """Edit minimal_doc at a path of keys and list indices."""
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return raw
+    return edit
+
+
+@pytest.mark.parametrize("edit,location", (
+    (_set(("operations", 1, "arity"), "two"), "operations[1].arity: not an integer: 'two'"),
+    (_set(("basis", 1, "degree"), None), "basis[1].degree: not an integer: None"),
+    (_set(("cutoffs", "arity"), "six"), "cutoffs.arity: not an integer: 'six'"),
+    (_set(("monoid", 0, "index"), "z"), "monoid[0].index: not an integer: 'z'"),
+    (_set(("basis", 1, "degree"), 1.5), "basis[1].degree: not an integer: 1.5"),
+    (_set(("higher_arities_zero",), "false"),
+     "higher_arities_zero: not a JSON boolean: 'false'"),
+), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
+        "flag-string"))
+def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(edit(minimal_doc())))
+    assert main(["check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert location in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out

@@ -5,20 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from ainfty.ainfty import AInftyAlgebra, coderivation, insertions
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError
-from ainfty.graded import (
-    Element,
-    GradedBasis,
-    koszul_sign_cyclic,
-    maltese,
-    rotate_word,
-    substitute,
-    word_shifted_degree,
-)
+from ainfty.graded import Element, GradedBasis, add_term, koszul_sign_cyclic, maltese
+from ainfty.hochschild import HochschildChain, cyclic_t
 
 SPEC = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(4))
 BASIS = GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3), unit=0)
+ONE = RingElement.one(SPEC)
 
 
 def test_maltese_empty():
@@ -61,60 +56,88 @@ def test_full_rotation_is_identity():
         word = tuple(rng.randrange(len(BASIS)) for _ in range(rng.randint(1, 6)))
         current, sign = word, 1
         for _ in range(len(word)):
-            current, s = rotate_word(BASIS, current)
-            sign *= s
+            sign *= koszul_sign_cyclic([BASIS.degree(i) for i in current])
+            current = (current[-1],) + current[:-1]
         assert current == word
         assert sign == 1
+        # cyclic_t rotates the marked word with the same sign, n times over
+        chain = HochschildChain.generator(BASIS, word[0], word[1:], ONE, reduced=False)
+        once = cyclic_t(BASIS, chain)
+        rotated = (word[-1],) + word[:-1]
+        s = koszul_sign_cyclic([BASIS.degree(i) for i in word])
+        assert once.terms == {(rotated[0], rotated[1:]): ONE.scale(s)}
+        for _ in range(len(word) - 1):
+            once = cyclic_t(BASIS, once)
+        assert once == chain
+
+
+# Substituting m_k(span) into a word is what `insertions` yields and what
+# `coderivation` sums: the cases below pin its range, signs and linearity
+# on small algebras over BASIS (x, y, z of degrees 1, 2, 3).
+
+
+def _algebra(ops, monoid=((0, 0),)):
+    return AInftyAlgebra(BASIS, monoid, ops, SPEC)
 
 
 def test_substitute_zero_element():
-    coeff = RingElement.one(SPEC)
-    out = substitute(BASIS, (1, 2), coeff, 0, 1, Element.zero(BASIS))
-    assert out == {}
+    # m_1(x) = 0 while m_1 is stored: no insertion, and the coderivation is 0
+    algebra = _algebra({(1, 0): {(2,): {3: ONE}}})
+    assert list(insertions(algebra, (1, 2))) == [(1, 1, {3: ONE}, 1)]
+    assert list(insertions(algebra, (1, 1))) == []
+    assert coderivation(algebra, {(1, 1): ONE}) == {}
 
 
 def test_substitute_unit_insertion_sign():
-    coeff = RingElement.one(SPEC)
-    unit = Element.generator(BASIS, 0, RingElement.one(SPEC))
-    out = substitute(BASIS, (1, 2), coeff, 0, 0, unit)
-    assert out == {(0, 1, 2): RingElement.one(SPEC)}
+    # curvature T e 1 at every position of (x, y): prefixes of shifted
+    # degree 0, 0, 1 give the signs +, +, -
+    curv = RingElement.monomial(SPEC, 1, lam=1, e=1)
+    algebra = _algebra({(0, 1): {(): {0: ONE}}}, monoid=((0, 0), (1, 2)))
+    assert [(i, k, sign) for i, k, _, sign in insertions(algebra, (1, 2))] == \
+        [(0, 0, 1), (1, 0, 1), (2, 0, -1)]
+    assert coderivation(algebra, {(1, 2): ONE}) == {
+        (0, 1, 2): curv, (1, 0, 2): curv, (1, 2, 0): -curv}
 
 
 def test_substitute_prefix_sign():
     # prefix (y) with |y| = 2 gives maltese = 1, so the sign is -1
-    coeff = RingElement.one(SPEC)
-    value = Element.generator(BASIS, 3, RingElement.one(SPEC))
-    out = substitute(BASIS, (2, 1), coeff, 1, 1, value)
-    assert out == {(2, 3): -RingElement.one(SPEC)}
+    algebra = _algebra({(1, 0): {(1,): {2: ONE}}})
+    assert list(insertions(algebra, (2, 1))) == [(1, 1, {2: ONE}, -1)]
+    assert coderivation(algebra, {(2, 1): ONE}) == {(2, 2): -ONE}
+    # a base shifts the parity of every position
+    assert list(insertions(algebra, (2, 1), base=1)) == [(1, 1, {2: ONE}, 1)]
 
 
 def test_substitute_bilinear():
+    algebra = _algebra({(1, 0): {(1,): {2: ONE}, (2,): {3: -ONE}},
+                        (2, 0): {(1, 1): {2: ONE.scale(2)}}})
     rng = random.Random(11)
     for _ in range(50):
-        word = tuple(rng.randrange(len(BASIS)) for _ in range(3))
+        w1, w2 = (tuple(rng.randrange(1, len(BASIS)) for _ in range(3)) for _ in range(2))
         c1 = RingElement.monomial(SPEC, rng.randint(1, 3), lam=Fraction(1, 2))
         c2 = RingElement.monomial(SPEC, rng.randint(1, 3), lam=1)
-        v1 = Element.generator(BASIS, rng.randrange(len(BASIS)), c1)
-        v2 = Element.generator(BASIS, rng.randrange(len(BASIS)), c2)
-        one = RingElement.one(SPEC)
-        merged = substitute(BASIS, word, one, 1, 1, v1 + v2)
+        merged = coderivation(algebra, {w1: c1, w2: c2} if w1 != w2 else {w1: c1 + c2})
         split: dict = {}
-        for part in (substitute(BASIS, word, one, 1, 1, v1),
-                     substitute(BASIS, word, one, 1, 1, v2)):
-            for key, val in part.items():
-                split[key] = split[key] + val if key in split else val
-        split = {k: v for k, v in split.items() if v}
+        for word, coeff in ((w1, c1), (w2, c2)):
+            for key, val in coderivation(algebra, {word: ONE}).items():
+                add_term(split, key, coeff * val)
         assert merged == split
 
 
 def test_substitute_range_check():
-    with pytest.raises(ConfigurationError):
-        substitute(BASIS, (1,), RingElement.one(SPEC), 1, 2,
-                   Element.generator(BASIS, 1, RingElement.one(SPEC)))
+    # every insertion replaces a span inside the word, arity 0 included
+    algebra = _algebra({(0, 1): {(): {0: ONE}}, (1, 0): {(1,): {2: ONE}},
+                        (2, 0): {(1, 1): {2: ONE}}}, monoid=((0, 0), (1, 2)))
+    rng = random.Random(5)
+    for _ in range(50):
+        word = tuple(rng.randrange(1, len(BASIS)) for _ in range(rng.randint(0, 5)))
+        spans = [(i, k) for i, k, _, _ in insertions(algebra, word)]
+        assert all(0 <= i <= i + k <= len(word) for i, k in spans)
+        assert spans.count((len(word), 0)) == 1  # the curvature also goes last
 
 
 def test_word_shifted_degree():
-    assert word_shifted_degree(BASIS, (1, 2, 3)) == 0 + 1 + 2
+    assert maltese([BASIS.degree(i) for i in (1, 2, 3)], 3) == 0 + 1 + 2
 
 
 def test_element_arithmetic():
