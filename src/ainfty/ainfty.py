@@ -245,6 +245,34 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
                 yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
 
 
+def _relation_support(algebra: AInftyAlgebra, k_max: int) -> list:
+    """The words of length <= k_max whose curved relation can have a term.
+
+    These are the words o[:i] + u + o[i+1:] with o and u stored words of
+    nonzero m_word (u of any arity, 0 included) and o[i] an output letter
+    of m_word(u), sorted by (length, word) as ``words_over`` lists them.
+    Where higher arities are not marked zero, a word of length top + len(u)
+    <= k_max needs an outer operation of arity top + 1 past the stored
+    tables, so this raises as m_word does on it.
+    """
+    top = algebra.max_stored_arity()
+    nonzero = [word for k in algebra.stored_arities()
+               for word in algebra.stored_words(k) if algebra.m_word(word)]
+    if not algebra.higher_arities_zero and any(len(inner) + top <= k_max for inner in nonzero):
+        algebra._check_arity(top + 1)
+    by_output: Dict[int, list] = {}
+    for inner in nonzero:
+        for comp in algebra.m_word(inner):
+            by_output.setdefault(comp, []).append(inner)
+    found = set()
+    for outer in nonzero:
+        for i, letter in enumerate(outer):
+            for inner in by_output.get(letter, ()):
+                if len(outer) - 1 + len(inner) <= k_max:
+                    found.add(outer[:i] + inner + outer[i + 1 :])
+    return sorted(found, key=lambda word: (len(word), word))
+
+
 def coderivation(algebra: AInftyAlgebra, words: WordSum) -> WordSum:
     """The coderivation extending the operations to tensor words.
 
@@ -261,34 +289,40 @@ def coderivation(algebra: AInftyAlgebra, words: WordSum) -> WordSum:
 
 
 def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
-    """Expand the curved relations on every basis word up to the arity cutoff.
+    """Verify the curved relations on every basis word up to the arity cutoff.
 
     The residual at a word (x_1..x_n) is
         sum_{l,i} (-1)^{maltese_i} m_{n-l+1}(x_1.., m_l(x_{i+1}..x_{i+l}), ..x_n)
     including the l = 0 curvature insertions; all residuals must vanish
-    modulo the energy cutoff.  Products are formed only where the outer
-    operation is nonzero.
+    modulo the energy cutoff.  Every one of the |basis|^n words of each
+    length n <= k_max is counted as checked, but a term of a residual needs
+    a nonzero inner m_l on a stored word u and a nonzero outer m on the
+    stored word o that u's output letter makes, so a word that is not of
+    the form o[:i] + u + o[i+1:] has an empty residual.  Only the words of
+    that form (``_relation_support``) are expanded, in the order of
+    ``words_over``, so the failure lines come out as if every word were.
+    The cost is O(|stored outer words| * arity * |stored inner words|) to
+    list them plus their expansion, not |basis|^k_max.
     """
     k_max = algebra.k_max if k_max is None else k_max
     report = Report("ainfty-relations")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
     basis = algebra.basis
-    for n in range(k_max + 1):
-        for word in words_over(range(len(basis)), n):
-            residual: Dict[int, RingElement] = {}
-            for i, l, inner, sign in insertions(algebra, word):
-                for comp, value in inner.items():
-                    outer = algebra.m_word(word[:i] + (comp,) + word[i + l :])
-                    for ocomp, ovalue in outer.items():
-                        piece = value * ovalue
-                        add_term(residual, ocomp, -piece if sign < 0 else piece)
-            report.tick()
-            if residual:
-                report.fail(
-                    "relation at n=%d %s: residual %s"
-                    % (n, algebra.word_text(word), Element(basis, residual).text())
-                )
+    report.tick(sum(len(basis) ** n for n in range(k_max + 1)))
+    for word in _relation_support(algebra, k_max):
+        residual: Dict[int, RingElement] = {}
+        for i, l, inner, sign in insertions(algebra, word):
+            for comp, value in inner.items():
+                outer = algebra.m_word(word[:i] + (comp,) + word[i + l :])
+                for ocomp, ovalue in outer.items():
+                    piece = value * ovalue
+                    add_term(residual, ocomp, -piece if sign < 0 else piece)
+        if residual:
+            report.fail(
+                "relation at n=%d %s: residual %s"
+                % (len(word), algebra.word_text(word), Element(basis, residual).text())
+            )
     return report
 
 

@@ -68,12 +68,47 @@ def _int(value, where, errors, default=None):
     return default
 
 
+def _str(value, where, errors, default):
+    """A JSON string, such as a name; anything else is a located error."""
+    if isinstance(value, str):
+        return value
+    errors.error(where, "not a JSON string: %r" % (value,))
+    return default
+
+
+def _list(value, where, errors):
+    """A JSON array; anything else is a located error and reads as empty."""
+    if isinstance(value, list):
+        return value
+    errors.error(where, "not a JSON array: %r" % (value,))
+    return []
+
+
+def _object(value, where, errors):
+    """A JSON object; anything else is a located error and reads as None."""
+    if isinstance(value, dict):
+        return value
+    errors.error(where, "not a JSON object: %r" % (value,))
+    return None
+
+
+def _objects(value, where, errors):
+    """(index, location, entry) for each object of a JSON array of objects."""
+    for i, entry in enumerate(_list(value, where, errors)):
+        loc = "%s[%d]" % (where, i)
+        if _object(entry, loc, errors) is not None:
+            yield i, loc, entry
+
+
 def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False):
     """One serialized monomial term -> (Monomial, scalar)."""
     lam = _fraction(term.get("T", "0"), where + ".T", errors, Fraction(0))
-    e = term.get("e", 0)
-    s = term.get("s", 0)
-    t = term.get("t", [0] * spec.num_t)
+    e = _int(term.get("e", 0), where + ".e", errors)
+    s = _int(term.get("s", 0), where + ".s", errors)
+    t = [_int(a, "%s.t[%d]" % (where, j), errors)
+         for j, a in enumerate(_list(term.get("t", [0] * spec.num_t), where + ".t", errors))]
+    if e is None or s is None or None in t:
+        return None
     if forbid_energy and (lam != 0 or e != 0):
         errors.error(where, "structure constants must not carry T or e exponents")
         lam, e = Fraction(0), 0
@@ -91,8 +126,8 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
         if value is None:
             return None
     try:
-        mono = spec.monomial(lam=lam, e=int(e), s=int(s), t=[int(a) for a in t])
-    except (ConfigurationError, ValueError, TypeError):
+        mono = spec.monomial(lam=lam, e=e, s=s, t=t)
+    except ConfigurationError:
         errors.error(where, "invalid monomial exponents")
         return None
     return mono, value
@@ -100,8 +135,8 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
 
 def _ring_element(terms, spec, where, errors, allow_poly=False, forbid_energy=False):
     acc = {}
-    for i, term in enumerate(terms or []):
-        parsed = _term_value(term, spec, "%s[%d]" % (where, i), errors,
+    for _, loc, term in _objects(terms or [], where, errors):
+        parsed = _term_value(term, spec, loc, errors,
                              allow_poly=allow_poly, forbid_energy=forbid_energy)
         if parsed is None:
             continue
@@ -112,14 +147,13 @@ def _ring_element(terms, spec, where, errors, allow_poly=False, forbid_energy=Fa
 
 def _element(entries, algebra, where, errors, allow_poly=False):
     comp = {}
-    for i, entry in enumerate(entries or []):
+    for _, loc, entry in _objects(entries or [], where, errors):
         name = entry.get("basis")
         if name not in algebra.basis.names:
-            errors.error("%s[%d].basis" % (where, i), "unknown basis element %r" % (name,))
+            errors.error(loc + ".basis", "unknown basis element %r" % (name,))
             continue
         idx = algebra.basis.index(name)
-        parsed = _term_value(entry, algebra.spec, "%s[%d]" % (where, i), errors,
-                             allow_poly=allow_poly)
+        parsed = _term_value(entry, algebra.spec, loc, errors, allow_poly=allow_poly)
         if parsed is None:
             continue
         mono, value = parsed
@@ -205,14 +239,15 @@ def load_dict(raw: dict) -> LoadedDocument:
         errors.error("field", "only the rational ground field is supported")
     errors.raise_if_any()
 
-    coeffs = raw.get("coefficients", {})
-    cutoffs = raw.get("cutoffs", {})
+    coeffs = _object(raw.get("coefficients", {}), "coefficients", errors) or {}
+    cutoffs = _object(raw.get("cutoffs", {}), "cutoffs", errors) or {}
     energy = _fraction(cutoffs.get("energy", "10"), "cutoffs.energy", errors, Fraction(10))
     try:
         spec = RingSpec(
             s_degree=_int(coeffs.get("s_degree", 2), "coefficients.s_degree", errors, 2),
             t_degrees=tuple(_int(d, "coefficients.t_degrees[%d]" % j, errors, 0)
-                            for j, d in enumerate(coeffs.get("t_degrees", []))),
+                            for j, d in enumerate(_list(coeffs.get("t_degrees", []),
+                                                        "coefficients.t_degrees", errors))),
             cutoff=energy,
         )
     except ConfigurationError as exc:
@@ -221,12 +256,15 @@ def load_dict(raw: dict) -> LoadedDocument:
     errors.raise_if_any()
 
     names, degrees, unit = [], [], None
-    for i, entry in enumerate(raw.get("basis", [])):
-        names.append(entry.get("name", "b%d" % i))
-        degrees.append(_int(entry.get("degree", 0), "basis[%d].degree" % i, errors, 0))
-        if entry.get("unit"):
+    for i, loc, entry in _objects(raw.get("basis", []), "basis", errors):
+        names.append(_str(entry.get("name", "b%d" % i), loc + ".name", errors, "b%d" % i))
+        degrees.append(_int(entry.get("degree", 0), loc + ".degree", errors, 0))
+        is_unit = entry.get("unit", False)
+        if not isinstance(is_unit, bool):
+            errors.error(loc + ".unit", "not a JSON boolean: %r" % (is_unit,))
+        elif is_unit:
             if unit is not None:
-                errors.error("basis[%d]" % i, "more than one unit designated")
+                errors.error(loc, "more than one unit designated")
             unit = i
     if unit is None:
         errors.error("basis", "no unit designated")
@@ -238,16 +276,15 @@ def load_dict(raw: dict) -> LoadedDocument:
         errors.raise_if_any()
 
     monoid = []
-    for i, entry in enumerate(raw.get("monoid", [])):
-        lam = _fraction(entry.get("energy", "0"), "monoid[%d].energy" % i, errors, Fraction(0))
-        monoid.append((lam, _int(entry.get("index", 0), "monoid[%d].index" % i, errors, 0)))
+    for _, loc, entry in _objects(raw.get("monoid", []), "monoid", errors):
+        lam = _fraction(entry.get("energy", "0"), loc + ".energy", errors, Fraction(0))
+        monoid.append((lam, _int(entry.get("index", 0), loc + ".index", errors, 0)))
     if not monoid:
         monoid = [(Fraction(0), 0)]
 
     ops: dict = {}
-    for i, entry in enumerate(raw.get("operations", [])):
-        where = "operations[%d]" % i
-        inputs = entry.get("inputs", [])
+    for _, where, entry in _objects(raw.get("operations", []), "operations", errors):
+        inputs = _list(entry.get("inputs", []), where + ".inputs", errors)
         arity = _int(entry.get("arity", len(inputs)), where + ".arity", errors)
         bidx = _int(entry.get("monoid", 0), where + ".monoid", errors)
         if arity is None or bidx is None:
@@ -264,13 +301,12 @@ def load_dict(raw: dict) -> LoadedDocument:
             errors.error(where + ".inputs", str(exc))
             continue
         out = {}
-        for j, term in enumerate(entry.get("output", [])):
+        for _, loc, term in _objects(entry.get("output", []), where + ".output", errors):
             name = term.get("basis")
             if name not in basis.names:
-                errors.error("%s.output[%d]" % (where, j), "unknown basis element %r" % (name,))
+                errors.error(loc, "unknown basis element %r" % (name,))
                 continue
-            parsed = _term_value(term, spec, "%s.output[%d]" % (where, j), errors,
-                                 forbid_energy=True)
+            parsed = _term_value(term, spec, loc, errors, forbid_energy=True)
             if parsed is None:
                 continue
             mono, value = parsed
@@ -306,19 +342,20 @@ def load_dict(raw: dict) -> LoadedDocument:
 
     doc = LoadedDocument(name=algebra.name, algebra=algebra)
 
-    for i, tower_raw in enumerate(raw.get("towers", [])):
-        where = "towers[%d]" % i
+    for i, where, tower_raw in _objects(raw.get("towers", []), "towers", errors):
         levels = []
-        for j, level_raw in enumerate(tower_raw.get("levels", [])):
+        for _, level_loc, level_raw in _objects(tower_raw.get("levels", []),
+                                                where + ".levels", errors):
             table = {}
-            for k, entry in enumerate(level_raw.get("entries", [])):
-                loc = "%s.levels[%d].entries[%d]" % (where, j, k)
+            for _, loc, entry in _objects(level_raw.get("entries", []),
+                                          level_loc + ".entries", errors):
                 mname = entry.get("module")
                 if mname not in basis.names:
                     errors.error(loc + ".module", "unknown basis element %r" % (mname,))
                     continue
                 try:
-                    word = tuple(basis.index(n) for n in entry.get("word", []))
+                    word = tuple(basis.index(n) for n in
+                                 _list(entry.get("word", []), loc + ".word", errors))
                 except ConfigurationError as exc:
                     errors.error(loc + ".word", str(exc))
                     continue
@@ -327,20 +364,21 @@ def load_dict(raw: dict) -> LoadedDocument:
             try:
                 levels.append(Functional(basis, spec, table))
             except ConfigurationError as exc:
-                errors.error("%s.levels[%d]" % (where, j), str(exc))
+                errors.error(level_loc, str(exc))
+        name = _str(tower_raw.get("name", "tower%d" % i), where + ".name", errors,
+                    "tower%d" % i)
         if levels:
             try:
-                tower = CocycleTower(tuple(levels), name=tower_raw.get("name", "tower%d" % i))
+                tower = CocycleTower(tuple(levels), name=name)
                 doc.towers[tower.name] = tower
             except ConfigurationError as exc:
                 errors.error(where, str(exc))
 
-    for i, cand in enumerate(raw.get("candidates", [])):
-        where = "candidates[%d]" % i
-        name = cand.get("name", "b%d" % i)
+    for i, where, cand in _objects(raw.get("candidates", []), "candidates", errors):
+        name = _str(cand.get("name", "b%d" % i), where + ".name", errors, "b%d" % i)
         doc.candidates[name] = _element(cand.get("element", []), algebra, where, errors)
 
-    if "gauge_path" in raw:
+    if "gauge_path" in raw and _object(raw["gauge_path"], "gauge_path", errors) is not None:
         element = _element(raw["gauge_path"].get("element", []), algebra,
                            "gauge_path.element", errors, allow_poly=True)
         # promote constant scalars so the whole path lives over polynomials
@@ -354,7 +392,7 @@ def load_dict(raw: dict) -> LoadedDocument:
         doc.gw_tilde = _ring_element(raw["gw_tilde"], spec, "gw_tilde", errors)
 
     pair = raw.get("wall_crossing_pair")
-    if pair:
+    if pair and _object(pair, "wall_crossing_pair", errors) is not None:
         minus, plus = pair.get("minus"), pair.get("plus")
         for role, cname in (("minus", minus), ("plus", plus)):
             if cname not in doc.candidates:
@@ -362,7 +400,8 @@ def load_dict(raw: dict) -> LoadedDocument:
                              "unknown candidate %r" % (cname,))
         doc.wall_pair = (minus, plus)
 
-    if "right_inverse" in raw:
+    if "right_inverse" in raw and _object(raw["right_inverse"], "right_inverse",
+                                          errors) is not None:
         table = {}
         for name, entries in raw["right_inverse"].items():
             where = "right_inverse.%s" % name

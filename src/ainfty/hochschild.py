@@ -53,16 +53,17 @@ class HochschildChain:
     __slots__ = ("basis", "terms", "reduced")
 
     def __init__(self, basis, terms: Optional[ChainTerms] = None, reduced: bool = True):
+        """Keeps the nonzero terms; a reduced chain drops words with the unit.
+
+        The keys of ``terms`` are distinct, so nothing is summed here.
+        """
         self.basis = basis
         self.reduced = reduced
-        clean: ChainTerms = {}
-        if terms:
-            unit = basis.unit
-            for (v, word), coeff in terms.items():
-                if reduced and unit is not None and unit in word:
-                    continue
-                add_term(clean, (v, word), coeff)
-        self.terms = clean
+        unit = basis.unit if reduced else None
+        self.terms = {
+            key: coeff for key, coeff in (terms or {}).items()
+            if coeff and (unit is None or unit not in key[1])
+        }
 
     @classmethod
     def generator(cls, basis, module: int, word: Word, coeff: RingElement, reduced=True):

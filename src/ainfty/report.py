@@ -1,9 +1,11 @@
 """Report objects returned by the verification operations.
 
 A report is a named list of failure lines plus context (cutoffs, counts).
-An empty failure list means the check passed.  Rendering is deterministic:
-context keys and failures appear in insertion order, which every producer
-keeps canonical (sorted iteration over words, basis indices, levels).
+It passes when it checked something and its failure list is empty; a
+report that checked nothing renders as FAIL with a line saying so.
+Rendering is deterministic: context keys and failures appear in insertion
+order, which every producer keeps canonical (sorted iteration over words,
+basis indices, levels).
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.checked > 0 and not self.failures
 
     def lines(self) -> list:
         out = ["[%s] %s" % (self.name, "PASS" if self.passed else "FAIL")]
         for key, value in self.context.items():
             out.append("  %s = %s" % (key, value))
         out.append("  checked = %d" % self.checked)
-        if self.failures:
-            out.append("  failures = %d" % len(self.failures))
-            out.extend("    " + msg for msg in self.failures)
+        failures = self.failures if self.checked else self.failures + ["nothing was checked"]
+        if failures:
+            out.append("  failures = %d" % len(failures))
+            out.extend("    " + msg for msg in failures)
         return out
 
     def text(self) -> str:

@@ -2,8 +2,9 @@
 
 These are the brute-force forms: expand every tensor product of the inputs
 into pure words, evaluate each word, and only then find out whether the
-structure tables have an entry there.  They are slow and obviously right,
-which is what an oracle should be.  The dual bimodule's structure maps are
+structure tables have an entry there; expand the curved relations on every
+basis word, not only where the tables reach.  They are slow and obviously
+right, which is what an oracle should be.  The dual bimodule's structure maps are
 here too, in their unflattened form (a covector applied to m of module
 elements), as the reference for ``delta_dual``.  Also here: hypothesis
 strategies for their inputs, and a helper that builds a mutated copy of an
@@ -21,10 +22,11 @@ from typing import Dict, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from ainfty.ainfty import apply_m
+from ainfty.ainfty import apply_m, insertions
 from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError
-from ainfty.graded import Element, add_term, maltese
+from ainfty.graded import Element, add_term, maltese, words_over
+from ainfty.report import Report
 
 
 SCALARS = ("rational", "poly", "mixed")
@@ -111,6 +113,31 @@ def phi_hat_all_arguments(algebra, phi, words):
                     if value:
                         add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
+
+
+def check_ainfty_reference(algebra, k_max=None) -> Report:
+    """check_ainfty expanding the curved relation on every basis word."""
+    k_max = algebra.k_max if k_max is None else k_max
+    report = Report("ainfty-relations")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("K_max", k_max)
+    basis = algebra.basis
+    for n in range(k_max + 1):
+        for word in words_over(range(len(basis)), n):
+            residual: Dict[int, RingElement] = {}
+            for i, l, inner, sign in insertions(algebra, word):
+                for comp, value in inner.items():
+                    outer = algebra.m_word(word[:i] + (comp,) + word[i + l:])
+                    for ocomp, ovalue in outer.items():
+                        piece = value * ovalue
+                        add_term(residual, ocomp, -piece if sign < 0 else piece)
+            report.tick()
+            if residual:
+                report.fail(
+                    "relation at n=%d %s: residual %s"
+                    % (n, algebra.word_text(word), Element(basis, residual).text())
+                )
+    return report
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Algebra layer: relations, units, curvature, the solver, dual machinery."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import ainfty
 from ainfty.ainfty import (
+    AInftyAlgebra,
     Obstruction,
     apply_m,
     check_ainfty,
@@ -19,6 +21,7 @@ from ainfty.ainfty import (
     solve_mc,
 )
 from ainfty.coeff import RingElement, RingSpec
+from ainfty.document import load
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element, GradedBasis, words_over
 
@@ -26,8 +29,8 @@ from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
 from oracles import (
-    SCALARS, Covector, delta_dual_reference, dual_action, elements, expand_apply_m,
-    mutant_module,
+    SCALARS, Covector, check_ainfty_reference, delta_dual_reference, dual_action, elements,
+    expand_apply_m, mutant_module,
 )
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
@@ -117,6 +120,118 @@ def test_relation_checker_catches_sign_flip():
     report = check_ainfty(mutated)
     assert not report.passed
     assert any("n=1" in msg for msg in report.failures)
+
+
+CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
+CORPUS_DOCS = ("e1", "e2", "g1_gauge", "g1_wallcross", "sv1")
+
+
+def _corpus_algebra(name):
+    return load(os.path.join(CORPUS, name + ".json")).algebra
+
+
+def _rescaled(algebra, edits):
+    """A fresh copy of the algebra with table entries rescaled.
+
+    Each edit is ((arity, monoid index), word, output component, factor); a
+    factor of -1 flips a sign and 0 deletes the term.  Rescaling keeps the
+    tables degree-homogeneous, so the copy loads, but its relations break.
+    """
+    ops = {key: {word: dict(out) for word, out in table.items()}
+           for key, table in algebra.ops.items()}
+    for key, word, comp, factor in edits:
+        ops[key][word][comp] = ops[key][word][comp].scale(factor)
+    return AInftyAlgebra(algebra.basis, algebra.monoid, ops, algebra.spec,
+                         k_max=algebra.k_max, higher_arities_zero=algebra.higher_arities_zero,
+                         name=algebra.name)
+
+
+@st.composite
+def rescaled_algebras(draw):
+    """E1, E2, G1, SV1 or Q1 (a genuine m_3) with one to three entries rescaled."""
+    algebra = draw(st.sampled_from((make_e1, make_e2, make_g1, make_sv1, make_q1)))()
+    sites = sorted((key, word, comp) for key, table in algebra.ops.items()
+                   for word, out in table.items() for comp in out)
+    edits = draw(st.lists(st.tuples(st.sampled_from(sites),
+                                    st.sampled_from((-1, 2, Fraction(1, 2), 0))),
+                          min_size=1, max_size=3))
+    return _rescaled(algebra, [site + (factor,) for site, factor in edits])
+
+
+def _same_relation_report(module, algebra, k_max) -> bool:
+    got = module.check_ainfty(algebra, k_max)
+    want = check_ainfty_reference(algebra, k_max)
+    return got.text() == want.text() and got.checked == want.checked
+
+
+@pytest.mark.parametrize("name", CORPUS_DOCS)
+def test_relation_support_matches_every_word_on_corpus(name):
+    algebra = _corpus_algebra(name)
+    for k_max in range(7):
+        assert _same_relation_report(ainfty, algebra, k_max), k_max
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(algebra=st.one_of(rescaled_algebras(), st.just(make_q1())), k_max=st.integers(0, 6))
+def test_relation_support_matches_every_word(algebra, k_max):
+    assert _same_relation_report(ainfty, algebra, k_max)
+
+
+def test_relation_check_counts_every_word():
+    report = check_ainfty(_corpus_algebra("g1_gauge"), k_max=8)
+    assert report.checked == sum(4 ** n for n in range(9)) == 87381
+
+
+@pytest.mark.parametrize("k_max", range(7))
+def test_relation_check_past_unflagged_tables_raises(k_max):
+    # E1 stops at m_2; only its m_2 words are nonzero, so a word of length
+    # 4 first needs an m_3, and the all-words loop raises from k_max = 4 on.
+    def run(check):
+        algebra = make_e1()
+        algebra.higher_arities_zero = False
+        try:
+            return check(algebra, k_max).text()
+        except ConfigurationError as exc:
+            return ConfigurationError, str(exc)
+
+    got = run(check_ainfty)
+    assert got == run(check_ainfty_reference)
+    assert isinstance(got, tuple) == (k_max >= 4)
+
+
+# Mutants of the relation support: (original fragment, mutated fragment).
+RELATION_MUTANTS = {
+    "arity-0 inner words dropped": ("for inner in nonzero:",
+                                    "for inner in filter(len, nonzero):"),
+    "length bound off by one": ("len(outer) - 1 + len(inner) <= k_max",
+                                "len(outer) - 1 + len(inner) < k_max"),
+    "candidates sorted by word alone": ("key=lambda word: (len(word), word)",
+                                       "key=lambda word: word"),
+}
+
+
+def _relation_support_disagrees(module) -> bool:
+    """Does this copy of the ainfty module report differently from the oracle?
+
+    Uses E2 and G1 with the sign of the unit law m2(1, x) = x flipped, at
+    every arity cutoff up to 4.  On E2 the relation at (x) fails through the
+    curvature alone, and on both a failing word precedes a shorter failing
+    word as a bare tuple: (1,1,x) before (x) on E2, before (1,x) on G1.
+    """
+    cases = (_rescaled(make_e2(), [((2, 0), (0, 1), 1, -1)]),
+             _rescaled(make_g1(), [((2, 0), (0, 1), 1, -1)]))
+    return not all(_same_relation_report(module, algebra, k_max)
+                   for algebra in cases for k_max in range(5))
+
+
+def test_relation_detector_accepts_the_kernel():
+    assert not _relation_support_disagrees(ainfty)
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_MUTANTS))
+def test_relation_mutant_killed(name):
+    old, new = RELATION_MUTANTS[name]
+    assert _relation_support_disagrees(mutant_module(ainfty, old, new))
 
 
 def test_unit_checker_catches_bad_insertion():

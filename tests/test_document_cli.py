@@ -252,8 +252,11 @@ def _set(path, value):
     (_set(("basis", 1, "degree"), 1.5), "basis[1].degree: not an integer: 1.5"),
     (_set(("higher_arities_zero",), "false"),
      "higher_arities_zero: not a JSON boolean: 'false'"),
+    (_set(("operations", 1, "output", 0, "s"), 1.5),
+     "operations[1].output[0].s: not an integer: 1.5"),
+    (_set(("basis", 0, "unit"), "false"), "basis[0].unit: not a JSON boolean: 'false'"),
 ), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
-        "flag-string"))
+        "flag-string", "exponent-float", "unit-string"))
 def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(edit(minimal_doc())))
@@ -261,3 +264,37 @@ def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     captured = capsys.readouterr()
     assert location in captured.err
     assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("edit,location", (
+    (_set(("coefficients", "t_degrees"), 5), "coefficients.t_degrees: not a JSON array: 5"),
+    (_set(("basis", 1), 7), "basis[1]: not a JSON object: 7"),
+    (_set(("cutoffs",), [4]), "cutoffs: not a JSON object: [4]"),
+    (_set(("operations", 0, "output"), {"basis": "1"}),
+     "operations[0].output: not a JSON array: {'basis': '1'}"),
+    (_set(("gauge_path",), None), "gauge_path: not a JSON object: None"),
+    (_set(("basis", 1, "name"), ["x"]), "basis[1].name: not a JSON string: ['x']"),
+), ids=("t-degrees-number", "basis-entry-number", "cutoffs-list", "output-object",
+        "gauge-path-null", "name-list"))
+def test_container_shapes_exit_2_located(tmp_path, capsys, edit, location):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(edit(minimal_doc())))
+    assert main(["check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert location in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
+def test_kmax_past_unflagged_tables_exits_2(tmp_path, capsys):
+    # The document's own cutoff passes validation (tables reach K + 1 = 2);
+    # --kmax 4 is not validated again, and the relation check, which runs
+    # first, then needs an m_3 that is not stored.
+    raw = minimal_doc()
+    raw["higher_arities_zero"] = False
+    raw["cutoffs"]["arity"] = 1
+    path = tmp_path / "unflagged.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", "--input", str(path), "--kmax", "4", "--chains", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "operation of arity 3 requested but tables stop at 2" in captured.err
+    assert "PASS" not in captured.out
