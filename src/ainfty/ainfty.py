@@ -109,6 +109,10 @@ class AInftyAlgebra:
                             % (k, bidx, tuple(self.basis.names[i] for i in word),
                                sorted(got), want)
                         )
+        self.check_arity_cutoff()
+
+    def check_arity_cutoff(self):
+        """Refuse a k_max past the stored tables unless higher arities are zero."""
         if not self.higher_arities_zero:
             stored = {k for (k, _) in self.ops}
             if stored and max(stored) < self.k_max + 1:
@@ -586,22 +590,19 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
 def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
     """Comodule extension of a bimodule map phi into the dual bimodule.
 
-    phi must expose eval_word(alpha, v, beta, w) -> RingElement, an integer
-    ``degree`` (its shift as a map) and the ``tower`` it reads, and
-    eval_word must vanish off the support of phi.tower.psi0: it is called
-    only at the final arguments w for which some psi_0 entry reads
-    (alpha, v, beta, w) as psi_0[v | beta, w, alpha] or
-    psi_0[w | alpha, v, beta], in increasing order.  A split (alpha, y, beta)
-    so costs O(|support| * n), with |support| the number of psi_0 entries of
-    cyclic length n = len(alpha) + len(beta) + 2.  The extension is graded:
-    the left prefix crossed by phi contributes (-1)^{deg(phi) * prefix}.  The
-    produced dual slot carries covector degree deg(phi) plus the shifted
-    degrees of the consumed slots.
+    phi exposes an integer ``degree`` (its shift as a map) and ``table``,
+    the sparse map (alpha, v, beta, w) -> phi(alpha (x) v (x) beta)(w) on
+    basis words, a missing key standing for zero.  Each split
+    (alpha, y, beta) of a word reads the table at every final argument w in
+    increasing order, so it costs |basis| lookups.  The extension is graded:
+    the left prefix crossed by phi contributes (-1)^{deg(phi) * prefix}.
+    The produced dual slot carries covector degree deg(phi) plus the
+    shifted degrees of the consumed slots.
     """
     basis = algebra.basis
+    table = phi.table
     out: DualSum = {}
     d = phi.degree
-    support = phi.tower.psi0.support_by_length()
     for (lw, y, rw), coeff in words.items():
         ldeg = [basis.degree(i) for i in lw]
         for p in range(len(lw) + 1):
@@ -612,28 +613,11 @@ def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
                 sign = -1 if prefix % 2 else 1
                 cdeg = d + sum(basis.degree(i) - 1 for i in alpha) \
                     + (basis.degree(y) - 1) + sum(basis.degree(i) - 1 for i in beta)
-                for w in _support_arguments(support, alpha, y, beta):
-                    value = phi.eval_word(alpha, y, beta, w)
-                    if not value:
-                        continue
-                    add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
+                for w in range(len(basis)):
+                    value = table.get((alpha, y, beta, w))
+                    if value:
+                        add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
-
-
-def _support_arguments(support, alpha: Word, y: int, beta: Word) -> list:
-    """Sorted final arguments w at which some psi_0 entry reads (alpha, y, beta, w)."""
-    entries = support.get(len(alpha) + len(beta) + 2)
-    if not entries:
-        return []
-    q = len(beta)
-    word_w = alpha + (y,) + beta
-    found = set()
-    for v0, word0, _ in entries:
-        if word0 == word_w:
-            found.add(v0)
-        if v0 == y and word0[:q] == beta and word0[q + 1:] == alpha:
-            found.add(word0[q])
-    return sorted(found)
 
 
 def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None) -> Report:

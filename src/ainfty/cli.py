@@ -19,7 +19,7 @@ from . import pairing as pr
 from . import potential as pt
 from .coeff import RingElement, as_fraction
 from .document import load
-from .errors import DocumentError, EngineError
+from .errors import ConfigurationError, DocumentError, EngineError
 from .graded import Element
 from .report import Report
 
@@ -112,7 +112,8 @@ def _load(args):
         algebra.l_max = args.lmax
     if args.nmax is not None:
         algebra.n_max = args.nmax
-    # A cutoff below its least value would check nothing and still PASS.
+    # A cutoff below its least value would check nothing and still PASS; an
+    # arity cutoff past unflagged tables would fail midway through a check.
     errors = []
     for flag, field, override, value in (
         ("--kmax", "cutoffs.arity", args.kmax, algebra.k_max),
@@ -123,6 +124,10 @@ def _load(args):
             errors.append((field if override is None else flag, "must be >= 0"))
     if getattr(args, "chains", 1) < 1:
         errors.append(("--chains", "must be >= 1"))
+    try:
+        algebra.check_arity_cutoff()
+    except ConfigurationError as exc:
+        errors.append(("cutoffs.arity" if args.kmax is None else "--kmax", str(exc)))
     if errors:
         raise DocumentError(errors)
     return doc

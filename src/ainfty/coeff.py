@@ -20,7 +20,9 @@ relies on for Koszul bookkeeping).
 
 For gauge paths the same element type is reused with coefficients that are
 polynomials in a formal degree-0 variable (class :class:`Poly`) instead of
-rationals; ``extend_path`` / ``specialize`` convert between the two.
+rationals; ``specialize`` evaluates them at a rational point.  A scalar has
+one stored type: a Poly of degree at most 0 is stored as its Fraction, so
+equal values render the same whatever the order of the sums that made them.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ Rational = Union[int, Fraction]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and exact fraction strings like "3/4"."""
+    """Coerce ints, Fractions, and exact fraction strings like "3/4"; not bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -118,9 +120,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Poly(c / as_fraction(other) for c in self.coeffs)
 
     def __call__(self, point) -> Fraction:
         point = as_fraction(point)
@@ -229,20 +228,14 @@ class RingSpec:
         return Monomial(lam, int(e), int(s), tuple(int(a) for a in t))
 
 
-def _iszero(value) -> bool:
-    if isinstance(value, Poly):
-        return not value
-    return value == 0
-
-
 class RingElement:
     """Finite normalized sum of coefficient monomials.
 
     Immutable after construction.  ``terms`` maps Monomial -> scalar, where a
-    scalar is a Fraction or (for gauge paths) a Poly.  Construction drops
-    zero scalars and monomials whose valuation exceeds the cutoff, so
-    structural equality of the term maps is semantic equality mod the cutoff
-    ideal.
+    scalar is a Fraction or (for gauge paths) a Poly of degree at least 1.
+    Construction stores a constant Poly as its Fraction, and drops zero
+    scalars and monomials whose valuation exceeds the cutoff, so structural
+    equality of the term maps is semantic equality mod the cutoff ideal.
     """
 
     __slots__ = ("spec", "terms")
@@ -252,7 +245,9 @@ class RingElement:
         clean = {}
         if terms:
             for mono, value in terms.items():
-                if _iszero(value):
+                if isinstance(value, Poly) and len(value.coeffs) <= 1:
+                    value = value.coeffs[0] if value.coeffs else 0
+                if not value:
                     continue
                 if mono.level() > spec.cutoff:
                     continue
@@ -277,10 +272,6 @@ class RingElement:
     def monomial(cls, spec: RingSpec, coeff, lam=0, e=0, s=0, t=None) -> "RingElement":
         value = coeff if isinstance(coeff, Poly) else as_fraction(coeff)
         return cls(spec, {spec.monomial(lam, e, s, t): value})
-
-    @classmethod
-    def tee(cls, spec: RingSpec, lam, coeff=1) -> "RingElement":
-        return cls.monomial(spec, coeff, lam=lam)
 
     # -- ring structure ----------------------------------------------------
 
@@ -385,13 +376,6 @@ class RingElement:
         return RingElement(self.spec, {m: v for m, v in self.terms.items() if m.level() == level})
 
     # -- gauge paths ---------------------------------------------------------
-
-    def extend_path(self) -> "RingElement":
-        """Reinterpret constant scalars as constant polynomials in t."""
-        return RingElement(
-            self.spec,
-            {m: (v if isinstance(v, Poly) else Poly.constant(v)) for m, v in self.terms.items()},
-        )
 
     def specialize(self, point) -> "RingElement":
         """Evaluate polynomial scalars at a rational point."""

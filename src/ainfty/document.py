@@ -116,8 +116,9 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
         if not allow_poly:
             errors.error(where, "polynomial coefficients are only valid in gauge paths")
             return None
+        coeffs = _list(term["poly"], where + ".poly", errors)
         try:
-            value = Poly([as_fraction(c) for c in term["poly"]])
+            value = Poly([as_fraction(c) for c in coeffs])
         except (ConfigurationError, ValueError):
             errors.error(where + ".poly", "not a list of exact fractions")
             return None
@@ -379,12 +380,8 @@ def load_dict(raw: dict) -> LoadedDocument:
         doc.candidates[name] = _element(cand.get("element", []), algebra, where, errors)
 
     if "gauge_path" in raw and _object(raw["gauge_path"], "gauge_path", errors) is not None:
-        element = _element(raw["gauge_path"].get("element", []), algebra,
-                           "gauge_path.element", errors, allow_poly=True)
-        # promote constant scalars so the whole path lives over polynomials
-        doc.gauge_path = GaugePath(Element(
-            basis, {i: v.extend_path() for i, v in element.components.items()}
-        ))
+        doc.gauge_path = GaugePath(_element(raw["gauge_path"].get("element", []), algebra,
+                                            "gauge_path.element", errors, allow_poly=True))
 
     if "m_minus_one" in raw:
         doc.m_minus_one = _ring_element(raw["m_minus_one"], spec, "m_minus_one", errors)
@@ -392,13 +389,13 @@ def load_dict(raw: dict) -> LoadedDocument:
         doc.gw_tilde = _ring_element(raw["gw_tilde"], spec, "gw_tilde", errors)
 
     pair = raw.get("wall_crossing_pair")
-    if pair and _object(pair, "wall_crossing_pair", errors) is not None:
-        minus, plus = pair.get("minus"), pair.get("plus")
-        for role, cname in (("minus", minus), ("plus", plus)):
-            if cname not in doc.candidates:
-                errors.error("wall_crossing_pair.%s" % role,
-                             "unknown candidate %r" % (cname,))
-        doc.wall_pair = (minus, plus)
+    if pair is not None and _object(pair, "wall_crossing_pair", errors) is not None:
+        for role in ("minus", "plus"):
+            where = "wall_crossing_pair." + role
+            cname = _str(pair.get(role), where, errors, None)
+            if cname is not None and cname not in doc.candidates:
+                errors.error(where, "unknown candidate %r" % (cname,))
+        doc.wall_pair = (pair.get("minus"), pair.get("plus"))
 
     if "right_inverse" in raw and _object(raw["right_inverse"], "right_inverse",
                                           errors) is not None:

@@ -53,12 +53,6 @@ class GradedBasis:
     def degree(self, i: int) -> int:
         return self.degrees[i]
 
-    def shifted(self, i: int) -> int:
-        return self.degrees[i] - 1
-
-    def is_unit(self, i: int) -> bool:
-        return self.unit is not None and i == self.unit
-
     def require_unit(self) -> int:
         if self.unit is None:
             raise ConfigurationError("no unit designated")

@@ -219,12 +219,11 @@ class Functional:
     zero functional).
     """
 
-    __slots__ = ("basis", "spec", "table", "degree", "_by_length")
+    __slots__ = ("basis", "spec", "table", "degree")
 
     def __init__(self, basis, spec, table: Optional[ChainTerms] = None):
         self.basis = basis
         self.spec = spec
-        self._by_length = None
         self.table: ChainTerms = {}
         if table:
             unit = basis.unit
@@ -262,27 +261,6 @@ class Functional:
                 acc = acc + entry * coeff
         return acc
 
-    def supported_lengths(self) -> set:
-        return {len(word) for (_, word) in self.table}
-
-    def support_by_length(self) -> Dict[int, tuple]:
-        """The entries (v, word, value) grouped by cyclic length len(word) + 1.
-
-        Built on first use and kept; each group is in key order.  Entries
-        whose word contains the unit are left out, as evaluation on reduced
-        chains ignores them: the constructor refuses such words, so this
-        only matters for a table edited in place before the first use.
-        """
-        if self._by_length is None:
-            unit = self.basis.unit
-            groups: Dict[int, list] = {}
-            for (v, word), value in self.sorted_entries():
-                if unit is not None and unit in word:
-                    continue
-                groups.setdefault(len(word) + 1, []).append((v, word, value))
-            self._by_length = {n: tuple(entries) for n, entries in groups.items()}
-        return self._by_length
-
     def scale(self, r) -> "Functional":
         return Functional(self.basis, self.spec, {k: r * v for k, v in self.table.items()})
 
@@ -295,15 +273,12 @@ class Functional:
     def __sub__(self, other: "Functional") -> "Functional":
         return self + other.scale(-1)
 
-    def sorted_entries(self):
-        return sorted(self.table.items())
-
     def text(self) -> str:
         if not self.table:
             return "0"
         names = self.basis.names
         parts = []
-        for (v, word), value in self.sorted_entries():
+        for (v, word), value in sorted(self.table.items()):
             parts.append(
                 "[%s|%s] -> %s" % (names[v], ",".join(names[i] for i in word), value.text())
             )
@@ -402,7 +377,7 @@ class CocycleTower:
         """Strictly cyclic shape: psi_{i>0} = 0 and psi_0 on length-1 words."""
         if any(not psi.is_zero() for psi in self.levels[1:]):
             return False
-        return self.psi0.supported_lengths() <= {1}
+        return all(len(word) <= 1 for _, word in self.psi0.table)
 
 
 def validate_negative_cocycle(

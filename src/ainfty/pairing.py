@@ -24,60 +24,79 @@ because the tower lives on reduced chains.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import comb
+from typing import Dict, Optional, Sequence, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m
 from .coeff import RingElement
 from .errors import ConfigurationError, DivergenceError, TowerError
 from .exactla import column_space_pivots
-from .graded import Element, Word, tensor_coefficient, words_over
+from .graded import Element, Word, add_term, tensor_coefficient
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
 
 
-def reading_signs(A: int, V: int, B: int, W: int):
-    """Signs of the two readings of phi_{p,q}(alpha (x) v (x) beta)(w).
-
-    (-1)^{A(V+B+W)} on psi_0[v | beta, w, alpha] and -(-1)^{W(A+V+B)} on
-    psi_0[w | alpha, v, beta], with A, V, B, W the shifted-degree parities.
-    """
-    return (-1 if A * (V + B + W) % 2 else 1,
-            1 if W * (A + V + B) % 2 else -1)
-
-
 class InfinityInnerProduct:
-    """Lazy evaluator of the phi_{p,q} family attached to a cocycle tower."""
+    """The phi_{p,q} family attached to a cocycle tower, as one sparse table.
+
+    ``table`` maps (alpha, v, beta, w) to phi_{p,q}(alpha (x) v (x) beta)(w)
+    on basis words and holds only nonzero values; every reader of phi reads
+    it, and a key that is missing stands for zero.  It is built once, from
+    psi_0, together with the index by shape that ``eval_elements`` reads.
+    """
 
     def __init__(self, algebra: AInftyAlgebra, tower: CocycleTower):
         self.algebra = algebra
-        self.basis = algebra.basis
         self.tower = tower
-        self._shifted = tuple(d - 1 for d in algebra.basis.degrees)
         d = tower.degree()
         self.degree = 0 if d is None else d
+        self.table = self._read_psi0()
+        # table entries by shape (p, q), each as the flat word
+        # alpha + (v,) + beta + (w,) with its value, for eval_elements
+        self._by_shape: Dict[Tuple[int, int], list] = {}
+        for (alpha, v, beta, w), value in self.table.items():
+            self._by_shape.setdefault((len(alpha), len(beta)), []).append(
+                (alpha + (v,) + beta + (w,), value))
+
+    def _read_psi0(self) -> dict:
+        """Both readings of every psi_0 entry, summed into one sparse table.
+
+        An entry psi_0[v0 | word] with word = before + (letter,) + after is
+        read, at each split of its word, as
+
+            psi_0[v | beta, w, alpha] with v = v0, beta = before, w = letter,
+                alpha = after, with sign (-1)^{A(V+B+W)};
+            psi_0[w | alpha, v, beta] with w = v0, alpha = before, v = letter,
+                beta = after, with sign -(-1)^{W(A+V+B)};
+
+        where A, V, B, W are the shifted-degree parities of alpha, v, beta, w.
+        Entries whose word holds the unit are skipped: the tower lives on
+        reduced chains.  The constructor of ``Functional`` refuses such
+        words, so this only matters for a table edited in place.
+        """
+        shifted = [d - 1 for d in self.algebra.basis.degrees]
+        unit = self.algebra.basis.unit
+        table: dict = {}
+        for (v0, word), value in self.tower.psi0.table.items():
+            if unit is not None and unit in word:
+                continue
+            s = [shifted[i] for i in word]
+            total = shifted[v0] + sum(s)
+            # reading 2 has W = |v0|' and A + V + B = total - W at every split
+            second = value if shifted[v0] * (total - shifted[v0]) % 2 else -value
+            for m, letter in enumerate(word):
+                before, after = word[:m], word[m + 1:]
+                A = sum(s[m + 1:])
+                add_term(table, (after, v0, before, letter),
+                         -value if A * (total - A) % 2 else value)
+                add_term(table, (before, letter, after, v0), second)
+        return table
 
     # -- evaluation on pure basis words ------------------------------------
 
     def eval_word(self, alpha: Word, v: int, beta: Word, w: int) -> RingElement:
-        shifted = self._shifted
-        psi0 = self.tower.psi0
-        A = sum(shifted[i] for i in alpha)
-        B = sum(shifted[i] for i in beta)
-        first, second = reading_signs(A, shifted[v], B, shifted[w])
-        acc = RingElement.zero(self.algebra.spec)
-        unit = self.basis.unit
-
-        word_v = beta + (w,) + alpha
-        if unit is None or unit not in word_v:
-            entry = psi0.table.get((v, word_v))
-            if entry:
-                acc = acc + (entry.scale(first) if first < 0 else entry)
-        word_w = alpha + (v,) + beta
-        if unit is None or unit not in word_w:
-            entry = psi0.table.get((w, word_w))
-            if entry:
-                acc = acc + (entry.scale(second) if second < 0 else entry)
-        return acc
+        value = self.table.get((alpha, v, beta, w))
+        return RingElement.zero(self.algebra.spec) if value is None else value
 
     # -- multilinear wrapper -------------------------------------------------
 
@@ -90,38 +109,18 @@ class InfinityInnerProduct:
     ) -> RingElement:
         """phi_{p,q}(alphas (x) v (x) betas)(w), multilinear in every slot.
 
-        Visits only the psi_0 entries of cyclic length p + q + 2, each under
-        both readings, and multiplies only the input coefficients an entry
-        selects, stopping at the first letter an input lacks: a call costs
-        O(|support| * n) with |support| the number of such entries and
-        n = p + q + 2, not the size of the tensor product of the inputs.
-        Coefficients are even, so they commute out without signs.
+        Visits only the table entries of shape (p, q) and multiplies only the
+        input coefficients an entry selects, stopping at the first letter an
+        input lacks: a call costs O(|entries| * n) with n = p + q + 2, not
+        the size of the tensor product of the inputs.  Coefficients are
+        even, so they commute out without signs.
         """
         acc = RingElement.zero(self.algebra.spec)
-        p, q = len(alphas), len(betas)
-        entries = self.tower.psi0.support_by_length().get(p + q + 2)
-        if not entries:
-            return acc
-        shifted = self._shifted
-        # Each reading lists the inputs in the order of the cyclic key
-        # (v0,) + word0 it matches, with m letters between the two marked
-        # slots.
-        readings = (((v, *betas, w, *alphas), q),   # psi_0[v | beta, w, alpha]
-                    ((w, *alphas, v, *betas), p))   # psi_0[w | alpha, v, beta]
-        for v0, word0, value in entries:
-            key = (v0,) + word0
-            for reading, (slots, m) in enumerate(readings):
-                coeff = tensor_coefficient(slots, key)
-                if not coeff:
-                    continue
-                s = [shifted[i] for i in key]
-                sums = (s[0], sum(s[1:m + 1]), s[m + 1], sum(s[m + 2:]))
-                if reading == 0:
-                    V, B, W, A = sums
-                else:
-                    W, A, V, B = sums
-                sign = reading_signs(A, V, B, W)[reading]
-                acc = acc + coeff * (value.scale(sign) if sign < 0 else value)
+        slots = (*alphas, v, *betas, w)
+        for word, value in self._by_shape.get((len(alphas), len(betas)), ()):
+            coeff = tensor_coefficient(slots, word)
+            if coeff:
+                acc = acc + coeff * value
         return acc
 
 
@@ -136,37 +135,43 @@ def build_phi(algebra: AInftyAlgebra, tower: CocycleTower,
 
 def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
                l_max: Optional[int] = None) -> Report:
-    """Skew-symmetry with the engine's sign (-1)^{kappa+1}, kappa=(A+V)(B+W)."""
+    """Skew-symmetry with the engine's sign (-1)^{kappa+1}, kappa=(A+V)(B+W).
+
+    The quantifier runs over reduced alpha, beta with len(alpha) + len(beta)
+    <= l_max and all basis letters v, w, and ``checked`` counts every such
+    tuple.  A tuple whose key and swap (beta, w, alpha, v) are both missing
+    from phi.table compares 0 with 0, so only the keys of the table (whose
+    alpha and beta never hold the unit) and their swaps are evaluated, in
+    the quantifier's order.
+    """
     l_max = algebra.l_max if l_max is None else l_max
     report = Report("skew-symmetry")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
     basis = algebra.basis
-    letters = basis.reduced_letters()
-    for total in range(l_max + 1):
-        for p in range(total + 1):
-            q = total - p
-            for alpha in words_over(letters, p):
-                for beta in words_over(letters, q):
-                    for v in range(len(basis)):
-                        for w in range(len(basis)):
-                            A = sum(basis.degree(i) - 1 for i in alpha)
-                            B = sum(basis.degree(i) - 1 for i in beta)
-                            V = basis.degree(v) - 1
-                            W = basis.degree(w) - 1
-                            kappa = (A + V) * (B + W)
-                            sign = -1 if (kappa + 1) % 2 else 1
-                            lhs = phi.eval_word(alpha, v, beta, w)
-                            rhs = phi.eval_word(beta, w, alpha, v)
-                            rhs = rhs.scale(sign) if sign < 0 else rhs
-                            report.tick()
-                            if lhs != rhs:
-                                report.fail(
-                                    "alpha=%s v=%s beta=%s w=%s: %s vs %s"
-                                    % (algebra.word_text(alpha), basis.names[v],
-                                       algebra.word_text(beta), basis.names[w],
-                                       lhs.text(), rhs.text())
-                                )
+    reduced = len(basis.reduced_letters())
+    report.tick(sum((n + 1) * reduced ** n for n in range(l_max + 1)) * len(basis) ** 2)
+    table = phi.table
+    zero = RingElement.zero(algebra.spec)
+    tuples = set()
+    for alpha, v, beta, w in table:
+        if len(alpha) + len(beta) <= l_max:
+            tuples.update(((alpha, v, beta, w), (beta, w, alpha, v)))
+    for alpha, v, beta, w in sorted(
+            tuples, key=lambda t: (len(t[0]) + len(t[2]), len(t[0]), t[0], t[2], t[1], t[3])):
+        # kappa = (A + V)(B + W) from the shifted degrees of both halves
+        kappa = sum(basis.degree(i) - 1 for i in alpha + (v,)) \
+            * sum(basis.degree(i) - 1 for i in beta + (w,))
+        lhs = table.get((alpha, v, beta, w), zero)
+        rhs = table.get((beta, w, alpha, v), zero)
+        rhs = rhs if kappa % 2 else -rhs
+        if lhs != rhs:
+            report.fail(
+                "alpha=%s v=%s beta=%s w=%s: %s vs %s"
+                % (algebra.word_text(alpha), basis.names[v],
+                   algebra.word_text(beta), basis.names[w],
+                   lhs.text(), rhs.text())
+            )
     return report
 
 
@@ -177,18 +182,9 @@ def _arrange(word: Word, module_pos: int, arg_pos: int):
     the module and the argument, alpha everything after the argument back
     around to the module.
     """
-    n = len(word)
-    beta = []
-    i = (module_pos + 1) % n
-    while i != arg_pos:
-        beta.append(word[i])
-        i = (i + 1) % n
-    alpha = []
-    i = (arg_pos + 1) % n
-    while i != module_pos:
-        alpha.append(word[i])
-        i = (i + 1) % n
-    return tuple(alpha), word[module_pos], tuple(beta), word[arg_pos]
+    turned = word[module_pos:] + word[:module_pos]
+    a = (arg_pos - module_pos) % len(word)
+    return turned[a + 1:], turned[0], turned[1:a], turned[a]
 
 
 def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
@@ -198,35 +194,53 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     Each term is phi evaluated on the cyclic word with one marking as module
     slot and the next as final argument, weighted by the Koszul rotation
     sign kappa_* = (sum of shifted degrees up to *) (sum beyond *).
+
+    ``checked`` counts every triple of every reduced word of length 3 to
+    l_max + 2.  A triple none of whose three arranged keys is in phi.table
+    sums three zeros, so only the triples reached from a table key are
+    evaluated, in the order of (length, word, i, j, k).
     """
     l_max = algebra.l_max if l_max is None else l_max
     report = Report("closedness")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
     basis = algebra.basis
-    letters = basis.reduced_letters()
-    for n in range(3, l_max + 3):
-        for word in words_over(letters, n):
-            shifts = [basis.degree(i) - 1 for i in word]
-            total = sum(shifts)
-            for i in range(n - 2):
-                for j in range(i + 1, n - 1):
-                    for k in range(j + 1, n):
-                        acc = RingElement.zero(algebra.spec)
-                        for mpos, apos in ((i, j), (j, k), (k, i)):
-                            prefix = sum(shifts[: mpos + 1])
-                            kappa = prefix * (total - prefix)
-                            alpha, v, beta, w = _arrange(word, mpos, apos)
-                            value = phi.eval_word(alpha, v, beta, w)
-                            if kappa % 2:
-                                value = -value
-                            acc = acc + value
-                        report.tick()
-                        if acc:
-                            report.fail(
-                                "word %s triple (%d,%d,%d): residual %s"
-                                % (algebra.word_text(word), i, j, k, acc.text())
-                            )
+    letters = set(basis.reduced_letters())
+    report.tick(sum(comb(n, 3) * len(letters) ** n for n in range(3, l_max + 3)))
+    table = phi.table
+    zero = RingElement.zero(algebra.spec)
+    triples = set()
+    for alpha, v, beta, w in table:
+        cyclic = (v,) + beta + (w,) + alpha
+        n = len(cyclic)
+        if n < 3 or n > l_max + 2 or not letters.issuperset(cyclic):
+            continue
+        # the key is _arrange(word, mpos, apos) for word = cyclic turned so
+        # that it starts at position mpos
+        for mpos in range(n):
+            word = cyclic[n - mpos:] + cyclic[:n - mpos]
+            apos = (mpos + len(beta) + 1) % n
+            if mpos < apos:
+                triples.update((word, mpos, apos, k) for k in range(apos + 1, n))
+                triples.update((word, i, mpos, apos) for i in range(mpos))
+            else:
+                triples.update((word, apos, j, mpos) for j in range(apos + 1, mpos))
+    for word, i, j, k in sorted(triples, key=lambda t: (len(t[0]),) + t):
+        shifts = [basis.degree(x) - 1 for x in word]
+        total = sum(shifts)
+        acc = zero
+        for mpos, apos in ((i, j), (j, k), (k, i)):
+            prefix = sum(shifts[: mpos + 1])
+            kappa = prefix * (total - prefix)
+            value = table.get(_arrange(word, mpos, apos), zero)
+            if kappa % 2:
+                value = -value
+            acc = acc + value
+        if acc:
+            report.fail(
+                "word %s triple (%d,%d,%d): residual %s"
+                % (algebra.word_text(word), i, j, k, acc.text())
+            )
     return report
 
 

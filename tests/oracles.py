@@ -3,8 +3,10 @@
 These are the brute-force forms: expand every tensor product of the inputs
 into pure words, evaluate each word, and only then find out whether the
 structure tables have an entry there; expand the curved relations on every
-basis word, not only where the tables reach.  They are slow and obviously
-right, which is what an oracle should be.  The dual bimodule's structure maps are
+basis word, not only where the tables reach; read phi_{p,q} on one basis
+word straight from psi_0, and check skew-symmetry and closedness on every
+tuple of their quantifiers.  They are slow and obviously right, which is
+what an oracle should be.  The dual bimodule's structure maps are
 here too, in their unflattened form (a covector applied to m of module
 elements), as the reference for ``delta_dual``.  Also here: hypothesis
 strategies for their inputs, and a helper that builds a mutated copy of an
@@ -64,8 +66,30 @@ def _expand(factors, one):
     return stack
 
 
+def eval_word_reference(phi, alpha, v, beta, w) -> RingElement:
+    """phi_{p,q}(alpha (x) v (x) beta)(w) read from psi_0 at one basis word.
+
+        (-1)^{A(V+B+W)} psi_0[v | beta, w, alpha]
+      - (-1)^{W(A+V+B)} psi_0[w | alpha, v, beta]
+
+    with A, V, B, W the shifted-degree parities; an entry whose word holds
+    the unit reads as zero.
+    """
+    basis = phi.algebra.basis
+    psi0 = phi.tower.psi0
+    A, V, B, W = (sum(basis.degree(i) - 1 for i in slot)
+                  for slot in (alpha, (v,), beta, (w,)))
+    acc = RingElement.zero(phi.algebra.spec)
+    for key, sign in (((v, beta + (w,) + alpha), -1 if A * (V + B + W) % 2 else 1),
+                      ((w, alpha + (v,) + beta), 1 if W * (A + V + B) % 2 else -1)):
+        entry = psi0.table.get(key)
+        if entry and basis.unit not in key[1]:
+            acc = acc + entry.scale(sign)
+    return acc
+
+
 def expand_eval_elements(phi, alphas, v, betas, w) -> RingElement:
-    """phi_{p,q}(alphas, v, betas)(w) by evaluating phi on every pure word."""
+    """phi_{p,q}(alphas, v, betas)(w) by reading psi_0 on every pure word."""
     acc = RingElement.zero(phi.algebra.spec)
     one = phi.algebra.one_ring()
     for alpha, ca in _expand(alphas, one):
@@ -75,7 +99,7 @@ def expand_eval_elements(phi, alphas, v, betas, w) -> RingElement:
                     coeff = ca * cv * cb * cw
                     if not coeff:
                         continue
-                    value = phi.eval_word(alpha, i_v, beta, i_w)
+                    value = eval_word_reference(phi, alpha, i_v, beta, i_w)
                     if value:
                         acc = acc + coeff * value
     return acc
@@ -95,7 +119,10 @@ def expand_apply_m(algebra, inputs) -> Element:
 
 
 def phi_hat_all_arguments(algebra, phi, words):
-    """phi_hat with the final argument running over the whole basis."""
+    """phi_hat with the final argument running over the whole basis.
+
+    phi is read from psi_0 by ``eval_word_reference``, not from its table.
+    """
     basis = algebra.basis
     out = {}
     d = phi.degree
@@ -109,7 +136,7 @@ def phi_hat_all_arguments(algebra, phi, words):
                 cdeg = d + sum(basis.degree(i) - 1 for i in alpha) \
                     + (basis.degree(y) - 1) + sum(basis.degree(i) - 1 for i in beta)
                 for w in range(len(basis)):
-                    value = phi.eval_word(alpha, y, beta, w)
+                    value = eval_word_reference(phi, alpha, y, beta, w)
                     if value:
                         add_term(out, (lw[:p], cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
@@ -137,6 +164,78 @@ def check_ainfty_reference(algebra, k_max=None) -> Report:
                     "relation at n=%d %s: residual %s"
                     % (n, algebra.word_text(word), Element(basis, residual).text())
                 )
+    return report
+
+
+def check_skew_reference(algebra, phi, l_max) -> Report:
+    """check_skew comparing phi.eval_word on every (alpha, v, beta, w)."""
+    report = Report("skew-symmetry")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("L_max", l_max)
+    basis = algebra.basis
+    letters = basis.reduced_letters()
+    for total in range(l_max + 1):
+        for p in range(total + 1):
+            for alpha in words_over(letters, p):
+                for beta in words_over(letters, total - p):
+                    for v in range(len(basis)):
+                        for w in range(len(basis)):
+                            A = sum(basis.degree(i) - 1 for i in alpha)
+                            B = sum(basis.degree(i) - 1 for i in beta)
+                            V = basis.degree(v) - 1
+                            W = basis.degree(w) - 1
+                            sign = -1 if ((A + V) * (B + W) + 1) % 2 else 1
+                            lhs = phi.eval_word(alpha, v, beta, w)
+                            rhs = phi.eval_word(beta, w, alpha, v).scale(sign)
+                            report.tick()
+                            if lhs != rhs:
+                                report.fail(
+                                    "alpha=%s v=%s beta=%s w=%s: %s vs %s"
+                                    % (algebra.word_text(alpha), basis.names[v],
+                                       algebra.word_text(beta), basis.names[w],
+                                       lhs.text(), rhs.text()))
+    return report
+
+
+def _arrange(word, module_pos, arg_pos):
+    """(alpha, module, beta, argument): beta runs from the module to the
+    argument, alpha from the argument back around to the module."""
+    n = len(word)
+    beta = []
+    i = (module_pos + 1) % n
+    while i != arg_pos:
+        beta.append(word[i])
+        i = (i + 1) % n
+    alpha = []
+    i = (arg_pos + 1) % n
+    while i != module_pos:
+        alpha.append(word[i])
+        i = (i + 1) % n
+    return tuple(alpha), word[module_pos], tuple(beta), word[arg_pos]
+
+
+def check_closed_reference(algebra, phi, l_max) -> Report:
+    """check_closed summing phi.eval_word over every marked triple."""
+    report = Report("closedness")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("L_max", l_max)
+    basis = algebra.basis
+    for n in range(3, l_max + 3):
+        for word in words_over(basis.reduced_letters(), n):
+            shifts = [basis.degree(i) - 1 for i in word]
+            total = sum(shifts)
+            for i in range(n - 2):
+                for j in range(i + 1, n - 1):
+                    for k in range(j + 1, n):
+                        acc = RingElement.zero(algebra.spec)
+                        for mpos, apos in ((i, j), (j, k), (k, i)):
+                            prefix = sum(shifts[: mpos + 1])
+                            value = phi.eval_word(*_arrange(word, mpos, apos))
+                            acc = acc + (-value if prefix * (total - prefix) % 2 else value)
+                        report.tick()
+                        if acc:
+                            report.fail("word %s triple (%d,%d,%d): residual %s"
+                                        % (algebra.word_text(word), i, j, k, acc.text()))
     return report
 
 

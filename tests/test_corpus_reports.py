@@ -1,0 +1,72 @@
+"""Report bytes of every corpus command line, pinned by sha256.
+
+Each of the six subcommands runs with default flags on each of the five
+corpus documents.  A line that exits 0 or 1 prints a report; its sha256 is
+pinned here, so a refactor that changes one byte of any report fails this
+test.  A line that exits 2 (the document lacks the section the command
+needs) is pinned by its exit status alone.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+import ainfty
+from ainfty.cli import main
+
+CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
+
+G1_CHECK = "6af75a0457e0c642f2a14d01d289cc4fdf5fa69aadf17a21b4c0f08dd556400b"
+G1_COCYCLE = "1797769397a38c5152dd7c00c8609a2cc36ce5ff6b21c30aac71d49427421f19"
+G1_MC = "95160228082376a4ecc9135b075833d1bcdd50df0733564fdf42f59610203108"
+G1_POTENTIAL = "7a373fd9b77df64d2dd9799ddab23ecfe7f5bda724b3d1bec2b6d2fc7293cdad"
+G1_WALLCROSS = "f7bfef9df04098a77caca8344fd90cbc08ac318d8381dd1741cebfd9bbcc3b11"
+
+# (document, command) -> (exit status, sha256 of stdout or None)
+GOLDEN = {
+    ("e1", "check"): (0, "6f3c26c42253736d889b24663672d9b52d414f15371a754dcf8abfaba2b09425"),
+    ("e1", "cocycle"): (0, "f06f634c29786dd93dbd70e4ede6ef844cd99967338a9b60c822b136fa4078ca"),
+    ("e1", "mc"): (0, "0aeb36502bbd946b5a41ada5b2ec14f59a9d9e872b262d30f732d57d036decf2"),
+    ("e1", "potential"): (0, "d517cb4f3ae6cf400589397d0ae02a4c11982876ae0a09aa1ce0e98ece92c00b"),
+    ("e1", "gauge"): (2, None),
+    ("e1", "wallcross"): (0, "e1135aa44f2f42ad8535a705083ca3bd4adaaa604de7ae06321a912b0bcb40c1"),
+    ("e2", "check"): (0, "0dc3adbd927269a540d87ba8b0a1a2e7610ba4f52f0fb40961bedb9348fe8b86"),
+    ("e2", "cocycle"): (0, "58583368e0c8c174145b9c5b76cbb9f63fd962a6a7082085bacf872f95c9ef5f"),
+    ("e2", "mc"): (0, "962b4e60640c0b37b9f44602581d7e7a17c6762bbc2fa6a2f6a89371eef33e33"),
+    ("e2", "potential"): (0, "2e873926f7db6e0f079f8dae9dfa29e961c163dbd711535d55255e154b3e3c86"),
+    ("e2", "gauge"): (2, None),
+    ("e2", "wallcross"): (0, "7f2331f5447d8d36ca3f04e2bf631c01645b87efbe2b5a95e16b4b997f178867"),
+    # Both G1 documents carry the same algebra, towers and name, so every
+    # report they share is the same text.
+    ("g1_gauge", "check"): (0, G1_CHECK),
+    ("g1_gauge", "cocycle"): (0, G1_COCYCLE),
+    ("g1_gauge", "mc"): (0, G1_MC),
+    ("g1_gauge", "potential"): (0, G1_POTENTIAL),
+    ("g1_gauge", "gauge"): (0, "cbe9dfb30317cfbf025dd07d76aa092be93a51d547fc84b4d2f5bd4e91444525"),
+    ("g1_gauge", "wallcross"): (0, G1_WALLCROSS),
+    ("g1_wallcross", "check"): (0, G1_CHECK),
+    ("g1_wallcross", "cocycle"): (0, G1_COCYCLE),
+    ("g1_wallcross", "mc"): (0, G1_MC),
+    ("g1_wallcross", "potential"): (0, G1_POTENTIAL),
+    ("g1_wallcross", "gauge"): (2, None),
+    ("g1_wallcross", "wallcross"): (0, G1_WALLCROSS),
+    ("sv1", "check"): (0, "f421700580d3da01ed77ab9d5ea1b3d0ea3e81847300993be7b1131c758d3aee"),
+    ("sv1", "cocycle"): (2, None),
+    ("sv1", "mc"): (1, "ec7accaa617cb39563e20b22692e7f26f9f4ddcd3ca59d516c12f844702161be"),
+    ("sv1", "potential"): (2, None),
+    ("sv1", "gauge"): (2, None),
+    ("sv1", "wallcross"): (2, None),
+}
+
+
+@pytest.mark.parametrize("doc,command", sorted(GOLDEN), ids="-".join)
+def test_corpus_report_bytes(doc, command, capsys):
+    status, digest = GOLDEN[doc, command]
+    code = main([command, "--input", os.path.join(CORPUS, doc + ".json")])
+    out = capsys.readouterr().out
+    assert code == status
+    if digest is None:
+        assert out == ""
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

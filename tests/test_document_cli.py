@@ -255,8 +255,9 @@ def _set(path, value):
     (_set(("operations", 1, "output", 0, "s"), 1.5),
      "operations[1].output[0].s: not an integer: 1.5"),
     (_set(("basis", 0, "unit"), "false"), "basis[0].unit: not a JSON boolean: 'false'"),
+    (_set(("cutoffs", "energy"), True), "cutoffs.energy: not an exact fraction: True"),
 ), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
-        "flag-string", "exponent-float", "unit-string"))
+        "flag-string", "exponent-float", "unit-string", "energy-bool"))
 def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(edit(minimal_doc())))
@@ -274,8 +275,13 @@ def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
      "operations[0].output: not a JSON array: {'basis': '1'}"),
     (_set(("gauge_path",), None), "gauge_path: not a JSON object: None"),
     (_set(("basis", 1, "name"), ["x"]), "basis[1].name: not a JSON string: ['x']"),
+    (_set(("wall_crossing_pair",), {"minus": ["b"], "plus": "b"}),
+     "wall_crossing_pair.minus: not a JSON string: ['b']"),
+    (_set(("wall_crossing_pair",), []), "wall_crossing_pair: not a JSON object: []"),
+    (_set(("gauge_path",), {"element": [{"basis": "x", "poly": None}]}),
+     "gauge_path.element[0].poly: not a JSON array: None"),
 ), ids=("t-degrees-number", "basis-entry-number", "cutoffs-list", "output-object",
-        "gauge-path-null", "name-list"))
+        "gauge-path-null", "name-list", "pair-name-list", "pair-empty-list", "poly-null"))
 def test_container_shapes_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(edit(minimal_doc())))
@@ -287,14 +293,18 @@ def test_container_shapes_exit_2_located(tmp_path, capsys, edit, location):
 
 def test_kmax_past_unflagged_tables_exits_2(tmp_path, capsys):
     # The document's own cutoff passes validation (tables reach K + 1 = 2);
-    # --kmax 4 is not validated again, and the relation check, which runs
-    # first, then needs an m_3 that is not stored.
+    # --kmax 4 would need tables up to 5, and is refused where it is set,
+    # before any check runs.
     raw = minimal_doc()
     raw["higher_arities_zero"] = False
     raw["cutoffs"]["arity"] = 1
     path = tmp_path / "unflagged.json"
     path.write_text(json.dumps(raw))
-    assert main(["check", "--input", str(path), "--kmax", "4", "--chains", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "operation of arity 3 requested but tables stop at 2" in captured.err
-    assert "PASS" not in captured.out
+    for kmax in ("3", "4"):
+        assert main(["check", "--input", str(path), "--kmax", kmax, "--chains", "1"]) == 2
+        captured = capsys.readouterr()
+        assert ("  --kmax: relation checking at arity %s needs tables up to %d"
+                % (kmax, int(kmax) + 1)) in captured.err
+        assert captured.out == ""
+    assert main(["check", "--input", str(path), "--kmax", "1", "--chains", "1"]) == 0
+    capsys.readouterr()

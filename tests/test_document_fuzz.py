@@ -1,0 +1,89 @@
+"""Mutated corpus documents get a verdict, never a traceback.
+
+A mutation deletes one field of a corpus document (an object member or an
+array item) or replaces its value with a value of another JSON type; the
+mutated document then goes through one subcommand of ``ainfty.cli.main``,
+which must return 0, 1 or 2.  Numbers are only ever replaced by values that
+are not numbers, so no mutation enlarges an integer, and a deleted cutoff
+falls back to a default equal to the corpus value; only the energy cutoff
+grows, from 3 to 10, which bounds the terms kept and not the words checked.
+The subcommands run with few chains and a short word length, so each
+example takes at most a few tenths of a second.
+"""
+
+import copy
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+import ainfty
+from ainfty.cli import main
+
+CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
+DOCS = {}
+for _name in sorted(os.listdir(CORPUS)):
+    with open(os.path.join(CORPUS, _name)) as _handle:
+        DOCS[_name] = json.load(_handle)
+
+COMMANDS = (["check", "--chains", "2"], ["cocycle", "--lmax", "2"], ["mc"],
+            ["mc", "--solve"], ["potential"], ["gauge"], ["wallcross"])
+REPLACEMENTS = (None, True, 0, 0.5, "x", [], {})
+DELETE = object()
+
+
+def _paths(node, path=()):
+    """The path of every field below node: object keys and array indices."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+PATHS = {name: list(_paths(raw)) for name, raw in DOCS.items()}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _mutated(raw, path, replacement):
+    doc = copy.deepcopy(raw)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return doc
+
+
+def _value_at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_corpus_document_gets_a_verdict(data):
+    name = data.draw(st.sampled_from(sorted(DOCS)))
+    path = data.draw(st.sampled_from(PATHS[name]))
+    old = _json_type(_value_at(DOCS[name], path))
+    replacement = data.draw(st.sampled_from(
+        [DELETE] + [r for r in REPLACEMENTS if _json_type(r) != old]))
+    argv = data.draw(st.sampled_from(COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = os.path.join(tmp, name)
+        with open(doc_path, "w") as handle:
+            json.dump(_mutated(DOCS[name], path, replacement), handle)
+        assert main(argv + ["--input", doc_path]) in (0, 1, 2)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import hochschild, pairing
+from ainfty import pairing
 from ainfty.ainfty import check_bimodule_hom, phi_hat
 from ainfty.coeff import RingElement
 from ainfty.errors import DivergenceError, TowerError
@@ -26,7 +26,10 @@ from conftest import (
     poincare_tower, random_bstar_tower, random_coboundary_tower,
     random_degree_one, random_functional, ring,
 )
-from oracles import SCALARS, elements, expand_eval_elements, mutant_module, phi_hat_all_arguments
+from oracles import (
+    SCALARS, check_closed_reference, check_skew_reference, elements, eval_word_reference,
+    expand_eval_elements, mutant_module, phi_hat_all_arguments,
+)
 
 
 def build_poincare(maker):
@@ -116,19 +119,21 @@ def test_random_coboundary_towers_pass_hom_skew_closed(maker, d, rng):
         done += 1
 
 
+def negated(phi, selects):
+    """A fresh evaluator on phi's tower with the table entries selects picks negated."""
+    mutant = InfinityInnerProduct(phi.algebra, phi.tower)
+    keys = [key for key in mutant.table if selects(*key)]
+    assert keys, "the mutation must change some entry"
+    for key in keys:
+        mutant.table[key] = -mutant.table[key]
+    return mutant
+
+
 def test_skew_mutation_detected(e1):
     phi = build_phi(e1, poincare_tower(e1))
-
-    class Flipped:
-        degree = phi.degree
-
-        def eval_word(self, alpha, v, beta, w):
-            value = phi.eval_word(alpha, v, beta, w)
-            if not alpha and not beta and v == 1 and w == 0:
-                return -value
-            return value
-
-    report = check_skew(e1, Flipped(), l_max=1)
+    flipped = negated(phi, lambda alpha, v, beta, w: not alpha and not beta
+                      and v == 1 and w == 0)
+    report = check_skew(e1, flipped, l_max=1)
     assert not report.passed
 
 
@@ -139,20 +144,11 @@ def test_closed_mutation_detected(g1, rng):
     phi = build_phi(g1, tower)
     assert check_closed(g1, phi, l_max=1).passed
 
-    class Broken:
-        degree = phi.degree
-        tower = phi.tower
-
-        def eval_word(self, alpha, v, beta, w):
-            value = phi.eval_word(alpha, v, beta, w)
-            if len(alpha) == 1 and not beta:
-                return -value
-            return value
-
     # flipping one family of components breaks closedness unless everything
     # in that family vanishes
-    broken = check_closed(g1, Broken(), l_max=1)
-    skewed = check_skew(g1, Broken(), l_max=2)
+    mutant = negated(phi, lambda alpha, v, beta, w: len(alpha) == 1 and not beta)
+    broken = check_closed(g1, mutant, l_max=1)
+    skewed = check_skew(g1, mutant, l_max=2)
     assert not (broken.passed and skewed.passed)
 
 
@@ -244,18 +240,9 @@ def test_homological_nondegeneracy_with_differential(g1, rng):
 def test_bimodule_hom_mutation_detected(e1):
     # the strict tower has no higher components, so flip one scalar entry
     phi = build_phi(e1, poincare_tower(e1))
-
-    class Flipped:
-        degree = phi.degree
-        tower = phi.tower
-
-        def eval_word(self, alpha, v, beta, w):
-            value = phi.eval_word(alpha, v, beta, w)
-            if not alpha and not beta and (v, w) == (1, 0):
-                return -value
-            return value
-
-    report = check_bimodule_hom(e1, Flipped(), l_max=3)
+    flipped = negated(phi, lambda alpha, v, beta, w: not alpha and not beta
+                      and (v, w) == (1, 0))
+    report = check_bimodule_hom(e1, flipped, l_max=3)
     assert not report.passed
 
 
@@ -347,7 +334,7 @@ def test_eval_elements_matches_expansion(data):
     algebra, phi = _phi_case(case, random.Random(data.draw(st.integers(0, 2 ** 16))))
     scalars = data.draw(st.sampled_from(SCALARS))
     # up to one slot past the longest psi_0 entry, where the result is 0
-    longest = max(phi.tower.psi0.support_by_length()) - 2
+    longest = max(len(alpha) + len(beta) for alpha, _, beta, _ in phi.table)
     total = data.draw(st.integers(0, min(longest + 1, 3)))
     p = data.draw(st.integers(0, total))
     q = total - p
@@ -358,10 +345,7 @@ def test_eval_elements_matches_expansion(data):
     got = phi.eval_elements(alphas, v, betas, w)
     want = expand_eval_elements(phi, alphas, v, betas, w)
     assert got == want
-    if scalars != "mixed":
-        # A constant reached by cancelling Poly against rational terms is
-        # stored as either type, depending on the order of the sum.
-        assert got.text() == want.text()
+    assert got.text() == want.text()
 
 
 def test_eval_elements_cancelling_inputs():
@@ -390,32 +374,115 @@ def test_phi_hat_matches_all_arguments(case):
                             phi_hat_all_arguments(algebra, phi, start)
 
 
-# Mutants of the support-driven kernel, each applied to a fresh copy of the
-# module that holds it: (module, original fragment, mutated fragment).
+def _all_keys(algebra, max_total):
+    """Every (alpha, v, beta, w) over the whole basis, unit included."""
+    letters = range(len(algebra.basis))
+    for total in range(max_total + 1):
+        for p in range(total + 1):
+            for alpha in words_over(letters, p):
+                for beta in words_over(letters, total - p):
+                    for v in letters:
+                        for w in letters:
+                            yield alpha, v, beta, w
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_table_matches_psi0_reading(case):
+    # every entry psi_0 can reach has length <= 4, so total <= 3 covers the
+    # whole table; the unit appears in every slot
+    algebra, phi = _phi_case(case, random.Random(case))
+    found = 0
+    for key in _all_keys(algebra, 3):
+        want = eval_word_reference(phi, *key)
+        got = phi.eval_word(*key)
+        assert got == want and got.text() == want.text(), key
+        found += bool(want)
+    assert found == len(phi.table)
+
+
+def _skew_closed_case(case, mutation):
+    """(algebra, phi) with phi's table edited so that the checks can fail.
+
+    With one key left, each failing tuple or triple is reached from that
+    key alone.  The key kept is the longest with no unit and a nonempty
+    alpha if there is one: alpha holds the third marking of every triple
+    closedness reads the key in.
+    """
+    algebra, phi = _phi_case(case, random.Random(10 + case))
+    keys = sorted(phi.table)
+    if mutation == "first key negated":
+        phi.table[keys[0]] = -phi.table[keys[0]]
+    elif mutation == "every other key negated":
+        for key in keys[::2]:
+            phi.table[key] = -phi.table[key]
+    elif mutation == "one key kept":
+        unit = algebra.basis.unit
+        keep = max(keys, key=lambda k: (unit not in k[0] + (k[1],) + k[2] + (k[3],),
+                                        bool(k[0]), len(k[0]) + len(k[2])))
+        for key in keys:
+            if key != keep:
+                del phi.table[key]
+    return algebra, phi
+
+
+SKEW_CLOSED_MUTATIONS = (None, "first key negated", "every other key negated",
+                         "one key kept")
+
+
+@pytest.mark.parametrize("mutation", SKEW_CLOSED_MUTATIONS)
+@pytest.mark.parametrize("case", range(3))
+def test_skew_matches_every_tuple(case, mutation):
+    algebra, phi = _skew_closed_case(case, mutation)
+    for l_max in range(4):
+        got = check_skew(algebra, phi, l_max)
+        want = check_skew_reference(algebra, phi, l_max)
+        assert (got.text(), got.checked) == (want.text(), want.checked)
+
+
+@pytest.mark.parametrize("mutation", SKEW_CLOSED_MUTATIONS)
+@pytest.mark.parametrize("case", range(3))
+def test_closed_matches_every_triple(case, mutation):
+    algebra, phi = _skew_closed_case(case, mutation)
+    for l_max in range(4):
+        got = check_closed(algebra, phi, l_max)
+        want = check_closed_reference(algebra, phi, l_max)
+        assert (got.text(), got.checked) == (want.text(), want.checked)
+
+
+def test_skew_closed_references_see_failures():
+    # the comparisons above also cover failure lists and their order
+    algebra, phi = _skew_closed_case(2, "every other key negated")
+    assert len(check_skew_reference(algebra, phi, 3).failures) > 1
+    assert len(check_closed_reference(algebra, phi, 3).failures) > 1
+
+
+# Mutants of the table builder, each applied to a fresh copy of the pairing
+# module: (original fragment, mutated fragment).
 KERNEL_MUTANTS = {
     "reading-2 sign flipped": (
-        pairing, "1 if W * (A + V + B) % 2 else -1)", "-1 if W * (A + V + B) % 2 else 1)"),
+        "second = value if shifted[v0] * (total - shifted[v0]) % 2 else -value",
+        "second = -value if shifted[v0] * (total - shifted[v0]) % 2 else value"),
     "unit exclusion dropped": (
-        hochschild, "                if unit is not None and unit in word:\n"
-                    "                    continue\n", ""),
+        "            if unit is not None and unit in word:\n"
+        "                continue\n", ""),
     "reading-1 split off by one": (
-        pairing, "((v, *betas, w, *alphas), q),", "((v, *betas, w, *alphas), q + 1),"),
+        "add_term(table, (after, v0, before, letter),",
+        "add_term(table, (word[m:], v0, before, letter),"),
 }
 
 
-def _kernel_disagrees(pairing_mod, hochschild_mod) -> bool:
-    """Does eval_elements from these modules differ from the expansion anywhere?
+def _kernel_disagrees(pairing_mod) -> bool:
+    """Does eval_elements from this module differ from the expansion anywhere?
 
-    The expansion runs on the unmutated evaluator.  Every input carries
-    every basis component, with scalars differing from slot to slot so that
-    the two readings cannot cancel, so every psi_0 entry of the right length
-    is selected.  A mutant that crashes counts as detected.
+    The expansion reads psi_0 directly (``eval_word_reference``).  Every
+    input carries every basis component, with scalars differing from slot
+    to slot so that the two readings cannot cancel, so every table entry of
+    the right shape is selected.  A mutant that crashes counts as detected.
     """
     algebra = make_g1()
-    psi0 = _nonstrict_psi0(hochschild_mod.Functional, algebra, random.Random(4))
+    psi0 = _nonstrict_psi0(Functional, algebra, random.Random(4))
     tower = CocycleTower((psi0,))
     mutant = pairing_mod.InfinityInnerProduct(algebra, tower)
-    reference = InfinityInnerProduct(algebra, tower)
     rng = random.Random(5)
     full = [Element(algebra.basis, {i: ring(algebra.spec, rng.randint(1, 9))
                                     for i in range(len(algebra.basis))})
@@ -427,19 +494,15 @@ def _kernel_disagrees(pairing_mod, hochschild_mod) -> bool:
                 got = mutant.eval_elements(*args)
             except IndexError:
                 return True
-            if got != expand_eval_elements(reference, *args):
+            if got != expand_eval_elements(mutant, *args):
                 return True
     return False
 
 
 def test_kernel_detector_accepts_the_kernel():
-    assert not _kernel_disagrees(pairing, hochschild)
+    assert not _kernel_disagrees(pairing)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
 def test_kernel_mutant_killed(name):
-    module, old, new = KERNEL_MUTANTS[name]
-    mutant = mutant_module(module, old, new)
-    modules = {"pairing": pairing, "hochschild": hochschild}
-    modules[module.__name__.rsplit(".", 1)[1]] = mutant
-    assert _kernel_disagrees(modules["pairing"], modules["hochschild"])
+    assert _kernel_disagrees(mutant_module(pairing, *KERNEL_MUTANTS[name]))
