@@ -10,6 +10,8 @@ Conventions:
     maltese_i the sum of shifted degrees of the first i inputs; ``insertions``
     is the one loop over insertion positions and their signs, and every
     differential here and in the Hochschild layer is a sum over it;
+    ``uninsertions`` runs it backwards through ``words_by_output``, and
+    every support-driven check lists the words it evaluates with it;
   * the full coderivation includes the curvature insertions (arity 0), so
     "coderivation squares to zero" is equivalent to the curved relations.
 
@@ -56,6 +58,7 @@ class AInftyAlgebra:
     _m_cache: dict = field(default_factory=dict, repr=False)
     _words_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arities: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _by_output: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
@@ -249,31 +252,56 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
                 yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
 
 
+def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:
+    """The stored words of nonzero m_word, indexed by their output letters.
+
+    Maps each letter c to the stored words u (arity 0 included), ascending
+    by arity and then sorted, whose m_word(u) has a term at c: the words an
+    insertion can turn into the letter c.  Built once per algebra on first
+    use; like the word cache, it assumes the tables stay fixed after that.
+    """
+    index = algebra._by_output
+    if index is None:
+        lists: Dict[int, list] = {}
+        for k in algebra.stored_arities():
+            for inner in algebra.stored_words(k):
+                for comp in algebra.m_word(inner):
+                    lists.setdefault(comp, []).append(inner)
+        index = algebra._by_output = {comp: tuple(words) for comp, words in lists.items()}
+    return index
+
+
+def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):
+    """The words one insertion can turn into ``word``, up to a length.
+
+    Yields word[:i] + u + word[i+1:] for each letter word[i] and each u that
+    ``words_by_output`` lists under it (u = () deletes the letter), when the
+    result has at most max_len letters.  A sum over ``insertions`` of a
+    word has a term at ``word`` only if the word is one of these, so every
+    support-driven check lists its candidates through this.
+    """
+    index = words_by_output(algebra)
+    for i, letter in enumerate(word):
+        for inner in index.get(letter, ()):
+            if len(word) - 1 + len(inner) <= max_len:
+                yield word[:i] + inner + word[i + 1 :]
+
+
 def _relation_support(algebra: AInftyAlgebra, k_max: int) -> list:
     """The words of length <= k_max whose curved relation can have a term.
 
-    These are the words o[:i] + u + o[i+1:] with o and u stored words of
-    nonzero m_word (u of any arity, 0 included) and o[i] an output letter
-    of m_word(u), sorted by (length, word) as ``words_over`` lists them.
-    Where higher arities are not marked zero, a word of length top + len(u)
-    <= k_max needs an outer operation of arity top + 1 past the stored
-    tables, so this raises as m_word does on it.
+    These are the un-insertions of the stored words o of nonzero m_word,
+    o[:i] + u + o[i+1:] with o[i] an output letter of m_word(u), sorted by
+    (length, word) as ``words_over`` lists them.  Where higher arities are
+    not marked zero, a word of length top + len(u) <= k_max needs an outer
+    operation of arity top + 1 past the stored tables, so this raises as
+    m_word does on it.
     """
     top = algebra.max_stored_arity()
-    nonzero = [word for k in algebra.stored_arities()
-               for word in algebra.stored_words(k) if algebra.m_word(word)]
+    nonzero = {word for words in words_by_output(algebra).values() for word in words}
     if not algebra.higher_arities_zero and any(len(inner) + top <= k_max for inner in nonzero):
         algebra._check_arity(top + 1)
-    by_output: Dict[int, list] = {}
-    for inner in nonzero:
-        for comp in algebra.m_word(inner):
-            by_output.setdefault(comp, []).append(inner)
-    found = set()
-    for outer in nonzero:
-        for i, letter in enumerate(outer):
-            for inner in by_output.get(letter, ()):
-                if len(outer) - 1 + len(inner) <= k_max:
-                    found.add(outer[:i] + inner + outer[i + 1 :])
+    found = {word for outer in nonzero for word in uninsertions(algebra, outer, k_max)}
     return sorted(found, key=lambda word: (len(word), word))
 
 
@@ -620,13 +648,95 @@ def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
     return out
 
 
+def _bimodule_residual(algebra: AInftyAlgebra, phi, start: BimodWord) -> DualSum:
+    """D(x) = phi-hat(delta(x)) - (-1)^{deg(phi)} delta'(phi-hat(x)) at one bar word x."""
+    word = {start: algebra.one_ring()}
+    diff = phi_hat(algebra, phi, delta_diagonal(algebra, word))
+    gsign = -1 if phi.degree % 2 else 1
+    for key, value in delta_dual(algebra, phi_hat(algebra, phi, word)).items():
+        add_term(diff, key, value.scale(-gsign))
+    return diff
+
+
+def _bar_order(start: BimodWord):
+    """The order of the quantifier: total length, left length, lw, rw, y."""
+    lw, y, rw = start
+    return len(lw) + len(rw), len(lw), lw, rw, y
+
+
+def _corestriction_support(algebra: AInftyAlgebra, phi, l_max: int) -> list:
+    """The bar words at which the corestriction D_0 of D can be nonzero.
+
+    A term of D_0(lw, y, rw) reads phi.table at a key (a, v, b, w) with both
+    outer words of the output empty.  On the left side, delta(x) reached
+    the key's bar word: an insertion into lw made a letter of a, one into
+    rw made a letter of b, or the module slot absorbed
+    u = lw[p:] + (y,) + rw[:q] into v.  On the right side, phi-hat read the
+    key at a split of x and delta' absorbed both outer words around a
+    letter u[j] into the covector at w.  So x is an un-insertion of a or b,
+    or (a + u[:j], u[j], u[j+1:] + b) for u listed under v, or
+    (u[j+1:] + a, v, b + u[:j]) for u listed under w.  Listed in the
+    quantifier's order: unit-free outer words of total length <= l_max.
+    """
+    index = words_by_output(algebra)
+    unit = algebra.basis.unit
+    found = set()
+    for a, v, b, w in phi.table:
+        found.update((lw, v, b) for lw in uninsertions(algebra, a, l_max - len(b)))
+        found.update((a, v, rw) for rw in uninsertions(algebra, b, l_max - len(a)))
+        for u in index.get(v, ()):
+            found.update((a + u[:j], u[j], u[j + 1 :] + b) for j in range(len(u)))
+        for u in index.get(w, ()):
+            found.update((u[j + 1 :] + a, v, b + u[:j]) for j in range(len(u)))
+    return sorted((x for x in found if len(x[0]) + len(x[2]) <= l_max
+                   and unit not in x[0] and unit not in x[2]), key=_bar_order)
+
+
+def _extensions(middles, letters, l_max: int) -> list:
+    """Every (left + lw, y, rw + right) for (lw, y, rw) in middles and reduced
+    outer words left, right, of total length <= l_max, in quantifier order."""
+    found = set()
+    for lw, y, rw in middles:
+        room = l_max - len(lw) - len(rw)
+        for nl in range(room + 1):
+            for left in words_over(letters, nl):
+                for nr in range(room - nl + 1):
+                    found.update((left + lw, y, rw + right) for right in words_over(letters, nr))
+    return sorted(found, key=_bar_order)
+
+
 def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None) -> Report:
     """Verify phi-hat o delta = (-1)^{deg(phi)} delta' o phi-hat.
 
     The quantifier runs over the reduced bar coalgebra: unit-free left and
-    right words, with the module slot (and the flattened covector argument)
-    ranging over the whole basis.  The graded sign on the right side is the
-    usual chain-map sign of a degree-d map.
+    right words with len(lw) + len(rw) <= l_max, and the module slot (and
+    the flattened covector argument) ranging over the whole basis.  The
+    graded sign on the right side is the usual chain-map sign of a degree-d
+    map.  ``checked`` counts every bar word of the quantifier, but only the
+    words the tables can reach are evaluated:
+
+    delta and delta' are coderivations and phi-hat is a comodule extension,
+    so D = phi-hat o delta - (-1)^d delta' o phi-hat is a bicomodule map: on
+    x = (lw, y, rw) it is the sum over splits lw = l1 l2, rw = r1 r2 of
+    (-1)^{(d+1) maltese(l1)} (l1, D_0(l2, y, r1), r2), with D_0 the
+    corestriction (both outer words of the output empty).  The insertions
+    into l1 and r2 cancel between the two sides term by term; every other
+    term of D(x) at outer words (l1, r2) is, up to that one sign, the same
+    product of the same ring elements as the matching term of
+    D_0(l2, y, r1).  Energy truncation is applied per product and is
+    linear, and the reduced quotient drops a unit output in an outer word
+    on both sides alike, so neither breaks the identity.  Hence D(x) is
+    zero exactly when D_0 vanishes at every middle (l2, y, r1) of x.
+
+    D_0 can be nonzero only at the words ``_corestriction_support`` lists
+    (a few per table key), so only those are evaluated.  When D_0 vanishes
+    at all of them, every word passes.  Otherwise the failing words are
+    exactly the extensions of the failing middles by reduced outer words;
+    the residual is evaluated at each of them, in the quantifier's order,
+    so the failure lines are those of a check of every word.  Where higher
+    arities are not marked zero and a bar word of length top (the highest
+    stored arity) is in range, delta would absorb top + 1 letters there, so
+    this raises as m_word does on it.
     """
     l_max = algebra.l_max if l_max is None else l_max
     report = Report("bimodule-hom")
@@ -634,27 +744,19 @@ def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None)
     report.note("L_max", l_max)
     basis = algebra.basis
     letters = basis.reduced_letters()
-    one = algebra.one_ring()
-    gsign = -1 if phi.degree % 2 else 1
-    for total in range(l_max + 1):
-        for nl in range(total + 1):
-            nr = total - nl
-            for lw in words_over(letters, nl):
-                for rw in words_over(letters, nr):
-                    for y in range(len(basis)):
-                        start: BimodSum = {(lw, y, rw): one}
-                        lhs = phi_hat(algebra, phi, delta_diagonal(algebra, start))
-                        rhs = delta_dual(algebra, phi_hat(algebra, phi, start))
-                        report.tick()
-                        diff = dict(lhs)
-                        for key, value in rhs.items():
-                            add_term(diff, key, value.scale(-gsign))
-                        if diff:
-                            key = sorted(diff)[0]
-                            report.fail(
-                                "word %s|%s|%s: %d unbalanced terms, first %r -> %s"
-                                % (algebra.word_text(lw), basis.names[y],
-                                   algebra.word_text(rw), len(diff), key,
-                                   diff[key].text())
-                            )
+    top = algebra.max_stored_arity()
+    if not algebra.higher_arities_zero and any(len(letters) ** t for t in range(top, l_max + 1)):
+        algebra._check_arity(top + 1)
+    report.tick(sum((t + 1) * len(letters) ** t for t in range(l_max + 1)) * len(basis))
+    failing = [x for x in _corestriction_support(algebra, phi, l_max)
+               if any(not lw and not rw for lw, _, _, rw in _bimodule_residual(algebra, phi, x))]
+    for lw, y, rw in _extensions(failing, letters, l_max):
+        diff = _bimodule_residual(algebra, phi, (lw, y, rw))
+        if diff:
+            key = min(diff)
+            report.fail(
+                "word %s|%s|%s: %d unbalanced terms, first %r -> %s"
+                % (algebra.word_text(lw), basis.names[y],
+                   algebra.word_text(rw), len(diff), key, diff[key].text())
+            )
     return report

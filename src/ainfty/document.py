@@ -51,8 +51,9 @@ class _Collector:
 
 
 def _fraction(value, where, errors, default=None):
-    if value is None:
-        return default
+    """An exact fraction: a JSON integer or a fraction string.  Anything
+    else, null included, is a located error and reads as default; callers
+    pass an absent field's default value in its place."""
     try:
         return as_fraction(value)
     except (ConfigurationError, ValueError, ZeroDivisionError):

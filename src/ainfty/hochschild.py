@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .ainfty import AInftyAlgebra, insertions
+from .ainfty import AInftyAlgebra, insertions, uninsertions, words_by_output
 from .coeff import RingElement
 from .errors import ConfigurationError
 from .graded import Word, add_term, koszul_sign_cyclic, maltese, words_over
@@ -380,10 +380,42 @@ class CocycleTower:
         return all(len(word) <= 1 for _, word in self.psi0.table)
 
 
+def _cocycle_support(algebra: AInftyAlgebra, tower: CocycleTower, l_max: int) -> list:
+    """The basis chains at which psi_i(b c) or psi_{i+1}(B c) can be nonzero.
+
+    A term of b c at a key (v0, w0) of some psi_i comes from an interior
+    insertion that made the letter w0[p], so c = (v0, w0[:p] + u + w0[p+1:])
+    is an un-insertion of w0, or from a wrap-around m(u) that made the
+    module v0 out of u with the module of c at u[j], so
+    c = (u[j], u[j+1:] + w0 + u[:j]) for u listed under v0.  A term of B c
+    at a key (1, w1) of psi_{i+1} needs (module,) + word to be a rotation
+    of w1.  Listed as ``iter_basis_chains`` orders them: unit-free words of
+    length <= l_max, by (length, word, module).
+    """
+    index = words_by_output(algebra)
+    unit = algebra.basis.unit
+    found = set()
+    for level, psi in enumerate(tower.levels):
+        for v0, w0 in psi.table:
+            found.update((v0, word) for word in uninsertions(algebra, w0, l_max))
+            for u in index.get(v0, ()):
+                found.update((u[j], u[j + 1 :] + w0 + u[:j]) for j in range(len(u)))
+            if level and v0 == unit:
+                found.update((w0[s], w0[s + 1 :] + w0[:s]) for s in range(len(w0)))
+    return sorted((c for c in found if len(c[1]) <= l_max and unit not in c[1]),
+                  key=lambda c: (len(c[1]), c[1], c[0]))
+
+
 def validate_negative_cocycle(
     algebra: AInftyAlgebra, tower: CocycleTower, l_max: Optional[int] = None
 ) -> Report:
-    """Check b* psi_i = B* psi_{i+1} for i < D and b* psi_D = 0, chainwise."""
+    """Check b* psi_i = B* psi_{i+1} for i < D and b* psi_D = 0, chainwise.
+
+    ``checked`` counts every basis chain of ``iter_basis_chains`` at every
+    level.  Both sides vanish on a chain that reaches no key of the tower
+    (``_cocycle_support``), so only the chains that do are evaluated, in
+    the same order, with the failure lines of a check of every chain.
+    """
     l_max = algebra.l_max if l_max is None else l_max
     report = Report("negative-cocycle")
     report.note("E_max", algebra.spec.cutoff)
@@ -391,7 +423,9 @@ def validate_negative_cocycle(
     report.note("depth", tower.depth)
     basis = algebra.basis
     names = basis.names
-    for module, word in iter_basis_chains(algebra, l_max):
+    reduced = len(basis.reduced_letters())
+    report.tick(len(tower.levels) * len(basis) * sum(reduced ** n for n in range(l_max + 1)))
+    for module, word in _cocycle_support(algebra, tower, l_max):
         chain = HochschildChain.generator(basis, module, word, algebra.one_ring(), reduced=True)
         bc = hochschild_b(algebra, chain)
         Bc = connes_B_reduced(basis, chain)
@@ -402,7 +436,6 @@ def validate_negative_cocycle(
                 if i + 1 < len(tower.levels)
                 else RingElement.zero(algebra.spec)
             )
-            report.tick()
             if lhs != rhs:
                 report.fail(
                     "level %d at [%s|%s]: b* gives %s, B* of next level gives %s"

@@ -5,7 +5,8 @@ into pure words, evaluate each word, and only then find out whether the
 structure tables have an entry there; expand the curved relations on every
 basis word, not only where the tables reach; read phi_{p,q} on one basis
 word straight from psi_0, and check skew-symmetry and closedness on every
-tuple of their quantifiers.  They are slow and obviously right, which is
+tuple of their quantifiers; check the bimodule homomorphism identity on
+every bar word and the negative cocycle condition on every basis chain.  They are slow and obviously right, which is
 what an oracle should be.  The dual bimodule's structure maps are
 here too, in their unflattened form (a covector applied to m of module
 elements), as the reference for ``delta_dual``.  Also here: hypothesis
@@ -24,10 +25,11 @@ from typing import Dict, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from ainfty.ainfty import apply_m, insertions
+from ainfty.ainfty import apply_m, delta_diagonal, delta_dual, insertions, phi_hat
 from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError
 from ainfty.graded import Element, add_term, maltese, words_over
+from ainfty.hochschild import HochschildChain, connes_B_reduced, hochschild_b, iter_basis_chains
 from ainfty.report import Report
 
 
@@ -236,6 +238,64 @@ def check_closed_reference(algebra, phi, l_max) -> Report:
                         if acc:
                             report.fail("word %s triple (%d,%d,%d): residual %s"
                                         % (algebra.word_text(word), i, j, k, acc.text()))
+    return report
+
+
+def check_bimodule_hom_reference(algebra, phi, l_max=None) -> Report:
+    """check_bimodule_hom evaluating the identity on every bar word."""
+    l_max = algebra.l_max if l_max is None else l_max
+    report = Report("bimodule-hom")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("L_max", l_max)
+    basis = algebra.basis
+    letters = basis.reduced_letters()
+    one = algebra.one_ring()
+    gsign = -1 if phi.degree % 2 else 1
+    for total in range(l_max + 1):
+        for nl in range(total + 1):
+            for lw in words_over(letters, nl):
+                for rw in words_over(letters, total - nl):
+                    for y in range(len(basis)):
+                        start = {(lw, y, rw): one}
+                        lhs = phi_hat(algebra, phi, delta_diagonal(algebra, start))
+                        rhs = delta_dual(algebra, phi_hat(algebra, phi, start))
+                        report.tick()
+                        diff = dict(lhs)
+                        for key, value in rhs.items():
+                            add_term(diff, key, value.scale(-gsign))
+                        if diff:
+                            key = sorted(diff)[0]
+                            report.fail(
+                                "word %s|%s|%s: %d unbalanced terms, first %r -> %s"
+                                % (algebra.word_text(lw), basis.names[y],
+                                   algebra.word_text(rw), len(diff), key,
+                                   diff[key].text()))
+    return report
+
+
+def validate_negative_cocycle_reference(algebra, tower, l_max=None) -> Report:
+    """validate_negative_cocycle comparing both sides on every basis chain."""
+    l_max = algebra.l_max if l_max is None else l_max
+    report = Report("negative-cocycle")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("L_max", l_max)
+    report.note("depth", tower.depth)
+    basis = algebra.basis
+    names = basis.names
+    for module, word in iter_basis_chains(algebra, l_max):
+        chain = HochschildChain.generator(basis, module, word, algebra.one_ring())
+        bc = hochschild_b(algebra, chain)
+        Bc = connes_B_reduced(basis, chain)
+        for i, psi in enumerate(tower.levels):
+            lhs = psi.apply(bc)
+            rhs = (tower.levels[i + 1].apply(Bc) if i + 1 < len(tower.levels)
+                   else RingElement.zero(algebra.spec))
+            report.tick()
+            if lhs != rhs:
+                report.fail(
+                    "level %d at [%s|%s]: b* gives %s, B* of next level gives %s"
+                    % (i, names[module], ",".join(names[j] for j in word),
+                       lhs.text(), rhs.text()))
     return report
 
 

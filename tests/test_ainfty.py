@@ -198,10 +198,10 @@ def test_relation_check_past_unflagged_tables_raises(k_max):
 
 # Mutants of the relation support: (original fragment, mutated fragment).
 RELATION_MUTANTS = {
-    "arity-0 inner words dropped": ("for inner in nonzero:",
-                                    "for inner in filter(len, nonzero):"),
-    "length bound off by one": ("len(outer) - 1 + len(inner) <= k_max",
-                                "len(outer) - 1 + len(inner) < k_max"),
+    "arity-0 inner words dropped": ("for inner in algebra.stored_words(k):",
+                                    "for inner in filter(len, algebra.stored_words(k)):"),
+    "length bound off by one": ("len(word) - 1 + len(inner) <= max_len",
+                                "len(word) - 1 + len(inner) < max_len"),
     "candidates sorted by word alone": ("key=lambda word: (len(word), word)",
                                        "key=lambda word: word"),
 }

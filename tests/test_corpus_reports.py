@@ -4,10 +4,14 @@ Each of the six subcommands runs with default flags on each of the five
 corpus documents.  A line that exits 0 or 1 prints a report; its sha256 is
 pinned here, so a refactor that changes one byte of any report fails this
 test.  A line that exits 2 (the document lacks the section the command
-needs) is pinned by its exit status alone.
+needs) is pinned by its exit status alone.  The cocycle command is also
+pinned at word length 5, on the corpus and on a G1 document whose tower has
+one psi_0 entry negated, so that its report fails with validation lines;
+and at word length 8 its counts are checked against their closed forms.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -60,13 +64,68 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("doc,command", sorted(GOLDEN), ids="-".join)
-def test_corpus_report_bytes(doc, command, capsys):
-    status, digest = GOLDEN[doc, command]
-    code = main([command, "--input", os.path.join(CORPUS, doc + ".json")])
+def _check_run(argv, capsys, status, digest):
+    """Run one command line; check its exit status and report digest."""
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == status
     if digest is None:
         assert out == ""
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return out
+
+
+@pytest.mark.parametrize("doc,command", sorted(GOLDEN), ids="-".join)
+def test_corpus_report_bytes(doc, command, capsys):
+    _check_run([command, "--input", os.path.join(CORPUS, doc + ".json")], capsys,
+               *GOLDEN[doc, command])
+
+
+# (document, exit status, sha256 of stdout or None) for `cocycle --lmax 5`
+COCYCLE_L5 = {
+    "e1": (0, "19e8aaa4984d1d7a83f9d88fd84a57dfb6156f326c11563f59de3311df82f7a3"),
+    "e2": (0, "0ab19f9dda28ffb0a6c7744e623da58e28440ed5bcd7253c48d3bff34be03e4e"),
+    "g1_gauge": (0, "8b022336768d3453b3d33c303b91f4200bb7ce1935f566d1d1fa752e2c4d679a"),
+    "g1_wallcross": (0, "8b022336768d3453b3d33c303b91f4200bb7ce1935f566d1d1fa752e2c4d679a"),
+    "sv1": (2, None),
+}
+# g1_gauge with the psi_0 entry [y|x,x,z] negated: six validation failures
+NEGATED_ENTRY = 2
+NEGATED_L5 = (1, "ef92845b6415be77bc0e35dfc848fbf30a706bbf1a66513a6522932a5e1aa8e0")
+
+
+@pytest.mark.parametrize("doc", sorted(COCYCLE_L5))
+def test_cocycle_report_bytes_at_word_length_5(doc, capsys):
+    _check_run(["cocycle", "--lmax", "5", "--input", os.path.join(CORPUS, doc + ".json")],
+               capsys, *COCYCLE_L5[doc])
+
+
+def test_failing_tower_report_bytes_at_word_length_5(tmp_path, capsys):
+    with open(os.path.join(CORPUS, "g1_gauge.json")) as handle:
+        raw = json.load(handle)
+    value = raw["towers"][0]["levels"][0]["entries"][NEGATED_ENTRY]["value"][0]
+    value["coeff"] = str(-int(value["coeff"]))
+    path = tmp_path / "g1_negated.json"
+    path.write_text(json.dumps(raw))
+    out = _check_run(["cocycle", "--lmax", "5", "--input", str(path)], capsys, *NEGATED_L5)
+    assert out.count("    level 0 at [") == 6
+
+
+def test_cocycle_counts_at_word_length_8(capsys):
+    # G1 has |B| = 4 basis letters, r = 3 of them reduced, and a depth-0 tower
+    L, r, size, depth = 8, 3, 4, 0
+    code = main(["cocycle", "--lmax", str(L), "--input", os.path.join(CORPUS, "g1_gauge.json")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "FAIL" not in out
+    checked = {}
+    for block in out.split("\n\n"):
+        lines = block.splitlines()
+        if lines and lines[0].startswith("["):
+            name = lines[0][1:lines[0].index("]")]
+            checked[name] = int(next(line for line in lines if "checked = " in line)
+                                .split("= ")[1])
+    assert checked["bimodule-hom:pair"] == sum((t + 1) * r ** t * size for t in range(L + 1))
+    assert checked["negative-cocycle:pair"] == (depth + 1) * size * sum(
+        r ** n for n in range(L + 1))

@@ -256,8 +256,15 @@ def _set(path, value):
      "operations[1].output[0].s: not an integer: 1.5"),
     (_set(("basis", 0, "unit"), "false"), "basis[0].unit: not a JSON boolean: 'false'"),
     (_set(("cutoffs", "energy"), True), "cutoffs.energy: not an exact fraction: True"),
+    (_set(("operations", 1, "output", 0, "coeff"), None),
+     "operations[1].output[0].coeff: not an exact fraction: None"),
+    (_set(("operations", 1, "output", 0, "T"), None),
+     "operations[1].output[0].T: not an exact fraction: None"),
+    (_set(("cutoffs", "energy"), None), "cutoffs.energy: not an exact fraction: None"),
+    (_set(("monoid", 0, "energy"), None), "monoid[0].energy: not an exact fraction: None"),
 ), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
-        "flag-string", "exponent-float", "unit-string", "energy-bool"))
+        "flag-string", "exponent-float", "unit-string", "energy-bool", "coeff-null",
+        "exponent-T-null", "energy-null", "monoid-energy-null"))
 def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(edit(minimal_doc())))

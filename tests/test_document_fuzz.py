@@ -9,6 +9,12 @@ falls back to a default equal to the corpus value; only the energy cutoff
 grows, from 3 to 10, which bounds the terms kept and not the words checked.
 The subcommands run with few chains and a short word length, so each
 example takes at most a few tenths of a second.
+
+A second property reads the algebra a mutated document loads to: it must
+have the corpus document's tables, unless the mutation deletes an array
+item or a member with a documented default, or puts the integer 0 where a
+fraction string stood (both are valid documents that say something else).
+So no replacement, a null included, is silently read as another value.
 """
 
 import copy
@@ -20,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 import ainfty
 from ainfty.cli import main
+from ainfty.document import load_dict
+from ainfty.errors import EngineError
 
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
 DOCS = {}
@@ -87,3 +95,39 @@ def test_mutated_corpus_document_gets_a_verdict(data):
         with open(doc_path, "w") as handle:
             json.dump(_mutated(DOCS[name], path, replacement), handle)
         assert main(argv + ["--input", doc_path]) in (0, 1, 2)
+
+
+# Object members that feed the algebra and read a default when absent (the
+# README's document format lists the defaults).
+DEFAULTED = frozenset((
+    "coefficients", "s_degree", "t_degrees", "cutoffs", "energy", "arity", "word_length",
+    "n_max", "basis", "name", "degree", "unit", "monoid", "index", "operations", "inputs",
+    "output", "T", "e", "s", "t", "coeff", "higher_arities_zero"))
+
+
+def _tables(doc):
+    algebra = doc.algebra
+    return (algebra.ops, algebra.basis, algebra.monoid, algebra.spec, algebra.k_max,
+            algebra.l_max, algebra.n_max, algebra.higher_arities_zero)
+
+
+TABLES = {name: _tables(load_dict(raw)) for name, raw in DOCS.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_document_that_loads_has_the_same_tables(data):
+    name = data.draw(st.sampled_from(sorted(DOCS)))
+    path = data.draw(st.sampled_from(PATHS[name]))
+    old_value = _value_at(DOCS[name], path)
+    replacement = data.draw(st.sampled_from(
+        [DELETE] + [r for r in REPLACEMENTS if _json_type(r) != _json_type(old_value)]))
+    if replacement is DELETE and (isinstance(path[-1], int) or path[-1] in DEFAULTED):
+        return
+    if type(replacement) is int and isinstance(old_value, str):
+        return
+    try:
+        doc = load_dict(_mutated(DOCS[name], path, replacement))
+    except EngineError:
+        return
+    assert _tables(doc) == TABLES[name], (name, path, replacement)
