@@ -73,6 +73,11 @@ class AInftyAlgebra:
                 raise ConfigurationError("monoid element %d has negative energy" % idx)
             if beta.mu % 2 != 0:
                 raise ConfigurationError("monoid element %d has odd index mu" % idx)
+            if (beta.lam * self.spec.grid).denominator != 1:
+                raise ConfigurationError(
+                    "monoid element %d has energy %s off the energy grid 1/%d"
+                    % (idx, beta.lam, self.spec.grid)
+                )
             if beta.lam == 0 and beta.mu != 0:
                 raise ConfigurationError(
                     "monoid element %d: zero energy forces the neutral element (0,0)" % idx

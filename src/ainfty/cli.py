@@ -56,15 +56,17 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     for n in range(count):
         c = _random_reduced_chain(algebra, rng, max_len)
         u = c.unreduced()
+        bc = hh.hochschild_b(algebra, c)
+        Bc = hh.connes_B_reduced(basis, c)
+        bar_u = hh.chain_bar(algebra, u)
         checks = [
-            ("b^2", hh.hochschild_b(algebra, hh.hochschild_b(algebra, c))),
-            ("B^2", hh.connes_B_reduced(basis, hh.connes_B_reduced(basis, c))),
-            ("bB+Bb", hh.hochschild_b(algebra, hh.connes_B_reduced(basis, c))
-             + hh.connes_B_reduced(basis, hh.hochschild_b(algebra, c))),
-            ("b'^2", hh.chain_bar(algebra, hh.chain_bar(algebra, u))),
+            ("b^2", hh.hochschild_b(algebra, bc)),
+            ("B^2", hh.connes_B_reduced(basis, Bc)),
+            ("bB+Bb", hh.hochschild_b(algebra, Bc) + hh.connes_B_reduced(basis, bc)),
+            ("b'^2", hh.chain_bar(algebra, bar_u)),
             ("b(1-t)-(1-t)b'",
              hh.hochschild_b(algebra, u - hh.cyclic_t(basis, u))
-             - (lambda d: d - hh.cyclic_t(basis, d))(hh.chain_bar(algebra, u))),
+             - (bar_u - hh.cyclic_t(basis, bar_u))),
             ("b'N-Nb", hh.chain_bar(algebra, hh.operator_N(basis, u))
              - hh.operator_N(basis, hh.hochschild_b(algebra, u))),
         ]

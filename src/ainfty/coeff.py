@@ -13,6 +13,16 @@ valuation
 
 exceeds the cutoff, so all results are exact modulo T^{>cutoff}.
 
+Energies live on a grid.  The energies of a gapped monoid are finitely many
+rationals in any one document, so they all lie in (1/D)Z for one integer D,
+the ``grid`` of the :class:`RingSpec`.  A :class:`Monomial` stores D*lam and
+its scaled level D*nu as ints, and the cutoff becomes floor(D*cutoff), so
+construction, products and truncation compare ints; the cutoff itself may
+lie off the grid.  ``valuation`` and rendering give back the exact
+rationals.  An energy off the grid is a ConfigurationError, elements on
+different grids do not mix in arithmetic, and equality and hashing compare
+values, so the same value on two grids is one value.
+
 Gradings: deg(T) = 0, deg(e) = 2 are fixed; deg(s) and deg(t_i) are
 configuration data carried by :class:`RingSpec` and must be even (this keeps
 the coefficient ring strictly commutative, which the rest of the engine
@@ -21,15 +31,18 @@ relies on for Koszul bookkeeping).
 For gauge paths the same element type is reused with coefficients that are
 polynomials in a formal degree-0 variable (class :class:`Poly`) instead of
 rationals; ``specialize`` evaluates them at a rational point.  A scalar has
-one stored type: a Poly of degree at most 0 is stored as its Fraction, so
-equal values render the same whatever the order of the sums that made them.
+one stored type per value: an int when it is integral, else a Fraction, and
+a Poly only when its degree is at least 1; a constant Poly is stored as its
+constant.  So equal values render the same whatever the order of the sums
+that made them, and integral arithmetic stays in ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import floor, inf
+from operator import add
 from typing import Iterable, NamedTuple, Union
 
 from .errors import ConfigurationError
@@ -46,6 +59,18 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ConfigurationError("not an exact rational: %r" % (value,))
+
+
+def _scalar(value):
+    """The stored form of a scalar: an int when integral, else a Fraction; a
+    Poly of degree at most 0 is stored as its constant."""
+    if isinstance(value, Poly):
+        if len(value.coeffs) > 1:
+            return value
+        value = value.coeffs[0] if value.coeffs else 0
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 class Poly:
@@ -147,34 +172,28 @@ class Poly:
 
 
 class Monomial(NamedTuple):
-    """One coefficient monomial T^lam e^e s^s t^t, sorted lexicographically."""
+    """One coefficient monomial T^lam e^e s^s t^t on a grid D, in sort order.
 
-    lam: Fraction
+    ``lam`` is the scaled energy D*lam, and ``lvl`` the scaled level
+    D*(lam + s + sum(t)).  The level is a function of the other fields, so
+    as the last field it never changes the order of the monomials.
+    """
+
+    lam: int
     e: int
     s: int
     t: tuple
-
-    def level(self) -> Fraction:
-        """Valuation contribution: lam + s + sum(t)."""
-        return self.lam + self.s + sum(self.t)
+    lvl: int
 
     def degree(self, spec: "RingSpec") -> int:
         return 2 * self.e + self.s * spec.s_degree + sum(
             a * d for a, d in zip(self.t, spec.t_degrees)
         )
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            self.lam + other.lam,
-            self.e + other.e,
-            self.s + other.s,
-            tuple(a + b for a, b in zip(self.t, other.t)),
-        )
-
-    def text(self) -> str:
+    def text(self, grid: int) -> str:
         parts = []
         if self.lam:
-            parts.append("T^%s" % self.lam)
+            parts.append("T^%s" % Fraction(self.lam, grid))
         if self.e:
             parts.append("e^%d" % self.e)
         if self.s:
@@ -185,19 +204,35 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+# Builds a Monomial from a tuple without the NamedTuple constructor's Python
+# frame, in the product loop of RingElement.__mul__.
+_new_monomial = tuple.__new__
+
+
 @dataclass(frozen=True)
 class RingSpec:
-    """Configuration of the coefficient ring: variable degrees and cutoff."""
+    """Configuration of the coefficient ring: variable degrees, cutoff, grid.
+
+    Energies lie on the grid (1/grid)Z; ``level_cutoff`` = floor(grid *
+    cutoff) bounds the scaled levels of the monomials kept.  The grid is how
+    energies are stored, not part of the ring, so specs that differ only in
+    their grids are equal.
+    """
 
     s_degree: int = 2
     t_degrees: tuple = ()
     cutoff: Fraction = Fraction(10)
+    grid: int = field(default=2, compare=False)
+    level_cutoff: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t_degrees", tuple(self.t_degrees))
         object.__setattr__(self, "cutoff", as_fraction(self.cutoff))
         if self.cutoff < 0:
             raise ConfigurationError("energy cutoff must be nonnegative")
+        if not isinstance(self.grid, int) or isinstance(self.grid, bool) or self.grid < 1:
+            raise ConfigurationError("energy grid must be a positive integer: %r" % (self.grid,))
+        object.__setattr__(self, "level_cutoff", floor(self.cutoff * self.grid))
         if self.s_degree % 2 != 0:
             raise ConfigurationError("deg(s) must be even (odd coefficient variables unsupported)")
         for i, d in enumerate(self.t_degrees):
@@ -211,31 +246,39 @@ class RingSpec:
         return len(self.t_degrees)
 
     def with_cutoff(self, cutoff) -> "RingSpec":
-        return RingSpec(self.s_degree, self.t_degrees, as_fraction(cutoff))
+        return RingSpec(self.s_degree, self.t_degrees, as_fraction(cutoff), self.grid)
 
     def one_monomial(self) -> Monomial:
-        return Monomial(Fraction(0), 0, 0, (0,) * self.num_t)
+        return Monomial(0, 0, 0, (0,) * self.num_t, 0)
 
     def monomial(self, lam=0, e=0, s=0, t=None) -> Monomial:
         lam = as_fraction(lam)
         if lam < 0:
             raise ConfigurationError("T-exponent must be nonnegative")
+        scaled = lam * self.grid
+        if scaled.denominator != 1:
+            raise ConfigurationError(
+                "T-exponent %s is off the energy grid 1/%d" % (lam, self.grid)
+            )
         t = tuple(t) if t is not None else (0,) * self.num_t
         if len(t) != self.num_t:
             raise ConfigurationError("wrong number of t-exponents")
         if s < 0 or any(a < 0 for a in t):
             raise ConfigurationError("s- and t-exponents must be nonnegative")
-        return Monomial(lam, int(e), int(s), tuple(int(a) for a in t))
+        s, t = int(s), tuple(int(a) for a in t)
+        lam = scaled.numerator
+        return Monomial(lam, int(e), s, t, lam + self.grid * (s + sum(t)))
 
 
 class RingElement:
     """Finite normalized sum of coefficient monomials.
 
     Immutable after construction.  ``terms`` maps Monomial -> scalar, where a
-    scalar is a Fraction or (for gauge paths) a Poly of degree at least 1.
-    Construction stores a constant Poly as its Fraction, and drops zero
-    scalars and monomials whose valuation exceeds the cutoff, so structural
-    equality of the term maps is semantic equality mod the cutoff ideal.
+    scalar is an int, a Fraction that is not integral or (for gauge paths) a
+    Poly of degree at least 1.  Construction stores each scalar in that one
+    form, and drops zero scalars and monomials whose valuation exceeds the
+    cutoff, so structural equality of the term maps is semantic equality mod
+    the cutoff ideal.
     """
 
     __slots__ = ("spec", "terms")
@@ -244,14 +287,10 @@ class RingElement:
         self.spec = spec
         clean = {}
         if terms:
+            top = spec.level_cutoff
             for mono, value in terms.items():
-                if isinstance(value, Poly) and len(value.coeffs) <= 1:
-                    value = value.coeffs[0] if value.coeffs else 0
-                if not value:
-                    continue
-                if mono.level() > spec.cutoff:
-                    continue
-                clean[mono] = value
+                if value and mono.lvl <= top:
+                    clean[mono] = value if type(value) is int else _scalar(value)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -262,7 +301,7 @@ class RingElement:
 
     @classmethod
     def one(cls, spec: RingSpec) -> "RingElement":
-        return cls(spec, {spec.one_monomial(): Fraction(1)})
+        return cls(spec, {spec.one_monomial(): 1})
 
     @classmethod
     def scalar(cls, spec: RingSpec, c) -> "RingElement":
@@ -276,12 +315,19 @@ class RingElement:
     # -- ring structure ----------------------------------------------------
 
     def _require_compatible(self, other: "RingElement"):
-        if self.spec != other.spec:
-            if self.spec.cutoff != other.spec.cutoff:
-                raise ConfigurationError(
-                    "mismatched energy cutoffs: %s vs %s" % (self.spec.cutoff, other.spec.cutoff)
-                )
-            raise ConfigurationError("mismatched coefficient ring configurations")
+        if self.spec is other.spec:
+            return
+        if self.spec.grid != other.spec.grid:
+            raise ConfigurationError(
+                "mismatched energy grids: 1/%d vs 1/%d" % (self.spec.grid, other.spec.grid)
+            )
+        if self.spec == other.spec:
+            return
+        if self.spec.cutoff != other.spec.cutoff:
+            raise ConfigurationError(
+                "mismatched energy cutoffs: %s vs %s" % (self.spec.cutoff, other.spec.cutoff)
+            )
+        raise ConfigurationError("mismatched coefficient ring configurations")
 
     def __add__(self, other):
         if not isinstance(other, RingElement):
@@ -307,14 +353,16 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_compatible(other)
-        cutoff = self.spec.cutoff
+        top = self.spec.level_cutoff
         terms = {}
-        for m1, v1 in self.terms.items():
-            lvl1 = m1.level()
-            for m2, v2 in other.terms.items():
-                if lvl1 + m2.level() > cutoff:
+        right = other.terms.items()
+        for (lam1, e1, s1, t1, lvl1), v1 in self.terms.items():
+            for (lam2, e2, s2, t2, lvl2), v2 in right:
+                lvl = lvl1 + lvl2
+                if lvl > top:
                     continue
-                mono = m1.mul(m2)
+                mono = _new_monomial(Monomial, (
+                    lam1 + lam2, e1 + e2, s1 + s2, t1 and tuple(map(add, t1, t2)), lvl))
                 value = v1 * v2
                 acc = terms.get(mono)
                 terms[mono] = value if acc is None else acc + value
@@ -326,8 +374,8 @@ class RingElement:
         return NotImplemented
 
     def scale(self, c) -> "RingElement":
-        if not isinstance(c, Poly):
-            c = as_fraction(c)
+        if type(c) is not int:
+            c = _scalar(c if isinstance(c, Poly) else as_fraction(c))
         return RingElement(self.spec, {m: c * v for m, v in self.terms.items()})
 
     def divide_int(self, n: int) -> "RingElement":
@@ -335,13 +383,23 @@ class RingElement:
             raise ZeroDivisionError("division by zero")
         return self.scale(Fraction(1, n))
 
+    def _value(self) -> dict:
+        """The terms keyed by exact rational energies: the same for one value
+        on every grid."""
+        grid = self.spec.grid
+        return {(Fraction(m.lam, grid), m.e, m.s, m.t): v for m, v in self.terms.items()}
+
     def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.spec == other.spec and self.terms == other.terms
-        return NotImplemented
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        if self.spec is not other.spec and self.spec != other.spec:
+            return False
+        if self.spec.grid == other.spec.grid:
+            return self.terms == other.terms
+        return self._value() == other._value()
 
     def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.terms.items()))))
+        return hash((self.spec, frozenset(self._value().items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -355,25 +413,25 @@ class RingElement:
         """Minimum of lam + s + sum(t) over stored terms; +inf for zero."""
         if not self.terms:
             return inf
-        return min(m.level() for m in self.terms)
+        return Fraction(min(m.lvl for m in self.terms), self.spec.grid)
 
     def truncate(self, energy) -> "RingElement":
         energy = as_fraction(energy)
         if energy < 0:
             raise ConfigurationError("truncation energy must be nonnegative")
-        spec = self.spec.with_cutoff(min(self.spec.cutoff, energy))
-        return RingElement(spec, {m: v for m, v in self.terms.items() if m.level() <= energy})
+        # the smaller cutoff drops the terms above the energy
+        return RingElement(self.spec.with_cutoff(min(self.spec.cutoff, energy)), self.terms)
 
     def degrees(self) -> set:
         return {m.degree(self.spec) for m in self.terms}
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     def level_part(self, level) -> "RingElement":
         """The slice of terms at exactly the given valuation level."""
-        level = as_fraction(level)
-        return RingElement(self.spec, {m: v for m, v in self.terms.items() if m.level() == level})
+        scaled = as_fraction(level) * self.spec.grid
+        return RingElement(self.spec, {m: v for m, v in self.terms.items() if m.lvl == scaled})
 
     # -- gauge paths ---------------------------------------------------------
 
@@ -400,16 +458,16 @@ class RingElement:
     def text(self) -> str:
         if not self.terms:
             return "0"
+        grid = self.spec.grid
         parts = []
         for mono, value in self.sorted_terms():
             if isinstance(value, Poly):
                 coeff = "(" + repr(value)[5:-1] + ")"
             else:
                 coeff = str(value)
-            mtext = mono.text()
+            mtext = mono.text(grid)
             parts.append(coeff if mtext == "1" else "%s*%s" % (coeff, mtext))
         return " + ".join(parts)
 
     def __repr__(self):
         return "RingElement(%s)" % self.text()
-

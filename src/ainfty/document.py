@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional
 
 from .ainfty import AInftyAlgebra
-from .coeff import Monomial, Poly, RingElement, RingSpec, as_fraction
+from .coeff import Poly, RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DocumentError
 from .graded import Element, GradedBasis
 from .hochschild import CocycleTower, Functional
@@ -99,6 +100,35 @@ def _objects(value, where, errors):
         loc = "%s[%d]" % (where, i)
         if _object(entry, loc, errors) is not None:
             yield i, loc, entry
+
+
+def _energy_grid(raw: dict) -> int:
+    """The energy grid D of a document: the LCM of 2 and the denominator of
+    every energy it states, the monoid's and every term's "T".
+
+    The 2 keeps the seeded chains of `check`, drawn at energies in (1/2)Z, on
+    the grid; the cutoff may lie off it.  A value that is not an exact
+    fraction is skipped here and reported where the loader reads it.
+    """
+    monoid = raw.get("monoid")
+    energies = [entry.get("energy") for entry in monoid
+                if isinstance(entry, dict)] if isinstance(monoid, list) else []
+    stack = [raw]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if "T" in node:
+                energies.append(node["T"])
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    grid = 2
+    for value in energies:
+        try:
+            grid = lcm(grid, as_fraction(value).denominator)
+        except (ConfigurationError, ValueError, ZeroDivisionError):
+            pass
+    return grid
 
 
 def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False):
@@ -241,6 +271,7 @@ def load_dict(raw: dict) -> LoadedDocument:
         errors.error("field", "only the rational ground field is supported")
     errors.raise_if_any()
 
+    doc_name = _str(raw.get("name", "algebra"), "name", errors, "algebra")
     coeffs = _object(raw.get("coefficients", {}), "coefficients", errors) or {}
     cutoffs = _object(raw.get("cutoffs", {}), "cutoffs", errors) or {}
     energy = _fraction(cutoffs.get("energy", "10"), "cutoffs.energy", errors, Fraction(10))
@@ -251,6 +282,7 @@ def load_dict(raw: dict) -> LoadedDocument:
                             for j, d in enumerate(_list(coeffs.get("t_degrees", []),
                                                         "coefficients.t_degrees", errors))),
             cutoff=energy,
+            grid=_energy_grid(raw),
         )
     except ConfigurationError as exc:
         errors.error("coefficients", str(exc))
@@ -337,7 +369,7 @@ def load_dict(raw: dict) -> LoadedDocument:
             l_max=l_max,
             n_max=n_max,
             higher_arities_zero=higher_zero,
-            name=str(raw.get("name", "algebra")),
+            name=doc_name,
         )
     except ConfigurationError as exc:
         raise DocumentError([("operations", str(exc))])

@@ -364,7 +364,7 @@ def homological_nondegeneracy(algebra: AInftyAlgebra, phi: InfinityInnerProduct)
     def classical_value(value: RingElement) -> Fraction:
         total = Fraction(0)
         for mono, c in value.terms.items():
-            if mono.level() == 0 and mono.s == 0 and all(a == 0 for a in mono.t):
+            if mono.lvl == 0 and mono.s == 0 and all(a == 0 for a in mono.t):
                 total += Fraction(c)  # e specialized to 1
         return total
 

@@ -1,4 +1,5 @@
-"""Coefficient ring: exact arithmetic, valuation, truncation, gauge paths."""
+"""Coefficient ring: exact arithmetic, valuation, truncation, gauge paths,
+the energy grid and the stored scalar types."""
 
 import random
 from fractions import Fraction
@@ -6,10 +7,14 @@ from math import inf
 
 import pytest
 
+from ainfty import coeff
 from ainfty.coeff import Poly, RingElement, RingSpec, as_fraction
 from ainfty.errors import ConfigurationError
 
+from oracles import mutant_module
+
 SPEC = RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(4))
+SPEC_SIXTHS = RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(4), grid=6)
 
 
 def el(coeff=1, lam=0, e=0, s=0, t=(0,)):
@@ -22,7 +27,7 @@ def random_element(rng, spec=SPEC, terms=3):
         acc = acc + RingElement.monomial(
             spec,
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            lam=Fraction(rng.randint(0, 6), 2),
+            lam=Fraction(rng.randint(0, 3 * spec.grid), spec.grid),
             e=rng.randint(-2, 2),
             s=rng.randint(0, 2),
             t=(rng.randint(0, 2),),
@@ -59,7 +64,7 @@ def test_exponent_addition():
 
 
 def test_product_beyond_cutoff_truncates():
-    spec = SPEC.with_cutoff(1)
+    spec = RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(1), grid=4)
     a = RingElement.monomial(spec, 1, lam=Fraction(3, 4))
     b = RingElement.monomial(spec, 1, lam=Fraction(1, 2))
     assert (a * b).is_zero()
@@ -159,23 +164,43 @@ def test_formal_derivative():
     assert el(Poly.constant(2), lam=1).formal_derivative().is_zero()
 
 
-def test_constant_poly_is_stored_as_its_fraction():
+def test_scalar_has_one_stored_type_per_value():
     # t - t cancels to nothing mid-way in one order and leaves the constant
-    # polynomial 1 in the other; both sums store the rational 1
+    # polynomial 1 in the other; both sums store the integer 1
     t = Poly.variable()
     a, b, c = (el(x) for x in (t, 1, -t))
     assert ((a + c) + b).text() == ((a + b) + c).text() == "1"
     assert ((a + b) + c).terms == el(1).terms
-    assert isinstance(el(Poly.constant(3)).coefficient(SPEC.one_monomial()), Fraction)
+    one = SPEC.one_monomial()
+    # an integral value is stored as an int, whatever it was built from
+    for value in (3, Fraction(3), "3", Poly.constant(3), Poly.constant(Fraction(6, 2))):
+        assert type(el(value).coefficient(one)) is int
+        assert type(el(Fraction(1, 3)).scale(value).coefficient(one)) is int
+    for stored in (RingElement.scalar(SPEC, Fraction(3)), el(Fraction(3, 2)) * el(2),
+                   el(Fraction(3, 2)) + el(Fraction(1, 2))):
+        assert type(stored.coefficient(one)) is int
+    # any other rational is stored as a Fraction
+    for value in (Fraction(3, 2), "3/2", Poly.constant(Fraction(3, 2))):
+        assert type(el(value).coefficient(one)) is Fraction
+    assert type(RingElement.zero(SPEC).coefficient(one)) is int
+    assert type(el(Poly((1, 2))).coefficient(one)) is Poly
     assert el(Poly((1, 2))).text() == "(1 + 2*t^1)"
 
 
-def test_ring_laws_randomized(rng=None):
+def test_ring_laws_randomized():
+    _check_ring_laws(SPEC)
+
+
+def test_ring_laws_randomized_on_a_grid_of_six():
+    _check_ring_laws(SPEC_SIXTHS)
+
+
+def _check_ring_laws(spec):
     rng = random.Random(11)
     for _ in range(300):
-        a = random_element(rng)
-        b = random_element(rng)
-        c = random_element(rng)
+        a = random_element(rng, spec)
+        b = random_element(rng, spec)
+        c = random_element(rng, spec)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -225,3 +250,88 @@ def test_core_operation_methods():
     cut = (a + b).truncate(Fraction(3, 4))
     assert (cut.terms, cut.spec.cutoff) == (a.terms, Fraction(3, 4))
     assert a.specialize(Fraction(1, 7)) == a
+
+
+def test_off_grid_energy_rejected():
+    with pytest.raises(ConfigurationError, match="off the energy grid"):
+        SPEC.monomial(lam=Fraction(1, 3))
+    with pytest.raises(ConfigurationError, match="off the energy grid"):
+        el(1, lam=Fraction(3, 4))
+    assert SPEC_SIXTHS.monomial(lam=Fraction(1, 3)).lam == 2
+
+
+def test_off_grid_cutoff_is_floored():
+    spec = RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(7, 4))
+    assert spec.level_cutoff == 3
+    kept = RingElement.monomial(spec, 1, lam=Fraction(3, 2))
+    assert not kept.is_zero()
+    assert RingElement.monomial(spec, 1, lam=2).is_zero()
+    assert (kept * RingElement.monomial(spec, 1, s=1)).is_zero()
+    assert el(1, lam=Fraction(3, 2)).truncate(Fraction(5, 3)) == kept.truncate(Fraction(5, 3))
+
+
+def test_same_value_on_two_grids_is_equal():
+    quarters = RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(4), grid=4)
+    for lam, s, t in ((0, 0, (0,)), (Fraction(1, 2), 1, (0,)), (Fraction(3, 2), 0, (1,))):
+        a = el(Fraction(-2, 3), lam=lam, e=1, s=s, t=t) + el(5, lam=2)
+        b = (RingElement.monomial(quarters, Fraction(-2, 3), lam=lam, e=1, s=s, t=t)
+             + RingElement.monomial(quarters, 5, lam=2))
+        assert a.spec == b.spec and a.terms != b.terms
+        assert a == b and hash(a) == hash(b)
+        assert a.text() == b.text() and a.valuation() == b.valuation()
+    assert el(1, lam=1) != RingElement.monomial(quarters, 1, lam=Fraction(1, 2))
+    assert el(1) != RingElement.one(SPEC_SIXTHS.with_cutoff(3))
+
+
+def test_arithmetic_across_grids_rejected():
+    a = RingElement.one(SPEC)
+    b = RingElement.one(SPEC_SIXTHS)
+    for op in (lambda: a + b, lambda: a * b, lambda: b - a):
+        with pytest.raises(ConfigurationError, match="mismatched energy grids"):
+            op()
+
+
+def test_energy_grid_must_be_a_positive_integer():
+    for grid in (0, -2, Fraction(1, 2), True, "2"):
+        with pytest.raises(ConfigurationError, match="energy grid"):
+            RingSpec(grid=grid)
+
+
+def _grid_laws(ring):
+    """Laws of the integer ring that each mutant below breaks: a cutoff off
+    the grid is floored, a level scales every variable by the grid, one value
+    on two grids is equal, and an integral scalar is stored as an int."""
+    spec = ring.RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(7, 4))
+    quarters = ring.RingSpec(s_degree=2, t_degrees=(2,), cutoff=Fraction(7, 4), grid=4)
+    assert ring.RingElement.monomial(spec, 1, lam=2).is_zero()
+    for s, t in ((1, (0,)), (0, (1,))):
+        a = ring.RingElement.monomial(spec, 3, lam=Fraction(1, 2), s=s, t=t)
+        b = ring.RingElement.monomial(quarters, Fraction(6, 2), lam=Fraction(1, 2), s=s, t=t)
+        assert a.valuation() == Fraction(3, 2)
+        assert (a * a).is_zero()
+        assert a == b and hash(a) == hash(b)
+        assert type(b.coefficient(quarters.monomial(lam=Fraction(1, 2), s=s, t=t))) is int
+
+
+# Mutants of the integer ring: name -> (original fragment, mutated fragment).
+RING_MUTANTS = {
+    "cutoff key rounded up": (
+        "floor(self.cutoff * self.grid)", "-floor(-self.cutoff * self.grid)"),
+    "level drops the grid on s and t": (
+        "lam + self.grid * (s + sum(t))", "lam + s + sum(t)"),
+    "equality compares grid-scaled keys": (
+        "return self._value() == other._value()", "return self.terms == other.terms"),
+    "integral Fraction kept as a Fraction": (
+        "isinstance(value, Fraction) and value.denominator == 1", "False"),
+}
+
+
+def test_grid_laws_hold():
+    _grid_laws(coeff)
+
+
+@pytest.mark.parametrize("name", sorted(RING_MUTANTS))
+def test_ring_mutant_killed(name):
+    mutant = mutant_module(coeff, *RING_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        _grid_laws(mutant)

@@ -129,3 +129,31 @@ def test_cocycle_counts_at_word_length_8(capsys):
     assert checked["bimodule-hom:pair"] == sum((t + 1) * r ** t * size for t in range(L + 1))
     assert checked["negative-cocycle:pair"] == (depth + 1) * size * sum(
         r ** n for n in range(L + 1))
+
+
+# Energies off the default grid of halves: a cutoff of 5/3 on E2 (grid 4),
+# and an E2 copy whose candidate b2 sits at T^{1/3} (grid 6) run at a cutoff
+# of 7/4, which lies off that grid and drops the T^2 of m_{-1}.
+E2_EMAX_5_3 = (0, "5088d366dcd1a3c0a8ee6b660d24b6840b35041c665739d9f142a017418aa5cc")
+THIRD_AT_7_4 = {
+    "potential": (0, "257b052d4acd1820c941d8e9d3b68f746b0dda0aa47b0484b0d9320ba3b81ed9"),
+    "wallcross": (1, "a8dbdbfefe21c53ffb53bb9f3f20b9b038955c6c6efaec306b3b194be9b0eadb"),
+}
+
+
+def test_check_report_bytes_at_an_off_grid_cutoff(capsys):
+    _check_run(["check", "--emax", "5/3", "--input", os.path.join(CORPUS, "e2.json")],
+               capsys, *E2_EMAX_5_3)
+
+
+@pytest.mark.parametrize("command", sorted(THIRD_AT_7_4))
+def test_report_bytes_with_an_energy_of_one_third(command, tmp_path, capsys):
+    with open(os.path.join(CORPUS, "e2.json")) as handle:
+        raw = json.load(handle)
+    raw["candidates"][2]["element"][0]["T"] = "1/3"
+    raw["wall_crossing_pair"] = {"minus": "b", "plus": "b2"}
+    path = tmp_path / "e2_third.json"
+    path.write_text(json.dumps(raw))
+    out = _check_run([command, "--emax", "7/4", "--input", str(path)], capsys,
+                     *THIRD_AT_7_4[command])
+    assert "T^4/3" in out

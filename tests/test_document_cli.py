@@ -262,9 +262,13 @@ def _set(path, value):
      "operations[1].output[0].T: not an exact fraction: None"),
     (_set(("cutoffs", "energy"), None), "cutoffs.energy: not an exact fraction: None"),
     (_set(("monoid", 0, "energy"), None), "monoid[0].energy: not an exact fraction: None"),
+    (_set(("name",), None), "  name: not a JSON string: None"),
+    (_set(("name",), 5), "  name: not a JSON string: 5"),
+    (_set(("name",), ["a"]), "  name: not a JSON string: ['a']"),
 ), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
         "flag-string", "exponent-float", "unit-string", "energy-bool", "coeff-null",
-        "exponent-T-null", "energy-null", "monoid-energy-null"))
+        "exponent-T-null", "energy-null", "monoid-energy-null", "doc-name-null",
+        "doc-name-number", "doc-name-list"))
 def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(edit(minimal_doc())))
@@ -315,3 +319,42 @@ def test_kmax_past_unflagged_tables_exits_2(tmp_path, capsys):
         assert captured.out == ""
     assert main(["check", "--input", str(path), "--kmax", "1", "--chains", "1"]) == 0
     capsys.readouterr()
+
+
+def _term(T, basis=None):
+    term = {"coeff": "1", "T": T}
+    if basis is not None:
+        term["basis"] = basis
+    return term
+
+
+def test_energy_grid_is_the_lcm_of_the_document_energies():
+    assert load(corpus("e2.json")).algebra.spec.grid == 4
+    assert load(corpus("g1_gauge.json")).algebra.spec.grid == 2
+    raw = minimal_doc()
+    raw["cutoffs"]["energy"] = "12/7"
+    assert load_dict(raw).algebra.spec.grid == 2
+    # each place an energy can be stated contributes its denominator
+    places = (
+        ("monoid", lambda raw, T: raw["monoid"].append({"energy": T, "index": 2})),
+        ("towers", lambda raw, T: raw.setdefault("towers", []).append(
+            {"levels": [{"entries": [{"module": "1", "word": ["x"],
+                                      "value": [_term(T)]}]}]})),
+        ("candidates", lambda raw, T: raw.setdefault("candidates", []).append(
+            {"name": "b", "element": [_term(T, "x")]})),
+        ("gauge_path", lambda raw, T: raw.update(
+            gauge_path={"element": [{"basis": "x", "T": T, "poly": ["0", "1"]}]})),
+        ("m_minus_one", lambda raw, T: raw.update(m_minus_one=[_term(T)])),
+        ("gw_tilde", lambda raw, T: raw.update(gw_tilde=[_term(T)])),
+        ("right_inverse", lambda raw, T: raw.update(right_inverse={"x": [_term(T, "x")]})),
+    )
+    for where, add in places:
+        raw = minimal_doc()
+        add(raw, "1/3")
+        spec = load_dict(raw).algebra.spec
+        assert spec.grid == 6, where
+    raw = minimal_doc()
+    raw["candidates"] = [{"name": "b", "element": [_term("5/4", "x"), _term("2/3", "x")]}]
+    doc = load_dict(raw)
+    assert doc.algebra.spec.grid == 12
+    assert doc.candidates["b"].text() == "(1*T^2/3 + 1*T^5/4)*x"
