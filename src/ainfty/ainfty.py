@@ -30,7 +30,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
 from .graded import (Element, GradedBasis, Word, WordSum, add_term, maltese,
-                     tensor_coefficient, words_over)
+                     maltese_prefixes, tensor_coefficient, words_over)
 from .report import Report
 
 
@@ -242,19 +242,20 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     Yields (i, k, inner, sign) for each nonzero inner = m_word(word[i:i+k]),
     with k ascending over the stored arities (arity 0 included), then i
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
-    shifted degrees of the first i letters.  Every differential of the
-    engine is a sum over these insertions: the coderivation and the curved
-    relations, the word parts of the diagonal and dual bar differentials,
-    and the interior parts of Hochschild b and b'.
+    shifted degrees of the first i letters; all signs of a word come from
+    one prefix pass.  Every differential of the engine is a sum over these
+    insertions: the coderivation and the curved relations, the word parts
+    of the diagonal and dual bar differentials, and the interior parts of
+    Hochschild b and b'.
     """
     basis_degrees = algebra.basis.degrees
-    degrees = [basis_degrees[x] for x in word]
+    prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
     n = len(word)
     for k in algebra.stored_arities():
         for i in range(n - k + 1):
             inner = algebra.m_word(word[i : i + k])
             if inner:
-                yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
+                yield i, k, inner, -1 if prefixes[i] % 2 else 1
 
 
 def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:

@@ -106,7 +106,11 @@ def _load(args):
     if args.emax is not None:
         from .document import retruncate
 
-        doc = retruncate(doc, as_fraction(args.emax))
+        try:
+            energy = as_fraction(args.emax)
+        except ConfigurationError:
+            raise DocumentError([("--emax", "not an exact fraction: %r" % (args.emax,))])
+        doc = retruncate(doc, energy)
     algebra = doc.algebra
     if args.kmax is not None:
         algebra.k_max = args.kmax

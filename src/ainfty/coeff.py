@@ -39,6 +39,7 @@ that made them, and integral arithmetic stays in ints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, inf
@@ -49,15 +50,23 @@ from .errors import ConfigurationError
 
 Rational = Union[int, Fraction]
 
+# An exact fraction string: an optional sign, digits, and an optional
+# denominator of digits.  No decimal point, exponent, blank or underscore.
+_FRACTION_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and exact fraction strings like "3/4"; not bools."""
+    """Coerce ints, Fractions, and exact fraction strings like "3/4"; not
+    bools, decimals ("0.5"), exponents ("1e-1") or a zero denominator."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
+        numerator, _, denominator = value.partition("/")
+        if denominator and int(denominator) == 0:
+            raise ConfigurationError("zero denominator: %r" % (value,))
+        return Fraction(int(numerator), int(denominator or 1))
     raise ConfigurationError("not an exact rational: %r" % (value,))
 
 
@@ -205,7 +214,7 @@ class Monomial(NamedTuple):
 
 
 # Builds a Monomial from a tuple without the NamedTuple constructor's Python
-# frame, in the product loop of RingElement.__mul__.
+# frame, in the product loop ``mul_into``.
 _new_monomial = tuple.__new__
 
 
@@ -333,11 +342,7 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_compatible(other)
-        terms = dict(self.terms)
-        for mono, value in other.terms.items():
-            acc = terms.get(mono)
-            terms[mono] = value if acc is None else acc + value
-        return RingElement(self.spec, terms)
+        return RingElement(self.spec, add_into(dict(self.terms), other))
 
     def __neg__(self):
         return RingElement(self.spec, {m: -v for m, v in self.terms.items()})
@@ -345,28 +350,15 @@ class RingElement:
     def __sub__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self + (-other)
+        self._require_compatible(other)
+        return RingElement(self.spec, add_into(dict(self.terms), other, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._require_compatible(other)
-        top = self.spec.level_cutoff
-        terms = {}
-        right = other.terms.items()
-        for (lam1, e1, s1, t1, lvl1), v1 in self.terms.items():
-            for (lam2, e2, s2, t2, lvl2), v2 in right:
-                lvl = lvl1 + lvl2
-                if lvl > top:
-                    continue
-                mono = _new_monomial(Monomial, (
-                    lam1 + lam2, e1 + e2, s1 + s2, t1 and tuple(map(add, t1, t2)), lvl))
-                value = v1 * v2
-                acc = terms.get(mono)
-                terms[mono] = value if acc is None else acc + value
-        return RingElement(self.spec, terms)
+        return RingElement(self.spec, mul_into({}, self, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -471,3 +463,47 @@ class RingElement:
 
     def __repr__(self):
         return "RingElement(%s)" % self.text()
+
+
+def add_into(acc: dict, a: RingElement, sign: int = 1) -> dict:
+    """Add sign * a into acc, a raw Monomial -> scalar map, and return it.
+
+    The one sum loop of the ring, as ``mul_into`` is the one product loop:
+    ``RingElement`` addition and subtraction run it on a copy of the left
+    terms, and the rotation operators on chains run it into one map per
+    output key.  The caller checks that the rings are compatible.
+    """
+    for mono, value in a.terms.items():
+        if sign < 0:
+            value = -value
+        old = acc.get(mono)
+        acc[mono] = value if old is None else old + value
+    return acc
+
+
+def mul_into(acc: dict, a: RingElement, b: RingElement, sign: int = 1) -> dict:
+    """Add sign * a * b into acc, a raw Monomial -> scalar map, and return it.
+
+    The one product loop of the ring: ``RingElement.__mul__`` runs it into
+    an empty map, and the chain operators run it into one map per output
+    key, so a sum of signed products makes no intermediate element.
+    Products above the level cutoff are never formed; zeros and
+    non-canonical scalars stay in acc until a ``RingElement`` is built
+    from it.
+    """
+    a._require_compatible(b)
+    top = a.spec.level_cutoff
+    right = b.terms.items()
+    for (lam1, e1, s1, t1, lvl1), v1 in a.terms.items():
+        if sign < 0:
+            v1 = -v1
+        for (lam2, e2, s2, t2, lvl2), v2 in right:
+            lvl = lvl1 + lvl2
+            if lvl > top:
+                continue
+            mono = _new_monomial(Monomial, (
+                lam1 + lam2, e1 + e2, s1 + s2, t1 and tuple(map(add, t1, t2)), lvl))
+            value = v1 * v2
+            old = acc.get(mono)
+            acc[mono] = value if old is None else old + value
+    return acc

@@ -57,7 +57,7 @@ def _fraction(value, where, errors, default=None):
     pass an absent field's default value in its place."""
     try:
         return as_fraction(value)
-    except (ConfigurationError, ValueError, ZeroDivisionError):
+    except ConfigurationError:
         errors.error(where, "not an exact fraction: %r" % (value,))
         return default
 
@@ -126,7 +126,7 @@ def _energy_grid(raw: dict) -> int:
     for value in energies:
         try:
             grid = lcm(grid, as_fraction(value).denominator)
-        except (ConfigurationError, ValueError, ZeroDivisionError):
+        except ConfigurationError:
             pass
     return grid
 
@@ -150,7 +150,7 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
         coeffs = _list(term["poly"], where + ".poly", errors)
         try:
             value = Poly([as_fraction(c) for c in coeffs])
-        except (ConfigurationError, ValueError):
+        except ConfigurationError:
             errors.error(where + ".poly", "not a list of exact fractions")
             return None
     else:
@@ -167,7 +167,7 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
 
 def _ring_element(terms, spec, where, errors, allow_poly=False, forbid_energy=False):
     acc = {}
-    for _, loc, term in _objects(terms or [], where, errors):
+    for _, loc, term in _objects(terms, where, errors):
         parsed = _term_value(term, spec, loc, errors,
                              allow_poly=allow_poly, forbid_energy=forbid_energy)
         if parsed is None:
@@ -179,7 +179,7 @@ def _ring_element(terms, spec, where, errors, allow_poly=False, forbid_energy=Fa
 
 def _element(entries, algebra, where, errors, allow_poly=False):
     comp = {}
-    for _, loc, entry in _objects(entries or [], where, errors):
+    for _, loc, entry in _objects(entries, where, errors):
         name = entry.get("basis")
         if name not in algebra.basis.names:
             errors.error(loc + ".basis", "unknown basis element %r" % (name,))
@@ -202,6 +202,8 @@ def retruncate(doc: LoadedDocument, energy) -> LoadedDocument:
     """
     energy = as_fraction(energy)
     algebra = doc.algebra
+    if energy < 0:
+        raise DocumentError([("--emax", "must be >= 0")])
     if energy > algebra.spec.cutoff:
         raise DocumentError([("--emax", "cannot exceed the document cutoff %s"
                               % algebra.spec.cutoff)])
@@ -378,8 +380,10 @@ def load_dict(raw: dict) -> LoadedDocument:
 
     for i, where, tower_raw in _objects(raw.get("towers", []), "towers", errors):
         levels = []
-        for _, level_loc, level_raw in _objects(tower_raw.get("levels", []),
-                                                where + ".levels", errors):
+        levels_raw = tower_raw.get("levels", [])
+        if levels_raw == []:
+            errors.error(where + ".levels", "a tower needs at least one level")
+        for _, level_loc, level_raw in _objects(levels_raw, where + ".levels", errors):
             table = {}
             for _, loc, entry in _objects(level_raw.get("entries", []),
                                           level_loc + ".entries", errors):
@@ -410,7 +414,8 @@ def load_dict(raw: dict) -> LoadedDocument:
 
     for i, where, cand in _objects(raw.get("candidates", []), "candidates", errors):
         name = _str(cand.get("name", "b%d" % i), where + ".name", errors, "b%d" % i)
-        doc.candidates[name] = _element(cand.get("element", []), algebra, where, errors)
+        doc.candidates[name] = _element(cand.get("element", []), algebra, where + ".element",
+                                        errors)
 
     if "gauge_path" in raw and _object(raw["gauge_path"], "gauge_path", errors) is not None:
         doc.gauge_path = GaugePath(_element(raw["gauge_path"].get("element", []), algebra,
@@ -422,7 +427,7 @@ def load_dict(raw: dict) -> LoadedDocument:
         doc.gw_tilde = _ring_element(raw["gw_tilde"], spec, "gw_tilde", errors)
 
     pair = raw.get("wall_crossing_pair")
-    if pair is not None and _object(pair, "wall_crossing_pair", errors) is not None:
+    if "wall_crossing_pair" in raw and _object(pair, "wall_crossing_pair", errors) is not None:
         for role in ("minus", "plus"):
             where = "wall_crossing_pair." + role
             cname = _str(pair.get(role), where, errors, None)

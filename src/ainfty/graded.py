@@ -1,10 +1,11 @@
 """Graded free modules, tensor words, and the Koszul sign engine.
 
-All signs in the engine are produced here, from shifted degrees
-|x|' = |x| - 1 of basis elements.  Coefficient ring variables have even
-degree by configuration, so they never contribute to sign parities; signs
-are multiplied into ring coefficients at the moment a word is rewritten and
-are never stored separately.
+Every sign in the engine is a parity read from the prefix sums of shifted
+degrees |x|' = |x| - 1 of basis elements, defined here by ``maltese`` (and
+``maltese_prefixes``, all prefixes of a word in one pass).  Coefficient ring
+variables have even degree by configuration, so they never contribute to
+sign parities; signs are multiplied into ring coefficients at the moment a
+word is rewritten and are never stored separately.
 
 A tensor word is a tuple of basis indices; linear combinations of words are
 plain dicts mapping word -> RingElement ("word sums").  The same dict idiom
@@ -74,12 +75,17 @@ def maltese(degrees: Sequence[int], i: int) -> int:
     return sum(degrees[:i]) - i
 
 
-def koszul_sign_cyclic(degrees: Sequence[int]) -> int:
-    """Sign acquired when the last tensor factor moves to the front."""
-    if not degrees:
-        raise ConfigurationError("cyclic rotation of the empty word")
-    exponent = (degrees[-1] - 1) * maltese(degrees, len(degrees) - 1)
-    return -1 if exponent % 2 else 1
+def maltese_prefixes(degrees: Sequence[int], base: int = 0) -> list:
+    """base + maltese(degrees, i) for every i from 0 to len(degrees).
+
+    One pass over the word, for loops that read the sign at many positions
+    of the same word.
+    """
+    out = [base]
+    for d in degrees:
+        base += d - 1
+        out.append(base)
+    return out
 
 
 class Element:

@@ -28,6 +28,16 @@ are operators on the unreduced space: they coerce their input along the
 canonical section of the quotient and always return unreduced chains, and
 the rotation identities relating them to b hold there.
 
+The five operators share one kernel.  b and b' add each signed product
+coeff * m(...) straight into a raw term map per output key with
+``coeff.mul_into``; t, N and B add signed copies of the input coefficients
+the same way.  One RingElement is built per output key at the end, and
+zeros are dropped there.  The signs of a word come from one prefix pass
+(``maltese_prefixes``); a rotation keeps the total shifted degree, so the
+powers of t cost O(1) each after one ``maltese`` per word.  Outputs are
+built clean (nonzero coefficients, and no unit words in a reduced output),
+so they skip the constructor's filter.
+
 The dual side stores towers of finitely supported functionals; the dual
 operators are plain precomposition with b and B.
 """
@@ -38,9 +48,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .ainfty import AInftyAlgebra, insertions, uninsertions, words_by_output
-from .coeff import RingElement
+from .coeff import RingElement, add_into, mul_into
 from .errors import ConfigurationError
-from .graded import Word, add_term, koszul_sign_cyclic, maltese, words_over
+from .graded import Word, add_term, maltese, maltese_prefixes, words_over
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -69,16 +79,25 @@ class HochschildChain:
     def generator(cls, basis, module: int, word: Word, coeff: RingElement, reduced=True):
         return cls(basis, {(module, tuple(word)): coeff}, reduced)
 
+    @classmethod
+    def _clean(cls, basis, terms: ChainTerms, reduced: bool) -> "HochschildChain":
+        """A chain of terms that are nonzero and, when reduced, unit-free
+        already, as the operators below build them: nothing is filtered."""
+        chain = cls.__new__(cls)
+        chain.basis, chain.terms, chain.reduced = basis, terms, reduced
+        return chain
+
     def __add__(self, other: "HochschildChain") -> "HochschildChain":
         if self.reduced != other.reduced:
             raise ConfigurationError("cannot mix reduced and unreduced chains")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             add_term(terms, key, coeff)
-        return HochschildChain(self.basis, terms, self.reduced)
+        return HochschildChain._clean(self.basis, terms, self.reduced)
 
     def __neg__(self):
-        return HochschildChain(self.basis, {k: -v for k, v in self.terms.items()}, self.reduced)
+        return HochschildChain._clean(
+            self.basis, {k: -v for k, v in self.terms.items()}, self.reduced)
 
     def __sub__(self, other):
         return self + (-other)
@@ -120,71 +139,115 @@ def chain_degree(basis, module: int, word: Word) -> int:
     return basis.degree(module) + sum(basis.degree(i) - 1 for i in word)
 
 
+def _built(basis, spec, raw: dict, reduced: bool) -> HochschildChain:
+    """The chain of raw term maps {key: {Monomial: scalar}}: one RingElement
+    per key, built once, and the keys whose sum cancelled dropped."""
+    terms = {}
+    for key, mono_terms in raw.items():
+        coeff = RingElement(spec, mono_terms)
+        if coeff.terms:
+            terms[key] = coeff
+    return HochschildChain._clean(basis, terms, reduced)
+
+
 def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """The module differential, wrap-around and interior sums with exact signs."""
     basis = algebra.basis
-    out: ChainTerms = {}
-    arity_set = set(algebra.stored_arities())
+    degrees = basis.degrees
+    arities = algebra.stored_arities()
+    # an insertion that makes the unit in a tensor slot is zero in the quotient
+    unit = basis.unit if chain.reduced else None
+    raw: dict = {}
     for (v, word), coeff in chain.terms.items():
         k = len(word)
-        marked = [basis.degree(v)] + [basis.degree(i) for i in word]
-        # wrap-around: m_{i+j+1}(a_{k-i+1}..a_k, v, a_1..a_j) keeps a_{j+1}..a_{k-i}
-        for i in range(k + 1):
-            tail = sum(marked[k - i + 1 :]) - i
-            for j in range(k - i + 1):
-                if i + j + 1 not in arity_set:
-                    continue
+        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
+        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
+        total = prefixes[-1]
+        # wrap-around: m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a, keeps a_{j+1}..a_{k-i}
+        for a in arities:
+            if a > k + 1:
+                break
+            for i in range(a):
+                j = a - 1 - i
                 inner = algebra.m_word(word[k - i :] + (v,) + word[:j])
                 if not inner:
                     continue
                 # the tail block crosses v and the kept prefix a_1..a_{k-i}
-                sign = -1 if (tail * maltese(marked, k - i + 1)) % 2 else 1
-                signed = coeff.scale(sign) if sign < 0 else coeff
+                kept = prefixes[k - i + 1]
+                sign = -1 if (total - kept) * kept % 2 else 1
+                rest = word[j : k - i]
                 for comp, value in inner.items():
-                    add_term(out, (comp, word[j : k - i]), signed * value)
+                    mul_into(raw.setdefault((comp, rest), {}), coeff, value, sign)
         # interior: m_j inserted in the tensor word, arity 0 included
-        for p, arity, inner, sign in insertions(algebra, word, marked[0] - 1):
-            signed = coeff.scale(sign) if sign < 0 else coeff
+        for p, arity, inner, sign in insertions(algebra, word, prefixes[1]):
             for comp, value in inner.items():
-                add_term(out, (v, word[:p] + (comp,) + word[p + arity :]), signed * value)
-    return HochschildChain(basis, out, chain.reduced)
+                if comp != unit:
+                    key = (v, word[:p] + (comp,) + word[p + arity :])
+                    mul_into(raw.setdefault(key, {}), coeff, value, sign)
+    return _built(basis, algebra.spec, raw, chain.reduced)
 
 
 def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """Bar-type differential: coderivation on the full marked word, unreduced."""
-    out: ChainTerms = {}
+    raw: dict = {}
     for (v, word), coeff in chain.terms.items():
         full = (v,) + word
         for p, arity, inner, sign in insertions(algebra, full):
-            signed = coeff.scale(sign) if sign < 0 else coeff
             for comp, value in inner.items():
                 new_full = full[:p] + (comp,) + full[p + arity :]
-                add_term(out, (new_full[0], new_full[1:]), signed * value)
-    return HochschildChain(algebra.basis, out, reduced=False)
+                mul_into(raw.setdefault((new_full[0], new_full[1:]), {}), coeff, value, sign)
+    return _built(algebra.basis, algebra.spec, raw, False)
+
+
+def _rotations(degrees, full: Word, count: int):
+    """The first ``count`` powers of the signed rotation t on a marked word.
+
+    Yields (t^r(full), parity of its sign) for r = 0, 1, ..., count - 1,
+    where t^r is taken with r mod len(full).  t moves the last factor x to
+    the front, past factors whose shifted degrees sum to |full|' - |x|';
+    rotation keeps |full|', so it is read once and each power costs O(1).
+    """
+    n = len(full)
+    total = maltese([degrees[x] for x in full], n)
+    odd = 0
+    for r in range(count):
+        cut = n - r % n
+        yield full[cut:] + full[:cut], odd
+        last = degrees[full[cut - 1]] - 1
+        odd ^= last * (total - last) & 1
+
+
+def _common_spec(chain: HochschildChain):
+    """The ring of the chain's coefficients, which must be compatible for
+    their sums to mean anything; None for the zero chain."""
+    first = None
+    for coeff in chain.terms.values():
+        if first is None:
+            first = coeff
+        else:
+            first._require_compatible(coeff)
+    return None if first is None else first.spec
 
 
 def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
     """Signed rotation of the marked word: the last factor moves to the front."""
-    out: ChainTerms = {}
+    degrees = basis.degrees
+    terms: ChainTerms = {}
     for (v, word), coeff in chain.terms.items():
-        full = (v,) + word
-        sign = koszul_sign_cyclic([basis.degree(i) for i in full])
-        rotated = (full[-1],) + full[:-1]
-        add_term(out, (rotated[0], rotated[1:]), coeff.scale(sign) if sign < 0 else coeff)
-    return HochschildChain(basis, out, reduced=False)
+        # t permutes the keys, so no two terms meet
+        _, (rotated, odd) = _rotations(degrees, (v,) + word, 2)
+        terms[(rotated[0], rotated[1:])] = -coeff if odd else coeff
+    return HochschildChain._clean(basis, terms, False)
 
 
 def operator_N(basis, chain: HochschildChain) -> HochschildChain:
     """Rotation sum 1 + t + ... + t^{n-1} on each length-n component."""
-    out: ChainTerms = {}
-    for key, coeff in chain.terms.items():
-        piece = HochschildChain(basis, {key: coeff}, reduced=False)
-        n = 1 + len(key[1])
-        for _ in range(n):
-            for pkey, pcoeff in piece.terms.items():
-                add_term(out, pkey, pcoeff)
-            piece = cyclic_t(basis, piece)
-    return HochschildChain(basis, out, reduced=False)
+    degrees = basis.degrees
+    raw: dict = {}
+    for (v, word), coeff in chain.terms.items():
+        for rotated, odd in _rotations(degrees, (v,) + word, 1 + len(word)):
+            add_into(raw.setdefault((rotated[0], rotated[1:]), {}), coeff, -1 if odd else 1)
+    return _built(basis, _common_spec(chain), raw, False)
 
 
 def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
@@ -194,17 +257,16 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
             "the Connes operator is only available on reduced chains"
         )
     unit = basis.require_unit()
-    out: ChainTerms = {}
+    degrees = basis.degrees
+    raw: dict = {}
     for (v, word), coeff in chain.terms.items():
-        current = (v,) + word
-        acc = coeff
-        for _ in range(len(current)):
-            if unit not in current:
-                add_term(out, (unit, current), acc)
-            if koszul_sign_cyclic([basis.degree(i) for i in current]) < 0:
-                acc = -acc
-            current = (current[-1],) + current[:-1]
-    return HochschildChain(basis, out, True)
+        # words are unit-free, so a rotation has the unit exactly when v is
+        if v == unit:
+            continue
+        full = (v,) + word
+        for rotated, odd in _rotations(degrees, full, len(full)):
+            add_into(raw.setdefault((unit, rotated), {}), coeff, -1 if odd else 1)
+    return _built(basis, _common_spec(chain), raw, True)
 
 
 # -- functionals and towers ---------------------------------------------------
@@ -254,12 +316,12 @@ class Functional:
         return not self.table
 
     def apply(self, chain: HochschildChain) -> RingElement:
-        acc = RingElement.zero(self.spec)
+        raw: dict = {}
         for key, coeff in chain.terms.items():
             entry = self.table.get(key)
             if entry:
-                acc = acc + entry * coeff
-        return acc
+                mul_into(raw, entry, coeff)
+        return RingElement(self.spec, raw)
 
     def scale(self, r) -> "Functional":
         return Functional(self.basis, self.spec, {k: r * v for k, v in self.table.items()})

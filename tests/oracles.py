@@ -6,10 +6,13 @@ structure tables have an entry there; expand the curved relations on every
 basis word, not only where the tables reach; read phi_{p,q} on one basis
 word straight from psi_0, and check skew-symmetry and closedness on every
 tuple of their quantifiers; check the bimodule homomorphism identity on
-every bar word and the negative cocycle condition on every basis chain.  They are slow and obviously right, which is
-what an oracle should be.  The dual bimodule's structure maps are
-here too, in their unflattened form (a covector applied to m of module
-elements), as the reference for ``delta_dual``.  Also here: hypothesis
+every bar word and the negative cocycle condition on every basis chain;
+build every term of a Hochschild chain operator as its own ring element,
+with the sign recomputed at every insertion position and every rotation.
+They are slow and obviously right, which is what an oracle should be.  The
+dual bimodule's structure maps are here too, in their unflattened form (a
+covector applied to m of module elements), as the reference for
+``delta_dual``, and so is the sign of one cyclic rotation.  Also here: hypothesis
 strategies for their inputs, and a helper that builds a mutated copy of an
 engine module from its source, for mutation tests.
 """
@@ -406,6 +409,104 @@ def delta_dual_reference(algebra, words):
                                         covector, gens(right), gens((w,))[0])
                     add_term(out, (lw[:p], new_cdeg, w, rw[q:]), coeff * value.scale(prefix))
     return out
+
+
+def koszul_sign_cyclic(degrees) -> int:
+    """Sign acquired when the last tensor factor moves to the front: its
+    shifted degree times that of the factors it crosses."""
+    if not degrees:
+        raise ConfigurationError("cyclic rotation of the empty word")
+    exponent = (degrees[-1] - 1) * maltese(degrees, len(degrees) - 1)
+    return -1 if exponent % 2 else 1
+
+
+def _insertions_reference(algebra, word, base=0):
+    """Every nonzero insertion m_k(word[i:i+k]) over every arity k <= len(word),
+    with the sign (-1)^{base + maltese_i} recomputed at each position."""
+    degrees = [algebra.basis.degree(x) for x in word]
+    for k in range(len(word) + 1):
+        for i in range(len(word) - k + 1):
+            inner = algebra.m_word(word[i:i + k])
+            if inner:
+                yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
+
+
+def hochschild_b_reference(algebra, chain) -> HochschildChain:
+    """b visiting every wrap-around split (i, j), one ring element per term."""
+    basis = algebra.basis
+    out = {}
+    arity_set = set(algebra.stored_arities())
+    for (v, word), coeff in chain.terms.items():
+        k = len(word)
+        marked = [basis.degree(v)] + [basis.degree(i) for i in word]
+        # wrap-around: m_{i+j+1}(a_{k-i+1}..a_k, v, a_1..a_j) keeps a_{j+1}..a_{k-i}
+        for i in range(k + 1):
+            tail = sum(marked[k - i + 1:]) - i
+            for j in range(k - i + 1):
+                if i + j + 1 not in arity_set:
+                    continue
+                inner = algebra.m_word(word[k - i:] + (v,) + word[:j])
+                sign = -1 if (tail * maltese(marked, k - i + 1)) % 2 else 1
+                for comp, value in inner.items():
+                    add_term(out, (comp, word[j:k - i]), coeff.scale(sign) * value)
+        for p, arity, inner, sign in _insertions_reference(algebra, word, marked[0] - 1):
+            for comp, value in inner.items():
+                add_term(out, (v, word[:p] + (comp,) + word[p + arity:]),
+                         coeff.scale(sign) * value)
+    return HochschildChain(basis, out, chain.reduced)
+
+
+def chain_bar_reference(algebra, chain) -> HochschildChain:
+    """b' as the coderivation on the full marked word, one element per term."""
+    out = {}
+    for (v, word), coeff in chain.terms.items():
+        full = (v,) + word
+        for p, arity, inner, sign in _insertions_reference(algebra, full):
+            for comp, value in inner.items():
+                new_full = full[:p] + (comp,) + full[p + arity:]
+                add_term(out, (new_full[0], new_full[1:]), coeff.scale(sign) * value)
+    return HochschildChain(algebra.basis, out, reduced=False)
+
+
+def cyclic_t_reference(basis, chain) -> HochschildChain:
+    """t with the Koszul sign of the full word recomputed for every key."""
+    out = {}
+    for (v, word), coeff in chain.terms.items():
+        full = (v,) + word
+        sign = koszul_sign_cyclic([basis.degree(i) for i in full])
+        rotated = (full[-1],) + full[:-1]
+        add_term(out, (rotated[0], rotated[1:]), coeff.scale(sign))
+    return HochschildChain(basis, out, reduced=False)
+
+
+def operator_N_reference(basis, chain) -> HochschildChain:
+    """N as 1 + t + ... + t^{n-1}, applying t to one key at a time."""
+    out = {}
+    for key, coeff in chain.terms.items():
+        piece = HochschildChain(basis, {key: coeff}, reduced=False)
+        for _ in range(1 + len(key[1])):
+            for pkey, pcoeff in piece.terms.items():
+                add_term(out, pkey, pcoeff)
+            piece = cyclic_t_reference(basis, piece)
+    return HochschildChain(basis, out, reduced=False)
+
+
+def connes_B_reference(basis, chain) -> HochschildChain:
+    """B as the unit put in front of every rotation that has no unit in it."""
+    if not chain.reduced:
+        raise ConfigurationError("the Connes operator is only available on reduced chains")
+    unit = basis.require_unit()
+    out = {}
+    for (v, word), coeff in chain.terms.items():
+        current = (v,) + word
+        acc = coeff
+        for _ in range(len(current)):
+            if unit not in current:
+                add_term(out, (unit, current), acc)
+            if koszul_sign_cyclic([basis.degree(i) for i in current]) < 0:
+                acc = -acc
+            current = (current[-1],) + current[:-1]
+    return HochschildChain(basis, out, True)
 
 
 def mutant_module(module, old: str, new: str):

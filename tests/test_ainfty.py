@@ -388,7 +388,8 @@ def test_delta_dual_matches_dual_action_reference(maker):
 # Mutants of the insertion kernel and its call sites, each applied to a
 # fresh copy of the ainfty module: (original fragment, mutated fragment).
 INSERTION_MUTANTS = {
-    "base ignored": ("(base + maltese(degrees, i))", "(maltese(degrees, i))"),
+    "base ignored": ("maltese_prefixes([basis_degrees[x] for x in word], base)",
+                     "maltese_prefixes([basis_degrees[x] for x in word])"),
     "position range cut short": ("range(n - k + 1)", "range(n - k)"),
     "delta_dual right-word parity flipped": ("maltese(ldeg, len(lw)) + cdeg",
                                              "maltese(ldeg, len(lw)) + cdeg + 1"),

@@ -241,6 +241,24 @@ def test_fraction_strings():
         as_fraction(0.5)
 
 
+@pytest.mark.parametrize("text,value", (
+    ("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)), ("+2", Fraction(2)),
+    ("0", Fraction(0)), ("6/4", Fraction(3, 2)), ("007", Fraction(7)), ("-0/5", Fraction(0)),
+))
+def test_fraction_strings_accepted(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", (
+    "0.5", "1e-1", "1E2", ".5", "1/0", "0/0", " 1/2", "1/2 ", "1 / 2", "1_000", "3/-4",
+    "1/2/3", "", "-", "/2", "inf", "nan", "\u0663",
+))
+def test_fraction_strings_refused(text):
+    # only [+-]digits(/digits), and never a zero denominator
+    with pytest.raises(ConfigurationError):
+        as_fraction(text)
+
+
 def test_core_operation_methods():
     a = el(2, lam=Fraction(1, 2))
     b = el(3, lam=1)

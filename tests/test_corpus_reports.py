@@ -8,6 +8,8 @@ needs) is pinned by its exit status alone.  The cocycle command is also
 pinned at word length 5, on the corpus and on a G1 document whose tower has
 one psi_0 entry negated, so that its report fails with validation lines;
 and at word length 8 its counts are checked against their closed forms.
+The check command is also pinned with 800 chains at seed 7 on G1 and E1,
+which runs the chain operators on four times the default number of chains.
 """
 
 import hashlib
@@ -80,6 +82,20 @@ def _check_run(argv, capsys, status, digest):
 def test_corpus_report_bytes(doc, command, capsys):
     _check_run([command, "--input", os.path.join(CORPUS, doc + ".json")], capsys,
                *GOLDEN[doc, command])
+
+
+# (document, sha256 of stdout) for `check --chains 800 --seed 7`, exit 0
+CHECK_800_SEED_7 = {
+    "g1_gauge": "08b7bc08c8a8ff29cc419a55743aeba696bc9a5856a8ea7956f99b12d96ba9b7",
+    "e1": "b844d21c90517b8c2c281accd8e5deeaa1ebd922a5c8a0c7cd4be74dcd3dfa98",
+}
+
+
+@pytest.mark.parametrize("doc", sorted(CHECK_800_SEED_7))
+def test_check_report_bytes_with_800_chains(doc, capsys):
+    _check_run(["check", "--chains", "800", "--seed", "7",
+                "--input", os.path.join(CORPUS, doc + ".json")],
+               capsys, 0, CHECK_800_SEED_7[doc])
 
 
 # (document, exit status, sha256 of stdout or None) for `cocycle --lmax 5`

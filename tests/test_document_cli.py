@@ -214,6 +214,21 @@ def test_cli_rejects_cutoffs_that_check_nothing(capsys, argv, location):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("emax,message", (
+    ("abc", "--emax: not an exact fraction: 'abc'"),
+    ("1/0", "--emax: not an exact fraction: '1/0'"),
+    ("0.5", "--emax: not an exact fraction: '0.5'"),
+    ("1e-1", "--emax: not an exact fraction: '1e-1'"),
+    ("-1", "--emax: must be >= 0"),
+    ("4", "--emax: cannot exceed the document cutoff 3"),
+))
+def test_cli_rejects_bad_emax_located(capsys, emax, message):
+    assert main(["check", "--input", corpus("e2.json"), "--emax", emax, "--chains", "1"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_rejects_negative_cutoff_from_document(tmp_path, capsys):
     raw = minimal_doc()
     raw["cutoffs"]["arity"] = -1
@@ -265,10 +280,15 @@ def _set(path, value):
     (_set(("name",), None), "  name: not a JSON string: None"),
     (_set(("name",), 5), "  name: not a JSON string: 5"),
     (_set(("name",), ["a"]), "  name: not a JSON string: ['a']"),
+    (_set(("operations", 1, "output", 0, "coeff"), "0.5"),
+     "operations[1].output[0].coeff: not an exact fraction: '0.5'"),
+    (_set(("monoid", 0, "energy"), "1e-1"), "monoid[0].energy: not an exact fraction: '1e-1'"),
+    (_set(("cutoffs", "energy"), "2.0"), "cutoffs.energy: not an exact fraction: '2.0'"),
 ), ids=("arity-string", "degree-null", "cutoff-string", "index-string", "degree-float",
         "flag-string", "exponent-float", "unit-string", "energy-bool", "coeff-null",
         "exponent-T-null", "energy-null", "monoid-energy-null", "doc-name-null",
-        "doc-name-number", "doc-name-list"))
+        "doc-name-number", "doc-name-list", "coeff-decimal", "energy-exponent",
+        "cutoff-decimal"))
 def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(edit(minimal_doc())))
@@ -291,8 +311,24 @@ def test_typed_fields_exit_2_located(tmp_path, capsys, edit, location):
     (_set(("wall_crossing_pair",), []), "wall_crossing_pair: not a JSON object: []"),
     (_set(("gauge_path",), {"element": [{"basis": "x", "poly": None}]}),
      "gauge_path.element[0].poly: not a JSON array: None"),
+    (_set(("candidates",), [{"name": "b", "element": None}]),
+     "candidates[0].element: not a JSON array: None"),
+    (_set(("candidates",), [{"name": "b", "element": 0}]),
+     "candidates[0].element: not a JSON array: 0"),
+    (_set(("m_minus_one",), {}), "m_minus_one: not a JSON array: {}"),
+    (_set(("gw_tilde",), None), "gw_tilde: not a JSON array: None"),
+    (_set(("right_inverse",), {"x": None}), "right_inverse.x: not a JSON array: None"),
+    (_set(("towers",), [{"levels": [{"entries": [{"module": "1", "word": ["x"],
+                                                  "value": None}]}]}]),
+     "towers[0].levels[0].entries[0].value: not a JSON array: None"),
+    (_set(("towers",), [{"name": "t"}]), "towers[0].levels: a tower needs at least one level"),
+    (_set(("towers",), [{"levels": []}]), "towers[0].levels: a tower needs at least one level"),
+    (_set(("wall_crossing_pair",), None), "wall_crossing_pair: not a JSON object: None"),
 ), ids=("t-degrees-number", "basis-entry-number", "cutoffs-list", "output-object",
-        "gauge-path-null", "name-list", "pair-name-list", "pair-empty-list", "poly-null"))
+        "gauge-path-null", "name-list", "pair-name-list", "pair-empty-list", "poly-null",
+        "element-null", "element-zero", "m-minus-one-object", "gw-tilde-null",
+        "right-inverse-entry-null", "tower-value-null", "tower-levels-absent",
+        "tower-levels-empty", "pair-null"))
 def test_container_shapes_exit_2_located(tmp_path, capsys, edit, location):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(edit(minimal_doc())))

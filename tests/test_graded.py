@@ -8,8 +8,10 @@ import pytest
 from ainfty.ainfty import AInftyAlgebra, coderivation, insertions
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError
-from ainfty.graded import Element, GradedBasis, add_term, koszul_sign_cyclic, maltese
+from ainfty.graded import Element, GradedBasis, add_term, maltese, maltese_prefixes
 from ainfty.hochschild import HochschildChain, cyclic_t
+
+from oracles import koszul_sign_cyclic
 
 SPEC = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(4))
 BASIS = GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3), unit=0)
@@ -37,6 +39,16 @@ def test_maltese_prefix_additivity():
         for i in range(len(degs) + 1):
             for j in range(len(degs) - i + 1):
                 assert maltese(degs, i) + maltese(degs[i:], j) == maltese(degs, i + j)
+
+
+def test_maltese_prefixes_read_maltese_at_every_position():
+    rng = random.Random(5)
+    for _ in range(100):
+        degs = [rng.randint(-2, 4) for _ in range(rng.randint(0, 6))]
+        base = rng.randint(-3, 3)
+        assert maltese_prefixes(degs, base) == [base + maltese(degs, i)
+                                                for i in range(len(degs) + 1)]
+    assert maltese_prefixes([]) == [0]
 
 
 def test_cyclic_sign_small_cases():

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ainfty import coeff, hochschild
 from ainfty.ainfty import coderivation
+from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError
 from ainfty.exactla import rank
 from ainfty.hochschild import (
@@ -28,8 +31,12 @@ from ainfty.hochschild import (
 )
 
 from conftest import (
-    make_e1, make_e2, make_g1, make_p1, make_q1,
+    make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1,
     poincare_tower, random_coboundary_tower, random_functional, ring,
+)
+from oracles import (
+    SCALARS, chain_bar_reference, coefficients, connes_B_reference, cyclic_t_reference,
+    hochschild_b_reference, mutant_module, operator_N_reference,
 )
 
 
@@ -314,3 +321,135 @@ def test_tabulate_materializes_lazy_functionals(g1, rng):
     for module, word in iter_basis_chains(g1, 3):
         chain = HochschildChain.generator(g1.basis, module, word, g1.one_ring())
         assert table.apply(chain) == lazy.apply(chain)
+
+
+# -- the fused kernels against their term-by-term references -------------------
+
+MAKERS = {"E1": make_e1, "E2": make_e2, "G1": make_g1, "SV1": make_sv1, "Q1": make_q1}
+# At 1/2 most products with a structure constant of positive energy truncate.
+CUTOFFS = (Fraction(1, 2), Fraction(3))
+ALGEBRAS = {(name, cutoff): maker(cutoff) for name, maker in MAKERS.items()
+            for cutoff in CUTOFFS}
+
+
+def _operator_outputs(module, algebra, chain):
+    """The five operators of a copy of the hochschild module on one chain,
+    and their references; B is only defined on reduced chains."""
+    basis = algebra.basis
+    pairs = [
+        (module.hochschild_b(algebra, chain), hochschild_b_reference(algebra, chain)),
+        (module.chain_bar(algebra, chain), chain_bar_reference(algebra, chain)),
+        (module.cyclic_t(basis, chain), cyclic_t_reference(basis, chain)),
+        (module.operator_N(basis, chain), operator_N_reference(basis, chain)),
+    ]
+    if chain.reduced:
+        pairs.append((module.connes_B_reduced(basis, chain), connes_B_reference(basis, chain)))
+    return pairs
+
+
+def _same_terms(got, want) -> bool:
+    """Equal term for term: flag, keys, coefficients and their rendering."""
+    return (got.reduced == want.reduced and got.terms == want.terms
+            and got.text() == want.text())
+
+
+@st.composite
+def operator_cases(draw):
+    """An algebra at a cutoff, and a reduced or unreduced chain on it with
+    one to four terms of one or two monomials each."""
+    algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    basis = algebra.basis
+    reduced = draw(st.booleans())
+    letters = basis.reduced_letters() if reduced else list(range(len(basis)))
+    key = st.tuples(st.integers(0, len(basis) - 1),
+                    st.lists(st.sampled_from(letters), max_size=4).map(tuple))
+    scalars = draw(st.sampled_from(SCALARS))
+    terms = draw(st.dictionaries(key, coefficients(algebra.spec, scalars),
+                                 min_size=1, max_size=4))
+    return algebra, HochschildChain(basis, terms, reduced)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=operator_cases())
+def test_operators_match_their_references(case):
+    algebra, chain = case
+    for got, want in _operator_outputs(hochschild, algebra, chain):
+        assert _same_terms(got, want), (chain.text(), got.text(), want.text())
+    if not chain.reduced:
+        with pytest.raises(ConfigurationError):
+            connes_B_reduced(algebra.basis, chain)
+
+
+def test_b_truncates_products_and_keeps_poly_scalars():
+    # m_1(x) = -T^{1/2} z; times T^{1/2} it sits at level 1, above a cutoff of 1/2
+    for cutoff, expected in ((Fraction(1, 2), {}), (Fraction(3), {(3, ()): -1})):
+        g1 = ALGEBRAS["G1", cutoff]
+        chain = HochschildChain.generator(g1.basis, 1, (), ring(g1.spec, 1, lam=Fraction(1, 2)))
+        out = hochschild_b(g1, chain)
+        assert out.terms == {key: ring(g1.spec, c, lam=1) for key, c in expected.items()}
+        assert _same_terms(out, hochschild_b_reference(g1, chain))
+    g1 = ALGEBRAS["G1", Fraction(3)]
+    path = HochschildChain.generator(g1.basis, 1, (), RingElement.monomial(g1.spec, Poly((0, 1))))
+    out = hochschild_b(g1, path)
+    assert out.terms[(3, ())].terms == {g1.spec.monomial(lam=Fraction(1, 2)): Poly((0, -1))}
+    assert _same_terms(out, hochschild_b_reference(g1, path))
+
+
+def _mutant_cases():
+    """Seeded chains on every algebra, reduced and unreduced, with module
+    slots over the whole basis and coefficients of two monomials."""
+    rng = random.Random(8)
+    for name in sorted(MAKERS):
+        algebra = ALGEBRAS[name, Fraction(3)]
+        basis = algebra.basis
+        for reduced in (True, False):
+            letters = basis.reduced_letters() if reduced else list(range(len(basis)))
+            for _ in range(12):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+                    terms[(rng.randrange(len(basis)), word)] = (
+                        ring(algebra.spec, rng.choice((-2, -1, 1, 3)), lam=Fraction(1, 2))
+                        + ring(algebra.spec, rng.choice((-1, 2)), e=rng.randint(-1, 1)))
+                yield algebra, HochschildChain(basis, terms, reduced)
+
+
+def _kernels_disagree(module) -> bool:
+    """Does this copy of the hochschild module differ from the references?"""
+    for algebra, chain in _mutant_cases():
+        try:
+            pairs = _operator_outputs(module, algebra, chain)
+        except Exception:
+            return True
+        if not all(_same_terms(got, want) for got, want in pairs):
+            return True
+    return False
+
+
+# Mutants of the fused kernels: name -> (module, original fragment, mutated
+# fragment).  A coeff mutant reaches the operators through their binding of
+# mul_into.
+HOCHSCHILD_MUTANTS = {
+    "sign dropped in mul_into": (coeff, "v1 = -v1", "v1 = v1"),
+    "wrap-around split off by one": (hochschild, "j = a - 1 - i", "j = a - i"),
+    "rotation parity uses total, not total - last": (
+        hochschild, "last * (total - last)", "last * total"),
+    "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
+                                   "(v,) + word, len(word))"),
+    "B unit filter dropped": (hochschild, "if v == unit:", "if False:"),
+}
+
+
+def test_kernel_detector_accepts_the_kernels():
+    assert not _kernels_disagree(hochschild)
+
+
+@pytest.mark.parametrize("name", sorted(HOCHSCHILD_MUTANTS))
+def test_hochschild_mutant_killed(name, monkeypatch):
+    module, old, new = HOCHSCHILD_MUTANTS[name]
+    mutant = mutant_module(module, old, new)
+    if module is coeff:
+        monkeypatch.setattr(hochschild, "mul_into", mutant.mul_into)
+        mutant = hochschild
+    assert _kernels_disagree(mutant)
+
