@@ -29,7 +29,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
-from .graded import (Element, GradedBasis, Word, WordSum, add_term, maltese,
+from .graded import (Element, GradedBasis, Word, add_term, maltese,
                      maltese_prefixes, tensor_coefficient, words_over)
 from .report import Report
 
@@ -59,6 +59,7 @@ class AInftyAlgebra:
     _words_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arities: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _by_output: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _nonzero: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
@@ -243,19 +244,43 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     with k ascending over the stored arities (arity 0 included), then i
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
     shifted degrees of the first i letters; all signs of a word come from
-    one prefix pass.  Every differential of the engine is a sum over these
-    insertions: the coderivation and the curved relations, the word parts
+    one prefix pass.  Each window is looked up in ``nonzero_words``, so an
+    empty one calls no ``m_word``.  Every differential of the engine is a
+    sum over these insertions: the curved relations, the word parts
     of the diagonal and dual bar differentials, and the interior parts of
     Hochschild b and b'.
     """
     basis_degrees = algebra.basis.degrees
     prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
     n = len(word)
-    for k in algebra.stored_arities():
+    for k, tables in nonzero_words(algebra).items():
         for i in range(n - k + 1):
-            inner = algebra.m_word(word[i : i + k])
+            inner = tables.get(word[i : i + k])
             if inner:
                 yield i, k, inner, -1 if prefixes[i] % 2 else 1
+
+
+def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, Dict[Word, Dict[int, RingElement]]]:
+    """The stored words of nonzero m_word, per arity: {k: {u: m_word(u)}}.
+
+    Arities ascending, each with at least one word, and the words of an
+    arity sorted.  An insertion looks its window up here, so a window that
+    is no such word costs one dict lookup and no ``m_word`` call.  Built
+    once per algebra on first use; like the word cache, it assumes the
+    tables stay fixed after that.
+    """
+    tables = algebra._nonzero
+    if tables is None:
+        tables = algebra._nonzero = {}
+        for k in algebra.stored_arities():
+            words = {}
+            for word in algebra.stored_words(k):
+                out = algebra.m_word(word)
+                if out:
+                    words[word] = out
+            if words:
+                tables[k] = words
+    return tables
 
 
 def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:
@@ -309,21 +334,6 @@ def _relation_support(algebra: AInftyAlgebra, k_max: int) -> list:
         algebra._check_arity(top + 1)
     found = {word for outer in nonzero for word in uninsertions(algebra, outer, k_max)}
     return sorted(found, key=lambda word: (len(word), word))
-
-
-def coderivation(algebra: AInftyAlgebra, words: WordSum) -> WordSum:
-    """The coderivation extending the operations to tensor words.
-
-    Includes the arity-0 insertions; on the empty word the arity-0 part
-    produces the one-letter curvature word.
-    """
-    out: WordSum = {}
-    for word, coeff in words.items():
-        for i, k, inner, sign in insertions(algebra, word):
-            signed = coeff.scale(sign) if sign < 0 else coeff
-            for comp, value in inner.items():
-                add_term(out, word[:i] + (comp,) + word[i + k :], signed * value)
-    return out
 
 
 def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:

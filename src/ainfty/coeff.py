@@ -323,26 +323,11 @@ class RingElement:
 
     # -- ring structure ----------------------------------------------------
 
-    def _require_compatible(self, other: "RingElement"):
-        if self.spec is other.spec:
-            return
-        if self.spec.grid != other.spec.grid:
-            raise ConfigurationError(
-                "mismatched energy grids: 1/%d vs 1/%d" % (self.spec.grid, other.spec.grid)
-            )
-        if self.spec == other.spec:
-            return
-        if self.spec.cutoff != other.spec.cutoff:
-            raise ConfigurationError(
-                "mismatched energy cutoffs: %s vs %s" % (self.spec.cutoff, other.spec.cutoff)
-            )
-        raise ConfigurationError("mismatched coefficient ring configurations")
-
     def __add__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._require_compatible(other)
-        return RingElement(self.spec, add_into(dict(self.terms), other))
+        require_compatible(self.spec, other.spec)
+        return RingElement(self.spec, add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return RingElement(self.spec, {m: -v for m, v in self.terms.items()})
@@ -350,15 +335,17 @@ class RingElement:
     def __sub__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._require_compatible(other)
-        return RingElement(self.spec, add_into(dict(self.terms), other, -1))
+        require_compatible(self.spec, other.spec)
+        return RingElement(self.spec, add_into(dict(self.terms), other.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return RingElement(self.spec, mul_into({}, self, other))
+        require_compatible(self.spec, other.spec)
+        top = self.spec.level_cutoff
+        return RingElement(self.spec, mul_into({}, self.terms, other.terms, top))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -465,15 +452,40 @@ class RingElement:
         return "RingElement(%s)" % self.text()
 
 
-def add_into(acc: dict, a: RingElement, sign: int = 1) -> dict:
-    """Add sign * a into acc, a raw Monomial -> scalar map, and return it.
+def require_compatible(left: RingSpec, right: RingSpec) -> None:
+    """Raise unless elements of the two rings may be added or multiplied:
+    one grid, one cutoff and the same variable degrees."""
+    if left is right:
+        return
+    if left.grid != right.grid:
+        raise ConfigurationError(
+            "mismatched energy grids: 1/%d vs 1/%d" % (left.grid, right.grid)
+        )
+    if left == right:
+        return
+    if left.cutoff != right.cutoff:
+        raise ConfigurationError(
+            "mismatched energy cutoffs: %s vs %s" % (left.cutoff, right.cutoff)
+        )
+    raise ConfigurationError("mismatched coefficient ring configurations")
+
+
+def canonical(raw: dict) -> dict:
+    """A raw Monomial -> scalar map in stored form: zero scalars dropped and
+    every other scalar in its one stored type (see ``_scalar``)."""
+    return {mono: value if type(value) is int else _scalar(value)
+            for mono, value in raw.items() if value}
+
+
+def add_into(acc: dict, terms: dict, sign: int = 1) -> dict:
+    """Add sign * terms into acc, both raw Monomial -> scalar maps; return acc.
 
     The one sum loop of the ring, as ``mul_into`` is the one product loop:
     ``RingElement`` addition and subtraction run it on a copy of the left
-    terms, and the rotation operators on chains run it into one map per
-    output key.  The caller checks that the rings are compatible.
+    terms, and the chain operators run it into one map per output key.  The
+    caller checks that the rings are compatible.
     """
-    for mono, value in a.terms.items():
+    for mono, value in terms.items():
         if sign < 0:
             value = -value
         old = acc.get(mono)
@@ -481,20 +493,19 @@ def add_into(acc: dict, a: RingElement, sign: int = 1) -> dict:
     return acc
 
 
-def mul_into(acc: dict, a: RingElement, b: RingElement, sign: int = 1) -> dict:
-    """Add sign * a * b into acc, a raw Monomial -> scalar map, and return it.
+def mul_into(acc: dict, a: dict, b: dict, top: int, sign: int = 1) -> dict:
+    """Add sign * a * b into acc, all raw Monomial -> scalar maps; return acc.
 
     The one product loop of the ring: ``RingElement.__mul__`` runs it into
     an empty map, and the chain operators run it into one map per output
-    key, so a sum of signed products makes no intermediate element.
-    Products above the level cutoff are never formed; zeros and
-    non-canonical scalars stay in acc until a ``RingElement`` is built
-    from it.
+    key, so a sum of signed products makes no intermediate element.  The
+    caller checks once that the rings of a and b are compatible and passes
+    their scaled level cutoff ``top``; a product above it is never formed.
+    Zeros and non-canonical scalars stay in acc until ``canonical`` or a
+    ``RingElement`` cleans it.
     """
-    a._require_compatible(b)
-    top = a.spec.level_cutoff
-    right = b.terms.items()
-    for (lam1, e1, s1, t1, lvl1), v1 in a.terms.items():
+    right = b.items()
+    for (lam1, e1, s1, t1, lvl1), v1 in a.items():
         if sign < 0:
             v1 = -v1
         for (lam2, e2, s2, t2, lvl2), v2 in right:

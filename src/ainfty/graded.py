@@ -8,20 +8,20 @@ sign parities; signs are multiplied into ring coefficients at the moment a
 word is rewritten and are never stored separately.
 
 A tensor word is a tuple of basis indices; linear combinations of words are
-plain dicts mapping word -> RingElement ("word sums").  The same dict idiom
-is used by the Hochschild layer with (module slot, word) keys.
+plain dicts mapping word -> RingElement ("word sums").  The Hochschild
+layer keys its chains by (module slot, word) instead, and keeps each
+coefficient as its raw Monomial -> scalar map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .coeff import RingElement
 from .errors import ConfigurationError
 
 Word = Tuple[int, ...]
-WordSum = Dict[Word, RingElement]
 
 
 @dataclass(frozen=True)

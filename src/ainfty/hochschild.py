@@ -28,15 +28,20 @@ are operators on the unreduced space: they coerce their input along the
 canonical section of the quotient and always return unreduced chains, and
 the rotation identities relating them to b hold there.
 
-The five operators share one kernel.  b and b' add each signed product
-coeff * m(...) straight into a raw term map per output key with
-``coeff.mul_into``; t, N and B add signed copies of the input coefficients
-the same way.  One RingElement is built per output key at the end, and
-zeros are dropped there.  The signs of a word come from one prefix pass
-(``maltese_prefixes``); a rotation keeps the total shifted degree, so the
-powers of t cost O(1) each after one ``maltese`` per word.  Outputs are
-built clean (nonzero coefficients, and no unit words in a reduced output),
-so they skip the constructor's filter.
+A chain stores one coefficient ring ``spec`` and, per key, the raw term
+map {Monomial: scalar} of its coefficient: the scalars nonzero and in
+stored form, no empty maps, and no unit words in a reduced chain.  The maps
+are never mutated once a chain holds them, so operators and sums share
+them.  The five operators read and write these maps: b and b' add each
+signed product coeff * m(...) straight into a raw map per output key with
+``coeff.mul_into``, which applies the level cutoff to every product; t, N
+and B add signed copies of the input maps with ``coeff.add_into``.  The
+ring compatibility of chain and algebra is checked once per call, not per
+product.  An output map is only cleaned (zeros dropped, scalars in stored
+form); a RingElement is made only where a coefficient is read as one: in
+``coefficient``, ``__eq__`` and ``text``.  The signs of a word come from
+one prefix pass (``maltese_prefixes``); a rotation keeps the total shifted
+degree, so the powers of t cost O(1) each after one ``maltese`` per word.
 
 The dual side stores towers of finitely supported functionals; the dual
 operators are plain precomposition with b and B.
@@ -47,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .ainfty import AInftyAlgebra, insertions, uninsertions, words_by_output
-from .coeff import RingElement, add_into, mul_into
+from .ainfty import AInftyAlgebra, insertions, nonzero_words, uninsertions, words_by_output
+from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, add_term, maltese, maltese_prefixes, words_over
 from .report import Report
@@ -58,77 +63,101 @@ ChainTerms = Dict[ChainKey, RingElement]
 
 
 class HochschildChain:
-    """Linear combination of (module slot, tensor word) with a reduced flag."""
+    """Linear combination of (module slot, tensor word) with a reduced flag.
 
-    __slots__ = ("basis", "terms", "reduced")
+    ``terms`` maps each key to the raw term map {Monomial: scalar} of its
+    coefficient in the ring ``spec`` (None only for a chain built from no
+    terms); see the module docstring for what a chain keeps clean.
+    """
+
+    __slots__ = ("basis", "spec", "terms", "reduced")
 
     def __init__(self, basis, terms: Optional[ChainTerms] = None, reduced: bool = True):
-        """Keeps the nonzero terms; a reduced chain drops words with the unit.
+        """The chain of the nonzero RingElement coefficients in ``terms``,
+        which must share one ring; a reduced chain drops words with the unit.
 
         The keys of ``terms`` are distinct, so nothing is summed here.
         """
-        self.basis = basis
-        self.reduced = reduced
         unit = basis.unit if reduced else None
-        self.terms = {
-            key: coeff for key, coeff in (terms or {}).items()
-            if coeff and (unit is None or unit not in key[1])
-        }
+        spec = None
+        raw = {}
+        for key, coeff in (terms or {}).items():
+            if coeff and (unit is None or unit not in key[1]):
+                if spec is None:
+                    spec = coeff.spec
+                else:
+                    require_compatible(spec, coeff.spec)
+                raw[key] = coeff.terms
+        self.basis, self.spec, self.terms, self.reduced = basis, spec, raw, reduced
 
     @classmethod
     def generator(cls, basis, module: int, word: Word, coeff: RingElement, reduced=True):
         return cls(basis, {(module, tuple(word)): coeff}, reduced)
 
     @classmethod
-    def _clean(cls, basis, terms: ChainTerms, reduced: bool) -> "HochschildChain":
-        """A chain of terms that are nonzero and, when reduced, unit-free
-        already, as the operators below build them: nothing is filtered."""
+    def _clean(cls, basis, spec, terms: dict, reduced: bool) -> "HochschildChain":
+        """A chain of raw term maps that are clean already, as the operators
+        below build them: nothing is filtered."""
         chain = cls.__new__(cls)
-        chain.basis, chain.terms, chain.reduced = basis, terms, reduced
+        chain.basis, chain.spec, chain.terms, chain.reduced = basis, spec, terms, reduced
         return chain
 
-    def __add__(self, other: "HochschildChain") -> "HochschildChain":
+    def _merged(self, other: "HochschildChain", sign: int) -> "HochschildChain":
+        """self + sign * other, in one pass over the terms of other."""
         if self.reduced != other.reduced:
             raise ConfigurationError("cannot mix reduced and unreduced chains")
+        spec = other.spec if self.spec is None else self.spec
+        if other.spec is not None:
+            require_compatible(spec, other.spec)
         terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(terms, key, coeff)
-        return HochschildChain._clean(self.basis, terms, self.reduced)
+        for key, right in other.terms.items():
+            left = terms.get(key)
+            if left is None:
+                terms[key] = right if sign > 0 else add_into({}, right, -1)
+                continue
+            total = canonical(add_into(dict(left), right, sign))
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return HochschildChain._clean(self.basis, spec, terms, self.reduced)
 
-    def __neg__(self):
-        return HochschildChain._clean(
-            self.basis, {k: -v for k, v in self.terms.items()}, self.reduced)
+    def __add__(self, other: "HochschildChain") -> "HochschildChain":
+        return self._merged(other, 1)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, r):
-        return HochschildChain(self.basis, {k: r * v for k, v in self.terms.items()}, self.reduced)
+    def __sub__(self, other: "HochschildChain") -> "HochschildChain":
+        return self._merged(other, -1)
 
     def unreduced(self) -> "HochschildChain":
         """The canonical unreduced representative (same terms, no quotient)."""
-        return HochschildChain(self.basis, self.terms, reduced=False)
+        return HochschildChain._clean(self.basis, self.spec, self.terms, False)
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def coefficient(self, key: ChainKey) -> RingElement:
+        """The coefficient at a key as a RingElement, zero off the support."""
+        if self.spec is None:
+            raise ConfigurationError("a chain built from no terms has no coefficient ring")
+        return RingElement(self.spec, self.terms.get(key))
+
     def __eq__(self, other):
-        if isinstance(other, HochschildChain):
-            return (self.basis, self.reduced, self.terms) == (
-                other.basis,
-                other.reduced,
-                other.terms,
-            )
-        return NotImplemented
+        if not isinstance(other, HochschildChain):
+            return NotImplemented
+        if (self.basis, self.reduced) != (other.basis, other.reduced):
+            return False
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(self.coefficient(key) == other.coefficient(key) for key in self.terms)
 
     def text(self) -> str:
         if not self.terms:
             return "0"
         names = self.basis.names
         parts = []
-        for (v, word), coeff in sorted(self.terms.items()):
+        for (v, word), terms in sorted(self.terms.items()):
             slot = "[%s|%s]" % (names[v], ",".join(names[i] for i in word))
-            parts.append("(%s)%s" % (coeff.text(), slot))
+            parts.append("(%s)%s" % (RingElement(self.spec, terms).text(), slot))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -140,36 +169,49 @@ def chain_degree(basis, module: int, word: Word) -> int:
 
 
 def _built(basis, spec, raw: dict, reduced: bool) -> HochschildChain:
-    """The chain of raw term maps {key: {Monomial: scalar}}: one RingElement
-    per key, built once, and the keys whose sum cancelled dropped."""
+    """The chain of raw term maps {key: {Monomial: scalar}}, each cleaned,
+    and the keys whose sum cancelled dropped."""
     terms = {}
     for key, mono_terms in raw.items():
-        coeff = RingElement(spec, mono_terms)
-        if coeff.terms:
-            terms[key] = coeff
-    return HochschildChain._clean(basis, terms, reduced)
+        # a map of nonzero ints is clean already, and is kept as it is
+        for value in mono_terms.values():
+            if type(value) is not int or not value:
+                mono_terms = canonical(mono_terms)
+                break
+        if mono_terms:
+            terms[key] = mono_terms
+    return HochschildChain._clean(basis, spec, terms, reduced)
+
+
+def _level_cutoff(chain: HochschildChain, spec):
+    """The level cutoff of products of the chain's coefficients with
+    elements of ``spec``, once the two rings are checked compatible."""
+    if chain.spec is not None:
+        require_compatible(chain.spec, spec)
+    return spec.level_cutoff
 
 
 def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """The module differential, wrap-around and interior sums with exact signs."""
     basis = algebra.basis
     degrees = basis.degrees
-    arities = algebra.stored_arities()
+    top = _level_cutoff(chain, algebra.spec)
+    tables = nonzero_words(algebra)
     # an insertion that makes the unit in a tensor slot is zero in the quotient
     unit = basis.unit if chain.reduced else None
     raw: dict = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), terms in chain.terms.items():
         k = len(word)
         # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
         prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
         total = prefixes[-1]
         # wrap-around: m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a, keeps a_{j+1}..a_{k-i}
-        for a in arities:
+        for a, words in tables.items():
             if a > k + 1:
                 break
             for i in range(a):
                 j = a - 1 - i
-                inner = algebra.m_word(word[k - i :] + (v,) + word[:j])
+                inner = words.get(word[k - i :] + (v,) + word[:j])
                 if not inner:
                     continue
                 # the tail block crosses v and the kept prefix a_1..a_{k-i}
@@ -177,25 +219,27 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
                 sign = -1 if (total - kept) * kept % 2 else 1
                 rest = word[j : k - i]
                 for comp, value in inner.items():
-                    mul_into(raw.setdefault((comp, rest), {}), coeff, value, sign)
+                    mul_into(raw.setdefault((comp, rest), {}), terms, value.terms, top, sign)
         # interior: m_j inserted in the tensor word, arity 0 included
         for p, arity, inner, sign in insertions(algebra, word, prefixes[1]):
             for comp, value in inner.items():
                 if comp != unit:
                     key = (v, word[:p] + (comp,) + word[p + arity :])
-                    mul_into(raw.setdefault(key, {}), coeff, value, sign)
+                    mul_into(raw.setdefault(key, {}), terms, value.terms, top, sign)
     return _built(basis, algebra.spec, raw, chain.reduced)
 
 
 def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """Bar-type differential: coderivation on the full marked word, unreduced."""
+    top = _level_cutoff(chain, algebra.spec)
     raw: dict = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), terms in chain.terms.items():
         full = (v,) + word
         for p, arity, inner, sign in insertions(algebra, full):
             for comp, value in inner.items():
                 new_full = full[:p] + (comp,) + full[p + arity :]
-                mul_into(raw.setdefault((new_full[0], new_full[1:]), {}), coeff, value, sign)
+                mul_into(raw.setdefault((new_full[0], new_full[1:]), {}),
+                         terms, value.terms, top, sign)
     return _built(algebra.basis, algebra.spec, raw, False)
 
 
@@ -217,37 +261,25 @@ def _rotations(degrees, full: Word, count: int):
         odd ^= last * (total - last) & 1
 
 
-def _common_spec(chain: HochschildChain):
-    """The ring of the chain's coefficients, which must be compatible for
-    their sums to mean anything; None for the zero chain."""
-    first = None
-    for coeff in chain.terms.values():
-        if first is None:
-            first = coeff
-        else:
-            first._require_compatible(coeff)
-    return None if first is None else first.spec
-
-
 def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
     """Signed rotation of the marked word: the last factor moves to the front."""
     degrees = basis.degrees
-    terms: ChainTerms = {}
-    for (v, word), coeff in chain.terms.items():
+    out: dict = {}
+    for (v, word), terms in chain.terms.items():
         # t permutes the keys, so no two terms meet
         _, (rotated, odd) = _rotations(degrees, (v,) + word, 2)
-        terms[(rotated[0], rotated[1:])] = -coeff if odd else coeff
-    return HochschildChain._clean(basis, terms, False)
+        out[(rotated[0], rotated[1:])] = add_into({}, terms, -1) if odd else terms
+    return HochschildChain._clean(basis, chain.spec, out, False)
 
 
 def operator_N(basis, chain: HochschildChain) -> HochschildChain:
     """Rotation sum 1 + t + ... + t^{n-1} on each length-n component."""
     degrees = basis.degrees
     raw: dict = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), terms in chain.terms.items():
         for rotated, odd in _rotations(degrees, (v,) + word, 1 + len(word)):
-            add_into(raw.setdefault((rotated[0], rotated[1:]), {}), coeff, -1 if odd else 1)
-    return _built(basis, _common_spec(chain), raw, False)
+            add_into(raw.setdefault((rotated[0], rotated[1:]), {}), terms, -1 if odd else 1)
+    return _built(basis, chain.spec, raw, False)
 
 
 def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
@@ -259,14 +291,14 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
     unit = basis.require_unit()
     degrees = basis.degrees
     raw: dict = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), terms in chain.terms.items():
         # words are unit-free, so a rotation has the unit exactly when v is
         if v == unit:
             continue
         full = (v,) + word
         for rotated, odd in _rotations(degrees, full, len(full)):
-            add_into(raw.setdefault((unit, rotated), {}), coeff, -1 if odd else 1)
-    return _built(basis, _common_spec(chain), raw, True)
+            add_into(raw.setdefault((unit, rotated), {}), terms, -1 if odd else 1)
+    return _built(basis, chain.spec, raw, True)
 
 
 # -- functionals and towers ---------------------------------------------------
@@ -275,10 +307,11 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
 class Functional:
     """Finitely supported functional on reduced chains.
 
-    The table maps (module slot, tensor word) to ring values; application to
-    a chain pairs coefficients multiplicatively.  ``degree`` is the uniform
-    difference deg(value) - deg(chain key) over the support (None for the
-    zero functional).
+    The table maps (module slot, tensor word) to values in the ring
+    ``spec``; application to a chain pairs coefficients multiplicatively,
+    with the chain's ring checked once against ``spec``.  ``degree`` is the
+    uniform difference deg(value) - deg(chain key) over the support (None
+    for the zero functional).
     """
 
     __slots__ = ("basis", "spec", "table", "degree")
@@ -296,6 +329,7 @@ class Functional:
                     raise ConfigurationError(
                         "functional entry on a non-reduced word (unit in a tensor slot)"
                     )
+                require_compatible(spec, value.spec)
                 self.table[(v, tuple(word))] = value
         self.degree = self._uniform_degree()
 
@@ -316,11 +350,12 @@ class Functional:
         return not self.table
 
     def apply(self, chain: HochschildChain) -> RingElement:
+        top = _level_cutoff(chain, self.spec)
         raw: dict = {}
-        for key, coeff in chain.terms.items():
+        for key, terms in chain.terms.items():
             entry = self.table.get(key)
             if entry:
-                mul_into(raw, entry, coeff)
+                mul_into(raw, entry.terms, terms, top)
         return RingElement(self.spec, raw)
 
     def scale(self, r) -> "Functional":

@@ -7,8 +7,10 @@ basis word, not only where the tables reach; read phi_{p,q} on one basis
 word straight from psi_0, and check skew-symmetry and closedness on every
 tuple of their quantifiers; check the bimodule homomorphism identity on
 every bar word and the negative cocycle condition on every basis chain;
-build every term of a Hochschild chain operator as its own ring element,
-with the sign recomputed at every insertion position and every rotation.
+build every term of a Hochschild chain operator, of a chain sum and of a
+functional applied to a chain as its own ring element, on the chain's
+coefficients read as RingElements, with the sign recomputed at every
+insertion position and every rotation; and the coderivation on word sums.
 They are slow and obviously right, which is what an oracle should be.  The
 dual bimodule's structure maps are here too, in their unflattened form (a
 covector applied to m of module elements), as the reference for
@@ -420,6 +422,26 @@ def koszul_sign_cyclic(degrees) -> int:
     return -1 if exponent % 2 else 1
 
 
+def coderivation(algebra, words: dict) -> dict:
+    """The coderivation extending the operations to word sums {word: coeff}.
+
+    Includes the arity-0 insertions; on the empty word the arity-0 part
+    produces the one-letter curvature word.
+    """
+    out: dict = {}
+    for word, coeff in words.items():
+        for i, k, inner, sign in insertions(algebra, word):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                add_term(out, word[:i] + (comp,) + word[i + k :], signed * value)
+    return out
+
+
+def ring_terms(chain) -> dict:
+    """A chain's coefficients as RingElements: {key: RingElement}."""
+    return {key: chain.coefficient(key) for key in chain.terms}
+
+
 def _insertions_reference(algebra, word, base=0):
     """Every nonzero insertion m_k(word[i:i+k]) over every arity k <= len(word),
     with the sign (-1)^{base + maltese_i} recomputed at each position."""
@@ -436,7 +458,7 @@ def hochschild_b_reference(algebra, chain) -> HochschildChain:
     basis = algebra.basis
     out = {}
     arity_set = set(algebra.stored_arities())
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), coeff in ring_terms(chain).items():
         k = len(word)
         marked = [basis.degree(v)] + [basis.degree(i) for i in word]
         # wrap-around: m_{i+j+1}(a_{k-i+1}..a_k, v, a_1..a_j) keeps a_{j+1}..a_{k-i}
@@ -459,7 +481,7 @@ def hochschild_b_reference(algebra, chain) -> HochschildChain:
 def chain_bar_reference(algebra, chain) -> HochschildChain:
     """b' as the coderivation on the full marked word, one element per term."""
     out = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), coeff in ring_terms(chain).items():
         full = (v,) + word
         for p, arity, inner, sign in _insertions_reference(algebra, full):
             for comp, value in inner.items():
@@ -471,7 +493,7 @@ def chain_bar_reference(algebra, chain) -> HochschildChain:
 def cyclic_t_reference(basis, chain) -> HochschildChain:
     """t with the Koszul sign of the full word recomputed for every key."""
     out = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), coeff in ring_terms(chain).items():
         full = (v,) + word
         sign = koszul_sign_cyclic([basis.degree(i) for i in full])
         rotated = (full[-1],) + full[:-1]
@@ -482,10 +504,10 @@ def cyclic_t_reference(basis, chain) -> HochschildChain:
 def operator_N_reference(basis, chain) -> HochschildChain:
     """N as 1 + t + ... + t^{n-1}, applying t to one key at a time."""
     out = {}
-    for key, coeff in chain.terms.items():
+    for key, coeff in ring_terms(chain).items():
         piece = HochschildChain(basis, {key: coeff}, reduced=False)
         for _ in range(1 + len(key[1])):
-            for pkey, pcoeff in piece.terms.items():
+            for pkey, pcoeff in ring_terms(piece).items():
                 add_term(out, pkey, pcoeff)
             piece = cyclic_t_reference(basis, piece)
     return HochschildChain(basis, out, reduced=False)
@@ -497,7 +519,7 @@ def connes_B_reference(basis, chain) -> HochschildChain:
         raise ConfigurationError("the Connes operator is only available on reduced chains")
     unit = basis.require_unit()
     out = {}
-    for (v, word), coeff in chain.terms.items():
+    for (v, word), coeff in ring_terms(chain).items():
         current = (v,) + word
         acc = coeff
         for _ in range(len(current)):
@@ -507,6 +529,25 @@ def connes_B_reference(basis, chain) -> HochschildChain:
                 acc = -acc
             current = (current[-1],) + current[:-1]
     return HochschildChain(basis, out, True)
+
+
+def chain_sum_reference(left, right, sign: int) -> HochschildChain:
+    """left + sign * right, summed key by key as RingElements."""
+    out = ring_terms(left)
+    for key, coeff in ring_terms(right).items():
+        add_term(out, key, coeff if sign > 0 else -coeff)
+    return HochschildChain(left.basis, out, left.reduced)
+
+
+def functional_apply_reference(functional, chain) -> RingElement:
+    """A functional on a chain: the sum of its entries times the chain's
+    coefficients, one RingElement product per key."""
+    acc = RingElement.zero(functional.spec)
+    for key, coeff in ring_terms(chain).items():
+        entry = functional.table.get(key)
+        if entry:
+            acc = acc + entry * coeff
+    return acc
 
 
 def mutant_module(module, old: str, new: str):

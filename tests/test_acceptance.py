@@ -18,7 +18,6 @@ from ainfty.ainfty import (
     check_ainfty,
     check_bimodule_hom,
     check_strict_unit,
-    coderivation,
 )
 from ainfty.cli import chain_identity_suite, main
 from ainfty.coeff import RingElement

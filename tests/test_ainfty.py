@@ -14,7 +14,6 @@ from ainfty.ainfty import (
     check_ainfty,
     check_strict_unit,
     check_weak_mc,
-    coderivation,
     curvature,
     delta_diagonal,
     delta_dual,
@@ -29,8 +28,8 @@ from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
 from oracles import (
-    SCALARS, Covector, check_ainfty_reference, delta_dual_reference, dual_action, elements,
-    expand_apply_m, mutant_module,
+    SCALARS, Covector, check_ainfty_reference, coderivation, delta_dual_reference, dual_action,
+    elements, expand_apply_m, mutant_module,
 )
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)

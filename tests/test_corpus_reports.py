@@ -9,7 +9,9 @@ pinned at word length 5, on the corpus and on a G1 document whose tower has
 one psi_0 entry negated, so that its report fails with validation lines;
 and at word length 8 its counts are checked against their closed forms.
 The check command is also pinned with 800 chains at seed 7 on G1 and E1,
-which runs the chain operators on four times the default number of chains.
+which runs the chain operators on four times the default number of chains,
+and at arity 8 on G1 at the default seed, the command line of the
+benchmark's check-g1 workload, whose digest the benchmark pins as well.
 """
 
 import hashlib
@@ -96,6 +98,16 @@ def test_check_report_bytes_with_800_chains(doc, capsys):
     _check_run(["check", "--chains", "800", "--seed", "7",
                 "--input", os.path.join(CORPUS, doc + ".json")],
                capsys, 0, CHECK_800_SEED_7[doc])
+
+
+# sha256 of stdout for `check --input g1_gauge.json --kmax 8` at the default
+# seed, exit 0: the digest of the check-g1 workload in bench/workloads.py
+CHECK_G1_KMAX_8 = "35a4f099e4428257913df29037dc00a72f9b9344e4161b02312eae88f817508d"
+
+
+def test_check_report_bytes_at_arity_8(capsys):
+    _check_run(["check", "--input", os.path.join(CORPUS, "g1_gauge.json"), "--kmax", "8"],
+               capsys, 0, CHECK_G1_KMAX_8)
 
 
 # (document, exit status, sha256 of stdout or None) for `cocycle --lmax 5`

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import coeff, hochschild
-from ainfty.ainfty import coderivation
-from ainfty.coeff import Poly, RingElement
+from ainfty.coeff import Poly, RingElement, _scalar
 from ainfty.errors import ConfigurationError
 from ainfty.exactla import rank
 from ainfty.hochschild import (
@@ -35,8 +34,9 @@ from conftest import (
     poincare_tower, random_coboundary_tower, random_functional, ring,
 )
 from oracles import (
-    SCALARS, chain_bar_reference, coefficients, connes_B_reference, cyclic_t_reference,
-    hochschild_b_reference, mutant_module, operator_N_reference,
+    SCALARS, chain_bar_reference, chain_sum_reference, coderivation, coefficients,
+    connes_B_reference, cyclic_t_reference, functional_apply_reference, hochschild_b_reference,
+    mutant_module, operator_N_reference, ring_terms,
 )
 
 
@@ -179,6 +179,33 @@ def test_B_kills_unit_module(e2):
     assert connes_B_reduced(e2.basis, c).is_zero()
 
 
+def test_chains_keep_one_ring(e2):
+    other = e2.spec.with_cutoff(2)
+    chain = HochschildChain.generator(e2.basis, 1, (1,), RingElement.one(other))
+    assert chain.spec == other
+    assert chain.coefficient((1, (1,))) == RingElement.one(other)
+    assert chain.coefficient((1, ())) == RingElement.zero(other)
+    with pytest.raises(ConfigurationError):
+        HochschildChain(e2.basis, {(1, ()): e2.one_ring(), (1, (1,)): RingElement.one(other)})
+    with pytest.raises(ConfigurationError):
+        chain + HochschildChain.generator(e2.basis, 1, (), e2.one_ring())
+    # the ring is checked once per call against the algebra's or functional's
+    with pytest.raises(ConfigurationError):
+        hochschild_b(e2, chain)
+    with pytest.raises(ConfigurationError):
+        chain_bar(e2, chain.unreduced())
+    with pytest.raises(ConfigurationError):
+        Functional(e2.basis, e2.spec, {(1, (1,)): e2.one_ring()}).apply(chain)
+    with pytest.raises(ConfigurationError):
+        Functional(e2.basis, e2.spec, {(1, (1,)): RingElement.one(other)})
+    # the zero chain of the constructor has no ring, and sums take the other's
+    empty = HochschildChain(e2.basis, {})
+    assert empty.spec is None and (empty + chain).spec == other
+    with pytest.raises(ConfigurationError):
+        empty.coefficient((1, ()))
+    assert hochschild_b(e2, empty).spec is e2.spec
+
+
 def test_functional_rejects_nonreduced_entries(e2):
     with pytest.raises(ConfigurationError):
         Functional(e2.basis, e2.spec, {(1, (0,)): e2.one_ring()})
@@ -304,7 +331,7 @@ def test_cyclic_cohomology_window_dims_match():
         for gi, (gm, gw) in enumerate(g_keys):
             chain = HochschildChain.generator(basis, gm, gw, e1.one_ring())
             image = connes_B_reduced(basis, chain)
-            coeff = image.terms.get((fm, fw))
+            coeff = image.coefficient((fm, fw))
             if coeff:
                 row[gi] = Fraction(coeff.coefficient(e1.spec.one_monomial()))
         rows.append(row)
@@ -334,7 +361,9 @@ ALGEBRAS = {(name, cutoff): maker(cutoff) for name, maker in MAKERS.items()
 
 def _operator_outputs(module, algebra, chain):
     """The five operators of a copy of the hochschild module on one chain,
-    and their references; B is only defined on reduced chains."""
+    and chain sums of that copy's chains, each with its reference; B is only
+    defined on reduced chains.  The sums take the chain and its every other
+    term, so that some keys collide and cancel."""
     basis = algebra.basis
     pairs = [
         (module.hochschild_b(algebra, chain), hochschild_b_reference(algebra, chain)),
@@ -344,29 +373,50 @@ def _operator_outputs(module, algebra, chain):
     ]
     if chain.reduced:
         pairs.append((module.connes_B_reduced(basis, chain), connes_B_reference(basis, chain)))
+    terms = ring_terms(chain)
+    whole = module.HochschildChain(basis, terms, chain.reduced)
+    part = module.HochschildChain(basis, dict(list(terms.items())[::2]), chain.reduced)
+    for left, right in ((whole, part), (part, whole)):
+        pairs.append((left + right, chain_sum_reference(left, right, 1)))
+        pairs.append((left - right, chain_sum_reference(left, right, -1)))
     return pairs
 
 
+def _is_clean(chain) -> bool:
+    """What every chain keeps: nonzero scalars in stored form, no empty
+    maps, and no unit in a tensor slot of a reduced chain."""
+    unit = chain.basis.unit if chain.reduced else None
+    return all(terms and (unit is None or unit not in word)
+               and all(value and _scalar(value) is value for value in terms.values())
+               for (_, word), terms in chain.terms.items())
+
+
 def _same_terms(got, want) -> bool:
-    """Equal term for term: flag, keys, coefficients and their rendering."""
+    """Equal term for term: flag, keys, coefficients and their rendering,
+    with the chain operator's output kept clean."""
     return (got.reduced == want.reduced and got.terms == want.terms
-            and got.text() == want.text())
+            and got.text() == want.text() and _is_clean(got))
+
+
+def _chains(draw, algebra, reduced, scalars):
+    """One to four terms of one or two monomials each, on keys from a small
+    alphabet so that two chains drawn alike share keys.  The scalars are
+    halved or not, so that sums of halves must come out as ints."""
+    basis = algebra.basis
+    letters = basis.reduced_letters() if reduced else list(range(len(basis)))
+    key = st.tuples(st.integers(0, len(basis) - 1),
+                    st.lists(st.sampled_from(letters), max_size=4).map(tuple))
+    factor = draw(st.sampled_from((1, Fraction(1, 2))))
+    terms = draw(st.dictionaries(key, coefficients(algebra.spec, scalars).map(
+        lambda coeff: coeff.scale(factor)), min_size=1, max_size=4))
+    return HochschildChain(basis, terms, reduced)
 
 
 @st.composite
 def operator_cases(draw):
-    """An algebra at a cutoff, and a reduced or unreduced chain on it with
-    one to four terms of one or two monomials each."""
+    """An algebra at a cutoff, and a reduced or unreduced chain on it."""
     algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
-    basis = algebra.basis
-    reduced = draw(st.booleans())
-    letters = basis.reduced_letters() if reduced else list(range(len(basis)))
-    key = st.tuples(st.integers(0, len(basis) - 1),
-                    st.lists(st.sampled_from(letters), max_size=4).map(tuple))
-    scalars = draw(st.sampled_from(SCALARS))
-    terms = draw(st.dictionaries(key, coefficients(algebra.spec, scalars),
-                                 min_size=1, max_size=4))
-    return algebra, HochschildChain(basis, terms, reduced)
+    return algebra, _chains(draw, algebra, draw(st.booleans()), draw(st.sampled_from(SCALARS)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -380,27 +430,107 @@ def test_operators_match_their_references(case):
             connes_B_reduced(algebra.basis, chain)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=operator_cases())
+def test_operators_match_their_references_on_inputs_that_cancel(case):
+    # b b, b' b' and N (1 - t) vanish: the second operator sums terms that all cancel
+    algebra, chain = case
+    basis = algebra.basis
+    u = chain.unreduced()
+    for got, want in (
+        (hochschild_b(algebra, hochschild_b(algebra, chain)),
+         hochschild_b_reference(algebra, hochschild_b_reference(algebra, chain))),
+        (chain_bar(algebra, chain_bar(algebra, u)),
+         chain_bar_reference(algebra, chain_bar_reference(algebra, u))),
+        (operator_N(basis, u - cyclic_t(basis, u)),
+         operator_N_reference(basis, chain_sum_reference(u, cyclic_t_reference(basis, u), -1))),
+    ):
+        assert got.is_zero() and _same_terms(got, want), (chain.text(), got.text())
+
+
+@st.composite
+def sum_cases(draw):
+    """Two chains alike on one algebra: same flag, kind of scalar and keys."""
+    algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    reduced = draw(st.booleans())
+    scalars = draw(st.sampled_from(SCALARS))
+    return _chains(draw, algebra, reduced, scalars), _chains(draw, algebra, reduced, scalars)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=sum_cases())
+def test_chain_sums_match_their_reference(case):
+    left, right = case
+    both = left + right
+    for got, want in (
+        (both, chain_sum_reference(left, right, 1)),
+        (left - right, chain_sum_reference(left, right, -1)),
+        (both - right, left),
+        (right - both, chain_sum_reference(right, both, -1)),
+        (left - left, HochschildChain(left.basis, {}, left.reduced)),
+    ):
+        assert _same_terms(got, want), (left.text(), right.text(), got.text())
+    mixed = HochschildChain(left.basis, ring_terms(right), not right.reduced)
+    with pytest.raises(ConfigurationError):
+        left + mixed
+
+
+@st.composite
+def functional_cases(draw):
+    """A chain, and a degree-homogeneous functional on keys like its own,
+    with values of one or two monomials at the energies 0 and 1/2."""
+    algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    basis, spec = algebra.basis, algebra.spec
+    scalars = draw(st.sampled_from(SCALARS))
+    chain = _chains(draw, algebra, True, scalars)
+    keys = list(chain.terms) + [(draw(st.integers(0, len(basis) - 1)), word)
+                                for _, word in chain.terms]
+    offset = draw(st.integers(-2, 2))
+    table = {}
+    for module, word in keys:
+        shift = offset + chain_degree(basis, module, word)
+        if shift % 2 == 0 and draw(st.booleans()):
+            values = draw(st.lists(coefficients(spec, scalars), min_size=1, max_size=2))
+            # the value sits in degree 2e = shift: move every monomial there
+            table[(module, word)] = sum(
+                (RingElement(spec, {mono._replace(e=shift // 2): c
+                                    for mono, c in v.terms.items()}) for v in values),
+                RingElement.zero(spec))
+    return Functional(basis, spec, table), chain
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=functional_cases())
+def test_functional_apply_matches_its_reference(case):
+    functional, chain = case
+    got = functional.apply(chain)
+    want = functional_apply_reference(functional, chain)
+    assert got == want and got.text() == want.text()
+
+
 def test_b_truncates_products_and_keeps_poly_scalars():
     # m_1(x) = -T^{1/2} z; times T^{1/2} it sits at level 1, above a cutoff of 1/2
     for cutoff, expected in ((Fraction(1, 2), {}), (Fraction(3), {(3, ()): -1})):
         g1 = ALGEBRAS["G1", cutoff]
         chain = HochschildChain.generator(g1.basis, 1, (), ring(g1.spec, 1, lam=Fraction(1, 2)))
         out = hochschild_b(g1, chain)
-        assert out.terms == {key: ring(g1.spec, c, lam=1) for key, c in expected.items()}
+        assert out == HochschildChain(
+            g1.basis, {key: ring(g1.spec, c, lam=1) for key, c in expected.items()})
         assert _same_terms(out, hochschild_b_reference(g1, chain))
     g1 = ALGEBRAS["G1", Fraction(3)]
     path = HochschildChain.generator(g1.basis, 1, (), RingElement.monomial(g1.spec, Poly((0, 1))))
     out = hochschild_b(g1, path)
-    assert out.terms[(3, ())].terms == {g1.spec.monomial(lam=Fraction(1, 2)): Poly((0, -1))}
+    assert out.terms[(3, ())] == {g1.spec.monomial(lam=Fraction(1, 2)): Poly((0, -1))}
     assert _same_terms(out, hochschild_b_reference(g1, path))
 
 
 def _mutant_cases():
-    """Seeded chains on every algebra, reduced and unreduced, with module
-    slots over the whole basis and coefficients of two monomials."""
+    """Seeded chains on every algebra at both cutoffs, reduced and
+    unreduced, with module slots over the whole basis and coefficients of
+    two monomials."""
     rng = random.Random(8)
-    for name in sorted(MAKERS):
-        algebra = ALGEBRAS[name, Fraction(3)]
+    for name, cutoff in sorted(ALGEBRAS):
+        algebra = ALGEBRAS[name, cutoff]
         basis = algebra.basis
         for reduced in (True, False):
             letters = basis.reduced_letters() if reduced else list(range(len(basis)))
@@ -426,17 +556,20 @@ def _kernels_disagree(module) -> bool:
     return False
 
 
-# Mutants of the fused kernels: name -> (module, original fragment, mutated
-# fragment).  A coeff mutant reaches the operators through their binding of
-# mul_into.
+# Mutants of the raw-term kernels: name -> (module, original fragment,
+# mutated fragment).  A coeff mutant reaches the operators through their
+# binding of mul_into.
 HOCHSCHILD_MUTANTS = {
     "sign dropped in mul_into": (coeff, "v1 = -v1", "v1 = v1"),
+    "level cutoff skipped in mul_into": (coeff, "if lvl > top:", "if False:"),
     "wrap-around split off by one": (hochschild, "j = a - 1 - i", "j = a - i"),
     "rotation parity uses total, not total - last": (
         hochschild, "last * (total - last)", "last * total"),
     "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
                                    "(v,) + word, len(word))"),
     "B unit filter dropped": (hochschild, "if v == unit:", "if False:"),
+    "- adds on a colliding key": (hochschild, "add_into(dict(left), right, sign)",
+                                  "add_into(dict(left), right, 1)"),
 }
 
 
@@ -452,4 +585,3 @@ def test_hochschild_mutant_killed(name, monkeypatch):
         monkeypatch.setattr(hochschild, "mul_into", mutant.mul_into)
         mutant = hochschild
     assert _kernels_disagree(mutant)
-
