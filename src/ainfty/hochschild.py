@@ -43,19 +43,19 @@ form); a RingElement is made only where a coefficient is read as one: in
 one prefix pass (``maltese_prefixes``); a rotation keeps the total shifted
 degree, so the powers of t cost O(1) each after one ``maltese`` per word.
 
-The dual side stores towers of finitely supported functionals; the dual
-operators are plain precomposition with b and B.
+The dual side stores towers of finitely supported functionals, applied to
+chains key by key; a tower is validated chainwise against b and B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .ainfty import AInftyAlgebra, insertions, nonzero_words, uninsertions, words_by_output
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
-from .graded import Word, add_term, maltese, maltese_prefixes, words_over
+from .graded import Word, maltese, maltese_prefixes, words_over
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -358,18 +358,6 @@ class Functional:
                 mul_into(raw, entry.terms, terms, top)
         return RingElement(self.spec, raw)
 
-    def scale(self, r) -> "Functional":
-        return Functional(self.basis, self.spec, {k: r * v for k, v in self.table.items()})
-
-    def __add__(self, other: "Functional") -> "Functional":
-        table = dict(self.table)
-        for key, value in other.table.items():
-            add_term(table, key, value)
-        return Functional(self.basis, self.spec, table)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        return self + other.scale(-1)
-
     def text(self) -> str:
         if not self.table:
             return "0"
@@ -380,43 +368,6 @@ class Functional:
                 "[%s|%s] -> %s" % (names[v], ",".join(names[i] for i in word), value.text())
             )
         return "; ".join(parts)
-
-
-class PrecomposedFunctional:
-    """Lazy dual image f o op, evaluated chainwise (op in {b, B})."""
-
-    def __init__(self, algebra: AInftyAlgebra, base, operator: str):
-        self.algebra = algebra
-        self.base = base
-        self.operator = operator
-
-    def apply(self, chain: HochschildChain) -> RingElement:
-        if self.operator == "b":
-            return self.base.apply(hochschild_b(self.algebra, chain))
-        if self.operator == "B":
-            return self.base.apply(connes_B_reduced(self.algebra.basis, chain))
-        raise ConfigurationError("unknown dual operator %r" % self.operator)
-
-
-def dual_b_star(algebra: AInftyAlgebra, f) -> PrecomposedFunctional:
-    return PrecomposedFunctional(algebra, f, "b")
-
-
-def dual_B_star(algebra: AInftyAlgebra, f) -> PrecomposedFunctional:
-    return PrecomposedFunctional(algebra, f, "B")
-
-
-def tabulate(algebra: AInftyAlgebra, functional, l_max: int) -> Functional:
-    """Materialize a lazy functional on all basis chains up to a word length."""
-    table: ChainTerms = {}
-    for module, word in iter_basis_chains(algebra, l_max):
-        chain = HochschildChain.generator(
-            algebra.basis, module, word, algebra.one_ring(), reduced=True
-        )
-        value = functional.apply(chain)
-        if value:
-            table[(module, word)] = value
-    return Functional(algebra.basis, algebra.spec, table)
 
 
 def iter_basis_chains(algebra: AInftyAlgebra, l_max: int):
@@ -540,27 +491,3 @@ def validate_negative_cocycle(
                        lhs.text(), rhs.text())
                 )
     return report
-
-
-def coboundary_tower(algebra: AInftyAlgebra, chis: Sequence[Functional], l_max: int,
-                     name="coboundary") -> CocycleTower:
-    """The tower psi_i = b* chi_i - B* chi_{i+1}; a cocycle for any input."""
-    levels = []
-    for i, chi in enumerate(chis):
-        psi = tabulate(algebra, dual_b_star(algebra, chi), l_max)
-        if i + 1 < len(chis):
-            psi = psi - tabulate(algebra, dual_B_star(algebra, chis[i + 1]), l_max)
-        levels.append(psi)
-    return CocycleTower(tuple(levels), name=name)
-
-
-def connecting_map(algebra: AInftyAlgebra, chis: Sequence[Functional],
-                   l_max: Optional[int] = None, name="connected") -> CocycleTower:
-    """Levelwise B* image of positive-column data (u^0 column first).
-
-    If the input satisfies the positive cocycle condition (b* chi_0 = 0 and
-    b* chi_m = -B* chi_{m-1}), the output tower validates.
-    """
-    l_max = algebra.l_max if l_max is None else l_max
-    levels = [tabulate(algebra, dual_B_star(algebra, chi), l_max) for chi in chis]
-    return CocycleTower(tuple(levels), name=name)

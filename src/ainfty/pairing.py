@@ -58,6 +58,15 @@ class InfinityInnerProduct:
             self._by_shape.setdefault((len(alpha), len(beta)), []).append(
                 (alpha + (v,) + beta + (w,), value))
 
+    @property
+    def shapes(self) -> frozenset:
+        """The shapes (p, q) = (len(alpha), len(beta)) of the table's keys.
+
+        ``eval_elements`` at any other shape is zero, so sums of phi_{p,q}
+        terms need visit only these.
+        """
+        return frozenset(self._by_shape)
+
     def _read_psi0(self) -> dict:
         """Both readings of every psi_0 entry, summed into one sparse table.
 

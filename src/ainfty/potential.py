@@ -8,6 +8,17 @@ truncated at the energy cutoff; gappedness makes the sum finite because
 every term has valuation at least (N+1) nu(x).  The full potential adds the
 inhomogeneous scalar.  Since |x|' = 0, no Koszul signs enter these sums.
 
+The sums are driven by the support of phi: a phi_{p,q} evaluation visits
+only the table entries of shape (p, q), so a shape that phi does not store
+contributes zero and is skipped.  With S the set of stored shapes, level N
+of a sum visits the (p, q) in S with p + q <= N, where a loop over every
+index visits all (N+1)(N+2)/2 of them; so the potential makes at most |S|
+evaluations per level, and the wall-crossing sums visit |S| shapes per level
+and i1_rhs and error_term |S| in all.  Each m_k(x^k) is computed once per
+call, each operation-splitting insertion m_{k1}(x^r, m_{k2}(x^{k2}),
+x^{k1-1-r}) once per (k2, k1, r), and each level's sum is scaled by
+1/(N+1) once.
+
 Gauge paths are elements with polynomial scalars in a formal variable; the
 invariance check demands the strict Maurer-Cartan equation over the extended
 ring and then asserts that the formal derivative of Phi'(b_t) vanishes
@@ -69,26 +80,40 @@ def _check_argument(x: Element):
         raise DivergenceError("potential argument must have positive valuation")
 
 
+def _powers(algebra: AInftyAlgebra, x: Element, top: int) -> list:
+    """[m_0(), m_1(x), ..., m_top(x^top)], computed in ascending arity.
+
+    A loop over the levels N <= top reaches every one of these arities at
+    p = q = 0, so an arity past the cutoff (or past unflagged tables) raises
+    here the error such a loop raises, at the same arity.
+    """
+    return [apply_m(algebra, [x] * k) for k in range(top + 1)]
+
+
 def infty_cyclic_potential(
     algebra: AInftyAlgebra,
     phi: InfinityInnerProduct,
     x: Element,
     n_max: Optional[int] = None,
 ) -> RingElement:
-    """The cyclic potential Phi'(x), exact modulo the energy cutoff."""
+    """The cyclic potential Phi'(x), exact modulo the energy cutoff.
+
+    The term at (N, p, k, q) evaluates phi at shape (p, q), so only the
+    shapes in ``phi.shapes`` are visited; every other shape adds zero.
+    """
     _check_argument(x)
     n_max = _auto_n_max(algebra, x) if n_max is None else n_max
+    mk = _powers(algebra, x, n_max)
+    shapes = sorted(phi.shapes)
     total = RingElement.zero(algebra.spec)
     for N in range(n_max + 1):
         level = RingElement.zero(algebra.spec)
-        for p in range(N + 1):
-            for k in range(N - p + 1):
-                q = N - p - k
-                mk = apply_m(algebra, [x] * k)
-                if mk.is_zero():
-                    continue
-                level = level + phi.eval_elements([x] * p, mk, [x] * q, x)
-        total = total + level.divide_int(N + 1)
+        for p, q in shapes:
+            k = N - p - q
+            if k >= 0 and not mk[k].is_zero():
+                level = level + phi.eval_elements([x] * p, mk[k], [x] * q, x)
+        if level:
+            total = total + level.divide_int(N + 1)
     return total
 
 
@@ -237,60 +262,67 @@ def wall_crossing_decomposition(
     b: Element,
     n_max: Optional[int] = None,
 ) -> WallCrossingDecomposition:
+    """The sums of the wall-crossing identity chain up to level n_max.
+
+    Every evaluation at (N, p, k, q), and every term of i1_rhs and
+    error_term at (p, q), reads phi at shape (p, q), so only the shapes in
+    ``phi.shapes`` are visited; every other shape adds zero.  The level-N
+    sums are accumulated unweighted and scaled by 1/(N+1) once: output is
+    (sum k2 * value) / (N+1), and clsum, whose weight is (N+1-k2)/(N+1), is
+    the sum of the values minus output.
+    """
     _check_argument(b)
     n_max = algebra.n_max if n_max is None else n_max
     zero = RingElement.zero(algebra.spec)
-    ksplit = zero
-    psplit = zero
-    qsplit = zero
-    output = zero
-    clsum = zero
-
-    m_of = {}
-
-    def mk(k: int) -> Element:
-        if k not in m_of:
-            m_of[k] = apply_m(algebra, [b] * k)
-        return m_of[k]
-
+    # the main sum reads m_{k2} and m_{k1} with k1 + k2 = k + 1 <= n_max + 1
+    mk = _powers(algebra, b, n_max + 1)
+    shapes = sorted(phi.shapes)
+    # (k2, k1, r) -> m_{k1}(b^r, m_{k2}(b^{k2}), b^{k1-1-r}), for this call only
+    split: Dict[tuple, Element] = {}
+    ksplit = psplit = qsplit = output = values = zero
     for N in range(n_max + 1):
-        for p in range(N + 1):
-            for k in range(N - p + 1):
-                q = N - p - k
-                bs_p = [b] * p
-                bs_q = [b] * q
-                for k2 in range(k + 2):
-                    k1 = k + 1 - k2
-                    inner = mk(k2)
-                    if inner.is_zero():
-                        continue
-                    weight = Fraction(1, N + 1)
-                    # operation-splitting insertions
-                    for r in range(k1):
-                        outer = apply_m(
-                            algebra, [b] * r + [inner] + [b] * (k1 - 1 - r)
-                        )
-                        if not outer.is_zero():
-                            ksplit = ksplit + phi.eval_elements(
-                                bs_p, outer, bs_q, b
-                            ).scale(weight)
-                    m_k1 = mk(k1)
-                    # left-word insertions
-                    for r in range(p):
-                        left = [b] * r + [inner] + [b] * (p - 1 - r)
-                        psplit = psplit + phi.eval_elements(
-                            left, m_k1, bs_q, b
-                        ).scale(weight)
-                    # right-word insertions
-                    for r in range(q):
-                        right = [b] * r + [inner] + [b] * (q - 1 - r)
-                        qsplit = qsplit + phi.eval_elements(
-                            bs_p, m_k1, right, b
-                        ).scale(weight)
-                    # output-side term and the combined rotation sum
-                    value = phi.eval_elements(bs_p, m_k1, bs_q, inner)
-                    output = output + value.scale(Fraction(k2, N + 1))
-                    clsum = clsum + value.scale(Fraction(N + 1 - k2, N + 1))
+        ks = ps = qs = weighted = zero
+        for p, q in shapes:
+            k = N - p - q
+            if k < 0:
+                continue
+            bs_p = [b] * p
+            bs_q = [b] * q
+            for k2 in range(k + 2):
+                k1 = k + 1 - k2
+                inner = mk[k2]
+                if inner.is_zero():
+                    continue
+                # operation-splitting insertions
+                for r in range(k1):
+                    key = (k2, k1, r)
+                    if key not in split:
+                        split[key] = apply_m(algebra, [b] * r + [inner] + [b] * (k1 - 1 - r))
+                    outer = split[key]
+                    if not outer.is_zero():
+                        ks = ks + phi.eval_elements(bs_p, outer, bs_q, b)
+                m_k1 = mk[k1]
+                if m_k1.is_zero():
+                    continue
+                # left-word insertions
+                for r in range(p):
+                    left = [b] * r + [inner] + [b] * (p - 1 - r)
+                    ps = ps + phi.eval_elements(left, m_k1, bs_q, b)
+                # right-word insertions
+                for r in range(q):
+                    right = [b] * r + [inner] + [b] * (q - 1 - r)
+                    qs = qs + phi.eval_elements(bs_p, m_k1, right, b)
+                # output-side term and the combined rotation sum
+                value = phi.eval_elements(bs_p, m_k1, bs_q, inner)
+                values = values + value
+                if k2:
+                    weighted = weighted + value.scale(k2)
+        weight = Fraction(1, N + 1)
+        ksplit = ksplit + ks.scale(weight)
+        psplit = psplit + ps.scale(weight)
+        qsplit = qsplit + qs.scale(weight)
+        output = output + weighted.scale(weight)
+    clsum = values - output
 
     # telescoped right side of I1, summed far enough that the tail vanishes
     cur = curvature(algebra, b)
@@ -299,20 +331,16 @@ def wall_crossing_decomposition(
     if nu is not inf and nu > 0:
         bound = as_fraction(algebra.spec.cutoff) / as_fraction(nu)
         reach = max(n_max, int(ceil(bound)))
+    c, _ = cur.unit_scalar_split()
+    if c is None:
+        c = algebra.zero_ring()
+    shifted = cur - algebra.unit_element().scale(c)
     i1_rhs = zero
-    for p in range(reach + 1):
-        for q in range(reach - p + 1):
-            i1_rhs = i1_rhs + phi.eval_elements([b] * p, cur, [b] * q, cur)
-
-    ok, c, _ = check_weak_mc(algebra, b)
-    unit = algebra.unit_element()
-    shifted = cur - unit.scale(c)
     error_term = zero
-    for p in range(reach + 1):
-        for q in range(reach - p + 1):
-            error_term = error_term + phi.eval_elements(
-                [b] * p, shifted, [b] * q, shifted
-            )
+    for p, q in shapes:
+        if p + q <= reach:
+            i1_rhs = i1_rhs + phi.eval_elements([b] * p, cur, [b] * q, cur)
+            error_term = error_term + phi.eval_elements([b] * p, shifted, [b] * q, shifted)
     diag_deformed = phi.eval_elements([], cur, [], cur)
     m2_cur = apply_m(algebra, [cur, cur])
     psi0 = phi.tower.psi0
@@ -339,39 +367,6 @@ def wall_crossing_decomposition(
             "psi0[1|m2(m0^b,m0^b)]": diag_trace,
         },
     )
-
-
-def unit_insertion_vanishing(
-    algebra: AInftyAlgebra,
-    phi: InfinityInnerProduct,
-    b: Element,
-    n_max: Optional[int] = None,
-) -> Report:
-    """Do phi_{p,q}(b^p, 1, b^q)(1) vanish for 0 < p+q <= n_max?
-
-    This verifies a vanishing claim on the given input; a nonzero term is
-    reported as not reproduced, not as an engine error.
-    """
-    n_max = algebra.n_max if n_max is None else n_max
-    report = Report("unit-insertion-vanishing")
-    report.note("E_max", algebra.spec.cutoff)
-    report.note("N_max", n_max)
-    ok, c, _ = check_weak_mc(algebra, b)
-    if not ok:
-        raise ConfigurationError("unit insertion check requires a weak MC element")
-    report.note("c", c.text())
-    unit = algebra.unit_element()
-    for total in range(1, n_max + 1):
-        for p in range(total + 1):
-            q = total - p
-            value = phi.eval_elements([b] * p, unit, [b] * q, unit)
-            report.tick()
-            if value:
-                report.fail(
-                    "claim not reproduced on this input: p=%d q=%d gives %s"
-                    % (p, q, value.text())
-                )
-    return report
 
 
 @dataclass

@@ -14,9 +14,15 @@ insertion position and every rotation; and the coderivation on word sums.
 They are slow and obviously right, which is what an oracle should be.  The
 dual bimodule's structure maps are here too, in their unflattened form (a
 covector applied to m of module elements), as the reference for
-``delta_dual``, and so is the sign of one cyclic rotation.  Also here: hypothesis
-strategies for their inputs, and a helper that builds a mutated copy of an
-engine module from its source, for mutation tests.
+``delta_dual``, and so is the sign of one cyclic rotation.  The potential
+and the wall-crossing sums are here as loops over every (N, p, k, q) that
+recompute each m_k(b^k) and each split insertion per term and weight every
+term by its own 1/(N+1).  Also here: hypothesis strategies for their
+inputs, a helper that builds a mutated copy of an engine module from its
+source, for mutation tests, and the test-side tower builders (lazy dual
+images f o b and f o B, their tabulation, coboundary towers and the
+connecting map) with the arithmetic of functionals they need, and the
+unit-insertion vanishing check.
 """
 
 from __future__ import annotations
@@ -30,11 +36,19 @@ from typing import Dict, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from ainfty.ainfty import apply_m, delta_diagonal, delta_dual, insertions, phi_hat
-from ainfty.coeff import Poly, RingElement
+from math import ceil, inf
+
+from ainfty.ainfty import (
+    apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
+)
+from ainfty.coeff import Poly, RingElement, as_fraction
 from ainfty.errors import ConfigurationError
 from ainfty.graded import Element, add_term, maltese, words_over
-from ainfty.hochschild import HochschildChain, connes_B_reduced, hochschild_b, iter_basis_chains
+from ainfty.hochschild import (
+    CocycleTower, Functional, HochschildChain, connes_B_reduced, hochschild_b,
+    iter_basis_chains,
+)
+from ainfty.potential import WallCrossingDecomposition, _auto_n_max, _check_argument
 from ainfty.report import Report
 
 
@@ -548,6 +562,205 @@ def functional_apply_reference(functional, chain) -> RingElement:
         if entry:
             acc = acc + entry * coeff
     return acc
+
+
+def functional_scale(f, r) -> Functional:
+    """r * f, entry by entry."""
+    return Functional(f.basis, f.spec, {k: r * v for k, v in f.table.items()})
+
+
+def functional_sum(f, g, sign: int = 1) -> Functional:
+    """f + sign * g, summed entry by entry."""
+    table = dict(f.table)
+    for key, value in g.table.items():
+        add_term(table, key, value if sign > 0 else -value)
+    return Functional(f.basis, f.spec, table)
+
+
+class PrecomposedFunctional:
+    """Lazy dual image f o op, evaluated chainwise (op in {b, B})."""
+
+    def __init__(self, algebra, base, operator: str):
+        self.algebra = algebra
+        self.base = base
+        self.operator = operator
+
+    def apply(self, chain) -> RingElement:
+        if self.operator == "b":
+            return self.base.apply(hochschild_b(self.algebra, chain))
+        if self.operator == "B":
+            return self.base.apply(connes_B_reduced(self.algebra.basis, chain))
+        raise ConfigurationError("unknown dual operator %r" % self.operator)
+
+
+def dual_b_star(algebra, f) -> PrecomposedFunctional:
+    return PrecomposedFunctional(algebra, f, "b")
+
+
+def dual_B_star(algebra, f) -> PrecomposedFunctional:
+    return PrecomposedFunctional(algebra, f, "B")
+
+
+def tabulate(algebra, functional, l_max: int) -> Functional:
+    """Materialize a lazy functional on all basis chains up to a word length."""
+    table = {}
+    for module, word in iter_basis_chains(algebra, l_max):
+        chain = HochschildChain.generator(
+            algebra.basis, module, word, algebra.one_ring(), reduced=True
+        )
+        value = functional.apply(chain)
+        if value:
+            table[(module, word)] = value
+    return Functional(algebra.basis, algebra.spec, table)
+
+
+def coboundary_tower(algebra, chis: Sequence[Functional], l_max: int,
+                     name="coboundary") -> CocycleTower:
+    """The tower psi_i = b* chi_i - B* chi_{i+1}; a cocycle for any input."""
+    levels = []
+    for i, chi in enumerate(chis):
+        psi = tabulate(algebra, dual_b_star(algebra, chi), l_max)
+        if i + 1 < len(chis):
+            psi = functional_sum(
+                psi, tabulate(algebra, dual_B_star(algebra, chis[i + 1]), l_max), -1)
+        levels.append(psi)
+    return CocycleTower(tuple(levels), name=name)
+
+
+def connecting_map(algebra, chis: Sequence[Functional], l_max: Optional[int] = None,
+                   name="connected") -> CocycleTower:
+    """Levelwise B* image of positive-column data (u^0 column first).
+
+    If the input satisfies the positive cocycle condition (b* chi_0 = 0 and
+    b* chi_m = -B* chi_{m-1}), the output tower validates.
+    """
+    l_max = algebra.l_max if l_max is None else l_max
+    levels = [tabulate(algebra, dual_B_star(algebra, chi), l_max) for chi in chis]
+    return CocycleTower(tuple(levels), name=name)
+
+
+def unit_insertion_vanishing(algebra, phi, b, n_max=None) -> Report:
+    """Do phi_{p,q}(b^p, 1, b^q)(1) vanish for 0 < p+q <= n_max?
+
+    This verifies a vanishing claim on the given input; a nonzero term is
+    reported as not reproduced, not as an engine error.
+    """
+    n_max = algebra.n_max if n_max is None else n_max
+    report = Report("unit-insertion-vanishing")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("N_max", n_max)
+    ok, c, _ = check_weak_mc(algebra, b)
+    if not ok:
+        raise ConfigurationError("unit insertion check requires a weak MC element")
+    report.note("c", c.text())
+    unit = algebra.unit_element()
+    for total in range(1, n_max + 1):
+        for p in range(total + 1):
+            q = total - p
+            value = phi.eval_elements([b] * p, unit, [b] * q, unit)
+            report.tick()
+            if value:
+                report.fail(
+                    "claim not reproduced on this input: p=%d q=%d gives %s"
+                    % (p, q, value.text())
+                )
+    return report
+
+
+def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement:
+    """Phi'(x) over every (N, p, k, q), with m_k(x^k) computed per term."""
+    _check_argument(x)
+    n_max = _auto_n_max(algebra, x) if n_max is None else n_max
+    total = RingElement.zero(algebra.spec)
+    for N in range(n_max + 1):
+        level = RingElement.zero(algebra.spec)
+        for p in range(N + 1):
+            for k in range(N - p + 1):
+                q = N - p - k
+                mk = apply_m(algebra, [x] * k)
+                if mk.is_zero():
+                    continue
+                level = level + phi.eval_elements([x] * p, mk, [x] * q, x)
+        total = total + level.divide_int(N + 1)
+    return total
+
+
+def wall_crossing_decomposition_reference(algebra, phi, b, n_max=None):
+    """The wall-crossing sums over every (N, p, k, q) and every (p, q) of
+    i1_rhs and error_term, each term weighted by its own 1/(N+1), each split
+    insertion recomputed, and the curvature computed twice."""
+    _check_argument(b)
+    n_max = algebra.n_max if n_max is None else n_max
+    zero = RingElement.zero(algebra.spec)
+    ksplit = psplit = qsplit = output = clsum = zero
+    m_of = {}
+
+    def mk(k):
+        if k not in m_of:
+            m_of[k] = apply_m(algebra, [b] * k)
+        return m_of[k]
+
+    for N in range(n_max + 1):
+        for p in range(N + 1):
+            for k in range(N - p + 1):
+                q = N - p - k
+                bs_p = [b] * p
+                bs_q = [b] * q
+                for k2 in range(k + 2):
+                    k1 = k + 1 - k2
+                    inner = mk(k2)
+                    if inner.is_zero():
+                        continue
+                    weight = Fraction(1, N + 1)
+                    for r in range(k1):
+                        outer = apply_m(algebra, [b] * r + [inner] + [b] * (k1 - 1 - r))
+                        if not outer.is_zero():
+                            ksplit = ksplit + phi.eval_elements(
+                                bs_p, outer, bs_q, b).scale(weight)
+                    m_k1 = mk(k1)
+                    for r in range(p):
+                        left = [b] * r + [inner] + [b] * (p - 1 - r)
+                        psplit = psplit + phi.eval_elements(left, m_k1, bs_q, b).scale(weight)
+                    for r in range(q):
+                        right = [b] * r + [inner] + [b] * (q - 1 - r)
+                        qsplit = qsplit + phi.eval_elements(bs_p, m_k1, right, b).scale(weight)
+                    value = phi.eval_elements(bs_p, m_k1, bs_q, inner)
+                    output = output + value.scale(Fraction(k2, N + 1))
+                    clsum = clsum + value.scale(Fraction(N + 1 - k2, N + 1))
+
+    cur = curvature(algebra, b)
+    nu = b.valuation()
+    reach = n_max
+    if nu is not inf and nu > 0:
+        reach = max(n_max, int(ceil(as_fraction(algebra.spec.cutoff) / as_fraction(nu))))
+    i1_rhs = zero
+    for p in range(reach + 1):
+        for q in range(reach - p + 1):
+            i1_rhs = i1_rhs + phi.eval_elements([b] * p, cur, [b] * q, cur)
+    _, c, _ = check_weak_mc(algebra, b)
+    shifted = cur - algebra.unit_element().scale(c)
+    error_term = zero
+    for p in range(reach + 1):
+        for q in range(reach - p + 1):
+            error_term = error_term + phi.eval_elements([b] * p, shifted, [b] * q, shifted)
+    diag_deformed = phi.eval_elements([], cur, [], cur)
+    m2_cur = apply_m(algebra, [cur, cur])
+    unit = algebra.basis.require_unit()
+    diag_trace = zero
+    for comp, value in m2_cur.components.items():
+        entry = phi.tower.psi0.table.get((unit, (comp,))) if comp != unit else None
+        if entry:
+            diag_trace = diag_trace + entry * value
+    return WallCrossingDecomposition(
+        ksplit=ksplit, psplit=psplit, qsplit=qsplit, output=output, clsum=clsum,
+        error_term=error_term, i1_rhs=i1_rhs,
+        residual_i1=(clsum + output) - i1_rhs,
+        residual_i2=(ksplit + psplit + qsplit) - clsum,
+        diagnostics={
+            "phi(m0^b)(m0^b)": diag_deformed,
+            "psi0[1|m2(m0^b,m0^b)]": diag_trace,
+        },
+    )
 
 
 def mutant_module(module, old: str, new: str):

@@ -12,11 +12,16 @@ The check command is also pinned with 800 chains at seed 7 on G1 and E1,
 which runs the chain operators on four times the default number of chains,
 and at arity 8 on G1 at the default seed, the command line of the
 benchmark's check-g1 workload, whose digest the benchmark pins as well.
+The three command lines of the benchmark's potential-g1 workload are pinned
+by the digest of their concatenated reports, as the benchmark pins them, and
+wallcross and potential at level 9 and arity 10 on G1 and E2, with the
+arity error that wallcross at level 9 meets under an arity cutoff of 6.
 """
 
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -185,3 +190,63 @@ def test_report_bytes_with_an_energy_of_one_third(command, tmp_path, capsys):
     out = _check_run([command, "--emax", "7/4", "--input", str(path)], capsys,
                      *THIRD_AT_7_4[command])
     assert "T^4/3" in out
+
+
+def _seeded_wallcross_document(path, seed=20240601):
+    """g1_wallcross.json plus two candidates s0, s1 on x and y with
+    coefficients drawn from {2, 3} at energy 1/2, in the order the
+    benchmark's potential-g1 workload draws them."""
+    with open(os.path.join(CORPUS, "g1_wallcross.json")) as handle:
+        raw = json.load(handle)
+    rng = random.Random(seed)
+    for name in ("s0", "s1"):
+        raw["candidates"].append({
+            "name": name,
+            "element": [{"basis": basis, "coeff": str(rng.choice((2, 3))), "T": "1/2"}
+                        for basis in ("x", "y")],
+        })
+    with open(path, "w") as handle:
+        json.dump(raw, handle, indent=1)
+
+
+# sha256 of the concatenated stdout of the potential-g1 workload's three
+# command lines at the default seed, each exit 0: the benchmark's digest
+POTENTIAL_G1 = "8072f8cb5ddcc870edb6ef049fe504dae3ad78f3134fc8571e9f9820c5d3e1e3"
+
+
+def test_potential_workload_report_bytes(tmp_path, capsys):
+    doc = str(tmp_path / "g1_wallcross_seed20240601.json")
+    _seeded_wallcross_document(doc)
+    cutoffs = ["--nmax", "7", "--kmax", "8"]
+    out = ""
+    for argv in (["gauge", "--input", os.path.join(CORPUS, "g1_gauge.json")],
+                 ["potential", "--input", doc] + cutoffs,
+                 ["wallcross", "--input", doc] + cutoffs):
+        assert main(argv) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POTENTIAL_G1
+
+
+# (document, command) -> (exit status, sha256 of stdout) at --nmax 9 --kmax 10
+LEVEL_9 = {
+    ("e2", "potential"): (0, "a94d2012a9e931ca19b7208bb29b5000744daa7a3ce57560c90d83c3f1fcc16b"),
+    ("e2", "wallcross"): (0, "4a6a4098815a0ed805f3167eec0e1fb218b30d232fb1cde2cbf5ac380593bc4a"),
+    ("g1_wallcross", "potential"):
+        (0, "c78df15cdc5be796bab6183103bb29c7c47aa00540d758d84980af5505faf6f4"),
+    ("g1_wallcross", "wallcross"):
+        (0, "4dc72c0a69e401c17c727e89ed0aa0eb86327718cfc3f59d1c75b2096c25250a"),
+}
+
+
+@pytest.mark.parametrize("doc,command", sorted(LEVEL_9), ids="-".join)
+def test_report_bytes_at_level_9(doc, command, capsys):
+    _check_run([command, "--nmax", "9", "--kmax", "10",
+                "--input", os.path.join(CORPUS, doc + ".json")], capsys, *LEVEL_9[doc, command])
+
+
+def test_wallcross_arity_error_at_level_9(capsys):
+    code = main(["wallcross", "--nmax", "9", "--kmax", "6",
+                 "--input", os.path.join(CORPUS, "g1_wallcross.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: arity 7 exceeds the arity cutoff 6\n"

@@ -16,16 +16,11 @@ from ainfty.hochschild import (
     HochschildChain,
     chain_bar,
     chain_degree,
-    coboundary_tower,
-    connecting_map,
     connes_B_reduced,
     cyclic_t,
-    dual_B_star,
-    dual_b_star,
     hochschild_b,
     iter_basis_chains,
     operator_N,
-    tabulate,
     validate_negative_cocycle,
 )
 
@@ -34,9 +29,10 @@ from conftest import (
     poincare_tower, random_coboundary_tower, random_functional, ring,
 )
 from oracles import (
-    SCALARS, chain_bar_reference, chain_sum_reference, coderivation, coefficients,
-    connes_B_reference, cyclic_t_reference, functional_apply_reference, hochschild_b_reference,
-    mutant_module, operator_N_reference, ring_terms,
+    SCALARS, chain_bar_reference, chain_sum_reference, coderivation,
+    coefficients, connecting_map, connes_B_reference, cyclic_t_reference, dual_B_star,
+    dual_b_star, functional_apply_reference, hochschild_b_reference, mutant_module,
+    operator_N_reference, ring_terms, tabulate,
 )
 
 

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ainfty import potential
 from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element
-from ainfty.pairing import build_phi
+from ainfty.hochschild import CocycleTower
+from ainfty.pairing import InfinityInnerProduct, build_phi
 from ainfty.potential import (
     GaugePath,
     PotentialInput,
@@ -16,14 +19,17 @@ from ainfty.potential import (
     infty_cyclic_potential,
     ogw_potential,
     strict_cyclic_potential,
-    unit_insertion_vanishing,
     wall_crossing_decomposition,
     wall_crossing_report,
 )
 
 from conftest import (
-    make_e1, make_e2, make_g1, poincare_tower, random_coboundary_tower,
-    random_degree_one, ring,
+    make_e1, make_e2, make_g1, make_q1, poincare_tower, random_coboundary_tower,
+    random_degree_one, random_functional, ring,
+)
+from oracles import (
+    infty_cyclic_potential_reference, mutant_module, unit_insertion_vanishing,
+    wall_crossing_decomposition_reference,
 )
 
 
@@ -225,3 +231,164 @@ def test_potential_has_positive_valuation(e2, e2_phi, rng):
         value = infty_cyclic_potential(e2, e2_phi, b)
         if value:
             assert value.valuation() > 0
+
+
+# -- support-driven sums against the all-index references ------------------------
+
+ALGEBRAS = {"E1": make_e1, "E2": make_e2, "G1": make_g1, "Q1": make_q1}
+DECOMPOSITION_FIELDS = ("ksplit", "psplit", "qsplit", "output", "clsum", "error_term",
+                        "i1_rhs", "residual_i1", "residual_i2")
+
+
+def _random_phi_case(name, seed, k_max=6, flagged=True, generic=False):
+    """An algebra with the given arity cutoffs, phi and a random candidate.
+
+    phi is read from a random psi_0 on words of length <= 4 (so shapes with
+    p + q up to 3 occur); psi_0 need not be a cocycle, as the sums are
+    defined for any table.  The tables of InfinityInnerProduct are skew-
+    symmetric, so their shapes are closed under (p, q) -> (q, p), and on
+    these algebras their all-x and split-insertion terms cancel.  A generic
+    phi replaces the index by random words of random shapes, with no
+    symmetry, so that a sum reading a shape transposed or a split insertion
+    at the wrong position goes wrong.
+    """
+    algebra = ALGEBRAS[name]()
+    algebra.k_max = k_max
+    algebra.higher_arities_zero = flagged
+    rng = random.Random(seed)
+    psi0 = random_functional(algebra, rng, d=rng.randint(-2, 2), max_len=4, density=0.5)
+    phi = InfinityInnerProduct(algebra, CocycleTower((psi0,), name="random"))
+    if generic:
+        index = {}
+        for _ in range(rng.randint(1, 12)):
+            p = rng.randint(0, 3)
+            q = rng.randint(0, 3 - p)
+            word = tuple(rng.randrange(len(algebra.basis)) for _ in range(p + q + 2))
+            value = ring(algebra.spec, rng.choice((-2, -1, 1, 2)), lam=Fraction(rng.randint(0, 2), 2))
+            index.setdefault((p, q), []).append((word, value))
+        phi._by_shape = index
+    return algebra, phi, random_degree_one(algebra, rng)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return "raised %s: %s" % (type(exc).__name__, exc)
+
+
+def _readings(dec) -> dict:
+    """Every field and diagnostic of a decomposition, or the error it raised."""
+    if isinstance(dec, str):
+        return {"error": dec}
+    out = {tag: getattr(dec, tag) for tag in DECOMPOSITION_FIELDS}
+    out.update(("diagnostic " + tag, value) for tag, value in dec.diagnostics.items())
+    return out
+
+
+def _same(got, want) -> bool:
+    """Equal values with equal report text, or the same error."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return got == want and got.text() == want.text()
+
+
+def _unstored_shapes(phi, run):
+    """Run ``run()`` with phi's evaluations recorded; the shapes it read that
+    phi does not store.  The diagnostic phi_{0,0}(m0^b)(m0^b) is read once
+    whatever the shapes, so (0, 0) is not counted."""
+    seen = []
+    evaluate = phi.eval_elements
+
+    def spy(alphas, v, betas, w):
+        seen.append((len(alphas), len(betas)))
+        return evaluate(alphas, v, betas, w)
+
+    phi.eval_elements = spy
+    try:
+        run()
+    finally:
+        del phi.eval_elements
+    return set(seen) - phi.shapes - {(0, 0)}
+
+
+def _compare(module, algebra, phi, b, n_max):
+    """Do the potential and the decomposition of ``module`` agree with the
+    references on one case?  A read of a shape phi does not store is a
+    disagreement.  Returns (agree, kind), kind being "raised" when a
+    reference raised, else "nonzero" or "zero" by the reference values."""
+    got = {}
+
+    def run():
+        got["potential"] = _outcome(module.infty_cyclic_potential, algebra, phi, b, n_max)
+        got["decomposition"] = _readings(
+            _outcome(module.wall_crossing_decomposition, algebra, phi, b, n_max))
+
+    if _unstored_shapes(phi, run):
+        return False, None
+    want = _readings(_outcome(wall_crossing_decomposition_reference, algebra, phi, b, n_max))
+    want["potential"] = _outcome(infty_cyclic_potential_reference, algebra, phi, b, n_max)
+    got = dict(got.pop("decomposition"), potential=got["potential"])
+    agree = got.keys() == want.keys() and all(_same(got[tag], want[tag]) for tag in want)
+    if any(isinstance(value, str) for value in want.values()):
+        return agree, "raised"
+    return agree, "nonzero" if any(want.values()) else "zero"
+
+
+def test_support_driven_sums_match_references():
+    kinds = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(ALGEBRAS)), st.integers(0, 2 ** 16),
+           st.one_of(st.none(), st.integers(0, 4)),
+           st.sampled_from(((6, True), (6, True), (6, True), (3, True), (6, False))),
+           st.booleans())
+    def check(name, seed, n_max, cutoffs, generic):
+        algebra, phi, b = _random_phi_case(name, seed, *cutoffs, generic=generic)
+        agree, kind = _compare(potential, algebra, phi, b, n_max)
+        assert agree
+        kinds.append(kind)
+
+    check()
+    # coboundary towers alone would make every sum zero; random tables do not
+    assert kinds.count("nonzero") >= 10
+    assert kinds.count("raised") >= 10
+
+
+# Mutants of the support-driven sums, each applied to a fresh copy of the
+# potential module: (original fragment, mutated fragment).
+POTENTIAL_MUTANTS = {
+    "decomposition shape transposed": (
+        "for p, q in shapes:\n            k = N - p - q\n            if k < 0:",
+        "for q, p in shapes:\n            k = N - p - q\n            if k < 0:"),
+    "potential shape transposed": (
+        "for p, q in shapes:\n            k = N - p - q\n            if k >= 0",
+        "for q, p in shapes:\n            k = N - p - q\n            if k >= 0"),
+    "split memo keyed without r": ("key = (k2, k1, r)", "key = (k2, k1)"),
+    "level weight 1/N": ("weight = Fraction(1, N + 1)", "weight = Fraction(1, N)"),
+    "clsum keeps the k2 part": ("clsum = values - output", "clsum = values"),
+    "i1_rhs loop without its shape test": (
+        "for p, q in shapes:\n        if p + q <= reach:",
+        "for p, q in [(p, q) for p in range(reach + 1) for q in range(reach + 1)]:\n"
+        "        if p + q <= reach:"),
+}
+
+
+def _potential_disagrees(module) -> bool:
+    """Does ``module`` differ from the references on some fixed case?"""
+    for seed in range(24):
+        for name in sorted(ALGEBRAS):
+            case = _random_phi_case(name, seed, generic=seed % 2 == 1)
+            if not _compare(module, *case, 3)[0]:
+                return True
+    return False
+
+
+def test_potential_detector_accepts_the_module():
+    assert not _potential_disagrees(potential)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_MUTANTS))
+def test_potential_mutant_killed(name):
+    assert _potential_disagrees(mutant_module(potential, *POTENTIAL_MUTANTS[name]))
