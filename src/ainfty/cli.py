@@ -4,11 +4,18 @@ Subcommands: check, cocycle, mc, potential, gauge, wallcross.  Every report
 echoes the cutoffs and the seed in force, so a pass is always a bounded and
 reproducible claim.  Output is deterministic for fixed inputs and flags:
 exact arithmetic, canonical term ordering, fixed iteration orders.
+
+``check``'s chain identity suite evaluates the six identities once per
+distinct basis key of its seeded chains and once more per chain that has a
+failing key (see ``chain_identity_suite`` for why that is exact).  The
+argument parser is built on the first ``main`` call and reused by later
+calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -44,8 +51,42 @@ def _random_reduced_chain(algebra, rng, max_len=5):
     return hh.HochschildChain(basis, terms, reduced=True)
 
 
+def _vanishes(raw: dict) -> bool:
+    """Is a raw residual map {key: {Monomial: scalar}} zero?"""
+    return not any(any(terms.values()) for terms in raw.values())
+
+
 def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
-    """Randomized differential and rotation identities, exact per chain."""
+    """Randomized differential and rotation identities, exact per chain.
+
+    The six identities (``hh.identity_residuals``) are checked on ``count``
+    seeded reduced chains of up to four terms c = sum_k a_k key_k.  Each
+    distinct basis key (module, word) of the drawn chains is checked once,
+    as the chain key with coefficient 1, and a chain all of whose keys pass
+    passes; any other chain is evaluated exactly, and its failures are
+    reported from that evaluation.  This is exact, not a sample of a
+    sample:
+
+      * every operator b, B, b', t, N and the reduced quotient is linear
+        over the coefficient ring: it multiplies a chain's coefficients by
+        structure constants or signs, with no sign taken from a scalar, so
+        each residual R satisfies R(a x) = a R(x) before truncation;
+      * levels are nonnegative and add under products, so the level cutoff
+        is an ideal: truncating op(key) before scaling by a_k drops only
+        products whose level already exceeds the cutoff, which ``mul_into``
+        would drop anyway in op(a_k key);
+      * so R(sum_k a_k key_k) = sum_k a_k R(key_k) holds exactly modulo
+        T^{>E_max}, and R(c) is zero when every R(key_k) is;
+      * the drawn coefficients c T^lambda e^m have even degree.  Under a
+        convention in which a scalar of odd degree (``t_degrees``) picked
+        up a sign crossing an operator, R(a x) = +-a R(x): a sign can at
+        most flip a zero, so the argument would still hold.
+
+    Report lines are those of the per-chain evaluation of every chain.  The
+    cost is one evaluation per distinct key (on G1 at the default seed,
+    231 keys for 200 chains of 421 terms) plus one per chain that fails;
+    the certificates live only for this call.
+    """
     rng = random.Random(seed)
     report = Report("chain-identities")
     report.note("E_max", algebra.spec.cutoff)
@@ -53,27 +94,26 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     report.note("max_length", max_len)
     report.note("seed", seed)
     basis = algebra.basis
+    one = algebra.one_ring()
+    verdicts = {}
+
+    def certified(key):
+        """Do all six identities hold at the key with coefficient 1?"""
+        if key not in verdicts:
+            generator = hh.HochschildChain.generator(basis, key[0], key[1], one)
+            verdicts[key] = all(
+                _vanishes(raw) for _, raw in hh.identity_residuals(algebra, generator))
+        return verdicts[key]
+
     for n in range(count):
         c = _random_reduced_chain(algebra, rng, max_len)
-        u = c.unreduced()
-        bc = hh.hochschild_b(algebra, c)
-        Bc = hh.connes_B_reduced(basis, c)
-        bar_u = hh.chain_bar(algebra, u)
-        checks = [
-            ("b^2", hh.hochschild_b(algebra, bc)),
-            ("B^2", hh.connes_B_reduced(basis, Bc)),
-            ("bB+Bb", hh.hochschild_b(algebra, Bc) + hh.connes_B_reduced(basis, bc)),
-            ("b'^2", hh.chain_bar(algebra, bar_u)),
-            ("b(1-t)-(1-t)b'",
-             hh.hochschild_b(algebra, u - hh.cyclic_t(basis, u))
-             - (bar_u - hh.cyclic_t(basis, bar_u))),
-            ("b'N-Nb", hh.chain_bar(algebra, hh.operator_N(basis, u))
-             - hh.operator_N(basis, hh.hochschild_b(algebra, u))),
-        ]
-        report.tick(len(checks))
-        for tag, value in checks:
-            if not value.is_zero():
-                report.fail("%s nonzero on chain #%d: %s" % (tag, n, value.text()))
+        report.tick(6)
+        if all(certified(key) for key in c.terms):
+            continue
+        for tag, raw in hh.identity_residuals(algebra, c):
+            if not _vanishes(raw):
+                value = hh._built(basis, algebra.spec, raw, False).text()
+                report.fail("%s nonzero on chain #%d: %s" % (tag, n, value))
     return report
 
 
@@ -327,8 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by the next
+    ones in the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = _load(args)
         return COMMANDS[args.command](args, doc)

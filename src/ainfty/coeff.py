@@ -394,13 +394,6 @@ class RingElement:
             return inf
         return Fraction(min(m.lvl for m in self.terms), self.spec.grid)
 
-    def truncate(self, energy) -> "RingElement":
-        energy = as_fraction(energy)
-        if energy < 0:
-            raise ConfigurationError("truncation energy must be nonnegative")
-        # the smaller cutoff drops the terms above the energy
-        return RingElement(self.spec.with_cutoff(min(self.spec.cutoff, energy)), self.terms)
-
     def degrees(self) -> set:
         return {m.degree(self.spec) for m in self.terms}
 

@@ -43,6 +43,16 @@ form); a RingElement is made only where a coefficient is read as one: in
 one prefix pass (``maltese_prefixes``); a rotation keeps the total shifted
 degree, so the powers of t cost O(1) each after one ``maltese`` per word.
 
+Each of b, b', N and B has one implementation, a private core that adds
+sign * op(chain) into a caller's raw {key: {Monomial: scalar}} map
+(``_b_into``, ``_bar_into``, ``_N_into``, ``_B_into``); the public operator
+runs its core into an empty map and builds the chain.  ``identity_residuals``
+runs the cores into one map per chain identity, so the six identities at a
+chain cost one image per operator and no intermediate chain.  All the
+operators are linear over the coefficient ring, and the level cutoff is an
+ideal, which is what lets ``cli.chain_identity_suite`` check each basis key
+once instead of each drawn chain.
+
 The dual side stores towers of finitely supported functionals, applied to
 chains key by key; a tower is validated chainwise against b and B.
 """
@@ -191,15 +201,14 @@ def _level_cutoff(chain: HochschildChain, spec):
     return spec.level_cutoff
 
 
-def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
-    """The module differential, wrap-around and interior sums with exact signs."""
-    basis = algebra.basis
-    degrees = basis.degrees
-    top = _level_cutoff(chain, algebra.spec)
+def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+            sign: int = 1) -> dict:
+    """Add sign * b(chain) into acc, a raw {key: {Monomial: scalar}} map;
+    products above the level cutoff ``top`` are never formed."""
+    degrees = algebra.basis.degrees
     tables = nonzero_words(algebra)
     # an insertion that makes the unit in a tensor slot is zero in the quotient
-    unit = basis.unit if chain.reduced else None
-    raw: dict = {}
+    unit = algebra.basis.unit if chain.reduced else None
     for (v, word), terms in chain.terms.items():
         k = len(word)
         # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
@@ -216,30 +225,43 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
                     continue
                 # the tail block crosses v and the kept prefix a_1..a_{k-i}
                 kept = prefixes[k - i + 1]
-                sign = -1 if (total - kept) * kept % 2 else 1
+                wrap = -sign if (total - kept) * kept % 2 else sign
                 rest = word[j : k - i]
                 for comp, value in inner.items():
-                    mul_into(raw.setdefault((comp, rest), {}), terms, value.terms, top, sign)
+                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
         # interior: m_j inserted in the tensor word, arity 0 included
-        for p, arity, inner, sign in insertions(algebra, word, prefixes[1]):
+        for p, arity, inner, inserted in insertions(algebra, word, prefixes[1]):
+            inserted *= sign
             for comp, value in inner.items():
                 if comp != unit:
                     key = (v, word[:p] + (comp,) + word[p + arity :])
-                    mul_into(raw.setdefault(key, {}), terms, value.terms, top, sign)
-    return _built(basis, algebra.spec, raw, chain.reduced)
+                    mul_into(acc.setdefault(key, {}), terms, value.terms, top, inserted)
+    return acc
+
+
+def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
+    """The module differential, wrap-around and interior sums with exact signs."""
+    raw = _b_into({}, algebra, chain, _level_cutoff(chain, algebra.spec))
+    return _built(algebra.basis, algebra.spec, raw, chain.reduced)
+
+
+def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+              sign: int = 1) -> dict:
+    """Add sign * b'(chain) into acc, as ``_b_into`` does for b."""
+    for (v, word), terms in chain.terms.items():
+        full = (v,) + word
+        for p, arity, inner, inserted in insertions(algebra, full):
+            inserted *= sign
+            for comp, value in inner.items():
+                new_full = full[:p] + (comp,) + full[p + arity :]
+                mul_into(acc.setdefault((new_full[0], new_full[1:]), {}),
+                         terms, value.terms, top, inserted)
+    return acc
 
 
 def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """Bar-type differential: coderivation on the full marked word, unreduced."""
-    top = _level_cutoff(chain, algebra.spec)
-    raw: dict = {}
-    for (v, word), terms in chain.terms.items():
-        full = (v,) + word
-        for p, arity, inner, sign in insertions(algebra, full):
-            for comp, value in inner.items():
-                new_full = full[:p] + (comp,) + full[p + arity :]
-                mul_into(raw.setdefault((new_full[0], new_full[1:]), {}),
-                         terms, value.terms, top, sign)
+    raw = _bar_into({}, algebra, chain, _level_cutoff(chain, algebra.spec))
     return _built(algebra.basis, algebra.spec, raw, False)
 
 
@@ -272,33 +294,79 @@ def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
     return HochschildChain._clean(basis, chain.spec, out, False)
 
 
-def operator_N(basis, chain: HochschildChain) -> HochschildChain:
-    """Rotation sum 1 + t + ... + t^{n-1} on each length-n component."""
+def _N_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
+    """Add sign * N(chain) into acc, a raw {key: {Monomial: scalar}} map."""
     degrees = basis.degrees
-    raw: dict = {}
     for (v, word), terms in chain.terms.items():
         for rotated, odd in _rotations(degrees, (v,) + word, 1 + len(word)):
-            add_into(raw.setdefault((rotated[0], rotated[1:]), {}), terms, -1 if odd else 1)
-    return _built(basis, chain.spec, raw, False)
+            add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, -sign if odd else sign)
+    return acc
 
 
-def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
-    """Connes operator on reduced chains: unit-marked cyclic rotations."""
+def operator_N(basis, chain: HochschildChain) -> HochschildChain:
+    """Rotation sum 1 + t + ... + t^{n-1} on each length-n component."""
+    return _built(basis, chain.spec, _N_into({}, basis, chain), False)
+
+
+def _B_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
+    """Add sign * B(chain) into acc, a raw {key: {Monomial: scalar}} map."""
     if not chain.reduced:
         raise ConfigurationError(
             "the Connes operator is only available on reduced chains"
         )
     unit = basis.require_unit()
     degrees = basis.degrees
-    raw: dict = {}
     for (v, word), terms in chain.terms.items():
         # words are unit-free, so a rotation has the unit exactly when v is
         if v == unit:
             continue
         full = (v,) + word
         for rotated, odd in _rotations(degrees, full, len(full)):
-            add_into(raw.setdefault((unit, rotated), {}), terms, -1 if odd else 1)
-    return _built(basis, chain.spec, raw, True)
+            add_into(acc.setdefault((unit, rotated), {}), terms, -sign if odd else sign)
+    return acc
+
+
+def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
+    """Connes operator on reduced chains: unit-marked cyclic rotations."""
+    return _built(basis, chain.spec, _B_into({}, basis, chain), True)
+
+
+def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
+    """The six chain identities at a reduced chain c, as raw residual maps.
+
+    Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
+    b(1-t)-(1-t)b' and b'N-Nb, in that order.  An identity holds at c
+    exactly when every scalar of its map is zero; ``_built`` makes the
+    chain of a map.  With u the unreduced c, each operator image is
+    computed once: b(u), then b(c) as its quotient, B(c), b'(u), t(u),
+    t(b'u) and N(u).  b(c) drops the keys of b(u) that hold the unit in a
+    tensor slot: c has no unit word, so those keys come only from interior
+    insertions that output the unit, which reduced b skips.  The rotation
+    residual is b(u) - b(tu) - b'(u) + t(b'u), and b'N-Nb reuses b(u).  The
+    outer operator of each identity adds into that identity's map through
+    its private core (``_b_into`` and the like), so no residual chain and
+    no chain sum is made on the way.
+    """
+    basis = algebra.basis
+    top = _level_cutoff(chain, algebra.spec)
+    u = chain.unreduced()
+    bu = hochschild_b(algebra, u)
+    bc = HochschildChain._clean(basis, bu.spec, {
+        key: terms for key, terms in bu.terms.items() if basis.unit not in key[1]}, True)
+    Bc = connes_B_reduced(basis, chain)
+    bar_u = chain_bar(algebra, u)
+    rotation: dict = {}
+    for image, sign in ((bu, 1), (bar_u, -1), (cyclic_t(basis, bar_u), 1)):
+        for key, terms in image.terms.items():
+            add_into(rotation.setdefault(key, {}), terms, sign)
+    return [
+        ("b^2", _b_into({}, algebra, bc, top)),
+        ("B^2", _B_into({}, basis, Bc)),
+        ("bB+Bb", _B_into(_b_into({}, algebra, Bc, top), basis, bc)),
+        ("b'^2", _bar_into({}, algebra, bar_u, top)),
+        ("b(1-t)-(1-t)b'", _b_into(rotation, algebra, cyclic_t(basis, u), top, -1)),
+        ("b'N-Nb", _N_into(_bar_into({}, algebra, operator_N(basis, u), top), basis, bu, -1)),
+    ]
 
 
 # -- functionals and towers ---------------------------------------------------

@@ -36,7 +36,6 @@ from .ainfty import AInftyAlgebra, apply_m, curvature, check_weak_mc
 from .coeff import RingElement, as_fraction
 from .errors import ConfigurationError, DivergenceError
 from .graded import Element
-from .hochschild import CocycleTower
 from .pairing import InfinityInnerProduct
 from .report import Report
 
@@ -120,55 +119,6 @@ def infty_cyclic_potential(
 def ogw_potential(inp: PotentialInput, n_max: Optional[int] = None) -> RingElement:
     """m_{-1} plus the cyclic potential of the candidate."""
     return inp.m_minus_one + infty_cyclic_potential(inp.algebra, inp.phi, inp.b, n_max)
-
-
-def strict_cyclic_potential(
-    algebra: AInftyAlgebra,
-    tower: CocycleTower,
-    b: Element,
-    n_max: Optional[int] = None,
-) -> RingElement:
-    """Degenerate formula sum_k 1/(k+1) <m_k(b^k), b> for strict towers.
-
-    <v, w> is the two-slot antisymmetrization of the pairing table, written
-    out directly; this is an independent code path from the general
-    evaluator and must agree with it on strict towers.
-    """
-    if not tower.is_strict():
-        raise ConfigurationError("strict potential needs a strictly cyclic tower")
-    _check_argument(b)
-    basis = algebra.basis
-    unit = basis.require_unit()
-    table = tower.psi0.table
-
-    def pair(velt: Element, welt: Element) -> RingElement:
-        acc = RingElement.zero(algebra.spec)
-        for i, ci in velt.components.items():
-            for j, cj in welt.components.items():
-                coeff = ci * cj
-                if not coeff:
-                    continue
-                if j != unit:
-                    entry = table.get((i, (j,)))
-                    if entry:
-                        acc = acc + coeff * entry
-                if i != unit:
-                    entry = table.get((j, (i,)))
-                    if entry:
-                        shift_i = basis.degree(i) - 1
-                        shift_j = basis.degree(j) - 1
-                        sign = 1 if (shift_j * shift_i) % 2 else -1
-                        acc = acc + coeff * (entry.scale(sign) if sign < 0 else entry)
-        return acc
-
-    n_max = _auto_n_max(algebra, b) if n_max is None else n_max
-    total = RingElement.zero(algebra.spec)
-    for k in range(n_max + 1):
-        mk = apply_m(algebra, [b] * k)
-        if mk.is_zero():
-            continue
-        total = total + pair(mk, b).divide_int(k + 1)
-    return total
 
 
 # -- gauge invariance ----------------------------------------------------------

@@ -22,12 +22,17 @@ inputs, a helper that builds a mutated copy of an engine module from its
 source, for mutation tests, and the test-side tower builders (lazy dual
 images f o b and f o B, their tabulation, coboundary towers and the
 connecting map) with the arithmetic of functionals they need, and the
-unit-insertion vanishing check.
+unit-insertion vanishing check.  The chain identity suite is here in its
+per-chain form, with no per-key certificates: every operator image and
+every residual built as a chain, with chain sums, on every drawn chain.  Also the test-only ring and potential
+helpers: truncation of a ring element at an energy, and the degenerate
+potential formula of strict towers.
 """
 
 from __future__ import annotations
 
 import inspect
+import random
 import sys
 import types
 from dataclasses import dataclass
@@ -41,6 +46,8 @@ from math import ceil, inf
 from ainfty.ainfty import (
     apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
 )
+from ainfty import hochschild as hh
+from ainfty.cli import _random_reduced_chain
 from ainfty.coeff import Poly, RingElement, as_fraction
 from ainfty.errors import ConfigurationError
 from ainfty.graded import Element, add_term, maltese, words_over
@@ -64,6 +71,16 @@ def coefficients(spec, scalars="rational"):
         lambda c, lam, e: RingElement.monomial(spec, c, lam=Fraction(lam, 2), e=e),
         values, st.integers(0, 1), st.integers(-1, 1))
     return st.lists(monomial, min_size=1, max_size=2).map(lambda ms: sum(ms[1:], ms[0]))
+
+
+def truncate(element, energy) -> RingElement:
+    """A ring element with its terms above ``energy`` dropped, in the ring
+    of the smaller of the two cutoffs."""
+    energy = as_fraction(energy)
+    if energy < 0:
+        raise ConfigurationError("truncation energy must be nonnegative")
+    spec = element.spec
+    return RingElement(spec.with_cutoff(min(spec.cutoff, energy)), element.terms)
 
 
 def elements(algebra, scalars="rational"):
@@ -564,6 +581,39 @@ def functional_apply_reference(functional, chain) -> RingElement:
     return acc
 
 
+def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
+    """Randomized differential and rotation identities, exact per chain."""
+    rng = random.Random(seed)
+    report = Report("chain-identities")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("chains", count)
+    report.note("max_length", max_len)
+    report.note("seed", seed)
+    basis = algebra.basis
+    for n in range(count):
+        c = _random_reduced_chain(algebra, rng, max_len)
+        u = c.unreduced()
+        bc = hh.hochschild_b(algebra, c)
+        Bc = hh.connes_B_reduced(basis, c)
+        bar_u = hh.chain_bar(algebra, u)
+        checks = [
+            ("b^2", hh.hochschild_b(algebra, bc)),
+            ("B^2", hh.connes_B_reduced(basis, Bc)),
+            ("bB+Bb", hh.hochschild_b(algebra, Bc) + hh.connes_B_reduced(basis, bc)),
+            ("b'^2", hh.chain_bar(algebra, bar_u)),
+            ("b(1-t)-(1-t)b'",
+             hh.hochschild_b(algebra, u - hh.cyclic_t(basis, u))
+             - (bar_u - hh.cyclic_t(basis, bar_u))),
+            ("b'N-Nb", hh.chain_bar(algebra, hh.operator_N(basis, u))
+             - hh.operator_N(basis, hh.hochschild_b(algebra, u))),
+        ]
+        report.tick(len(checks))
+        for tag, value in checks:
+            if not value.is_zero():
+                report.fail("%s nonzero on chain #%d: %s" % (tag, n, value.text()))
+    return report
+
+
 def functional_scale(f, r) -> Functional:
     """r * f, entry by entry."""
     return Functional(f.basis, f.spec, {k: r * v for k, v in f.table.items()})
@@ -682,6 +732,51 @@ def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement
                     continue
                 level = level + phi.eval_elements([x] * p, mk, [x] * q, x)
         total = total + level.divide_int(N + 1)
+    return total
+
+
+def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
+    """Degenerate formula sum_k 1/(k+1) <m_k(b^k), b> for strict towers.
+
+    <v, w> is the two-slot antisymmetrization of the pairing table, written
+    out directly; this is an independent code path from the general
+    evaluator and must agree with it on strict towers (acceptance
+    criterion 8).
+    """
+    if not tower.is_strict():
+        raise ConfigurationError("strict potential needs a strictly cyclic tower")
+    _check_argument(b)
+    basis = algebra.basis
+    unit = basis.require_unit()
+    table = tower.psi0.table
+
+    def pair(velt: Element, welt: Element) -> RingElement:
+        acc = RingElement.zero(algebra.spec)
+        for i, ci in velt.components.items():
+            for j, cj in welt.components.items():
+                coeff = ci * cj
+                if not coeff:
+                    continue
+                if j != unit:
+                    entry = table.get((i, (j,)))
+                    if entry:
+                        acc = acc + coeff * entry
+                if i != unit:
+                    entry = table.get((j, (i,)))
+                    if entry:
+                        shift_i = basis.degree(i) - 1
+                        shift_j = basis.degree(j) - 1
+                        sign = 1 if (shift_j * shift_i) % 2 else -1
+                        acc = acc + coeff * (entry.scale(sign) if sign < 0 else entry)
+        return acc
+
+    n_max = _auto_n_max(algebra, b) if n_max is None else n_max
+    total = RingElement.zero(algebra.spec)
+    for k in range(n_max + 1):
+        mk = apply_m(algebra, [b] * k)
+        if mk.is_zero():
+            continue
+        total = total + pair(mk, b).divide_int(k + 1)
     return total
 
 

@@ -35,7 +35,6 @@ from ainfty.potential import (
     PotentialInput,
     gauge_invariance_check,
     infty_cyclic_potential,
-    strict_cyclic_potential,
     wall_crossing_decomposition,
     wall_crossing_report,
 )
@@ -44,6 +43,7 @@ from conftest import (
     make_e1, make_e2, make_g1, poincare_tower, random_bstar_tower,
     random_degree_one, ring,
 )
+from oracles import strict_cyclic_potential
 
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
 

@@ -8,10 +8,12 @@ needs) is pinned by its exit status alone.  The cocycle command is also
 pinned at word length 5, on the corpus and on a G1 document whose tower has
 one psi_0 entry negated, so that its report fails with validation lines;
 and at word length 8 its counts are checked against their closed forms.
-The check command is also pinned with 800 chains at seed 7 on G1 and E1,
-which runs the chain operators on four times the default number of chains,
-and at arity 8 on G1 at the default seed, the command line of the
-benchmark's check-g1 workload, whose digest the benchmark pins as well.
+The check command is also pinned with 800 chains at seeds 7 and 99 on G1
+(seed 7 on E1 too), which runs the chain operators on four times the
+default number of chains; on a G1 copy with the output of m2(z,1) negated,
+whose chain suite fails on most chains; and at arity 8 on G1 at the
+default seed, the command line of the benchmark's check-g1 workload, whose
+digest the benchmark pins as well.
 The three command lines of the benchmark's potential-g1 workload are pinned
 by the digest of their concatenated reports, as the benchmark pins them, and
 wallcross and potential at level 9 and arity 10 on G1 and E2, with the
@@ -103,6 +105,38 @@ def test_check_report_bytes_with_800_chains(doc, capsys):
     _check_run(["check", "--chains", "800", "--seed", "7",
                 "--input", os.path.join(CORPUS, doc + ".json")],
                capsys, 0, CHECK_800_SEED_7[doc])
+
+
+# sha256 of stdout for `check --input g1_gauge.json --chains 800 --seed 99`, exit 0
+CHECK_G1_800_SEED_99 = "4bf65dde89335277c45e8d4d606272bdb88ae117c13397b942cd443705cdc69e"
+
+
+def test_check_report_bytes_with_800_chains_at_seed_99(capsys):
+    _check_run(["check", "--chains", "800", "--seed", "99",
+                "--input", os.path.join(CORPUS, "g1_gauge.json")],
+               capsys, 0, CHECK_G1_800_SEED_99)
+
+
+# g1_gauge with the output of m2(z,1) negated, as the benchmark's self-test
+# builds it: the relations, the strict unit and 197 chain identities fail,
+# so the chain suite reports from its per-chain evaluation
+FLIPPED_M2_Z1 = (1, "28970738588a76875feb2c380057f7c2dab5ef6f2dd31ac973894789755931b2")
+
+
+def _flipped_m2_z1_document(path):
+    with open(os.path.join(CORPUS, "g1_gauge.json")) as handle:
+        raw = json.load(handle)
+    (op,) = [op for op in raw["operations"] if op["inputs"] == ["z", "1"]]
+    for term in op["output"]:
+        term["coeff"] = str(-int(term["coeff"]))
+    path.write_text(json.dumps(raw))
+
+
+def test_check_report_bytes_with_m2_z1_negated(tmp_path, capsys):
+    path = tmp_path / "g1_flipped.json"
+    _flipped_m2_z1_document(path)
+    out = _check_run(["check", "--input", str(path)], capsys, *FLIPPED_M2_Z1)
+    assert out.count(" nonzero on chain #") == 197
 
 
 # sha256 of stdout for `check --input g1_gauge.json --kmax 8` at the default

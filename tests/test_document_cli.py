@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -394,3 +396,49 @@ def test_energy_grid_is_the_lcm_of_the_document_energies():
     doc = load_dict(raw)
     assert doc.algebra.spec.grid == 12
     assert doc.candidates["b"].text() == "(1*T^2/3 + 1*T^5/4)*x"
+
+
+RUN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from ainfty.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_in_one_process(argvs):
+    """(exit code, stdout, stderr) of each ``main(argv)``, all made in one
+    fresh interpreter, in order."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ainfty.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    done = subprocess.run([sys.executable, "-c", RUN_IN_ONE_PROCESS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [tuple(result) for result in json.loads(done.stdout)]
+
+
+def test_main_calls_in_one_process_match_separate_calls():
+    # the parser is built once per process and reused: a later call, after a
+    # different subcommand, other flags or a bad-flag exit, parses the same
+    argvs = [
+        ["check", "--input", corpus("e1.json"), "--chains", "5", "--seed", "3"],
+        ["mc", "--input", corpus("sv1.json"), "--solve"],
+        ["check", "--input", corpus("e1.json"), "--chains", "many"],
+        ["cocycle", "--input", corpus("e2.json"), "--lmax", "2", "--tower", "poincare"],
+        ["check", "--input", corpus("e1.json")],
+    ]
+    together = _run_in_one_process(argvs)
+    apart = [_run_in_one_process([argv])[0] for argv in argvs]
+    assert together == apart
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0]
+    assert "invalid int value: 'many'" in together[2][2]

@@ -18,7 +18,6 @@ from ainfty.potential import (
     gauge_invariance_check,
     infty_cyclic_potential,
     ogw_potential,
-    strict_cyclic_potential,
     wall_crossing_decomposition,
     wall_crossing_report,
 )
@@ -28,8 +27,8 @@ from conftest import (
     random_degree_one, random_functional, ring,
 )
 from oracles import (
-    infty_cyclic_potential_reference, mutant_module, unit_insertion_vanishing,
-    wall_crossing_decomposition_reference,
+    infty_cyclic_potential_reference, mutant_module, strict_cyclic_potential,
+    unit_insertion_vanishing, wall_crossing_decomposition_reference,
 )
 
 

@@ -1,9 +1,11 @@
-"""The benchmark tracer still finds every function and binding it wraps.
+"""The benchmark tracer still finds, and can run, every function it wraps.
 
 `bench/tracer.py` wraps engine functions from outside the package and
 replaces each module attribute bound to them.  A refactor that renames a
 traced function or drops a binding site would make its per-layer metrics
-read 0; this test catches that in the fast suite.  It only reads `bench/`.
+read 0, and one that changes what a traced function returns can make a
+post-call hook raise, so that every traced sample crashes; these tests catch
+both in the fast suite.  They only read `bench/`.
 """
 
 import json
@@ -24,12 +26,48 @@ print(json.dumps({"missing": tracer.missing,
 """
 
 
-def test_tracer_finds_every_target_and_binding_site():
+TRACED_CHECK = """
+import contextlib, io, json, os
+import ainfty
+from ainfty.cli import main
+from tracer import Tracer
+argv = ["check", "--input", os.path.join(os.path.dirname(ainfty.__file__), "corpus",
+                                         "g1_gauge.json"), "--chains", "20"]
+
+def run():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return [code, out.getvalue()]
+
+plain = run()
+tracer = Tracer()
+tracer.install()
+traced = run()
+print(json.dumps({"plain": plain, "traced": traced,
+                  "suite_calls": tracer.stats["cli.chain_identity_suite"].calls}))
+"""
+
+
+def _probe(source):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", source], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"missing": [], "unbound": []}
+    return json.loads(done.stdout)
+
+
+def test_tracer_finds_every_target_and_binding_site():
+    assert _probe(PROBE) == {"missing": [], "unbound": []}
+
+
+def test_traced_check_prints_the_untraced_report():
+    # a hook that raises (say, on an operator that returned no chain) ends the
+    # traced run with a traceback, and the probe with a nonzero status
+    result = _probe(TRACED_CHECK)
+    assert result["traced"] == result["plain"]
+    assert result["plain"][0] == 0
+    assert result["suite_calls"] == 1
