@@ -1,8 +1,10 @@
 """Curved gapped filtered A-infinity algebras over the Novikov-type ring.
 
 Structure constants are stored per (arity k, monoid element beta) on the
-T-free part and assembled as m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2}
-m_{k,beta} at evaluation time, so the gapped structure stays explicit.
+T-free part, so the gapped structure stays explicit.  They are assembled as
+m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
+first use, into one operation index (``_operation_index``) that ``m_word``,
+``apply_m``, ``insertions`` and ``uninsertions`` all read.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -44,6 +46,14 @@ class MonoidElement(NamedTuple):
 OpTable = Dict[Word, Dict[int, RingElement]]
 
 
+class OperationIndex(NamedTuple):
+    """The assembled operation table of an algebra; see ``_operation_index``."""
+
+    nonzero: Dict[int, OpTable]
+    by_output: Dict[int, tuple]
+    arities: tuple
+
+
 @dataclass
 class AInftyAlgebra:
     basis: GradedBasis
@@ -55,11 +65,7 @@ class AInftyAlgebra:
     n_max: int = 5
     higher_arities_zero: bool = True
     name: str = "algebra"
-    _m_cache: dict = field(default_factory=dict, repr=False)
-    _words_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _arities: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _by_output: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-    _nonzero: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _index: Optional[OperationIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
@@ -122,34 +128,18 @@ class AInftyAlgebra:
 
     def check_arity_cutoff(self):
         """Refuse a k_max past the stored tables unless higher arities are zero."""
-        if not self.higher_arities_zero:
-            stored = {k for (k, _) in self.ops}
-            if stored and max(stored) < self.k_max + 1:
-                raise ConfigurationError(
-                    "relation checking at arity %d needs tables up to %d; "
-                    "either supply them or mark higher arities zero"
-                    % (self.k_max, self.k_max + 1)
-                )
+        if not self.higher_arities_zero and self.ops and max(k for k, _ in self.ops) <= self.k_max:
+            raise ConfigurationError(
+                "relation checking at arity %d needs tables up to %d; "
+                "either supply them or mark higher arities zero"
+                % (self.k_max, self.k_max + 1)
+            )
 
     # -- evaluation ----------------------------------------------------------
 
     def stored_arities(self) -> tuple:
-        """The arities of the stored tables, ascending; cached on first use.
-
-        Like the word cache, it assumes the table keys stay fixed after that.
-        """
-        if self._arities is None:
-            self._arities = tuple(sorted({k for (k, _) in self.ops}))
-        return self._arities
-
-    def stored_words(self, k: int) -> tuple:
-        """The words of some arity-k table, sorted; m_word vanishes off them."""
-        words = self._words_cache.get(k)
-        if words is None:
-            words = tuple(sorted({word for (arity, _), table in self.ops.items()
-                                  if arity == k for word in table}))
-            self._words_cache[k] = words
-        return words
+        """The arities of the stored tables, ascending, all-zero ones included."""
+        return _operation_index(self).arities
 
     def max_stored_arity(self) -> int:
         arities = self.stored_arities()
@@ -162,34 +152,10 @@ class AInftyAlgebra:
                 % (k, self.max_stored_arity())
             )
 
-    def assembly_coefficient(self, bidx: int) -> RingElement:
-        beta = self.monoid[bidx]
-        if beta.mu % 2 != 0:
-            raise ConfigurationError("odd monoid index")
-        return RingElement.monomial(self.spec, 1, lam=beta.lam, e=beta.mu // 2)
-
     def m_word(self, word: Word) -> Dict[int, RingElement]:
         """Assembled operation of arity len(word) on a pure basis word."""
-        cached = self._m_cache.get(word)
-        if cached is not None:
-            return cached
-        k = len(word)
-        self._check_arity(k)
-        out: Dict[int, RingElement] = {}
-        for (arity, bidx), table in self.ops.items():
-            if arity != k:
-                continue
-            entry = table.get(word)
-            if not entry:
-                continue
-            factor = self.assembly_coefficient(bidx)
-            for comp, value in entry.items():
-                add_term(out, comp, factor * value)
-        self._m_cache[word] = out
-        return out
-
-    def m_word_element(self, word: Word) -> Element:
-        return Element(self.basis, self.m_word(word))
+        self._check_arity(len(word))
+        return _operation_index(self).nonzero.get(len(word), {}).get(word, {})
 
     def zero_ring(self) -> RingElement:
         return RingElement.zero(self.spec)
@@ -200,24 +166,53 @@ class AInftyAlgebra:
     def unit_element(self) -> Element:
         return Element.generator(self.basis, self.basis.require_unit(), self.one_ring())
 
-    def element(self, mapping) -> Element:
-        comp = {}
-        for key, value in mapping.items():
-            idx = key if isinstance(key, int) else self.basis.index(key)
-            comp[idx] = value
-        return Element(self.basis, comp)
-
     def word_text(self, word: Word) -> str:
         return "(" + ",".join(self.basis.names[i] for i in word) + ")"
+
+
+def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
+    """The algebra's operation index, built in one pass over ``ops`` on first use.
+
+    Each stored word u is assembled once, m_word(u) = sum_beta T^{lam(beta)}
+    e^{mu(beta)/2} m_{k,beta}(u), summing the tables in the order of ``ops``.
+    ``nonzero`` is {k: {u: m_word(u)}} over the words of nonzero m_word,
+    arities ascending and words sorted; ``by_output`` maps each letter c to
+    those u (arity 0 included), in the same order, whose m_word(u) has a
+    term at c; ``arities`` lists every stored arity, ascending, all-zero
+    tables included.  The index is kept on the algebra, so ``ops`` must not
+    change after its first use; code that edits ``ops`` then sets
+    ``_index`` to None.
+    """
+    if algebra._index is None:
+        assembled: Dict[Word, Dict[int, RingElement]] = {}
+        for (k, bidx), table in algebra.ops.items():
+            beta = algebra.monoid[bidx]
+            factor = RingElement.monomial(algebra.spec, 1, lam=beta.lam, e=beta.mu // 2)
+            for word, entry in table.items():
+                out = assembled.setdefault(word, {})
+                for comp, value in entry.items():
+                    add_term(out, comp, factor * value)
+        nonzero: Dict[int, OpTable] = {}
+        by_output: Dict[int, list] = {}
+        for word in sorted(assembled, key=lambda u: (len(u), u)):
+            out = assembled[word]
+            if out:
+                nonzero.setdefault(len(word), {})[word] = out
+                for comp in out:
+                    by_output.setdefault(comp, []).append(word)
+        algebra._index = OperationIndex(
+            nonzero, {comp: tuple(words) for comp, words in by_output.items()},
+            tuple(sorted({k for (k, _) in algebra.ops})))
+    return algebra._index
 
 
 def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
     """Multilinear evaluation of the assembled operation on module elements.
 
-    Visits only the stored words of arity k = len(inputs), in sorted order,
-    and multiplies only the input coefficients at their letters, so a call
-    costs O(|support| * k) ring products with |support| the number of
-    stored words of arity k, not the size of the tensor product of the
+    Visits only the stored words of nonzero m_word of arity k = len(inputs),
+    in sorted order, and multiplies only the input coefficients at their
+    letters, so a call costs O(|support| * k) ring products with |support|
+    the number of those words, not the size of the tensor product of the
     inputs.  Coefficient variables all have even degree, so ring
     coefficients commute past inputs without signs.
     """
@@ -226,13 +221,13 @@ def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
         raise ConfigurationError("arity %d exceeds the arity cutoff %d" % (k, algebra.k_max))
     algebra._check_arity(k)
     if not k:
-        return algebra.m_word_element(())
+        return Element(algebra.basis, algebra.m_word(()))
     acc: Dict[int, RingElement] = {}
-    for word in algebra.stored_words(k):
+    for word, out in nonzero_words(algebra).get(k, {}).items():
         coeff = tensor_coefficient(inputs, word)
         if not coeff:
             continue
-        for comp, value in algebra.m_word(word).items():
+        for comp, value in out.items():
             add_term(acc, comp, coeff * value)
     return Element(algebra.basis, acc)
 
@@ -244,11 +239,10 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     with k ascending over the stored arities (arity 0 included), then i
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
     shifted degrees of the first i letters; all signs of a word come from
-    one prefix pass.  Each window is looked up in ``nonzero_words``, so an
-    empty one calls no ``m_word``.  Every differential of the engine is a
-    sum over these insertions: the curved relations, the word parts
-    of the diagonal and dual bar differentials, and the interior parts of
-    Hochschild b and b'.
+    one prefix pass, and each window is one lookup in ``nonzero_words``.
+    Every differential of the engine is a sum over these insertions: the
+    curved relations, the word parts of the diagonal and dual bar
+    differentials, and the interior parts of Hochschild b and b'.
     """
     basis_degrees = algebra.basis.degrees
     prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
@@ -260,46 +254,16 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
                 yield i, k, inner, -1 if prefixes[i] % 2 else 1
 
 
-def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, Dict[Word, Dict[int, RingElement]]]:
-    """The stored words of nonzero m_word, per arity: {k: {u: m_word(u)}}.
-
-    Arities ascending, each with at least one word, and the words of an
-    arity sorted.  An insertion looks its window up here, so a window that
-    is no such word costs one dict lookup and no ``m_word`` call.  Built
-    once per algebra on first use; like the word cache, it assumes the
-    tables stay fixed after that.
-    """
-    tables = algebra._nonzero
-    if tables is None:
-        tables = algebra._nonzero = {}
-        for k in algebra.stored_arities():
-            words = {}
-            for word in algebra.stored_words(k):
-                out = algebra.m_word(word)
-                if out:
-                    words[word] = out
-            if words:
-                tables[k] = words
-    return tables
+def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """{k: {u: m_word(u)}} over the stored words of nonzero m_word; an
+    insertion looks its windows up here."""
+    return _operation_index(algebra).nonzero
 
 
 def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:
-    """The stored words of nonzero m_word, indexed by their output letters.
-
-    Maps each letter c to the stored words u (arity 0 included), ascending
-    by arity and then sorted, whose m_word(u) has a term at c: the words an
-    insertion can turn into the letter c.  Built once per algebra on first
-    use; like the word cache, it assumes the tables stay fixed after that.
-    """
-    index = algebra._by_output
-    if index is None:
-        lists: Dict[int, list] = {}
-        for k in algebra.stored_arities():
-            for inner in algebra.stored_words(k):
-                for comp in algebra.m_word(inner):
-                    lists.setdefault(comp, []).append(inner)
-        index = algebra._by_output = {comp: tuple(words) for comp, words in lists.items()}
-    return index
+    """Each letter c to the stored words u whose m_word(u) has a term at c:
+    the words an insertion can turn into the letter c."""
+    return _operation_index(algebra).by_output
 
 
 def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):

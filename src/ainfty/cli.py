@@ -317,7 +317,11 @@ def cmd_wallcross(args, doc) -> int:
         rep.note("Phi(plus)", result.plus_value.text())
         rep.note("GW", result.gw.text())
         rep.tick()
-        if not result.passed:
+        names = {"minus": minus_name, "plus": plus_name}
+        for side, rest in result.not_weak_mc.items():
+            rep.fail("%s candidate %s is not weak MC: curvature residual %s"
+                     % (side, names[side], rest.text()))
+        if not result.residual.is_zero():
             rep.fail("residual %s" % result.residual.text())
         reports.append(rep)
     return _emit(reports, args, doc)

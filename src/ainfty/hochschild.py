@@ -31,9 +31,9 @@ the rotation identities relating them to b hold there.
 A chain stores one coefficient ring ``spec`` and, per key, the raw term
 map {Monomial: scalar} of its coefficient: the scalars nonzero and in
 stored form, no empty maps, and no unit words in a reduced chain.  The maps
-are never mutated once a chain holds them, so operators and sums share
-them.  The five operators read and write these maps: b and b' add each
-signed product coeff * m(...) straight into a raw map per output key with
+are never mutated once a chain holds them, so operators share them.  The
+five operators read and write these maps: b and b' add each signed product
+coeff * m(...) straight into a raw map per output key with
 ``coeff.mul_into``, which applies the level cutoff to every product; t, N
 and B add signed copies of the input maps with ``coeff.add_into``.  The
 ring compatibility of chain and algebra is checked once per call, not per
@@ -111,32 +111,6 @@ class HochschildChain:
         chain = cls.__new__(cls)
         chain.basis, chain.spec, chain.terms, chain.reduced = basis, spec, terms, reduced
         return chain
-
-    def _merged(self, other: "HochschildChain", sign: int) -> "HochschildChain":
-        """self + sign * other, in one pass over the terms of other."""
-        if self.reduced != other.reduced:
-            raise ConfigurationError("cannot mix reduced and unreduced chains")
-        spec = other.spec if self.spec is None else self.spec
-        if other.spec is not None:
-            require_compatible(spec, other.spec)
-        terms = dict(self.terms)
-        for key, right in other.terms.items():
-            left = terms.get(key)
-            if left is None:
-                terms[key] = right if sign > 0 else add_into({}, right, -1)
-                continue
-            total = canonical(add_into(dict(left), right, sign))
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-        return HochschildChain._clean(self.basis, spec, terms, self.reduced)
-
-    def __add__(self, other: "HochschildChain") -> "HochschildChain":
-        return self._merged(other, 1)
-
-    def __sub__(self, other: "HochschildChain") -> "HochschildChain":
-        return self._merged(other, -1)
 
     def unreduced(self) -> "HochschildChain":
         """The canonical unreduced representative (same terms, no quotient)."""

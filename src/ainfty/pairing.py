@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .ainfty import AInftyAlgebra, apply_m
 from .coeff import RingElement
 from .errors import ConfigurationError, DivergenceError, TowerError
-from .exactla import column_space_pivots
+from .exactla import column_space_pivots, kernel_basis, rank
 from .graded import Element, Word, add_term, tensor_coefficient
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
@@ -310,7 +310,7 @@ def weak_cyclic_check(
                 bs_p = [b] * p
                 bs_q = [b] * q
                 mk = apply_m(algebra, [b] * k)
-                lhs = lhs + phi.eval_elements(bs_p, mk, bs_q, b).scale(N)
+                lhs = lhs + phi.eval_elements(bs_p, mk, bs_q, y).scale(N)
                 # y inserted inside the operation
                 for r in range(k):
                     inner = apply_m(algebra, [b] * r + [y] + [b] * (k - 1 - r))
@@ -354,18 +354,15 @@ def homological_nondegeneracy(algebra: AInftyAlgebra, phi: InfinityInnerProduct)
         for j in range(n):
             if sum(d[i][k] * d[k][j] for k in range(n)) != 0:
                 raise ConfigurationError("classical differential does not square to zero")
-    from .exactla import kernel_basis, rank as _rank
-
     kernel = kernel_basis(d)
     image_cols = [[d[i][j] for j in range(n)] for i in range(n)]
-    image_rank = _rank(image_cols)
     # representatives: kernel vectors independent modulo the image, kept in
     # the elimination order (lexicographically first complement basis)
     spanning = [[d[i][c] for i in range(n)] for c in column_space_pivots(image_cols)]
     reps = []
     for vec in kernel:
         candidate = spanning + [list(vec)]
-        if _rank(candidate) > len(spanning):
+        if rank(candidate) > len(spanning):
             reps.append(list(vec))
             spanning.append(list(vec))
     hom_dim = len(reps)
@@ -391,7 +388,7 @@ def homological_nondegeneracy(algebra: AInftyAlgebra, phi: InfinityInnerProduct)
                         phi.eval_word((), i, (), j)
                     )
             pairing[a][c] = total
-    prank = _rank(pairing) if hom_dim else 0
+    prank = rank(pairing) if hom_dim else 0
     certificate = {
         "homology_dimension": hom_dim,
         "representatives": [

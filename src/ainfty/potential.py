@@ -27,7 +27,7 @@ identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf
 from typing import Dict, Optional
@@ -49,13 +49,6 @@ class PotentialInput:
     b: Element
     m_minus_one: RingElement
     wall_crossing_GW: Optional[RingElement] = None
-    weak_mc: bool = field(init=False)
-    c: RingElement = field(init=False)
-
-    def __post_init__(self):
-        ok, c, _ = check_weak_mc(self.algebra, self.b)
-        self.weak_mc = ok
-        self.c = c
 
 
 def _auto_n_max(algebra: AInftyAlgebra, x: Element) -> int:
@@ -325,18 +318,30 @@ class WallCrossingReport:
     plus_value: RingElement
     gw: RingElement
     residual: RingElement
+    # "minus" or "plus" -> the curvature residual of that side's candidate,
+    # for each side whose candidate is not weak MC
+    not_weak_mc: Dict[str, Element]
 
     @property
     def passed(self) -> bool:
-        return self.residual.is_zero()
+        return self.residual.is_zero() and not self.not_weak_mc
 
 
 def wall_crossing_report(minus: PotentialInput, plus: PotentialInput) -> WallCrossingReport:
-    """Residual of Phi_-(b_-) - Phi_+(b_+) - GW for externally supplied data."""
+    """Residual of Phi_-(b_-) - Phi_+(b_+) - GW for externally supplied data.
+
+    The potentials are defined on weak bounding cochains, so the pair fails
+    when either candidate is not weak MC; the residual is computed either way.
+    """
     gw_m = minus.wall_crossing_GW
     gw_p = plus.wall_crossing_GW
     if gw_m is None or gw_p is None or gw_m != gw_p:
         raise ConfigurationError("both inputs must carry the same wall-crossing scalar")
+    not_weak_mc = {}
+    for side, inp in (("minus", minus), ("plus", plus)):
+        ok, _, rest = check_weak_mc(inp.algebra, inp.b)
+        if not ok:
+            not_weak_mc[side] = rest
     v_minus = ogw_potential(minus)
     v_plus = ogw_potential(plus)
     return WallCrossingReport(
@@ -344,4 +349,5 @@ def wall_crossing_report(minus: PotentialInput, plus: PotentialInput) -> WallCro
         plus_value=v_plus,
         gw=gw_m,
         residual=(v_minus - v_plus) - gw_m,
+        not_weak_mc=not_weak_mc,
     )

@@ -2,31 +2,33 @@
 
 These are the brute-force forms: expand every tensor product of the inputs
 into pure words, evaluate each word, and only then find out whether the
-structure tables have an entry there; expand the curved relations on every
-basis word, not only where the tables reach; read phi_{p,q} on one basis
-word straight from psi_0, and check skew-symmetry and closedness on every
-tuple of their quantifiers; check the bimodule homomorphism identity on
-every bar word and the negative cocycle condition on every basis chain;
-build every term of a Hochschild chain operator, of a chain sum and of a
-functional applied to a chain as its own ring element, on the chain's
-coefficients read as RingElements, with the sign recomputed at every
-insertion position and every rotation; and the coderivation on word sums.
-They are slow and obviously right, which is what an oracle should be.  The
-dual bimodule's structure maps are here too, in their unflattened form (a
-covector applied to m of module elements), as the reference for
-``delta_dual``, and so is the sign of one cyclic rotation.  The potential
-and the wall-crossing sums are here as loops over every (N, p, k, q) that
-recompute each m_k(b^k) and each split insertion per term and weight every
-term by its own 1/(N+1).  Also here: hypothesis strategies for their
-inputs, a helper that builds a mutated copy of an engine module from its
-source, for mutation tests, and the test-side tower builders (lazy dual
-images f o b and f o B, their tabulation, coboundary towers and the
-connecting map) with the arithmetic of functionals they need, and the
-unit-insertion vanishing check.  The chain identity suite is here in its
-per-chain form, with no per-key certificates: every operator image and
-every residual built as a chain, with chain sums, on every drawn chain.  Also the test-only ring and potential
-helpers: truncation of a ring element at an energy, and the degenerate
-potential formula of strict towers.
+structure tables have an entry there; assemble the operation on one word
+straight from the tables; expand the curved relations on every basis word,
+not only where the tables reach; read phi_{p,q} on one basis word straight
+from psi_0, and check skew-symmetry and closedness on every tuple of their
+quantifiers; check the bimodule homomorphism identity on every bar word and
+the negative cocycle condition on every basis chain; build every term of a
+Hochschild chain operator, of a chain sum and of a functional applied to a
+chain as its own ring element, on the chain's coefficients read as
+RingElements, with the sign recomputed at every insertion position and
+every rotation; and the coderivation on word sums.  They are slow and
+obviously right, which is what an oracle should be.  The dual bimodule's
+structure maps are here too, in their unflattened form (a covector applied
+to m of module elements), as the reference for ``delta_dual``, and so is
+the sign of one cyclic rotation.  The potential and the wall-crossing sums
+are here as loops over every (N, p, k, q) that recompute each m_k(b^k) and
+each split insertion per term and weight every term by its own 1/(N+1).
+Also here: hypothesis strategies for their inputs, a helper that builds a
+mutated copy of an engine module from its source, for mutation tests, and
+the test-side tower builders (lazy dual images f o b and f o B, their
+tabulation, coboundary towers and the connecting map) with the arithmetic
+of functionals they need, and the unit-insertion vanishing check.  The
+chain identity suite is here in its per-chain form, with no per-key
+certificates: every operator image and every residual built as a chain,
+with chain sums, on every drawn chain.  Also the test-only chain, ring and
+potential helpers: chain sums on raw term maps (``chain_sum``), truncation
+of a ring element at an energy, and the degenerate potential formula of
+strict towers.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ainfty.ainfty import (
 )
 from ainfty import hochschild as hh
 from ainfty.cli import _random_reduced_chain
-from ainfty.coeff import Poly, RingElement, as_fraction
+from ainfty.coeff import Poly, RingElement, add_into, as_fraction, canonical, require_compatible
 from ainfty.errors import ConfigurationError
 from ainfty.graded import Element, add_term, maltese, words_over
 from ainfty.hochschild import (
@@ -141,6 +143,23 @@ def expand_eval_elements(phi, alphas, v, betas, w) -> RingElement:
                     if value:
                         acc = acc + coeff * value
     return acc
+
+
+def m_word_reference(algebra, word) -> dict:
+    """The assembled m_word read straight from the tables: the sum over the
+    tables of arity len(word), in the order of ``ops``, of T^lam e^{mu/2}
+    times the entry at the word; raises past the stored tables unless
+    higher arities are marked zero, all-zero tables counting as stored."""
+    k = len(word)
+    if not algebra.higher_arities_zero and k > max(arity for arity, _ in algebra.ops):
+        raise ConfigurationError("operation of arity %d past the stored tables" % k)
+    out: Dict[int, RingElement] = {}
+    for (arity, bidx), table in algebra.ops.items():
+        beta = algebra.monoid[bidx]
+        factor = RingElement.monomial(algebra.spec, 1, lam=beta.lam, e=beta.mu // 2)
+        for comp, value in table.get(word, {}).items() if arity == k else ():
+            add_term(out, comp, factor * value)
+    return out
 
 
 def expand_apply_m(algebra, inputs) -> Element:
@@ -562,6 +581,28 @@ def connes_B_reference(basis, chain) -> HochschildChain:
     return HochschildChain(basis, out, True)
 
 
+def chain_sum(chain, other, sign: int = 1) -> HochschildChain:
+    """chain + sign * other on raw term maps, in one pass over the terms of
+    other; the chains must share a reduced flag and a ring."""
+    if chain.reduced != other.reduced:
+        raise ConfigurationError("cannot mix reduced and unreduced chains")
+    spec = other.spec if chain.spec is None else chain.spec
+    if other.spec is not None:
+        require_compatible(spec, other.spec)
+    terms = dict(chain.terms)
+    for key, right in other.terms.items():
+        left = terms.get(key)
+        if left is None:
+            terms[key] = right if sign > 0 else add_into({}, right, -1)
+            continue
+        total = canonical(add_into(dict(left), right, sign))
+        if total:
+            terms[key] = total
+        else:
+            del terms[key]
+    return HochschildChain._clean(chain.basis, spec, terms, chain.reduced)
+
+
 def chain_sum_reference(left, right, sign: int) -> HochschildChain:
     """left + sign * right, summed key by key as RingElements."""
     out = ring_terms(left)
@@ -599,13 +640,14 @@ def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
         checks = [
             ("b^2", hh.hochschild_b(algebra, bc)),
             ("B^2", hh.connes_B_reduced(basis, Bc)),
-            ("bB+Bb", hh.hochschild_b(algebra, Bc) + hh.connes_B_reduced(basis, bc)),
+            ("bB+Bb",
+             chain_sum(hh.hochschild_b(algebra, Bc), hh.connes_B_reduced(basis, bc))),
             ("b'^2", hh.chain_bar(algebra, bar_u)),
             ("b(1-t)-(1-t)b'",
-             hh.hochschild_b(algebra, u - hh.cyclic_t(basis, u))
-             - (bar_u - hh.cyclic_t(basis, bar_u))),
-            ("b'N-Nb", hh.chain_bar(algebra, hh.operator_N(basis, u))
-             - hh.operator_N(basis, hh.hochschild_b(algebra, u))),
+             chain_sum(hh.hochschild_b(algebra, chain_sum(u, hh.cyclic_t(basis, u), -1)),
+                       chain_sum(bar_u, hh.cyclic_t(basis, bar_u), -1), -1)),
+            ("b'N-Nb", chain_sum(hh.chain_bar(algebra, hh.operator_N(basis, u)),
+                                 hh.operator_N(basis, hh.hochschild_b(algebra, u)), -1)),
         ]
         report.tick(len(checks))
         for tag, value in checks:

@@ -67,7 +67,7 @@ def _flip_structure(maker, key, word, comp):
     algebra = maker()
     table = algebra.ops[key][word]
     table[comp] = -table[comp]
-    algebra._m_cache.clear()
+    algebra._index = None
     return algebra
 
 

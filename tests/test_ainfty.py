@@ -29,7 +29,7 @@ from conftest import (
 )
 from oracles import (
     SCALARS, Covector, check_ainfty_reference, coderivation, delta_dual_reference, dual_action,
-    elements, expand_apply_m, mutant_module,
+    elements, expand_apply_m, m_word_reference, mutant_module,
 )
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
@@ -112,7 +112,7 @@ def test_relation_checker_catches_sign_flip():
     ops[(2, 0)][(1, 0)] = {1: algebra.one_ring()}  # drop the sign of m2(x, 1)
     mutated = make_e2()
     mutated.ops = ops
-    mutated._m_cache.clear()
+    mutated._index = None
     report = check_ainfty(mutated)
     assert not report.passed
     assert any("n=1" in msg for msg in report.failures)
@@ -126,20 +126,23 @@ def _corpus_algebra(name):
     return load(os.path.join(CORPUS, name + ".json")).algebra
 
 
-def _rescaled(algebra, edits):
+def _rescaled(algebra, edits, module=ainfty):
     """A fresh copy of the algebra with table entries rescaled.
 
     Each edit is ((arity, monoid index), word, output component, factor); a
     factor of -1 flips a sign and 0 deletes the term.  Rescaling keeps the
     tables degree-homogeneous, so the copy loads, but its relations break.
+    The copy is an algebra of ``module``, so that a mutated copy of the
+    ainfty module builds its operation index with its own code.
     """
     ops = {key: {word: dict(out) for word, out in table.items()}
            for key, table in algebra.ops.items()}
     for key, word, comp, factor in edits:
         ops[key][word][comp] = ops[key][word][comp].scale(factor)
-    return AInftyAlgebra(algebra.basis, algebra.monoid, ops, algebra.spec,
-                         k_max=algebra.k_max, higher_arities_zero=algebra.higher_arities_zero,
-                         name=algebra.name)
+    return module.AInftyAlgebra(algebra.basis, algebra.monoid, ops, algebra.spec,
+                                k_max=algebra.k_max,
+                                higher_arities_zero=algebra.higher_arities_zero,
+                                name=algebra.name)
 
 
 @st.composite
@@ -197,8 +200,8 @@ def test_relation_check_past_unflagged_tables_raises(k_max):
 
 # Mutants of the relation support: (original fragment, mutated fragment).
 RELATION_MUTANTS = {
-    "arity-0 inner words dropped": ("for inner in algebra.stored_words(k):",
-                                    "for inner in filter(len, algebra.stored_words(k)):"),
+    "arity-0 inner words dropped": ("by_output.setdefault(comp, []).append(word)",
+                                    "by_output.setdefault(comp, []).append(word) if word else 0"),
     "length bound off by one": ("len(word) - 1 + len(inner) <= max_len",
                                 "len(word) - 1 + len(inner) < max_len"),
     "candidates sorted by word alone": ("key=lambda word: (len(word), word)",
@@ -214,8 +217,8 @@ def _relation_support_disagrees(module) -> bool:
     curvature alone, and on both a failing word precedes a shorter failing
     word as a bare tuple: (1,1,x) before (x) on E2, before (1,x) on G1.
     """
-    cases = (_rescaled(make_e2(), [((2, 0), (0, 1), 1, -1)]),
-             _rescaled(make_g1(), [((2, 0), (0, 1), 1, -1)]))
+    cases = (_rescaled(make_e2(), [((2, 0), (0, 1), 1, -1)], module),
+             _rescaled(make_g1(), [((2, 0), (0, 1), 1, -1)], module))
     return not all(_same_relation_report(module, algebra, k_max)
                    for algebra in cases for k_max in range(5))
 
@@ -230,10 +233,70 @@ def test_relation_mutant_killed(name):
     assert _relation_support_disagrees(mutant_module(ainfty, old, new))
 
 
+def test_index_is_not_compared():
+    # the operation index is derived from ops: building it changes no ==
+    algebra = make_g1()
+    algebra.m_word((1, 1))
+    assert algebra == make_g1()
+
+
+def _index_cases(module):
+    """Algebras of ``module``: every maker's; E1 with higher arities not
+    marked zero; and that E1 with a stored m_3(x,x,x) of empty output, an
+    all-zero table that counts as stored, so its tables reach arity 3."""
+    for maker in ALL_MAKERS:
+        yield _rescaled(maker(), [], module)
+    e1 = make_e1()
+    yield module.AInftyAlgebra(e1.basis, e1.monoid, e1.ops, e1.spec, k_max=1,
+                               higher_arities_zero=False)
+    ops = dict(e1.ops)
+    ops[3, 0] = {(1, 1, 1): {}}
+    yield module.AInftyAlgebra(e1.basis, e1.monoid, ops, e1.spec, k_max=2,
+                               higher_arities_zero=False)
+
+
+def _read(fn, *args):
+    """The components of fn(*args) with their text, in order, or the type of
+    error it raised."""
+    try:
+        return [(comp, value.text()) for comp, value in fn(*args).items()]
+    except ConfigurationError:
+        return ConfigurationError
+
+
+def _index_disagrees(module) -> bool:
+    """Does m_word of this copy of the ainfty module differ from the tables
+    read directly, on some word of length <= 4 of some case?"""
+    return any(_read(algebra.m_word, word) != _read(m_word_reference, algebra, word)
+               for algebra in _index_cases(module)
+               for n in range(5) for word in words_over(range(len(algebra.basis)), n))
+
+
+# Mutants of the operation index: (original fragment, mutated fragment).
+INDEX_MUTANTS = {
+    "max stored arity from nonzero words only": (
+        "tuple(sorted({k for (k, _) in algebra.ops}))", "tuple(nonzero)"),
+    "assembly factor with e = mu": ("e=beta.mu // 2)", "e=beta.mu)"),
+    "m_word without its arity check": (
+        "        self._check_arity(len(word))\n        return _operation_index",
+        "        return _operation_index"),
+}
+
+
+def test_index_detector_accepts_the_index():
+    assert not _index_disagrees(ainfty)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_MUTANTS))
+def test_index_mutant_killed(name):
+    old, new = INDEX_MUTANTS[name]
+    assert _index_disagrees(mutant_module(ainfty, old, new))
+
+
 def test_unit_checker_catches_bad_insertion():
     algebra = make_e1()
     algebra.ops[(3, 0)] = {(1, 0, 1): {1: algebra.one_ring()}}
-    algebra._m_cache.clear()
+    algebra._index = None
     report = check_strict_unit(algebra)
     assert not report.passed
 

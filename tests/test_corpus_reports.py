@@ -18,6 +18,9 @@ The three command lines of the benchmark's potential-g1 workload are pinned
 by the digest of their concatenated reports, as the benchmark pins them, and
 wallcross and potential at level 9 and arity 10 on G1 and E2, with the
 arity error that wallcross at level 9 meets under an arity cutoff of 6.
+Also pinned: `mc --solve` on SV1; `check` on an E1 copy whose stored arity-3
+table is all zero, which still counts toward the arity cutoff; and
+wallcross on a G1 copy whose pair is not weak MC.
 """
 
 import hashlib
@@ -284,3 +287,63 @@ def test_wallcross_arity_error_at_level_9(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: arity 7 exceeds the arity cutoff 6\n"
+
+
+# sha256 of stdout for `mc --solve --input sv1.json`, exit 0
+SV1_MC_SOLVE = (0, "f3e93cf67a338c1726e7ac45319c1f39c339c7a9e9e9e1343b06f9b7238e2915")
+
+
+def test_mc_solve_report_bytes(capsys):
+    _check_run(["mc", "--solve", "--input", os.path.join(CORPUS, "sv1.json")],
+               capsys, *SV1_MC_SOLVE)
+
+
+def _stored_zero_table_document(path):
+    """e1.json with higher arities not marked zero, an arity cutoff of 2, and
+    one stored arity-3 entry m_3(x,x,x) whose output is empty: an all-zero
+    table that still counts as stored, so tables reach arity 3."""
+    with open(os.path.join(CORPUS, "e1.json")) as handle:
+        raw = json.load(handle)
+    raw["higher_arities_zero"] = False
+    raw["cutoffs"]["arity"] = 2
+    raw["operations"].append({"arity": 3, "monoid": 0, "inputs": ["x", "x", "x"],
+                              "output": []})
+    path.write_text(json.dumps(raw))
+
+
+# sha256 of stdout for `check --kmax 2` on that document, exit 0
+STORED_ZERO_TABLE_KMAX_2 = (0, "1432c79b8029b32fde9c545a2c13d179e9e8cd2175dc8f4efc322810d3f435c1")
+
+
+def test_stored_zero_table_counts_toward_the_arity_cutoff(tmp_path, capsys):
+    path = tmp_path / "e1_zero_m3.json"
+    _stored_zero_table_document(path)
+    _check_run(["check", "--kmax", "2", "--input", str(path)], capsys,
+               *STORED_ZERO_TABLE_KMAX_2)
+    assert main(["check", "--kmax", "3", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input document rejected:\n"
+        "  --kmax: relation checking at arity 3 needs tables up to 4; "
+        "either supply them or mark higher arities zero\n")
+
+
+# g1_wallcross with both candidates set to T^{1/2} y, which is not weak MC:
+# the wall-crossing pair report fails with one line per side.  Before the
+# pair was gated on weak MC, this line printed the corpus G1_WALLCROSS
+# report and exited 0.
+NOT_WEAK_MC_WALLCROSS = (1, "42d572b90b8650b15b3eb43d92d49885cb09da08d21f95a57a01e3af015a6e5a")
+
+
+def test_wallcross_report_bytes_without_weak_mc(tmp_path, capsys):
+    with open(os.path.join(CORPUS, "g1_wallcross.json")) as handle:
+        raw = json.load(handle)
+    for candidate in raw["candidates"]:
+        candidate["element"] = [{"basis": "y", "coeff": "1", "T": "1/2"}]
+    path = tmp_path / "g1_not_weak_mc.json"
+    path.write_text(json.dumps(raw))
+    out = _check_run(["wallcross", "--input", str(path)], capsys, *NOT_WEAK_MC_WALLCROSS)
+    assert "[wall-crossing] FAIL" in out
+    assert "    minus candidate b0 is not weak MC: curvature residual (-1*T^1)*z\n" in out
+    assert "    plus candidate b1 is not weak MC: curvature residual (-1*T^1)*z\n" in out

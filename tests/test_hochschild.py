@@ -28,8 +28,9 @@ from conftest import (
     make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1,
     poincare_tower, random_coboundary_tower, random_functional, ring,
 )
+import oracles
 from oracles import (
-    SCALARS, chain_bar_reference, chain_sum_reference, coderivation,
+    SCALARS, chain_bar_reference, chain_sum, chain_sum_reference, coderivation,
     coefficients, connecting_map, connes_B_reference, cyclic_t_reference, dual_B_star,
     dual_b_star, functional_apply_reference, hochschild_b_reference, mutant_module,
     operator_N_reference, ring_terms, tabulate,
@@ -89,19 +90,18 @@ def test_chain_identities(maker):
         c = random_chain(algebra, rng)
         assert hochschild_b(algebra, hochschild_b(algebra, c)).is_zero()
         assert connes_B_reduced(basis, connes_B_reduced(basis, c)).is_zero()
-        anti = hochschild_b(algebra, connes_B_reduced(basis, c)) + connes_B_reduced(
-            basis, hochschild_b(algebra, c)
-        )
+        anti = chain_sum(hochschild_b(algebra, connes_B_reduced(basis, c)),
+                         connes_B_reduced(basis, hochschild_b(algebra, c)))
         assert anti.is_zero()
         u = c.unreduced()
         assert chain_bar(algebra, chain_bar(algebra, u)).is_zero()
-        lhs = hochschild_b(algebra, u - cyclic_t(basis, u))
+        lhs = hochschild_b(algebra, chain_sum(u, cyclic_t(basis, u), -1))
         bar = chain_bar(algebra, u)
-        rhs = bar - cyclic_t(basis, bar)
-        assert (lhs - rhs).is_zero()
-        assert (chain_bar(algebra, operator_N(basis, u))
-                - operator_N(basis, hochschild_b(algebra, u))).is_zero()
-        assert operator_N(basis, u - cyclic_t(basis, u)).is_zero()
+        rhs = chain_sum(bar, cyclic_t(basis, bar), -1)
+        assert chain_sum(lhs, rhs, -1).is_zero()
+        assert chain_sum(chain_bar(algebra, operator_N(basis, u)),
+                         operator_N(basis, hochschild_b(algebra, u)), -1).is_zero()
+        assert operator_N(basis, chain_sum(u, cyclic_t(basis, u), -1)).is_zero()
 
 
 def test_rotation_is_periodic(g1, rng):
@@ -127,9 +127,9 @@ def test_telescoping_both_orders(g1, rng):
     basis = g1.basis
     for _ in range(40):
         c = random_chain(g1, rng, max_len=4).unreduced()
-        assert operator_N(basis, c - cyclic_t(basis, c)).is_zero()
+        assert operator_N(basis, chain_sum(c, cyclic_t(basis, c), -1)).is_zero()
         n_of_c = operator_N(basis, c)
-        assert (n_of_c - cyclic_t(basis, n_of_c)).is_zero()
+        assert chain_sum(n_of_c, cyclic_t(basis, n_of_c), -1).is_zero()
 
 
 def test_plain_bar_differential_squares_to_zero(e2, rng):
@@ -184,7 +184,7 @@ def test_chains_keep_one_ring(e2):
     with pytest.raises(ConfigurationError):
         HochschildChain(e2.basis, {(1, ()): e2.one_ring(), (1, (1,)): RingElement.one(other)})
     with pytest.raises(ConfigurationError):
-        chain + HochschildChain.generator(e2.basis, 1, (), e2.one_ring())
+        chain_sum(chain, HochschildChain.generator(e2.basis, 1, (), e2.one_ring()))
     # the ring is checked once per call against the algebra's or functional's
     with pytest.raises(ConfigurationError):
         hochschild_b(e2, chain)
@@ -196,7 +196,7 @@ def test_chains_keep_one_ring(e2):
         Functional(e2.basis, e2.spec, {(1, (1,)): RingElement.one(other)})
     # the zero chain of the constructor has no ring, and sums take the other's
     empty = HochschildChain(e2.basis, {})
-    assert empty.spec is None and (empty + chain).spec == other
+    assert empty.spec is None and chain_sum(empty, chain).spec == other
     with pytest.raises(ConfigurationError):
         empty.coefficient((1, ()))
     assert hochschild_b(e2, empty).spec is e2.spec
@@ -355,11 +355,11 @@ ALGEBRAS = {(name, cutoff): maker(cutoff) for name, maker in MAKERS.items()
             for cutoff in CUTOFFS}
 
 
-def _operator_outputs(module, algebra, chain):
+def _operator_outputs(module, algebra, chain, sums=chain_sum):
     """The five operators of a copy of the hochschild module on one chain,
-    and chain sums of that copy's chains, each with its reference; B is only
-    defined on reduced chains.  The sums take the chain and its every other
-    term, so that some keys collide and cancel."""
+    and the chain sums of ``sums`` on that copy's chains, each with its
+    reference; B is only defined on reduced chains.  The sums take the chain
+    and its every other term, so that some keys collide and cancel."""
     basis = algebra.basis
     pairs = [
         (module.hochschild_b(algebra, chain), hochschild_b_reference(algebra, chain)),
@@ -373,8 +373,8 @@ def _operator_outputs(module, algebra, chain):
     whole = module.HochschildChain(basis, terms, chain.reduced)
     part = module.HochschildChain(basis, dict(list(terms.items())[::2]), chain.reduced)
     for left, right in ((whole, part), (part, whole)):
-        pairs.append((left + right, chain_sum_reference(left, right, 1)))
-        pairs.append((left - right, chain_sum_reference(left, right, -1)))
+        pairs.append((sums(left, right, 1), chain_sum_reference(left, right, 1)))
+        pairs.append((sums(left, right, -1), chain_sum_reference(left, right, -1)))
     return pairs
 
 
@@ -438,7 +438,7 @@ def test_operators_match_their_references_on_inputs_that_cancel(case):
          hochschild_b_reference(algebra, hochschild_b_reference(algebra, chain))),
         (chain_bar(algebra, chain_bar(algebra, u)),
          chain_bar_reference(algebra, chain_bar_reference(algebra, u))),
-        (operator_N(basis, u - cyclic_t(basis, u)),
+        (operator_N(basis, chain_sum(u, cyclic_t(basis, u), -1)),
          operator_N_reference(basis, chain_sum_reference(u, cyclic_t_reference(basis, u), -1))),
     ):
         assert got.is_zero() and _same_terms(got, want), (chain.text(), got.text())
@@ -457,18 +457,18 @@ def sum_cases(draw):
 @given(case=sum_cases())
 def test_chain_sums_match_their_reference(case):
     left, right = case
-    both = left + right
+    both = chain_sum(left, right)
     for got, want in (
         (both, chain_sum_reference(left, right, 1)),
-        (left - right, chain_sum_reference(left, right, -1)),
-        (both - right, left),
-        (right - both, chain_sum_reference(right, both, -1)),
-        (left - left, HochschildChain(left.basis, {}, left.reduced)),
+        (chain_sum(left, right, -1), chain_sum_reference(left, right, -1)),
+        (chain_sum(both, right, -1), left),
+        (chain_sum(right, both, -1), chain_sum_reference(right, both, -1)),
+        (chain_sum(left, left, -1), HochschildChain(left.basis, {}, left.reduced)),
     ):
         assert _same_terms(got, want), (left.text(), right.text(), got.text())
     mixed = HochschildChain(left.basis, ring_terms(right), not right.reduced)
     with pytest.raises(ConfigurationError):
-        left + mixed
+        chain_sum(left, mixed)
 
 
 @st.composite
@@ -540,11 +540,12 @@ def _mutant_cases():
                 yield algebra, HochschildChain(basis, terms, reduced)
 
 
-def _kernels_disagree(module) -> bool:
-    """Does this copy of the hochschild module differ from the references?"""
+def _kernels_disagree(module, sums=chain_sum) -> bool:
+    """Do this copy of the hochschild module and these chain sums differ
+    from the references?"""
     for algebra, chain in _mutant_cases():
         try:
-            pairs = _operator_outputs(module, algebra, chain)
+            pairs = _operator_outputs(module, algebra, chain, sums)
         except Exception:
             return True
         if not all(_same_terms(got, want) for got, want in pairs):
@@ -554,7 +555,8 @@ def _kernels_disagree(module) -> bool:
 
 # Mutants of the raw-term kernels: name -> (module, original fragment,
 # mutated fragment).  A coeff mutant reaches the operators through their
-# binding of mul_into.
+# binding of mul_into; an oracles mutant is a mutated chain_sum, the chain
+# arithmetic that only the tests use.
 HOCHSCHILD_MUTANTS = {
     "sign dropped in mul_into": (coeff, "v1 = -v1", "v1 = v1"),
     "level cutoff skipped in mul_into": (coeff, "if lvl > top:", "if False:"),
@@ -564,7 +566,7 @@ HOCHSCHILD_MUTANTS = {
     "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
                                    "(v,) + word, len(word))"),
     "B unit filter dropped": (hochschild, "if v == unit:", "if False:"),
-    "- adds on a colliding key": (hochschild, "add_into(dict(left), right, sign)",
+    "- adds on a colliding key": (oracles, "add_into(dict(left), right, sign)",
                                   "add_into(dict(left), right, 1)"),
 }
 
@@ -577,6 +579,9 @@ def test_kernel_detector_accepts_the_kernels():
 def test_hochschild_mutant_killed(name, monkeypatch):
     module, old, new = HOCHSCHILD_MUTANTS[name]
     mutant = mutant_module(module, old, new)
+    if module is oracles:
+        assert _kernels_disagree(hochschild, mutant.chain_sum)
+        return
     if module is coeff:
         monkeypatch.setattr(hochschild, "mul_into", mutant.mul_into)
         mutant = hochschild

@@ -11,7 +11,7 @@ from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element
 from ainfty.hochschild import CocycleTower
-from ainfty.pairing import InfinityInnerProduct, build_phi
+from ainfty.pairing import InfinityInnerProduct, build_phi, weak_cyclic_check
 from ainfty.potential import (
     GaugePath,
     PotentialInput,
@@ -217,11 +217,37 @@ def test_wall_crossing_report_requires_matching_gw(e2, e2_phi):
         wall_crossing_report(minus, plus)
 
 
-def test_potential_input_records_weak_mc(e2, e2_phi):
-    b = Element.generator(e2.basis, 1, ring(e2.spec, 1, lam=Fraction(1, 2)))
-    inp = PotentialInput(e2, e2_phi, b, RingElement.zero(e2.spec))
-    assert inp.weak_mc
-    assert inp.c == ring(e2.spec, 1, lam=1, e=1)
+def _gate_holds(module) -> bool:
+    """Does ``module``'s wall-crossing report pass the corpus G1 pair b0, b1
+    and fail, naming both sides, a pair whose candidates are both T^{1/2} y,
+    which is not weak MC (m1(y) = -T^{1/2} z)?  The two pairs have the same
+    potentials, so only the weak MC gate tells them apart."""
+    doc = g1_corpus_tower(None)
+    algebra = doc.algebra
+    phi = build_phi(algebra, doc.towers["pair"])
+    zero = RingElement.zero(algebra.spec)
+
+    def report(b_minus, b_plus):
+        return module.wall_crossing_report(
+            module.PotentialInput(algebra, phi, b_minus, zero, zero),
+            module.PotentialInput(algebra, phi, b_plus, zero, zero))
+
+    weak = report(doc.candidates["b0"], doc.candidates["b1"])
+    y = Element.generator(algebra.basis, 2, ring(algebra.spec, 1, lam=Fraction(1, 2)))
+    gated = report(y, y)
+    residual = Element.generator(algebra.basis, 3, ring(algebra.spec, -1, lam=1))
+    return (weak.passed and not weak.not_weak_mc and gated.residual.is_zero()
+            and not gated.passed and gated.not_weak_mc == {"minus": residual, "plus": residual})
+
+
+def test_wall_crossing_report_requires_weak_mc():
+    assert _gate_holds(potential)
+
+
+def test_wall_crossing_gate_mutant_killed():
+    mutant = mutant_module(potential, "if not ok:\n            not_weak_mc[side] = rest",
+                           "if False:\n            not_weak_mc[side] = rest")
+    assert not _gate_holds(mutant)
 
 
 def test_potential_has_positive_valuation(e2, e2_phi, rng):
@@ -353,6 +379,17 @@ def test_support_driven_sums_match_references():
     # coboundary towers alone would make every sum zero; random tables do not
     assert kinds.count("nonzero") >= 10
     assert kinds.count("raised") >= 10
+
+
+def test_weak_cyclic_check_holds_at_y_zero():
+    # both sides of the rotation identity are linear in y, so at y = 0 it
+    # holds for any table; a left side that read b in y's slot would not
+    for seed in range(40):
+        for name in sorted(ALGEBRAS):
+            for generic in (False, True):
+                algebra, phi, b = _random_phi_case(name, seed, generic=generic)
+                zero = Element.zero(algebra.basis)
+                assert weak_cyclic_check(algebra, phi, b, zero, n_max=3).passed, (name, seed)
 
 
 # Mutants of the support-driven sums, each applied to a fresh copy of the

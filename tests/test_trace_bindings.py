@@ -5,13 +5,16 @@ replaces each module attribute bound to them.  A refactor that renames a
 traced function or drops a binding site would make its per-layer metrics
 read 0, and one that changes what a traced function returns can make a
 post-call hook raise, so that every traced sample crashes; these tests catch
-both in the fast suite.  They only read `bench/`.
+both in the fast suite, on a `check` run and on the command lines of the
+benchmark's cocycle-g1 and potential-g1 workloads.  They only read `bench/`.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,12 +52,34 @@ print(json.dumps({"plain": plain, "traced": traced,
 """
 
 
-def _probe(source):
+# argv: workload name, directory for its generated inputs
+TRACED_WORKLOAD = """
+import contextlib, io, json, sys
+from ainfty.cli import main
+from tracer import Tracer
+from workloads import DEFAULT_SEED, commands
+lines = commands(sys.argv[1], DEFAULT_SEED, sys.argv[2])
+
+def run():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = [main(argv) for argv in lines]
+    return [codes, out.getvalue()]
+
+plain = run()
+tracer = Tracer()
+tracer.install()
+traced = run()
+print(json.dumps({"plain": plain, "traced": traced, "missing": tracer.missing}))
+"""
+
+
+def _probe(source, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", source], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", source, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -71,3 +96,11 @@ def test_traced_check_prints_the_untraced_report():
     assert result["traced"] == result["plain"]
     assert result["plain"][0] == 0
     assert result["suite_calls"] == 1
+
+
+@pytest.mark.parametrize("workload", ("cocycle-g1", "potential-g1"))
+def test_traced_workload_prints_the_untraced_reports(workload, tmp_path):
+    result = _probe(TRACED_WORKLOAD, workload, str(tmp_path))
+    assert result["traced"] == result["plain"]
+    assert set(result["plain"][0]) == {0}
+    assert result["missing"] == []
