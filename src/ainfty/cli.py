@@ -33,22 +33,41 @@ from .report import Report
 DEFAULT_SEED = 20240601
 
 
-def _random_reduced_chain(algebra, rng, max_len=5):
+def _draw_monomials(spec) -> dict:
+    """The monomials T^lam e^m of the seeded draw, keyed (2 lam, m) for lam
+    in {0, 1/2, 1} and m in {-1, 0, 1}; None where the level cutoff drops
+    the monomial."""
+    top = spec.level_cutoff
+    monomials = {}
+    for half in range(3):
+        for e in (-1, 0, 1):
+            mono = spec.monomial(lam=Fraction(half, 2), e=e)
+            monomials[half, e] = mono if mono.lvl <= top else None
+    return monomials
+
+
+def _random_reduced_chain(algebra, rng, max_len=5, monomials=None):
+    """A seeded reduced chain of one to four terms c T^lam e^m [v|w].
+
+    Per term the draws are the word length, its letters, the module v, then
+    c in -3..3, 2 lam in 0..2 and m in -1..1; a term whose coefficient is
+    zero is skipped.  ``monomials`` is ``_draw_monomials`` of the algebra's
+    ring, built here when not given.
+    """
+    spec = algebra.spec
+    if monomials is None:
+        monomials = _draw_monomials(spec)
     basis = algebra.basis
     letters = basis.reduced_letters()
     terms = {}
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
         module = rng.randrange(len(basis))
-        coeff = RingElement.monomial(
-            algebra.spec,
-            Fraction(rng.randint(-3, 3)),
-            lam=Fraction(rng.randint(0, 2), 2),
-            e=rng.randint(-1, 1),
-        )
-        if coeff:
-            terms[(module, word)] = coeff
-    return hh.HochschildChain(basis, terms, reduced=True)
+        c = rng.randint(-3, 3)
+        mono = monomials[rng.randint(0, 2), rng.randint(-1, 1)]
+        if c and mono is not None:
+            terms[(module, word)] = {mono: c}
+    return hh.HochschildChain._clean(basis, spec if terms else None, terms, True)
 
 
 def _vanishes(raw: dict) -> bool:
@@ -85,7 +104,11 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     Report lines are those of the per-chain evaluation of every chain.  The
     cost is one evaluation per distinct key (on G1 at the default seed,
     231 keys for 200 chains of 421 terms) plus one per chain that fails;
-    the certificates live only for this call.
+    the certificates live only for this call.  An evaluation forms the b'
+    images in full and b only through its wrap-around terms, on t(u) and on
+    the small chain q D(u) (see ``hh.identity_residuals``): on G1 at K = 8
+    and the default seed the suite makes 11,079 ``coeff.mul_into`` calls.
+    The draws share one table of their nine monomials.
     """
     rng = random.Random(seed)
     report = Report("chain-identities")
@@ -95,6 +118,7 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     report.note("seed", seed)
     basis = algebra.basis
     one = algebra.one_ring()
+    monomials = _draw_monomials(algebra.spec)
     verdicts = {}
 
     def certified(key):
@@ -106,7 +130,7 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
         return verdicts[key]
 
     for n in range(count):
-        c = _random_reduced_chain(algebra, rng, max_len)
+        c = _random_reduced_chain(algebra, rng, max_len, monomials)
         report.tick(6)
         if all(certified(key) for key in c.terms):
             continue

@@ -46,12 +46,18 @@ degree, so the powers of t cost O(1) each after one ``maltese`` per word.
 Each of b, b', N and B has one implementation, a private core that adds
 sign * op(chain) into a caller's raw {key: {Monomial: scalar}} map
 (``_b_into``, ``_bar_into``, ``_N_into``, ``_B_into``); the public operator
-runs its core into an empty map and builds the chain.  ``identity_residuals``
-runs the cores into one map per chain identity, so the six identities at a
-chain cost one image per operator and no intermediate chain.  All the
-operators are linear over the coefficient ring, and the level cutoff is an
-ideal, which is what lets ``cli.chain_identity_suite`` check each basis key
-once instead of each drawn chain.
+runs its core into an empty map and builds the chain.  The wrap-around
+terms of b have one helper, ``_wraps_key_into``, which takes the first
+tail-block length as a parameter: b runs it from 0, and D = b - b' on
+unreduced chains (``_D_into``) from 1.  ``identity_residuals`` runs the
+cores into one map per chain identity with no intermediate chain sum.  It
+builds each b image from a b' image plus wrap-around terms, and sums the
+b^2 and bB+Bb residuals from the b'^2 and b'N-Nb residuals, so b forms
+interior insertions only on t(u) and on the small chain q D(u); its
+docstring proves the three identities this rests on.  All the operators
+are linear over the coefficient ring, and the level cutoff is an ideal,
+which is what lets ``cli.chain_identity_suite`` check each basis key once
+instead of each drawn chain.
 
 The dual side stores towers of finitely supported functionals, applied to
 chains key by key; a tower is validated chainwise against b and B.
@@ -175,6 +181,46 @@ def _level_cutoff(chain: HochschildChain, spec):
     return spec.level_cutoff
 
 
+def _wraps_key_into(acc: dict, tables, v: int, word: Word, terms: dict, prefixes: list,
+                    top: int, sign: int, start: int) -> None:
+    """Add sign * the wrap-around terms of b at one key (v, word) whose tail
+    block has i >= start letters into acc.
+
+    m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a, puts its output in the
+    module slot and keeps a_{j+1}..a_{k-i}; ``prefixes[p]`` is the shifted
+    degree of the first p factors of v, a_1..a_k.  The tail block crosses v
+    and the kept prefix a_1..a_{k-i}: this is the one place of the wrap
+    sign, which is +1 for i = 0.
+    """
+    k = len(word)
+    total = prefixes[-1]
+    for a, words in tables.items():
+        if a > k + 1:
+            break
+        for i in range(start, a):
+            j = a - 1 - i
+            inner = words.get(word[k - i :] + (v,) + word[:j])
+            if not inner:
+                continue
+            kept = prefixes[k - i + 1]
+            wrap = -sign if (total - kept) * kept % 2 else sign
+            rest = word[j : k - i]
+            for comp, value in inner.items():
+                mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
+
+
+def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+                start: int) -> dict:
+    """Add the wrap-around terms of b(chain) whose tail block has i >= start
+    letters into acc: W(chain) for start 0."""
+    degrees = algebra.basis.degrees
+    tables = nonzero_words(algebra)
+    for (v, word), terms in chain.terms.items():
+        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
+        _wraps_key_into(acc, tables, v, word, terms, prefixes, top, 1, start)
+    return acc
+
+
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
             sign: int = 1) -> dict:
     """Add sign * b(chain) into acc, a raw {key: {Monomial: scalar}} map;
@@ -184,25 +230,9 @@ def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
     # an insertion that makes the unit in a tensor slot is zero in the quotient
     unit = algebra.basis.unit if chain.reduced else None
     for (v, word), terms in chain.terms.items():
-        k = len(word)
         # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
         prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
-        total = prefixes[-1]
-        # wrap-around: m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a, keeps a_{j+1}..a_{k-i}
-        for a, words in tables.items():
-            if a > k + 1:
-                break
-            for i in range(a):
-                j = a - 1 - i
-                inner = words.get(word[k - i :] + (v,) + word[:j])
-                if not inner:
-                    continue
-                # the tail block crosses v and the kept prefix a_1..a_{k-i}
-                kept = prefixes[k - i + 1]
-                wrap = -sign if (total - kept) * kept % 2 else sign
-                rest = word[j : k - i]
-                for comp, value in inner.items():
-                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
+        _wraps_key_into(acc, tables, v, word, terms, prefixes, top, sign, 0)
         # interior: m_j inserted in the tensor word, arity 0 included
         for p, arity, inner, inserted in insertions(algebra, word, prefixes[1]):
             inserted *= sign
@@ -217,6 +247,19 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     """The module differential, wrap-around and interior sums with exact signs."""
     raw = _b_into({}, algebra, chain, _level_cutoff(chain, algebra.spec))
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
+
+
+def _D_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int) -> dict:
+    """Add D(chain) into acc, D = b - b' on unreduced chains: the
+    wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
+    of the module slot (see ``identity_residuals`` for the proof)."""
+    _wraps_into(acc, algebra, chain, top, 1)
+    curvature = nonzero_words(algebra).get(0, {}).get(())
+    if curvature:
+        for (v, word), terms in chain.terms.items():
+            for comp, value in curvature.items():
+                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -1)
+    return acc
 
 
 def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
@@ -305,41 +348,135 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
     return _built(basis, chain.spec, _B_into({}, basis, chain), True)
 
 
+def _quotient(raw: dict, unit: int) -> dict:
+    """q on a raw map: its keys with no unit in a tensor slot, maps shared."""
+    return {key: terms for key, terms in raw.items() if unit not in key[1]}
+
+
+def _unit_front_into(acc: dict, raw: dict, unit: int, sign: int) -> dict:
+    """Add sign * q s_1 of a raw map into acc, over its nonzero keys only:
+    s_1 puts the unit in front, (v, w) -> (1, (v,) + w), and q drops the
+    result when v or w holds the unit."""
+    for (v, word), terms in raw.items():
+        if v != unit and unit not in word and any(terms.values()):
+            add_into(acc.setdefault((unit, (v,) + word), {}), terms, sign)
+    return acc
+
+
 def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
     """The six chain identities at a reduced chain c, as raw residual maps.
 
     Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
     b(1-t)-(1-t)b' and b'N-Nb, in that order.  An identity holds at c
     exactly when every scalar of its map is zero; ``_built`` makes the
-    chain of a map.  With u the unreduced c, each operator image is
-    computed once: b(u), then b(c) as its quotient, B(c), b'(u), t(u),
-    t(b'u) and N(u).  b(c) drops the keys of b(u) that hold the unit in a
-    tensor slot: c has no unit word, so those keys come only from interior
-    insertions that output the unit, which reduced b skips.  The rotation
-    residual is b(u) - b(tu) - b'(u) + t(b'u), and b'N-Nb reuses b(u).  The
-    outer operator of each identity adds into that identity's map through
-    its private core (``_b_into`` and the like), so no residual chain and
-    no chain sum is made on the way.
+    chain of a map.  Each map is the full sum of its identity's operator
+    composites, scalar by scalar (``oracles.identity_residuals_reference``
+    computes them image by image); nothing is skipped by appeal to strict
+    unitality or to the A-infinity relations.  The b images are assembled
+    from b' images through three facts that hold for any tables:
+
+      * D.  D(x) := b(x) - b'(x) on unreduced chains is the wrap-arounds
+        of b with a tail block i >= 1, minus m_0 inserted in front of the
+        module slot (``_D_into``).  Proof: b' inserts into the full word
+        (v, a_1..a_k).  At p = 0 its arity-a >= 1 insertion
+        m_a(v, a_1..a_{a-1}) gives the key (comp, word[a-1:]) with sign
+        +1; so does b's wrap with i = 0, whose empty tail block crosses
+        nothing.  At p >= 1 the window lies in the word, and the sign
+        (-1)^{|v|' + |a_1..a_{p-1}|'} is that of b's interior insertion at
+        p - 1 with base |v|', over the same positions and arities.  What
+        is left is b's wraps with i >= 1 and b''s arity-0 insertion at
+        p = 0, which b does not have: it is nonzero on curved tables (E2,
+        whose m_0 outputs the unit, and SV1).
+      * s_1 and q.  s_1(v, w) = (1, (v,) + w), and q drops the keys with
+        the unit in a tensor slot.  (a) B(x) = q s_1 N(x) on reduced x:
+        both run the same ``_rotations`` of (v,) + w, B writes rotation r
+        at (1, r), which is s_1 of N's key, and the keys with v = 1 that B
+        skips are the ones whose rotations q drops.  (b) For y with no unit
+        in any slot, b_red(s_1 y) = W(s_1 y) + (-1)^{|1|'} q s_1 b'(y),
+        W all the wraps (i >= 0): b's interior insertions at (1, f) are
+        the insertions into f with base |1|', b''s at y are those into f
+        with base 0, written at the key s_1 maps to (1, f'); reduced b
+        skips an insertion that outputs the unit, which is what q drops.
+      * Reduced b.  On keys with unit-free words, b_red = q b: the
+        insertions it skips are the ones that put the unit in the word,
+        and a wrap keeps a subword.
+
+    Let u be the unreduced c, u' and u'' its keys whose module is not and
+    is the unit, P and Z the keys of b'(u) with a unit-free word and with
+    the unit in a tensor slot, and eps = (-1)^{|1|'} from the unit's
+    degree.  Then:
+
+      1. b(u) = b'(u) + D(u), by D.
+      2. The rotation residual b(u) - b(tu) - b'(u) + t b'(u) is
+         D(u) + t b'(u) - b(tu).
+      3. Let R := b'(N u') - N(b u) = b'(N u') - N(b'u) - N(Du).  By (a),
+         B(c) = q s_1 N(u) = s_1 N(u'): every key of s_1 N(u'') holds the
+         unit and no key of s_1 N(u') does.  So b_red(B c) = W(B c) +
+         eps q s_1 b'(N u') by (b), applied to y = N(u').  B(b_red c) =
+         q s_1 N(q b u) = q s_1 N(b u), by (a) and reduced b, since
+         q s_1 N drops every key with a unit word.  So bB+Bb =
+         W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and the last term
+         is zero because ``GradedBasis`` gives the unit degree 0.  q s_1 R
+         is summed once R has cancelled, over its nonzero keys.  The b'N-Nb
+         residual is then R + b'(N u'').
+      4. b_red b_red c = q b(q b u) by reduced b, and q b u = P + q D u, so
+         b^2 = q b(P) + b_red(q D u); by D and b'(u) = P + Z, q b(P) =
+         q b'(b'u) - q b'(Z) + q D(P), and q b'(b'u) is the quotient of
+         the b'^2 residual.  Z is empty unless some insertion outputs the
+         unit (E2's m_0) or m_0 goes in front of a unit module.
+
+    So the images are b'(u), D(u), N(u'), N(u''), t(u), b(tu), t b'(u),
+    b'(b'u), b'(Z), D(P), b_red(q D u), b'(N u'), b'(N u''), N(b'u),
+    N(D u), W(B c) and B(B c): b runs its interior insertions only on tu
+    and q D u, and b(b c), b(B c) and B(b c) are never formed.  The b^2
+    map shares the maps of the b'^2 residual at the keys the other terms
+    of 4 do not reach.
     """
     basis = algebra.basis
-    top = _level_cutoff(chain, algebra.spec)
+    unit = basis.require_unit()
+    spec = algebra.spec
+    top = _level_cutoff(chain, spec)
+
+    def unreduced(terms):
+        return HochschildChain._clean(basis, spec, terms, False)
+
     u = chain.unreduced()
-    bu = hochschild_b(algebra, u)
-    bc = HochschildChain._clean(basis, bu.spec, {
-        key: terms for key, terms in bu.terms.items() if basis.unit not in key[1]}, True)
-    Bc = connes_B_reduced(basis, chain)
     bar_u = chain_bar(algebra, u)
-    rotation: dict = {}
-    for image, sign in ((bu, 1), (bar_u, -1), (cyclic_t(basis, bar_u), 1)):
+    Du = _built(basis, spec, _D_into({}, algebra, u, top), False)
+
+    bar_square = _bar_into({}, algebra, bar_u, top)
+    P = _quotient(bar_u.terms, unit)
+    Z = {key: terms for key, terms in bar_u.terms.items() if key not in P}
+    qDu = HochschildChain._clean(basis, spec, _quotient(Du.terms, unit), True)
+    extra = _bar_into({}, algebra, unreduced(Z), top, -1)
+    _D_into(extra, algebra, unreduced(P), top)
+    extra = _b_into(_quotient(extra, unit), algebra, qDu, top)
+    square = _quotient(bar_square, unit)
+    for key, terms in extra.items():
+        old = square.get(key)
+        square[key] = terms if old is None else add_into(terms, old)
+
+    rotation = _b_into({}, algebra, cyclic_t(basis, u), top, -1)
+    for image in (Du, cyclic_t(basis, bar_u)):
         for key, terms in image.terms.items():
-            add_into(rotation.setdefault(key, {}), terms, sign)
+            add_into(rotation.setdefault(key, {}), terms)
+
+    N_front = operator_N(basis, unreduced({key: terms for key, terms in u.terms.items()
+                                           if key[0] != unit}))
+    N_unit = operator_N(basis, unreduced({key: terms for key, terms in u.terms.items()
+                                          if key[0] == unit}))
+    Bc = HochschildChain._clean(basis, spec, {
+        (unit, (v,) + word): terms for (v, word), terms in N_front.terms.items()}, True)
+    R = _N_into(_N_into(_bar_into({}, algebra, N_front, top), basis, bar_u, -1), basis, Du, -1)
+    eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
+    bB = _unit_front_into(_wraps_into({}, algebra, Bc, top, 0), R, unit, eps)
     return [
-        ("b^2", _b_into({}, algebra, bc, top)),
+        ("b^2", square),
         ("B^2", _B_into({}, basis, Bc)),
-        ("bB+Bb", _B_into(_b_into({}, algebra, Bc, top), basis, bc)),
-        ("b'^2", _bar_into({}, algebra, bar_u, top)),
-        ("b(1-t)-(1-t)b'", _b_into(rotation, algebra, cyclic_t(basis, u), top, -1)),
-        ("b'N-Nb", _N_into(_bar_into({}, algebra, operator_N(basis, u), top), basis, bu, -1)),
+        ("bB+Bb", bB),
+        ("b'^2", bar_square),
+        ("b(1-t)-(1-t)b'", rotation),
+        ("b'N-Nb", _bar_into(R, algebra, N_unit, top)),
     ]
 
 

@@ -25,7 +25,9 @@ tabulation, coboundary towers and the connecting map) with the arithmetic
 of functionals they need, and the unit-insertion vanishing check.  The
 chain identity suite is here in its per-chain form, with no per-key
 certificates: every operator image and every residual built as a chain,
-with chain sums, on every drawn chain.  Also the test-only chain, ring and
+with chain sums, on every drawn chain; and the six residual maps at one
+chain with every operator image computed in full, as the reference for
+``hochschild.identity_residuals``.  Also the test-only chain, ring and
 potential helpers: chain sums on raw term maps (``chain_sum``), truncation
 of a ring element at an energy, and the degenerate potential formula of
 strict towers.
@@ -620,6 +622,39 @@ def functional_apply_reference(functional, chain) -> RingElement:
         if entry:
             acc = acc + entry * coeff
     return acc
+
+
+def identity_residuals_reference(algebra, chain) -> list:
+    """The six chain identities at a reduced chain c, as raw residual maps,
+    with every operator image of each identity computed in full.
+
+    Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
+    b(1-t)-(1-t)b' and b'N-Nb, in that order.  With u the unreduced c: b(u),
+    then b(c) as its quotient, B(c), b'(u), t(u), t(b'u) and N(u); the
+    outer operator of each identity adds into that identity's map through
+    the engine's private operator cores.
+    """
+    basis = algebra.basis
+    top = hh._level_cutoff(chain, algebra.spec)
+    u = chain.unreduced()
+    bu = hochschild_b(algebra, u)
+    bc = HochschildChain._clean(basis, bu.spec, {
+        key: terms for key, terms in bu.terms.items() if basis.unit not in key[1]}, True)
+    Bc = connes_B_reduced(basis, chain)
+    bar_u = hh.chain_bar(algebra, u)
+    rotation: dict = {}
+    for image, sign in ((bu, 1), (bar_u, -1), (hh.cyclic_t(basis, bar_u), 1)):
+        for key, terms in image.terms.items():
+            add_into(rotation.setdefault(key, {}), terms, sign)
+    return [
+        ("b^2", hh._b_into({}, algebra, bc, top)),
+        ("B^2", hh._B_into({}, basis, Bc)),
+        ("bB+Bb", hh._B_into(hh._b_into({}, algebra, Bc, top), basis, bc)),
+        ("b'^2", hh._bar_into({}, algebra, bar_u, top)),
+        ("b(1-t)-(1-t)b'", hh._b_into(rotation, algebra, hh.cyclic_t(basis, u), top, -1)),
+        ("b'N-Nb", hh._N_into(hh._bar_into({}, algebra, hh.operator_N(basis, u), top),
+                              basis, bu, -1)),
+    ]
 
 
 def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:

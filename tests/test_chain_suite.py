@@ -11,8 +11,12 @@ degree raised by one after the tables were validated, so the operations
 lose their degree and the rotation identities fail as well).  The
 certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
-one; both are properties here.  The mutant catalog breaks the certificate
-and the shared residual helper one way each.
+one; both are properties here.  ``hochschild.identity_residuals`` builds
+its b images from b' images; its six maps must equal those of
+``oracles.identity_residuals_reference``, which forms every image in full,
+and the operator identities it rests on (b = b' + D, and reduced b after
+the unit is put in front) are properties too.  The mutant catalog breaks
+the certificate and each term of the residual kernel one way each.
 """
 
 from fractions import Fraction
@@ -22,14 +26,17 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import cli, hochschild
 from ainfty.ainfty import AInftyAlgebra
+from ainfty.coeff import canonical
 from ainfty.graded import GradedBasis
 from ainfty.hochschild import (
-    HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, operator_N,
+    HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, identity_residuals,
+    operator_N,
 )
 
-from conftest import make_e1, make_e2, make_g1, make_q1
+from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1
 from oracles import (
-    SCALARS, chain_identity_suite_reference, chain_sum, coefficients, mutant_module,
+    SCALARS, chain_identity_suite_reference, chain_sum, coefficients,
+    identity_residuals_reference, mutant_module,
 )
 
 
@@ -143,6 +150,106 @@ def test_reduced_b_is_the_quotient_of_unreduced_b(case):
     assert got == quotient and got.terms == quotient.terms
 
 
+# The residual kernel against the image-by-image reference, and the three
+# facts it rests on (see ``hochschild.identity_residuals``).  SV1 joins the
+# algebras here: with E2 it is curved, and E2's m_0 outputs the unit, so
+# b'(u) has keys with the unit in a tensor slot (Z is not empty).
+RESIDUAL_ALGEBRAS = {**{(name, None): algebra for name, algebra in VARIANTS.items()},
+                     **RINGED, ("SV1", Fraction(1, 2)): make_sv1(Fraction(1, 2)),
+                     ("SV1", Fraction(3)): make_sv1()}
+
+
+def _nonzero(raw: dict) -> dict:
+    """A raw map with its zero scalars and emptied keys dropped."""
+    return {key: kept for key, terms in raw.items() if (kept := canonical(terms))}
+
+
+def _draw_chain(draw, algebra, module_letters, word_letters, reduced):
+    """A generator with coefficient 1, or a chain of one to four terms."""
+    basis = algebra.basis
+    key = st.tuples(st.sampled_from(module_letters),
+                    st.lists(st.sampled_from(word_letters), max_size=4).map(tuple))
+    if draw(st.booleans()):
+        one = algebra.one_ring()
+        return HochschildChain(basis, {draw(key): one}, reduced)
+    terms = draw(st.dictionaries(key, coefficients(algebra.spec, draw(st.sampled_from(SCALARS))),
+                                 min_size=1, max_size=4))
+    return HochschildChain(basis, terms, reduced)
+
+
+@st.composite
+def residual_cases(draw):
+    """An algebra, and a reduced generator or chain of one to four terms."""
+    algebra = RESIDUAL_ALGEBRAS[draw(st.sampled_from(sorted(RESIDUAL_ALGEBRAS, key=str)))]
+    basis = algebra.basis
+    return algebra, _draw_chain(draw, algebra, range(len(basis)), basis.reduced_letters(), True)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(case=residual_cases())
+def test_identity_residuals_match_their_reference(case):
+    algebra, chain = case
+    got = identity_residuals(algebra, chain)
+    want = identity_residuals_reference(algebra, chain)
+    assert [tag for tag, _ in got] == [tag for tag, _ in want]
+    for (tag, raw), (_, reference) in zip(got, want):
+        assert _nonzero(raw) == _nonzero(reference), (tag, chain.text())
+
+
+def _operator_algebras():
+    return st.sampled_from(sorted(RESIDUAL_ALGEBRAS, key=str)).map(RESIDUAL_ALGEBRAS.get)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), algebra=_operator_algebras())
+def test_b_is_bar_plus_D_on_unreduced_chains(data, algebra):
+    # D(x) = b(x) - b'(x): the wraps with a tail block of at least one
+    # letter, minus m_0 in front of the module slot; unit letters anywhere
+    letters = range(len(algebra.basis))
+    x = _draw_chain(data.draw, algebra, letters, letters, False)
+    top = algebra.spec.level_cutoff
+    D = hochschild._built(algebra.basis, algebra.spec,
+                          hochschild._D_into({}, algebra, x, top), False)
+    assert D == chain_sum(hochschild_b(algebra, x), chain_bar(algebra, x), -1), x.text()
+
+
+def _s1(basis, chain, sign=1):
+    """sign * q s_1 chain: the unit put in front, keys holding the unit dropped."""
+    unit = basis.unit
+    return HochschildChain(basis, {(unit, (v,) + word): chain.coefficient((v, word)).scale(sign)
+                                   for v, word in chain.terms
+                                   if unit != v and unit not in word}, reduced=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), algebra=_operator_algebras())
+def test_reduced_b_after_s1_is_wraps_plus_shifted_bar(data, algebra):
+    # b_red(s_1 y) = W(s_1 y) + (-1)^{|1|'} q s_1 b'(y) for y with no unit
+    # in any slot; B(y) = q s_1 N(y) on such y as well
+    basis = algebra.basis
+    letters = basis.reduced_letters()
+    y = _draw_chain(data.draw, algebra, letters, letters, False)
+    s1y = _s1(basis, y)
+    top = algebra.spec.level_cutoff
+    wraps = hochschild._built(basis, algebra.spec,
+                              hochschild._wraps_into({}, algebra, s1y, top, 0), True)
+    eps = -1 if (basis.degree(basis.unit) - 1) % 2 else 1
+    assert hochschild_b(algebra, s1y) == chain_sum(wraps, _s1(basis, chain_bar(algebra, y), eps))
+    reduced_y = HochschildChain(basis, {key: y.coefficient(key) for key in y.terms})
+    assert connes_B_reduced(basis, reduced_y) == _s1(basis, operator_N(basis, y))
+
+
+def test_E2_puts_the_unit_in_a_tensor_slot_of_bar_u():
+    # the case the b^2 term - q b'(Z) exists for: m_0 = T e 1 inserted in the word
+    e2 = make_e2()
+    one = e2.one_ring()
+    keys = [(v, word) for v in range(2) for word in ((), (1,), (1, 1))]
+    assert any(e2.basis.unit in key[1]
+               for v, word in keys
+               for key in chain_bar(e2, HochschildChain.generator(e2.basis, v, word, one,
+                                                                  False)).terms)
+
+
 # Seeded draws on every variant; the reference lines are computed once.  On
 # Q1 |z| + 1, b'N-Nb alone fails at [1|z,u,u,u], and seed 12 draws it as
 # chain #15 next to keys at which every identity holds.
@@ -183,9 +290,21 @@ CHAIN_SUITE_MUTANTS = {
         cli, "hh.identity_residuals(algebra, generator))",
         "hh.identity_residuals(algebra, generator)[:5])"),
     "b(1-t) without -b(tu)": (
-        hochschild, "_b_into(rotation, algebra, cyclic_t(basis, u), top, -1)", "rotation"),
+        hochschild, "_b_into({}, algebra, cyclic_t(basis, u), top, -1)", "{}"),
     "quotient keeps unit words": (
-        hochschild, "bu.terms.items() if basis.unit not in key[1]}", "bu.terms.items()}"),
+        hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
+    "D without its m0-in-front term": (hochschild, "if curvature:", "if False:"),
+    "tail start 0 in D": (
+        hochschild, "_wraps_into(acc, algebra, chain, top, 1)",
+        "_wraps_into(acc, algebra, chain, top, 0)"),
+    "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
+    "bB remap keeps unit words": (
+        hochschild, "if v != unit and unit not in word and any(", "if any("),
+    "b^2 without b_red(q D u)": (
+        hochschild, "extra = _b_into(_quotient(extra, unit), algebra, qDu, top)",
+        "extra = _quotient(extra, unit)"),
+    "b^2 without -q b'(Z)": (
+        hochschild, "extra = _bar_into({}, algebra, unreduced(Z), top, -1)", "extra = {}"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }
