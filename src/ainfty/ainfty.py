@@ -10,10 +10,13 @@ Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
   * the coderivation sign at insertion position i is (-1)^{maltese_i} with
     maltese_i the sum of shifted degrees of the first i inputs; ``insertions``
-    is the one loop over insertion positions and their signs, and every
-    differential here and in the Hochschild layer is a sum over it;
-    ``uninsertions`` runs it backwards through ``words_by_output``, and
-    every support-driven check lists the words it evaluates with it;
+    is the loop over insertion positions and their signs.  The curved
+    relations, delta (one pass over lw + (y,) + rw), the word parts of
+    delta' and Hochschild b', so b = b' + D too (see ``hochschild``), are
+    sums over it; the one insertion loop outside it is the dual absorption
+    of delta' in ``delta_dual``.  ``uninsertions`` runs it backwards
+    through ``words_by_output``, and every support-driven check lists the
+    words it evaluates with it;
   * the full coderivation includes the curvature insertions (arity 0), so
     "coderivation squares to zero" is equivalent to the curved relations.
 
@@ -240,9 +243,9 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
     shifted degrees of the first i letters; all signs of a word come from
     one prefix pass, and each window is one lookup in ``nonzero_words``.
-    Every differential of the engine is a sum over these insertions: the
-    curved relations, the word parts of the diagonal and dual bar
-    differentials, and the interior parts of Hochschild b and b'.
+    The curved relations, the diagonal bar differential, the word parts of
+    the dual one and Hochschild b' (and so b = b' + D) are sums over these
+    insertions.
     """
     basis_degrees = algebra.basis.degrees
     prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
@@ -501,37 +504,34 @@ DualSum = Dict[DualWord, RingElement]
 def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
     """Bar differential of the diagonal bimodule on (left, y, right) words.
 
-    The bar factors are reduced: insertion outputs hitting the unit in a
-    word slot are quotiented away (the module slot is unrestricted).
+    One pass over the insertions into lw + (y,) + rw: a window holding y
+    makes the new module slot, any other rewrites the left or right word,
+    whose unit outputs are quotiented away (the bar factors are reduced).
+    Past unflagged tables this raises as ``m_word`` does on the first
+    absorbing window lw[p:] + (y,) + rw[:q] (by p, then q) that is too long.
     """
-    basis = algebra.basis
-    unit = basis.unit
+    unit = algebra.basis.unit
+    top = algebra.max_stored_arity()
     out: BimodSum = {}
     for (lw, y, rw), coeff in words.items():
-        ldeg = [basis.degree(i) for i in lw]
-        # operations inside the left word
-        for i, k, inner, sign in insertions(algebra, lw):
+        full = lw + (y,) + rw
+        n = len(lw)
+        if len(full) > top:
+            algebra._check_arity(max(top + 1, n + 1))
+        for i, k, inner, sign in insertions(algebra, full):
             signed = coeff.scale(sign) if sign < 0 else coeff
+            absorbs = i <= n < i + k
+            # y's slot after a window that does not hold it
+            at = n - k + 1 if i + k <= n else n
             for comp, value in inner.items():
-                if comp != unit:
-                    add_term(out, (lw[:i] + (comp,) + lw[i + k :], y, rw), signed * value)
-        # operations inside the right word, past the left word and y
-        base = maltese(ldeg, len(lw)) + basis.degree(y) - 1
-        for i, k, inner, sign in insertions(algebra, rw, base):
-            signed = coeff.scale(sign) if sign < 0 else coeff
-            for comp, value in inner.items():
-                if comp != unit:
-                    add_term(out, (lw, y, rw[:i] + (comp,) + rw[i + k :]), signed * value)
-        # operations absorbing the module slot
-        for p in range(len(lw) + 1):
-            for q in range(len(rw) + 1):
-                word = lw[p:] + (y,) + rw[:q]
-                if len(word) > algebra.max_stored_arity() and algebra.higher_arities_zero:
+                if absorbs:
+                    key = (lw[:i], comp, rw[i + k - n - 1 :])
+                elif comp == unit:
                     continue
-                inner = algebra.m_word(word)
-                sign = -1 if maltese(ldeg, p) % 2 else 1
-                for comp, value in inner.items():
-                    add_term(out, (lw[:p], comp, rw[q:]), coeff.scale(sign) * value)
+                else:
+                    new = full[:i] + (comp,) + full[i + k :]
+                    key = (new[:at], y, new[at + 1 :])
+                add_term(out, key, signed * value)
     return out
 
 

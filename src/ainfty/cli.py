@@ -46,17 +46,15 @@ def _draw_monomials(spec) -> dict:
     return monomials
 
 
-def _random_reduced_chain(algebra, rng, max_len=5, monomials=None):
+def _random_reduced_chain(algebra, rng, max_len, monomials):
     """A seeded reduced chain of one to four terms c T^lam e^m [v|w].
 
     Per term the draws are the word length, its letters, the module v, then
     c in -3..3, 2 lam in 0..2 and m in -1..1; a term whose coefficient is
     zero is skipped.  ``monomials`` is ``_draw_monomials`` of the algebra's
-    ring, built here when not given.
+    ring.
     """
     spec = algebra.spec
-    if monomials is None:
-        monomials = _draw_monomials(spec)
     basis = algebra.basis
     letters = basis.reduced_letters()
     terms = {}

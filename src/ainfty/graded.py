@@ -187,8 +187,10 @@ class Element:
 def add_term(acc: dict, key, value: RingElement) -> None:
     """Add value into the sparse sum acc at key, keeping only nonzero entries.
 
-    The one accumulator of the engine: word sums, chain terms, bimodule and
-    dual words, functional tables and component maps all go through it.
+    The accumulator of sums of RingElements: word sums, bimodule and dual
+    words, the phi table and component maps go through it.  Hochschild
+    chains keep raw term maps instead, summed by ``coeff.mul_into`` and
+    ``coeff.add_into``.
     """
     if not value:
         return

@@ -8,14 +8,16 @@ input decides whether the quotient map is applied to the output.
 
 Sign conventions, all derived from shifted degrees:
 
-  * b (module differential): wrap-around terms absorb a tail block of the
-    word together with the module slot; the block pays the Koszul cost of
-    crossing everything it moves past (module slot plus the remaining
-    prefix).  Interior insertions are ``ainfty.insertions`` into the word
-    with base |v|': they pay |v|' plus the shifted prefix, and include the
-    arity-0 insertions.
   * b' (bar-type differential): the coderivation on the full marked word,
-    output marked at slot 0.
+    output marked at slot 0: a sum over ``ainfty.insertions``, the insertion
+    loop of every differential but one (the dual absorption of delta' in
+    ``ainfty.delta_dual``).
+  * b (module differential) = b' + D.  D adds the wrap-around terms whose
+    tail block has at least one letter: the block is absorbed together
+    with the module slot and pays the Koszul cost of crossing everything it
+    moves past (module slot plus the remaining prefix).  D also subtracts
+    m_0 inserted in front of the module slot, which b' has and b does not.
+    The b of a reduced chain is the quotient of b' + D.
   * t: signed rotation of the full marked word (last factor to the front),
     the module marking travelling with the rotation.
   * N = 1 + t + ... + t^{n-1} on length-n marked words.
@@ -43,18 +45,18 @@ form); a RingElement is made only where a coefficient is read as one: in
 one prefix pass (``maltese_prefixes``); a rotation keeps the total shifted
 degree, so the powers of t cost O(1) each after one ``maltese`` per word.
 
-Each of b, b', N and B has one implementation, a private core that adds
+Each of b', D, N and B has one implementation, a private core that adds
 sign * op(chain) into a caller's raw {key: {Monomial: scalar}} map
-(``_b_into``, ``_bar_into``, ``_N_into``, ``_B_into``); the public operator
-runs its core into an empty map and builds the chain.  The wrap-around
-terms of b have one helper, ``_wraps_key_into``, which takes the first
-tail-block length as a parameter: b runs it from 0, and D = b - b' on
-unreduced chains (``_D_into``) from 1.  ``identity_residuals`` runs the
-cores into one map per chain identity with no intermediate chain sum.  It
-builds each b image from a b' image plus wrap-around terms, and sums the
-b^2 and bB+Bb residuals from the b'^2 and b'N-Nb residuals, so b forms
-interior insertions only on t(u) and on the small chain q D(u); its
-docstring proves the three identities this rests on.  All the operators
+(``_bar_into``, ``_D_into``, ``_N_into``, ``_B_into``); the public operator
+runs its core into an empty map and builds the chain.  b's core
+``_b_into`` is ``_bar_into`` plus ``_D_into``, so b has no insertion loop
+of its own.  The wrap-around terms have one helper, ``_wraps_into``, which
+takes the first tail-block length as a parameter: D runs it from 1, and
+the bB+Bb residual from 0 (all the wraps, W).  ``identity_residuals`` runs
+the cores into one map per chain identity with no intermediate chain sum.
+It sums the b^2 and bB+Bb residuals from the b'^2 and b'N-Nb residuals, so
+b is formed only on t(u) and on the small chain q D(u); its docstring
+proves the three identities this rests on.  All the operators
 are linear over the coefficient ring, and the level cutoff is an ideal,
 which is what lets ``cli.chain_identity_suite`` check each basis key once
 instead of each drawn chain.
@@ -181,65 +183,53 @@ def _level_cutoff(chain: HochschildChain, spec):
     return spec.level_cutoff
 
 
-def _wraps_key_into(acc: dict, tables, v: int, word: Word, terms: dict, prefixes: list,
-                    top: int, sign: int, start: int) -> None:
-    """Add sign * the wrap-around terms of b at one key (v, word) whose tail
-    block has i >= start letters into acc.
-
-    m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a, puts its output in the
-    module slot and keeps a_{j+1}..a_{k-i}; ``prefixes[p]`` is the shifted
-    degree of the first p factors of v, a_1..a_k.  The tail block crosses v
-    and the kept prefix a_1..a_{k-i}: this is the one place of the wrap
-    sign, which is +1 for i = 0.
-    """
-    k = len(word)
-    total = prefixes[-1]
-    for a, words in tables.items():
-        if a > k + 1:
-            break
-        for i in range(start, a):
-            j = a - 1 - i
-            inner = words.get(word[k - i :] + (v,) + word[:j])
-            if not inner:
-                continue
-            kept = prefixes[k - i + 1]
-            wrap = -sign if (total - kept) * kept % 2 else sign
-            rest = word[j : k - i]
-            for comp, value in inner.items():
-                mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
-
-
 def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
-                start: int) -> dict:
-    """Add the wrap-around terms of b(chain) whose tail block has i >= start
-    letters into acc: W(chain) for start 0."""
+                start: int, sign: int = 1) -> dict:
+    """Add sign * the wrap-around terms of b(chain) whose tail block has
+    i >= start letters into acc: sign * W(chain) for start 0.
+
+    At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
+    puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
+    block crosses v and the kept prefix a_1..a_{k-i}: this is the one place
+    of the wrap sign, which is +1 for i = 0.
+    """
     degrees = algebra.basis.degrees
     tables = nonzero_words(algebra)
     for (v, word), terms in chain.terms.items():
+        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
         prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
-        _wraps_key_into(acc, tables, v, word, terms, prefixes, top, 1, start)
+        k = len(word)
+        total = prefixes[-1]
+        for a, words in tables.items():
+            if a > k + 1:
+                break
+            for i in range(start, a):
+                j = a - 1 - i
+                inner = words.get(word[k - i :] + (v,) + word[:j])
+                if not inner:
+                    continue
+                kept = prefixes[k - i + 1]
+                wrap = -sign if (total - kept) * kept % 2 else sign
+                rest = word[j : k - i]
+                for comp, value in inner.items():
+                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
     return acc
 
 
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
             sign: int = 1) -> dict:
     """Add sign * b(chain) into acc, a raw {key: {Monomial: scalar}} map;
-    products above the level cutoff ``top`` are never formed."""
-    degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
-    # an insertion that makes the unit in a tensor slot is zero in the quotient
-    unit = algebra.basis.unit if chain.reduced else None
-    for (v, word), terms in chain.terms.items():
-        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
-        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
-        _wraps_key_into(acc, tables, v, word, terms, prefixes, top, sign, 0)
-        # interior: m_j inserted in the tensor word, arity 0 included
-        for p, arity, inner, inserted in insertions(algebra, word, prefixes[1]):
-            inserted *= sign
-            for comp, value in inner.items():
-                if comp != unit:
-                    key = (v, word[:p] + (comp,) + word[p + arity :])
-                    mul_into(acc.setdefault(key, {}), terms, value.terms, top, inserted)
+    products above the level cutoff ``top`` are never formed.
+
+    b = b' + D (fact D of ``identity_residuals``).  A reduced chain's b is
+    the quotient of that sum: acc must then hold no key with the unit in a
+    tensor slot, and the ones the sum adds are dropped.
+    """
+    _D_into(_bar_into(acc, algebra, chain, top, sign), algebra, chain, top, sign)
+    if chain.reduced:
+        unit = algebra.basis.unit
+        for key in [key for key in acc if unit in key[1]]:
+            del acc[key]
     return acc
 
 
@@ -249,30 +239,31 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
 
 
-def _D_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int) -> dict:
-    """Add D(chain) into acc, D = b - b' on unreduced chains: the
+def _D_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+            sign: int = 1) -> dict:
+    """Add sign * D(chain) into acc, D = b - b' on unreduced chains: the
     wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
     of the module slot (see ``identity_residuals`` for the proof)."""
-    _wraps_into(acc, algebra, chain, top, 1)
+    _wraps_into(acc, algebra, chain, top, 1, sign)
     curvature = nonzero_words(algebra).get(0, {}).get(())
     if curvature:
         for (v, word), terms in chain.terms.items():
             for comp, value in curvature.items():
-                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -1)
+                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -sign)
     return acc
 
 
 def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
               sign: int = 1) -> dict:
-    """Add sign * b'(chain) into acc, as ``_b_into`` does for b."""
+    """Add sign * b'(chain) into acc, a raw {key: {Monomial: scalar}} map;
+    an insertion at slot 0 makes the new module slot."""
     for (v, word), terms in chain.terms.items():
         full = (v,) + word
         for p, arity, inner, inserted in insertions(algebra, full):
             inserted *= sign
             for comp, value in inner.items():
-                new_full = full[:p] + (comp,) + full[p + arity :]
-                mul_into(acc.setdefault((new_full[0], new_full[1:]), {}),
-                         terms, value.terms, top, inserted)
+                key = (v, full[1:p] + (comp,) + full[p + arity :]) if p else (comp, full[arity:])
+                mul_into(acc.setdefault(key, {}), terms, value.terms, top, inserted)
     return acc
 
 
@@ -372,8 +363,12 @@ def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
     chain of a map.  Each map is the full sum of its identity's operator
     composites, scalar by scalar (``oracles.identity_residuals_reference``
     computes them image by image); nothing is skipped by appeal to strict
-    unitality or to the A-infinity relations.  The b images are assembled
-    from b' images through three facts that hold for any tables:
+    unitality or to the A-infinity relations.  Write b for the classical
+    module differential: the wrap-arounds plus the interior insertions into
+    the word with base |v|', as ``oracles.hochschild_b_reference`` forms
+    it.  The b images are assembled from b' images through three facts
+    that hold for any tables; ``_b_into`` takes D and reduced b as b's
+    definition:
 
       * D.  D(x) := b(x) - b'(x) on unreduced chains is the wrap-arounds
         of b with a tail block i >= 1, minus m_0 inserted in front of the
@@ -427,8 +422,8 @@ def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
 
     So the images are b'(u), D(u), N(u'), N(u''), t(u), b(tu), t b'(u),
     b'(b'u), b'(Z), D(P), b_red(q D u), b'(N u'), b'(N u''), N(b'u),
-    N(D u), W(B c) and B(B c): b runs its interior insertions only on tu
-    and q D u, and b(b c), b(B c) and B(b c) are never formed.  The b^2
+    N(D u), W(B c) and B(B c): b is formed only on tu and q D u, and
+    b(b c), b(B c) and B(b c) are never formed.  The b^2
     map shares the maps of the b'^2 residual at the keys the other terms
     of 4 do not reach.
     """
@@ -448,11 +443,11 @@ def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
     P = _quotient(bar_u.terms, unit)
     Z = {key: terms for key, terms in bar_u.terms.items() if key not in P}
     qDu = HochschildChain._clean(basis, spec, _quotient(Du.terms, unit), True)
-    extra = _bar_into({}, algebra, unreduced(Z), top, -1)
+    extra = _b_into({}, algebra, qDu, top)
+    _bar_into(extra, algebra, unreduced(Z), top, -1)
     _D_into(extra, algebra, unreduced(P), top)
-    extra = _b_into(_quotient(extra, unit), algebra, qDu, top)
     square = _quotient(bar_square, unit)
-    for key, terms in extra.items():
+    for key, terms in _quotient(extra, unit).items():
         old = square.get(key)
         square[key] = terms if old is None else add_into(terms, old)
 

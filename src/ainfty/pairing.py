@@ -253,23 +253,28 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     return report
 
 
+def unit_trace(phi: InfinityInnerProduct, components: dict) -> RingElement:
+    """psi_0[1 | x] = sum over c != 1 of psi_0[1 | c] x_c, for x given by
+    its components {c: x_c}; the unit slot is skipped, because a unit tensor
+    slot dies in the reduced complex."""
+    unit = phi.algebra.basis.require_unit()
+    table = phi.tower.psi0.table
+    acc = RingElement.zero(phi.algebra.spec)
+    for comp, value in components.items():
+        entry = table.get((unit, (comp,))) if comp != unit else None
+        if entry:
+            acc = acc + entry * value
+    return acc
+
+
 def trace_identity(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
     """psi_0[1 | m_2(a1,a2)] = phi_{0,0}(a1)(a2) on all basis pairs."""
     report = Report("trace-identity")
     report.note("E_max", algebra.spec.cutoff)
     basis = algebra.basis
-    unit = basis.require_unit()
-    psi0 = phi.tower.psi0
     for a1 in range(len(basis)):
         for a2 in range(len(basis)):
-            product = algebra.m_word((a1, a2))
-            lhs = RingElement.zero(algebra.spec)
-            for comp, value in product.items():
-                if comp == unit:
-                    continue  # unit tensor slot dies in the reduced complex
-                entry = psi0.table.get((unit, (comp,)))
-                if entry:
-                    lhs = lhs + entry * value
+            lhs = unit_trace(phi, algebra.m_word((a1, a2)))
             rhs = phi.eval_word((), a1, (), a2)
             report.tick()
             if lhs != rhs:
@@ -278,6 +283,39 @@ def trace_identity(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
                     % (basis.names[a1], basis.names[a2], lhs.text(), rhs.text())
                 )
     return report
+
+
+def rotation_terms(algebra: AInftyAlgebra, phi: InfinityInnerProduct, b: Element,
+                   y: Element, p: int, q: int, k: int, m_k: Element, inserted: dict,
+                   sums: list):
+    """Add the rotation identity's terms at shape (p, q) and arity k, given
+    m_k = m_k(b^k), into sums = [ksplit, psplit, qsplit]: the three
+    y-insertion families with final argument b, sum_r phi(b^p, m_k(b^r, y,
+    b^{k-1-r}), b^q)(b), sum_r phi(b^r y b^{p-1-r}, m_k, b^q)(b) and sum_r
+    phi(b^p, m_k, b^r y b^{q-1-r})(b).  Returns phi(b^p, m_k, b^q)(y), or
+    None when m_k is zero (so are the last two families then).
+
+    Every evaluation reads phi at shape (p, q), and a zero insertion is not
+    evaluated.  ``inserted`` memoizes m_k(b^r, y, b^{k-1-r}) by (k, r) for
+    one y.  ``weak_cyclic_check`` sums these terms at its y, and
+    ``potential.wall_crossing_decomposition`` at y = m_{k2}(b^{k2}).
+    """
+    bs_p = [b] * p
+    bs_q = [b] * q
+    for r in range(k):
+        key = (k, r)
+        if key not in inserted:
+            inserted[key] = apply_m(algebra, [b] * r + [y] + [b] * (k - 1 - r))
+        outer = inserted[key]
+        if not outer.is_zero():
+            sums[0] = sums[0] + phi.eval_elements(bs_p, outer, bs_q, b)
+    if m_k.is_zero():
+        return None
+    for r in range(p):
+        sums[1] = sums[1] + phi.eval_elements([b] * r + [y] + [b] * (p - 1 - r), m_k, bs_q, b)
+    for r in range(q):
+        sums[2] = sums[2] + phi.eval_elements(bs_p, m_k, [b] * r + [y] + [b] * (q - 1 - r), b)
+    return phi.eval_elements(bs_p, m_k, bs_q, y)
 
 
 def weak_cyclic_check(
@@ -291,7 +329,10 @@ def weak_cyclic_check(
 
     N sum_{p+q+k=N} phi(b^p, m_k(b^k), b^q)(y) equals the sum of the three
     insertion families of y (into the operation, the left word, the right
-    word) with final argument b.  Exact for every N <= n_max.
+    word) with final argument b.  Exact for every N <= n_max.  Only the
+    shapes in ``phi.shapes`` are visited (``rotation_terms``), and each
+    m_k(b^k) is computed once in ascending k, so an arity past the cutoff
+    raises at the same arity as a loop over every (N, p, k, q).
     """
     n_max = algebra.n_max if n_max is None else n_max
     report = Report("weak-cyclic")
@@ -301,29 +342,20 @@ def weak_cyclic_check(
         raise ConfigurationError("the rotation identity needs |b| = 1")
     if b.valuation() <= 0:
         raise DivergenceError("b must have positive valuation")
+    mk = [apply_m(algebra, [b] * k) for k in range(n_max + 1)]
+    shapes = sorted(phi.shapes)
+    inserted: dict = {}
     for N in range(n_max + 1):
-        lhs = RingElement.zero(algebra.spec)
-        rhs = RingElement.zero(algebra.spec)
-        for p in range(N + 1):
-            for k in range(N - p + 1):
-                q = N - p - k
-                bs_p = [b] * p
-                bs_q = [b] * q
-                mk = apply_m(algebra, [b] * k)
-                lhs = lhs + phi.eval_elements(bs_p, mk, bs_q, y).scale(N)
-                # y inserted inside the operation
-                for r in range(k):
-                    inner = apply_m(algebra, [b] * r + [y] + [b] * (k - 1 - r))
-                    rhs = rhs + phi.eval_elements(bs_p, inner, bs_q, b)
-                # y inserted in the left word
-                for r in range(p):
-                    left = [b] * r + [y] + [b] * (p - 1 - r)
-                    rhs = rhs + phi.eval_elements(left, mk, bs_q, b)
-                # y inserted in the right word
-                for r in range(q):
-                    right = [b] * r + [y] + [b] * (q - 1 - r)
-                    rhs = rhs + phi.eval_elements(bs_p, mk, right, b)
+        splits = [RingElement.zero(algebra.spec)] * 3
+        lhs = splits[0]
+        for p, q in shapes:
+            k = N - p - q
+            if k >= 0:
+                value = rotation_terms(algebra, phi, b, y, p, q, k, mk[k], inserted, splits)
+                if value is not None:
+                    lhs = lhs + value
         report.tick()
+        lhs, rhs = lhs.scale(N), splits[0] + splits[1] + splits[2]
         if lhs != rhs:
             report.fail("N=%d: lhs %s, rhs %s" % (N, lhs.text(), rhs.text()))
     return report
@@ -398,6 +430,3 @@ def homological_nondegeneracy(algebra: AInftyAlgebra, phi: InfinityInnerProduct)
         "rank": prank,
     }
     return prank == hom_dim, certificate
-
-
-

@@ -36,7 +36,7 @@ from .ainfty import AInftyAlgebra, apply_m, curvature, check_weak_mc
 from .coeff import RingElement, as_fraction
 from .errors import ConfigurationError, DivergenceError
 from .graded import Element
-from .pairing import InfinityInnerProduct
+from .pairing import InfinityInnerProduct, rotation_terms, unit_trace
 from .report import Report
 
 
@@ -212,7 +212,9 @@ def wall_crossing_decomposition(
     ``phi.shapes`` are visited; every other shape adds zero.  The level-N
     sums are accumulated unweighted and scaled by 1/(N+1) once: output is
     (sum k2 * value) / (N+1), and clsum, whose weight is (N+1-k2)/(N+1), is
-    the sum of the values minus output.
+    the sum of the values minus output.  The terms at shape (p, q) and arity
+    k1 are those of the rotation identity at y = m_{k2}(b^{k2}), from the
+    kernel ``pairing.rotation_terms``.
     """
     _check_argument(b)
     n_max = algebra.n_max if n_max is None else n_max
@@ -220,50 +222,32 @@ def wall_crossing_decomposition(
     # the main sum reads m_{k2} and m_{k1} with k1 + k2 = k + 1 <= n_max + 1
     mk = _powers(algebra, b, n_max + 1)
     shapes = sorted(phi.shapes)
-    # (k2, k1, r) -> m_{k1}(b^r, m_{k2}(b^{k2}), b^{k1-1-r}), for this call only
-    split: Dict[tuple, Element] = {}
+    # k2 -> the insertions of y = m_{k2}(b^{k2}) by (k1, r), for this call only
+    split: Dict[int, dict] = {}
     ksplit = psplit = qsplit = output = values = zero
     for N in range(n_max + 1):
-        ks = ps = qs = weighted = zero
+        splits = [zero] * 3  # this level's ksplit, psplit and qsplit, unweighted
+        weighted = zero
         for p, q in shapes:
             k = N - p - q
             if k < 0:
                 continue
-            bs_p = [b] * p
-            bs_q = [b] * q
             for k2 in range(k + 2):
                 k1 = k + 1 - k2
                 inner = mk[k2]
                 if inner.is_zero():
                     continue
-                # operation-splitting insertions
-                for r in range(k1):
-                    key = (k2, k1, r)
-                    if key not in split:
-                        split[key] = apply_m(algebra, [b] * r + [inner] + [b] * (k1 - 1 - r))
-                    outer = split[key]
-                    if not outer.is_zero():
-                        ks = ks + phi.eval_elements(bs_p, outer, bs_q, b)
-                m_k1 = mk[k1]
-                if m_k1.is_zero():
+                value = rotation_terms(algebra, phi, b, inner, p, q, k1, mk[k1],
+                                       split.setdefault(k2, {}), splits)
+                if value is None:
                     continue
-                # left-word insertions
-                for r in range(p):
-                    left = [b] * r + [inner] + [b] * (p - 1 - r)
-                    ps = ps + phi.eval_elements(left, m_k1, bs_q, b)
-                # right-word insertions
-                for r in range(q):
-                    right = [b] * r + [inner] + [b] * (q - 1 - r)
-                    qs = qs + phi.eval_elements(bs_p, m_k1, right, b)
-                # output-side term and the combined rotation sum
-                value = phi.eval_elements(bs_p, m_k1, bs_q, inner)
                 values = values + value
                 if k2:
                     weighted = weighted + value.scale(k2)
         weight = Fraction(1, N + 1)
-        ksplit = ksplit + ks.scale(weight)
-        psplit = psplit + ps.scale(weight)
-        qsplit = qsplit + qs.scale(weight)
+        ksplit = ksplit + splits[0].scale(weight)
+        psplit = psplit + splits[1].scale(weight)
+        qsplit = qsplit + splits[2].scale(weight)
         output = output + weighted.scale(weight)
     clsum = values - output
 
@@ -285,16 +269,7 @@ def wall_crossing_decomposition(
             i1_rhs = i1_rhs + phi.eval_elements([b] * p, cur, [b] * q, cur)
             error_term = error_term + phi.eval_elements([b] * p, shifted, [b] * q, shifted)
     diag_deformed = phi.eval_elements([], cur, [], cur)
-    m2_cur = apply_m(algebra, [cur, cur])
-    psi0 = phi.tower.psi0
-    basisunit = algebra.basis.require_unit()
-    diag_trace = RingElement.zero(algebra.spec)
-    for comp, value in m2_cur.components.items():
-        if comp == basisunit:
-            continue
-        entry = psi0.table.get((basisunit, (comp,)))
-        if entry:
-            diag_trace = diag_trace + entry * value
+    diag_trace = unit_trace(phi, apply_m(algebra, [cur, cur]).components)
     return WallCrossingDecomposition(
         ksplit=ksplit,
         psplit=psplit,

@@ -15,9 +15,12 @@ every rotation; and the coderivation on word sums.  They are slow and
 obviously right, which is what an oracle should be.  The dual bimodule's
 structure maps are here too, in their unflattened form (a covector applied
 to m of module elements), as the reference for ``delta_dual``, and so is
-the sign of one cyclic rotation.  The potential and the wall-crossing sums
-are here as loops over every (N, p, k, q) that recompute each m_k(b^k) and
-each split insertion per term and weight every term by its own 1/(N+1).
+the sign of one cyclic rotation; the diagonal bar differential is here as
+three loops (left word, right word, absorbed windows), as the reference for
+``delta_diagonal``.  The potential, the wall-crossing sums and
+the rotation identity check are here as loops over every (N, p, k, q) that
+recompute each m_k(b^k) and each split or y-insertion per term and weight
+every term by its own 1/(N+1) (or N).
 Also here: hypothesis strategies for their inputs, a helper that builds a
 mutated copy of an engine module from its source, for mutation tests, and
 the test-side tower builders (lazy dual images f o b and f o B, their
@@ -51,9 +54,9 @@ from ainfty.ainfty import (
     apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
 )
 from ainfty import hochschild as hh
-from ainfty.cli import _random_reduced_chain
+from ainfty.cli import _draw_monomials, _random_reduced_chain
 from ainfty.coeff import Poly, RingElement, add_into, as_fraction, canonical, require_compatible
-from ainfty.errors import ConfigurationError
+from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element, add_term, maltese, words_over
 from ainfty.hochschild import (
     CocycleTower, Functional, HochschildChain, connes_B_reduced, hochschild_b,
@@ -421,6 +424,42 @@ def dual_action(algebra, k: int, l: int, left: Sequence[Element], covector: Cove
     return -value if eps % 2 else value
 
 
+def delta_diagonal_reference(algebra, words):
+    """delta_diagonal as three loops: insertions into the left word,
+    insertions into the right word past the left word and y, and every
+    window lw[p:] + (y,) + rw[:q] absorbed into the module slot through
+    ``m_word``, with the sign (-1)^{maltese(lw, p)} recomputed per window.
+    Unit outputs in a word slot are dropped; an absorbing window past the
+    stored tables skips when higher arities are marked zero and raises
+    through ``m_word`` when they are not."""
+    basis = algebra.basis
+    unit = basis.unit
+    out = {}
+    for (lw, y, rw), coeff in words.items():
+        ldeg = [basis.degree(i) for i in lw]
+        for i, k, inner, sign in insertions(algebra, lw):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw[:i] + (comp,) + lw[i + k:], y, rw), signed * value)
+        base = maltese(ldeg, len(lw)) + basis.degree(y) - 1
+        for i, k, inner, sign in insertions(algebra, rw, base):
+            signed = coeff.scale(sign) if sign < 0 else coeff
+            for comp, value in inner.items():
+                if comp != unit:
+                    add_term(out, (lw, y, rw[:i] + (comp,) + rw[i + k:]), signed * value)
+        for p in range(len(lw) + 1):
+            for q in range(len(rw) + 1):
+                word = lw[p:] + (y,) + rw[:q]
+                if len(word) > algebra.max_stored_arity() and algebra.higher_arities_zero:
+                    continue
+                inner = algebra.m_word(word)
+                sign = -1 if maltese(ldeg, p) % 2 else 1
+                for comp, value in inner.items():
+                    add_term(out, (lw[:p], comp, rw[q:]), coeff.scale(sign) * value)
+    return out
+
+
 def delta_dual_reference(algebra, words):
     """delta_dual from dual_action and position-by-position insertions.
 
@@ -666,8 +705,9 @@ def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
     report.note("max_length", max_len)
     report.note("seed", seed)
     basis = algebra.basis
+    monomials = _draw_monomials(algebra.spec)
     for n in range(count):
-        c = _random_reduced_chain(algebra, rng, max_len)
+        c = _random_reduced_chain(algebra, rng, max_len, monomials)
         u = c.unreduced()
         bc = hh.hochschild_b(algebra, c)
         Bc = hh.connes_B_reduced(basis, c)
@@ -810,6 +850,51 @@ def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement
                 level = level + phi.eval_elements([x] * p, mk, [x] * q, x)
         total = total + level.divide_int(N + 1)
     return total
+
+
+def weak_cyclic_sums_reference(algebra, phi, b, y, n_max) -> list:
+    """[(lhs, rhs)] of the rotation identity at each level N <= n_max, over
+    every (N, p, k, q), recomputing m_k(b^k) and each y-insertion per term
+    and scaling every left term by N."""
+    sums = []
+    for N in range(n_max + 1):
+        lhs = RingElement.zero(algebra.spec)
+        rhs = RingElement.zero(algebra.spec)
+        for p in range(N + 1):
+            for k in range(N - p + 1):
+                q = N - p - k
+                bs_p = [b] * p
+                bs_q = [b] * q
+                mk = apply_m(algebra, [b] * k)
+                lhs = lhs + phi.eval_elements(bs_p, mk, bs_q, y).scale(N)
+                for r in range(k):
+                    inner = apply_m(algebra, [b] * r + [y] + [b] * (k - 1 - r))
+                    rhs = rhs + phi.eval_elements(bs_p, inner, bs_q, b)
+                for r in range(p):
+                    left = [b] * r + [y] + [b] * (p - 1 - r)
+                    rhs = rhs + phi.eval_elements(left, mk, bs_q, b)
+                for r in range(q):
+                    right = [b] * r + [y] + [b] * (q - 1 - r)
+                    rhs = rhs + phi.eval_elements(bs_p, mk, right, b)
+        sums.append((lhs, rhs))
+    return sums
+
+
+def weak_cyclic_check_reference(algebra, phi, b, y, n_max=None) -> Report:
+    """weak_cyclic_check from ``weak_cyclic_sums_reference``."""
+    n_max = algebra.n_max if n_max is None else n_max
+    report = Report("weak-cyclic")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("N_max", n_max)
+    if b and not b.is_homogeneous(1):
+        raise ConfigurationError("the rotation identity needs |b| = 1")
+    if b.valuation() <= 0:
+        raise DivergenceError("b must have positive valuation")
+    for N, (lhs, rhs) in enumerate(weak_cyclic_sums_reference(algebra, phi, b, y, n_max)):
+        report.tick()
+        if lhs != rhs:
+            report.fail("N=%d: lhs %s, rhs %s" % (N, lhs.text(), rhs.text()))
+    return report
 
 
 def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:

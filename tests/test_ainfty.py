@@ -28,8 +28,8 @@ from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
 from oracles import (
-    SCALARS, Covector, check_ainfty_reference, coderivation, delta_dual_reference, dual_action,
-    elements, expand_apply_m, m_word_reference, mutant_module,
+    SCALARS, Covector, check_ainfty_reference, coderivation, delta_diagonal_reference,
+    delta_dual_reference, dual_action, elements, expand_apply_m, m_word_reference, mutant_module,
 )
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
@@ -445,6 +445,72 @@ def test_delta_dual_matches_dual_action_reference(maker):
     for key in _dual_start_words(algebra):
         start = {key: one}
         assert delta_dual(algebra, start) == delta_dual_reference(algebra, start), key
+
+
+def _unflagged(maker):
+    algebra = maker()
+    algebra.higher_arities_zero = False
+    return algebra
+
+
+# delta_diagonal is one insertion pass over the marked word; the reference
+# is the three loops it replaced.  Unflagged E1 and Q1 refuse the words with
+# an absorbing window past their tables (arity 3 and 4).
+DELTA_ALGEBRAS = {**{name: maker() for name, maker in (
+    ("E1", make_e1), ("E2", make_e2), ("G1", make_g1), ("Q1", make_q1), ("SV1", make_sv1))},
+    "E1 unflagged": _unflagged(make_e1), "Q1 unflagged": _unflagged(make_q1)}
+
+
+def _delta_outcome(delta, algebra, start):
+    """delta's word sum with the text of each value, or what it raised."""
+    try:
+        out = delta(algebra, start)
+    except ConfigurationError as exc:
+        return "raised: %s" % exc
+    return out, {key: value.text() for key, value in out.items()}
+
+
+def _delta_disagrees(delta) -> bool:
+    """Does delta differ from the reference at a start word of outer length
+    <= 3 on some algebra?  The outer words run over the whole basis: only
+    m_2(1, 1) outputs the unit from an absorbing window on these tables."""
+    for algebra in DELTA_ALGEBRAS.values():
+        one = algebra.one_ring()
+        letters = range(len(algebra.basis))
+        for nl in range(4):
+            for nr in range(4 - nl):
+                for lw in words_over(letters, nl):
+                    for rw in words_over(letters, nr):
+                        for y in range(len(algebra.basis)):
+                            start = {(lw, y, rw): one}
+                            if (_delta_outcome(delta, algebra, start)
+                                    != _delta_outcome(delta_diagonal_reference, algebra, start)):
+                                return True
+    return False
+
+
+def test_delta_diagonal_matches_its_reference():
+    assert not _delta_disagrees(delta_diagonal)
+
+
+def test_delta_diagonal_refuses_windows_past_unflagged_tables():
+    for name, word, arity in (("E1 unflagged", ((1,), 1, (1,)), 3),
+                              ("Q1 unflagged", ((), 1, (1, 1, 1)), 4)):
+        algebra = DELTA_ALGEBRAS[name]
+        with pytest.raises(ConfigurationError, match="arity %d requested" % arity):
+            delta_diagonal(algebra, {word: algebra.one_ring()})
+
+
+DELTA_MUTANTS = {
+    "absorbing-window test off by one": ("absorbs = i <= n < i + k",
+                                         "absorbs = i <= n <= i + k"),
+    "unit filter on absorbing windows": ("if absorbs:", "if absorbs and comp != unit:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_MUTANTS))
+def test_delta_mutant_killed(name):
+    assert _delta_disagrees(mutant_module(ainfty, *DELTA_MUTANTS[name]).delta_diagonal)
 
 
 # Mutants of the insertion kernel and its call sites, each applied to a

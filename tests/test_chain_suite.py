@@ -295,16 +295,19 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
     "D without its m0-in-front term": (hochschild, "if curvature:", "if False:"),
     "tail start 0 in D": (
-        hochschild, "_wraps_into(acc, algebra, chain, top, 1)",
-        "_wraps_into(acc, algebra, chain, top, 0)"),
+        hochschild, "_wraps_into(acc, algebra, chain, top, 1, sign)",
+        "_wraps_into(acc, algebra, chain, top, 0, sign)"),
+    "D ignores its sign": (
+        hochschild, "    _wraps_into(acc, algebra, chain, top, 1, sign)",
+        "    sign = 1\n    _wraps_into(acc, algebra, chain, top, 1, sign)"),
     "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
     "bB remap keeps unit words": (
         hochschild, "if v != unit and unit not in word and any(", "if any("),
     "b^2 without b_red(q D u)": (
-        hochschild, "extra = _b_into(_quotient(extra, unit), algebra, qDu, top)",
-        "extra = _quotient(extra, unit)"),
+        hochschild, "extra = _b_into({}, algebra, qDu, top)", "extra = {}"),
     "b^2 without -q b'(Z)": (
-        hochschild, "extra = _bar_into({}, algebra, unreduced(Z), top, -1)", "extra = {}"),
+        hochschild, "_bar_into(extra, algebra, unreduced(Z), top, -1)",
+        "_bar_into(extra, algebra, unreduced({}), top, -1)"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import potential
+from ainfty import pairing, potential
 from ainfty.coeff import Poly, RingElement
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element
@@ -28,7 +28,8 @@ from conftest import (
 )
 from oracles import (
     infty_cyclic_potential_reference, mutant_module, strict_cyclic_potential,
-    unit_insertion_vanishing, wall_crossing_decomposition_reference,
+    unit_insertion_vanishing, wall_crossing_decomposition_reference, weak_cyclic_check_reference,
+    weak_cyclic_sums_reference,
 )
 
 
@@ -265,7 +266,7 @@ DECOMPOSITION_FIELDS = ("ksplit", "psplit", "qsplit", "output", "clsum", "error_
                         "i1_rhs", "residual_i1", "residual_i2")
 
 
-def _random_phi_case(name, seed, k_max=6, flagged=True, generic=False):
+def _random_phi_case(name, seed, k_max=6, flagged=True, generic=False, cutoff=3):
     """An algebra with the given arity cutoffs, phi and a random candidate.
 
     phi is read from a random psi_0 on words of length <= 4 (so shapes with
@@ -277,7 +278,7 @@ def _random_phi_case(name, seed, k_max=6, flagged=True, generic=False):
     symmetry, so that a sum reading a shape transposed or a split insertion
     at the wrong position goes wrong.
     """
-    algebra = ALGEBRAS[name]()
+    algebra = ALGEBRAS[name](cutoff)
     algebra.k_max = k_max
     algebra.higher_arities_zero = flagged
     rng = random.Random(seed)
@@ -319,10 +320,8 @@ def _same(got, want) -> bool:
     return got == want and got.text() == want.text()
 
 
-def _unstored_shapes(phi, run):
-    """Run ``run()`` with phi's evaluations recorded; the shapes it read that
-    phi does not store.  The diagnostic phi_{0,0}(m0^b)(m0^b) is read once
-    whatever the shapes, so (0, 0) is not counted."""
+def _read_shapes(phi, run) -> set:
+    """Run ``run()`` with phi's evaluations recorded; the shapes it read."""
     seen = []
     evaluate = phi.eval_elements
 
@@ -335,7 +334,14 @@ def _unstored_shapes(phi, run):
         run()
     finally:
         del phi.eval_elements
-    return set(seen) - phi.shapes - {(0, 0)}
+    return set(seen)
+
+
+def _unstored_shapes(phi, run):
+    """The shapes ``run()`` read that phi does not store.  The diagnostic
+    phi_{0,0}(m0^b)(m0^b) is read once whatever the shapes, so (0, 0) is
+    not counted."""
+    return _read_shapes(phi, run) - phi.shapes - {(0, 0)}
 
 
 def _compare(module, algebra, phi, b, n_max):
@@ -392,23 +398,110 @@ def test_weak_cyclic_check_holds_at_y_zero():
                 assert weak_cyclic_check(algebra, phi, b, zero, n_max=3).passed, (name, seed)
 
 
-# Mutants of the support-driven sums, each applied to a fresh copy of the
-# potential module: (original fragment, mutated fragment).
+def _weak_cyclic_outcome(check, algebra, phi, b, y, n_max):
+    """The report lines of a rotation identity check, or what it raised."""
+    try:
+        return check(algebra, phi, b, y, n_max).lines()
+    except Exception as exc:
+        return "raised %s: %s" % (type(exc).__name__, exc)
+
+
+def _weak_cyclic_case(name, seed, k_max=6, flagged=True):
+    """A generic phi case and a random degree-1 y.
+
+    Each word of the generic index keeps its shape and value, but its outer
+    slots and final argument are redrawn from the letters of b and y, and
+    the energy cutoff is 6, so that many terms of the rotation identity are
+    nonzero; the module slot stays any letter.  The index has no symmetry,
+    so the identity then mostly fails.
+    """
+    algebra, phi, b = _random_phi_case(name, seed, k_max, flagged, generic=True, cutoff=6)
+    rng = random.Random(-seed)
+    y = random_degree_one(algebra, rng)
+    outer = sorted(set(b.components) | set(y.components)) or [0]
+    n = len(algebra.basis)
+    phi._by_shape = {
+        (p, q): [(tuple(rng.choice(outer) for _ in range(p)) + (rng.randrange(n),)
+                  + tuple(rng.choice(outer) for _ in range(q + 1)), value)
+                 for _, value in entries]
+        for (p, q), entries in phi._by_shape.items()}
+    return algebra, phi, b, y
+
+
+def test_weak_cyclic_check_matches_its_reference():
+    kinds = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(ALGEBRAS)), st.integers(0, 2 ** 16),
+           st.one_of(st.none(), st.integers(0, 4)),
+           st.sampled_from(((6, True), (6, True), (6, True), (3, True), (6, False))))
+    def check(name, seed, n_max, cutoffs):
+        algebra, phi, b, y = _weak_cyclic_case(name, seed, *cutoffs)
+        got = {}
+
+        def run():
+            got["lines"] = _weak_cyclic_outcome(pairing.weak_cyclic_check,
+                                                algebra, phi, b, y, n_max)
+
+        # every term reads phi at a stored shape, (0, 0) included
+        assert _read_shapes(phi, run) <= phi.shapes
+        want = _weak_cyclic_outcome(weak_cyclic_check_reference, algebra, phi, b, y, n_max)
+        assert got["lines"] == want
+        if isinstance(want, str):
+            kinds.append("raised")
+        else:
+            sums = weak_cyclic_sums_reference(algebra, phi, b, y, algebra.n_max
+                                              if n_max is None else n_max)
+            kinds.append("nonzero" if any(lhs or rhs for lhs, rhs in sums) else "zero")
+
+    check()
+    # the corpus tables make every term zero; these generic ones do not
+    assert kinds.count("nonzero") >= 10
+    assert kinds.count("raised") >= 10
+
+
+def _weak_cyclic_disagrees(check) -> bool:
+    """Does this rotation identity check differ from the reference on some
+    fixed case?"""
+    for seed in range(24):
+        for name in sorted(ALGEBRAS):
+            case = _weak_cyclic_case(name, seed)
+            if (_weak_cyclic_outcome(check, *case, 5)
+                    != _weak_cyclic_outcome(weak_cyclic_check_reference, *case, 5)):
+                return True
+    return False
+
+
+def test_weak_cyclic_detector_accepts_the_check():
+    assert not _weak_cyclic_disagrees(pairing.weak_cyclic_check)
+
+
+# Mutants of the support-driven sums: (module, original fragment, mutated
+# fragment), each applied to a fresh copy of its module.  A pairing mutant
+# is a mutated rotation identity kernel, which reaches the decomposition
+# through the potential module's binding of it.
 POTENTIAL_MUTANTS = {
     "decomposition shape transposed": (
+        potential,
         "for p, q in shapes:\n            k = N - p - q\n            if k < 0:",
         "for q, p in shapes:\n            k = N - p - q\n            if k < 0:"),
     "potential shape transposed": (
+        potential,
         "for p, q in shapes:\n            k = N - p - q\n            if k >= 0",
         "for q, p in shapes:\n            k = N - p - q\n            if k >= 0"),
-    "split memo keyed without r": ("key = (k2, k1, r)", "key = (k2, k1)"),
-    "level weight 1/N": ("weight = Fraction(1, N + 1)", "weight = Fraction(1, N)"),
-    "clsum keeps the k2 part": ("clsum = values - output", "clsum = values"),
+    "split memo keyed without r": (pairing, "key = (k, r)", "key = k"),
+    "y in the wrong left slot": (
+        pairing, "[b] * r + [y] + [b] * (p - 1 - r)", "[y] + [b] * (p - 1)"),
+    "level weight 1/N": (
+        potential, "weight = Fraction(1, N + 1)", "weight = Fraction(1, N)"),
+    "clsum keeps the k2 part": (potential, "clsum = values - output", "clsum = values"),
     "i1_rhs loop without its shape test": (
-        "for p, q in shapes:\n        if p + q <= reach:",
+        potential, "for p, q in shapes:\n        if p + q <= reach:",
         "for p, q in [(p, q) for p in range(reach + 1) for q in range(reach + 1)]:\n"
         "        if p + q <= reach:"),
 }
+KERNEL_MUTANTS = sorted(name for name, (module, _, _) in POTENTIAL_MUTANTS.items()
+                        if module is pairing)
 
 
 def _potential_disagrees(module) -> bool:
@@ -426,5 +519,16 @@ def test_potential_detector_accepts_the_module():
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIAL_MUTANTS))
-def test_potential_mutant_killed(name):
-    assert _potential_disagrees(mutant_module(potential, *POTENTIAL_MUTANTS[name]))
+def test_potential_mutant_killed(name, monkeypatch):
+    module, old, new = POTENTIAL_MUTANTS[name]
+    mutant = mutant_module(module, old, new)
+    if module is pairing:
+        monkeypatch.setattr(potential, "rotation_terms", mutant.rotation_terms)
+        mutant = potential
+    assert _potential_disagrees(mutant)
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_kernel_mutant_killed_through_weak_cyclic_check(name):
+    module, old, new = POTENTIAL_MUTANTS[name]
+    assert _weak_cyclic_disagrees(mutant_module(module, old, new).weak_cyclic_check)
