@@ -14,9 +14,12 @@ Conventions:
     relations, delta (one pass over lw + (y,) + rw), the word parts of
     delta' and Hochschild b', so b = b' + D too (see ``hochschild``), are
     sums over it; the one insertion loop outside it is the dual absorption
-    of delta' in ``delta_dual``.  ``uninsertions`` runs it backwards
-    through ``words_by_output``, and every support-driven check lists the
-    words it evaluates with it;
+    of delta' in ``delta_dual``.  ``insertions`` takes its sign from
+    ``insertion_sign``, as the cocycle validation does.  ``uninsertions``
+    runs the loop backwards through
+    ``words_by_output``: the relation and bimodule checks list the words
+    they evaluate with it, and the cocycle validation walks the same
+    un-insertions, with their signs, from each key of a tower;
   * the full coderivation includes the curvature insertions (arity 0), so
     "coderivation squares to zero" is equivalent to the curved relations.
 
@@ -254,7 +257,14 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
         for i in range(n - k + 1):
             inner = tables.get(word[i : i + k])
             if inner:
-                yield i, k, inner, -1 if prefixes[i] % 2 else 1
+                yield i, k, inner, insertion_sign(prefixes, i)
+
+
+def insertion_sign(prefixes: list, i: int) -> int:
+    """The sign of an insertion at slot i of a word, (-1)^{prefixes[i]}:
+    ``prefixes`` is the word's ``maltese_prefixes`` from the base of the
+    insertion, so the sign only reads the letters in front of the slot."""
+    return -1 if prefixes[i] % 2 else 1
 
 
 def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:

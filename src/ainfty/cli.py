@@ -157,8 +157,11 @@ def _emit(reports, args, doc) -> int:
         ok = ok and rep.passed
     text = "\n".join(lines)
     if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.report, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise DocumentError([("--report", str(exc))])
     print(text)
     return 0 if ok else 1
 

@@ -252,10 +252,14 @@ def retruncate(doc: LoadedDocument, energy) -> LoadedDocument:
 
 def load(path) -> LoadedDocument:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DocumentError([("%s:%d:%d" % (path, exc.lineno, exc.colno), exc.msg)])
+    except UnicodeDecodeError as exc:
+        raise DocumentError([(str(path), "not UTF-8 text: %s" % exc.reason)])
+    except RecursionError:
+        raise DocumentError([(str(path), "JSON nested too deeply to parse")])
     except OSError as exc:
         raise DocumentError([(str(path), str(exc))])
     return load_dict(raw)

@@ -61,8 +61,9 @@ are linear over the coefficient ring, and the level cutoff is an ideal,
 which is what lets ``cli.chain_identity_suite`` check each basis key once
 instead of each drawn chain.
 
-The dual side stores towers of finitely supported functionals, applied to
-chains key by key; a tower is validated chainwise against b and B.
+The dual side stores towers of finitely supported functionals.  A tower is
+validated by pulling each level back through b and B, key by key
+(``validate_negative_cocycle``), with the signs of the forward operators.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .ainfty import AInftyAlgebra, insertions, nonzero_words, uninsertions, words_by_output
+from .ainfty import AInftyAlgebra, insertion_sign, insertions, nonzero_words, words_by_output
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, maltese, maltese_prefixes, words_over
@@ -190,8 +191,7 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: 
 
     At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
     puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
-    block crosses v and the kept prefix a_1..a_{k-i}: this is the one place
-    of the wrap sign, which is +1 for i = 0.
+    block crosses v and the kept prefix a_1..a_{k-i} (``_wrap_sign``).
     """
     degrees = algebra.basis.degrees
     tables = nonzero_words(algebra)
@@ -209,11 +209,19 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: 
                 if not inner:
                     continue
                 kept = prefixes[k - i + 1]
-                wrap = -sign if (total - kept) * kept % 2 else sign
+                wrap = sign * _wrap_sign(total, kept)
                 rest = word[j : k - i]
                 for comp, value in inner.items():
                     mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
     return acc
+
+
+def _wrap_sign(total: int, part: int) -> int:
+    """The sign of a wrap-around, the one place of it: the tail block and
+    the factors it crosses (module slot and kept prefix) have shifted
+    degrees ``part`` and total - ``part``, in either order; +1 for an
+    empty block."""
+    return -1 if (total - part) * part % 2 else 1
 
 
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
@@ -602,30 +610,45 @@ class CocycleTower:
         return all(len(word) <= 1 for _, word in self.psi0.table)
 
 
-def _cocycle_support(algebra: AInftyAlgebra, tower: CocycleTower, l_max: int) -> list:
-    """The basis chains at which psi_i(b c) or psi_{i+1}(B c) can be nonzero.
-
-    A term of b c at a key (v0, w0) of some psi_i comes from an interior
-    insertion that made the letter w0[p], so c = (v0, w0[:p] + u + w0[p+1:])
-    is an un-insertion of w0, or from a wrap-around m(u) that made the
-    module v0 out of u with the module of c at u[j], so
-    c = (u[j], u[j+1:] + w0 + u[:j]) for u listed under v0.  A term of B c
-    at a key (1, w1) of psi_{i+1} needs (module,) + word to be a rotation
-    of w1.  Listed as ``iter_basis_chains`` orders them: unit-free words of
-    length <= l_max, by (length, word, module).
-    """
-    index = words_by_output(algebra)
+def _pull_b_into(acc: dict, algebra: AInftyAlgebra, psi: Functional, top: int,
+                 l_max: int) -> dict:
+    """Add psi(b c) into acc[c], a raw {key: {Monomial: scalar}} map, for
+    every reduced basis chain c of at most l_max letters that b sends to a
+    key of psi; products above the level cutoff ``top`` are never formed.
+    The families and their signs are in ``validate_negative_cocycle``."""
+    degrees = algebra.basis.degrees
     unit = algebra.basis.unit
-    found = set()
-    for level, psi in enumerate(tower.levels):
-        for v0, w0 in psi.table:
-            found.update((v0, word) for word in uninsertions(algebra, w0, l_max))
-            for u in index.get(v0, ()):
-                found.update((u[j], u[j + 1 :] + w0 + u[:j]) for j in range(len(u)))
-            if level and v0 == unit:
-                found.update((w0[s], w0[s + 1 :] + w0[:s]) for s in range(len(w0)))
-    return sorted((c for c in found if len(c[1]) <= l_max and unit not in c[1]),
-                  key=lambda c: (len(c[1]), c[1], c[0]))
+    index = words_by_output(algebra)
+    tables = nonzero_words(algebra)
+    for (v0, w0), value in psi.table.items():
+        # prefixes[p]: shifted degree of the first p factors of v0, w0
+        prefixes = maltese_prefixes([degrees[x] for x in (v0,) + w0])
+        for q, letter in enumerate(w0):
+            for u in index.get(letter, ()):
+                if len(w0) - 1 + len(u) <= l_max and unit not in u:
+                    mul_into(acc.setdefault((v0, w0[:q] + u + w0[q + 1 :]), {}), value.terms,
+                             tables[len(u)][u][letter].terms, top, insertion_sign(prefixes, q + 1))
+        for x in index.get(v0, ()):
+            # the wrap at i moves x[:i] past x[i:] + w0
+            crossed = maltese_prefixes([degrees[y] for y in x + w0])
+            for i in range(len(x)):
+                rest = x[i + 1 :] + w0 + x[:i]
+                if len(rest) <= l_max and unit not in rest:
+                    mul_into(acc.setdefault((x[i], rest), {}), value.terms,
+                             tables[len(x)][x][v0].terms, top, _wrap_sign(crossed[-1], crossed[i]))
+    return acc
+
+
+def _pull_B_into(acc: dict, basis, psi: Functional, l_max: int) -> dict:
+    """Add psi(B c) into acc[c], a raw {key: {Monomial: scalar}} map, for
+    every reduced basis chain c of at most l_max letters that B sends to a
+    key of psi (see ``validate_negative_cocycle``)."""
+    for (v1, w1), value in psi.table.items():
+        if v1 == basis.unit and len(w1) <= l_max + 1:
+            for rotated, odd in _rotations(basis.degrees, w1, len(w1)):
+                add_into(acc.setdefault((rotated[0], rotated[1:]), {}), value.terms,
+                         -1 if odd else 1)
+    return acc
 
 
 def validate_negative_cocycle(
@@ -634,9 +657,52 @@ def validate_negative_cocycle(
     """Check b* psi_i = B* psi_{i+1} for i < D and b* psi_D = 0, chainwise.
 
     ``checked`` counts every basis chain of ``iter_basis_chains`` at every
-    level.  Both sides vanish on a chain that reaches no key of the tower
-    (``_cocycle_support``), so only the chains that do are evaluated, in
-    the same order, with the failure lines of a check of every chain.
+    level, and the failure lines are those of a check that evaluates
+    psi_i(b c) and psi_{i+1}(B c) at every basis chain c, in the same order
+    (``oracles.validate_negative_cocycle_reference``).  Both sides are
+    computed by transposition, with no chain formed: for each key kappa of
+    psi_i, the chains c whose b c has a term at kappa are walked, and
+    psi_i(kappa) times that term's coefficient is added into a raw map
+    lhs_i[c] (``_pull_b_into``); rhs_i[c] comes from psi_{i+1} and B in the
+    same way (``_pull_B_into``).  A chain in neither map passes.
+
+    At kappa = (v0, w0), b c = b'c + D c (fact D of ``identity_residuals``)
+    has terms from three families:
+
+      * an insertion at slot p >= 1 of c's marked word that made the letter
+        w0[q], q = p - 1: c = (v0, w0[:q] + u + w0[q+1:]), an un-insertion
+        of w0, for each u that ``words_by_output`` lists under w0[q].  Its
+        sign ``insertion_sign`` reads the letters in front of the slot,
+        v0 and w0[:q], which c and kappa share.
+      * an insertion at slot 0 of arity >= 1, or a wrap-around of D: m(x)
+        made v0 with c's module at x[i], so c = (x[i], x[i+1:] + w0 + x[:i])
+        for each x listed under v0.  Slot 0 is i = 0 and D's wraps are
+        i >= 1; the sign is ``_wrap_sign`` of the tail block x[:i] crossing
+        x[i:] and w0, +1 for i = 0 as at slot 0.
+      * m_0 in front of the module slot: b' puts it there with sign +1 and
+        D with sign -1, at the same key with the same product, so b has no
+        such term.
+
+    Each term of b c at kappa is one (family, u or x, position) walked from
+    kappa, and each one walked is a term, so lhs_i[c] is psi_i(b c) summed
+    in another order.  B c has terms only at keys (1, w1), one per
+    rotation t^r of c's marked word, r < n = len(w1).  t^n is the identity
+    on length-n words (the parity of its sign, the sum over letters x of
+    |x|'(|w1|' - |x|'), is even), so c has a term at w1 exactly when
+    t^r(w1) = (-1)^{odd_r} c for some r < n, and that term is
+    t^{n-r} c = (-1)^{odd_r} w1, odd_r from ``_rotations`` of w1.  So
+    rhs_i[c] sums the rotations of each key (1, w1), a periodic w1
+    reaching one c more than once.
+
+    The reduced quotient: a family member whose word holds the unit is no
+    reduced chain and is skipped, and reduced b drops only output keys
+    with the unit in a tensor slot, where no functional has a key.  The
+    truncation: psi_i(b c) truncates each term of b c, then each product
+    with psi_i; here each product psi_i(kappa) * m(...) is truncated once.
+    Levels are nonnegative and add under products, so the cutoff is an
+    ideal: a product with a term above it is above it, and both drop the
+    same terms.  B needs the unit, and the ring of each level is checked
+    against the algebra's once, before any sum.
     """
     l_max = algebra.l_max if l_max is None else l_max
     report = Report("negative-cocycle")
@@ -647,21 +713,20 @@ def validate_negative_cocycle(
     names = basis.names
     reduced = len(basis.reduced_letters())
     report.tick(len(tower.levels) * len(basis) * sum(reduced ** n for n in range(l_max + 1)))
-    for module, word in _cocycle_support(algebra, tower, l_max):
-        chain = HochschildChain.generator(basis, module, word, algebra.one_ring(), reduced=True)
-        bc = hochschild_b(algebra, chain)
-        Bc = connes_B_reduced(basis, chain)
-        for i, psi in enumerate(tower.levels):
-            lhs = psi.apply(bc)
-            rhs = (
-                tower.levels[i + 1].apply(Bc)
-                if i + 1 < len(tower.levels)
-                else RingElement.zero(algebra.spec)
-            )
-            if lhs != rhs:
+    basis.require_unit()
+    spec = algebra.spec
+    for psi in tower.levels:
+        require_compatible(spec, psi.spec)
+    lhs = [_pull_b_into({}, algebra, psi, spec.level_cutoff, l_max) for psi in tower.levels]
+    rhs = [_pull_B_into({}, basis, psi, l_max) for psi in tower.levels[1:]] + [{}]
+    for module, word in sorted(set().union(*lhs, *rhs), key=lambda c: (len(c[1]), c[1], c[0])):
+        for i, (pulled_b, pulled_B) in enumerate(zip(lhs, rhs)):
+            left = RingElement(spec, pulled_b.get((module, word)))
+            right = RingElement(spec, pulled_B.get((module, word)))
+            if left != right:
                 report.fail(
                     "level %d at [%s|%s]: b* gives %s, B* of next level gives %s"
                     % (i, names[module], ",".join(names[j] for j in word),
-                       lhs.text(), rhs.text())
+                       left.text(), right.text())
                 )
     return report

@@ -1,14 +1,16 @@
 """The cocycle pipeline's support-driven checks against their all-word loops.
 
 ``check_bimodule_hom`` evaluates the bimodule identity only at the bar
-words its corestriction can reach, and ``validate_negative_cocycle`` only
-at the chains a tower key can reach.  Here both are compared, report text
-and ``checked``, with the loops over every word (``oracles``), on
-coboundary towers over E1, E2, G1, SV1 and Q1 with a few table edits, most
-of which make the checks fail.  Each candidate family of the two kernels,
-and the extension of failing words, is also mutated and must be caught.
+words its corestriction can reach, and ``validate_negative_cocycle`` pulls
+each tower key back through b and B to the chains that reach it.  Here both
+are compared, report text and ``checked``, with the loops over every word
+(``oracles``), on coboundary towers over E1, E2, G1, SV1 and Q1 with a few
+table edits, most of which make the checks fail.  Each candidate family of
+the two kernels, the signs of the pullback, its ring check and the
+extension of failing words are also mutated and must be caught.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import ainfty, hochschild
+from ainfty.coeff import RingElement
 from ainfty.errors import ConfigurationError
 from ainfty.hochschild import CocycleTower, Functional, chain_degree, iter_basis_chains
 from ainfty.pairing import InfinityInnerProduct
@@ -115,39 +118,86 @@ def test_support_checks_match_every_word(maker, depth, d_base, seed, tower_edits
 
 
 # Cases whose reports fail at L = 3, named after the candidate families
-# that matter on them: a kernel that leaves out one of those families, or
-# extends the failing middles short, reports differently there.
+# and signs that matter on them: a kernel that leaves out one of those
+# families, gets one of those signs wrong, or extends the failing middles
+# short, reports differently there.
 FAILING_CASES = {
     "G1 interior, right": (make_g1, 0, 1, 0, ("negate",), ()),
     "G1 B-rotation": (make_g1, 2, 0, 0, ("negate",), ()),
+    "G1 rotation sign": (make_g1, 1, 1, 0, ("negate",), ()),
     "SV1 wrap, left, module": (make_sv1, 1, 0, 0, ("negate",), ()),
     "E1 dual-absorb": (make_e1, 0, 1, 0, (), ("negate",)),
 }
 
 
+def _foreign(algebra, tower, level):
+    """The tower with one level moved to a ring whose energy cutoff is one
+    more than the algebra's, which no product may mix with the algebra's."""
+    spec = dataclasses.replace(algebra.spec, cutoff=algebra.spec.cutoff + 1)
+    levels = list(tower.levels)
+    levels[level] = Functional(algebra.basis, spec, {
+        key: RingElement(spec, value.terms) for key, value in levels[level].table.items()})
+    return CocycleTower(tuple(levels))
+
+
+def _validation(validate, algebra, tower):
+    """The report text and ``checked`` of a validation at L = 3, or the
+    message of the ConfigurationError it raises."""
+    try:
+        report = validate(algebra, tower, 3)
+    except ConfigurationError as exc:
+        return ConfigurationError, str(exc)
+    return report.text(), report.checked
+
+
 @functools.lru_cache(maxsize=None)
 def _references(case):
+    """The two reference reports on a case, and the reference validation
+    of its tower with the top level in a foreign ring."""
     algebra, tower, phi = make_case(*FAILING_CASES[case])
+    foreign = _foreign(algebra, tower, tower.depth)
     return (validate_negative_cocycle_reference(algebra, tower, 3),
-            check_bimodule_hom_reference(algebra, phi, 3))
+            check_bimodule_hom_reference(algebra, phi, 3),
+            _validation(validate_negative_cocycle_reference, algebra, foreign))
 
 
 def _kernels_agree(ainfty_mod, hochschild_mod, case) -> bool:
-    """Do both checks from these modules report as the references on a case?
+    """Do both checks from these modules report as the references on a case,
+    and does the validation refuse its foreign-ring tower as the reference?
 
     The case is built afresh, so no index cached on an algebra outlives the
     module that built it.
     """
     algebra, tower, phi = make_case(*FAILING_CASES[case])
-    validation, bimodule = _references(case)
+    validation, bimodule, foreign = _references(case)
     return (_same(hochschild_mod.validate_negative_cocycle(algebra, tower, 3), validation)
-            and _same(ainfty_mod.check_bimodule_hom(algebra, phi, 3), bimodule))
+            and _same(ainfty_mod.check_bimodule_hom(algebra, phi, 3), bimodule)
+            and _validation(hochschild_mod.validate_negative_cocycle, algebra,
+                            _foreign(algebra, tower, tower.depth)) == foreign)
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_CASES))
 def test_failing_case_reports_as_reference(case):
-    assert not all(report.passed for report in _references(case))
+    assert not all(report.passed for report in _references(case)[:2])
     assert _kernels_agree(ainfty, hochschild, case)
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+@pytest.mark.parametrize("depth", (0, 2))
+def test_foreign_ring_tower_raises(maker, depth):
+    # a level in another ring is refused with Functional.apply's message,
+    # the algebra's cutoff first, whichever level it is, as the all-chain
+    # reference refuses it; so is a tower that reaches no chain at L = 3
+    # (here the zero towers over E1 and E2, and the Q1 tower)
+    algebra, tower, _ = make_case(maker, depth, 0, 1)
+    for level in range(depth + 1):
+        foreign = _foreign(algebra, tower, level)
+        with pytest.raises(ConfigurationError) as raised:
+            hochschild.validate_negative_cocycle(algebra, foreign, 3)
+        assert str(raised.value) == "mismatched energy cutoffs: %s vs %s" % (
+            algebra.spec.cutoff, algebra.spec.cutoff + 1)
+        assert _validation(validate_negative_cocycle_reference, algebra, foreign) == (
+            ConfigurationError, str(raised.value))
 
 
 @pytest.mark.parametrize("maker,top", ((make_e1, 2), (make_q1, 3)))
@@ -187,14 +237,24 @@ SUPPORT_MUTANTS = {
         ainfty, "for nr in range(room - nl + 1):", "for nr in range(room - nl):",
         "G1 interior, right"),
     "validation interior family dropped": (
-        hochschild, "found.update((v0, word) for word in uninsertions(algebra, w0, l_max))",
-        "pass", "G1 interior, right"),
+        hochschild, "if len(w0) - 1 + len(u) <= l_max and unit not in u:", "if False:",
+        "G1 interior, right"),
     "validation wrap family dropped": (
-        hochschild, "found.update((u[j], u[j + 1 :] + w0 + u[:j]) for j in range(len(u)))",
-        "pass", "SV1 wrap, left, module"),
+        hochschild, "if len(rest) <= l_max and unit not in rest:", "if False:",
+        "SV1 wrap, left, module"),
     "validation B-rotation family dropped": (
-        hochschild, "found.update((w0[s], w0[s + 1 :] + w0[:s]) for s in range(len(w0)))",
-        "pass", "G1 B-rotation"),
+        hochschild, "if v1 == basis.unit and len(w1) <= l_max + 1:", "if False:",
+        "G1 B-rotation"),
+    "validation wrap sign flipped": (
+        hochschild, "_wrap_sign(crossed[-1], crossed[i])", "-_wrap_sign(crossed[-1], crossed[i])",
+        "SV1 wrap, left, module"),
+    "validation insertion sign one slot off": (
+        hochschild, "insertion_sign(prefixes, q + 1)", "insertion_sign(prefixes, q)",
+        "G1 interior, right"),
+    "validation rotation sign ignored": (
+        hochschild, "-1 if odd else 1)", "1)", "G1 rotation sign"),
+    "validation ring check dropped": (
+        hochschild, "require_compatible(spec, psi.spec)", "pass", "G1 interior, right"),
 }
 
 

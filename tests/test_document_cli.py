@@ -250,6 +250,33 @@ def test_top_level_must_be_an_object(tmp_path, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", (
+    (b'{"version": 1, "name": "caf\xe9"}', "not UTF-8 text: invalid continuation byte"),
+    (b"[" * 100000, "JSON nested too deeply to parse"),
+), ids=("not-utf8", "deep-nesting"))
+def test_unreadable_input_exits_2_located(tmp_path, capsys, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with pytest.raises(DocumentError) as err:
+        load(path)
+    assert err.value.diagnostics == [(str(path), message)]
+    assert main(["check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "%s: %s" % (path, message) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("target", ("missing/report.txt", "."))
+def test_unwritable_report_exits_2_located(tmp_path, capsys, target):
+    # a missing directory, and a directory itself
+    path = tmp_path / target
+    assert main(["check", "--input", corpus("e2.json"), "--chains", "1",
+                 "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "  --report: " in captured.err and str(path) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def _set(path, value):
     """Edit minimal_doc at a path of keys and list indices."""
     def edit(raw):
