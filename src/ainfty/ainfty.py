@@ -391,7 +391,9 @@ def check_strict_unit(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Re
 # -- weak bounding cochains -------------------------------------------------
 
 
-def _require_candidate(algebra: AInftyAlgebra, b: Element):
+def require_candidate(algebra: AInftyAlgebra, b: Element):
+    """The one guard on a candidate b, which the curvature, the potentials
+    and the rotation identity share: total degree 1, positive valuation."""
     if b and not b.is_homogeneous(1):
         raise ConfigurationError("candidate must be homogeneous of total degree 1")
     if b.valuation() <= 0:
@@ -400,7 +402,7 @@ def _require_candidate(algebra: AInftyAlgebra, b: Element):
 
 def curvature(algebra: AInftyAlgebra, b: Element) -> Element:
     """The deformed curvature m_0^b = sum_k m_k(b,...,b), truncated."""
-    _require_candidate(algebra, b)
+    require_candidate(algebra, b)
     nu = b.valuation()
     total = Element.zero(algebra.basis)
     k = 0
@@ -479,7 +481,7 @@ def solve_mc(algebra: AInftyAlgebra, h: Dict[int, Element], seed: Element):
     validate_right_inverse(algebra, h)
     basis = algebra.basis
     b = seed
-    _require_candidate(algebra, b)
+    require_candidate(algebra, b)
     seen_levels = set()
     for _ in range(10_000):
         ok, c, rest = check_weak_mc(algebra, b)

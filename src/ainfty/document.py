@@ -37,6 +37,8 @@ class LoadedDocument:
     gw_tilde: Optional[RingElement] = None
     wall_pair: Optional[tuple] = None
     right_inverse: Optional[Dict[int, Element]] = None
+    # the parsed JSON, so that ``load_dict`` can load it again at a lower cutoff
+    raw: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 class _Collector:
@@ -194,62 +196,6 @@ def _element(entries, algebra, where, errors, allow_poly=False):
     return Element(algebra.basis, comp)
 
 
-def retruncate(doc: LoadedDocument, energy) -> LoadedDocument:
-    """Rebuild the document with a smaller energy cutoff.
-
-    Truncation only discards information, so the new cutoff must not exceed
-    the document's own.
-    """
-    energy = as_fraction(energy)
-    algebra = doc.algebra
-    if energy < 0:
-        raise DocumentError([("--emax", "must be >= 0")])
-    if energy > algebra.spec.cutoff:
-        raise DocumentError([("--emax", "cannot exceed the document cutoff %s"
-                              % algebra.spec.cutoff)])
-    spec = algebra.spec.with_cutoff(energy)
-
-    def cut(value: RingElement) -> RingElement:
-        return RingElement(spec, value.terms)
-
-    ops = {
-        key: {word: {i: cut(v) for i, v in out.items()} for word, out in table.items()}
-        for key, table in algebra.ops.items()
-    }
-    new_algebra = AInftyAlgebra(
-        basis=algebra.basis, monoid=algebra.monoid, ops=ops, spec=spec,
-        k_max=algebra.k_max, l_max=algebra.l_max, n_max=algebra.n_max,
-        higher_arities_zero=algebra.higher_arities_zero, name=algebra.name,
-    )
-    out = LoadedDocument(name=doc.name, algebra=new_algebra)
-    for name, tower in doc.towers.items():
-        levels = tuple(
-            Functional(algebra.basis, spec, {k: cut(v) for k, v in psi.table.items()})
-            for psi in tower.levels
-        )
-        out.towers[name] = CocycleTower(levels, name=tower.name)
-    for name, element in doc.candidates.items():
-        out.candidates[name] = Element(
-            algebra.basis, {i: cut(v) for i, v in element.components.items()}
-        )
-    if doc.gauge_path is not None:
-        out.gauge_path = GaugePath(Element(
-            algebra.basis,
-            {i: cut(v) for i, v in doc.gauge_path.element.components.items()},
-        ))
-    if doc.m_minus_one is not None:
-        out.m_minus_one = cut(doc.m_minus_one)
-    if doc.gw_tilde is not None:
-        out.gw_tilde = cut(doc.gw_tilde)
-    out.wall_pair = doc.wall_pair
-    if doc.right_inverse is not None:
-        out.right_inverse = {
-            i: Element(algebra.basis, {j: cut(v) for j, v in el.components.items()})
-            for i, el in doc.right_inverse.items()
-        }
-    return out
-
-
 def load(path) -> LoadedDocument:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -260,12 +206,17 @@ def load(path) -> LoadedDocument:
         raise DocumentError([(str(path), "not UTF-8 text: %s" % exc.reason)])
     except RecursionError:
         raise DocumentError([(str(path), "JSON nested too deeply to parse")])
+    except ValueError as exc:
+        # such as an integer literal past the interpreter's digit limit
+        raise DocumentError([(str(path), str(exc))])
     except OSError as exc:
         raise DocumentError([(str(path), str(exc))])
     return load_dict(raw)
 
 
-def load_dict(raw: dict) -> LoadedDocument:
+def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
+    """The document of parsed JSON, at its own energy cutoff or at the
+    lower ``cutoff`` of ``--emax``: truncation only discards terms."""
     if not isinstance(raw, dict):
         raise DocumentError([("(top level)", "must be a JSON object, not %s"
                               % type(raw).__name__)])
@@ -281,6 +232,11 @@ def load_dict(raw: dict) -> LoadedDocument:
     coeffs = _object(raw.get("coefficients", {}), "coefficients", errors) or {}
     cutoffs = _object(raw.get("cutoffs", {}), "cutoffs", errors) or {}
     energy = _fraction(cutoffs.get("energy", "10"), "cutoffs.energy", errors, Fraction(10))
+    if cutoff is not None:
+        if not 0 <= cutoff <= energy:
+            errors.error("--emax", "must be >= 0" if cutoff < 0 else
+                         "cannot exceed the document cutoff %s" % energy)
+        energy = cutoff
     try:
         spec = RingSpec(
             s_degree=_int(coeffs.get("s_degree", 2), "coefficients.s_degree", errors, 2),
@@ -380,7 +336,7 @@ def load_dict(raw: dict) -> LoadedDocument:
     except ConfigurationError as exc:
         raise DocumentError([("operations", str(exc))])
 
-    doc = LoadedDocument(name=algebra.name, algebra=algebra)
+    doc = LoadedDocument(name=algebra.name, algebra=algebra, raw=raw)
 
     for i, where, tower_raw in _objects(raw.get("towers", []), "towers", errors):
         levels = []

@@ -30,36 +30,42 @@ are operators on the unreduced space: they coerce their input along the
 canonical section of the quotient and always return unreduced chains, and
 the rotation identities relating them to b hold there.
 
-A chain stores one coefficient ring ``spec`` and, per key, the raw term
-map {Monomial: scalar} of its coefficient: the scalars nonzero and in
-stored form, no empty maps, and no unit words in a reduced chain.  The maps
-are never mutated once a chain holds them, so operators share them.  The
-five operators read and write these maps: b and b' add each signed product
+A chain is its raw term map {key: {Monomial: scalar}}: per key, the term
+map of its coefficient, the scalars nonzero and in stored form, no empty
+maps, and no unit words in a reduced chain.  The maps are never mutated once
+built, so operators share them.  Each of b', D, t, N and B has one
+implementation, a private core on raw maps: ``_bar_into``, ``_D_into``,
+``_N_into`` and ``_B_into`` add sign * op(chain) into a caller's raw map,
+and ``_t`` returns t(chain).  b' and D add each signed product
 coeff * m(...) straight into a raw map per output key with
 ``coeff.mul_into``, which applies the level cutoff to every product; t, N
 and B add signed copies of the input maps with ``coeff.add_into``.  The
-ring compatibility of chain and algebra is checked once per call, not per
-product.  An output map is only cleaned (zeros dropped, scalars in stored
-form); a RingElement is made only where a coefficient is read as one: in
-``coefficient``, ``__eq__`` and ``text``.  The signs of a word come from
-one prefix pass (``maltese_prefixes``); a rotation keeps the total shifted
-degree, so the powers of t cost O(1) each after one ``maltese`` per word.
+signs of a word come from one prefix pass (``maltese_prefixes``); a
+rotation keeps the total shifted degree, so the powers of t cost O(1) each
+after one ``maltese`` per word.  b's core ``_b_into`` is ``_bar_into`` plus
+``_D_into`` on the unreduced space, so b has no insertion loop of its own.
+The wrap-around terms have one helper, ``_wraps_into``, which takes the
+first tail-block length as a parameter: D runs it from 1, and the bB+Bb
+residual from 0 (all the wraps, W).
 
-Each of b', D, N and B has one implementation, a private core that adds
-sign * op(chain) into a caller's raw {key: {Monomial: scalar}} map
-(``_bar_into``, ``_D_into``, ``_N_into``, ``_B_into``); the public operator
-runs its core into an empty map and builds the chain.  b's core
-``_b_into`` is ``_bar_into`` plus ``_D_into``, so b has no insertion loop
-of its own.  The wrap-around terms have one helper, ``_wraps_into``, which
-takes the first tail-block length as a parameter: D runs it from 1, and
-the bB+Bb residual from 0 (all the wraps, W).  ``identity_residuals`` runs
-the cores into one map per chain identity with no intermediate chain sum.
-It sums the b^2 and bB+Bb residuals from the b'^2 and b'N-Nb residuals, so
-b is formed only on t(u) and on the small chain q D(u); its docstring
-proves the three identities this rests on.  All the operators
-are linear over the coefficient ring, and the level cutoff is an ideal,
-which is what lets ``cli.chain_identity_suite`` check each basis key once
-instead of each drawn chain.
+``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
+only.  The residual kernel runs the cores into one map per chain identity
+with no intermediate chain sum.  It sums the b^2 and bB+Bb residuals from
+the b'^2 and b'N-Nb residuals, so b is formed only on t(u) and on the small
+chain q D(u); its docstring proves the three identities this rests on.  All
+the operators are linear over the coefficient ring, and the level cutoff is
+an ideal, which is what lets ``cli.chain_identity_suite`` check each basis
+key once instead of each drawn chain.
+
+``HochschildChain`` is the wrapper of the public operators
+(``hochschild_b``, ``chain_bar``, ``cyclic_t``, ``operator_N``,
+``connes_B_reduced``) and of ``Functional.apply``: a raw map with its basis,
+its coefficient ring ``spec`` and its reduced flag.  A public operator runs
+its core on the chain's map and builds the output chain.  It checks the
+ring of chain and algebra once per call, not per product, and it applies
+the reduced quotient to b and refuses B on an unreduced chain.  A
+RingElement is made only where a coefficient is read as one: in
+``coefficient``, ``__eq__`` and the text (``chain_text``).
 
 The dual side stores towers of finitely supported functionals.  A tower is
 validated by pulling each level back through b and B, key by key
@@ -84,9 +90,9 @@ ChainTerms = Dict[ChainKey, RingElement]
 class HochschildChain:
     """Linear combination of (module slot, tensor word) with a reduced flag.
 
-    ``terms`` maps each key to the raw term map {Monomial: scalar} of its
-    coefficient in the ring ``spec`` (None only for a chain built from no
-    terms); see the module docstring for what a chain keeps clean.
+    ``terms`` is the chain's raw map {key: {Monomial: scalar}} in the ring
+    ``spec`` (None only for a chain built from no terms); see the module
+    docstring for what a chain keeps clean.
     """
 
     __slots__ = ("basis", "spec", "terms", "reduced")
@@ -115,8 +121,7 @@ class HochschildChain:
 
     @classmethod
     def _clean(cls, basis, spec, terms: dict, reduced: bool) -> "HochschildChain":
-        """A chain of raw term maps that are clean already, as the operators
-        below build them: nothing is filtered."""
+        """A chain of a raw map that is clean already: nothing is filtered."""
         chain = cls.__new__(cls)
         chain.basis, chain.spec, chain.terms, chain.reduced = basis, spec, terms, reduced
         return chain
@@ -144,36 +149,50 @@ class HochschildChain:
         return all(self.coefficient(key) == other.coefficient(key) for key in self.terms)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.basis.names
-        parts = []
-        for (v, word), terms in sorted(self.terms.items()):
-            slot = "[%s|%s]" % (names[v], ",".join(names[i] for i in word))
-            parts.append("(%s)%s" % (RingElement(self.spec, terms).text(), slot))
-        return " + ".join(parts)
+        return chain_text(self.basis, self.spec, self.terms)
 
     def __repr__(self):
         return "HochschildChain(%s)" % self.text()
+
+
+def key_text(names, key: ChainKey) -> str:
+    """The text [v|w1,...,wk] of a chain key, the one place of it."""
+    return "[%s|%s]" % (names[key[0]], ",".join(names[i] for i in key[1]))
+
+
+def chain_text(basis, spec, chain: dict) -> str:
+    """The text of a raw map: its nonzero coefficients in key order, each
+    as (coefficient)[v|w]; "0" when there are none."""
+    parts = []
+    for key, terms in sorted(chain.items()):
+        coeff = RingElement(spec, terms)
+        if coeff:
+            parts.append("(%s)%s" % (coeff.text(), key_text(basis.names, key)))
+    return " + ".join(parts) or "0"
 
 
 def chain_degree(basis, module: int, word: Word) -> int:
     return basis.degree(module) + sum(basis.degree(i) - 1 for i in word)
 
 
-def _built(basis, spec, raw: dict, reduced: bool) -> HochschildChain:
-    """The chain of raw term maps {key: {Monomial: scalar}}, each cleaned,
-    and the keys whose sum cancelled dropped."""
-    terms = {}
-    for key, mono_terms in raw.items():
+def _cleaned(chain: dict) -> dict:
+    """A raw map with each term map cleaned and the keys whose sum
+    cancelled dropped."""
+    out = {}
+    for key, terms in chain.items():
         # a map of nonzero ints is clean already, and is kept as it is
-        for value in mono_terms.values():
+        for value in terms.values():
             if type(value) is not int or not value:
-                mono_terms = canonical(mono_terms)
+                terms = canonical(terms)
                 break
-        if mono_terms:
-            terms[key] = mono_terms
-    return HochschildChain._clean(basis, spec, terms, reduced)
+        if terms:
+            out[key] = terms
+    return out
+
+
+def _built(basis, spec, chain: dict, reduced: bool) -> HochschildChain:
+    """The chain of a raw map that a core built, cleaned."""
+    return HochschildChain._clean(basis, spec, _cleaned(chain), reduced)
 
 
 def _level_cutoff(chain: HochschildChain, spec):
@@ -184,7 +203,7 @@ def _level_cutoff(chain: HochschildChain, spec):
     return spec.level_cutoff
 
 
-def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
                 start: int, sign: int = 1) -> dict:
     """Add sign * the wrap-around terms of b(chain) whose tail block has
     i >= start letters into acc: sign * W(chain) for start 0.
@@ -195,7 +214,7 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: 
     """
     degrees = algebra.basis.degrees
     tables = nonzero_words(algebra)
-    for (v, word), terms in chain.terms.items():
+    for (v, word), terms in chain.items():
         # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
         prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
         k = len(word)
@@ -224,30 +243,24 @@ def _wrap_sign(total: int, part: int) -> int:
     return -1 if (total - part) * part % 2 else 1
 
 
-def _b_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
             sign: int = 1) -> dict:
-    """Add sign * b(chain) into acc, a raw {key: {Monomial: scalar}} map;
-    products above the level cutoff ``top`` are never formed.
-
-    b = b' + D (fact D of ``identity_residuals``).  A reduced chain's b is
-    the quotient of that sum: acc must then hold no key with the unit in a
-    tensor slot, and the ones the sum adds are dropped.
-    """
-    _D_into(_bar_into(acc, algebra, chain, top, sign), algebra, chain, top, sign)
-    if chain.reduced:
-        unit = algebra.basis.unit
-        for key in [key for key in acc if unit in key[1]]:
-            del acc[key]
-    return acc
+    """Add sign * b(chain) into acc on the unreduced space, b = b' + D (fact
+    D of ``identity_residuals``); products above the level cutoff ``top``
+    are never formed."""
+    return _D_into(_bar_into(acc, algebra, chain, top, sign), algebra, chain, top, sign)
 
 
 def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
-    """The module differential, wrap-around and interior sums with exact signs."""
-    raw = _b_into({}, algebra, chain, _level_cutoff(chain, algebra.spec))
+    """The module differential, wrap-around and interior sums with exact
+    signs; the b of a reduced chain is the quotient of the unreduced b."""
+    raw = _b_into({}, algebra, chain.terms, _level_cutoff(chain, algebra.spec))
+    if chain.reduced:
+        raw = _quotient(raw, algebra.basis.unit)
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
 
 
-def _D_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
             sign: int = 1) -> dict:
     """Add sign * D(chain) into acc, D = b - b' on unreduced chains: the
     wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
@@ -255,17 +268,17 @@ def _D_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
     _wraps_into(acc, algebra, chain, top, 1, sign)
     curvature = nonzero_words(algebra).get(0, {}).get(())
     if curvature:
-        for (v, word), terms in chain.terms.items():
+        for (v, word), terms in chain.items():
             for comp, value in curvature.items():
                 mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -sign)
     return acc
 
 
-def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: int,
+def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
               sign: int = 1) -> dict:
     """Add sign * b'(chain) into acc, a raw {key: {Monomial: scalar}} map;
     an insertion at slot 0 makes the new module slot."""
-    for (v, word), terms in chain.terms.items():
+    for (v, word), terms in chain.items():
         full = (v,) + word
         for p, arity, inner, inserted in insertions(algebra, full):
             inserted *= sign
@@ -277,7 +290,7 @@ def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: HochschildChain, top: in
 
 def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
     """Bar-type differential: coderivation on the full marked word, unreduced."""
-    raw = _bar_into({}, algebra, chain, _level_cutoff(chain, algebra.spec))
+    raw = _bar_into({}, algebra, chain.terms, _level_cutoff(chain, algebra.spec))
     return _built(algebra.basis, algebra.spec, raw, False)
 
 
@@ -299,21 +312,26 @@ def _rotations(degrees, full: Word, count: int):
         odd ^= last * (total - last) & 1
 
 
-def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
-    """Signed rotation of the marked word: the last factor moves to the front."""
+def _t(basis, chain: dict) -> dict:
+    """t(chain), a new raw map sharing the maps of the keys t keeps unsigned."""
     degrees = basis.degrees
-    out: dict = {}
-    for (v, word), terms in chain.terms.items():
+    out = {}
+    for (v, word), terms in chain.items():
         # t permutes the keys, so no two terms meet
         _, (rotated, odd) = _rotations(degrees, (v,) + word, 2)
         out[(rotated[0], rotated[1:])] = add_into({}, terms, -1) if odd else terms
-    return HochschildChain._clean(basis, chain.spec, out, False)
+    return out
 
 
-def _N_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
+def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
+    """Signed rotation of the marked word: the last factor moves to the front."""
+    return HochschildChain._clean(basis, chain.spec, _t(basis, chain.terms), False)
+
+
+def _N_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
     """Add sign * N(chain) into acc, a raw {key: {Monomial: scalar}} map."""
     degrees = basis.degrees
-    for (v, word), terms in chain.terms.items():
+    for (v, word), terms in chain.items():
         for rotated, odd in _rotations(degrees, (v,) + word, 1 + len(word)):
             add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, -sign if odd else sign)
     return acc
@@ -321,18 +339,14 @@ def _N_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
 
 def operator_N(basis, chain: HochschildChain) -> HochschildChain:
     """Rotation sum 1 + t + ... + t^{n-1} on each length-n component."""
-    return _built(basis, chain.spec, _N_into({}, basis, chain), False)
+    return _built(basis, chain.spec, _N_into({}, basis, chain.terms), False)
 
 
-def _B_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
-    """Add sign * B(chain) into acc, a raw {key: {Monomial: scalar}} map."""
-    if not chain.reduced:
-        raise ConfigurationError(
-            "the Connes operator is only available on reduced chains"
-        )
+def _B_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
+    """Add sign * B(chain) into acc for the raw map of a reduced chain."""
     unit = basis.require_unit()
     degrees = basis.degrees
-    for (v, word), terms in chain.terms.items():
+    for (v, word), terms in chain.items():
         # words are unit-free, so a rotation has the unit exactly when v is
         if v == unit:
             continue
@@ -344,7 +358,11 @@ def _B_into(acc: dict, basis, chain: HochschildChain, sign: int = 1) -> dict:
 
 def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
     """Connes operator on reduced chains: unit-marked cyclic rotations."""
-    return _built(basis, chain.spec, _B_into({}, basis, chain), True)
+    if not chain.reduced:
+        raise ConfigurationError(
+            "the Connes operator is only available on reduced chains"
+        )
+    return _built(basis, chain.spec, _B_into({}, basis, chain.terms), True)
 
 
 def _quotient(raw: dict, unit: int) -> dict:
@@ -362,21 +380,22 @@ def _unit_front_into(acc: dict, raw: dict, unit: int, sign: int) -> dict:
     return acc
 
 
-def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
+def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     """The six chain identities at a reduced chain c, as raw residual maps.
 
-    Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
+    ``u`` is the raw map of c, in the algebra's ring.  Returns
+    [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
     b(1-t)-(1-t)b' and b'N-Nb, in that order.  An identity holds at c
-    exactly when every scalar of its map is zero; ``_built`` makes the
-    chain of a map.  Each map is the full sum of its identity's operator
-    composites, scalar by scalar (``oracles.identity_residuals_reference``
-    computes them image by image); nothing is skipped by appeal to strict
-    unitality or to the A-infinity relations.  Write b for the classical
+    exactly when every scalar of its map is zero.  Each map is the full sum
+    of its identity's operator composites, scalar by scalar
+    (``oracles.identity_residuals_reference`` computes them image by
+    image); nothing is skipped by appeal to strict unitality or to the
+    A-infinity relations.  Write b for the classical
     module differential: the wrap-arounds plus the interior insertions into
     the word with base |v|', as ``oracles.hochschild_b_reference`` forms
     it.  The b images are assembled from b' images through three facts
-    that hold for any tables; ``_b_into`` takes D and reduced b as b's
-    definition:
+    that hold for any tables; ``_b_into`` takes D, and ``hochschild_b``
+    reduced b, as b's definition:
 
       * D.  D(x) := b(x) - b'(x) on unreduced chains is the wrap-arounds
         of b with a tail block i >= 1, minus m_0 inserted in front of the
@@ -404,10 +423,10 @@ def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
         insertions it skips are the ones that put the unit in the word,
         and a wrap keeps a subword.
 
-    Let u be the unreduced c, u' and u'' its keys whose module is not and
-    is the unit, P and Z the keys of b'(u) with a unit-free word and with
-    the unit in a tensor slot, and eps = (-1)^{|1|'} from the unit's
-    degree.  Then:
+    Read as an unreduced chain, c is u.  Let u' and u'' be its keys whose
+    module is not and is the unit, P and Z the keys of b'(u) with a
+    unit-free word and with the unit in a tensor slot, and
+    eps = (-1)^{|1|'} from the unit's degree.  Then:
 
       1. b(u) = b'(u) + D(u), by D.
       2. The rotation residual b(u) - b(tu) - b'(u) + t b'(u) is
@@ -437,39 +456,31 @@ def identity_residuals(algebra: AInftyAlgebra, chain: HochschildChain) -> list:
     """
     basis = algebra.basis
     unit = basis.require_unit()
-    spec = algebra.spec
-    top = _level_cutoff(chain, spec)
-
-    def unreduced(terms):
-        return HochschildChain._clean(basis, spec, terms, False)
-
-    u = chain.unreduced()
-    bar_u = chain_bar(algebra, u)
-    Du = _built(basis, spec, _D_into({}, algebra, u, top), False)
+    top = algebra.spec.level_cutoff
+    bar_u = _cleaned(_bar_into({}, algebra, u, top))
+    Du = _cleaned(_D_into({}, algebra, u, top))
 
     bar_square = _bar_into({}, algebra, bar_u, top)
-    P = _quotient(bar_u.terms, unit)
-    Z = {key: terms for key, terms in bar_u.terms.items() if key not in P}
-    qDu = HochschildChain._clean(basis, spec, _quotient(Du.terms, unit), True)
-    extra = _b_into({}, algebra, qDu, top)
-    _bar_into(extra, algebra, unreduced(Z), top, -1)
-    _D_into(extra, algebra, unreduced(P), top)
+    P = _quotient(bar_u, unit)
+    Z = {key: terms for key, terms in bar_u.items() if key not in P}
+    extra = _b_into({}, algebra, _quotient(Du, unit), top)
+    _bar_into(extra, algebra, Z, top, -1)
+    _D_into(extra, algebra, P, top)
     square = _quotient(bar_square, unit)
     for key, terms in _quotient(extra, unit).items():
         old = square.get(key)
         square[key] = terms if old is None else add_into(terms, old)
 
-    rotation = _b_into({}, algebra, cyclic_t(basis, u), top, -1)
-    for image in (Du, cyclic_t(basis, bar_u)):
-        for key, terms in image.terms.items():
+    rotation = _b_into({}, algebra, _t(basis, u), top, -1)
+    for image in (Du, _t(basis, bar_u)):
+        for key, terms in image.items():
             add_into(rotation.setdefault(key, {}), terms)
 
-    N_front = operator_N(basis, unreduced({key: terms for key, terms in u.terms.items()
+    N_front = _cleaned(_N_into({}, basis, {key: terms for key, terms in u.items()
                                            if key[0] != unit}))
-    N_unit = operator_N(basis, unreduced({key: terms for key, terms in u.terms.items()
+    N_unit = _cleaned(_N_into({}, basis, {key: terms for key, terms in u.items()
                                           if key[0] == unit}))
-    Bc = HochschildChain._clean(basis, spec, {
-        (unit, (v,) + word): terms for (v, word), terms in N_front.terms.items()}, True)
+    Bc = {(unit, (v,) + word): terms for (v, word), terms in N_front.items()}
     R = _N_into(_N_into(_bar_into({}, algebra, N_front, top), basis, bar_u, -1), basis, Du, -1)
     eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
     bB = _unit_front_into(_wraps_into({}, algebra, Bc, top, 0), R, unit, eps)
@@ -541,15 +552,8 @@ class Functional:
         return RingElement(self.spec, raw)
 
     def text(self) -> str:
-        if not self.table:
-            return "0"
-        names = self.basis.names
-        parts = []
-        for (v, word), value in sorted(self.table.items()):
-            parts.append(
-                "[%s|%s] -> %s" % (names[v], ",".join(names[i] for i in word), value.text())
-            )
-        return "; ".join(parts)
+        return "; ".join("%s -> %s" % (key_text(self.basis.names, key), value.text())
+                         for key, value in sorted(self.table.items())) or "0"
 
 
 def iter_basis_chains(algebra: AInftyAlgebra, l_max: int):
@@ -710,7 +714,6 @@ def validate_negative_cocycle(
     report.note("L_max", l_max)
     report.note("depth", tower.depth)
     basis = algebra.basis
-    names = basis.names
     reduced = len(basis.reduced_letters())
     report.tick(len(tower.levels) * len(basis) * sum(reduced ** n for n in range(l_max + 1)))
     basis.require_unit()
@@ -719,14 +722,11 @@ def validate_negative_cocycle(
         require_compatible(spec, psi.spec)
     lhs = [_pull_b_into({}, algebra, psi, spec.level_cutoff, l_max) for psi in tower.levels]
     rhs = [_pull_B_into({}, basis, psi, l_max) for psi in tower.levels[1:]] + [{}]
-    for module, word in sorted(set().union(*lhs, *rhs), key=lambda c: (len(c[1]), c[1], c[0])):
+    for key in sorted(set().union(*lhs, *rhs), key=lambda c: (len(c[1]), c[1], c[0])):
         for i, (pulled_b, pulled_B) in enumerate(zip(lhs, rhs)):
-            left = RingElement(spec, pulled_b.get((module, word)))
-            right = RingElement(spec, pulled_B.get((module, word)))
+            left = RingElement(spec, pulled_b.get(key))
+            right = RingElement(spec, pulled_B.get(key))
             if left != right:
-                report.fail(
-                    "level %d at [%s|%s]: b* gives %s, B* of next level gives %s"
-                    % (i, names[module], ",".join(names[j] for j in word),
-                       left.text(), right.text())
-                )
+                report.fail("level %d at %s: b* gives %s, B* of next level gives %s"
+                            % (i, key_text(basis.names, key), left.text(), right.text()))
     return report

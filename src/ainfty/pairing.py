@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
-from .ainfty import AInftyAlgebra, apply_m
+from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
-from .errors import ConfigurationError, DivergenceError, TowerError
+from .errors import ConfigurationError, TowerError
 from .exactla import column_space_pivots, kernel_basis, rank
 from .graded import Element, Word, add_term, tensor_coefficient
 from .hochschild import CocycleTower, validate_negative_cocycle
@@ -338,10 +338,7 @@ def weak_cyclic_check(
     report = Report("weak-cyclic")
     report.note("E_max", algebra.spec.cutoff)
     report.note("N_max", n_max)
-    if b and not b.is_homogeneous(1):
-        raise ConfigurationError("the rotation identity needs |b| = 1")
-    if b.valuation() <= 0:
-        raise DivergenceError("b must have positive valuation")
+    require_candidate(algebra, b)
     mk = [apply_m(algebra, [b] * k) for k in range(n_max + 1)]
     shapes = sorted(phi.shapes)
     inserted: dict = {}

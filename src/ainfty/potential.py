@@ -32,9 +32,9 @@ from fractions import Fraction
 from math import ceil, inf
 from typing import Dict, Optional
 
-from .ainfty import AInftyAlgebra, apply_m, curvature, check_weak_mc
+from .ainfty import AInftyAlgebra, apply_m, check_weak_mc, curvature, require_candidate
 from .coeff import RingElement, as_fraction
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .graded import Element
 from .pairing import InfinityInnerProduct, rotation_terms, unit_trace
 from .report import Report
@@ -55,21 +55,12 @@ def _auto_n_max(algebra: AInftyAlgebra, x: Element) -> int:
     nu = x.valuation()
     if nu is inf:
         return 0
-    if nu <= 0:
-        raise DivergenceError("potential requires positive valuation")
     # terms at level N have valuation >= (N+1) nu; stop once that exceeds E_max
     bound = as_fraction(algebra.spec.cutoff) / as_fraction(nu)
     n = int(bound)
     if n == bound:
         n -= 1
     return max(n, 0)
-
-
-def _check_argument(x: Element):
-    if x and not x.is_homogeneous(1):
-        raise ConfigurationError("potential argument must be homogeneous of degree 1")
-    if x.valuation() <= 0:
-        raise DivergenceError("potential argument must have positive valuation")
 
 
 def _powers(algebra: AInftyAlgebra, x: Element, top: int) -> list:
@@ -93,7 +84,7 @@ def infty_cyclic_potential(
     The term at (N, p, k, q) evaluates phi at shape (p, q), so only the
     shapes in ``phi.shapes`` are visited; every other shape adds zero.
     """
-    _check_argument(x)
+    require_candidate(algebra, x)
     n_max = _auto_n_max(algebra, x) if n_max is None else n_max
     mk = _powers(algebra, x, n_max)
     shapes = sorted(phi.shapes)
@@ -216,7 +207,7 @@ def wall_crossing_decomposition(
     k1 are those of the rotation identity at y = m_{k2}(b^{k2}), from the
     kernel ``pairing.rotation_terms``.
     """
-    _check_argument(b)
+    require_candidate(algebra, b)
     n_max = algebra.n_max if n_max is None else n_max
     zero = RingElement.zero(algebra.spec)
     # the main sum reads m_{k2} and m_{k1} with k1 + k2 = k + 1 <= n_max + 1

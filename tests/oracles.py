@@ -52,6 +52,7 @@ from math import ceil, inf
 
 from ainfty.ainfty import (
     apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
+    require_candidate,
 )
 from ainfty import hochschild as hh
 from ainfty.cli import _draw_monomials, _random_reduced_chain
@@ -62,7 +63,7 @@ from ainfty.hochschild import (
     CocycleTower, Functional, HochschildChain, connes_B_reduced, hochschild_b,
     iter_basis_chains,
 )
-from ainfty.potential import WallCrossingDecomposition, _auto_n_max, _check_argument
+from ainfty.potential import WallCrossingDecomposition, _auto_n_max
 from ainfty.report import Report
 
 
@@ -663,18 +664,21 @@ def functional_apply_reference(functional, chain) -> RingElement:
     return acc
 
 
-def identity_residuals_reference(algebra, chain) -> list:
-    """The six chain identities at a reduced chain c, as raw residual maps,
-    with every operator image of each identity computed in full.
+def identity_residuals_reference(algebra, raw) -> list:
+    """The six chain identities at a reduced chain c, given by its raw map
+    ``raw``, as raw residual maps, with every operator image of each
+    identity computed in full.
 
     Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
     b(1-t)-(1-t)b' and b'N-Nb, in that order.  With u the unreduced c: b(u),
     then b(c) as its quotient, B(c), b'(u), t(u), t(b'u) and N(u); the
     outer operator of each identity adds into that identity's map through
-    the engine's private operator cores.
+    the engine's private operator cores, or is the public operator where
+    the quotient is taken.
     """
     basis = algebra.basis
-    top = hh._level_cutoff(chain, algebra.spec)
+    top = algebra.spec.level_cutoff
+    chain = HochschildChain._clean(basis, algebra.spec, raw, True)
     u = chain.unreduced()
     bu = hochschild_b(algebra, u)
     bc = HochschildChain._clean(basis, bu.spec, {
@@ -686,13 +690,14 @@ def identity_residuals_reference(algebra, chain) -> list:
         for key, terms in image.terms.items():
             add_into(rotation.setdefault(key, {}), terms, sign)
     return [
-        ("b^2", hh._b_into({}, algebra, bc, top)),
-        ("B^2", hh._B_into({}, basis, Bc)),
-        ("bB+Bb", hh._B_into(hh._b_into({}, algebra, Bc, top), basis, bc)),
-        ("b'^2", hh._bar_into({}, algebra, bar_u, top)),
-        ("b(1-t)-(1-t)b'", hh._b_into(rotation, algebra, hh.cyclic_t(basis, u), top, -1)),
-        ("b'N-Nb", hh._N_into(hh._bar_into({}, algebra, hh.operator_N(basis, u), top),
-                              basis, bu, -1)),
+        ("b^2", hochschild_b(algebra, bc).terms),
+        ("B^2", hh._B_into({}, basis, Bc.terms)),
+        ("bB+Bb", hh._B_into(dict(hochschild_b(algebra, Bc).terms), basis, bc.terms)),
+        ("b'^2", hh._bar_into({}, algebra, bar_u.terms, top)),
+        ("b(1-t)-(1-t)b'",
+         hh._b_into(rotation, algebra, hh.cyclic_t(basis, u).terms, top, -1)),
+        ("b'N-Nb", hh._N_into(hh._bar_into({}, algebra, hh.operator_N(basis, u).terms, top),
+                              basis, bu.terms, -1)),
     ]
 
 
@@ -707,7 +712,8 @@ def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
     basis = algebra.basis
     monomials = _draw_monomials(algebra.spec)
     for n in range(count):
-        c = _random_reduced_chain(algebra, rng, max_len, monomials)
+        c = HochschildChain._clean(basis, algebra.spec,
+                                   _random_reduced_chain(algebra, rng, max_len, monomials), True)
         u = c.unreduced()
         bc = hh.hochschild_b(algebra, c)
         Bc = hh.connes_B_reduced(basis, c)
@@ -836,7 +842,7 @@ def unit_insertion_vanishing(algebra, phi, b, n_max=None) -> Report:
 
 def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement:
     """Phi'(x) over every (N, p, k, q), with m_k(x^k) computed per term."""
-    _check_argument(x)
+    require_candidate(algebra, x)
     n_max = _auto_n_max(algebra, x) if n_max is None else n_max
     total = RingElement.zero(algebra.spec)
     for N in range(n_max + 1):
@@ -907,7 +913,7 @@ def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
     """
     if not tower.is_strict():
         raise ConfigurationError("strict potential needs a strictly cyclic tower")
-    _check_argument(b)
+    require_candidate(algebra, b)
     basis = algebra.basis
     unit = basis.require_unit()
     table = tower.psi0.table
@@ -946,7 +952,7 @@ def wall_crossing_decomposition_reference(algebra, phi, b, n_max=None):
     """The wall-crossing sums over every (N, p, k, q) and every (p, q) of
     i1_rhs and error_term, each term weighted by its own 1/(N+1), each split
     insertion recomputed, and the curvature computed twice."""
-    _check_argument(b)
+    require_candidate(algebra, b)
     n_max = algebra.n_max if n_max is None else n_max
     zero = RingElement.zero(algebra.spec)
     ksplit = psplit = qsplit = output = clsum = zero

@@ -20,7 +20,9 @@ wallcross and potential at level 9 and arity 10 on G1 and E2, with the
 arity error that wallcross at level 9 meets under an arity cutoff of 6.
 Also pinned: `mc --solve` on SV1; `check` on an E1 copy whose stored arity-3
 table is all zero, which still counts toward the arity cutoff; and
-wallcross on a G1 copy whose pair is not weak MC.
+wallcross on a G1 copy whose pair is not weak MC.  `check` on E2 and G1 and
+`cocycle` on G1 print their pinned bytes with `HochschildChain` refused, as
+they run the chain operators on raw term maps only.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ import random
 import pytest
 
 import ainfty
+from ainfty import hochschild
 from ainfty.cli import main
 
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
@@ -92,6 +95,19 @@ def _check_run(argv, capsys, status, digest):
 
 @pytest.mark.parametrize("doc,command", sorted(GOLDEN), ids="-".join)
 def test_corpus_report_bytes(doc, command, capsys):
+    _check_run([command, "--input", os.path.join(CORPUS, doc + ".json")], capsys,
+               *GOLDEN[doc, command])
+
+
+@pytest.mark.parametrize("doc,command", (("e2", "check"), ("g1_gauge", "check"),
+                                         ("g1_gauge", "cocycle")))
+def test_report_bytes_without_chain_objects(doc, command, capsys, monkeypatch):
+    # check and cocycle run the chain operators on raw term maps only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HochschildChain was built")
+
+    monkeypatch.setattr(hochschild.HochschildChain, "__init__", refuse)
+    monkeypatch.setattr(hochschild.HochschildChain, "_clean", refuse)
     _check_run([command, "--input", os.path.join(CORPUS, doc + ".json")], capsys,
                *GOLDEN[doc, command])
 

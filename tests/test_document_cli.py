@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import ainfty
 from ainfty.cli import main
-from ainfty.document import load, load_dict, retruncate
+from ainfty.document import load, load_dict
 from ainfty.errors import DocumentError
 
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
@@ -120,12 +121,12 @@ def test_parse_error_is_positioned(tmp_path):
     assert any(":2:" in loc for loc, _ in err.value.diagnostics)
 
 
-def test_retruncate_lowers_cutoff():
+def test_load_dict_lowers_cutoff():
     doc = load(corpus("e2.json"))
-    cut = retruncate(doc, "3/2")
+    cut = load_dict(doc.raw, Fraction(3, 2))
     assert str(cut.algebra.spec.cutoff) == "3/2"
     with pytest.raises(DocumentError):
-        retruncate(doc, "100")
+        load_dict(doc.raw, Fraction(100))
 
 
 def test_cli_check_passes(capsys):

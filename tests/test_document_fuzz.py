@@ -18,13 +18,18 @@ right-inverse entry or a member with a documented default, or puts the
 integer 0 where a fraction string stood (all valid documents that say
 something else).  So no replacement, a null included, is silently read as
 another value.
+
+A corpus document with an integer literal past the interpreter's digit limit
+in one place exits 2 with a diagnostic located at the file, not a traceback.
 """
 
 import copy
 import json
 import os
+import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ainfty
@@ -143,3 +148,21 @@ def test_mutated_document_that_loads_has_the_same_tables(data):
     except EngineError:
         return
     assert _loaded(doc) == LOADED[name], (name, path, replacement)
+
+
+@pytest.mark.parametrize("path", (("x",), ("cutoffs", "arity"), ("towers", 0, "name")),
+                         ids=lambda path: ".".join(map(str, path)))
+def test_integer_literal_past_the_digit_limit_exits_2_located(path, tmp_path, capsys):
+    # json.load raises a bare ValueError on such a literal; it is located at the file
+    raw = copy.deepcopy(DOCS["e2.json"])
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "HUGE"
+    doc_path = tmp_path / "huge.json"
+    doc_path.write_text(json.dumps(raw).replace(
+        '"HUGE"', "1" * (sys.get_int_max_str_digits() + 700)))
+    assert main(["check", "--chains", "2", "--input", str(doc_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "\n  %s: Exceeds the limit" % doc_path in captured.err

@@ -566,6 +566,7 @@ HOCHSCHILD_MUTANTS = {
     "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
                                    "(v,) + word, len(word))"),
     "B unit filter dropped": (hochschild, "if v == unit:", "if False:"),
+    "t ignores its sign": (hochschild, "add_into({}, terms, -1) if odd else terms", "terms"),
     "b skips the reduced quotient": (hochschild, "if chain.reduced:", "if False:"),
     "- adds on a colliding key": (oracles, "add_into(dict(left), right, sign)",
                                   "add_into(dict(left), right, 1)"),
