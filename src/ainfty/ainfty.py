@@ -169,9 +169,6 @@ class AInftyAlgebra:
     def one_ring(self) -> RingElement:
         return RingElement.one(self.spec)
 
-    def unit_element(self) -> Element:
-        return Element.generator(self.basis, self.basis.require_unit(), self.one_ring())
-
     def word_text(self, word: Word) -> str:
         return "(" + ",".join(self.basis.names[i] for i in word) + ")"
 

@@ -27,7 +27,7 @@ from . import ainfty as core
 from . import hochschild as hh
 from . import pairing as pr
 from . import potential as pt
-from .coeff import RingElement, as_fraction
+from .coeff import as_fraction
 from .document import load, load_dict
 from .errors import ConfigurationError, DocumentError, EngineError
 from .graded import Element
@@ -281,7 +281,6 @@ def _phi_for(doc, args):
 def cmd_potential(args, doc) -> int:
     algebra = doc.algebra
     tower_name, phi = _phi_for(doc, args)
-    m_minus_one = doc.m_minus_one or RingElement.zero(algebra.spec)
     reports = []
     for name, b in doc.candidates.items():
         rep = Report("potential:%s" % name)
@@ -289,7 +288,7 @@ def cmd_potential(args, doc) -> int:
         rep.note("tower", tower_name)
         value = pt.infty_cyclic_potential(algebra, phi, b)
         rep.note("Phi'", value.text())
-        rep.note("Phi", (m_minus_one + value).text())
+        rep.note("Phi", (doc.m_minus_one + value).text())
         rep.tick()
         reports.append(rep)
     return _emit(reports, args, doc)
@@ -328,27 +327,9 @@ def cmd_wallcross(args, doc) -> int:
         reports.append(rep)
     if doc.wall_pair:
         minus_name, plus_name = doc.wall_pair
-        gw = doc.gw_tilde or RingElement.zero(algebra.spec)
-        m_minus_one = doc.m_minus_one or RingElement.zero(algebra.spec)
-        minus = pt.PotentialInput(algebra, phi, doc.candidates[minus_name], m_minus_one, gw)
-        plus = pt.PotentialInput(algebra, phi, doc.candidates[plus_name], m_minus_one, gw)
-        rep = Report("wall-crossing")
-        rep.note("E_max", algebra.spec.cutoff)
-        rep.note("tower", tower_name)
-        rep.note("minus", minus_name)
-        rep.note("plus", plus_name)
-        result = pt.wall_crossing_report(minus, plus)
-        rep.note("Phi(minus)", result.minus_value.text())
-        rep.note("Phi(plus)", result.plus_value.text())
-        rep.note("GW", result.gw.text())
-        rep.tick()
-        names = {"minus": minus_name, "plus": plus_name}
-        for side, rest in result.not_weak_mc.items():
-            rep.fail("%s candidate %s is not weak MC: curvature residual %s"
-                     % (side, names[side], rest.text()))
-        if not result.residual.is_zero():
-            rep.fail("residual %s" % result.residual.text())
-        reports.append(rep)
+        reports.append(pt.wall_crossing_report(
+            algebra, phi, tower_name, (minus_name, doc.candidates[minus_name]),
+            (plus_name, doc.candidates[plus_name]), doc.m_minus_one, doc.gw_tilde))
     return _emit(reports, args, doc)
 
 

@@ -64,9 +64,13 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
         numerator, _, denominator = value.partition("/")
-        if denominator and int(denominator) == 0:
+        try:
+            numerator, denominator = int(numerator), int(denominator or 1)
+        except ValueError:  # past the interpreter's digit limit for int()
+            raise ConfigurationError("fraction with more digits than int() reads")
+        if denominator == 0:
             raise ConfigurationError("zero denominator: %r" % (value,))
-        return Fraction(int(numerator), int(denominator or 1))
+        return Fraction(numerator, denominator)
     raise ConfigurationError("not an exact rational: %r" % (value,))
 
 
@@ -254,9 +258,6 @@ class RingSpec:
     def num_t(self) -> int:
         return len(self.t_degrees)
 
-    def with_cutoff(self, cutoff) -> "RingSpec":
-        return RingSpec(self.s_degree, self.t_degrees, as_fraction(cutoff), self.grid)
-
     def one_monomial(self) -> Monomial:
         return Monomial(0, 0, 0, (0,) * self.num_t, 0)
 
@@ -311,10 +312,6 @@ class RingElement:
     @classmethod
     def one(cls, spec: RingSpec) -> "RingElement":
         return cls(spec, {spec.one_monomial(): 1})
-
-    @classmethod
-    def scalar(cls, spec: RingSpec, c) -> "RingElement":
-        return cls(spec, {spec.one_monomial(): as_fraction(c)})
 
     @classmethod
     def monomial(cls, spec: RingSpec, coeff, lam=0, e=0, s=0, t=None) -> "RingElement":

@@ -21,7 +21,6 @@ from .coeff import Poly, RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DocumentError
 from .graded import Element, GradedBasis
 from .hochschild import CocycleTower, Functional
-from .potential import GaugePath
 
 SCHEMA_VERSION = 1
 
@@ -32,7 +31,9 @@ class LoadedDocument:
     algebra: AInftyAlgebra
     towers: Dict[str, CocycleTower] = field(default_factory=dict)
     candidates: Dict[str, Element] = field(default_factory=dict)
-    gauge_path: Optional[GaugePath] = None
+    # the gauge path b_t: a degree-1 element with polynomial scalars
+    gauge_path: Optional[Element] = None
+    # zero in the document's ring when the document omits them
     m_minus_one: Optional[RingElement] = None
     gw_tilde: Optional[RingElement] = None
     wall_pair: Optional[tuple] = None
@@ -378,13 +379,11 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
                                         errors)
 
     if "gauge_path" in raw and _object(raw["gauge_path"], "gauge_path", errors) is not None:
-        doc.gauge_path = GaugePath(_element(raw["gauge_path"].get("element", []), algebra,
-                                            "gauge_path.element", errors, allow_poly=True))
+        doc.gauge_path = _element(raw["gauge_path"].get("element", []), algebra,
+                                  "gauge_path.element", errors, allow_poly=True)
 
-    if "m_minus_one" in raw:
-        doc.m_minus_one = _ring_element(raw["m_minus_one"], spec, "m_minus_one", errors)
-    if "gw_tilde" in raw:
-        doc.gw_tilde = _ring_element(raw["gw_tilde"], spec, "gw_tilde", errors)
+    doc.m_minus_one = _ring_element(raw.get("m_minus_one", []), spec, "m_minus_one", errors)
+    doc.gw_tilde = _ring_element(raw.get("gw_tilde", []), spec, "gw_tilde", errors)
 
     pair = raw.get("wall_crossing_pair")
     if "wall_crossing_pair" in raw and _object(pair, "wall_crossing_pair", errors) is not None:

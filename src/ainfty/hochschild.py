@@ -607,12 +607,6 @@ class CocycleTower:
                 return psi.degree - 2 * i
         return None
 
-    def is_strict(self) -> bool:
-        """Strictly cyclic shape: psi_{i>0} = 0 and psi_0 on length-1 words."""
-        if any(not psi.is_zero() for psi in self.levels[1:]):
-            return False
-        return all(len(word) <= 1 for _, word in self.psi0.table)
-
 
 def _pull_b_into(acc: dict, algebra: AInftyAlgebra, psi: Functional, top: int,
                  l_max: int) -> dict:

@@ -19,10 +19,16 @@ call, each operation-splitting insertion m_{k1}(x^r, m_{k2}(x^{k2}),
 x^{k1-1-r}) once per (k2, k1, r), and each level's sum is scaled by
 1/(N+1) once.
 
-Gauge paths are elements with polynomial scalars in a formal variable; the
-invariance check demands the strict Maurer-Cartan equation over the extended
-ring and then asserts that the formal derivative of Phi'(b_t) vanishes
-identically.
+A gauge path b_t is an ``Element`` whose scalars are polynomials in a
+formal variable t; the invariance check demands the strict Maurer-Cartan
+equation over that extended ring and then asserts that the formal
+derivative of Phi'(b_t) vanishes identically.
+
+Each report is one call with plain arguments: ``gauge_invariance_check``
+takes the path, and ``wall_crossing_report`` takes the two named candidates
+of a pair with m_{-1} and GW and returns the ``wall-crossing`` report.  The
+level of every sum is fixed by its inputs: the potential sums to the last
+level the energy cutoff reaches, and the decomposition to ``algebra.n_max``.
 """
 
 from __future__ import annotations
@@ -30,25 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, check_weak_mc, curvature, require_candidate
 from .coeff import RingElement, as_fraction
-from .errors import ConfigurationError
 from .graded import Element
 from .pairing import InfinityInnerProduct, rotation_terms, unit_trace
 from .report import Report
-
-
-@dataclass
-class PotentialInput:
-    """Everything needed to evaluate the potential of one candidate."""
-
-    algebra: AInftyAlgebra
-    phi: InfinityInnerProduct
-    b: Element
-    m_minus_one: RingElement
-    wall_crossing_GW: Optional[RingElement] = None
 
 
 def _auto_n_max(algebra: AInftyAlgebra, x: Element) -> int:
@@ -74,18 +68,17 @@ def _powers(algebra: AInftyAlgebra, x: Element, top: int) -> list:
 
 
 def infty_cyclic_potential(
-    algebra: AInftyAlgebra,
-    phi: InfinityInnerProduct,
-    x: Element,
-    n_max: Optional[int] = None,
+    algebra: AInftyAlgebra, phi: InfinityInnerProduct, x: Element
 ) -> RingElement:
     """The cyclic potential Phi'(x), exact modulo the energy cutoff.
 
-    The term at (N, p, k, q) evaluates phi at shape (p, q), so only the
-    shapes in ``phi.shapes`` are visited; every other shape adds zero.
+    The sum runs to the last level N whose terms, of valuation at least
+    (N+1) nu(x), can fall within the cutoff.  The term at (N, p, k, q)
+    evaluates phi at shape (p, q), so only the shapes in ``phi.shapes`` are
+    visited; every other shape adds zero.
     """
     require_candidate(algebra, x)
-    n_max = _auto_n_max(algebra, x) if n_max is None else n_max
+    n_max = _auto_n_max(algebra, x)
     mk = _powers(algebra, x, n_max)
     shapes = sorted(phi.shapes)
     total = RingElement.zero(algebra.spec)
@@ -100,43 +93,18 @@ def infty_cyclic_potential(
     return total
 
 
-def ogw_potential(inp: PotentialInput, n_max: Optional[int] = None) -> RingElement:
-    """m_{-1} plus the cyclic potential of the candidate."""
-    return inp.m_minus_one + infty_cyclic_potential(inp.algebra, inp.phi, inp.b, n_max)
-
-
 # -- gauge invariance ----------------------------------------------------------
 
 
-@dataclass
-class GaugePath:
-    """Degree-1 element over polynomial scalars; b_t for rational t."""
-
-    element: Element
-
-    def at(self, t) -> Element:
-        return Element(
-            self.element.basis,
-            {i: v.specialize(t) for i, v in self.element.components.items()},
-        )
-
-    def derivative(self) -> Element:
-        return Element(
-            self.element.basis,
-            {i: v.formal_derivative() for i, v in self.element.components.items()},
-        )
-
-
 def gauge_invariance_check(
-    algebra: AInftyAlgebra,
-    phi: InfinityInnerProduct,
-    path: GaugePath,
-    n_max: Optional[int] = None,
+    algebra: AInftyAlgebra, phi: InfinityInnerProduct, b_t: Element
 ) -> Report:
-    """Strict MC over the extended ring, then d/dt Phi'(b_t) = 0 exactly."""
+    """Strict MC over the extended ring, then d/dt Phi'(b_t) = 0 exactly.
+
+    ``b_t`` is the gauge path: a degree-1 element with polynomial scalars.
+    """
     report = Report("gauge-invariance")
     report.note("E_max", algebra.spec.cutoff)
-    b_t = path.element
     cur = curvature(algebra, b_t)
     if not cur.is_zero():
         level = cur.valuation()
@@ -145,7 +113,7 @@ def gauge_invariance_check(
             "first failure at energy %s: %s" % (level, cur.text())
         )
         return report
-    value = infty_cyclic_potential(algebra, phi, b_t, n_max)
+    value = infty_cyclic_potential(algebra, phi, b_t)
     derivative = value.formal_derivative()
     v0 = value.specialize(0)
     v1 = value.specialize(1)
@@ -191,12 +159,9 @@ class WallCrossingDecomposition:
 
 
 def wall_crossing_decomposition(
-    algebra: AInftyAlgebra,
-    phi: InfinityInnerProduct,
-    b: Element,
-    n_max: Optional[int] = None,
+    algebra: AInftyAlgebra, phi: InfinityInnerProduct, b: Element
 ) -> WallCrossingDecomposition:
-    """The sums of the wall-crossing identity chain up to level n_max.
+    """The sums of the wall-crossing identity chain up to level ``algebra.n_max``.
 
     Every evaluation at (N, p, k, q), and every term of i1_rhs and
     error_term at (p, q), reads phi at shape (p, q), so only the shapes in
@@ -208,7 +173,7 @@ def wall_crossing_decomposition(
     kernel ``pairing.rotation_terms``.
     """
     require_candidate(algebra, b)
-    n_max = algebra.n_max if n_max is None else n_max
+    n_max = algebra.n_max
     zero = RingElement.zero(algebra.spec)
     # the main sum reads m_{k2} and m_{k1} with k1 + k2 = k + 1 <= n_max + 1
     mk = _powers(algebra, b, n_max + 1)
@@ -249,10 +214,7 @@ def wall_crossing_decomposition(
     if nu is not inf and nu > 0:
         bound = as_fraction(algebra.spec.cutoff) / as_fraction(nu)
         reach = max(n_max, int(ceil(bound)))
-    c, _ = cur.unit_scalar_split()
-    if c is None:
-        c = algebra.zero_ring()
-    shifted = cur - algebra.unit_element().scale(c)
+    _, shifted = cur.unit_scalar_split()
     i1_rhs = zero
     error_term = zero
     for p, q in shapes:
@@ -278,42 +240,40 @@ def wall_crossing_decomposition(
     )
 
 
-@dataclass
-class WallCrossingReport:
-    minus_value: RingElement
-    plus_value: RingElement
-    gw: RingElement
-    residual: RingElement
-    # "minus" or "plus" -> the curvature residual of that side's candidate,
-    # for each side whose candidate is not weak MC
-    not_weak_mc: Dict[str, Element]
-
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero() and not self.not_weak_mc
-
-
-def wall_crossing_report(minus: PotentialInput, plus: PotentialInput) -> WallCrossingReport:
-    """Residual of Phi_-(b_-) - Phi_+(b_+) - GW for externally supplied data.
+def wall_crossing_report(
+    algebra: AInftyAlgebra,
+    phi: InfinityInnerProduct,
+    tower: str,
+    minus: Tuple[str, Element],
+    plus: Tuple[str, Element],
+    m_minus_one: RingElement,
+    gw: RingElement,
+) -> Report:
+    """The ``wall-crossing`` report: Phi(b_-) - Phi(b_+) - GW must vanish,
+    with Phi = m_{-1} + Phi' on the named candidates ``minus`` and ``plus``.
 
     The potentials are defined on weak bounding cochains, so the pair fails
-    when either candidate is not weak MC; the residual is computed either way.
+    with one line per side whose candidate is not weak MC; the residual is
+    computed either way.  Both weak-MC checks run first, then Phi(minus),
+    then Phi(plus).
     """
-    gw_m = minus.wall_crossing_GW
-    gw_p = plus.wall_crossing_GW
-    if gw_m is None or gw_p is None or gw_m != gw_p:
-        raise ConfigurationError("both inputs must carry the same wall-crossing scalar")
-    not_weak_mc = {}
-    for side, inp in (("minus", minus), ("plus", plus)):
-        ok, _, rest = check_weak_mc(inp.algebra, inp.b)
+    report = Report("wall-crossing")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("tower", tower)
+    report.note("minus", minus[0])
+    report.note("plus", plus[0])
+    for side, (name, b) in (("minus", minus), ("plus", plus)):
+        ok, _, rest = check_weak_mc(algebra, b)
         if not ok:
-            not_weak_mc[side] = rest
-    v_minus = ogw_potential(minus)
-    v_plus = ogw_potential(plus)
-    return WallCrossingReport(
-        minus_value=v_minus,
-        plus_value=v_plus,
-        gw=gw_m,
-        residual=(v_minus - v_plus) - gw_m,
-        not_weak_mc=not_weak_mc,
-    )
+            report.fail("%s candidate %s is not weak MC: curvature residual %s"
+                        % (side, name, rest.text()))
+    v_minus = m_minus_one + infty_cyclic_potential(algebra, phi, minus[1])
+    v_plus = m_minus_one + infty_cyclic_potential(algebra, phi, plus[1])
+    report.note("Phi(minus)", v_minus.text())
+    report.note("Phi(plus)", v_plus.text())
+    report.note("GW", gw.text())
+    report.tick()
+    residual = (v_minus - v_plus) - gw
+    if not residual.is_zero():
+        report.fail("residual %s" % residual.text())
+    return report

@@ -32,8 +32,10 @@ with chain sums, on every drawn chain; and the six residual maps at one
 chain with every operator image computed in full, as the reference for
 ``hochschild.identity_residuals``.  Also the test-only chain, ring and
 potential helpers: chain sums on raw term maps (``chain_sum``), truncation
-of a ring element at an energy, and the degenerate potential formula of
-strict towers.
+of a ring element at an energy, a ring with another cutoff, a scalar of the
+ring, the unit of an algebra as an element, a gauge path at one value of its
+variable, the strictly cyclic test on towers, and the degenerate potential
+formula of strict towers.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ from ainfty.ainfty import (
 )
 from ainfty import hochschild as hh
 from ainfty.cli import _draw_monomials, _random_reduced_chain
-from ainfty.coeff import Poly, RingElement, add_into, as_fraction, canonical, require_compatible
+from ainfty.coeff import (
+    Poly, RingElement, RingSpec, add_into, as_fraction, canonical, require_compatible,
+)
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element, add_term, maltese, words_over
 from ainfty.hochschild import (
@@ -81,6 +85,33 @@ def coefficients(spec, scalars="rational"):
     return st.lists(monomial, min_size=1, max_size=2).map(lambda ms: sum(ms[1:], ms[0]))
 
 
+def with_cutoff(spec, cutoff) -> RingSpec:
+    """The ring of ``spec`` at another energy cutoff, on the same grid."""
+    return RingSpec(spec.s_degree, spec.t_degrees, as_fraction(cutoff), spec.grid)
+
+
+def ring_scalar(spec, c) -> RingElement:
+    """The ground-field scalar c as a ring element."""
+    return RingElement(spec, {spec.one_monomial(): as_fraction(c)})
+
+
+def unit_element(algebra) -> Element:
+    """The unit of the algebra as a module element with coefficient 1."""
+    return Element.generator(algebra.basis, algebra.basis.require_unit(), algebra.one_ring())
+
+
+def gauge_path_at(path, t) -> Element:
+    """The gauge path b_t (an element with polynomial scalars) at rational t."""
+    return Element(path.basis, {i: v.specialize(t) for i, v in path.components.items()})
+
+
+def is_strict(tower) -> bool:
+    """Strictly cyclic shape: psi_{i>0} = 0 and psi_0 on length-1 words."""
+    if any(not psi.is_zero() for psi in tower.levels[1:]):
+        return False
+    return all(len(word) <= 1 for _, word in tower.psi0.table)
+
+
 def truncate(element, energy) -> RingElement:
     """A ring element with its terms above ``energy`` dropped, in the ring
     of the smaller of the two cutoffs."""
@@ -88,7 +119,7 @@ def truncate(element, energy) -> RingElement:
     if energy < 0:
         raise ConfigurationError("truncation energy must be nonnegative")
     spec = element.spec
-    return RingElement(spec.with_cutoff(min(spec.cutoff, energy)), element.terms)
+    return RingElement(with_cutoff(spec, min(spec.cutoff, energy)), element.terms)
 
 
 def elements(algebra, scalars="rational"):
@@ -826,7 +857,7 @@ def unit_insertion_vanishing(algebra, phi, b, n_max=None) -> Report:
     if not ok:
         raise ConfigurationError("unit insertion check requires a weak MC element")
     report.note("c", c.text())
-    unit = algebra.unit_element()
+    unit = unit_element(algebra)
     for total in range(1, n_max + 1):
         for p in range(total + 1):
             q = total - p
@@ -911,7 +942,7 @@ def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
     evaluator and must agree with it on strict towers (acceptance
     criterion 8).
     """
-    if not tower.is_strict():
+    if not is_strict(tower):
         raise ConfigurationError("strict potential needs a strictly cyclic tower")
     require_candidate(algebra, b)
     basis = algebra.basis
@@ -1001,7 +1032,7 @@ def wall_crossing_decomposition_reference(algebra, phi, b, n_max=None):
         for q in range(reach - p + 1):
             i1_rhs = i1_rhs + phi.eval_elements([b] * p, cur, [b] * q, cur)
     _, c, _ = check_weak_mc(algebra, b)
-    shifted = cur - algebra.unit_element().scale(c)
+    shifted = cur - unit_element(algebra).scale(c)
     error_term = zero
     for p in range(reach + 1):
         for q in range(reach - p + 1):

@@ -32,7 +32,6 @@ from ainfty.pairing import (
     weak_cyclic_check,
 )
 from ainfty.potential import (
-    PotentialInput,
     gauge_invariance_check,
     infty_cyclic_potential,
     wall_crossing_decomposition,
@@ -43,7 +42,7 @@ from conftest import (
     make_e1, make_e2, make_g1, poincare_tower, random_bstar_tower,
     random_degree_one, ring,
 )
-from oracles import strict_cyclic_potential
+from oracles import gauge_path_at, strict_cyclic_potential
 
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
 
@@ -308,8 +307,8 @@ def test_criterion_6_gauge_invariance():
     doc = load(corpus("g1_gauge.json"))
     phi = build_phi(doc.algebra, doc.towers["pair"])
     report = gauge_invariance_check(doc.algebra, phi, doc.gauge_path)
-    v0 = infty_cyclic_potential(doc.algebra, phi, doc.gauge_path.at(0))
-    v1 = infty_cyclic_potential(doc.algebra, phi, doc.gauge_path.at(1))
+    v0 = infty_cyclic_potential(doc.algebra, phi, gauge_path_at(doc.gauge_path, 0))
+    v1 = infty_cyclic_potential(doc.algebra, phi, gauge_path_at(doc.gauge_path, 1))
     ok = report.passed and v0 == v1
     emit(6, "gauge invariance", ok)
     assert report.passed, report.failures
@@ -329,7 +328,7 @@ def test_criterion_7_wall_crossing():
     for _ in range(60):
         b = random_degree_one(e2, rng)
         count += 1
-        dec = wall_crossing_decomposition(e2, phi_e2, b, n_max=5)
+        dec = wall_crossing_decomposition(e2, phi_e2, b)
         if not dec.residual_i1.is_zero():
             failures.append("E2 telescoping #%d" % count)
         if not dec.residual_i2.is_zero():
@@ -341,18 +340,16 @@ def test_criterion_7_wall_crossing():
     for _ in range(40):
         b = random_degree_one(g1, rng)
         count += 1
-        dec = wall_crossing_decomposition(g1, phi_g1, b, n_max=5)
+        dec = wall_crossing_decomposition(g1, phi_g1, b)
         if not dec.residual_i1.is_zero():
             failures.append("G1 telescoping #%d" % count)
         if not dec.residual_i2.is_zero():
             failures.append("G1 rotation #%d" % count)
 
-    gw = gdoc.gw_tilde
-    minus = PotentialInput(g1, phi_g1, gdoc.candidates["b0"], gdoc.m_minus_one, gw)
-    plus = PotentialInput(g1, phi_g1, gdoc.candidates["b1"], gdoc.m_minus_one, gw)
-    pair = wall_crossing_report(minus, plus)
+    pair = wall_crossing_report(g1, phi_g1, "pair", ("b0", gdoc.candidates["b0"]),
+                                ("b1", gdoc.candidates["b1"]), gdoc.m_minus_one, gdoc.gw_tilde)
     if not pair.passed:
-        failures.append("synthetic pair residual %s" % pair.residual.text())
+        failures.append("synthetic pair: %s" % "; ".join(pair.failures))
     ok = not failures and count >= 100
     emit(7, "wall-crossing identities", ok, "%d candidates + pair" % count)
     assert not failures, failures[:3]

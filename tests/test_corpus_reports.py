@@ -19,8 +19,9 @@ by the digest of their concatenated reports, as the benchmark pins them, and
 wallcross and potential at level 9 and arity 10 on G1 and E2, with the
 arity error that wallcross at level 9 meets under an arity cutoff of 6.
 Also pinned: `mc --solve` on SV1; `check` on an E1 copy whose stored arity-3
-table is all zero, which still counts toward the arity cutoff; and
-wallcross on a G1 copy whose pair is not weak MC.  `check` on E2 and G1 and
+table is all zero, which still counts toward the arity cutoff; and the two
+ways a wall-crossing pair fails: wallcross on a G1 copy whose pair is not
+weak MC, and on an E2 copy whose GW leaves a residual.  `check` on E2 and G1 and
 `cocycle` on G1 print their pinned bytes with `HochschildChain` refused, as
 they run the chain operators on raw term maps only.
 """
@@ -363,3 +364,21 @@ def test_wallcross_report_bytes_without_weak_mc(tmp_path, capsys):
     assert "[wall-crossing] FAIL" in out
     assert "    minus candidate b0 is not weak MC: curvature residual (-1*T^1)*z\n" in out
     assert "    plus candidate b1 is not weak MC: curvature residual (-1*T^1)*z\n" in out
+
+
+# e2 with gw_tilde = 3 T^2: its pair (b, b) has equal potentials, so the
+# wall-crossing pair report fails with the residual -GW alone
+E2_GW_RESIDUAL_WALLCROSS = (1, "caa6359e607e10f2d4a5271d7bbd3e22f73e8404081a9d965ffb6bb7e659463f")
+
+
+def test_wallcross_report_bytes_with_a_residual(tmp_path, capsys):
+    with open(os.path.join(CORPUS, "e2.json")) as handle:
+        raw = json.load(handle)
+    raw["gw_tilde"] = [{"coeff": "3", "T": "2"}]
+    path = tmp_path / "e2_gw.json"
+    path.write_text(json.dumps(raw))
+    out = _check_run(["wallcross", "--input", str(path)], capsys, *E2_GW_RESIDUAL_WALLCROSS)
+    assert out.endswith("[wall-crossing] FAIL\n  E_max = 3\n  tower = poincare\n"
+                        "  minus = b\n  plus = b\n  Phi(minus) = 1*T^3/2*e^1 + 1*T^2\n"
+                        "  Phi(plus) = 1*T^3/2*e^1 + 1*T^2\n  GW = 3*T^2\n  checked = 1\n"
+                        "  failures = 1\n    residual -3*T^2\n\n")

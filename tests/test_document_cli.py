@@ -129,6 +129,12 @@ def test_load_dict_lowers_cutoff():
         load_dict(doc.raw, Fraction(100))
 
 
+def test_omitted_scalars_load_as_zero_in_the_document_ring():
+    doc = load_dict(minimal_doc(), Fraction(3, 2))
+    for value in (doc.m_minus_one, doc.gw_tilde):
+        assert value.is_zero() and value.spec == doc.algebra.spec
+
+
 def test_cli_check_passes(capsys):
     assert main(["check", "--input", corpus("e2.json"), "--chains", "40"]) == 0
     out = capsys.readouterr().out

@@ -20,7 +20,8 @@ something else).  So no replacement, a null included, is silently read as
 another value.
 
 A corpus document with an integer literal past the interpreter's digit limit
-in one place exits 2 with a diagnostic located at the file, not a traceback.
+in one place exits 2 with a diagnostic located at the file, not a traceback;
+so does a fraction string past that limit, located at its field or flag.
 """
 
 import copy
@@ -166,3 +167,26 @@ def test_integer_literal_past_the_digit_limit_exits_2_located(path, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "\n  %s: Exceeds the limit" % doc_path in captured.err
+
+
+def _digits_past_the_limit():
+    return "1" * (sys.get_int_max_str_digits() + 700)
+
+
+def test_fraction_string_past_the_digit_limit_exits_2_located(tmp_path, capsys):
+    raw = copy.deepcopy(DOCS["e2.json"])
+    raw["m_minus_one"][0]["coeff"] = _digits_past_the_limit()
+    doc_path = tmp_path / "huge_coeff.json"
+    doc_path.write_text(json.dumps(raw))
+    assert main(["potential", "--input", str(doc_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "\n  m_minus_one[0].coeff: not an exact fraction: " in captured.err
+
+
+def test_emax_past_the_digit_limit_exits_2_located(capsys):
+    assert main(["check", "--emax", _digits_past_the_limit(),
+                 "--input", os.path.join(CORPUS, "e2.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "\n  --emax: not an exact fraction: " in captured.err

@@ -176,7 +176,7 @@ def test_B_kills_unit_module(e2):
 
 
 def test_chains_keep_one_ring(e2):
-    other = e2.spec.with_cutoff(2)
+    other = oracles.with_cutoff(e2.spec, 2)
     chain = HochschildChain.generator(e2.basis, 1, (1,), RingElement.one(other))
     assert chain.spec == other
     assert chain.coefficient((1, (1,))) == RingElement.one(other)
