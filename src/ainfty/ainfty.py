@@ -37,8 +37,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
-from .graded import (Element, GradedBasis, Word, add_term, maltese,
-                     maltese_prefixes, tensor_coefficient, words_over)
+from .graded import (Element, GradedBasis, Word, add_term, maltese, maltese_prefixes,
+                     marked_word_count, tensor_coefficient, word_count, words_over)
 from .report import Report
 
 
@@ -331,7 +331,7 @@ def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
     basis = algebra.basis
-    report.tick(sum(len(basis) ** n for n in range(k_max + 1)))
+    report.tick(word_count(len(basis), k_max))
     for word in _relation_support(algebra, k_max):
         residual: Dict[int, RingElement] = {}
         for i, l, inner, sign in insertions(algebra, word):
@@ -736,7 +736,7 @@ def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None)
     top = algebra.max_stored_arity()
     if not algebra.higher_arities_zero and any(len(letters) ** t for t in range(top, l_max + 1)):
         algebra._check_arity(top + 1)
-    report.tick(sum((t + 1) * len(letters) ** t for t in range(l_max + 1)) * len(basis))
+    report.tick(marked_word_count(len(letters), l_max) * len(basis))
     failing = [x for x in _corestriction_support(algebra, phi, l_max)
                if any(not lw and not rw for lw, _, _, rw in _bimodule_residual(algebra, phi, x))]
     for lw, y, rw in _extensions(failing, letters, l_max):

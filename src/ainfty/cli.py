@@ -28,7 +28,7 @@ from . import hochschild as hh
 from . import pairing as pr
 from . import potential as pt
 from .coeff import as_fraction
-from .document import load, load_dict
+from .document import load, load_dict, not_a_fraction
 from .errors import ConfigurationError, DocumentError, EngineError
 from .graded import Element
 from .report import Report
@@ -106,9 +106,10 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     cost is one evaluation per distinct key (on G1 at the default seed,
     231 keys for 200 chains of 421 terms) plus one per chain that fails;
     the certificates live only for this call.  An evaluation forms the b'
-    images in full and b only through its wrap-around terms, on t(u) and on
-    the small chain q D(u) (see ``hh.identity_residuals``): on G1 at K = 8
-    and the default seed the suite makes 11,079 ``coeff.mul_into`` calls.
+    images in full, b only through its wrap-around terms on the small chain
+    q D(u), and the two rotation identities only where twin terms do not
+    cancel (see ``hh.identity_residuals``): on G1 at K = 8 and the default
+    seed the suite makes 5,684 ``coeff.mul_into`` calls.
     The draws share one table of their nine monomials.
     """
     rng = random.Random(seed)
@@ -167,13 +168,40 @@ def _emit(reports, args, doc) -> int:
     return 0 if ok else 1
 
 
+def _count_printable(doc, cutoff: int) -> bool:
+    """Can a report print every count of words it checks at this arity or
+    word-length cutoff c?  int() prints at most sys.get_int_max_str_digits()
+    digits (no limit when that is 0).
+
+    With b = max(|basis|, 2) and l the most levels of a tower, each count is
+    below (c + 3)^3 b^(c + 3) l.  Each counts words of at most c + 2 letters
+    over at most b letters, and there are at most 2 b^(c + 2) of those since
+    b >= 2, with a weight per word: C(n, 3) <= (c + 3)^3 / 6 for
+    closedness, n + 1 times |basis| or |basis|^2 for the bimodule and skew
+    checks, and l |basis| for a tower.  So a cutoff passes when that bound
+    is printable; past it a report could not print its count, or not even
+    form it in memory.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    base = max(len(doc.algebra.basis), 2)
+    # past this, base^(c + 3) alone has more than limit digits: log10(2) > 0.3
+    if (cutoff + 3) * (base.bit_length() - 1) * 3 > limit * 10:
+        return False
+    levels = max([len(tower.levels) for tower in doc.towers.values()] + [1])
+    bound = (cutoff + 3) ** 3 * base ** (cutoff + 3) * levels
+    # 2^(3 limit) < 10^limit, so only a bound near the limit needs 10^limit
+    return bound.bit_length() <= 3 * limit or bound < 10 ** limit
+
+
 def _load(args):
     doc = load(args.input)
     if args.emax is not None:
         try:
             energy = as_fraction(args.emax)
         except ConfigurationError:
-            raise DocumentError([("--emax", "not an exact fraction: %r" % (args.emax,))])
+            raise DocumentError([("--emax", not_a_fraction(args.emax))])
         # the document was checked whole at its own cutoff by the first load
         doc = load_dict(doc.raw, energy)
     algebra = doc.algebra
@@ -186,13 +214,17 @@ def _load(args):
     # A cutoff below its least value would check nothing and still PASS; an
     # arity cutoff past unflagged tables would fail midway through a check.
     errors = []
-    for flag, field, override, value in (
-        ("--kmax", "cutoffs.arity", args.kmax, algebra.k_max),
-        ("--lmax", "cutoffs.word_length", args.lmax, algebra.l_max),
-        ("--nmax", "cutoffs.n_max", args.nmax, algebra.n_max),
+    for flag, field, override, value, counted in (
+        ("--kmax", "cutoffs.arity", args.kmax, algebra.k_max, True),
+        ("--lmax", "cutoffs.word_length", args.lmax, algebra.l_max, True),
+        ("--nmax", "cutoffs.n_max", args.nmax, algebra.n_max, False),
     ):
         if value < 0:
             errors.append((field if override is None else flag, "must be >= 0"))
+        elif counted and not _count_printable(doc, value):
+            errors.append((field if override is None else flag,
+                           "too large: a count of the words it checks could have more "
+                           "digits than int() prints"))
     if getattr(args, "chains", 1) < 1:
         errors.append(("--chains", "must be >= 1"))
     try:

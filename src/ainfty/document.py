@@ -11,6 +11,8 @@ DocumentError.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -54,6 +56,18 @@ class _Collector:
             raise DocumentError(self.items)
 
 
+def not_a_fraction(value) -> str:
+    """The diagnostic of a value that ``as_fraction`` refuses: the value
+    itself, or only the digit count of a string with a run of more digits
+    than int() reads, which would flood the diagnostic."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, str) and limit and any(
+            len(run) > limit for run in re.findall(r"\d+", value)):
+        return ("not an exact fraction: a string of %d digits, more than int() reads"
+                % sum(map(str.isdigit, value)))
+    return "not an exact fraction: %r" % (value,)
+
+
 def _fraction(value, where, errors, default=None):
     """An exact fraction: a JSON integer or a fraction string.  Anything
     else, null included, is a located error and reads as default; callers
@@ -61,7 +75,7 @@ def _fraction(value, where, errors, default=None):
     try:
         return as_fraction(value)
     except ConfigurationError:
-        errors.error(where, "not an exact fraction: %r" % (value,))
+        errors.error(where, not_a_fraction(value))
         return default
 
 

@@ -218,6 +218,28 @@ def tensor_coefficient(elements: Sequence[Element], word: Word) -> Optional[Ring
     return coeff
 
 
+def word_count(size: int, top: int) -> int:
+    """The number of words of at most ``top`` letters over ``size``
+    letters, sum_{n <= top} size^n, as a geometric sum in closed form."""
+    if top < 0:
+        return 0
+    if size == 1:
+        return top + 1
+    return (size ** (top + 1) - 1) // (size - 1)
+
+
+def marked_word_count(size: int, top: int) -> int:
+    """The number of words of at most ``top`` letters over ``size`` letters
+    with one of their n + 1 gaps marked, sum_{n <= top} (n + 1) size^n, in
+    closed form: the derivative of the geometric sum, (1 - (top + 2) x^{top+1}
+    + (top + 1) x^{top+2}) / (1 - x)^2 at x = size."""
+    if top < 0:
+        return 0
+    if size == 1:
+        return (top + 1) * (top + 2) // 2
+    return (1 - (top + 2) * size ** (top + 1) + (top + 1) * size ** (top + 2)) // (size - 1) ** 2
+
+
 def words_over(letters: Sequence[int], length: int):
     """All tuples of the given length over the letter set, in order."""
     if length == 0:

@@ -34,15 +34,17 @@ A chain is its raw term map {key: {Monomial: scalar}}: per key, the term
 map of its coefficient, the scalars nonzero and in stored form, no empty
 maps, and no unit words in a reduced chain.  The maps are never mutated once
 built, so operators share them.  Each of b', D, t, N and B has one
-implementation, a private core on raw maps: ``_bar_into``, ``_D_into``,
-``_N_into`` and ``_B_into`` add sign * op(chain) into a caller's raw map,
-and ``_t`` returns t(chain).  b' and D add each signed product
-coeff * m(...) straight into a raw map per output key with
-``coeff.mul_into``, which applies the level cutoff to every product; t, N
-and B add signed copies of the input maps with ``coeff.add_into``.  The
+implementation, a private core on raw maps: ``_bar_into``, ``_N_into`` and
+``_B_into`` add sign * op(chain) into a caller's raw map, ``_D_into`` adds
+D(chain), and ``_t`` returns t(chain); only ``cyclic_t`` reaches ``_t``.
+b' and D add each signed product coeff * m(...) straight into a raw map
+per output key with ``coeff.mul_into``, which applies the level cutoff to
+every product; t, N and B add signed copies of the input maps with
+``coeff.add_into``.  The
 signs of a word come from one prefix pass (``maltese_prefixes``); a
 rotation keeps the total shifted degree, so the powers of t cost O(1) each
-after one ``maltese`` per word.  b's core ``_b_into`` is ``_bar_into`` plus
+after one ``maltese`` per word, and the parity of a rotation has one home,
+``_rotation_parity``.  b's core ``_b_into`` is ``_bar_into`` plus
 ``_D_into`` on the unreduced space, so b has no insertion loop of its own.
 The wrap-around terms have one helper, ``_wraps_into``, which takes the
 first tail-block length as a parameter: D runs it from 1, and the bB+Bb
@@ -50,9 +52,16 @@ residual from 0 (all the wraps, W).
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
-with no intermediate chain sum.  It sums the b^2 and bB+Bb residuals from
-the b'^2 and b'N-Nb residuals, so b is formed only on t(u) and on the small
-chain q D(u); its docstring proves the three identities this rests on.  All
+with no intermediate chain sum: b'^2 is ``_bar_into`` on b'(u), b^2 adds
+``_b_into``, ``_bar_into`` and ``_D_into`` terms to its quotient, B^2 is
+``_B_into`` on B(c), and bB+Bb is ``_wraps_into`` on B(c) plus the b'N-Nb
+residual of the keys whose module is not the unit, less ``_N_into`` of
+b(u'').  The two rotation identities have a core each,
+``_bar_N_residual_into`` for b'N-Nb and ``_rotation_residual_into`` for
+b(1-t)-(1-t)b': each walks the cyclic windows of a key once and forms a
+product only for a pair of twin terms whose signs differ.  So b is formed
+only on the small chain q D(u); the docstring of ``identity_residuals``
+proves the identities and the pairings this rests on.  All
 the operators are linear over the coefficient ring, and the level cutoff is
 an ideal, which is what lets ``cli.chain_identity_suite`` check each basis
 key once instead of each drawn chain.
@@ -80,7 +89,7 @@ from typing import Dict, Optional, Tuple
 from .ainfty import AInftyAlgebra, insertion_sign, insertions, nonzero_words, words_by_output
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
-from .graded import Word, maltese, maltese_prefixes, words_over
+from .graded import Word, maltese, maltese_prefixes, word_count, words_over
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -204,9 +213,9 @@ def _level_cutoff(chain: HochschildChain, spec):
 
 
 def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
-                start: int, sign: int = 1) -> dict:
-    """Add sign * the wrap-around terms of b(chain) whose tail block has
-    i >= start letters into acc: sign * W(chain) for start 0.
+                start: int) -> dict:
+    """Add the wrap-around terms of b(chain) whose tail block has i >= start
+    letters into acc: W(chain) for start 0.
 
     At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
     puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
@@ -228,7 +237,7 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
                 if not inner:
                     continue
                 kept = prefixes[k - i + 1]
-                wrap = sign * _wrap_sign(total, kept)
+                wrap = _wrap_sign(total, kept)
                 rest = word[j : k - i]
                 for comp, value in inner.items():
                     mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
@@ -243,12 +252,11 @@ def _wrap_sign(total: int, part: int) -> int:
     return -1 if (total - part) * part % 2 else 1
 
 
-def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
-            sign: int = 1) -> dict:
-    """Add sign * b(chain) into acc on the unreduced space, b = b' + D (fact
-    D of ``identity_residuals``); products above the level cutoff ``top``
-    are never formed."""
-    return _D_into(_bar_into(acc, algebra, chain, top, sign), algebra, chain, top, sign)
+def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add b(chain) into acc on the unreduced space, b = b' + D (fact D of
+    ``identity_residuals``); products above the level cutoff ``top`` are
+    never formed."""
+    return _D_into(_bar_into(acc, algebra, chain, top), algebra, chain, top)
 
 
 def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
@@ -260,17 +268,16 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
 
 
-def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
-            sign: int = 1) -> dict:
-    """Add sign * D(chain) into acc, D = b - b' on unreduced chains: the
+def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add D(chain) into acc, D = b - b' on unreduced chains: the
     wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
     of the module slot (see ``identity_residuals`` for the proof)."""
-    _wraps_into(acc, algebra, chain, top, 1, sign)
+    _wraps_into(acc, algebra, chain, top, 1)
     curvature = nonzero_words(algebra).get(0, {}).get(())
     if curvature:
         for (v, word), terms in chain.items():
             for comp, value in curvature.items():
-                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -sign)
+                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -1)
     return acc
 
 
@@ -294,13 +301,22 @@ def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain
     return _built(algebra.basis, algebra.spec, raw, False)
 
 
+def _rotation_parity(total: int, last: int) -> int:
+    """The parity of the sign of a rotation of a marked word of shifted
+    degree ``total``, the one place of it: the rotation moves its last
+    factors, of shifted degree ``last``, to the front past the others.
+    For one factor this is t; t^r moves r factors one at a time, and the
+    parities of the steps sum to that of moving the r as one block."""
+    return last * (total - last) & 1
+
+
 def _rotations(degrees, full: Word, count: int):
     """The first ``count`` powers of the signed rotation t on a marked word.
 
     Yields (t^r(full), parity of its sign) for r = 0, 1, ..., count - 1,
-    where t^r is taken with r mod len(full).  t moves the last factor x to
-    the front, past factors whose shifted degrees sum to |full|' - |x|';
-    rotation keeps |full|', so it is read once and each power costs O(1).
+    where t^r is taken with r mod len(full).  t moves the last factor to the
+    front (``_rotation_parity``); rotation keeps |full|', so it is read once
+    and each power costs O(1).
     """
     n = len(full)
     total = maltese([degrees[x] for x in full], n)
@@ -308,8 +324,7 @@ def _rotations(degrees, full: Word, count: int):
     for r in range(count):
         cut = n - r % n
         yield full[cut:] + full[:cut], odd
-        last = degrees[full[cut - 1]] - 1
-        odd ^= last * (total - last) & 1
+        odd ^= _rotation_parity(total, degrees[full[cut - 1]] - 1)
 
 
 def _t(basis, chain: dict) -> dict:
@@ -380,6 +395,124 @@ def _unit_front_into(acc: dict, raw: dict, unit: int, sign: int) -> dict:
     return acc
 
 
+def _twice_into(acc: dict, key: Word, terms: dict, value: dict, top: int, sign: int) -> None:
+    """Add 2 * sign * terms * value at the chain key of the marked word
+    ``key``: a pair of terms with the same product that do not cancel."""
+    into = acc.setdefault((key[0], key[1:]), {})
+    mul_into(into, terms, value, top, sign)
+    mul_into(into, terms, value, top, sign)
+
+
+def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add b'N(chain) - N b(chain) into acc on the unreduced space.
+
+    Each term of b'N has a twin in N b with the same key and product (the
+    first pairing of ``identity_residuals``), so the core walks the cyclic
+    windows of each key once, arity-0 gaps included, reads the sign of both
+    twins, and forms a product only where they differ.
+    """
+    degrees = algebra.basis.degrees
+    tables = nonzero_words(algebra)
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        n = len(f)
+        # every cyclic window of f is a slice of f + f, and t^r f is
+        # ring[n - r : 2n - r]; prefixes[q] is the shifted degree of ring[:q]
+        ring = f + f
+        prefixes = maltese_prefixes([degrees[x] for x in ring])
+        total = prefixes[n]
+        # the sign of t^r f in N f over the sign of the letters in front of it
+        rotated = [insertion_sign(prefixes, n - r)
+                   * (-1 if _rotation_parity(total, total - prefixes[n - r]) else 1)
+                   for r in range(n)]
+        for a, words in tables.items():
+            if a > n:
+                break
+            m = n - a + 1
+            for c in range(n):
+                # b's arity-0 term at the gap before f[0] is the one after f[-1]
+                q = n if a == 0 and c == 0 else c
+                inner = words.get(ring[q : q + a])
+                if not inner:
+                    continue
+                # b's term of the window: its output letter goes to position at
+                if q + a <= n:
+                    head, tail, at, sign = f[:q], f[q + a :], q, insertion_sign(prefixes, q)
+                else:
+                    head, tail, at, sign = (), f[q + a - n : q], 0, _wrap_sign(total, prefixes[q])
+                for comp, value in inner.items():
+                    out = head + (comp,) + tail
+                    out_prefixes = maltese_prefixes([degrees[x] for x in out])
+                    out_total = out_prefixes[m]
+                    # the sign of t^s out in N b, for s = 0 .. m - 1
+                    turned = [-sign if _rotation_parity(out_total, out_total - out_prefixes[m - s])
+                              else sign for s in range(m)]
+                    for p in range(m):
+                        r = (p - c) % n
+                        s = (p - at) % m
+                        bar = rotated[r] * insertion_sign(prefixes, n - r + p)
+                        if bar != turned[s]:
+                            _twice_into(acc, out[m - s :] + out[: m - s], terms, value.terms,
+                                        top, bar)
+    return acc
+
+
+def _rotation_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add D(chain) + t b'(chain) - b t(chain) into acc on the unreduced
+    space: the b(1-t) - (1-t)b' residual less b(chain) - b'(chain) - D(chain),
+    which is zero.
+
+    Each term of b t has a twin in D or t b' with the same key and product
+    (the second pairing of ``identity_residuals``), and one pair of D and
+    t b' terms meet each other; the core walks the cyclic windows of each
+    key once and forms a product only where a pair does not cancel.
+    """
+    degrees = algebra.basis.degrees
+    tables = nonzero_words(algebra)
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        n = len(f)
+        ring = f + f
+        prefixes = maltese_prefixes([degrees[x] for x in f])
+        total = prefixes[n]
+        # t f and the sign of t on f
+        shifted = maltese_prefixes([degrees[x] for x in f[-1:] + f[:-1]])
+        t_sign = -1 if _rotation_parity(total, total - prefixes[n - 1]) else 1
+        for a, words in tables.items():
+            if a > n:
+                break
+            for c in range(n):
+                inner = words.get(ring[c : c + a])
+                if not inner:
+                    continue
+                # b's term of t f at the window, which starts at c + 1 there
+                d = c + 1 if a == 0 else (c + 1) % n
+                bt = t_sign * (insertion_sign(shifted, d) if d + a <= n
+                               else _wrap_sign(total, shifted[d]))
+                for comp, value in inner.items():
+                    if c + a > n:
+                        # a wrap-around of D
+                        key, sign = (comp,) + f[c + a - n : c], _wrap_sign(total, prefixes[c])
+                    else:
+                        # t b'(f): the insertion at c, then its last letter to the front
+                        out = f[:c] + (comp,) + f[c + a :]
+                        last = degrees[out[-1]] - 1
+                        out_total = total - prefixes[c + a] + prefixes[c] + degrees[comp] - 1
+                        key = out[-1:] + out[:-1]
+                        sign = insertion_sign(prefixes, c) * (
+                            -1 if _rotation_parity(out_total, last) else 1)
+                    if sign != bt:
+                        _twice_into(acc, key, terms, value.terms, top, sign)
+        # t b'(f) at the gap after f[-1] meets D's -m_0 in front of f
+        for comp, value in tables.get(0, {}).get((), {}).items():
+            last = degrees[comp] - 1
+            gap_sign = insertion_sign(prefixes, n) * (
+                -1 if _rotation_parity(total + last, last) else 1)
+            if gap_sign == -1:
+                _twice_into(acc, (comp,) + f, terms, value.terms, top, -1)
+    return acc
+
+
 def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     """The six chain identities at a reduced chain c, as raw residual maps.
 
@@ -430,8 +563,11 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
 
       1. b(u) = b'(u) + D(u), by D.
       2. The rotation residual b(u) - b(tu) - b'(u) + t b'(u) is
-         D(u) + t b'(u) - b(tu).
-      3. Let R := b'(N u') - N(b u) = b'(N u') - N(b'u) - N(Du).  By (a),
+         D(u) + t b'(u) - b(tu), which ``_rotation_residual_into`` forms
+         by the pairing below.
+      3. Let Res(x) := b'(N x) - N(b x), the b'N-Nb residual at x, which
+         ``_bar_N_residual_into`` forms by the pairing below, and
+         R := b'(N u') - N(b u) = Res(u') - N(b u'').  By (a),
          B(c) = q s_1 N(u) = s_1 N(u'): every key of s_1 N(u'') holds the
          unit and no key of s_1 N(u') does.  So b_red(B c) = W(B c) +
          eps q s_1 b'(N u') by (b), applied to y = N(u').  B(b_red c) =
@@ -440,19 +576,71 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
          W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and the last term
          is zero because ``GradedBasis`` gives the unit degree 0.  q s_1 R
          is summed once R has cancelled, over its nonzero keys.  The b'N-Nb
-         residual is then R + b'(N u'').
+         residual is Res(u) = Res(u') + Res(u'').
       4. b_red b_red c = q b(q b u) by reduced b, and q b u = P + q D u, so
          b^2 = q b(P) + b_red(q D u); by D and b'(u) = P + Z, q b(P) =
          q b'(b'u) - q b'(Z) + q D(P), and q b'(b'u) is the quotient of
          the b'^2 residual.  Z is empty unless some insertion outputs the
          unit (E2's m_0) or m_0 goes in front of a unit module.
 
-    So the images are b'(u), D(u), N(u'), N(u''), t(u), b(tu), t b'(u),
-    b'(b'u), b'(Z), D(P), b_red(q D u), b'(N u'), b'(N u''), N(b'u),
-    N(D u), W(B c) and B(B c): b is formed only on tu and q D u, and
-    b(b c), b(B c) and B(b c) are never formed.  The b^2
-    map shares the maps of the b'^2 residual at the keys the other terms
-    of 4 do not reach.
+    The pairing by cyclic window.  Let f = (f_0..f_{n-1}) be the marked
+    word of a key with coefficient x, M its ``maltese_prefixes`` and
+    T = M[n].  A cyclic window (c, a), c < n and a <= n, is the a letters
+    f_c, f_{c+1}, ... read mod n; at a = 0 it is the gap in front of f_c.
+    By D, b(f) has one term per window and output letter comp of m_a on
+    it, with product x * m_a(window)[comp]:
+
+      * c + a <= n, a >= 1: b''s insertion at c, output word
+        out = f[:c] + (comp,) + f[c+a:], sign ``insertion_sign(M, c)``,
+        comp at position pi = c;
+      * c + a > n: a wrap-around of D, out = (comp,) + f[c+a-n:c], sign
+        ``_wrap_sign(T, M[c])``, pi = 0;
+      * a = 0: b''s insertion at the gap, at q = c for c >= 1 and at
+        q = n, after f_{n-1}, for c = 0, pi = q.  b''s insertion at 0
+        and D's -m_0 in front of the module slot have the same key
+        (comp, f), the same product and opposite signs: they cancel, and
+        are never formed.
+
+    Then out has m = n - a + 1 letters in every case.
+
+      * b'N - Nb.  A term of b'(N f) is an insertion at p <= n - a into
+        t^r f, r < n, of sign (-1)^{odd_r} (``_rotation_parity``) times
+        ``insertion_sign`` at p of t^r f.  Its window is the cyclic
+        window of f that starts at c = (p - r) mod n, and its output word
+        is the cyclic word of out with comp at p, which is t^s(out) for
+        s = (p - pi) mod m.  For a fixed window, p -> r and p -> s are
+        one to one onto r < n with (p - r) mod n = c and onto s < m, so
+        the terms of b'(N f) and of N b(f) = sum_s t^s b(f) pair off one
+        to one with the same key and product.
+      * The rotation identity.  t f = (f_{n-1}, f_0, .., f_{n-2}) has sign
+        (-1)^{odd_1}, and its window that starts at c + 1 (mod n for
+        a >= 1; for a = 0 the gap at q = c + 1 <= n) is f's window at c.
+        The term of b(t f) there has the key of D's wrap-around at c
+        when c + a > n, and of t b'(f)'s insertion at c when c + a <= n:
+        (comp,) + f[c+a-n:c], (comp,) + f[:c] when c + a = n, and
+        (f_{n-1},) + f[:c] + (comp,) + f[c+a:n-1] otherwise.  That pairs
+        every term of b(t f) with one of D(f) + t b'(f).  Two are left:
+        t b'(f) at the gap after f_{n-1}, key t(f + (comp,)) = (comp, f),
+        and D's -m_0 in front of the module slot, at the same key with
+        the same product.  They pair with each other.
+
+    A pair of twins adds its product times the difference of the two
+    signs (the sum, for the last pair of the rotation identity): nothing
+    where the signs agree, and twice the product with the first sign
+    where they differ.  Twins have the same product, so truncation drops
+    both or neither.  Each core reads the signs from ``insertion_sign``,
+    ``_wrap_sign`` and ``_rotation_parity``, the homes of the operators'
+    conventions.  On every test table whose operations have the degree of
+    an A-infinity structure, the signs of all twins agree and the cores
+    form no product; a degree-shifted table makes them differ.
+
+    So the images are b'(u), D(u), N(u'), b'(b'u), b'(Z), D(P),
+    b_red(q D u), N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and
+    D(u'') formed again only when u' is not empty; b is formed only on
+    q D u.  t(u), b(tu), t b'(u), b'(N u), N(b'u') and N(D u') are never
+    formed, nor are b(b c), b(B c) and B(b c).  The b^2 map shares the
+    maps of the b'^2 residual at the keys the other terms of 4 do not
+    reach.
     """
     basis = algebra.basis
     unit = basis.require_unit()
@@ -471,17 +659,22 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         old = square.get(key)
         square[key] = terms if old is None else add_into(terms, old)
 
-    rotation = _b_into({}, algebra, _t(basis, u), top, -1)
-    for image in (Du, _t(basis, bar_u)):
-        for key, terms in image.items():
-            add_into(rotation.setdefault(key, {}), terms)
+    rotation = _rotation_residual_into({}, algebra, u, top)
 
-    N_front = _cleaned(_N_into({}, basis, {key: terms for key, terms in u.items()
-                                           if key[0] != unit}))
-    N_unit = _cleaned(_N_into({}, basis, {key: terms for key, terms in u.items()
-                                          if key[0] == unit}))
-    Bc = {(unit, (v,) + word): terms for (v, word), terms in N_front.items()}
-    R = _N_into(_N_into(_bar_into({}, algebra, N_front, top), basis, bar_u, -1), basis, Du, -1)
+    front = {key: terms for key, terms in u.items() if key[0] != unit}
+    units = {key: terms for key, terms in u.items() if key[0] == unit}
+    Bc = {(unit, (v,) + word): terms
+          for (v, word), terms in _cleaned(_N_into({}, basis, front)).items()}
+    bar_N = _bar_N_residual_into({}, algebra, units, top)
+    R = _bar_N_residual_into({}, algebra, front, top)
+    for key, terms in R.items():
+        add_into(bar_N.setdefault(key, {}), terms)
+    # N(b u''), with the images of u already formed when u'' is all of u
+    if front:
+        bar_units, D_units = _bar_into({}, algebra, units, top), _D_into({}, algebra, units, top)
+    else:
+        bar_units, D_units = bar_u, Du
+    _N_into(_N_into(R, basis, bar_units, -1), basis, D_units, -1)
     eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
     bB = _unit_front_into(_wraps_into({}, algebra, Bc, top, 0), R, unit, eps)
     return [
@@ -490,7 +683,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         ("bB+Bb", bB),
         ("b'^2", bar_square),
         ("b(1-t)-(1-t)b'", rotation),
-        ("b'N-Nb", _bar_into(R, algebra, N_unit, top)),
+        ("b'N-Nb", bar_N),
     ]
 
 
@@ -709,7 +902,7 @@ def validate_negative_cocycle(
     report.note("depth", tower.depth)
     basis = algebra.basis
     reduced = len(basis.reduced_letters())
-    report.tick(len(tower.levels) * len(basis) * sum(reduced ** n for n in range(l_max + 1)))
+    report.tick(len(tower.levels) * len(basis) * word_count(reduced, l_max))
     basis.require_unit()
     spec = algebra.spec
     for psi in tower.levels:

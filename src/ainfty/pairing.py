@@ -31,7 +31,7 @@ from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
 from .errors import ConfigurationError, TowerError
 from .exactla import column_space_pivots, kernel_basis, rank
-from .graded import Element, Word, add_term, tensor_coefficient
+from .graded import Element, Word, add_term, marked_word_count, tensor_coefficient
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
 
@@ -159,7 +159,7 @@ def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     report.note("L_max", l_max)
     basis = algebra.basis
     reduced = len(basis.reduced_letters())
-    report.tick(sum((n + 1) * reduced ** n for n in range(l_max + 1)) * len(basis) ** 2)
+    report.tick(marked_word_count(reduced, l_max) * len(basis) ** 2)
     table = phi.table
     zero = RingElement.zero(algebra.spec)
     tuples = set()

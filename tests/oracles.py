@@ -717,7 +717,8 @@ def identity_residuals_reference(algebra, raw) -> list:
     Bc = connes_B_reduced(basis, chain)
     bar_u = hh.chain_bar(algebra, u)
     rotation: dict = {}
-    for image, sign in ((bu, 1), (bar_u, -1), (hh.cyclic_t(basis, bar_u), 1)):
+    for image, sign in ((bu, 1), (bar_u, -1), (hh.cyclic_t(basis, bar_u), 1),
+                        (hochschild_b(algebra, hh.cyclic_t(basis, u)), -1)):
         for key, terms in image.terms.items():
             add_into(rotation.setdefault(key, {}), terms, sign)
     return [
@@ -725,8 +726,7 @@ def identity_residuals_reference(algebra, raw) -> list:
         ("B^2", hh._B_into({}, basis, Bc.terms)),
         ("bB+Bb", hh._B_into(dict(hochschild_b(algebra, Bc).terms), basis, bc.terms)),
         ("b'^2", hh._bar_into({}, algebra, bar_u.terms, top)),
-        ("b(1-t)-(1-t)b'",
-         hh._b_into(rotation, algebra, hh.cyclic_t(basis, u).terms, top, -1)),
+        ("b(1-t)-(1-t)b'", rotation),
         ("b'N-Nb", hh._N_into(hh._bar_into({}, algebra, hh.operator_N(basis, u).terms, top),
                               basis, bu.terms, -1)),
     ]

@@ -12,10 +12,12 @@ lose their degree and the rotation identities fail as well).  The
 certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
 one; both are properties here.  ``hochschild.identity_residuals`` builds
-its b images from b' images; its six maps must equal those of
+its b images from b' images and the two rotation identities from pairs of
+twin terms whose signs differ; its six maps must equal those of
 ``oracles.identity_residuals_reference``, which forms every image in full,
-and the operator identities it rests on (b = b' + D, and reduced b after
-the unit is put in front) are properties too.  The mutant catalog breaks
+on drawn chains and on every basis key of three letters or fewer, and the
+operator identities it rests on (b = b' + D, and reduced b after the unit
+is put in front) are properties too.  The mutant catalog breaks
 the certificate and each term of the residual kernel one way each.
 """
 
@@ -30,10 +32,10 @@ from ainfty.coeff import canonical
 from ainfty.graded import GradedBasis
 from ainfty.hochschild import (
     HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, identity_residuals,
-    operator_N,
+    iter_basis_chains, operator_N,
 )
 
-from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1
+from conftest import make_e1, make_e2, make_g1, make_ob1, make_q1, make_sv1
 from oracles import (
     SCALARS, chain_identity_suite_reference, chain_sum, coefficients,
     identity_residuals_reference, mutant_module,
@@ -196,6 +198,26 @@ def test_identity_residuals_match_their_reference(case):
         assert _nonzero(raw) == _nonzero(reference), (tag, chain.text())
 
 
+# Every basis key with coefficient 1, on every residual algebra and on OB1
+# (curved, with no differential to absorb m_0): the two pairing cores of
+# b'N-Nb and of the rotation identity form only the pairs whose signs differ,
+# and the reference forms every image.
+BASIS_KEY_ALGEBRAS = {**{name if cutoff is None else "%s at E %s" % (name, cutoff): algebra
+                         for (name, cutoff), algebra in RESIDUAL_ALGEBRAS.items()},
+                      "OB1": make_ob1()}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_KEY_ALGEBRAS))
+def test_identity_residuals_match_their_reference_on_every_basis_key(name):
+    algebra = BASIS_KEY_ALGEBRAS[name]
+    one = algebra.one_ring().terms
+    for key in iter_basis_chains(algebra, 3):
+        got = identity_residuals(algebra, {key: one})
+        want = identity_residuals_reference(algebra, {key: one})
+        for (tag, raw), (_, reference) in zip(got, want):
+            assert _nonzero(raw) == _nonzero(reference), (tag, key)
+
+
 def _operator_algebras():
     return st.sampled_from(sorted(RESIDUAL_ALGEBRAS, key=str)).map(RESIDUAL_ALGEBRAS.get)
 
@@ -288,17 +310,20 @@ CHAIN_SUITE_MUTANTS = {
     "certificate skips b'N-Nb": (
         cli, "hh.identity_residuals(algebra, {key: one}))",
         "hh.identity_residuals(algebra, {key: one})[:5])"),
-    "b(1-t) without -b(tu)": (
-        hochschild, "_b_into({}, algebra, _t(basis, u), top, -1)", "{}"),
+    # the b(tu) images are gone: the rotation core compares each D or t b'
+    # term with its b(tu) twin, and here it never emits
+    "b(1-t) without -b(tu)": (hochschild, "if sign != bt:", "if False:"),
     "quotient keeps unit words": (
         hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
     "D without its m0-in-front term": (hochschild, "if curvature:", "if False:"),
     "tail start 0 in D": (
-        hochschild, "_wraps_into(acc, algebra, chain, top, 1, sign)",
-        "_wraps_into(acc, algebra, chain, top, 0, sign)"),
+        hochschild, "_wraps_into(acc, algebra, chain, top, 1)",
+        "_wraps_into(acc, algebra, chain, top, 0)"),
+    # D has no sign parameter any more: the rotation core reads the sign of
+    # D's wrap-arounds as +1
     "D ignores its sign": (
-        hochschild, "    _wraps_into(acc, algebra, chain, top, 1, sign)",
-        "    sign = 1\n    _wraps_into(acc, algebra, chain, top, 1, sign)"),
+        hochschild, "sign = (comp,) + f[c + a - n : c], _wrap_sign(total, prefixes[c])",
+        "sign = (comp,) + f[c + a - n : c], 1"),
     "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
     "bB remap keeps unit words": (
         hochschild, "if v != unit and unit not in word and any(", "if any("),
@@ -307,6 +332,13 @@ CHAIN_SUITE_MUTANTS = {
     "b^2 without -q b'(Z)": (
         hochschild, "_bar_into(extra, algebra, Z, top, -1)",
         "_bar_into(extra, algebra, {}, top, -1)"),
+    "b'N-Nb window-to-rotation index (p + c) % n": (
+        hochschild, "r = (p - c) % n", "r = (p + c) % n"),
+    "b'N-Nb ignores the rotation parity of the output": (
+        hochschild, "out_total - out_prefixes[m - s]", "0"),
+    "rotation core drops the parity of t on f": (hochschild, "bt = t_sign * (", "bt = ("),
+    "rotation core inverts the arity-0 self-pair test": (
+        hochschild, "if gap_sign == -1:", "if gap_sign != -1:"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }
@@ -324,3 +356,18 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
         monkeypatch.setattr(cli, "hh", mutant)
         mutant = cli
     assert _suite_disagrees(mutant.chain_identity_suite)
+
+
+def test_rotation_parity_mutant_is_killed_through_both_pairing_cores():
+    # HOCHSCHILD_MUTANTS mutates the one home of the rotation parity; both
+    # cores read their rotation signs there, and each must see the mutant
+    mutant = mutant_module(hochschild, "last * (total - last)", "last * total")
+    missed = {"b(1-t)-(1-t)b'", "b'N-Nb"}
+    for name in sorted(BASIS_KEY_ALGEBRAS):
+        algebra = BASIS_KEY_ALGEBRAS[name]
+        one = algebra.one_ring().terms
+        for key in iter_basis_chains(algebra, 2):
+            got = dict(mutant.identity_residuals(algebra, {key: one}))
+            want = dict(identity_residuals_reference(algebra, {key: one}))
+            missed -= {tag for tag in missed if _nonzero(got[tag]) != _nonzero(want[tag])}
+    assert not missed

@@ -21,7 +21,9 @@ another value.
 
 A corpus document with an integer literal past the interpreter's digit limit
 in one place exits 2 with a diagnostic located at the file, not a traceback;
-so does a fraction string past that limit, located at its field or flag.
+so does a fraction string past that limit, located at its field or flag, with
+its digit count in place of the string.  So does an arity or word-length
+cutoff so large that a report's count of checked words could not be printed.
 """
 
 import copy
@@ -190,3 +192,41 @@ def test_emax_past_the_digit_limit_exits_2_located(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "\n  --emax: not an exact fraction: " in captured.err
+
+
+@pytest.mark.parametrize("where", ("m_minus_one[0].coeff", "--emax"))
+def test_fraction_string_past_the_digit_limit_is_not_echoed(where, tmp_path, capsys):
+    digits = "1" * 5000
+    raw = copy.deepcopy(DOCS["e2.json"])
+    if where == "--emax":
+        argv = ["check", "--emax", digits]
+    else:
+        raw["m_minus_one"][0]["coeff"] = digits
+        argv = ["potential"]
+    doc_path = tmp_path / "long.json"
+    doc_path.write_text(json.dumps(raw))
+    assert main(argv + ["--input", str(doc_path)]) == 2
+    err = capsys.readouterr().err
+    assert "\n  %s: not an exact fraction: a string of 5000 digits" % where in err
+    assert len(err) < 200, err
+
+
+@pytest.mark.parametrize("argv, where", (
+    (["cocycle", "--input", os.path.join(CORPUS, "g1_gauge.json"), "--lmax", "10000"], "--lmax"),
+    (["check", "--input", os.path.join(CORPUS, "e2.json"), "--kmax", "20000"], "--kmax"),
+    (["check", "--chains", "2"], "cutoffs.arity"),
+), ids=("cocycle --lmax 10000", "check --kmax 20000", "document arity 10^22"))
+def test_cutoff_with_an_unprintable_count_exits_2_located(argv, where, tmp_path, capsys):
+    # before, the first two ended in a ValueError traceback from Report.lines,
+    # and the third summed 10^22 powers
+    if where == "cutoffs.arity":
+        raw = copy.deepcopy(DOCS["e2.json"])
+        raw["cutoffs"]["arity"] = 10 ** 22
+        doc_path = tmp_path / "wide.json"
+        doc_path.write_text(json.dumps(raw))
+        argv = argv + ["--input", str(doc_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "\n  %s: too large: a count of the words it checks could have more digits" % where \
+        in captured.err

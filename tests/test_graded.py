@@ -8,7 +8,8 @@ import pytest
 from ainfty.ainfty import AInftyAlgebra, insertions
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError
-from ainfty.graded import Element, GradedBasis, add_term, maltese, maltese_prefixes
+from ainfty.graded import (Element, GradedBasis, add_term, maltese, maltese_prefixes,
+                           marked_word_count, word_count, words_over)
 from ainfty.hochschild import HochschildChain, cyclic_t
 
 from oracles import coderivation, koszul_sign_cyclic
@@ -16,6 +17,17 @@ from oracles import coderivation, koszul_sign_cyclic
 SPEC = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(4))
 BASIS = GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3), unit=0)
 ONE = RingElement.one(SPEC)
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_word_counts_are_the_sums_they_close(size):
+    # the reports print these counts, so the closed forms must give the same integers
+    for top in range(-1, 9):
+        assert word_count(size, top) == sum(size ** n for n in range(top + 1))
+        assert marked_word_count(size, top) == sum((n + 1) * size ** n for n in range(top + 1))
+        if top <= 4:
+            assert word_count(size, top) == sum(
+                1 for n in range(top + 1) for _ in words_over(range(size), n))
 
 
 def test_maltese_empty():
