@@ -310,8 +310,9 @@ def _relation_support(algebra: AInftyAlgebra, k_max: int) -> list:
     return sorted(found, key=lambda word: (len(word), word))
 
 
-def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
-    """Verify the curved relations on every basis word up to the arity cutoff.
+def check_ainfty(algebra: AInftyAlgebra) -> Report:
+    """Verify the curved relations on every basis word up to the arity cutoff
+    k_max = ``algebra.k_max``.
 
     The residual at a word (x_1..x_n) is
         sum_{l,i} (-1)^{maltese_i} m_{n-l+1}(x_1.., m_l(x_{i+1}..x_{i+l}), ..x_n)
@@ -326,7 +327,7 @@ def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
     The cost is O(|stored outer words| * arity * |stored inner words|) to
     list them plus their expansion, not |basis|^k_max.
     """
-    k_max = algebra.k_max if k_max is None else k_max
+    k_max = algebra.k_max
     report = Report("ainfty-relations")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
@@ -348,9 +349,10 @@ def check_ainfty(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
     return report
 
 
-def check_strict_unit(algebra: AInftyAlgebra, k_max: Optional[int] = None) -> Report:
-    """Unit laws for m_2 and vanishing of all other unit insertions."""
-    k_max = algebra.k_max if k_max is None else k_max
+def check_strict_unit(algebra: AInftyAlgebra) -> Report:
+    """Unit laws for m_2 and vanishing of all other unit insertions, up to
+    the arity cutoff ``algebra.k_max``."""
+    k_max = algebra.k_max
     report = Report("strict-unit")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
@@ -694,14 +696,14 @@ def _extensions(middles, letters, l_max: int) -> list:
     return sorted(found, key=_bar_order)
 
 
-def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None) -> Report:
+def check_bimodule_hom(algebra: AInftyAlgebra, phi) -> Report:
     """Verify phi-hat o delta = (-1)^{deg(phi)} delta' o phi-hat.
 
     The quantifier runs over the reduced bar coalgebra: unit-free left and
-    right words with len(lw) + len(rw) <= l_max, and the module slot (and
-    the flattened covector argument) ranging over the whole basis.  The
-    graded sign on the right side is the usual chain-map sign of a degree-d
-    map.  ``checked`` counts every bar word of the quantifier, but only the
+    right words with len(lw) + len(rw) <= l_max = ``algebra.l_max``, and
+    the module slot (and the flattened covector argument) ranging over the
+    whole basis.  The graded sign on the right side is the usual chain-map
+    sign of a degree-d map.  ``checked`` counts every bar word of the quantifier, but only the
     words the tables can reach are evaluated:
 
     delta and delta' are coderivations and phi-hat is a comodule extension,
@@ -727,7 +729,7 @@ def check_bimodule_hom(algebra: AInftyAlgebra, phi, l_max: Optional[int] = None)
     stored arity) is in range, delta would absorb top + 1 letters there, so
     this raises as m_word does on it.
     """
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("bimodule-hom")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)

@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional
 
-from .ainfty import AInftyAlgebra
+from .ainfty import AInftyAlgebra, require_candidate
 from .coeff import Poly, RingElement, RingSpec, as_fraction
-from .errors import ConfigurationError, DocumentError
+from .errors import ConfigurationError, DivergenceError, DocumentError
 from .graded import Element, GradedBasis
 from .hochschild import CocycleTower, Functional
 
@@ -182,11 +182,10 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
     return mono, value
 
 
-def _ring_element(terms, spec, where, errors, allow_poly=False, forbid_energy=False):
+def _ring_element(terms, spec, where, errors):
     acc = {}
     for _, loc, term in _objects(terms, where, errors):
-        parsed = _term_value(term, spec, loc, errors,
-                             allow_poly=allow_poly, forbid_energy=forbid_energy)
+        parsed = _term_value(term, spec, loc, errors)
         if parsed is None:
             continue
         mono, value = parsed
@@ -209,6 +208,29 @@ def _element(entries, algebra, where, errors, allow_poly=False):
         piece = RingElement(algebra.spec, {mono: value})
         comp[idx] = comp[idx] + piece if idx in comp else piece
     return Element(algebra.basis, comp)
+
+
+def _candidate(entries, algebra, where, errors, allow_poly=False):
+    """An element that the potentials take, refused at ``where`` unless it
+    passes ``require_candidate``.  An element with an entry that failed to
+    parse is already refused, and is not checked: the entry it lost could
+    decide the guard."""
+    before = len(errors.items)
+    element = _element(entries, algebra, where, errors, allow_poly=allow_poly)
+    if len(errors.items) == before:
+        try:
+            require_candidate(algebra, element)
+        except (ConfigurationError, DivergenceError) as exc:
+            errors.error(where, str(exc))
+    return element
+
+
+def _unique_name(entry, default, taken, where, errors):
+    """The name of a tower or candidate, refused when an earlier one has it."""
+    name = _str(entry.get("name", default), where + ".name", errors, default)
+    if name in taken:
+        errors.error(where + ".name", "duplicate name %r" % (name,))
+    return name
 
 
 def load(path) -> LoadedDocument:
@@ -246,7 +268,9 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
     doc_name = _str(raw.get("name", "algebra"), "name", errors, "algebra")
     coeffs = _object(raw.get("coefficients", {}), "coefficients", errors) or {}
     cutoffs = _object(raw.get("cutoffs", {}), "cutoffs", errors) or {}
-    energy = _fraction(cutoffs.get("energy", "10"), "cutoffs.energy", errors, Fraction(10))
+    energy = RingSpec.cutoff
+    if "energy" in cutoffs:
+        energy = _fraction(cutoffs["energy"], "cutoffs.energy", errors, energy)
     if cutoff is not None:
         if not 0 <= cutoff <= energy:
             errors.error("--emax", "must be >= 0" if cutoff < 0 else
@@ -328,9 +352,10 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
         if word in table:
             errors.error(where, "duplicate table entry for this input word")
         table[word] = out
-    k_max = _int(cutoffs.get("arity", 6), "cutoffs.arity", errors, 6)
-    l_max = _int(cutoffs.get("word_length", 4), "cutoffs.word_length", errors, 4)
-    n_max = _int(cutoffs.get("n_max", 5), "cutoffs.n_max", errors, 5)
+    # a cutoff the document omits takes the default of its AInftyAlgebra field
+    limits = {attr: _int(cutoffs[key], "cutoffs." + key, errors)
+              for key, attr in (("arity", "k_max"), ("word_length", "l_max"),
+                                ("n_max", "n_max")) if key in cutoffs}
     higher_zero = raw.get("higher_arities_zero", True)
     if not isinstance(higher_zero, bool):
         errors.error("higher_arities_zero", "not a JSON boolean: %r" % (higher_zero,))
@@ -342,11 +367,9 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
             monoid=tuple(monoid),
             ops=ops,
             spec=spec,
-            k_max=k_max,
-            l_max=l_max,
-            n_max=n_max,
             higher_arities_zero=higher_zero,
             name=doc_name,
+            **limits,
         )
     except ConfigurationError as exc:
         raise DocumentError([("operations", str(exc))])
@@ -378,8 +401,7 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
                 levels.append(Functional(basis, spec, table))
             except ConfigurationError as exc:
                 errors.error(level_loc, str(exc))
-        name = _str(tower_raw.get("name", "tower%d" % i), where + ".name", errors,
-                    "tower%d" % i)
+        name = _unique_name(tower_raw, "tower%d" % i, doc.towers, where, errors)
         if levels:
             try:
                 tower = CocycleTower(tuple(levels), name=name)
@@ -388,13 +410,13 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
                 errors.error(where, str(exc))
 
     for i, where, cand in _objects(raw.get("candidates", []), "candidates", errors):
-        name = _str(cand.get("name", "b%d" % i), where + ".name", errors, "b%d" % i)
-        doc.candidates[name] = _element(cand.get("element", []), algebra, where + ".element",
-                                        errors)
+        name = _unique_name(cand, "b%d" % i, doc.candidates, where, errors)
+        doc.candidates[name] = _candidate(cand.get("element", []), algebra,
+                                          where + ".element", errors)
 
     if "gauge_path" in raw and _object(raw["gauge_path"], "gauge_path", errors) is not None:
-        doc.gauge_path = _element(raw["gauge_path"].get("element", []), algebra,
-                                  "gauge_path.element", errors, allow_poly=True)
+        doc.gauge_path = _candidate(raw["gauge_path"].get("element", []), algebra,
+                                    "gauge_path.element", errors, allow_poly=True)
 
     doc.m_minus_one = _ring_element(raw.get("m_minus_one", []), spec, "m_minus_one", errors)
     doc.gw_tilde = _ring_element(raw.get("gw_tilde", []), spec, "gw_tilde", errors)

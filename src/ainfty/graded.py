@@ -171,14 +171,11 @@ class Element:
     def sorted_components(self):
         return sorted(self.components.items(), key=lambda kv: kv[0])
 
-    def text(self, basis_names=True) -> str:
+    def text(self) -> str:
         if not self.components:
             return "0"
-        parts = []
-        for i, value in self.sorted_components():
-            name = self.basis.names[i] if basis_names else str(i)
-            parts.append("(%s)*%s" % (value.text(), name))
-        return " + ".join(parts)
+        return " + ".join("(%s)*%s" % (value.text(), self.basis.names[i])
+                          for i, value in self.sorted_components())
 
     def __repr__(self):
         return "Element(%s)" % self.text()

@@ -34,9 +34,10 @@ A chain is its raw term map {key: {Monomial: scalar}}: per key, the term
 map of its coefficient, the scalars nonzero and in stored form, no empty
 maps, and no unit words in a reduced chain.  The maps are never mutated once
 built, so operators share them.  Each of b', D, t, N and B has one
-implementation, a private core on raw maps: ``_bar_into``, ``_N_into`` and
-``_B_into`` add sign * op(chain) into a caller's raw map, ``_D_into`` adds
-D(chain), and ``_t`` returns t(chain); only ``cyclic_t`` reaches ``_t``.
+implementation, a private core on raw maps: ``_bar_into`` and ``_N_into``
+add sign * op(chain) into a caller's raw map, ``_B_into`` and ``_D_into``
+add B(chain) and D(chain), and ``_t`` returns t(chain); only ``cyclic_t``
+reaches ``_t``.
 b' and D add each signed product coeff * m(...) straight into a raw map
 per output key with ``coeff.mul_into``, which applies the level cutoff to
 every product; t, N and B add signed copies of the input maps with
@@ -357,8 +358,8 @@ def operator_N(basis, chain: HochschildChain) -> HochschildChain:
     return _built(basis, chain.spec, _N_into({}, basis, chain.terms), False)
 
 
-def _B_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
-    """Add sign * B(chain) into acc for the raw map of a reduced chain."""
+def _B_into(acc: dict, basis, chain: dict) -> dict:
+    """Add B(chain) into acc for the raw map of a reduced chain."""
     unit = basis.require_unit()
     degrees = basis.degrees
     for (v, word), terms in chain.items():
@@ -367,7 +368,7 @@ def _B_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
             continue
         full = (v,) + word
         for rotated, odd in _rotations(degrees, full, len(full)):
-            add_into(acc.setdefault((unit, rotated), {}), terms, -sign if odd else sign)
+            add_into(acc.setdefault((unit, rotated), {}), terms, -1 if odd else 1)
     return acc
 
 
@@ -842,10 +843,9 @@ def _pull_B_into(acc: dict, basis, psi: Functional, l_max: int) -> dict:
     return acc
 
 
-def validate_negative_cocycle(
-    algebra: AInftyAlgebra, tower: CocycleTower, l_max: Optional[int] = None
-) -> Report:
-    """Check b* psi_i = B* psi_{i+1} for i < D and b* psi_D = 0, chainwise.
+def validate_negative_cocycle(algebra: AInftyAlgebra, tower: CocycleTower) -> Report:
+    """Check b* psi_i = B* psi_{i+1} for i < D and b* psi_D = 0, chainwise,
+    on the chains of at most ``algebra.l_max`` letters.
 
     ``checked`` counts every basis chain of ``iter_basis_chains`` at every
     level, and the failure lines are those of a check that evaluates
@@ -895,7 +895,7 @@ def validate_negative_cocycle(
     same terms.  B needs the unit, and the ring of each level is checked
     against the algebra's once, before any sum.
     """
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("negative-cocycle")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)

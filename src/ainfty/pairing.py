@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
@@ -133,27 +133,26 @@ class InfinityInnerProduct:
         return acc
 
 
-def build_phi(algebra: AInftyAlgebra, tower: CocycleTower,
-              l_max: Optional[int] = None) -> InfinityInnerProduct:
-    """Antisymmetrized evaluator from a validated negative cyclic cocycle."""
-    report = validate_negative_cocycle(algebra, tower, l_max)
+def build_phi(algebra: AInftyAlgebra, tower: CocycleTower) -> InfinityInnerProduct:
+    """Antisymmetrized evaluator from a negative cyclic cocycle, validated
+    at the word-length cutoff ``algebra.l_max``."""
+    report = validate_negative_cocycle(algebra, tower)
     if not report.passed:
         raise TowerError("tower failed the negative cocycle condition", report)
     return InfinityInnerProduct(algebra, tower)
 
 
-def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
-               l_max: Optional[int] = None) -> Report:
+def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
     """Skew-symmetry with the engine's sign (-1)^{kappa+1}, kappa=(A+V)(B+W).
 
     The quantifier runs over reduced alpha, beta with len(alpha) + len(beta)
-    <= l_max and all basis letters v, w, and ``checked`` counts every such
-    tuple.  A tuple whose key and swap (beta, w, alpha, v) are both missing
-    from phi.table compares 0 with 0, so only the keys of the table (whose
-    alpha and beta never hold the unit) and their swaps are evaluated, in
-    the quantifier's order.
+    <= l_max = ``algebra.l_max`` and all basis letters v, w, and ``checked``
+    counts every such tuple.  A tuple whose key and swap (beta, w, alpha, v)
+    are both missing from phi.table compares 0 with 0, so only the keys of
+    the table (whose alpha and beta never hold the unit) and their swaps are
+    evaluated, in the quantifier's order.
     """
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("skew-symmetry")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -196,8 +195,7 @@ def _arrange(word: Word, module_pos: int, arg_pos: int):
     return turned[a + 1:], turned[0], turned[1:a], turned[a]
 
 
-def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
-                 l_max: Optional[int] = None) -> Report:
+def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
     """Three-term cyclic identity over all marked triples i < j < k.
 
     Each term is phi evaluated on the cyclic word with one marking as module
@@ -205,11 +203,12 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct,
     sign kappa_* = (sum of shifted degrees up to *) (sum beyond *).
 
     ``checked`` counts every triple of every reduced word of length 3 to
-    l_max + 2.  A triple none of whose three arranged keys is in phi.table
-    sums three zeros, so only the triples reached from a table key are
-    evaluated, in the order of (length, word, i, j, k).
+    l_max + 2, l_max = ``algebra.l_max``.  A triple none of whose three
+    arranged keys is in phi.table sums three zeros, so only the triples
+    reached from a table key are evaluated, in the order of
+    (length, word, i, j, k).
     """
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("closedness")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -319,22 +318,19 @@ def rotation_terms(algebra: AInftyAlgebra, phi: InfinityInnerProduct, b: Element
 
 
 def weak_cyclic_check(
-    algebra: AInftyAlgebra,
-    phi: InfinityInnerProduct,
-    b: Element,
-    y: Element,
-    n_max: Optional[int] = None,
+    algebra: AInftyAlgebra, phi: InfinityInnerProduct, b: Element, y: Element
 ) -> Report:
     """Rotation identity for degree-1 elements:
 
     N sum_{p+q+k=N} phi(b^p, m_k(b^k), b^q)(y) equals the sum of the three
     insertion families of y (into the operation, the left word, the right
-    word) with final argument b.  Exact for every N <= n_max.  Only the
-    shapes in ``phi.shapes`` are visited (``rotation_terms``), and each
-    m_k(b^k) is computed once in ascending k, so an arity past the cutoff
-    raises at the same arity as a loop over every (N, p, k, q).
+    word) with final argument b.  Checked exactly at every level
+    N <= ``algebra.n_max``.  Only the shapes in ``phi.shapes`` are visited
+    (``rotation_terms``), and each m_k(b^k) is computed once in ascending k,
+    so an arity past the cutoff raises at the same arity as a loop over
+    every (N, p, k, q).
     """
-    n_max = algebra.n_max if n_max is None else n_max
+    n_max = algebra.n_max
     report = Report("weak-cyclic")
     report.note("E_max", algebra.spec.cutoff)
     report.note("N_max", n_max)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil, floor, inf
 from typing import Dict, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, check_weak_mc, curvature, require_candidate
@@ -46,15 +46,14 @@ from .report import Report
 
 
 def _auto_n_max(algebra: AInftyAlgebra, x: Element) -> int:
+    """The last level N whose terms can fall within the energy cutoff E:
+    terms at level N have valuation at least (N+1) nu, so N = floor(E/nu) - 1,
+    the largest N with (N+1) nu <= E.  That is -1, and no level is summed,
+    when E < nu; the zero element sums level 0 alone."""
     nu = x.valuation()
     if nu is inf:
         return 0
-    # terms at level N have valuation >= (N+1) nu; stop once that exceeds E_max
-    bound = as_fraction(algebra.spec.cutoff) / as_fraction(nu)
-    n = int(bound)
-    if n == bound:
-        n -= 1
-    return max(n, 0)
+    return floor(as_fraction(algebra.spec.cutoff) / as_fraction(nu)) - 1
 
 
 def _powers(algebra: AInftyAlgebra, x: Element, top: int) -> list:

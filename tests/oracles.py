@@ -30,8 +30,9 @@ chain identity suite is here in its per-chain form, with no per-key
 certificates: every operator image and every residual built as a chain,
 with chain sums, on every drawn chain; and the six residual maps at one
 chain with every operator image computed in full, as the reference for
-``hochschild.identity_residuals``.  Also the test-only chain, ring and
-potential helpers: chain sums on raw term maps (``chain_sum``), truncation
+``hochschild.identity_residuals``.  Also the test-only algebra, chain,
+ring and potential helpers: a copy of an algebra at other cutoffs
+(``at_cutoffs``), chain sums on raw term maps (``chain_sum``), truncation
 of a ring element at an energy, a ring with another cutoff, a scalar of the
 ring, the unit of an algebra as an element, a gauge path at one value of its
 variable, the strictly cyclic test on towers, and the degenerate potential
@@ -40,6 +41,7 @@ formula of strict towers.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import random
 import sys
@@ -83,6 +85,22 @@ def coefficients(spec, scalars="rational"):
         lambda c, lam, e: RingElement.monomial(spec, c, lam=Fraction(lam, 2), e=e),
         values, st.integers(0, 1), st.integers(-1, 1))
     return st.lists(monomial, min_size=1, max_size=2).map(lambda ms: sum(ms[1:], ms[0]))
+
+
+def at_cutoffs(algebra, **cutoffs):
+    """A copy of the algebra with the named cutoffs (``k_max``, ``l_max``,
+    ``n_max``) set and nothing else changed, for a check at other cutoffs
+    than the algebra's.  The copy does not go through the constructor,
+    which would refuse unflagged tables below the arity cutoff, and it
+    builds its own operation index, so an algebra of a mutated module is
+    read by that module's code alone."""
+    out = copy.copy(algebra)
+    for name, value in cutoffs.items():
+        if name not in ("k_max", "l_max", "n_max"):
+            raise TypeError("not a cutoff: %s" % name)
+        setattr(out, name, value)
+    out._index = None
+    return out
 
 
 def with_cutoff(spec, cutoff) -> RingSpec:
@@ -236,14 +254,13 @@ def phi_hat_all_arguments(algebra, phi, words):
     return out
 
 
-def check_ainfty_reference(algebra, k_max=None) -> Report:
+def check_ainfty_reference(algebra) -> Report:
     """check_ainfty expanding the curved relation on every basis word."""
-    k_max = algebra.k_max if k_max is None else k_max
     report = Report("ainfty-relations")
     report.note("E_max", algebra.spec.cutoff)
-    report.note("K_max", k_max)
+    report.note("K_max", algebra.k_max)
     basis = algebra.basis
-    for n in range(k_max + 1):
+    for n in range(algebra.k_max + 1):
         for word in words_over(range(len(basis)), n):
             residual: Dict[int, RingElement] = {}
             for i, l, inner, sign in insertions(algebra, word):
@@ -261,8 +278,9 @@ def check_ainfty_reference(algebra, k_max=None) -> Report:
     return report
 
 
-def check_skew_reference(algebra, phi, l_max) -> Report:
+def check_skew_reference(algebra, phi) -> Report:
     """check_skew comparing phi.eval_word on every (alpha, v, beta, w)."""
+    l_max = algebra.l_max
     report = Report("skew-symmetry")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -308,8 +326,9 @@ def _arrange(word, module_pos, arg_pos):
     return tuple(alpha), word[module_pos], tuple(beta), word[arg_pos]
 
 
-def check_closed_reference(algebra, phi, l_max) -> Report:
+def check_closed_reference(algebra, phi) -> Report:
     """check_closed summing phi.eval_word over every marked triple."""
+    l_max = algebra.l_max
     report = Report("closedness")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -333,9 +352,9 @@ def check_closed_reference(algebra, phi, l_max) -> Report:
     return report
 
 
-def check_bimodule_hom_reference(algebra, phi, l_max=None) -> Report:
+def check_bimodule_hom_reference(algebra, phi) -> Report:
     """check_bimodule_hom evaluating the identity on every bar word."""
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("bimodule-hom")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -365,9 +384,9 @@ def check_bimodule_hom_reference(algebra, phi, l_max=None) -> Report:
     return report
 
 
-def validate_negative_cocycle_reference(algebra, tower, l_max=None) -> Report:
+def validate_negative_cocycle_reference(algebra, tower) -> Report:
     """validate_negative_cocycle comparing both sides on every basis chain."""
-    l_max = algebra.l_max if l_max is None else l_max
+    l_max = algebra.l_max
     report = Report("negative-cocycle")
     report.note("E_max", algebra.spec.cutoff)
     report.note("L_max", l_max)
@@ -843,13 +862,13 @@ def connecting_map(algebra, chis: Sequence[Functional], l_max: Optional[int] = N
     return CocycleTower(tuple(levels), name=name)
 
 
-def unit_insertion_vanishing(algebra, phi, b, n_max=None) -> Report:
+def unit_insertion_vanishing(algebra, phi, b) -> Report:
     """Do phi_{p,q}(b^p, 1, b^q)(1) vanish for 0 < p+q <= n_max?
 
     This verifies a vanishing claim on the given input; a nonzero term is
     reported as not reproduced, not as an engine error.
     """
-    n_max = algebra.n_max if n_max is None else n_max
+    n_max = algebra.n_max
     report = Report("unit-insertion-vanishing")
     report.note("E_max", algebra.spec.cutoff)
     report.note("N_max", n_max)
@@ -871,12 +890,11 @@ def unit_insertion_vanishing(algebra, phi, b, n_max=None) -> Report:
     return report
 
 
-def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement:
+def infty_cyclic_potential_reference(algebra, phi, x) -> RingElement:
     """Phi'(x) over every (N, p, k, q), with m_k(x^k) computed per term."""
     require_candidate(algebra, x)
-    n_max = _auto_n_max(algebra, x) if n_max is None else n_max
     total = RingElement.zero(algebra.spec)
-    for N in range(n_max + 1):
+    for N in range(_auto_n_max(algebra, x) + 1):
         level = RingElement.zero(algebra.spec)
         for p in range(N + 1):
             for k in range(N - p + 1):
@@ -889,12 +907,12 @@ def infty_cyclic_potential_reference(algebra, phi, x, n_max=None) -> RingElement
     return total
 
 
-def weak_cyclic_sums_reference(algebra, phi, b, y, n_max) -> list:
+def weak_cyclic_sums_reference(algebra, phi, b, y) -> list:
     """[(lhs, rhs)] of the rotation identity at each level N <= n_max, over
     every (N, p, k, q), recomputing m_k(b^k) and each y-insertion per term
     and scaling every left term by N."""
     sums = []
-    for N in range(n_max + 1):
+    for N in range(algebra.n_max + 1):
         lhs = RingElement.zero(algebra.spec)
         rhs = RingElement.zero(algebra.spec)
         for p in range(N + 1):
@@ -917,24 +935,23 @@ def weak_cyclic_sums_reference(algebra, phi, b, y, n_max) -> list:
     return sums
 
 
-def weak_cyclic_check_reference(algebra, phi, b, y, n_max=None) -> Report:
+def weak_cyclic_check_reference(algebra, phi, b, y) -> Report:
     """weak_cyclic_check from ``weak_cyclic_sums_reference``."""
-    n_max = algebra.n_max if n_max is None else n_max
     report = Report("weak-cyclic")
     report.note("E_max", algebra.spec.cutoff)
-    report.note("N_max", n_max)
+    report.note("N_max", algebra.n_max)
     if b and not b.is_homogeneous(1):
         raise ConfigurationError("the rotation identity needs |b| = 1")
     if b.valuation() <= 0:
         raise DivergenceError("b must have positive valuation")
-    for N, (lhs, rhs) in enumerate(weak_cyclic_sums_reference(algebra, phi, b, y, n_max)):
+    for N, (lhs, rhs) in enumerate(weak_cyclic_sums_reference(algebra, phi, b, y)):
         report.tick()
         if lhs != rhs:
             report.fail("N=%d: lhs %s, rhs %s" % (N, lhs.text(), rhs.text()))
     return report
 
 
-def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
+def strict_cyclic_potential(algebra, tower, b) -> RingElement:
     """Degenerate formula sum_k 1/(k+1) <m_k(b^k), b> for strict towers.
 
     <v, w> is the two-slot antisymmetrization of the pairing table, written
@@ -969,9 +986,8 @@ def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
                         acc = acc + coeff * (entry.scale(sign) if sign < 0 else entry)
         return acc
 
-    n_max = _auto_n_max(algebra, b) if n_max is None else n_max
     total = RingElement.zero(algebra.spec)
-    for k in range(n_max + 1):
+    for k in range(_auto_n_max(algebra, b) + 1):
         mk = apply_m(algebra, [b] * k)
         if mk.is_zero():
             continue
@@ -979,12 +995,12 @@ def strict_cyclic_potential(algebra, tower, b, n_max=None) -> RingElement:
     return total
 
 
-def wall_crossing_decomposition_reference(algebra, phi, b, n_max=None):
+def wall_crossing_decomposition_reference(algebra, phi, b):
     """The wall-crossing sums over every (N, p, k, q) and every (p, q) of
     i1_rhs and error_term, each term weighted by its own 1/(N+1), each split
     insertion recomputed, and the curvature computed twice."""
     require_candidate(algebra, b)
-    n_max = algebra.n_max if n_max is None else n_max
+    n_max = algebra.n_max
     zero = RingElement.zero(algebra.spec)
     ksplit = psplit = qsplit = output = clsum = zero
     m_of = {}

@@ -25,7 +25,8 @@ from ainfty.pairing import InfinityInnerProduct
 
 from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1, random_coboundary_tower, ring
 from oracles import (
-    check_bimodule_hom_reference, mutant_module, validate_negative_cocycle_reference,
+    at_cutoffs, check_bimodule_hom_reference, mutant_module,
+    validate_negative_cocycle_reference,
 )
 
 MAKERS = (make_e1, make_e2, make_g1, make_sv1, make_q1)
@@ -111,10 +112,11 @@ def _same(module_report, reference_report):
 def test_support_checks_match_every_word(maker, depth, d_base, seed, tower_edits,
                                          phi_edits, l_max):
     algebra, tower, phi = make_case(maker, depth, d_base, seed, tower_edits, phi_edits)
-    assert _same(hochschild.validate_negative_cocycle(algebra, tower, l_max),
-                 validate_negative_cocycle_reference(algebra, tower, l_max))
-    assert _same(ainfty.check_bimodule_hom(algebra, phi, l_max),
-                 check_bimodule_hom_reference(algebra, phi, l_max))
+    algebra = at_cutoffs(algebra, l_max=l_max)
+    assert _same(hochschild.validate_negative_cocycle(algebra, tower),
+                 validate_negative_cocycle_reference(algebra, tower))
+    assert _same(ainfty.check_bimodule_hom(algebra, phi),
+                 check_bimodule_hom_reference(algebra, phi))
 
 
 # Cases whose reports fail at L = 3, named after the candidate families
@@ -144,7 +146,7 @@ def _validation(validate, algebra, tower):
     """The report text and ``checked`` of a validation at L = 3, or the
     message of the ConfigurationError it raises."""
     try:
-        report = validate(algebra, tower, 3)
+        report = validate(at_cutoffs(algebra, l_max=3), tower)
     except ConfigurationError as exc:
         return ConfigurationError, str(exc)
     return report.text(), report.checked
@@ -156,8 +158,8 @@ def _references(case):
     of its tower with the top level in a foreign ring."""
     algebra, tower, phi = make_case(*FAILING_CASES[case])
     foreign = _foreign(algebra, tower, tower.depth)
-    return (validate_negative_cocycle_reference(algebra, tower, 3),
-            check_bimodule_hom_reference(algebra, phi, 3),
+    return (validate_negative_cocycle_reference(at_cutoffs(algebra, l_max=3), tower),
+            check_bimodule_hom_reference(at_cutoffs(algebra, l_max=3), phi),
             _validation(validate_negative_cocycle_reference, algebra, foreign))
 
 
@@ -170,8 +172,9 @@ def _kernels_agree(ainfty_mod, hochschild_mod, case) -> bool:
     """
     algebra, tower, phi = make_case(*FAILING_CASES[case])
     validation, bimodule, foreign = _references(case)
-    return (_same(hochschild_mod.validate_negative_cocycle(algebra, tower, 3), validation)
-            and _same(ainfty_mod.check_bimodule_hom(algebra, phi, 3), bimodule)
+    at3 = at_cutoffs(algebra, l_max=3)
+    return (_same(hochschild_mod.validate_negative_cocycle(at3, tower), validation)
+            and _same(ainfty_mod.check_bimodule_hom(at3, phi), bimodule)
             and _validation(hochschild_mod.validate_negative_cocycle, algebra,
                             _foreign(algebra, tower, tower.depth)) == foreign)
 
@@ -193,7 +196,7 @@ def test_foreign_ring_tower_raises(maker, depth):
     for level in range(depth + 1):
         foreign = _foreign(algebra, tower, level)
         with pytest.raises(ConfigurationError) as raised:
-            hochschild.validate_negative_cocycle(algebra, foreign, 3)
+            hochschild.validate_negative_cocycle(at_cutoffs(algebra, l_max=3), foreign)
         assert str(raised.value) == "mismatched energy cutoffs: %s vs %s" % (
             algebra.spec.cutoff, algebra.spec.cutoff + 1)
         assert _validation(validate_negative_cocycle_reference, algebra, foreign) == (
@@ -208,7 +211,7 @@ def test_bimodule_check_past_unflagged_tables_raises(maker, top, l_max):
         algebra, _, phi = make_case(maker, 0, 1, 3)
         algebra.higher_arities_zero = False
         try:
-            return check(algebra, phi, l_max).text()
+            return check(at_cutoffs(algebra, l_max=l_max), phi).text()
         except ConfigurationError as exc:
             return ConfigurationError, str(exc)
 
@@ -252,7 +255,8 @@ SUPPORT_MUTANTS = {
         hochschild, "insertion_sign(prefixes, q + 1)", "insertion_sign(prefixes, q)",
         "G1 interior, right"),
     "validation rotation sign ignored": (
-        hochschild, "-1 if odd else 1)", "1)", "G1 rotation sign"),
+        hochschild, "value.terms,\n                         -1 if odd else 1)",
+        "value.terms,\n                         1)", "G1 rotation sign"),
     "validation ring check dropped": (
         hochschild, "require_compatible(spec, psi.spec)", "pass", "G1 interior, right"),
 }

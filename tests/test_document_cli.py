@@ -400,6 +400,70 @@ def _term(T, basis=None):
     return term
 
 
+def _e2_file(tmp_path, edit):
+    """The path of a copy of corpus E2 with ``edit`` applied to its JSON."""
+    with open(corpus("e2.json"), encoding="utf-8") as handle:
+        raw = json.load(handle)
+    edit(raw)
+    path = tmp_path / "e2_edited.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_potential_sums_no_level_past_the_energy_cutoff(tmp_path, capsys):
+    # nu = 2/5 and E = 3: level N has valuation at least (N + 1) 2/5, so the
+    # last level is 6 and needs m_6 at most, within the arity cutoff 6
+    def edit(raw):
+        raw["candidates"] = [{"name": "b", "element": [_term("2/5", "x")]}]
+        del raw["wall_crossing_pair"]
+    path = _e2_file(tmp_path, edit)
+    for extra in ([], ["--kmax", "7"]):
+        assert main(["potential", "--input", path] + extra) == 0
+        assert "  Phi' = 1*T^7/5*e^1\n" in capsys.readouterr().out
+
+
+BAD_CANDIDATES = (
+    ([{"basis": "x", "coeff": "1"}], "candidate must have positive valuation"),
+    ([_term("1", "1")], "candidate must be homogeneous of total degree 1"),
+)
+
+
+@pytest.mark.parametrize("command", ("mc", "potential", "wallcross", "cocycle"))
+@pytest.mark.parametrize("element,message", BAD_CANDIDATES, ids=("valuation-0", "degree-0"))
+def test_bad_candidate_exits_2_located(tmp_path, capsys, command, element, message):
+    path = _e2_file(tmp_path, lambda raw: raw["candidates"].append(
+        {"name": "c", "element": element}))
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input document rejected:\n  candidates[3].element: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("element,message", BAD_CANDIDATES, ids=("valuation-0", "degree-0"))
+def test_bad_gauge_path_exits_2_located(tmp_path, capsys, element, message):
+    path = _e2_file(tmp_path, lambda raw: raw.update(gauge_path={"element": element}))
+    assert main(["gauge", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input document rejected:\n  gauge_path.element: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ("potential", "cocycle"))
+@pytest.mark.parametrize("section,location", (
+    ("candidates", "candidates[3].name: duplicate name 'b'"),
+    ("towers", "towers[1].name: duplicate name 'poincare'"),
+), ids=("candidate", "tower"))
+def test_duplicate_names_exit_2_located(tmp_path, capsys, command, section, location):
+    # a second entry of the same name would replace the first one unseen
+    def edit(raw):
+        entries = raw[section]
+        entries.append(dict(entries[1 if section == "candidates" else 0]))
+    path = _e2_file(tmp_path, edit)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input document rejected:\n  %s\n" % location
+    assert captured.out == ""
+
+
 def test_energy_grid_is_the_lcm_of_the_document_energies():
     assert load(corpus("e2.json")).algebra.spec.grid == 4
     assert load(corpus("g1_gauge.json")).algebra.spec.grid == 2

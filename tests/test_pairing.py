@@ -27,8 +27,8 @@ from conftest import (
     random_degree_one, random_functional, ring,
 )
 from oracles import (
-    SCALARS, check_closed_reference, check_skew_reference, elements, eval_word_reference,
-    expand_eval_elements, mutant_module, phi_hat_all_arguments,
+    SCALARS, at_cutoffs, check_closed_reference, check_skew_reference, elements,
+    eval_word_reference, expand_eval_elements, mutant_module, phi_hat_all_arguments,
 )
 
 
@@ -83,9 +83,9 @@ def test_unit_slot_vanishing(e2):
 @pytest.mark.parametrize("maker", (make_e1, make_e2))
 def test_poincare_passes_all_checks(maker):
     algebra, phi = build_poincare(maker)
-    assert check_bimodule_hom(algebra, phi, l_max=4).passed
-    assert check_skew(algebra, phi, l_max=3).passed
-    assert check_closed(algebra, phi, l_max=2).passed
+    assert check_bimodule_hom(algebra, phi).passed  # at the own cutoff, 4
+    assert check_skew(at_cutoffs(algebra, l_max=3), phi).passed
+    assert check_closed(at_cutoffs(algebra, l_max=2), phi).passed
     assert trace_identity(algebra, phi).passed
 
 
@@ -97,9 +97,9 @@ def test_random_bstar_towers_pass_checks(rng):
         if tower.psi0.is_zero():
             continue
         phi = build_phi(e1, tower)
-        assert check_bimodule_hom(e1, phi, l_max=4).passed
-        assert check_skew(e1, phi, l_max=3).passed
-        assert check_closed(e1, phi, l_max=2).passed
+        assert check_bimodule_hom(e1, phi).passed  # at the own cutoff, 4
+        assert check_skew(at_cutoffs(e1, l_max=3), phi).passed
+        assert check_closed(at_cutoffs(e1, l_max=2), phi).passed
         assert trace_identity(e1, phi).passed
         done += 1
 
@@ -113,9 +113,9 @@ def test_random_coboundary_towers_pass_hom_skew_closed(maker, d, rng):
         if all(p.is_zero() for p in tower.levels):
             continue
         phi = build_phi(algebra, tower)
-        assert check_bimodule_hom(algebra, phi, l_max=3).passed
-        assert check_skew(algebra, phi, l_max=2).passed
-        assert check_closed(algebra, phi, l_max=1).passed
+        assert check_bimodule_hom(at_cutoffs(algebra, l_max=3), phi).passed
+        assert check_skew(at_cutoffs(algebra, l_max=2), phi).passed
+        assert check_closed(at_cutoffs(algebra, l_max=1), phi).passed
         done += 1
 
 
@@ -133,7 +133,7 @@ def test_skew_mutation_detected(e1):
     phi = build_phi(e1, poincare_tower(e1))
     flipped = negated(phi, lambda alpha, v, beta, w: not alpha and not beta
                       and v == 1 and w == 0)
-    report = check_skew(e1, flipped, l_max=1)
+    report = check_skew(at_cutoffs(e1, l_max=1), flipped)
     assert not report.passed
 
 
@@ -142,13 +142,13 @@ def test_closed_mutation_detected(g1, rng):
     while all(p.is_zero() for p in tower.levels):
         tower = random_coboundary_tower(g1, rng, d_base=1)
     phi = build_phi(g1, tower)
-    assert check_closed(g1, phi, l_max=1).passed
+    assert check_closed(at_cutoffs(g1, l_max=1), phi).passed
 
     # flipping one family of components breaks closedness unless everything
     # in that family vanishes
     mutant = negated(phi, lambda alpha, v, beta, w: len(alpha) == 1 and not beta)
-    broken = check_closed(g1, mutant, l_max=1)
-    skewed = check_skew(g1, mutant, l_max=2)
+    broken = check_closed(at_cutoffs(g1, l_max=1), mutant)
+    skewed = check_skew(at_cutoffs(g1, l_max=2), mutant)
     assert not (broken.passed and skewed.passed)
 
 
@@ -166,14 +166,14 @@ def test_weak_cyclic_poincare(e2, rng):
         b = random_degree_one(e2, rng)
         for y_idx in range(2):
             y = Element.generator(e2.basis, y_idx, e2.one_ring())
-            assert weak_cyclic_check(e2, phi, b, y, n_max=5).passed
+            assert weak_cyclic_check(e2, phi, b, y).passed  # at the own cutoff, 5
 
 
 def test_weak_cyclic_trivial_cases(e2):
     phi = build_phi(e2, poincare_tower(e2))
     zero = Element.zero(e2.basis)
     y = Element.generator(e2.basis, 1, e2.one_ring())
-    assert weak_cyclic_check(e2, phi, zero, y, n_max=3).passed
+    assert weak_cyclic_check(at_cutoffs(e2, n_max=3), phi, zero, y).passed
 
 
 def test_weak_cyclic_requires_degree_one(e2):
@@ -181,7 +181,7 @@ def test_weak_cyclic_requires_degree_one(e2):
     y = Element.generator(e2.basis, 1, e2.one_ring())
     bad = Element.generator(e2.basis, 0, ring(e2.spec, 1, lam=1))
     with pytest.raises(Exception):
-        weak_cyclic_check(e2, phi, bad, y, n_max=2)
+        weak_cyclic_check(at_cutoffs(e2, n_max=2), phi, bad, y)
 
 
 def test_weak_cyclic_valuation_guard(e2):
@@ -189,7 +189,7 @@ def test_weak_cyclic_valuation_guard(e2):
     y = Element.generator(e2.basis, 1, e2.one_ring())
     bad = Element.generator(e2.basis, 1, e2.one_ring())
     with pytest.raises(DivergenceError):
-        weak_cyclic_check(e2, phi, bad, y, n_max=2)
+        weak_cyclic_check(at_cutoffs(e2, n_max=2), phi, bad, y)
 
 
 def test_homological_nondegeneracy_poincare(e1):
@@ -242,7 +242,7 @@ def test_bimodule_hom_mutation_detected(e1):
     phi = build_phi(e1, poincare_tower(e1))
     flipped = negated(phi, lambda alpha, v, beta, w: not alpha and not beta
                       and (v, w) == (1, 0))
-    report = check_bimodule_hom(e1, flipped, l_max=3)
+    report = check_bimodule_hom(at_cutoffs(e1, l_max=3), flipped)
     assert not report.passed
 
 
@@ -259,8 +259,8 @@ def test_zero_phi_on_unit_only_algebra():
     algebra = AInftyAlgebra(basis, ((Fraction(0), 0),), ops, spec, name="U1")
     tower = CocycleTower((Functional(basis, spec, {}),))
     phi = build_phi(algebra, tower)
-    assert check_bimodule_hom(algebra, phi, l_max=3).passed
-    assert check_skew(algebra, phi, l_max=2).passed
+    assert check_bimodule_hom(at_cutoffs(algebra, l_max=3), phi).passed
+    assert check_skew(at_cutoffs(algebra, l_max=2), phi).passed
 
 
 def test_weak_cyclic_corpus_g1_tower(g1, rng):
@@ -279,7 +279,7 @@ def test_weak_cyclic_corpus_g1_tower(g1, rng):
         b = random_degree_one(algebra, rng)
         for y_idx in range(len(algebra.basis)):
             y = Element.generator(algebra.basis, y_idx, algebra.one_ring())
-            assert weak_cyclic_check(algebra, phi, b, y, n_max=4).passed
+            assert weak_cyclic_check(at_cutoffs(algebra, n_max=4), phi, b, y).passed
 
 
 # -- the support-driven kernels against the brute-force expansion ------------
@@ -434,8 +434,9 @@ SKEW_CLOSED_MUTATIONS = (None, "first key negated", "every other key negated",
 def test_skew_matches_every_tuple(case, mutation):
     algebra, phi = _skew_closed_case(case, mutation)
     for l_max in range(4):
-        got = check_skew(algebra, phi, l_max)
-        want = check_skew_reference(algebra, phi, l_max)
+        at_l = at_cutoffs(algebra, l_max=l_max)
+        got = check_skew(at_l, phi)
+        want = check_skew_reference(at_l, phi)
         assert (got.text(), got.checked) == (want.text(), want.checked)
 
 
@@ -444,16 +445,18 @@ def test_skew_matches_every_tuple(case, mutation):
 def test_closed_matches_every_triple(case, mutation):
     algebra, phi = _skew_closed_case(case, mutation)
     for l_max in range(4):
-        got = check_closed(algebra, phi, l_max)
-        want = check_closed_reference(algebra, phi, l_max)
+        at_l = at_cutoffs(algebra, l_max=l_max)
+        got = check_closed(at_l, phi)
+        want = check_closed_reference(at_l, phi)
         assert (got.text(), got.checked) == (want.text(), want.checked)
 
 
 def test_skew_closed_references_see_failures():
     # the comparisons above also cover failure lists and their order
     algebra, phi = _skew_closed_case(2, "every other key negated")
-    assert len(check_skew_reference(algebra, phi, 3).failures) > 1
-    assert len(check_closed_reference(algebra, phi, 3).failures) > 1
+    at3 = at_cutoffs(algebra, l_max=3)
+    assert len(check_skew_reference(at3, phi).failures) > 1
+    assert len(check_closed_reference(at3, phi).failures) > 1
 
 
 # Mutants of the table builder, each applied to a fresh copy of the pairing

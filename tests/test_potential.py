@@ -1,6 +1,5 @@
 """Potentials, gauge invariance, wall-crossing identity chain."""
 
-import copy
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import pairing, potential
-from ainfty.coeff import Poly, RingElement
+from ainfty.coeff import Poly, RingElement, RingSpec
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element
 from ainfty.hochschild import CocycleTower
@@ -25,7 +24,7 @@ from conftest import (
     random_degree_one, random_functional, ring,
 )
 from oracles import (
-    gauge_path_at, infty_cyclic_potential_reference, is_strict, mutant_module,
+    at_cutoffs, gauge_path_at, infty_cyclic_potential_reference, is_strict, mutant_module,
     strict_cyclic_potential, unit_insertion_vanishing, wall_crossing_decomposition_reference,
     weak_cyclic_check_reference, weak_cyclic_sums_reference,
 )
@@ -43,15 +42,6 @@ def g1_corpus_tower(g1):
 
     path = os.path.join(os.path.dirname(ainfty.__file__), "corpus", "g1_gauge.json")
     return load(path)
-
-
-def at_level(algebra, n_max):
-    """A copy of the algebra with the level cutoff n_max and nothing else
-    changed (a copy through the constructor would refuse unflagged tables
-    below the arity cutoff, which some cases here hold on purpose)."""
-    out = copy.copy(algebra)
-    out.n_max = n_max
-    return out
 
 
 def pair_report(algebra, phi, b_minus, b_plus, m_minus_one=None, gw=None):
@@ -152,6 +142,23 @@ def test_gauge_rejects_non_mc_path(e2, e2_phi):
     assert any("energy" in msg for msg in report.failures)
 
 
+def test_auto_n_max_is_the_last_level_within_the_cutoff():
+    # level N has valuation at least (N + 1) nu, so the potential sums to the
+    # largest N with (N + 1) nu <= E, found here by search; below nu = E
+    # there is none, and no level is summed
+    fine = RingSpec(s_degree=2, t_degrees=(), cutoff=10, grid=840)
+    for energy in (Fraction(3), Fraction(5, 2), Fraction(1, 3)):
+        algebra = make_e2(cutoff=energy)
+        for den in range(1, 9):
+            for num in range(1, 8 * den + 1):
+                nu = Fraction(num, den)
+                x = Element.generator(algebra.basis, 1, ring(fine, 1, lam=nu))
+                last = -1
+                while (last + 2) * nu <= energy:
+                    last += 1
+                assert potential._auto_n_max(algebra, x) == last, (energy, nu)
+
+
 def test_decomposition_identities_random(e2, e2_phi, rng):
     for _ in range(30):
         b = random_degree_one(e2, rng)
@@ -161,7 +168,7 @@ def test_decomposition_identities_random(e2, e2_phi, rng):
 
 
 def test_decomposition_zero_candidate(e2, e2_phi):
-    dec = wall_crossing_decomposition(at_level(e2, 3), e2_phi, Element.zero(e2.basis))
+    dec = wall_crossing_decomposition(at_cutoffs(e2, n_max=3), e2_phi, Element.zero(e2.basis))
     for tag in ("ksplit", "psplit", "qsplit", "output", "clsum", "error_term"):
         assert getattr(dec, tag).is_zero()
     assert dec.passed
@@ -169,13 +176,13 @@ def test_decomposition_zero_candidate(e2, e2_phi):
 
 def test_decomposition_diagnostics_reported(e2, e2_phi):
     b = Element.generator(e2.basis, 1, ring(e2.spec, 1, lam=Fraction(1, 2)))
-    dec = wall_crossing_decomposition(at_level(e2, 4), e2_phi, b)
+    dec = wall_crossing_decomposition(at_cutoffs(e2, n_max=4), e2_phi, b)
     assert set(dec.diagnostics) == {"phi(m0^b)(m0^b)", "psi0[1|m2(m0^b,m0^b)]"}
 
 
 def test_unit_insertion_vanishing(e2, e2_phi):
     b = Element.generator(e2.basis, 1, ring(e2.spec, 1, lam=Fraction(1, 2)))
-    report = unit_insertion_vanishing(e2, e2_phi, b, n_max=4)
+    report = unit_insertion_vanishing(at_cutoffs(e2, n_max=4), e2_phi, b)
     assert report.passed
 
 
@@ -349,7 +356,7 @@ def _compare(module, algebra, phi, b, n_max):
     disagreement.  Returns (agree, kind), kind being "raised" when a
     reference raised, else "nonzero" or "zero" by the reference values."""
     if n_max is not None:
-        algebra = at_level(algebra, n_max)
+        algebra = at_cutoffs(algebra, n_max=n_max)
     got = {}
 
     def run():
@@ -396,13 +403,14 @@ def test_weak_cyclic_check_holds_at_y_zero():
             for generic in (False, True):
                 algebra, phi, b = _random_phi_case(name, seed, generic=generic)
                 zero = Element.zero(algebra.basis)
-                assert weak_cyclic_check(algebra, phi, b, zero, n_max=3).passed, (name, seed)
+                assert weak_cyclic_check(at_cutoffs(algebra, n_max=3), phi, b, zero).passed, \
+                    (name, seed)
 
 
-def _weak_cyclic_outcome(check, algebra, phi, b, y, n_max):
+def _weak_cyclic_outcome(check, algebra, phi, b, y):
     """The report lines of a rotation identity check, or what it raised."""
     try:
-        return check(algebra, phi, b, y, n_max).lines()
+        return check(algebra, phi, b, y).lines()
     except Exception as exc:
         return "raised %s: %s" % (type(exc).__name__, exc)
 
@@ -438,21 +446,21 @@ def test_weak_cyclic_check_matches_its_reference():
            st.sampled_from(((6, True), (6, True), (6, True), (3, True), (6, False))))
     def check(name, seed, n_max, cutoffs):
         algebra, phi, b, y = _weak_cyclic_case(name, seed, *cutoffs)
+        if n_max is not None:
+            algebra = at_cutoffs(algebra, n_max=n_max)
         got = {}
 
         def run():
-            got["lines"] = _weak_cyclic_outcome(pairing.weak_cyclic_check,
-                                                algebra, phi, b, y, n_max)
+            got["lines"] = _weak_cyclic_outcome(pairing.weak_cyclic_check, algebra, phi, b, y)
 
         # every term reads phi at a stored shape, (0, 0) included
         assert _read_shapes(phi, run) <= phi.shapes
-        want = _weak_cyclic_outcome(weak_cyclic_check_reference, algebra, phi, b, y, n_max)
+        want = _weak_cyclic_outcome(weak_cyclic_check_reference, algebra, phi, b, y)
         assert got["lines"] == want
         if isinstance(want, str):
             kinds.append("raised")
         else:
-            sums = weak_cyclic_sums_reference(algebra, phi, b, y, algebra.n_max
-                                              if n_max is None else n_max)
+            sums = weak_cyclic_sums_reference(algebra, phi, b, y)
             kinds.append("nonzero" if any(lhs or rhs for lhs, rhs in sums) else "zero")
 
     check()
@@ -463,12 +471,12 @@ def test_weak_cyclic_check_matches_its_reference():
 
 def _weak_cyclic_disagrees(check) -> bool:
     """Does this rotation identity check differ from the reference on some
-    fixed case?"""
+    fixed case, at the level cutoff 5 of the algebras?"""
     for seed in range(24):
         for name in sorted(ALGEBRAS):
             case = _weak_cyclic_case(name, seed)
-            if (_weak_cyclic_outcome(check, *case, 5)
-                    != _weak_cyclic_outcome(weak_cyclic_check_reference, *case, 5)):
+            if (_weak_cyclic_outcome(check, *case)
+                    != _weak_cyclic_outcome(weak_cyclic_check_reference, *case)):
                 return True
     return False
 
