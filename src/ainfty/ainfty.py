@@ -4,7 +4,9 @@ Structure constants are stored per (arity k, monoid element beta) on the
 T-free part, so the gapped structure stays explicit.  They are assembled as
 m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
 first use, into one operation index (``_operation_index``) that ``m_word``,
-``apply_m``, ``insertions`` and ``uninsertions`` all read.
+``apply_m``, ``insertions`` and ``uninsertions`` all read, and whose
+off-degree entries (``off_degree_words``) the rotation-identity cores of
+``hochschild`` walk.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -53,11 +55,17 @@ OpTable = Dict[Word, Dict[int, RingElement]]
 
 
 class OperationIndex(NamedTuple):
-    """The assembled operation table of an algebra; see ``_operation_index``."""
+    """The assembled operation table of an algebra; see ``_operation_index``.
+
+    ``off_degree`` keeps apart the entries m_word(u)[c] off the A-infinity
+    degree, which it reads from the basis degrees; so, like ``ops``, the
+    basis must not change after the index is built.
+    """
 
     nonzero: Dict[int, OpTable]
     by_output: Dict[int, tuple]
     arities: tuple
+    off_degree: Dict[int, OpTable]
 
 
 @dataclass
@@ -182,11 +190,16 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
     arities ascending and words sorted; ``by_output`` maps each letter c to
     those u (arity 0 included), in the same order, whose m_word(u) has a
     term at c; ``arities`` lists every stored arity, ascending, all-zero
-    tables included.  The index is kept on the algebra, so ``ops`` must not
-    change after its first use; code that edits ``ops`` then sets
-    ``_index`` to None.
+    tables included.  ``off_degree`` is ``nonzero`` cut down to the entries
+    m_word(u)[c] off the A-infinity degree, |c|' + |u|' even (|u|' the sum
+    of the shifted degrees of u's letters), arities ascending: the only
+    entries whose twin terms in the rotation identities can fail to cancel
+    (see ``hochschild.identity_residuals``).  The index is kept on the
+    algebra, so ``ops`` and the degrees of ``basis`` must not change after
+    its first use; code that edits either then sets ``_index`` to None.
     """
     if algebra._index is None:
+        degrees = algebra.basis.degrees
         assembled: Dict[Word, Dict[int, RingElement]] = {}
         for (k, bidx), table in algebra.ops.items():
             beta = algebra.monoid[bidx]
@@ -197,15 +210,21 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
                     add_term(out, comp, factor * value)
         nonzero: Dict[int, OpTable] = {}
         by_output: Dict[int, list] = {}
+        off_degree: Dict[int, OpTable] = {}
         for word in sorted(assembled, key=lambda u: (len(u), u)):
             out = assembled[word]
             if out:
                 nonzero.setdefault(len(word), {})[word] = out
                 for comp in out:
                     by_output.setdefault(comp, []).append(word)
+                shifted = maltese([degrees[x] for x in word], len(word))
+                off = {comp: value for comp, value in out.items()
+                       if (degrees[comp] - 1 + shifted) % 2 == 0}
+                if off:
+                    off_degree.setdefault(len(word), {})[word] = off
         algebra._index = OperationIndex(
             nonzero, {comp: tuple(words) for comp, words in by_output.items()},
-            tuple(sorted({k for (k, _) in algebra.ops})))
+            tuple(sorted({k for (k, _) in algebra.ops})), off_degree)
     return algebra._index
 
 
@@ -268,6 +287,13 @@ def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     """{k: {u: m_word(u)}} over the stored words of nonzero m_word; an
     insertion looks its windows up here."""
     return _operation_index(algebra).nonzero
+
+
+def off_degree_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """{k: {u: {c: m_word(u)[c]}}} over the entries off the A-infinity
+    degree, |c|' + |u|' even: the entries the rotation-identity cores of
+    ``hochschild`` walk."""
+    return _operation_index(algebra).off_degree
 
 
 def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:

@@ -60,9 +60,12 @@ residual of the keys whose module is not the unit, less ``_N_into`` of
 b(u'').  The two rotation identities have a core each,
 ``_bar_N_residual_into`` for b'N-Nb and ``_rotation_residual_into`` for
 b(1-t)-(1-t)b': each walks the cyclic windows of a key once and forms a
-product only for a pair of twin terms whose signs differ.  So b is formed
-only on the small chain q D(u); the docstring of ``identity_residuals``
-proves the identities and the pairings this rests on.  All
+product only for a pair of twin terms whose signs differ.  Twins can differ
+only at an operation entry off the A-infinity degree, so the cores walk
+only those entries (``ainfty.off_degree_words``) and do nothing on a table
+that has none.  So b is formed only on the small chain q D(u); the
+docstring of ``identity_residuals`` proves the identities, the pairings
+and the off-degree criterion this rests on.  All
 the operators are linear over the coefficient ring, and the level cutoff is
 an ideal, which is what lets ``cli.chain_identity_suite`` check each basis
 key once instead of each drawn chain.
@@ -87,7 +90,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .ainfty import AInftyAlgebra, insertion_sign, insertions, nonzero_words, words_by_output
+from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, off_degree_words,
+                     words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, maltese, maltese_prefixes, word_count, words_over
@@ -410,10 +414,14 @@ def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: in
     Each term of b'N has a twin in N b with the same key and product (the
     first pairing of ``identity_residuals``), so the core walks the cyclic
     windows of each key once, arity-0 gaps included, reads the sign of both
-    twins, and forms a product only where they differ.
+    twins, and forms a product only where they differ.  Only the operation
+    entries off the A-infinity degree are walked: at any other the twins
+    agree.
     """
+    tables = off_degree_words(algebra)
+    if not tables:
+        return acc
     degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
     for (v, word), terms in chain.items():
         f = (v,) + word
         n = len(f)
@@ -466,10 +474,14 @@ def _rotation_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top:
     Each term of b t has a twin in D or t b' with the same key and product
     (the second pairing of ``identity_residuals``), and one pair of D and
     t b' terms meet each other; the core walks the cyclic windows of each
-    key once and forms a product only where a pair does not cancel.
+    key once and forms a product only where a pair does not cancel.  As in
+    ``_bar_N_residual_into``, only the entries off the A-infinity degree
+    are walked.
     """
+    tables = off_degree_words(algebra)
+    if not tables:
+        return acc
     degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
     for (v, word), terms in chain.items():
         f = (v,) + word
         n = len(f)
@@ -631,9 +643,50 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     where they differ.  Twins have the same product, so truncation drops
     both or neither.  Each core reads the signs from ``insertion_sign``,
     ``_wrap_sign`` and ``_rotation_parity``, the homes of the operators'
-    conventions.  On every test table whose operations have the degree of
-    an A-infinity structure, the signs of all twins agree and the cores
-    form no product; a degree-shifted table makes them differ.
+    conventions.
+
+    When twins agree.  Let W be the window, e = |comp|', and rho(x -> y)
+    the parity of the rotation between two linear words x, y of one cyclic
+    word: moving a block B past the rest A costs |A|'|B|'
+    (``_rotation_parity``).  These parities add along rotations: moving C
+    past AB and then B past CA costs |C|'(|A|' + |B|') + |B|'(|C|' + |A|'),
+    which is |A|'(|B|' + |C|') mod 2, the cost of moving BC past A at once.
+    Every twin has one of two shapes, both ending at the same output word
+    H comp K:
+
+      (i) rotate f to H W K, then insert after H: parity
+          rho(f -> H W K) + |H|'.  The terms of b'(N f) have this shape;
+          so do those of b(t f), as b's term at a window is a rotation
+          (none for an insertion, the tail block to the front for a
+          wrap-around: ``_wrap_sign``) and then an insertion; and so do
+          D's wrap-arounds, with H empty.
+      (ii) rotate f to P W Q, insert after P, then rotate the output
+          P comp Q to H comp K: parity rho(f -> P W Q) + |P|' +
+          rho(P comp Q -> H comp K).  The terms of N b(f) and of t b'(f)
+          have this shape.
+
+    P and H are both the letters in front of the window in a linear word of
+    one cyclic word, so one ends the other: P = X H or H = X P, with X the
+    block that the second rotation moves across comp, and |P|' + |H|' =
+    |X|' mod 2.  That rotation costs |X|' times the shifted degree of what
+    X crosses, which holds comp where P W Q holds W, so
+    rho(P comp Q -> H comp K) = rho(P W Q -> H W K) + (e - |W|') |X|', and
+    rho(f -> P W Q) + rho(P W Q -> H W K) = rho(f -> H W K).  So the
+    parities of a twin of shape (ii) and one of shape (i) differ by
+
+        (e - |W|' - 1) |X|'  mod 2.
+
+    Two twins of shape (i), a wrap-around of D and its twin in b(t f), have
+    the same H and the same rotation, and always agree.  The last pair of
+    the rotation identity fits as well: t b'(f) at the gap after f_{n-1} is
+    of shape (ii) with P = X = f and W, Q empty, parity (e + 1) T, and D's
+    -m_0 in front is minus the shape-(i) term with H empty, parity 0; the
+    two cancel when (e - 1) T is even.  So a pair can fail to cancel only
+    at an entry m_a(W)[comp] off the degree of an A-infinity structure,
+    where |comp|' - |W|' - 1 is odd.  The cores walk only those entries
+    (``ainfty.off_degree_words``), and return at once when the table has
+    none; at such an entry a pair still cancels where |X|' is even, which
+    the cores see as two equal signs.
 
     So the images are b'(u), D(u), N(u'), b'(b'u), b'(Z), D(P),
     b_red(q D u), N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and

@@ -13,20 +13,23 @@ certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
 one; both are properties here.  ``hochschild.identity_residuals`` builds
 its b images from b' images and the two rotation identities from pairs of
-twin terms whose signs differ; its six maps must equal those of
+twin terms whose signs differ, walking only the operation entries off the
+A-infinity degree; its six maps must equal those of
 ``oracles.identity_residuals_reference``, which forms every image in full,
-on drawn chains and on every basis key of three letters or fewer, and the
-operator identities it rests on (b = b' + D, and reduced b after the unit
-is put in front) are properties too.  The mutant catalog breaks
-the certificate and each term of the residual kernel one way each.
+on drawn chains and on every basis key of three letters or fewer, also
+with the basis degrees redrawn, and the operator identities it rests on
+(b = b' + D, and reduced b after the unit is put in front) are properties
+too.  The mutant catalog breaks the certificate and each term of the
+residual kernel one way each, and the off-degree filter two ways.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import cli, hochschild
+from ainfty import ainfty, cli, hochschild
 from ainfty.ainfty import AInftyAlgebra
 from ainfty.coeff import canonical
 from ainfty.graded import GradedBasis
@@ -37,7 +40,7 @@ from ainfty.hochschild import (
 
 from conftest import make_e1, make_e2, make_g1, make_ob1, make_q1, make_sv1
 from oracles import (
-    SCALARS, chain_identity_suite_reference, chain_sum, coefficients,
+    SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
     identity_residuals_reference, mutant_module,
 )
 
@@ -51,15 +54,22 @@ def sign_flipped(maker, arity, word, comp):
                          name=algebra.name)
 
 
+def with_degrees(algebra, degrees):
+    """A copy of the algebra on its basis with other degrees: its tables
+    are not validated again, and it builds its own operation index."""
+    out = copy.copy(algebra)
+    out.basis = GradedBasis(algebra.basis.names, degrees, unit=algebra.basis.unit)
+    out._index = None
+    return out
+
+
 def degree_shifted(maker, letter):
     """The algebra with the degree of one basis letter raised by one after
     its tables were validated."""
     algebra = maker()
-    basis = algebra.basis
-    degrees = list(basis.degrees)
+    degrees = list(algebra.basis.degrees)
     degrees[letter] += 1
-    algebra.basis = GradedBasis(basis.names, degrees, unit=basis.unit)
-    return algebra
+    return with_degrees(algebra, degrees)
 
 
 PASSING = {"E1": make_e1(), "E2": make_e2(), "G1": make_g1(), "Q1": make_q1()}
@@ -71,6 +81,7 @@ FAILING = {
     "Q1 m2(1,u) negated": sign_flipped(make_q1, 2, (0, 1), 1),
     "G1 |y| + 1": degree_shifted(make_g1, 2),
     "Q1 |z| + 1": degree_shifted(make_q1, 2),
+    "OB1 |z| + 1": degree_shifted(make_ob1, 2),
 }
 VARIANTS = {**PASSING, **FAILING}
 
@@ -207,15 +218,52 @@ BASIS_KEY_ALGEBRAS = {**{name if cutoff is None else "%s at E %s" % (name, cutof
                       "OB1": make_ob1()}
 
 
-@pytest.mark.parametrize("name", sorted(BASIS_KEY_ALGEBRAS))
-def test_identity_residuals_match_their_reference_on_every_basis_key(name):
-    algebra = BASIS_KEY_ALGEBRAS[name]
+def _residuals_match_on_every_basis_key(algebra):
     one = algebra.one_ring().terms
     for key in iter_basis_chains(algebra, 3):
         got = identity_residuals(algebra, {key: one})
         want = identity_residuals_reference(algebra, {key: one})
         for (tag, raw), (_, reference) in zip(got, want):
             assert _nonzero(raw) == _nonzero(reference), (tag, key)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_KEY_ALGEBRAS))
+def test_identity_residuals_match_their_reference_on_every_basis_key(name):
+    _residuals_match_on_every_basis_key(BASIS_KEY_ALGEBRAS[name])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BASIS_KEY_ALGEBRAS)), data=st.data())
+def test_identity_residuals_match_their_reference_at_redrawn_degrees(name, data):
+    # the rotation cores walk only the entries off the A-infinity degree,
+    # which the basis degrees decide: redrawn degrees put entries on and
+    # off it in every mix
+    algebra = BASIS_KEY_ALGEBRAS[name]
+    basis = algebra.basis
+    degrees = [0 if letter == basis.unit else data.draw(st.integers(-2, 3))
+               for letter in range(len(basis))]
+    _residuals_match_on_every_basis_key(with_degrees(algebra, degrees))
+
+
+def _off_degree_entries(algebra):
+    return {(word, comp) for words in ainfty.off_degree_words(algebra).values()
+            for word, out in words.items() for comp in out}
+
+
+def test_off_degree_holds_the_entries_off_the_degree():
+    for maker in (make_e1, make_e2, make_g1, make_q1, make_sv1, make_ob1):
+        assert ainfty.off_degree_words(maker()) == {}
+    # |y|' = 1 on G1 |y| + 1: m_2(x, y) and m_1(y) output z, |z|' = 1
+    assert _off_degree_entries(VARIANTS["G1 |y| + 1"]) == {((1, 2), 3), ((2,), 3)}
+    # |z|' = 5 on Q1 |z| + 1: m_3(u, u, u) outputs z, |u u u|' = 3
+    assert _off_degree_entries(VARIANTS["Q1 |z| + 1"]) == {((1, 1, 1), 2)}
+    # |z|' = 2 on OB1 |z| + 1: m_0 outputs z
+    assert _off_degree_entries(VARIANTS["OB1 |z| + 1"]) == {((), 2)}
+    for algebra in VARIANTS.values():
+        index = ainfty.nonzero_words(algebra)
+        for k, words in ainfty.off_degree_words(algebra).items():
+            for word, out in words.items():
+                assert all(value is index[k][word][comp] for comp, value in out.items())
 
 
 def _operator_algebras():
@@ -302,7 +350,11 @@ CERTIFICATE = """\
 """
 
 # name -> (module, original fragment, mutated fragment).  A hochschild
-# mutant reaches the suite through the cli module's binding of it.
+# mutant reaches the suite through the cli module's binding of it, and an
+# ainfty mutant through the operation index it builds for every variant.
+# The rotation cores walk only the off-degree entries of the index; a filter
+# that kept extra entries would only make them slower, so the two filter
+# mutants below drop entries that the cores need.
 CHAIN_SUITE_MUTANTS = {
     "certificate keyed by word only": (
         cli, CERTIFICATE, CERTIFICATE.replace("key not in verdicts", "key[1] not in verdicts")
@@ -337,8 +389,14 @@ CHAIN_SUITE_MUTANTS = {
     "b'N-Nb ignores the rotation parity of the output": (
         hochschild, "out_total - out_prefixes[m - s]", "0"),
     "rotation core drops the parity of t on f": (hochschild, "bt = t_sign * (", "bt = ("),
+    # the self-pair is walked only for an m_0 off the A-infinity degree:
+    # killed through OB1 |z| + 1, whose m_0 outputs z with |z|' even
     "rotation core inverts the arity-0 self-pair test": (
         hochschild, "if gap_sign == -1:", "if gap_sign != -1:"),
+    # killed through the |.| + 1 variants; G1 |y| + 1 and Q1 |z| + 1 mix
+    # entries on and off the degree
+    "off-degree filter parity inverted": (ainfty, "% 2 == 0}", "% 2}"),
+    "off-degree filter keeps no entry": (ainfty, "if off:", "if False:"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }
@@ -354,6 +412,10 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
     mutant = mutant_module(module, old, new)
     if module is hochschild:
         monkeypatch.setattr(cli, "hh", mutant)
+        mutant = cli
+    elif module is ainfty:
+        for algebra in VARIANTS.values():
+            monkeypatch.setattr(algebra, "_index", mutant._operation_index(at_cutoffs(algebra)))
         mutant = cli
     assert _suite_disagrees(mutant.chain_identity_suite)
 
