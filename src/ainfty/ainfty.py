@@ -6,7 +6,9 @@ m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
 first use, into one operation index (``_operation_index``) that ``m_word``,
 ``apply_m``, ``insertions`` and ``uninsertions`` all read, and whose
 off-degree entries (``off_degree_words``) the rotation-identity cores of
-``hochschild`` walk.
+``hochschild`` walk.  The index also keeps the curved relation residual
+table (``relation_residuals``), built on first use, which ``check_ainfty``
+reports from and the b'^2 map of ``hochschild`` is formed from.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -54,18 +56,22 @@ class MonoidElement(NamedTuple):
 OpTable = Dict[Word, Dict[int, RingElement]]
 
 
-class OperationIndex(NamedTuple):
+@dataclass
+class OperationIndex:
     """The assembled operation table of an algebra; see ``_operation_index``.
 
     ``off_degree`` keeps apart the entries m_word(u)[c] off the A-infinity
     degree, which it reads from the basis degrees; so, like ``ops``, the
-    basis must not change after the index is built.
+    basis must not change after the index is built.  ``relations`` is the
+    curved relation residual table, None until ``relation_residuals``
+    fills it.
     """
 
     nonzero: Dict[int, OpTable]
     by_output: Dict[int, tuple]
     arities: tuple
     off_degree: Dict[int, OpTable]
+    relations: Optional[Dict[int, OpTable]] = None
 
 
 @dataclass
@@ -194,9 +200,12 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
     m_word(u)[c] off the A-infinity degree, |c|' + |u|' even (|u|' the sum
     of the shifted degrees of u's letters), arities ascending: the only
     entries whose twin terms in the rotation identities can fail to cancel
-    (see ``hochschild.identity_residuals``).  The index is kept on the
-    algebra, so ``ops`` and the degrees of ``basis`` must not change after
-    its first use; code that edits either then sets ``_index`` to None.
+    (see ``hochschild.identity_residuals``).  ``relations`` starts as None
+    and is filled by ``relation_residuals`` on first use, so ``cocycle``,
+    ``potential``, ``gauge``, ``wallcross`` and ``mc`` never build it.  The
+    index is kept on the algebra, so ``ops`` and the degrees of ``basis``
+    must not change after its first use; code that edits either then sets
+    ``_index`` to None, which drops the relation table with the rest.
     """
     if algebra._index is None:
         degrees = algebra.basis.degrees
@@ -318,22 +327,43 @@ def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):
                 yield word[:i] + inner + word[i + 1 :]
 
 
-def _relation_support(algebra: AInftyAlgebra, k_max: int) -> list:
-    """The words of length <= k_max whose curved relation can have a term.
+def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """The curved relation residual table, built on first use.
 
-    These are the un-insertions of the stored words o of nonzero m_word,
-    o[:i] + u + o[i+1:] with o[i] an output letter of m_word(u), sorted by
-    (length, word) as ``words_over`` lists them.  Where higher arities are
-    not marked zero, a word of length top + len(u) <= k_max needs an outer
-    operation of arity top + 1 past the stored tables, so this raises as
-    m_word does on it.
+    R(u) = m(b'(u)) = sum_{l,i} (-1)^{maltese_i} m(u[:i], m_l(u[i:i+l]), u[i+l:])
+    is the residual of the curved A-infinity relation at a word u, the
+    l = 0 curvature insertions included, so R(()) = m_1(m_0).  The table is
+    {n: {u: {c: R(u)[c]}}} over the words u of nonzero R(u), lengths
+    ascending and words sorted, the shape of ``nonzero_words``.  A term of
+    R(u) needs a nonzero inner m_l on a stored word and a nonzero outer m on
+    the stored word o that its output letter makes, so u is an un-insertion
+    o[:i] + inner + o[i+1:] of o; only those words are expanded, with no
+    length cap.  Both operations are read from ``nonzero_words``, so an
+    outer word past the stored tables counts as zero there, as it does for
+    the insertions of b' (see ``hochschild.identity_residuals``); no arity
+    cutoff is read.  ``check_ainfty`` reports from this table, and the b'^2
+    map of ``hochschild.identity_residuals`` is formed from it.  The table
+    is kept on the operation index, so the rule that ``_index`` is set to
+    None after an edit of ``ops`` or of the degrees drops it as well.
     """
-    top = algebra.max_stored_arity()
-    nonzero = {word for words in words_by_output(algebra).values() for word in words}
-    if not algebra.higher_arities_zero and any(len(inner) + top <= k_max for inner in nonzero):
-        algebra._check_arity(top + 1)
-    found = {word for outer in nonzero for word in uninsertions(algebra, outer, k_max)}
-    return sorted(found, key=lambda word: (len(word), word))
+    index = _operation_index(algebra)
+    if index.relations is None:
+        tables = index.nonzero
+        outers = [outer for words in tables.values() for outer in words]
+        support = {word for outer in outers for word in uninsertions(algebra, outer, inf)}
+        relations: Dict[int, OpTable] = {}
+        for word in sorted(support, key=lambda word: (len(word), word)):
+            residual: Dict[int, RingElement] = {}
+            for i, l, inner, sign in insertions(algebra, word):
+                for comp, value in inner.items():
+                    outer = word[:i] + (comp,) + word[i + l :]
+                    for ocomp, ovalue in tables.get(len(outer), {}).get(outer, {}).items():
+                        piece = value * ovalue
+                        add_term(residual, ocomp, -piece if sign < 0 else piece)
+            if residual:
+                relations.setdefault(len(word), {})[word] = residual
+        index.relations = relations
+    return index.relations
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> Report:
@@ -344,34 +374,32 @@ def check_ainfty(algebra: AInftyAlgebra) -> Report:
         sum_{l,i} (-1)^{maltese_i} m_{n-l+1}(x_1.., m_l(x_{i+1}..x_{i+l}), ..x_n)
     including the l = 0 curvature insertions; all residuals must vanish
     modulo the energy cutoff.  Every one of the |basis|^n words of each
-    length n <= k_max is counted as checked, but a term of a residual needs
-    a nonzero inner m_l on a stored word u and a nonzero outer m on the
-    stored word o that u's output letter makes, so a word that is not of
-    the form o[:i] + u + o[i+1:] has an empty residual.  Only the words of
-    that form (``_relation_support``) are expanded, in the order of
-    ``words_over``, so the failure lines come out as if every word were.
-    The cost is O(|stored outer words| * arity * |stored inner words|) to
-    list them plus their expansion, not |basis|^k_max.
+    length n <= k_max is counted as checked, but only the words of nonzero
+    residual can fail, and ``relation_residuals`` lists them in the order
+    of ``words_over``: the failure lines are its words of length <= k_max,
+    as if every word were expanded.  The cost is that of the table, built
+    once per algebra and shared with the chain identities:
+    O(|stored outer words| * arity * |stored inner words|) words to list
+    plus their expansion, not |basis|^k_max.  Where higher arities are not
+    marked zero and a word of length top + len(u) <= k_max (top the highest
+    stored arity, u a stored inner word) is in range, its outer operation
+    has arity top + 1, past the stored tables, so this raises as m_word
+    does on it.
     """
     k_max = algebra.k_max
     report = Report("ainfty-relations")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
+    top = algebra.max_stored_arity()
+    if not algebra.higher_arities_zero and any(l + top <= k_max for l in nonzero_words(algebra)):
+        algebra._check_arity(top + 1)
     basis = algebra.basis
     report.tick(word_count(len(basis), k_max))
-    for word in _relation_support(algebra, k_max):
-        residual: Dict[int, RingElement] = {}
-        for i, l, inner, sign in insertions(algebra, word):
-            for comp, value in inner.items():
-                outer = algebra.m_word(word[:i] + (comp,) + word[i + l :])
-                for ocomp, ovalue in outer.items():
-                    piece = value * ovalue
-                    add_term(residual, ocomp, -piece if sign < 0 else piece)
-        if residual:
-            report.fail(
-                "relation at n=%d %s: residual %s"
-                % (len(word), algebra.word_text(word), Element(basis, residual).text())
-            )
+    for n, residuals in relation_residuals(algebra).items():
+        if n <= k_max:
+            for word, residual in residuals.items():
+                report.fail("relation at n=%d %s: residual %s"
+                            % (n, algebra.word_text(word), Element(basis, residual).text()))
     return report
 
 

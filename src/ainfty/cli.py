@@ -107,9 +107,10 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     231 keys for 200 chains of 421 terms) plus one per chain that fails;
     the certificates live only for this call.  An evaluation forms the b'
     images in full, b only through its wrap-around terms on the small chain
-    q D(u), and the two rotation identities only where twin terms do not
+    q D(u), b'^2 from the curved relation residuals that ``check_ainfty``
+    reports, and the two rotation identities only where twin terms do not
     cancel (see ``hh.identity_residuals``): on G1 at K = 8 and the default
-    seed the suite makes 5,684 ``coeff.mul_into`` calls.
+    seed the suite makes 2,956 ``coeff.mul_into`` calls.
     The draws share one table of their nine monomials.
     """
     rng = random.Random(seed)

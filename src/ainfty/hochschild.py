@@ -53,7 +53,11 @@ residual from 0 (all the wraps, W).
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
-with no intermediate chain sum: b'^2 is ``_bar_into`` on b'(u), b^2 adds
+with no intermediate chain sum: b'^2 is ``_bar_square_into`` on u, which
+puts the curved relation residual of each window of a key in its place,
+reading the table ``ainfty.relation_residuals`` that ``check_ainfty``
+reports from, and adds the disjoint pairs of insertions only where the
+table has entries off the A-infinity degree; b^2 adds
 ``_b_into``, ``_bar_into`` and ``_D_into`` terms to its quotient, B^2 is
 ``_B_into`` on B(c), and bB+Bb is ``_wraps_into`` on B(c) plus the b'N-Nb
 residual of the keys whose module is not the unit, less ``_N_into`` of
@@ -91,7 +95,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, off_degree_words,
-                     words_by_output)
+                     relation_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, maltese, maltese_prefixes, word_count, words_over
@@ -408,6 +412,51 @@ def _twice_into(acc: dict, key: Word, terms: dict, value: dict, top: int, sign: 
     mul_into(into, terms, value, top, sign)
 
 
+def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add b'(b'(chain)) into acc on the unreduced space, from the curved
+    relation residuals and the disjoint pairs (the b'^2 fact of
+    ``identity_residuals``).
+
+    Each window f[q:q+n] of a marked word f with a nonzero residual R, the
+    empty ones in front of every letter and after the last included, adds
+    f[:q] R(f[q:q+n]) f[q+n:] with sign +1.  Where the table has entries
+    off the A-infinity degree, each pair of disjoint windows whose left one
+    reads such an entry adds twice its product with the sign of both
+    insertions.  On a table whose relations hold and which has no entry off
+    the degree, no product is formed.
+    """
+    relations = relation_residuals(algebra)
+    tables = off_degree_words(algebra)
+    if not relations and not tables:
+        return acc
+    degrees = algebra.basis.degrees
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        for n, residuals in relations.items():
+            for q in range(len(f) - n + 1):
+                residual = residuals.get(f[q : q + n])
+                if residual:
+                    for comp, value in residual.items():
+                        out = f[:q] + (comp,) + f[q + n :]
+                        mul_into(acc.setdefault((out[0], out[1:]), {}), terms, value.terms, top)
+        if not tables:
+            continue
+        prefixes = maltese_prefixes([degrees[x] for x in f])
+        for a, words in tables.items():
+            for i in range(len(f) - a + 1):
+                left = words.get(f[i : i + a])
+                if not left:
+                    continue
+                # the right window at j = i + a + p: (-1)^{|f[:i]|' + |f[:j]|'}
+                rest = f[i + a :]
+                for p, b, right, sign in insertions(algebra, rest, prefixes[i + a] - prefixes[i]):
+                    for lcomp, lvalue in left.items():
+                        for rcomp, rvalue in right.items():
+                            out = f[:i] + (lcomp,) + rest[:p] + (rcomp,) + rest[p + b :]
+                            _twice_into(acc, out, terms, (lvalue * rvalue).terms, top, sign)
+    return acc
+
+
 def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     """Add b'N(chain) - N b(chain) into acc on the unreduced space.
 
@@ -569,6 +618,51 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         insertions it skips are the ones that put the unit in the word,
         and a wrap keeps a subword.
 
+    The b'^2 map comes from one more fact, the coderivation property of
+    b' (Stasheff 1963; Getzler-Jones 1990), which ``_bar_square_into``
+    forms.  Let f be the marked word of a key with coefficient x, and
+    R(W) = m(b'W) the curved relation residual at a word W, the arity-0
+    insertions included (``ainfty.relation_residuals``).  A term of b'(b'f)
+    is a first insertion m_k at f[j:j+k], output c at slot j, then a second
+    m_a at a window of f[:j] c f[j+k:].  Either that window holds c, or it
+    lies wholly in front of c or wholly behind it.
+
+      * Nested.  The window holds c: it is W = f[q:q+n] of f with c's
+        window inside, n = a - 1 + k.  The second insertion reads only the
+        letters f[:q] in front of W, so the pair has the sign
+        (-1)^{|f[:q]|' + |f[:j]|'} = (-1)^{|f[q:j]|'}, that of the
+        insertion at j - q into W.  Summed over the insertions into W and
+        the operations on their outputs, the pairs of W are
+        f[:q] R(W) f[q+n:] with sign +1.  Every window counts, the n = 0
+        ones (the gaps of f, in front of every letter and after the last)
+        with R(()) = m_1(m_0).
+      * Disjoint.  Windows A = f[i:i+a] and B = f[j:j+b] with i + a <= j,
+        outputs c of m(A) and d of m(B): the pair reaches
+        f[:i] c f[i+a:j] d f[j+b:] in two orders.  B first, then A, has
+        the sign (-1)^{|f[:j]|' + |f[:i]|'}; A first, then B, has
+        (-1)^{|f[:i]|' + |f[:i]|' + |c|' + |f[i+a:j]|'}.  The parities
+        differ by |A|' + |c|' mod 2, and no letter of B enters: at an
+        entry m(A)[c] with the A-infinity degree, |c|' = |A|' + 1, the
+        two orders cancel.  At an entry off it
+        (``ainfty.off_degree_words``) they agree, and the pair adds
+        2 (-1)^{|f[:i]|' + |f[:j]|'} x m(A)[c] m(B)[d].  The criterion is
+        read on the left entry only; the right entry may have any degree.
+
+    Each term is one product of structure constants times x, and the
+    level cutoff is an ideal, so forming x R(W)[c], or x (m(A)[c] m(B)[d]),
+    with each factor truncated drops exactly the terms that b' applied
+    twice drops.  The
+    windows of a chain of L letters have up to L + 1 letters, past the
+    arity cutoff K when L + 1 > K; the chain identities read no arity
+    cutoff (``check --kmax 0`` still runs them on the stored tables), so
+    neither does R: it is built on every un-insertion of the stored words,
+    with no length cap.  An operation on a word past the stored tables is
+    zero in R, as it is for ``insertions``, so on tables not marked
+    higher-arities-zero b'^2 is still b' applied twice, where
+    ``check_ainfty`` refuses a cutoff past the tables.  On a table whose
+    relations hold and which has no entry off the degree, every corpus
+    document, b'^2 forms no product.
+
     Read as an unreduced chain, c is u.  Let u' and u'' be its keys whose
     module is not and is the unit, P and Z the keys of b'(u) with a
     unit-free word and with the unit in a tensor slot, and
@@ -688,13 +782,13 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     none; at such an entry a pair still cancels where |X|' is even, which
     the cores see as two equal signs.
 
-    So the images are b'(u), D(u), N(u'), b'(b'u), b'(Z), D(P),
-    b_red(q D u), N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and
-    D(u'') formed again only when u' is not empty; b is formed only on
-    q D u.  t(u), b(tu), t b'(u), b'(N u), N(b'u') and N(D u') are never
-    formed, nor are b(b c), b(B c) and B(b c).  The b^2 map shares the
-    maps of the b'^2 residual at the keys the other terms of 4 do not
-    reach.
+    So the images are b'(u), D(u), N(u'), b'(Z), D(P), b_red(q D u),
+    N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and D(u'') formed
+    again only when u' is not empty; b is formed only on q D u, and b'^2
+    from R and the off-degree pairs.  t(u), b(tu), t b'(u), b'(b'u),
+    b'(N u), N(b'u') and N(D u') are never formed, nor are b(b c),
+    b(B c) and B(b c).  The b^2 map shares the maps of the b'^2 residual
+    at the keys the other terms of 4 do not reach.
     """
     basis = algebra.basis
     unit = basis.require_unit()
@@ -702,7 +796,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     bar_u = _cleaned(_bar_into({}, algebra, u, top))
     Du = _cleaned(_D_into({}, algebra, u, top))
 
-    bar_square = _bar_into({}, algebra, bar_u, top)
+    bar_square = _bar_square_into({}, algebra, u, top)
     P = _quotient(bar_u, unit)
     Z = {key: terms for key, terms in bar_u.items() if key not in P}
     extra = _b_into({}, algebra, _quotient(Du, unit), top)

@@ -200,12 +200,12 @@ def test_relation_check_past_unflagged_tables_raises(k_max):
     assert isinstance(got, tuple) == (k_max >= 4)
 
 
-# Mutants of the relation support: (original fragment, mutated fragment).
+# Mutants of the relation table and the report read from it: (original
+# fragment, mutated fragment).
 RELATION_MUTANTS = {
     "arity-0 inner words dropped": ("by_output.setdefault(comp, []).append(word)",
                                     "by_output.setdefault(comp, []).append(word) if word else 0"),
-    "length bound off by one": ("len(word) - 1 + len(inner) <= max_len",
-                                "len(word) - 1 + len(inner) < max_len"),
+    "length bound off by one": ("if n <= k_max:", "if n < k_max:"),
     "candidates sorted by word alone": ("key=lambda word: (len(word), word)",
                                        "key=lambda word: word"),
 }

@@ -12,18 +12,24 @@ lose their degree and the rotation identities fail as well).  The
 certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
 one; both are properties here.  ``hochschild.identity_residuals`` builds
-its b images from b' images and the two rotation identities from pairs of
-twin terms whose signs differ, walking only the operation entries off the
-A-infinity degree; its six maps must equal those of
+its b images from b' images, b'^2 from the curved relation residual table
+and the disjoint pairs of insertions, and the two rotation identities from
+pairs of twin terms whose signs differ, walking only the operation entries
+off the A-infinity degree; its six maps must equal those of
 ``oracles.identity_residuals_reference``, which forms every image in full,
 on drawn chains and on every basis key of three letters or fewer, also
 with the basis degrees redrawn, and the operator identities it rests on
 (b = b' + D, and reduced b after the unit is put in front) are properties
-too.  The mutant catalog breaks the certificate and each term of the
-residual kernel one way each, and the off-degree filter two ways.
+too.  A curved variant with m_1(m_0) != 0 (SV1 + w) reaches the empty
+window of b'^2; the failing variants at arity cutoff 2 show that the
+residual table reads no arity cutoff, and on the algebras whose relations
+hold b'^2 forms no product.  The mutant catalog breaks the certificate and
+each term of the residual kernel one way each, and the off-degree filter
+two ways.
 """
 
 import copy
+import os
 from fractions import Fraction
 
 import pytest
@@ -31,14 +37,15 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import ainfty, cli, hochschild
 from ainfty.ainfty import AInftyAlgebra
-from ainfty.coeff import canonical
+from ainfty.coeff import canonical, mul_into
+from ainfty.document import load
 from ainfty.graded import GradedBasis
 from ainfty.hochschild import (
     HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, identity_residuals,
     iter_basis_chains, operator_N,
 )
 
-from conftest import make_e1, make_e2, make_g1, make_ob1, make_q1, make_sv1
+from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
     identity_residuals_reference, mutant_module,
@@ -72,6 +79,20 @@ def degree_shifted(maker, letter):
     return with_degrees(algebra, degrees)
 
 
+def sv1_with_w():
+    """SV1 with a degree-3 letter w and m_1(z) = w, unit laws kept: m_1(m_0)
+    = T w, so the curved relation fails on the empty word, and b'^2 inserts
+    T w at every gap of a word."""
+    sv1 = make_sv1()
+    one = sv1.one_ring()
+    ops = {key: {word: dict(out) for word, out in table.items()}
+           for key, table in sv1.ops.items()}
+    ops[2, 0].update({(0, 3): {3: one}, (3, 0): {3: -one}})
+    ops[1, 0][(2,)] = {3: one}
+    basis = GradedBasis(("1", "u", "z", "w"), (0, 1, 2, 3), unit=0)
+    return AInftyAlgebra(basis, sv1.monoid, ops, sv1.spec, name="SV1 + w")
+
+
 PASSING = {"E1": make_e1(), "E2": make_e2(), "G1": make_g1(), "Q1": make_q1()}
 FAILING = {
     "E1 m2(1,x) negated": sign_flipped(make_e1, 2, (0, 1), 1),
@@ -82,6 +103,7 @@ FAILING = {
     "G1 |y| + 1": degree_shifted(make_g1, 2),
     "Q1 |z| + 1": degree_shifted(make_q1, 2),
     "OB1 |z| + 1": degree_shifted(make_ob1, 2),
+    "SV1 + w, m1(z) = w": sv1_with_w(),
 }
 VARIANTS = {**PASSING, **FAILING}
 
@@ -218,13 +240,21 @@ BASIS_KEY_ALGEBRAS = {**{name if cutoff is None else "%s at E %s" % (name, cutof
                       "OB1": make_ob1()}
 
 
-def _residuals_match_on_every_basis_key(algebra):
+def _first_residual_mismatch(algebra):
+    """The first (tag, basis key) of three letters or fewer at which a
+    residual map differs from the reference, or None."""
     one = algebra.one_ring().terms
     for key in iter_basis_chains(algebra, 3):
         got = identity_residuals(algebra, {key: one})
         want = identity_residuals_reference(algebra, {key: one})
         for (tag, raw), (_, reference) in zip(got, want):
-            assert _nonzero(raw) == _nonzero(reference), (tag, key)
+            if _nonzero(raw) != _nonzero(reference):
+                return tag, key
+    return None
+
+
+def _residuals_match_on_every_basis_key(algebra):
+    assert _first_residual_mismatch(algebra) is None
 
 
 @pytest.mark.parametrize("name", sorted(BASIS_KEY_ALGEBRAS))
@@ -243,6 +273,49 @@ def test_identity_residuals_match_their_reference_at_redrawn_degrees(name, data)
     degrees = [0 if letter == basis.unit else data.draw(st.integers(-2, 3))
                for letter in range(len(basis))]
     _residuals_match_on_every_basis_key(with_degrees(algebra, degrees))
+
+
+def _residuals_disagree_past_the_arity_cutoff(module) -> bool:
+    """Does a residual map, with the relation table that ``module`` builds,
+    differ from the reference on some basis key of three letters or fewer
+    of a failing variant at arity cutoff 2?  The keys have windows of up to
+    four letters: the chain identities read no arity cutoff, so neither may
+    the table."""
+    for variant in FAILING.values():
+        algebra = at_cutoffs(variant, k_max=2)
+        module.relation_residuals(algebra)
+        if _first_residual_mismatch(algebra) is not None:
+            return True
+    return False
+
+
+def test_identity_residuals_read_no_arity_cutoff():
+    assert not _residuals_disagree_past_the_arity_cutoff(ainfty)
+
+
+CORPUS_ALGEBRAS = [load(os.path.join(os.path.dirname(ainfty.__file__), "corpus", name + ".json"))
+                   .algebra for name in ("e1", "e2", "g1_gauge", "g1_wallcross", "sv1")]
+
+
+def test_bar_square_forms_no_product_where_the_relations_hold(monkeypatch):
+    # on a table whose relations hold and with no entry off the A-infinity
+    # degree, b'^2 is read off two empty tables
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_into(*args)
+
+    monkeypatch.setattr(hochschild, "mul_into", counted)
+    makers = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
+    for algebra in [maker() for maker in makers] + CORPUS_ALGEBRAS:
+        assert ainfty.relation_residuals(algebra) == {}
+        assert ainfty.off_degree_words(algebra) == {}
+        one = algebra.one_ring().terms
+        top = algebra.spec.level_cutoff
+        for key in iter_basis_chains(algebra, 3):
+            assert hochschild._bar_square_into({}, algebra, {key: one}, top) == {}
+    assert not calls
 
 
 def _off_degree_entries(algebra):
@@ -342,6 +415,21 @@ def _suite_disagrees(suite) -> bool:
     return False
 
 
+# the disjoint pairs of b'^2: the criterion read on the right entry walks
+# every left entry and only the right entries off the degree
+DISJOINT_PAIRS = """\
+        for a, words in tables.items():
+            for i in range(len(f) - a + 1):
+                left = words.get(f[i : i + a])
+                if not left:
+                    continue
+                # the right window at j = i + a + p: (-1)^{|f[:i]|' + |f[:j]|'}
+                rest = f[i + a :]
+                for p, b, right, sign in insertions(algebra, rest, prefixes[i + a] - prefixes[i]):
+                    for lcomp, lvalue in left.items():
+                        for rcomp, rvalue in right.items():
+"""
+
 CERTIFICATE = """\
         if key not in verdicts:
             verdicts[key] = all(
@@ -397,6 +485,24 @@ CHAIN_SUITE_MUTANTS = {
     # entries on and off the degree
     "off-degree filter parity inverted": (ainfty, "% 2 == 0}", "% 2}"),
     "off-degree filter keeps no entry": (ainfty, "if off:", "if False:"),
+    # b'^2 from the relation table: the pair mutants are killed through the
+    # |.| + 1 variants, the n = 0 one through SV1 + w, whose m_1(m_0) is
+    # not zero, and the capped table only at an arity cutoff below the
+    # windows (``_residuals_disagree_past_the_arity_cutoff``)
+    "b'^2 drops the disjoint pairs": (
+        hochschild, "if not tables:\n            continue", "continue"),
+    "b'^2 adds a disjoint pair once": (
+        hochschild, "_twice_into(acc, out, terms, (lvalue * rvalue).terms, top, sign)",
+        "mul_into(acc.setdefault((out[0], out[1:]), {}), terms, (lvalue * rvalue).terms, top,"
+        " sign)"),
+    "b'^2 reads the off-degree criterion on the right entry": (
+        hochschild, DISJOINT_PAIRS, DISJOINT_PAIRS.replace(
+            "words in tables.items()", "words in nonzero_words(algebra).items()").replace(
+            "in right.items()", "in tables.get(b, {}).get(rest[p : p + b], {}).items()")),
+    "b'^2 skips the n = 0 windows": (
+        hochschild, "for q in range(len(f) - n + 1):", "for q in range(len(f) - n + 1 if n else 0):"),
+    "relation table capped at k_max": (
+        ainfty, "uninsertions(algebra, outer, inf)", "uninsertions(algebra, outer, algebra.k_max)"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }
@@ -414,8 +520,13 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
         monkeypatch.setattr(cli, "hh", mutant)
         mutant = cli
     elif module is ainfty:
+        if _residuals_disagree_past_the_arity_cutoff(mutant):
+            return
         for algebra in VARIANTS.values():
-            monkeypatch.setattr(algebra, "_index", mutant._operation_index(at_cutoffs(algebra)))
+            # the index and its relation table, both built by the mutant
+            built = at_cutoffs(algebra)
+            mutant.relation_residuals(built)
+            monkeypatch.setattr(algebra, "_index", built._index)
         mutant = cli
     assert _suite_disagrees(mutant.chain_identity_suite)
 
