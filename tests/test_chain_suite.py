@@ -488,7 +488,7 @@ CHAIN_SUITE_MUTANTS = {
     # b'^2 from the relation table: the pair mutants are killed through the
     # |.| + 1 variants, the n = 0 one through SV1 + w, whose m_1(m_0) is
     # not zero, and the capped table only at an arity cutoff below the
-    # windows (``_residuals_disagree_past_the_arity_cutoff``)
+    # windows (see KILLED_PAST_THE_ARITY_CUTOFF)
     "b'^2 drops the disjoint pairs": (
         hochschild, "if not tables:\n            continue", "continue"),
     "b'^2 adds a disjoint pair once": (
@@ -508,6 +508,13 @@ CHAIN_SUITE_MUTANTS = {
 }
 
 
+# The suite runs every variant at its own arity cutoff, 6, past the
+# five-letter windows of its chains, so a relation table capped at the
+# cutoff reads as the full one there; these mutants are killed instead by
+# the residual maps at arity cutoff 2.
+KILLED_PAST_THE_ARITY_CUTOFF = {"relation table capped at k_max"}
+
+
 def test_suite_detector_accepts_the_suite():
     assert not _suite_disagrees(cli.chain_identity_suite)
 
@@ -516,12 +523,13 @@ def test_suite_detector_accepts_the_suite():
 def test_chain_suite_mutant_killed(name, monkeypatch):
     module, old, new = CHAIN_SUITE_MUTANTS[name]
     mutant = mutant_module(module, old, new)
+    if name in KILLED_PAST_THE_ARITY_CUTOFF:
+        assert _residuals_disagree_past_the_arity_cutoff(mutant)
+        return
     if module is hochschild:
         monkeypatch.setattr(cli, "hh", mutant)
         mutant = cli
     elif module is ainfty:
-        if _residuals_disagree_past_the_arity_cutoff(mutant):
-            return
         for algebra in VARIANTS.values():
             # the index and its relation table, both built by the mutant
             built = at_cutoffs(algebra)

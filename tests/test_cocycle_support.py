@@ -6,8 +6,9 @@ each tower key back through b and B to the chains that reach it.  Here both
 are compared, report text and ``checked``, with the loops over every word
 (``oracles``), on coboundary towers over E1, E2, G1, SV1 and Q1 with a few
 table edits, most of which make the checks fail.  Each candidate family of
-the two kernels, the signs of the pullback, its ring check and the
-extension of failing words are also mutated and must be caught.
+the two kernels, the signs of the pullback, its ring check, the length
+bound of the un-insertions and the extension of failing words are also
+mutated and must be caught.
 """
 
 import dataclasses
@@ -220,9 +221,10 @@ def test_bimodule_check_past_unflagged_tables_raises(maker, top, l_max):
     assert isinstance(got, tuple) == (l_max >= top)
 
 
-# Mutants of the two support kernels, one per candidate family and one of
-# the extension of failing middles: name -> (module, original fragment,
-# mutated fragment, the failing case where it matters).
+# Mutants of the two support kernels, one per candidate family, one of the
+# un-insertion length bound and one of the extension of failing middles:
+# name -> (module, original fragment, mutated fragment, the failing case
+# where it matters).
 SUPPORT_MUTANTS = {
     "bimodule left family dropped": (
         ainfty, "found.update((lw, v, b) for lw in uninsertions(algebra, a, l_max - len(b)))",
@@ -236,6 +238,10 @@ SUPPORT_MUTANTS = {
     "bimodule dual-absorb family dropped": (
         ainfty, "found.update((u[j + 1 :] + a, v, b + u[:j]) for j in range(len(u)))",
         "pass", "E1 dual-absorb"),
+    # the length bound of uninsertions, at its finite limits here
+    "un-insertion length bound off by one": (
+        ainfty, "len(word) - 1 + len(inner) <= max_len", "len(word) - 1 + len(inner) < max_len",
+        "G1 interior, right"),
     "extension right words cut short": (
         ainfty, "for nr in range(room - nl + 1):", "for nr in range(room - nl):",
         "G1 interior, right"),
