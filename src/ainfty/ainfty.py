@@ -41,8 +41,9 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
-from .graded import (Element, GradedBasis, Word, add_term, maltese, maltese_prefixes,
-                     marked_word_count, tensor_coefficient, word_count, words_over)
+from .graded import (Element, GradedBasis, Word, add_term, crossing_sign, maltese,
+                     maltese_prefixes, marked_word_count, tensor_coefficient, word_count,
+                     words_over)
 from .report import Report
 
 
@@ -609,7 +610,11 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
     R the shifted-degree sums of the absorbed left and right letters and c
     the covector's unshifted degree,
 
-        eps = c + 1 + L (c + R + |w|').
+        eps = c + 1 + L (c + R + |w|'),
+
+    the last term the crossing of L past c + R + |w|' (``crossing_sign``).
+    The shifted-degree sums and the sign of the letters in front read one
+    ``maltese_prefixes`` pass over lw + rw.
 
     The covector crosses with the parity of its unshifted degree (dualizing
     flips the shift): the unique small convention under which this
@@ -622,40 +627,39 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
     unit = basis.unit
     out: DualSum = {}
     for (lw, cdeg, arg, rw), coeff in words.items():
-        ldeg = [basis.degree(i) for i in lw]
+        n = len(lw)
+        # prefixes[i]: shifted degree of the first i letters of lw + rw
+        prefixes = maltese_prefixes([basis.degree(i) for i in lw + rw])
         for i, k, inner, sign in insertions(algebra, lw):
             signed = coeff.scale(sign) if sign < 0 else coeff
             for comp, value in inner.items():
                 if comp != unit:
                     add_term(out, (lw[:i] + (comp,) + lw[i + k :], cdeg, arg, rw),
                              signed * value)
-        base = maltese(ldeg, len(lw)) + cdeg
-        for i, k, inner, sign in insertions(algebra, rw, base):
+        for i, k, inner, sign in insertions(algebra, rw, prefixes[n] + cdeg):
             signed = coeff.scale(sign) if sign < 0 else coeff
             for comp, value in inner.items():
                 if comp != unit:
                     add_term(out, (lw, cdeg, arg, rw[:i] + (comp,) + rw[i + k :]),
                              signed * value)
-        # dual structure maps absorbing the covector slot
-        for p in range(len(lw) + 1):
+        # dual structure maps absorbing the covector slot, signed by (-1)^{c + 1},
+        # the letters in front, and L crossing c + R + |w|' = new_cdeg + |w| - 2 - L
+        covector_sign = 1 if cdeg % 2 else -1
+        for p in range(n + 1):
+            prefix_sign = covector_sign * insertion_sign(prefixes, p)
+            left = prefixes[n] - prefixes[p]
             for q in range(len(rw) + 1):
-                absorbed_left = lw[p:]          # letters left of the covector
-                absorbed_right = rw[:q]         # letters right of the covector
-                prefix_sign = -1 if maltese(ldeg, p) % 2 else 1
-                sum_left = sum(basis.degree(i) - 1 for i in absorbed_left)
-                sum_right = sum(basis.degree(i) - 1 for i in absorbed_right)
-                new_cdeg = cdeg + sum_left + sum_right + 1
+                right = prefixes[n + q] - prefixes[n]
+                new_cdeg = cdeg + left + right + 1
                 for w in range(len(basis)):
-                    word = absorbed_right + (w,) + absorbed_left
+                    word = rw[:q] + (w,) + lw[p:]
                     if len(word) > algebra.max_stored_arity() and algebra.higher_arities_zero:
                         continue
                     inner = algebra.m_word(word)
                     value = inner.get(arg)
                     if not value:
                         continue
-                    w_shift = basis.degree(w) - 1
-                    eps = cdeg + 1 + sum_left * (cdeg + sum_right + w_shift)
-                    sign = prefix_sign * (-1 if eps % 2 else 1)
+                    sign = prefix_sign * crossing_sign(new_cdeg + basis.degree(w) - 2, left)
                     add_term(out, (lw[:p], new_cdeg, w, rw[q:]), coeff.scale(sign) * value)
     return out
 
@@ -670,22 +674,23 @@ def phi_hat(algebra: AInftyAlgebra, phi, words: BimodSum) -> DualSum:
     increasing order, so it costs |basis| lookups.  The extension is graded:
     the left prefix crossed by phi contributes (-1)^{deg(phi) * prefix}.
     The produced dual slot carries covector degree deg(phi) plus the
-    shifted degrees of the consumed slots.
+    shifted degrees of the consumed slots.  Both read one
+    ``maltese_prefixes`` pass over the word.
     """
     basis = algebra.basis
     table = phi.table
     out: DualSum = {}
     d = phi.degree
     for (lw, y, rw), coeff in words.items():
-        ldeg = [basis.degree(i) for i in lw]
-        for p in range(len(lw) + 1):
+        n = len(lw)
+        # prefixes[i]: shifted degree of the first i letters of lw, y, rw
+        prefixes = maltese_prefixes([basis.degree(i) for i in lw + (y,) + rw])
+        for p in range(n + 1):
+            sign = insertion_sign(prefixes, p) if d % 2 else 1
             for q in range(len(rw) + 1):
                 alpha = lw[p:]
                 beta = rw[:q]
-                prefix = maltese(ldeg, p) * d
-                sign = -1 if prefix % 2 else 1
-                cdeg = d + sum(basis.degree(i) - 1 for i in alpha) \
-                    + (basis.degree(y) - 1) + sum(basis.degree(i) - 1 for i in beta)
+                cdeg = d + prefixes[n + 1 + q] - prefixes[p]
                 for w in range(len(basis)):
                     value = table.get((alpha, y, beta, w))
                     if value:

@@ -2,7 +2,9 @@
 
 Every sign in the engine is a parity read from the prefix sums of shifted
 degrees |x|' = |x| - 1 of basis elements, defined here by ``maltese`` (and
-``maltese_prefixes``, all prefixes of a word in one pass).  Coefficient ring
+``maltese_prefixes``, all prefixes of a word in one pass), and the Koszul
+sign of moving a block past the rest of a cyclic word, which every rotation,
+wrap-around and cyclic reading pays, is ``crossing_sign``.  Coefficient ring
 variables have even degree by configuration, so they never contribute to
 sign parities; signs are multiplied into ring coefficients at the moment a
 word is rewritten and are never stored separately.
@@ -86,6 +88,14 @@ def maltese_prefixes(degrees: Sequence[int], base: int = 0) -> list:
         base += d - 1
         out.append(base)
     return out
+
+
+def crossing_sign(total: int, block: int) -> int:
+    """The sign of moving a block of shifted degree ``block`` past the rest
+    of a cyclic word of shifted degree ``total``, (-1)^{block (total - block)}
+    (Loday, Cyclic Homology, 2.1), the one place of it.  It is the same for
+    the block and the rest, and +1 when either is empty."""
+    return -1 if block * (total - block) % 2 else 1
 
 
 class Element:

@@ -44,12 +44,13 @@ every product; t, N and B add signed copies of the input maps with
 ``coeff.add_into``.  The
 signs of a word come from one prefix pass (``maltese_prefixes``); a
 rotation keeps the total shifted degree, so the powers of t cost O(1) each
-after one ``maltese`` per word, and the parity of a rotation has one home,
-``_rotation_parity``.  b's core ``_b_into`` is ``_bar_into`` plus
-``_D_into`` on the unreduced space, so b has no insertion loop of its own.
-The wrap-around terms have one helper, ``_wraps_into``, which takes the
-first tail-block length as a parameter: D runs it from 1, and the bB+Bb
-residual from 0 (all the wraps, W).
+after one ``maltese`` per word.  The sign of a rotation and of a wrap-around
+is the Koszul cost of moving a block past the rest of the cyclic word, which
+has one home, ``graded.crossing_sign``.  b's core ``_b_into`` is
+``_bar_into`` plus ``_D_into`` on the unreduced space, so b has no insertion
+loop of its own.  The wrap-around terms have one helper, ``_wraps_into``,
+which takes the first tail-block length as a parameter: D runs it from 1,
+and the bB+Bb residual from 0 (all the wraps, W).
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
@@ -98,7 +99,7 @@ from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, o
                      relation_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
-from .graded import Word, maltese, maltese_prefixes, word_count, words_over
+from .graded import Word, crossing_sign, maltese, maltese_prefixes, word_count, words_over
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -228,7 +229,8 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
 
     At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
     puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
-    block crosses v and the kept prefix a_1..a_{k-i} (``_wrap_sign``).
+    block crosses v and the kept prefix a_1..a_{k-i} (``crossing_sign``;
+    +1 for an empty block).
     """
     degrees = algebra.basis.degrees
     tables = nonzero_words(algebra)
@@ -245,20 +247,11 @@ def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
                 inner = words.get(word[k - i :] + (v,) + word[:j])
                 if not inner:
                     continue
-                kept = prefixes[k - i + 1]
-                wrap = _wrap_sign(total, kept)
+                wrap = crossing_sign(total, prefixes[k - i + 1])
                 rest = word[j : k - i]
                 for comp, value in inner.items():
                     mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
     return acc
-
-
-def _wrap_sign(total: int, part: int) -> int:
-    """The sign of a wrap-around, the one place of it: the tail block and
-    the factors it crosses (module slot and kept prefix) have shifted
-    degrees ``part`` and total - ``part``, in either order; +1 for an
-    empty block."""
-    return -1 if (total - part) * part % 2 else 1
 
 
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
@@ -310,30 +303,22 @@ def chain_bar(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain
     return _built(algebra.basis, algebra.spec, raw, False)
 
 
-def _rotation_parity(total: int, last: int) -> int:
-    """The parity of the sign of a rotation of a marked word of shifted
-    degree ``total``, the one place of it: the rotation moves its last
-    factors, of shifted degree ``last``, to the front past the others.
-    For one factor this is t; t^r moves r factors one at a time, and the
-    parities of the steps sum to that of moving the r as one block."""
-    return last * (total - last) & 1
-
-
 def _rotations(degrees, full: Word, count: int):
     """The first ``count`` powers of the signed rotation t on a marked word.
 
-    Yields (t^r(full), parity of its sign) for r = 0, 1, ..., count - 1,
-    where t^r is taken with r mod len(full).  t moves the last factor to the
-    front (``_rotation_parity``); rotation keeps |full|', so it is read once
-    and each power costs O(1).
+    Yields (t^r(full), its sign) for r = 0, 1, ..., count - 1, where t^r is
+    taken with r mod len(full).  t moves the last factor to the front past
+    the others (``crossing_sign``); t^r moves r factors one at a time, and
+    the signs of the steps multiply to that of moving the r as one block.
+    Rotation keeps |full|', so it is read once and each power costs O(1).
     """
     n = len(full)
     total = maltese([degrees[x] for x in full], n)
-    odd = 0
+    sign = 1
     for r in range(count):
         cut = n - r % n
-        yield full[cut:] + full[:cut], odd
-        odd ^= _rotation_parity(total, degrees[full[cut - 1]] - 1)
+        yield full[cut:] + full[:cut], sign
+        sign *= crossing_sign(total, degrees[full[cut - 1]] - 1)
 
 
 def _t(basis, chain: dict) -> dict:
@@ -342,8 +327,8 @@ def _t(basis, chain: dict) -> dict:
     out = {}
     for (v, word), terms in chain.items():
         # t permutes the keys, so no two terms meet
-        _, (rotated, odd) = _rotations(degrees, (v,) + word, 2)
-        out[(rotated[0], rotated[1:])] = add_into({}, terms, -1) if odd else terms
+        _, (rotated, sign) = _rotations(degrees, (v,) + word, 2)
+        out[(rotated[0], rotated[1:])] = add_into({}, terms, -1) if sign < 0 else terms
     return out
 
 
@@ -356,8 +341,8 @@ def _N_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
     """Add sign * N(chain) into acc, a raw {key: {Monomial: scalar}} map."""
     degrees = basis.degrees
     for (v, word), terms in chain.items():
-        for rotated, odd in _rotations(degrees, (v,) + word, 1 + len(word)):
-            add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, -sign if odd else sign)
+        for rotated, turn in _rotations(degrees, (v,) + word, 1 + len(word)):
+            add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, sign * turn)
     return acc
 
 
@@ -375,8 +360,8 @@ def _B_into(acc: dict, basis, chain: dict) -> dict:
         if v == unit:
             continue
         full = (v,) + word
-        for rotated, odd in _rotations(degrees, full, len(full)):
-            add_into(acc.setdefault((unit, rotated), {}), terms, -1 if odd else 1)
+        for rotated, sign in _rotations(degrees, full, len(full)):
+            add_into(acc.setdefault((unit, rotated), {}), terms, sign)
     return acc
 
 
@@ -480,8 +465,7 @@ def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: in
         prefixes = maltese_prefixes([degrees[x] for x in ring])
         total = prefixes[n]
         # the sign of t^r f in N f over the sign of the letters in front of it
-        rotated = [insertion_sign(prefixes, n - r)
-                   * (-1 if _rotation_parity(total, total - prefixes[n - r]) else 1)
+        rotated = [insertion_sign(prefixes, n - r) * crossing_sign(total, total - prefixes[n - r])
                    for r in range(n)]
         for a, words in tables.items():
             if a > n:
@@ -497,14 +481,15 @@ def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: in
                 if q + a <= n:
                     head, tail, at, sign = f[:q], f[q + a :], q, insertion_sign(prefixes, q)
                 else:
-                    head, tail, at, sign = (), f[q + a - n : q], 0, _wrap_sign(total, prefixes[q])
+                    head, tail, at = (), f[q + a - n : q], 0
+                    sign = crossing_sign(total, prefixes[q])
                 for comp, value in inner.items():
                     out = head + (comp,) + tail
                     out_prefixes = maltese_prefixes([degrees[x] for x in out])
                     out_total = out_prefixes[m]
                     # the sign of t^s out in N b, for s = 0 .. m - 1
-                    turned = [-sign if _rotation_parity(out_total, out_total - out_prefixes[m - s])
-                              else sign for s in range(m)]
+                    turned = [sign * crossing_sign(out_total, out_total - out_prefixes[m - s])
+                              for s in range(m)]
                     for p in range(m):
                         r = (p - c) % n
                         s = (p - at) % m
@@ -539,7 +524,7 @@ def _rotation_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top:
         total = prefixes[n]
         # t f and the sign of t on f
         shifted = maltese_prefixes([degrees[x] for x in f[-1:] + f[:-1]])
-        t_sign = -1 if _rotation_parity(total, total - prefixes[n - 1]) else 1
+        t_sign = crossing_sign(total, total - prefixes[n - 1])
         for a, words in tables.items():
             if a > n:
                 break
@@ -550,26 +535,24 @@ def _rotation_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top:
                 # b's term of t f at the window, which starts at c + 1 there
                 d = c + 1 if a == 0 else (c + 1) % n
                 bt = t_sign * (insertion_sign(shifted, d) if d + a <= n
-                               else _wrap_sign(total, shifted[d]))
+                               else crossing_sign(total, shifted[d]))
                 for comp, value in inner.items():
                     if c + a > n:
                         # a wrap-around of D
-                        key, sign = (comp,) + f[c + a - n : c], _wrap_sign(total, prefixes[c])
+                        key, sign = (comp,) + f[c + a - n : c], crossing_sign(total, prefixes[c])
                     else:
                         # t b'(f): the insertion at c, then its last letter to the front
                         out = f[:c] + (comp,) + f[c + a :]
                         last = degrees[out[-1]] - 1
                         out_total = total - prefixes[c + a] + prefixes[c] + degrees[comp] - 1
                         key = out[-1:] + out[:-1]
-                        sign = insertion_sign(prefixes, c) * (
-                            -1 if _rotation_parity(out_total, last) else 1)
+                        sign = insertion_sign(prefixes, c) * crossing_sign(out_total, last)
                     if sign != bt:
                         _twice_into(acc, key, terms, value.terms, top, sign)
         # t b'(f) at the gap after f[-1] meets D's -m_0 in front of f
         for comp, value in tables.get(0, {}).get((), {}).items():
             last = degrees[comp] - 1
-            gap_sign = insertion_sign(prefixes, n) * (
-                -1 if _rotation_parity(total + last, last) else 1)
+            gap_sign = insertion_sign(prefixes, n) * crossing_sign(total + last, last)
             if gap_sign == -1:
                 _twice_into(acc, (comp,) + f, terms, value.terms, top, -1)
     return acc
@@ -676,7 +659,8 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
          ``_bar_N_residual_into`` forms by the pairing below, and
          R := b'(N u') - N(b u) = Res(u') - N(b u'').  By (a),
          B(c) = q s_1 N(u) = s_1 N(u'): every key of s_1 N(u'') holds the
-         unit and no key of s_1 N(u') does.  So b_red(B c) = W(B c) +
+         unit and no key of s_1 N(u') does, which is why ``_B_into`` skips
+         the keys of u''.  So b_red(B c) = W(B c) +
          eps q s_1 b'(N u') by (b), applied to y = N(u').  B(b_red c) =
          q s_1 N(q b u) = q s_1 N(b u), by (a) and reduced b, since
          q s_1 N drops every key with a unit word.  So bB+Bb =
@@ -701,7 +685,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         out = f[:c] + (comp,) + f[c+a:], sign ``insertion_sign(M, c)``,
         comp at position pi = c;
       * c + a > n: a wrap-around of D, out = (comp,) + f[c+a-n:c], sign
-        ``_wrap_sign(T, M[c])``, pi = 0;
+        ``crossing_sign(T, M[c])``, pi = 0;
       * a = 0: b''s insertion at the gap, at q = c for c >= 1 and at
         q = n, after f_{n-1}, for c = 0, pi = q.  b''s insertion at 0
         and D's -m_0 in front of the module slot have the same key
@@ -711,7 +695,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     Then out has m = n - a + 1 letters in every case.
 
       * b'N - Nb.  A term of b'(N f) is an insertion at p <= n - a into
-        t^r f, r < n, of sign (-1)^{odd_r} (``_rotation_parity``) times
+        t^r f, r < n, of sign sigma_r (``_rotations``) times
         ``insertion_sign`` at p of t^r f.  Its window is the cyclic
         window of f that starts at c = (p - r) mod n, and its output word
         is the cyclic word of out with comp at p, which is t^s(out) for
@@ -720,7 +704,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         the terms of b'(N f) and of N b(f) = sum_s t^s b(f) pair off one
         to one with the same key and product.
       * The rotation identity.  t f = (f_{n-1}, f_0, .., f_{n-2}) has sign
-        (-1)^{odd_1}, and its window that starts at c + 1 (mod n for
+        sigma_1, and its window that starts at c + 1 (mod n for
         a >= 1; for a = 0 the gap at q = c + 1 <= n) is f's window at c.
         The term of b(t f) there has the key of D's wrap-around at c
         when c + a > n, and of t b'(f)'s insertion at c when c + a <= n:
@@ -735,14 +719,14 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     signs (the sum, for the last pair of the rotation identity): nothing
     where the signs agree, and twice the product with the first sign
     where they differ.  Twins have the same product, so truncation drops
-    both or neither.  Each core reads the signs from ``insertion_sign``,
-    ``_wrap_sign`` and ``_rotation_parity``, the homes of the operators'
-    conventions.
+    both or neither.  Each core reads the signs from ``insertion_sign`` and
+    ``crossing_sign``, the homes of the operators' conventions.
 
     When twins agree.  Let W be the window, e = |comp|', and rho(x -> y)
     the parity of the rotation between two linear words x, y of one cyclic
-    word: moving a block B past the rest A costs |A|'|B|'
-    (``_rotation_parity``).  These parities add along rotations: moving C
+    word: moving a block B past the rest A costs |A|'|B|', the parity of
+    ``crossing_sign``, the same for B as for A.  These parities add along
+    rotations (both facts are tested in ``tests/test_graded.py``): moving C
     past AB and then B past CA costs |C|'(|A|' + |B|') + |B|'(|C|' + |A|'),
     which is |A|'(|B|' + |C|') mod 2, the cost of moving BC past A at once.
     Every twin has one of two shapes, both ending at the same output word
@@ -752,7 +736,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
           rho(f -> H W K) + |H|'.  The terms of b'(N f) have this shape;
           so do those of b(t f), as b's term at a window is a rotation
           (none for an insertion, the tail block to the front for a
-          wrap-around: ``_wrap_sign``) and then an insertion; and so do
+          wrap-around: ``crossing_sign``) and then an insertion; and so do
           D's wrap-arounds, with H empty.
       (ii) rotate f to P W Q, insert after P, then rotate the output
           P comp Q to H comp K: parity rho(f -> P W Q) + |P|' +
@@ -782,7 +766,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     none; at such an entry a pair still cancels where |X|' is even, which
     the cores see as two equal signs.
 
-    So the images are b'(u), D(u), N(u'), b'(Z), D(P), b_red(q D u),
+    So the images are b'(u), D(u), B(c), b'(Z), D(P), b_red(q D u),
     N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and D(u'') formed
     again only when u' is not empty; b is formed only on q D u, and b'^2
     from R and the off-degree pairs.  t(u), b(tu), t b'(u), b'(b'u),
@@ -811,8 +795,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
 
     front = {key: terms for key, terms in u.items() if key[0] != unit}
     units = {key: terms for key, terms in u.items() if key[0] == unit}
-    Bc = {(unit, (v,) + word): terms
-          for (v, word), terms in _cleaned(_N_into({}, basis, front)).items()}
+    Bc = _cleaned(_B_into({}, basis, u))
     bar_N = _bar_N_residual_into({}, algebra, units, top)
     R = _bar_N_residual_into({}, algebra, front, top)
     for key, terms in R.items():
@@ -974,7 +957,8 @@ def _pull_b_into(acc: dict, algebra: AInftyAlgebra, psi: Functional, top: int,
                 rest = x[i + 1 :] + w0 + x[:i]
                 if len(rest) <= l_max and unit not in rest:
                     mul_into(acc.setdefault((x[i], rest), {}), value.terms,
-                             tables[len(x)][x][v0].terms, top, _wrap_sign(crossed[-1], crossed[i]))
+                             tables[len(x)][x][v0].terms, top,
+                             crossing_sign(crossed[-1], crossed[i]))
     return acc
 
 
@@ -984,9 +968,8 @@ def _pull_B_into(acc: dict, basis, psi: Functional, l_max: int) -> dict:
     key of psi (see ``validate_negative_cocycle``)."""
     for (v1, w1), value in psi.table.items():
         if v1 == basis.unit and len(w1) <= l_max + 1:
-            for rotated, odd in _rotations(basis.degrees, w1, len(w1)):
-                add_into(acc.setdefault((rotated[0], rotated[1:]), {}), value.terms,
-                         -1 if odd else 1)
+            for rotated, sign in _rotations(basis.degrees, w1, len(w1)):
+                add_into(acc.setdefault((rotated[0], rotated[1:]), {}), value.terms, sign)
     return acc
 
 
@@ -1015,8 +998,8 @@ def validate_negative_cocycle(algebra: AInftyAlgebra, tower: CocycleTower) -> Re
       * an insertion at slot 0 of arity >= 1, or a wrap-around of D: m(x)
         made v0 with c's module at x[i], so c = (x[i], x[i+1:] + w0 + x[:i])
         for each x listed under v0.  Slot 0 is i = 0 and D's wraps are
-        i >= 1; the sign is ``_wrap_sign`` of the tail block x[:i] crossing
-        x[i:] and w0, +1 for i = 0 as at slot 0.
+        i >= 1; the sign is ``crossing_sign`` of the tail block x[:i]
+        crossing x[i:] and w0, +1 for i = 0 as at slot 0.
       * m_0 in front of the module slot: b' puts it there with sign +1 and
         D with sign -1, at the same key with the same product, so b has no
         such term.
@@ -1027,8 +1010,9 @@ def validate_negative_cocycle(algebra: AInftyAlgebra, tower: CocycleTower) -> Re
     rotation t^r of c's marked word, r < n = len(w1).  t^n is the identity
     on length-n words (the parity of its sign, the sum over letters x of
     |x|'(|w1|' - |x|'), is even), so c has a term at w1 exactly when
-    t^r(w1) = (-1)^{odd_r} c for some r < n, and that term is
-    t^{n-r} c = (-1)^{odd_r} w1, odd_r from ``_rotations`` of w1.  So
+    t^r(w1) = sigma_r c for some r < n, and that term is
+    t^{n-r} c = sigma_r w1, sigma_r the sign ``_rotations`` yields for t^r
+    of w1.  So
     rhs_i[c] sums the rotations of each key (1, w1), a periodic w1
     reaching one c more than once.
 

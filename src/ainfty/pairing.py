@@ -3,7 +3,8 @@
 The evaluator phi_{p,q}(alpha (x) v (x) beta)(w) antisymmetrizes the lowest
 tower level psi_0 over the two markings of the cyclic word (alpha, v, beta,
 w): once with w as the module slot and once with v.  Each reading pays the
-Koszul cost of rotating the cyclic word so its module slot comes first:
+Koszul cost of rotating the cyclic word so its module slot comes first, the
+sign ``graded.crossing_sign`` of moving a block past the rest:
 
     phi_{p,q}(alpha (x) v (x) beta)(w) =
         (-1)^{A(V+B+W)} psi_0[v | beta, w, alpha]
@@ -13,9 +14,11 @@ with A, B, V, W the shifted-degree parities of alpha, beta, v, w.  The
 relative sign and the currying factors are pinned by three exact facts
 verified in the test suite: the bimodule homomorphism property, the trace
 identity against psi_0, and skew-symmetry with sign kappa + 1 where
-kappa = (A+V)(B+W).  (A two-term antisymmetrization can only ever satisfy
-the skew relation with the extra flip; the engine's diagonal consequence --
-phi_{0,0}(v)(v) = 0 for even |v|' -- depends on it.)
+kappa = (A+V)(B+W), the crossing of beta, w past alpha, v.  (A two-term
+antisymmetrization can only ever satisfy the skew relation with the extra
+flip; the engine's diagonal consequence -- phi_{0,0}(v)(v) = 0 for even
+|v|' -- depends on it.)  ``check_skew`` and ``check_closed`` read their
+signs from ``crossing_sign`` too.
 
 Words with the unit in a non-module, non-final slot evaluate to zero
 because the tower lives on reduced chains.
@@ -31,7 +34,8 @@ from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
 from .errors import ConfigurationError, TowerError
 from .exactla import column_space_pivots, kernel_basis, rank
-from .graded import Element, Word, add_term, marked_word_count, tensor_coefficient
+from .graded import (Element, Word, add_term, crossing_sign, maltese_prefixes, marked_word_count,
+                     tensor_coefficient)
 from .hochschild import CocycleTower, validate_negative_cocycle
 from .report import Report
 
@@ -83,21 +87,22 @@ class InfinityInnerProduct:
         reduced chains.  The constructor of ``Functional`` refuses such
         words, so this only matters for a table edited in place.
         """
-        shifted = [d - 1 for d in self.algebra.basis.degrees]
+        degrees = self.algebra.basis.degrees
         unit = self.algebra.basis.unit
         table: dict = {}
         for (v0, word), value in self.tower.psi0.table.items():
             if unit is not None and unit in word:
                 continue
-            s = [shifted[i] for i in word]
-            total = shifted[v0] + sum(s)
-            # reading 2 has W = |v0|' and A + V + B = total - W at every split
-            second = value if shifted[v0] * (total - shifted[v0]) % 2 else -value
+            # prefixes[i]: shifted degree of the first i letters of v0, word
+            prefixes = maltese_prefixes([degrees[i] for i in (v0,) + word])
+            total = prefixes[-1]
+            # reading 2 has W = |v0|' at every split
+            second = -value if crossing_sign(total, prefixes[1]) > 0 else value
             for m, letter in enumerate(word):
                 before, after = word[:m], word[m + 1:]
-                A = sum(s[m + 1:])
-                add_term(table, (after, v0, before, letter),
-                         -value if A * (total - A) % 2 else value)
+                # reading 1 has A = |after|'
+                first = value if crossing_sign(total, total - prefixes[m + 2]) > 0 else -value
+                add_term(table, (after, v0, before, letter), first)
                 add_term(table, (before, letter, after, v0), second)
         return table
 
@@ -145,6 +150,8 @@ def build_phi(algebra: AInftyAlgebra, tower: CocycleTower) -> InfinityInnerProdu
 def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
     """Skew-symmetry with the engine's sign (-1)^{kappa+1}, kappa=(A+V)(B+W).
 
+    (-1)^kappa is the sign of the swap, which moves beta, w past alpha, v
+    in the cyclic word (``crossing_sign``).
     The quantifier runs over reduced alpha, beta with len(alpha) + len(beta)
     <= l_max = ``algebra.l_max`` and all basis letters v, w, and ``checked``
     counts every such tuple.  A tuple whose key and swap (beta, w, alpha, v)
@@ -167,12 +174,12 @@ def check_skew(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
             tuples.update(((alpha, v, beta, w), (beta, w, alpha, v)))
     for alpha, v, beta, w in sorted(
             tuples, key=lambda t: (len(t[0]) + len(t[2]), len(t[0]), t[0], t[2], t[1], t[3])):
-        # kappa = (A + V)(B + W) from the shifted degrees of both halves
-        kappa = sum(basis.degree(i) - 1 for i in alpha + (v,)) \
-            * sum(basis.degree(i) - 1 for i in beta + (w,))
+        prefixes = maltese_prefixes([basis.degree(i) for i in alpha + (v,) + beta + (w,)])
         lhs = table.get((alpha, v, beta, w), zero)
         rhs = table.get((beta, w, alpha, v), zero)
-        rhs = rhs if kappa % 2 else -rhs
+        # the engine's sign (-1)^{kappa + 1}
+        if crossing_sign(prefixes[-1], prefixes[len(alpha) + 1]) > 0:
+            rhs = -rhs
         if lhs != rhs:
             report.fail(
                 "alpha=%s v=%s beta=%s w=%s: %s vs %s"
@@ -200,7 +207,9 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
 
     Each term is phi evaluated on the cyclic word with one marking as module
     slot and the next as final argument, weighted by the Koszul rotation
-    sign kappa_* = (sum of shifted degrees up to *) (sum beyond *).
+    sign (-1)^kappa_*, kappa_* = (sum of shifted degrees up to *) (sum
+    beyond *), the crossing of the letters up to * past the rest
+    (``crossing_sign``).
 
     ``checked`` counts every triple of every reduced word of length 3 to
     l_max + 2, l_max = ``algebra.l_max``.  A triple none of whose three
@@ -234,14 +243,11 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
             else:
                 triples.update((word, apos, j, mpos) for j in range(apos + 1, mpos))
     for word, i, j, k in sorted(triples, key=lambda t: (len(t[0]),) + t):
-        shifts = [basis.degree(x) - 1 for x in word]
-        total = sum(shifts)
+        prefixes = maltese_prefixes([basis.degree(x) for x in word])
         acc = zero
         for mpos, apos in ((i, j), (j, k), (k, i)):
-            prefix = sum(shifts[: mpos + 1])
-            kappa = prefix * (total - prefix)
             value = table.get(_arrange(word, mpos, apos), zero)
-            if kappa % 2:
+            if crossing_sign(prefixes[-1], prefixes[mpos + 1]) < 0:
                 value = -value
             acc = acc + value
         if acc:

@@ -58,7 +58,7 @@ from ainfty.ainfty import (
     apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
     require_candidate,
 )
-from ainfty import hochschild as hh
+from ainfty import graded, hochschild as hh
 from ainfty.cli import _draw_monomials, _random_reduced_chain
 from ainfty.coeff import (
     Poly, RingElement, RingSpec, add_into, as_fraction, canonical, require_compatible,
@@ -1071,6 +1071,22 @@ def wall_crossing_decomposition_reference(algebra, phi, b):
             "psi0[1|m2(m0^b,m0^b)]": diag_trace,
         },
     )
+
+
+# The one home of the Koszul crossing sign, mutated to read the rest of the
+# cyclic word as the whole word: (original fragment, mutated fragment) in
+# ``graded``.
+CROSSING_MUTATION = ("block * (total - block)", "block * total")
+
+
+def crossing_sign_mutant():
+    """``graded.crossing_sign`` with CROSSING_MUTATION applied.
+
+    ``mutant_module`` copies one module, and each consumer reads its own
+    binding of the sign, so a test patches this into the binding of the
+    consumer it means to reach.
+    """
+    return mutant_module(graded, *CROSSING_MUTATION).crossing_sign
 
 
 def mutant_module(module, old: str, new: str):

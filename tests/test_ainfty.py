@@ -28,7 +28,7 @@ from conftest import (
     make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1, ring,
 )
 from oracles import (
-    SCALARS, Covector, at_cutoffs, check_ainfty_reference, coderivation,
+    SCALARS, Covector, at_cutoffs, check_ainfty_reference, coderivation, crossing_sign_mutant,
     delta_diagonal_reference, delta_dual_reference, dual_action, elements, expand_apply_m,
     m_word_reference, mutant_module, unit_element,
 )
@@ -521,8 +521,7 @@ INSERTION_MUTANTS = {
     "base ignored": ("maltese_prefixes([basis_degrees[x] for x in word], base)",
                      "maltese_prefixes([basis_degrees[x] for x in word])"),
     "position range cut short": ("range(n - k + 1)", "range(n - k)"),
-    "delta_dual right-word parity flipped": ("maltese(ldeg, len(lw)) + cdeg",
-                                             "maltese(ldeg, len(lw)) + cdeg + 1"),
+    "delta_dual right-word parity flipped": ("prefixes[n] + cdeg)", "prefixes[n] + cdeg + 1)"),
 }
 
 
@@ -555,6 +554,17 @@ def test_insertion_detector_accepts_the_kernel():
 def test_insertion_mutant_killed(name):
     old, new = INSERTION_MUTANTS[name]
     assert _insertion_kernel_disagrees(mutant_module(ainfty, old, new))
+
+
+def test_crossing_sign_mutant_is_killed_through_delta_dual(monkeypatch):
+    # delta_dual reads the crossing of the absorbed left letters through
+    # ainfty's binding of graded.crossing_sign
+    g1 = make_g1()
+    one = g1.one_ring()
+    cases = [({key: one}, delta_dual_reference(g1, {key: one})) for key in _dual_start_words(g1)]
+    assert all(delta_dual(g1, start) == want for start, want in cases)
+    monkeypatch.setattr(ainfty, "crossing_sign", crossing_sign_mutant())
+    assert any(delta_dual(g1, start) != want for start, want in cases)
 
 
 def test_coderivation_squares_to_zero(e2, rng):

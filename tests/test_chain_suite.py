@@ -48,7 +48,7 @@ from ainfty.hochschild import (
 from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
-    identity_residuals_reference, mutant_module,
+    crossing_sign_mutant, identity_residuals_reference, mutant_module,
 )
 
 
@@ -462,7 +462,7 @@ CHAIN_SUITE_MUTANTS = {
     # D has no sign parameter any more: the rotation core reads the sign of
     # D's wrap-arounds as +1
     "D ignores its sign": (
-        hochschild, "sign = (comp,) + f[c + a - n : c], _wrap_sign(total, prefixes[c])",
+        hochschild, "sign = (comp,) + f[c + a - n : c], crossing_sign(total, prefixes[c])",
         "sign = (comp,) + f[c + a - n : c], 1"),
     "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
     "bB remap keeps unit words": (
@@ -539,16 +539,27 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
     assert _suite_disagrees(mutant.chain_identity_suite)
 
 
-def test_rotation_parity_mutant_is_killed_through_both_pairing_cores():
-    # HOCHSCHILD_MUTANTS mutates the one home of the rotation parity; both
-    # cores read their rotation signs there, and each must see the mutant
-    mutant = mutant_module(hochschild, "last * (total - last)", "last * total")
+def test_rotation_parity_mutant_is_killed_through_both_pairing_cores(monkeypatch):
+    # HOCHSCHILD_MUTANTS mutates the one home of the rotation sign,
+    # graded.crossing_sign; both cores read their rotation signs there, and
+    # each must see the mutant.  The reference runs the hochschild
+    # operators, so it is formed before the mutant is patched in.
+    cases = [(algebra, {key: algebra.one_ring().terms})
+             for _, algebra in sorted(BASIS_KEY_ALGEBRAS.items())
+             for key in iter_basis_chains(algebra, 2)]
+    wants = [dict(identity_residuals_reference(algebra, u)) for algebra, u in cases]
+    monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
     missed = {"b(1-t)-(1-t)b'", "b'N-Nb"}
-    for name in sorted(BASIS_KEY_ALGEBRAS):
-        algebra = BASIS_KEY_ALGEBRAS[name]
-        one = algebra.one_ring().terms
-        for key in iter_basis_chains(algebra, 2):
-            got = dict(mutant.identity_residuals(algebra, {key: one}))
-            want = dict(identity_residuals_reference(algebra, {key: one}))
-            missed -= {tag for tag in missed if _nonzero(got[tag]) != _nonzero(want[tag])}
+    for (algebra, u), want in zip(cases, wants):
+        got = dict(hochschild.identity_residuals(algebra, u))
+        missed -= {tag for tag in missed if _nonzero(got[tag]) != _nonzero(want[tag])}
     assert not missed
+
+
+def test_crossing_sign_mutant_is_killed_through_the_suite(monkeypatch):
+    # the suite reads the crossing sign through hochschild's binding alone;
+    # the reference lines run the hochschild operators, so the detector
+    # caches them before the mutant is patched in
+    assert not _suite_disagrees(cli.chain_identity_suite)
+    monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
+    assert _suite_disagrees(cli.chain_identity_suite)

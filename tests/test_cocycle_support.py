@@ -26,7 +26,7 @@ from ainfty.pairing import InfinityInnerProduct
 
 from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1, random_coboundary_tower, ring
 from oracles import (
-    at_cutoffs, check_bimodule_hom_reference, mutant_module,
+    at_cutoffs, check_bimodule_hom_reference, crossing_sign_mutant, mutant_module,
     validate_negative_cocycle_reference,
 )
 
@@ -255,14 +255,14 @@ SUPPORT_MUTANTS = {
         hochschild, "if v1 == basis.unit and len(w1) <= l_max + 1:", "if False:",
         "G1 B-rotation"),
     "validation wrap sign flipped": (
-        hochschild, "_wrap_sign(crossed[-1], crossed[i])", "-_wrap_sign(crossed[-1], crossed[i])",
+        hochschild, "crossing_sign(crossed[-1], crossed[i])",
+        "-crossing_sign(crossed[-1], crossed[i])",
         "SV1 wrap, left, module"),
     "validation insertion sign one slot off": (
         hochschild, "insertion_sign(prefixes, q + 1)", "insertion_sign(prefixes, q)",
         "G1 interior, right"),
     "validation rotation sign ignored": (
-        hochschild, "value.terms,\n                         -1 if odd else 1)",
-        "value.terms,\n                         1)", "G1 rotation sign"),
+        hochschild, "value.terms, sign)", "value.terms, 1)", "G1 rotation sign"),
     "validation ring check dropped": (
         hochschild, "require_compatible(spec, psi.spec)", "pass", "G1 interior, right"),
 }
@@ -274,3 +274,16 @@ def test_support_mutant_killed(name):
     mutant = mutant_module(module, old, new)
     modules = (mutant, hochschild) if module is ainfty else (ainfty, mutant)
     assert not _kernels_agree(*modules, case)
+
+
+@pytest.mark.parametrize("case", ("G1 rotation sign", "SV1 wrap, left, module"))
+def test_crossing_sign_mutant_is_killed_through_the_validation(case, monkeypatch):
+    # depth-1 towers on which the signs of B's rotations (``_pull_B_into``)
+    # and of the wrap family matter, both read through hochschild's binding
+    # of graded.crossing_sign; the towers and the reference run the
+    # hochschild operators, so they are built before the mutant is patched in
+    algebra, tower, _ = make_case(*FAILING_CASES[case])
+    want = _references(case)[0]
+    monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
+    assert not _same(hochschild.validate_negative_cocycle(at_cutoffs(algebra, l_max=3), tower),
+                     want)

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfty.ainfty import AInftyAlgebra, insertions
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError
-from ainfty.graded import (Element, GradedBasis, add_term, maltese, maltese_prefixes,
-                           marked_word_count, word_count, words_over)
+from ainfty.graded import (Element, GradedBasis, add_term, crossing_sign, maltese,
+                           maltese_prefixes, marked_word_count, word_count, words_over)
 from ainfty.hochschild import HochschildChain, cyclic_t
 
 from oracles import coderivation, koszul_sign_cyclic
@@ -61,6 +62,52 @@ def test_maltese_prefixes_read_maltese_at_every_position():
         assert maltese_prefixes(degs, base) == [base + maltese(degs, i)
                                                 for i in range(len(degs) + 1)]
     assert maltese_prefixes([]) == [0]
+
+
+# The two facts about the crossing sign that the twin pairing of
+# ``hochschild.identity_residuals`` rests on, and the rotation sign of
+# ``hochschild._rotations``, over words of BASIS letters.
+WORDS = st.lists(st.sampled_from(range(len(BASIS))), max_size=7)
+
+
+def _cut(data, word):
+    """The shifted degrees of the blocks A, B, C of a word cut at two drawn
+    places."""
+    i = data.draw(st.integers(0, len(word)))
+    j = data.draw(st.integers(i, len(word)))
+    prefixes = maltese_prefixes([BASIS.degree(x) for x in word])
+    return prefixes[i], prefixes[j] - prefixes[i], prefixes[-1] - prefixes[j]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word=WORDS, data=st.data())
+def test_crossing_sign_is_that_of_the_block_and_of_the_rest(word, data):
+    a, b, c = _cut(data, word)
+    total = a + b + c
+    assert crossing_sign(total, a) == crossing_sign(total, b + c)
+    assert crossing_sign(total, 0) == crossing_sign(total, total) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word=WORDS, data=st.data())
+def test_crossing_signs_compose_along_rotations(word, data):
+    # ABC -> CAB -> BCA, C past AB and then B past CA, is BC past A at once
+    a, b, c = _cut(data, word)
+    total = a + b + c
+    assert crossing_sign(total, c) * crossing_sign(total, b) == crossing_sign(total, b + c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word=WORDS.filter(bool), data=st.data())
+def test_crossing_sign_moves_a_tail_block_one_letter_at_a_time(word, data):
+    # the last r letters to the front is r steps of the oracle's cyclic sign
+    r = data.draw(st.integers(0, len(word)))
+    prefixes = maltese_prefixes([BASIS.degree(x) for x in word])
+    current, sign = tuple(word), 1
+    for _ in range(r):
+        sign *= koszul_sign_cyclic([BASIS.degree(x) for x in current])
+        current = current[-1:] + current[:-1]
+    assert sign == crossing_sign(prefixes[-1], prefixes[-1] - prefixes[len(word) - r])
 
 
 def test_cyclic_sign_small_cases():

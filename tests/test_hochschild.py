@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import coeff, hochschild
+from ainfty import coeff, graded, hochschild
 from ainfty.coeff import Poly, RingElement, _scalar
 from ainfty.errors import ConfigurationError
 from ainfty.exactla import rank
@@ -30,7 +30,7 @@ from conftest import (
 )
 import oracles
 from oracles import (
-    SCALARS, chain_bar_reference, chain_sum, chain_sum_reference, coderivation,
+    CROSSING_MUTATION, SCALARS, chain_bar_reference, chain_sum, chain_sum_reference, coderivation,
     coefficients, connecting_map, connes_B_reference, cyclic_t_reference, dual_B_star,
     dual_b_star, functional_apply_reference, hochschild_b_reference, mutant_module,
     operator_N_reference, ring_terms, tabulate,
@@ -555,18 +555,18 @@ def _kernels_disagree(module, sums=chain_sum) -> bool:
 
 # Mutants of the raw-term kernels: name -> (module, original fragment,
 # mutated fragment).  A coeff mutant reaches the operators through their
-# binding of mul_into; an oracles mutant is a mutated chain_sum, the chain
+# binding of mul_into, and a graded one through their binding of
+# crossing_sign; an oracles mutant is a mutated chain_sum, the chain
 # arithmetic that only the tests use.
 HOCHSCHILD_MUTANTS = {
     "sign dropped in mul_into": (coeff, "v1 = -v1", "v1 = v1"),
     "level cutoff skipped in mul_into": (coeff, "if lvl > top:", "if False:"),
     "wrap-around split off by one": (hochschild, "j = a - 1 - i", "j = a - i"),
-    "rotation parity uses total, not total - last": (
-        hochschild, "last * (total - last)", "last * total"),
+    "rotation parity uses total, not total - last": (graded, *CROSSING_MUTATION),
     "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
                                    "(v,) + word, len(word))"),
     "B unit filter dropped": (hochschild, "if v == unit:", "if False:"),
-    "t ignores its sign": (hochschild, "add_into({}, terms, -1) if odd else terms", "terms"),
+    "t ignores its sign": (hochschild, "add_into({}, terms, -1) if sign < 0 else terms", "terms"),
     "b skips the reduced quotient": (hochschild, "if chain.reduced:", "if False:"),
     "- adds on a colliding key": (oracles, "add_into(dict(left), right, sign)",
                                   "add_into(dict(left), right, 1)"),
@@ -586,5 +586,8 @@ def test_hochschild_mutant_killed(name, monkeypatch):
         return
     if module is coeff:
         monkeypatch.setattr(hochschild, "mul_into", mutant.mul_into)
+        mutant = hochschild
+    elif module is graded:
+        monkeypatch.setattr(hochschild, "crossing_sign", mutant.crossing_sign)
         mutant = hochschild
     assert _kernels_disagree(mutant)

@@ -27,8 +27,8 @@ from conftest import (
     random_degree_one, random_functional, ring,
 )
 from oracles import (
-    SCALARS, at_cutoffs, check_closed_reference, check_skew_reference, elements,
-    eval_word_reference, expand_eval_elements, mutant_module, phi_hat_all_arguments,
+    SCALARS, at_cutoffs, check_closed_reference, check_skew_reference, crossing_sign_mutant,
+    elements, eval_word_reference, expand_eval_elements, mutant_module, phi_hat_all_arguments,
 )
 
 
@@ -451,6 +451,21 @@ def test_closed_matches_every_triple(case, mutation):
         assert (got.text(), got.checked) == (want.text(), want.checked)
 
 
+def test_crossing_sign_mutant_is_killed_through_skew_and_closedness(monkeypatch):
+    # both checks read their Koszul signs through pairing's binding of
+    # graded.crossing_sign; phi is read from psi_0 before the mutant is
+    # patched in, so only the two checks see it
+    cases = []
+    for case in range(3):
+        algebra, phi = _skew_closed_case(case, None)
+        at3 = at_cutoffs(algebra, l_max=3)
+        cases.append((at3, phi, check_skew_reference(at3, phi).text(),
+                      check_closed_reference(at3, phi).text()))
+    monkeypatch.setattr(pairing, "crossing_sign", crossing_sign_mutant())
+    assert any(check_skew(at3, phi).text() != skew for at3, phi, skew, _ in cases)
+    assert any(check_closed(at3, phi).text() != closed for at3, phi, _, closed in cases)
+
+
 def test_skew_closed_references_see_failures():
     # the comparisons above also cover failure lists and their order
     algebra, phi = _skew_closed_case(2, "every other key negated")
@@ -463,8 +478,8 @@ def test_skew_closed_references_see_failures():
 # module: (original fragment, mutated fragment).
 KERNEL_MUTANTS = {
     "reading-2 sign flipped": (
-        "second = value if shifted[v0] * (total - shifted[v0]) % 2 else -value",
-        "second = -value if shifted[v0] * (total - shifted[v0]) % 2 else value"),
+        "second = -value if crossing_sign(total, prefixes[1]) > 0 else value",
+        "second = value if crossing_sign(total, prefixes[1]) > 0 else -value"),
     "unit exclusion dropped": (
         "            if unit is not None and unit in word:\n"
         "                continue\n", ""),
