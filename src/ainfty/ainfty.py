@@ -6,9 +6,13 @@ m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
 first use, into one operation index (``_operation_index``) that ``m_word``,
 ``apply_m``, ``insertions`` and ``uninsertions`` all read, and whose
 off-degree entries (``off_degree_words``) the rotation-identity cores of
-``hochschild`` walk.  The index also keeps the curved relation residual
-table (``relation_residuals``), built on first use, which ``check_ainfty``
-reports from and the b'^2 map of ``hochschild`` is formed from.
+``hochschild`` walk.  The index also keeps three residual tables, each
+built on first use: the curved relation residual table
+(``relation_residuals``), which ``check_ainfty`` reports from and the b'^2
+map of ``hochschild`` is formed from; the same table of the entries on the
+A-infinity degree (``on_degree_residuals``), which the b^2 map is formed
+from; and the strict-unit residual table (``unit_residuals``), which the
+wrap-arounds of bB+Bb are formed from.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -63,9 +67,10 @@ class OperationIndex:
 
     ``off_degree`` keeps apart the entries m_word(u)[c] off the A-infinity
     degree, which it reads from the basis degrees; so, like ``ops``, the
-    basis must not change after the index is built.  ``relations`` is the
-    curved relation residual table, None until ``relation_residuals``
-    fills it.
+    basis must not change after the index is built.  ``relations``,
+    ``on_relations`` and ``units`` are the residual tables of
+    ``relation_residuals``, ``on_degree_residuals`` and ``unit_residuals``,
+    each None until its function fills it.
     """
 
     nonzero: Dict[int, OpTable]
@@ -73,6 +78,8 @@ class OperationIndex:
     arities: tuple
     off_degree: Dict[int, OpTable]
     relations: Optional[Dict[int, OpTable]] = None
+    on_relations: Optional[Dict[int, OpTable]] = None
+    units: Optional[Dict[int, OpTable]] = None
 
 
 @dataclass
@@ -201,12 +208,12 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
     m_word(u)[c] off the A-infinity degree, |c|' + |u|' even (|u|' the sum
     of the shifted degrees of u's letters), arities ascending: the only
     entries whose twin terms in the rotation identities can fail to cancel
-    (see ``hochschild.identity_residuals``).  ``relations`` starts as None
-    and is filled by ``relation_residuals`` on first use, so ``cocycle``,
-    ``potential``, ``gauge``, ``wallcross`` and ``mc`` never build it.  The
-    index is kept on the algebra, so ``ops`` and the degrees of ``basis``
-    must not change after its first use; code that edits either then sets
-    ``_index`` to None, which drops the relation table with the rest.
+    (see ``hochschild.identity_residuals``).  The residual tables start as
+    None and are filled on first use, so ``cocycle``, ``potential``,
+    ``gauge``, ``wallcross`` and ``mc`` never build them.  The index is kept
+    on the algebra, so ``ops`` and the degrees of ``basis`` must not change
+    after its first use; code that edits either then sets ``_index`` to
+    None, which drops the residual tables with the rest.
     """
     if algebra._index is None:
         degrees = algebra.basis.degrees
@@ -264,14 +271,16 @@ def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
     return Element(algebra.basis, acc)
 
 
-def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
+def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0,
+               tables: Optional[Dict[int, OpTable]] = None):
     """The nonzero insertions of the operations into a word, with their signs.
 
     Yields (i, k, inner, sign) for each nonzero inner = m_word(word[i:i+k]),
     with k ascending over the stored arities (arity 0 included), then i
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
     shifted degrees of the first i letters; all signs of a word come from
-    one prefix pass, and each window is one lookup in ``nonzero_words``.
+    one prefix pass, and each window is one lookup in ``nonzero_words``, or
+    in ``tables``, a part of it in the same shape, when one is given.
     The curved relations, the diagonal bar differential, the word parts of
     the dual one and Hochschild b' (and so b = b' + D) are sums over these
     insertions.
@@ -279,9 +288,9 @@ def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     basis_degrees = algebra.basis.degrees
     prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
     n = len(word)
-    for k, tables in nonzero_words(algebra).items():
+    for k, words in (nonzero_words(algebra) if tables is None else tables).items():
         for i in range(n - k + 1):
-            inner = tables.get(word[i : i + k])
+            inner = words.get(word[i : i + k])
             if inner:
                 yield i, k, inner, insertion_sign(prefixes, i)
 
@@ -328,6 +337,33 @@ def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):
                 yield word[:i] + inner + word[i + 1 :]
 
 
+def _residual_table(algebra: AInftyAlgebra, tables: Dict[int, OpTable]) -> Dict[int, OpTable]:
+    """The curved relation residual table of the operations in ``tables``,
+    a part of ``nonzero_words`` in its shape (see ``relation_residuals``).
+
+    A term of R(u) needs a nonzero inner m_l on a word of ``tables`` and a
+    nonzero outer m on the word o of ``tables`` that its output letter
+    makes, so u is an un-insertion o[:i] + inner + o[i+1:] of o; only those
+    words are expanded, with no length cap.  The un-insertions are listed
+    through ``words_by_output`` of the whole index, a superset when
+    ``tables`` is a part of it, and a word of zero residual is dropped.
+    """
+    outers = [outer for words in tables.values() for outer in words]
+    support = {word for outer in outers for word in uninsertions(algebra, outer, inf)}
+    relations: Dict[int, OpTable] = {}
+    for word in sorted(support, key=lambda word: (len(word), word)):
+        residual: Dict[int, RingElement] = {}
+        for i, l, inner, sign in insertions(algebra, word, tables=tables):
+            for comp, value in inner.items():
+                outer = word[:i] + (comp,) + word[i + l :]
+                for ocomp, ovalue in tables.get(len(outer), {}).get(outer, {}).items():
+                    piece = value * ovalue
+                    add_term(residual, ocomp, -piece if sign < 0 else piece)
+        if residual:
+            relations.setdefault(len(word), {})[word] = residual
+    return relations
+
+
 def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     """The curved relation residual table, built on first use.
 
@@ -335,36 +371,82 @@ def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     is the residual of the curved A-infinity relation at a word u, the
     l = 0 curvature insertions included, so R(()) = m_1(m_0).  The table is
     {n: {u: {c: R(u)[c]}}} over the words u of nonzero R(u), lengths
-    ascending and words sorted, the shape of ``nonzero_words``.  A term of
-    R(u) needs a nonzero inner m_l on a stored word and a nonzero outer m on
-    the stored word o that its output letter makes, so u is an un-insertion
-    o[:i] + inner + o[i+1:] of o; only those words are expanded, with no
-    length cap.  Both operations are read from ``nonzero_words``, so an
-    outer word past the stored tables counts as zero there, as it does for
-    the insertions of b' (see ``hochschild.identity_residuals``); no arity
-    cutoff is read.  ``check_ainfty`` reports from this table, and the b'^2
-    map of ``hochschild.identity_residuals`` is formed from it.  The table
-    is kept on the operation index, so the rule that ``_index`` is set to
-    None after an edit of ``ops`` or of the degrees drops it as well.
+    ascending and words sorted, the shape of ``nonzero_words``.  Both
+    operations are read from ``nonzero_words``, so an outer word past the
+    stored tables counts as zero there, as it does for the insertions of b'
+    (see ``hochschild.identity_residuals``); no arity cutoff is read.
+    ``check_ainfty`` reports from this table, and the b'^2 map of
+    ``hochschild.identity_residuals`` is formed from it.  The table is kept
+    on the operation index, so the rule that ``_index`` is set to None after
+    an edit of ``ops`` or of the degrees drops it as well.
     """
     index = _operation_index(algebra)
     if index.relations is None:
-        tables = index.nonzero
-        outers = [outer for words in tables.values() for outer in words]
-        support = {word for outer in outers for word in uninsertions(algebra, outer, inf)}
-        relations: Dict[int, OpTable] = {}
-        for word in sorted(support, key=lambda word: (len(word), word)):
-            residual: Dict[int, RingElement] = {}
-            for i, l, inner, sign in insertions(algebra, word):
-                for comp, value in inner.items():
-                    outer = word[:i] + (comp,) + word[i + l :]
-                    for ocomp, ovalue in tables.get(len(outer), {}).get(outer, {}).items():
-                        piece = value * ovalue
-                        add_term(residual, ocomp, -piece if sign < 0 else piece)
-            if residual:
-                relations.setdefault(len(word), {})[word] = residual
-        index.relations = relations
+        index.relations = _residual_table(algebra, index.nonzero)
     return index.relations
+
+
+def on_degree_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """R_on, the curved relation residual table of the entries on the
+    A-infinity degree alone, built on first use.
+
+    R_on(u) is R(u) of ``relation_residuals`` with both the inner and the
+    outer operation read from ``nonzero_words`` less ``off_degree_words``.
+    Where no entry is off the degree it is R itself, the same table, so a
+    table with the A-infinity degree (every corpus document) builds one.
+    The b^2 map of ``hochschild.identity_residuals`` is formed from it.
+    """
+    index = _operation_index(algebra)
+    if index.on_relations is None:
+        if index.off_degree:
+            on: Dict[int, OpTable] = {}
+            for k, words in index.nonzero.items():
+                off = index.off_degree.get(k, {})
+                for word, out in words.items():
+                    kept = {comp: value for comp, value in out.items()
+                            if comp not in off.get(word, ())}
+                    if kept:
+                        on.setdefault(k, {})[word] = kept
+            index.on_relations = _residual_table(algebra, on)
+        else:
+            index.on_relations = relation_residuals(algebra)
+    return index.on_relations
+
+
+def unit_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """The strict-unit residual table, built on first use.
+
+    U(S) = sum_i (-1)^{|S[:i]|'} m(S[:i] + (1,) + S[i:]), over the slots
+    i = 0..len(S) of a word S with no unit letter, is what strict unitality
+    makes zero: m_2(1, x) = x, m_2(x, 1) = (-1)^{|x|} x and every other
+    operation with the unit in a slot zero give U((x,)) = x - x and
+    U(S) = 0 at every other S.  The table is {l: {S: {c: U(S)[c]}}} over
+    the words S of nonzero U(S), lengths ascending, in the shape of
+    ``nonzero_words``; each stored word that holds the unit exactly once
+    adds its operation to U of the word without it.  The wrap-arounds of
+    the bB+Bb map of ``hochschild.identity_residuals`` are formed from it.
+    """
+    index = _operation_index(algebra)
+    if index.units is None:
+        unit = algebra.basis.require_unit()
+        degrees = algebra.basis.degrees
+        units: Dict[int, OpTable] = {}
+        for words in index.nonzero.values():
+            for word, out in words.items():
+                if word.count(unit) != 1:
+                    continue
+                i = word.index(unit)
+                segment = word[:i] + word[i + 1 :]
+                odd = maltese([degrees[x] for x in segment], i) % 2
+                residual = units.setdefault(len(segment), {}).setdefault(segment, {})
+                for comp, value in out.items():
+                    add_term(residual, comp, -value if odd else value)
+        index.units = {}
+        for length, segments in units.items():
+            kept = {segment: residual for segment, residual in segments.items() if residual}
+            if kept:
+                index.units[length] = kept
+    return index.units
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> Report:

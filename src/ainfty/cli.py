@@ -105,12 +105,15 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     Report lines are those of the per-chain evaluation of every chain.  The
     cost is one evaluation per distinct key (on G1 at the default seed,
     231 keys for 200 chains of 421 terms) plus one per chain that fails;
-    the certificates live only for this call.  An evaluation forms the b'
-    images in full, b only through its wrap-around terms on the small chain
-    q D(u), b'^2 from the curved relation residuals that ``check_ainfty``
-    reports, and the two rotation identities only where twin terms do not
-    cancel (see ``hh.identity_residuals``): on G1 at K = 8 and the default
-    seed the suite makes 2,956 ``coeff.mul_into`` calls.
+    the certificates live only for this call.  An evaluation reads b'^2
+    off the curved relation residuals that ``check_ainfty`` reports, b^2
+    off those of the entries on the A-infinity degree, and the wrap-arounds
+    of bB+Bb off the strict-unit residuals, and it forms the two rotation
+    identities only where twin terms do not cancel (see
+    ``hh.identity_residuals``).  Where the relations and unit laws hold
+    and no entry is off the degree, b' and D are formed only on the keys
+    whose module is the unit: on G1 at K = 8 and the default seed the
+    suite makes 272 ``coeff.mul_into`` calls.
     The draws share one table of their nine monomials.
     """
     rng = random.Random(seed)

@@ -48,29 +48,42 @@ after one ``maltese`` per word.  The sign of a rotation and of a wrap-around
 is the Koszul cost of moving a block past the rest of the cyclic word, which
 has one home, ``graded.crossing_sign``.  b's core ``_b_into`` is
 ``_bar_into`` plus ``_D_into`` on the unreduced space, so b has no insertion
-loop of its own.  The wrap-around terms have one helper, ``_wraps_into``,
-which takes the first tail-block length as a parameter: D runs it from 1,
-and the bB+Bb residual from 0 (all the wraps, W).
+loop of its own; D's wrap-arounds, whose tail block has at least one
+letter, are a loop of ``_D_into``.  ``_windows_into`` walks the terms of b
+one cyclic window at a time, on a part of the operation table or on a
+residual table.
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
-with no intermediate chain sum: b'^2 is ``_bar_square_into`` on u, which
-puts the curved relation residual of each window of a key in its place,
-reading the table ``ainfty.relation_residuals`` that ``check_ainfty``
-reports from, and adds the disjoint pairs of insertions only where the
-table has entries off the A-infinity degree; b^2 adds
-``_b_into``, ``_bar_into`` and ``_D_into`` terms to its quotient, B^2 is
-``_B_into`` on B(c), and bB+Bb is ``_wraps_into`` on B(c) plus the b'N-Nb
-residual of the keys whose module is not the unit, less ``_N_into`` of
-b(u'').  The two rotation identities have a core each,
+with no intermediate chain sum, and reads three residual tables of the
+operation index where the operators would form products that cancel:
+
+  * b'^2 is ``_bar_square_into`` on u, which puts the curved relation
+    residual of each window of a key in its place, reading the table
+    ``ainfty.relation_residuals`` that ``check_ainfty`` reports from, and
+    adds the disjoint pairs of insertions only where the table has entries
+    off the A-infinity degree;
+  * b^2 is the quotient of ``_b_square_into`` on u, which puts the relation
+    residual of the entries on the degree (``ainfty.on_degree_residuals``)
+    at each cyclic window that b reads, plus the composites with b at the
+    entries off the degree, less b of the terms of b(u) with the unit in a
+    tensor slot (``_unit_outputs_into``);
+  * bB+Bb is ``_unit_wraps_into``, the wrap-arounds of b on B(c) read off
+    the strict-unit residual table ``ainfty.unit_residuals``, plus the
+    b'N-Nb residual of the keys whose module is not the unit, less
+    ``_N_into`` of b(u''); B^2 is ``_B_into`` on B(c).
+
+The two rotation identities have a core each,
 ``_bar_N_residual_into`` for b'N-Nb and ``_rotation_residual_into`` for
 b(1-t)-(1-t)b': each walks the cyclic windows of a key once and forms a
 product only for a pair of twin terms whose signs differ.  Twins can differ
 only at an operation entry off the A-infinity degree, so the cores walk
 only those entries (``ainfty.off_degree_words``) and do nothing on a table
-that has none.  So b is formed only on the small chain q D(u); the
-docstring of ``identity_residuals`` proves the identities, the pairings
-and the off-degree criterion this rests on.  All
+that has none.  So on a table whose relations and unit laws hold, with no
+entry off the degree, b is formed only on the keys whose module is the
+unit, for N(b u''); the docstring of ``identity_residuals`` proves the
+identities, the pairings, the off-degree criterion and the table readings
+this rests on.  All
 the operators are linear over the coefficient ring, and the level cutoff is
 an ideal, which is what lets ``cli.chain_identity_suite`` check each basis
 key once instead of each drawn chain.
@@ -96,7 +109,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, off_degree_words,
-                     relation_residuals, words_by_output)
+                     on_degree_residuals, relation_residuals, unit_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, crossing_sign, maltese, maltese_prefixes, word_count, words_over
@@ -222,38 +235,6 @@ def _level_cutoff(chain: HochschildChain, spec):
     return spec.level_cutoff
 
 
-def _wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
-                start: int) -> dict:
-    """Add the wrap-around terms of b(chain) whose tail block has i >= start
-    letters into acc: W(chain) for start 0.
-
-    At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
-    puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
-    block crosses v and the kept prefix a_1..a_{k-i} (``crossing_sign``;
-    +1 for an empty block).
-    """
-    degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
-    for (v, word), terms in chain.items():
-        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
-        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
-        k = len(word)
-        total = prefixes[-1]
-        for a, words in tables.items():
-            if a > k + 1:
-                break
-            for i in range(start, a):
-                j = a - 1 - i
-                inner = words.get(word[k - i :] + (v,) + word[:j])
-                if not inner:
-                    continue
-                wrap = crossing_sign(total, prefixes[k - i + 1])
-                rest = word[j : k - i]
-                for comp, value in inner.items():
-                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
-    return acc
-
-
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     """Add b(chain) into acc on the unreduced space, b = b' + D (fact D of
     ``identity_residuals``); products above the level cutoff ``top`` are
@@ -273,9 +254,32 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
 def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     """Add D(chain) into acc, D = b - b' on unreduced chains: the
     wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
-    of the module slot (see ``identity_residuals`` for the proof)."""
-    _wraps_into(acc, algebra, chain, top, 1)
-    curvature = nonzero_words(algebra).get(0, {}).get(())
+    of the module slot (see ``identity_residuals`` for the proof).
+
+    At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
+    puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
+    block crosses v and the kept prefix a_1..a_{k-i} (``crossing_sign``).
+    """
+    degrees = algebra.basis.degrees
+    tables = nonzero_words(algebra)
+    for (v, word), terms in chain.items():
+        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
+        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
+        k = len(word)
+        total = prefixes[-1]
+        for a, words in tables.items():
+            if a > k + 1:
+                break
+            for i in range(1, a):
+                j = a - 1 - i
+                inner = words.get(word[k - i :] + (v,) + word[:j])
+                if not inner:
+                    continue
+                wrap = crossing_sign(total, prefixes[k - i + 1])
+                rest = word[j : k - i]
+                for comp, value in inner.items():
+                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
+    curvature = tables.get(0, {}).get(())
     if curvature:
         for (v, word), terms in chain.items():
             for comp, value in curvature.items():
@@ -283,14 +287,12 @@ def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     return acc
 
 
-def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
-              sign: int = 1) -> dict:
-    """Add sign * b'(chain) into acc, a raw {key: {Monomial: scalar}} map;
-    an insertion at slot 0 makes the new module slot."""
+def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add b'(chain) into acc, a raw {key: {Monomial: scalar}} map; an
+    insertion at slot 0 makes the new module slot."""
     for (v, word), terms in chain.items():
         full = (v,) + word
         for p, arity, inner, inserted in insertions(algebra, full):
-            inserted *= sign
             for comp, value in inner.items():
                 key = (v, full[1:p] + (comp,) + full[p + arity :]) if p else (comp, full[arity:])
                 mul_into(acc.setdefault(key, {}), terms, value.terms, top, inserted)
@@ -442,6 +444,142 @@ def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -
     return acc
 
 
+def _windows_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int, tables: dict,
+                  nested: bool) -> dict:
+    """Add, at each cyclic window W of a key that b reads, the entries
+    tables[W] where b writes its output: b on the entries of ``tables``
+    (a part of ``nonzero_words`` in its shape), or, for ``nested``, the
+    nested pairs of b applied twice, ``tables`` a relation residual table
+    (the b^2 fact of ``identity_residuals``).
+
+    A window in the word, at q >= 1, keeps the module slot f[0] in front
+    and is written in place with b's sign ``insertion_sign`` at q, or +1
+    for the nested pairs; the gaps are q = 1..n, after every letter, and b
+    has none in front of f[0].  A window through f[0] starts at c, with
+    c = n standing for 0; its output becomes the new module slot in front
+    of the rest of the cyclic word, with the sign of the rotation taking
+    f[c:] to the front (``crossing_sign``; +1 for c = n).  These are the
+    terms of b = b' + D, one per window (the pairing by cyclic window).
+    """
+    if not tables:
+        return acc
+    degrees = algebra.basis.degrees
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        n = len(f)
+        ring = f + f
+        prefixes = maltese_prefixes([degrees[x] for x in f])
+        for length, words in tables.items():
+            if length > n:
+                break
+            for q in range(1, n - length + 1):
+                inner = words.get(f[q : q + length])
+                if inner:
+                    sign = 1 if nested else insertion_sign(prefixes, q)
+                    for comp, value in inner.items():
+                        mul_into(acc.setdefault((v, f[1:q] + (comp,) + f[q + length :]), {}),
+                                 terms, value.terms, top, sign)
+            for c in range(n - length + 1, n + 1):
+                inner = words.get(ring[c : c + length])
+                if inner:
+                    turn = crossing_sign(prefixes[n], prefixes[c])
+                    for comp, value in inner.items():
+                        mul_into(acc.setdefault((comp, ring[c + length : c + n]), {}),
+                                 terms, value.terms, top, turn)
+    return acc
+
+
+def _b_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add b(b(chain)) into acc on the unreduced space, from the relation
+    residuals of the entries on the A-infinity degree and the off-degree
+    composites (the b^2 fact of ``identity_residuals``).
+
+    Each cyclic window W of a key that b reads adds R_on(W)
+    (``on_degree_residuals``) where b would write its output: in place with
+    sign +1 for a window in the word, as the new module slot with the sign
+    of the rotation for one through the module slot.  Where the table has
+    entries off the degree, b(b_off chain) + b_off(b_on chain) is added,
+    b_on = b - b_off.  On a table whose relations hold and which has no
+    entry off the degree, no product is formed.
+    """
+    _windows_into(acc, algebra, chain, top, on_degree_residuals(algebra), True)
+    tables = off_degree_words(algebra)
+    if tables:
+        off = _windows_into({}, algebra, chain, top, tables, False)
+        _b_into(acc, algebra, off, top)
+        on = _b_into({}, algebra, chain, top)
+        for key, terms in off.items():
+            add_into(on.setdefault(key, {}), terms, -1)
+        _windows_into(acc, algebra, on, top, tables, False)
+    return acc
+
+
+def _unit_outputs_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add (1 - q) b(chain) into acc for the raw map of a reduced chain:
+    the terms of b with the unit in a tensor slot.
+
+    The words of the chain hold no unit, so b keeps the unit out of them
+    except where an insertion at a slot p >= 1 outputs it: a window equal
+    to a unit-free word that ``words_by_output`` lists under the unit.  At
+    p = 0, b' puts m_0 in front of the module slot, which holds the unit
+    in the word when the module is the unit, and D's -m_0 takes it away;
+    an insertion of arity >= 1 there makes the module slot.
+    """
+    unit = algebra.basis.unit
+    sources = [x for x in words_by_output(algebra).get(unit, ()) if unit not in x]
+    if not sources:
+        return acc
+    degrees = algebra.basis.degrees
+    tables = nonzero_words(algebra)
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        prefixes = maltese_prefixes([degrees[x] for x in f])
+        for x in sources:
+            a = len(x)
+            value = tables[a][x][unit].terms
+            for p in range(1, len(f) - a + 1):
+                if f[p : p + a] == x:
+                    out = f[:p] + (unit,) + f[p + a :]
+                    mul_into(acc.setdefault((out[0], out[1:]), {}), terms, value, top,
+                             insertion_sign(prefixes, p))
+    return acc
+
+
+def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
+    """Add W(B chain) into acc, the wrap-arounds of b (tail blocks of every
+    length, the empty one included) on the B image of the keys of
+    ``chain``, whose modules are not the unit; from the strict-unit
+    residuals (the W(B c) fact of ``identity_residuals``).
+
+    Each cyclic segment f°[c:c+l] of a marked word f, c < n and
+    0 <= l <= n, with a nonzero residual U (``unit_residuals``), adds U of
+    it as the new module slot in front of the rest of the cyclic word,
+    with the sign of the rotation taking f[c:] to the front.  On a table
+    whose unit laws hold strictly, no product is formed.
+    """
+    units = unit_residuals(algebra)
+    if not units:
+        return acc
+    degrees = algebra.basis.degrees
+    for (v, word), terms in chain.items():
+        f = (v,) + word
+        n = len(f)
+        ring = f + f
+        prefixes = maltese_prefixes([degrees[x] for x in f])
+        for length, segments in units.items():
+            if length > n:
+                break
+            for c in range(n):
+                inner = segments.get(ring[c : c + length])
+                if not inner:
+                    continue
+                rho = crossing_sign(prefixes[n], prefixes[c])
+                rest = ring[c + length : c + n]
+                for comp, value in inner.items():
+                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, rho)
+    return acc
+
+
 def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     """Add b'N(chain) - N b(chain) into acc on the unreduced space.
 
@@ -571,9 +709,9 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     A-infinity relations.  Write b for the classical
     module differential: the wrap-arounds plus the interior insertions into
     the word with base |v|', as ``oracles.hochschild_b_reference`` forms
-    it.  The b images are assembled from b' images through three facts
-    that hold for any tables; ``_b_into`` takes D, and ``hochschild_b``
-    reduced b, as b's definition:
+    it.  The b images rest on three facts that hold for any tables;
+    ``_b_into`` takes D, and ``hochschild_b`` reduced b, as b's
+    definition:
 
       * D.  D(x) := b(x) - b'(x) on unreduced chains is the wrap-arounds
         of b with a tail block i >= 1, minus m_0 inserted in front of the
@@ -647,9 +785,8 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     document, b'^2 forms no product.
 
     Read as an unreduced chain, c is u.  Let u' and u'' be its keys whose
-    module is not and is the unit, P and Z the keys of b'(u) with a
-    unit-free word and with the unit in a tensor slot, and
-    eps = (-1)^{|1|'} from the unit's degree.  Then:
+    module is not and is the unit, and eps = (-1)^{|1|'} from the unit's
+    degree.  Then:
 
       1. b(u) = b'(u) + D(u), by D.
       2. The rotation residual b(u) - b(tu) - b'(u) + t b'(u) is
@@ -666,13 +803,24 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
          q s_1 N drops every key with a unit word.  So bB+Bb =
          W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and the last term
          is zero because ``GradedBasis`` gives the unit degree 0.  q s_1 R
-         is summed once R has cancelled, over its nonzero keys.  The b'N-Nb
-         residual is Res(u) = Res(u') + Res(u'').
-      4. b_red b_red c = q b(q b u) by reduced b, and q b u = P + q D u, so
-         b^2 = q b(P) + b_red(q D u); by D and b'(u) = P + Z, q b(P) =
-         q b'(b'u) - q b'(Z) + q D(P), and q b'(b'u) is the quotient of
-         the b'^2 residual.  Z is empty unless some insertion outputs the
-         unit (E2's m_0) or m_0 goes in front of a unit module.
+         is summed once R has cancelled, over its nonzero keys, and W(B c)
+         is formed from the strict-unit residuals (the W(B c) fact below,
+         ``_unit_wraps_into``).  The b'N-Nb residual is
+         Res(u) = Res(u') + Res(u'').
+      4. b_red b_red c = q b(q b u) by reduced b, applied twice, so
+         b^2 = q b(b u) - q b((1 - q) b u).  q b(b u) is the quotient of
+         the unreduced b^2, which ``_b_square_into`` forms from the
+         relation residuals of the entries on the A-infinity degree (the
+         b^2 fact below).  (1 - q) b u, the terms of b u with the unit in
+         a tensor slot, is formed by ``_unit_outputs_into``: the words of
+         u hold no unit, a wrap keeps a subword and b''s insertions of
+         arity >= 1 at slot 0 make the module slot, so the unit reaches a
+         tensor slot only through an insertion at a slot p >= 1 that
+         outputs it, a window equal to a unit-free word that
+         ``words_by_output`` lists under the unit.  b''s m_0 in front of a
+         unit module also puts the unit in the word, and D's -m_0 takes
+         it away.  (1 - q) b u is empty unless a unit-free word outputs
+         the unit (E2's m_0).
 
     The pairing by cyclic window.  Let f = (f_0..f_{n-1}) be the marked
     word of a key with coefficient x, M its ``maltese_prefixes`` and
@@ -766,53 +914,118 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     none; at such an entry a pair still cancels where |X|' is even, which
     the cores see as two equal signs.
 
-    So the images are b'(u), D(u), B(c), b'(Z), D(P), b_red(q D u),
-    N(b'u''), N(D u''), W(B c) and B(B c), with b'(u'') and D(u'') formed
-    again only when u' is not empty; b is formed only on q D u, and b'^2
-    from R and the off-degree pairs.  t(u), b(tu), t b'(u), b'(b'u),
-    b'(N u), N(b'u') and N(D u') are never formed, nor are b(b c),
-    b(B c) and B(b c).  The b^2 map shares the maps of the b'^2 residual
-    at the keys the other terms of 4 do not reach.
+    The W(B c) fact: W(B c) is formed from the strict-unit residual
+    U(S) = sum_i (-1)^{|S[:i]|'} m(S[:i] 1 S[i:]) (``ainfty.unit_residuals``).
+    Let f be the marked word of a key of u' with coefficient x, n = |f|,
+    T = |f|', f° = f + f, and rho_c = ``crossing_sign(T, |f[:c]|')``, the
+    sign of the rotation taking f[c:] to the front.  B writes
+    rho_c x (1, g) for g = f°[c:c+n], c < n: t^r moves the last r = n - c
+    letters to the front one at a time, and those signs multiply to the
+    crossing of the block.  W at (1, g) is, for i + j <= n,
+    m(g[n-i:], 1, g[:j]) at (comp, g[j:n-i]), signed by the tail block
+    X = g[n-i:] crossing 1 and g[:n-i], whose shifted degrees sum to
+    T - 1 - |X|': parity |X|'(T - |X|') + |X|'.  The letters read,
+    S = g[n-i:] + g[:j], are the cyclic segment f°[d:d+l] of f,
+    d = c - i mod n and l = i + j, with the unit at slot i of S, and the
+    kept word is f°[d+l:d+n].  (c, i, j) -> (d, l, i) is one to one onto
+    d < n, 0 <= i <= l <= n.  The rotation of f to g and then of g's tail
+    block X = S[:i] to the front is the rotation of f to f°[d:d+n]; the
+    parities add along rotations, so rho_c (-1)^{|X|'(T - |X|')} =
+    rho_d, and the term has the sign rho_d (-1)^{|S[:i]|'}.  Summed over
+    the slots i of one segment:
+
+        W(B c) = sum_{d < n, 0 <= l <= n} rho_d x U(f°[d:d+l])[comp]
+                 at the key (comp, f°[d+l:d+n]).
+
+    S holds no unit (f has none, its module not being the unit), and the
+    word read holds the unit once, so only those stored words enter U.
+    Each term is x times a sum of structure constants, and truncation is
+    linear, so x U(S) truncates as its terms do.  On a table whose unit
+    laws hold strictly, U is empty and W(B c) forms no product.
+
+    The b^2 fact.  Let f, x, T and rho_c be as above, and read b(f) by
+    cyclic window as in the pairing above: one term per window, the n
+    gaps included, written in place with sign (-1)^{|f[:q]|'} for a window
+    at q >= 1 in the word (f_0 stays in front), and as the new module slot
+    in front of the rest of the cyclic word with sign rho_c for a window
+    through f_0 that starts at c (``_windows_into``).  Both are of shape
+    (i) above.  By the computation of "When twins agree", at an entry on
+    the A-infinity degree a term of b may be read from any linear word
+    H W K of f with W linear in it: rotate f to H W K, insert after H,
+    and rotate the output to the word that starts at its module letter;
+    every choice of H gives the same sign.  Let b_on and b_off be b on the
+    entries on and off the degree, and R_on(W) = m_on(b'_on W) the
+    relation residual of the entries on the degree
+    (``ainfty.on_degree_residuals``; R itself when none is off).  Then
+    b_on(b_on f) has two kinds of pairs: a first term at a window W1 with
+    output c1, then a second at a window W2 of the output.
+
+      * Nested: W2 holds c1.  Then W2 with W1 put back for c1 is a cyclic
+        window W of f, and W1 = W[i:i+k].  Read both terms from b's own
+        reading H W K of W: the first has the parity rho(f -> H W K) +
+        |H|' + |W[:i]|', the second |H|', and the rotation of the middle
+        word to its module reading and back costs nothing, the parities
+        adding along rotations.  The output H c2 K is b's output at W: for
+        W in the word, H W K is f itself, H starts at f_0, and the sign is
+        (-1)^{|W[:i]|'}; for W through f_0, H is empty, c2 is the module,
+        and the sign is rho_c (-1)^{|W[:i]|'}.  Summed over the
+        insertions into W, the arity-0 ones at each of the l + 1 slots of
+        W included (the first and last slot of a window of all n letters
+        are one gap of f, reached by two pairs that W2 reads in two
+        orders), and over the outputs: R_on(W) in place with sign +1, or
+        rho_c R_on(W) as the new module slot.
+      * Disjoint: W2 does not hold c1.  W1 and W2 are disjoint cyclic
+        windows A and B, and the pair reaches one output in two orders.
+        Read both from a linear word A M B K: A first costs 0 and then B
+        costs |c1|' + |M|'; B first costs |A|' + |M|' and then A costs 0;
+        both end at c1 M d K and rotate it alike.  On the degree
+        |c1|' = |A|' + 1, so the two orders cancel.
+
+    So b_on(b_on f) = sum over the windows W of b of R_on(W), written
+    where b writes its output, with sign +1 in the word and rho_c through
+    f_0, and b(b f) = b_on(b_on f) + b(b_off f) + b_off(b_on f), since
+    b = b_on + b_off.  ``_b_square_into`` forms the sum from the table,
+    and the other two, with b_on f = b f - b_off f, only where the table
+    has entries off the degree.  Each term is x times a product of
+    structure constants, so truncation drops what b applied twice drops;
+    R_on, like R, has no length cap and reads a word past the stored
+    tables as zero.  On a table whose relations hold and which has no
+    entry off the degree, b^2 forms no product but those of
+    (1 - q) b u.
+
+    So the images are B(c), B(B c), b'(u'') and D(u'') for N(b u''),
+    (1 - q) b u and b of it where a unit-free word outputs the unit, and,
+    only where the table has entries off the A-infinity degree, b_off(u),
+    b(b_off u), b(u), b_on(u) and b_off(b_on u); b^2 is read off R_on,
+    b'^2 off R and the off-degree pairs, and W(B c) off U.  b'(u), D(u),
+    t(u), b(tu), t b'(u), b'(b'u), b'(N u), N(b'u') and N(D u') are never
+    formed, nor are b(b c), b(B c) and B(b c).
     """
     basis = algebra.basis
     unit = basis.require_unit()
     top = algebra.spec.level_cutoff
-    bar_u = _cleaned(_bar_into({}, algebra, u, top))
-    Du = _cleaned(_D_into({}, algebra, u, top))
 
-    bar_square = _bar_square_into({}, algebra, u, top)
-    P = _quotient(bar_u, unit)
-    Z = {key: terms for key, terms in bar_u.items() if key not in P}
-    extra = _b_into({}, algebra, _quotient(Du, unit), top)
-    _bar_into(extra, algebra, Z, top, -1)
-    _D_into(extra, algebra, P, top)
-    square = _quotient(bar_square, unit)
-    for key, terms in _quotient(extra, unit).items():
-        old = square.get(key)
-        square[key] = terms if old is None else add_into(terms, old)
+    # b_red^2 c = q b(b u) - q b((1 - q) b u)
+    square = _b_square_into({}, algebra, u, top)
+    for key, terms in _b_into({}, algebra, _unit_outputs_into({}, algebra, u, top), top).items():
+        add_into(square.setdefault(key, {}), terms, -1)
 
     rotation = _rotation_residual_into({}, algebra, u, top)
 
     front = {key: terms for key, terms in u.items() if key[0] != unit}
     units = {key: terms for key, terms in u.items() if key[0] == unit}
-    Bc = _cleaned(_B_into({}, basis, u))
     bar_N = _bar_N_residual_into({}, algebra, units, top)
     R = _bar_N_residual_into({}, algebra, front, top)
     for key, terms in R.items():
         add_into(bar_N.setdefault(key, {}), terms)
-    # N(b u''), with the images of u already formed when u'' is all of u
-    if front:
-        bar_units, D_units = _bar_into({}, algebra, units, top), _D_into({}, algebra, units, top)
-    else:
-        bar_units, D_units = bar_u, Du
-    _N_into(_N_into(R, basis, bar_units, -1), basis, D_units, -1)
+    _N_into(R, basis, _b_into({}, algebra, units, top), -1)
     eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
-    bB = _unit_front_into(_wraps_into({}, algebra, Bc, top, 0), R, unit, eps)
+    bB = _unit_front_into(_unit_wraps_into({}, algebra, front, top), R, unit, eps)
     return [
-        ("b^2", square),
-        ("B^2", _B_into({}, basis, Bc)),
+        ("b^2", _quotient(square, unit)),
+        ("B^2", _B_into({}, basis, _cleaned(_B_into({}, basis, u)))),
         ("bB+Bb", bB),
-        ("b'^2", bar_square),
+        ("b'^2", _bar_square_into({}, algebra, u, top)),
         ("b(1-t)-(1-t)b'", rotation),
         ("b'N-Nb", bar_N),
     ]

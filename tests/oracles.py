@@ -595,8 +595,9 @@ def _insertions_reference(algebra, word, base=0):
                 yield i, k, inner, -1 if (base + maltese(degrees, i)) % 2 else 1
 
 
-def hochschild_b_reference(algebra, chain) -> HochschildChain:
-    """b visiting every wrap-around split (i, j), one ring element per term."""
+def _wraps_reference(algebra, chain) -> dict:
+    """Every wrap-around of b, tail blocks of every length (the empty one
+    included), visiting each split (i, j): {key: RingElement}."""
     basis = algebra.basis
     out = {}
     arity_set = set(algebra.stored_arities())
@@ -613,7 +614,20 @@ def hochschild_b_reference(algebra, chain) -> HochschildChain:
                 sign = -1 if (tail * maltese(marked, k - i + 1)) % 2 else 1
                 for comp, value in inner.items():
                     add_term(out, (comp, word[j:k - i]), coeff.scale(sign) * value)
-        for p, arity, inner, sign in _insertions_reference(algebra, word, marked[0] - 1):
+    return out
+
+
+def wraps_reference(algebra, chain) -> HochschildChain:
+    """W(chain): the wrap-arounds of b with tail blocks of every length."""
+    return HochschildChain(algebra.basis, _wraps_reference(algebra, chain), chain.reduced)
+
+
+def hochschild_b_reference(algebra, chain) -> HochschildChain:
+    """b visiting every wrap-around split (i, j), one ring element per term."""
+    basis = algebra.basis
+    out = _wraps_reference(algebra, chain)
+    for (v, word), coeff in ring_terms(chain).items():
+        for p, arity, inner, sign in _insertions_reference(algebra, word, basis.degree(v) - 1):
             for comp, value in inner.items():
                 add_term(out, (v, word[:p] + (comp,) + word[p + arity:]),
                          coeff.scale(sign) * value)

@@ -11,21 +11,29 @@ degree raised by one after the tables were validated, so the operations
 lose their degree and the rotation identities fail as well).  The
 certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
-one; both are properties here.  ``hochschild.identity_residuals`` builds
-its b images from b' images, b'^2 from the curved relation residual table
-and the disjoint pairs of insertions, and the two rotation identities from
-pairs of twin terms whose signs differ, walking only the operation entries
-off the A-infinity degree; its six maps must equal those of
+one; both are properties here.  ``hochschild.identity_residuals`` reads
+b'^2 off the curved relation residual table and the disjoint pairs of
+insertions, b^2 off the relation residuals of the entries on the
+A-infinity degree at the cyclic windows of b, the wraps of bB+Bb off the
+strict-unit residual table, and the two rotation identities from pairs of
+twin terms whose signs differ, walking only the operation entries off the
+A-infinity degree; its six maps must equal those of
 ``oracles.identity_residuals_reference``, which forms every image in full,
 on drawn chains and on every basis key of three letters or fewer, also
 with the basis degrees redrawn, and the operator identities it rests on
 (b = b' + D, and reduced b after the unit is put in front) are properties
-too.  A curved variant with m_1(m_0) != 0 (SV1 + w) reaches the empty
-window of b'^2; the failing variants at arity cutoff 2 show that the
-residual table reads no arity cutoff, and on the algebras whose relations
-hold b'^2 forms no product.  The mutant catalog breaks the certificate and
-each term of the residual kernel one way each, and the off-degree filter
-two ways.
+too.  b^2 is also compared with ``oracles.hochschild_b_reference`` applied
+twice, and the wraps of B(c) with ``oracles.wraps_reference`` of
+``oracles.connes_B_reference``, which run no engine core.  A curved
+variant with m_1(m_0) != 0 (SV1 + w) reaches the empty window of b'^2 and
+the gap after the last letter of b^2, variants with a unit entry in m_3
+reach two-letter segments of the unit residual, and E2 with m2(1,x)
+negated reaches the unit that m_0 puts in front of a unit module; the
+failing variants at arity cutoff 2 show that the residual tables read no
+arity cutoff, and on the algebras whose relations and unit laws hold b'^2,
+b^2 and the wraps of B(c) form no product (but E2's (1 - q) b u).  The
+mutant catalog breaks the certificate and each term of the residual kernel
+one way each, and the off-degree filter two ways.
 """
 
 import copy
@@ -48,7 +56,8 @@ from ainfty.hochschild import (
 from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make_sv1
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
-    crossing_sign_mutant, identity_residuals_reference, mutant_module,
+    connes_B_reference, crossing_sign_mutant, hochschild_b_reference, identity_residuals_reference,
+    mutant_module, wraps_reference,
 )
 
 
@@ -79,6 +88,15 @@ def degree_shifted(maker, letter):
     return with_degrees(algebra, degrees)
 
 
+def with_entry(maker, word, comp, name):
+    """The algebra with one more structure constant, m_len(word)(word) = comp,
+    at the neutral monoid element."""
+    algebra = maker()
+    ops = {key: {w: dict(out) for w, out in table.items()} for key, table in algebra.ops.items()}
+    ops.setdefault((len(word), 0), {})[word] = {comp: algebra.one_ring()}
+    return AInftyAlgebra(algebra.basis, algebra.monoid, ops, algebra.spec, name=name)
+
+
 def sv1_with_w():
     """SV1 with a degree-3 letter w and m_1(z) = w, unit laws kept: m_1(m_0)
     = T w, so the curved relation fails on the empty word, and b'^2 inserts
@@ -104,6 +122,16 @@ FAILING = {
     "Q1 |z| + 1": degree_shifted(make_q1, 2),
     "OB1 |z| + 1": degree_shifted(make_ob1, 2),
     "SV1 + w, m1(z) = w": sv1_with_w(),
+    # a unit entry past m_2: two-letter segments of the unit residual U,
+    # and the wrap that crosses the segment in front of the unit
+    # an entry off the degree inside a failing relation: R(1, x, y) reads
+    # m_2(x, y), so R_on differs from R
+    "G1 |y| + 1, m2(1,z) negated": degree_shifted(
+        lambda: sign_flipped(make_g1, 2, (0, 3), 3), 2),
+    # m_0 outputs the unit, and the left unit law fails on it
+    "E2 m2(1,x) negated": sign_flipped(make_e2, 2, (0, 1), 1),
+    "G1 m3(x,1,y) = x": with_entry(make_g1, (1, 0, 2), 1, "G1 m3(x,1,y) = x"),
+    "G1 m3(z,1,x) = z": with_entry(make_g1, (3, 0, 1), 3, "G1 m3(z,1,x) = z"),
 }
 VARIANTS = {**PASSING, **FAILING}
 
@@ -188,7 +216,7 @@ def test_reduced_b_is_the_quotient_of_unreduced_b(case):
 # The residual kernel against the image-by-image reference, and the three
 # facts it rests on (see ``hochschild.identity_residuals``).  SV1 joins the
 # algebras here: with E2 it is curved, and E2's m_0 outputs the unit, so
-# b'(u) has keys with the unit in a tensor slot (Z is not empty).
+# b(u) has keys with the unit in a tensor slot ((1 - q) b u is not empty).
 RESIDUAL_ALGEBRAS = {**{(name, None): algebra for name, algebra in VARIANTS.items()},
                      **RINGED, ("SV1", Fraction(1, 2)): make_sv1(Fraction(1, 2)),
                      ("SV1", Fraction(3)): make_sv1()}
@@ -275,6 +303,14 @@ def test_identity_residuals_match_their_reference_at_redrawn_degrees(name, data)
     _residuals_match_on_every_basis_key(with_degrees(algebra, degrees))
 
 
+def _build_residual_tables(module, algebra):
+    """Build the algebra's operation index and its three residual tables
+    with the functions of ``module``."""
+    module.relation_residuals(algebra)
+    module.on_degree_residuals(algebra)
+    module.unit_residuals(algebra)
+
+
 def _residuals_disagree_past_the_arity_cutoff(module) -> bool:
     """Does a residual map, with the relation table that ``module`` builds,
     differ from the reference on some basis key of three letters or fewer
@@ -283,7 +319,7 @@ def _residuals_disagree_past_the_arity_cutoff(module) -> bool:
     the table."""
     for variant in FAILING.values():
         algebra = at_cutoffs(variant, k_max=2)
-        module.relation_residuals(algebra)
+        _build_residual_tables(module, algebra)
         if _first_residual_mismatch(algebra) is not None:
             return True
     return False
@@ -316,6 +352,94 @@ def test_bar_square_forms_no_product_where_the_relations_hold(monkeypatch):
         for key in iter_basis_chains(algebra, 3):
             assert hochschild._bar_square_into({}, algebra, {key: one}, top) == {}
     assert not calls
+
+
+def _chains_of_basis_keys(algebra, l_max):
+    """(key, reduced chain of the key with coefficient 1) for every basis
+    key of at most l_max letters."""
+    one = algebra.one_ring()
+    for key in iter_basis_chains(algebra, l_max):
+        yield key, HochschildChain.generator(algebra.basis, *key, one)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_b_square_is_the_reference_b_applied_twice(name):
+    # b_red b_red c against oracles.hochschild_b_reference, which forms every
+    # term of b from m_word and its own signs, with no engine core
+    algebra = VARIANTS[name]
+    for key, chain in _chains_of_basis_keys(algebra, 3):
+        got = dict(identity_residuals(algebra, chain.terms))["b^2"]
+        want = hochschild_b_reference(algebra, hochschild_b_reference(algebra, chain))
+        assert _nonzero(got) == want.terms, key
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_unit_wraps_are_the_wraps_of_B(name):
+    # W(B c) from the unit residuals against every wrap-around of the
+    # reference B c, tail blocks of every length
+    algebra = VARIANTS[name]
+    top = algebra.spec.level_cutoff
+    for key, chain in _chains_of_basis_keys(algebra, 3):
+        front = {k: terms for k, terms in chain.terms.items() if k[0] != algebra.basis.unit}
+        got = hochschild._unit_wraps_into({}, algebra, front, top)
+        want = wraps_reference(algebra, connes_B_reference(algebra.basis, chain))
+        assert _nonzero(got) == want.terms, key
+
+
+def test_unit_residuals_of_a_unit_entry_in_m3():
+    # U((x, y)) = m_3(x, 1, y) with sign (-1)^{|x|'} = +1; U((z, x)) =
+    # (-1)^{|z|'} m_3(z, 1, x) = -z
+    assert ainfty.unit_residuals(VARIANTS["G1 m3(x,1,y) = x"]) == {
+        2: {(1, 2): {1: make_g1().one_ring()}}}
+    assert ainfty.unit_residuals(VARIANTS["G1 m3(z,1,x) = z"]) == {
+        2: {(3, 1): {3: -make_g1().one_ring()}}}
+
+
+def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch):
+    # on a table whose relations and unit laws hold, with no entry off the
+    # A-infinity degree, b^2 reads R_on = R and W(B c) reads U, both empty;
+    # only a unit-free word whose operation outputs the unit (E2's m_0)
+    # makes (1 - q) b u, and b of it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_into(*args)
+
+    monkeypatch.setattr(hochschild, "mul_into", counted)
+    for algebra in [maker() for maker in (make_e1, make_e2, make_g1, make_q1)] + CORPUS_ALGEBRAS:
+        unit = algebra.basis.unit
+        assert ainfty.unit_residuals(algebra) == {}
+        assert ainfty.on_degree_residuals(algebra) is ainfty.relation_residuals(algebra) == {}
+        curved_unit = any(unit not in word for word in ainfty.words_by_output(algebra)[unit])
+        assert curved_unit == (algebra.name == "E2")
+        one = algebra.one_ring().terms
+        top = algebra.spec.level_cutoff
+        for key in iter_basis_chains(algebra, 3):
+            u = {key: one}
+            front = u if key[0] != unit else {}
+            assert hochschild._b_square_into({}, algebra, u, top) == {}
+            assert hochschild._unit_wraps_into({}, algebra, front, top) == {}
+            if not curved_unit:
+                assert hochschild._unit_outputs_into({}, algebra, u, top) == {}
+        assert not calls or curved_unit
+        calls.clear()
+
+
+def test_suite_on_G1_forms_at_most_300_products(monkeypatch):
+    # what is left on G1 at K = 8 and the default seed: b' and D on the keys
+    # whose module is the unit, for N(b u''); b^2, b'^2, the wraps of B(c)
+    # and the rotation identities read empty tables
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_into(*args)
+
+    g1 = at_cutoffs(CORPUS_ALGEBRAS[2], k_max=8)  # g1_gauge, as check-g1 runs it
+    monkeypatch.setattr(hochschild, "mul_into", counted)
+    assert cli.chain_identity_suite(g1, 200, 20240601).passed
+    assert len(calls) <= 300
 
 
 def _off_degree_entries(algebra):
@@ -373,9 +497,7 @@ def test_reduced_b_after_s1_is_wraps_plus_shifted_bar(data, algebra):
     letters = basis.reduced_letters()
     y = _draw_chain(data.draw, algebra, letters, letters, False)
     s1y = _s1(basis, y)
-    top = algebra.spec.level_cutoff
-    wraps = hochschild._built(basis, algebra.spec,
-                              hochschild._wraps_into({}, algebra, s1y.terms, top, 0), True)
+    wraps = wraps_reference(algebra, s1y)
     eps = -1 if (basis.degree(basis.unit) - 1) % 2 else 1
     assert hochschild_b(algebra, s1y) == chain_sum(wraps, _s1(basis, chain_bar(algebra, y), eps))
     reduced_y = HochschildChain(basis, {key: y.coefficient(key) for key in y.terms})
@@ -383,7 +505,8 @@ def test_reduced_b_after_s1_is_wraps_plus_shifted_bar(data, algebra):
 
 
 def test_E2_puts_the_unit_in_a_tensor_slot_of_bar_u():
-    # the case the b^2 term - q b'(Z) exists for: m_0 = T e 1 inserted in the word
+    # the case the b^2 term - q b((1 - q) b u) exists for: m_0 = T e 1
+    # inserted in the word
     e2 = make_e2()
     one = e2.one_ring()
     keys = [(v, word) for v in range(2) for word in ((), (1,), (1, 1))]
@@ -456,9 +579,7 @@ CHAIN_SUITE_MUTANTS = {
     "quotient keeps unit words": (
         hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
     "D without its m0-in-front term": (hochschild, "if curvature:", "if False:"),
-    "tail start 0 in D": (
-        hochschild, "_wraps_into(acc, algebra, chain, top, 1)",
-        "_wraps_into(acc, algebra, chain, top, 0)"),
+    "tail start 0 in D": (hochschild, "for i in range(1, a):", "for i in range(a):"),
     # D has no sign parameter any more: the rotation core reads the sign of
     # D's wrap-arounds as +1
     "D ignores its sign": (
@@ -467,11 +588,36 @@ CHAIN_SUITE_MUTANTS = {
     "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
     "bB remap keeps unit words": (
         hochschild, "if v != unit and unit not in word and any(", "if any("),
+    # b^2 from the cyclic windows of R_on: D's part of b^2 is the windows
+    # through the module slot, and b'(Z) the b' half of b((1 - q) b u)
     "b^2 without b_red(q D u)": (
-        hochschild, "extra = _b_into({}, algebra, _quotient(Du, unit), top)", "extra = {}"),
+        hochschild, "for c in range(n - length + 1, n + 1):", "for c in ():"),
     "b^2 without -q b'(Z)": (
-        hochschild, "_bar_into(extra, algebra, Z, top, -1)",
-        "_bar_into(extra, algebra, {}, top, -1)"),
+        hochschild, "_b_into({}, algebra, _unit_outputs_into(", "_D_into({}, algebra, _unit_outputs_into("),
+    "b^2 skips the gap after the last letter": (
+        hochschild, "for q in range(1, n - length + 1):",
+        "for q in range(1, n - length + (length > 0)):"),
+    # killed through G1 |y| + 1, m2(1,z) negated, the one variant whose
+    # off-degree entries reach a nonzero relation term
+    "R_on read as R": (
+        hochschild, "on_degree_residuals(algebra), True)", "relation_residuals(algebra), True)"),
+    "b_off(b_on u) dropped": (
+        hochschild, "        _windows_into(acc, algebra, on, top, tables, False)\n", ""),
+    # killed through E2 m2(x,1) negated, whose m_0 puts the unit in the word
+    "-q b((1-q) b u) dropped": (
+        hochschild, "        add_into(square.setdefault(key, {}), terms, -1)\n",
+        "        pass\n"),
+    "unit-output lookup ignores D's -m0 in front": (
+        hochschild, "for p in range(1, len(f) - a + 1):", "for p in range(v != unit, len(f) - a + 1):"),
+    # W(B c) from the unit residual table; the G1 m_3 variants reach its
+    # two-letter segments
+    "U's prefix sign dropped": (
+        ainfty, "add_term(residual, comp, -value if odd else value)", "add_term(residual, comp, value)"),
+    "unit wraps drop the rotation sign": (
+        hochschild, "terms, value.terms, top, rho)", "terms, value.terms, top)"),
+    "unit segments shorter than the word": (
+        hochschild, "in units.items():\n            if length > n:",
+        "in units.items():\n            if length >= n:"),
     "b'N-Nb window-to-rotation index (p + c) % n": (
         hochschild, "r = (p - c) % n", "r = (p + c) % n"),
     "b'N-Nb ignores the rotation parity of the output": (
@@ -531,9 +677,9 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
         mutant = cli
     elif module is ainfty:
         for algebra in VARIANTS.values():
-            # the index and its relation table, both built by the mutant
+            # the index and its residual tables, all built by the mutant
             built = at_cutoffs(algebra)
-            mutant.relation_residuals(built)
+            _build_residual_tables(mutant, built)
             monkeypatch.setattr(algebra, "_index", built._index)
         mutant = cli
     assert _suite_disagrees(mutant.chain_identity_suite)
