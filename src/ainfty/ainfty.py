@@ -4,15 +4,13 @@ Structure constants are stored per (arity k, monoid element beta) on the
 T-free part, so the gapped structure stays explicit.  They are assembled as
 m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
 first use, into one operation index (``_operation_index``) that ``m_word``,
-``apply_m``, ``insertions`` and ``uninsertions`` all read, and whose
-off-degree entries (``off_degree_words``) the rotation-identity cores of
-``hochschild`` walk.  The index also keeps three residual tables, each
-built on first use: the curved relation residual table
-(``relation_residuals``), which ``check_ainfty`` reports from and the b'^2
-map of ``hochschild`` is formed from; the same table of the entries on the
-A-infinity degree (``on_degree_residuals``), which the b^2 map is formed
-from; and the strict-unit residual table (``unit_residuals``), which the
-wrap-arounds of bB+Bb are formed from.
+``apply_m``, ``insertions`` and ``uninsertions`` all read.  Every entry of a
+loaded table has the A-infinity degree (see ``OperationIndex``), so the
+index keeps no entry apart.  It also keeps two residual tables, each built
+on first use: the curved relation residual table (``relation_residuals``),
+which ``check_ainfty`` reports from and the b^2 and b'^2 maps of
+``hochschild`` are formed from, and the strict-unit residual table
+(``unit_residuals``), which the wrap-arounds of bB+Bb are formed from.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -20,9 +18,10 @@ Conventions:
     maltese_i the sum of shifted degrees of the first i inputs; ``insertions``
     is the loop over insertion positions and their signs.  The curved
     relations, delta (one pass over lw + (y,) + rw), the word parts of
-    delta' and Hochschild b', so b = b' + D too (see ``hochschild``), are
-    sums over it; the one insertion loop outside it is the dual absorption
-    of delta' in ``delta_dual``.  ``insertions`` takes its sign from
+    delta' and Hochschild b' are sums over it, and Hochschild b walks the
+    same windows cyclically (see ``hochschild``); the one insertion loop
+    outside it is the dual absorption of delta' in ``delta_dual``.
+    ``insertions`` takes its sign from
     ``insertion_sign``, as the cocycle validation does.  ``uninsertions``
     runs the loop backwards through
     ``words_by_output``: the relation and bimodule checks list the words
@@ -65,20 +64,23 @@ OpTable = Dict[Word, Dict[int, RingElement]]
 class OperationIndex:
     """The assembled operation table of an algebra; see ``_operation_index``.
 
-    ``off_degree`` keeps apart the entries m_word(u)[c] off the A-infinity
-    degree, which it reads from the basis degrees; so, like ``ops``, the
-    basis must not change after the index is built.  ``relations``,
-    ``on_relations`` and ``units`` are the residual tables of
-    ``relation_residuals``, ``on_degree_residuals`` and ``unit_residuals``,
-    each None until its function fills it.
+    Every entry m_word(u)[c] has the A-infinity degree: |c|' = |u|' + 1
+    mod 2, with |u|' the sum of the shifted degrees of u's letters.
+    ``AInftyAlgebra.validate`` refuses an entry m_{k,beta}(u)[c] = x unless
+    |c| + |x| = sum deg(u) + 2 - k - mu(beta), and ``RingSpec`` and
+    ``validate`` refuse an odd coefficient degree |x| and an odd mu, so
+    |c| = sum deg(u) - k mod 2, which is |c|' = |u|' + 1.  Assembly
+    multiplies by T^lam e^{mu/2}, of even degree, so the parity holds for
+    m_word too.  The chain identities of ``hochschild`` rest on it.
+    ``relations`` and ``units`` are the residual tables of
+    ``relation_residuals`` and ``unit_residuals``, each None until its
+    function fills it.
     """
 
     nonzero: Dict[int, OpTable]
     by_output: Dict[int, tuple]
     arities: tuple
-    off_degree: Dict[int, OpTable]
     relations: Optional[Dict[int, OpTable]] = None
-    on_relations: Optional[Dict[int, OpTable]] = None
     units: Optional[Dict[int, OpTable]] = None
 
 
@@ -204,19 +206,13 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
     arities ascending and words sorted; ``by_output`` maps each letter c to
     those u (arity 0 included), in the same order, whose m_word(u) has a
     term at c; ``arities`` lists every stored arity, ascending, all-zero
-    tables included.  ``off_degree`` is ``nonzero`` cut down to the entries
-    m_word(u)[c] off the A-infinity degree, |c|' + |u|' even (|u|' the sum
-    of the shifted degrees of u's letters), arities ascending: the only
-    entries whose twin terms in the rotation identities can fail to cancel
-    (see ``hochschild.identity_residuals``).  The residual tables start as
-    None and are filled on first use, so ``cocycle``, ``potential``,
-    ``gauge``, ``wallcross`` and ``mc`` never build them.  The index is kept
-    on the algebra, so ``ops`` and the degrees of ``basis`` must not change
-    after its first use; code that edits either then sets ``_index`` to
-    None, which drops the residual tables with the rest.
+    tables included.  The residual tables start as None and are filled on
+    first use, so ``cocycle``, ``potential``, ``gauge``, ``wallcross`` and
+    ``mc`` never build them.  The index is kept on the algebra, so ``ops``
+    must not change after its first use; code that edits it then sets
+    ``_index`` to None, which drops the residual tables with the rest.
     """
     if algebra._index is None:
-        degrees = algebra.basis.degrees
         assembled: Dict[Word, Dict[int, RingElement]] = {}
         for (k, bidx), table in algebra.ops.items():
             beta = algebra.monoid[bidx]
@@ -227,21 +223,15 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
                     add_term(out, comp, factor * value)
         nonzero: Dict[int, OpTable] = {}
         by_output: Dict[int, list] = {}
-        off_degree: Dict[int, OpTable] = {}
         for word in sorted(assembled, key=lambda u: (len(u), u)):
             out = assembled[word]
             if out:
                 nonzero.setdefault(len(word), {})[word] = out
                 for comp in out:
                     by_output.setdefault(comp, []).append(word)
-                shifted = maltese([degrees[x] for x in word], len(word))
-                off = {comp: value for comp, value in out.items()
-                       if (degrees[comp] - 1 + shifted) % 2 == 0}
-                if off:
-                    off_degree.setdefault(len(word), {})[word] = off
         algebra._index = OperationIndex(
             nonzero, {comp: tuple(words) for comp, words in by_output.items()},
-            tuple(sorted({k for (k, _) in algebra.ops})), off_degree)
+            tuple(sorted({k for (k, _) in algebra.ops})))
     return algebra._index
 
 
@@ -271,24 +261,21 @@ def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
     return Element(algebra.basis, acc)
 
 
-def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0,
-               tables: Optional[Dict[int, OpTable]] = None):
+def insertions(algebra: AInftyAlgebra, word: Word, base: int = 0):
     """The nonzero insertions of the operations into a word, with their signs.
 
     Yields (i, k, inner, sign) for each nonzero inner = m_word(word[i:i+k]),
     with k ascending over the stored arities (arity 0 included), then i
     ascending, and sign = (-1)^{base + maltese_i}, maltese_i the sum of the
     shifted degrees of the first i letters; all signs of a word come from
-    one prefix pass, and each window is one lookup in ``nonzero_words``, or
-    in ``tables``, a part of it in the same shape, when one is given.
+    one prefix pass, and each window is one lookup in ``nonzero_words``.
     The curved relations, the diagonal bar differential, the word parts of
-    the dual one and Hochschild b' (and so b = b' + D) are sums over these
-    insertions.
+    the dual one and Hochschild b' are sums over these insertions.
     """
     basis_degrees = algebra.basis.degrees
     prefixes = maltese_prefixes([basis_degrees[x] for x in word], base)
     n = len(word)
-    for k, words in (nonzero_words(algebra) if tables is None else tables).items():
+    for k, words in nonzero_words(algebra).items():
         for i in range(n - k + 1):
             inner = words.get(word[i : i + k])
             if inner:
@@ -306,13 +293,6 @@ def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     """{k: {u: m_word(u)}} over the stored words of nonzero m_word; an
     insertion looks its windows up here."""
     return _operation_index(algebra).nonzero
-
-
-def off_degree_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
-    """{k: {u: {c: m_word(u)[c]}}} over the entries off the A-infinity
-    degree, |c|' + |u|' even: the entries the rotation-identity cores of
-    ``hochschild`` walk."""
-    return _operation_index(algebra).off_degree
 
 
 def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:
@@ -337,33 +317,6 @@ def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):
                 yield word[:i] + inner + word[i + 1 :]
 
 
-def _residual_table(algebra: AInftyAlgebra, tables: Dict[int, OpTable]) -> Dict[int, OpTable]:
-    """The curved relation residual table of the operations in ``tables``,
-    a part of ``nonzero_words`` in its shape (see ``relation_residuals``).
-
-    A term of R(u) needs a nonzero inner m_l on a word of ``tables`` and a
-    nonzero outer m on the word o of ``tables`` that its output letter
-    makes, so u is an un-insertion o[:i] + inner + o[i+1:] of o; only those
-    words are expanded, with no length cap.  The un-insertions are listed
-    through ``words_by_output`` of the whole index, a superset when
-    ``tables`` is a part of it, and a word of zero residual is dropped.
-    """
-    outers = [outer for words in tables.values() for outer in words]
-    support = {word for outer in outers for word in uninsertions(algebra, outer, inf)}
-    relations: Dict[int, OpTable] = {}
-    for word in sorted(support, key=lambda word: (len(word), word)):
-        residual: Dict[int, RingElement] = {}
-        for i, l, inner, sign in insertions(algebra, word, tables=tables):
-            for comp, value in inner.items():
-                outer = word[:i] + (comp,) + word[i + l :]
-                for ocomp, ovalue in tables.get(len(outer), {}).get(outer, {}).items():
-                    piece = value * ovalue
-                    add_term(residual, ocomp, -piece if sign < 0 else piece)
-        if residual:
-            relations.setdefault(len(word), {})[word] = residual
-    return relations
-
-
 def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     """The curved relation residual table, built on first use.
 
@@ -375,42 +328,32 @@ def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     operations are read from ``nonzero_words``, so an outer word past the
     stored tables counts as zero there, as it does for the insertions of b'
     (see ``hochschild.identity_residuals``); no arity cutoff is read.
-    ``check_ainfty`` reports from this table, and the b'^2 map of
-    ``hochschild.identity_residuals`` is formed from it.  The table is kept
-    on the operation index, so the rule that ``_index`` is set to None after
-    an edit of ``ops`` or of the degrees drops it as well.
+    A term of R(u) needs a nonzero inner m_l and a nonzero outer m on the
+    word o that its output letter makes, so u is an un-insertion
+    o[:i] + inner + o[i+1:] of a stored word o; only those words are
+    expanded, and a word of zero residual is dropped.  ``check_ainfty``
+    reports from this table, and the b^2 and b'^2 maps of
+    ``hochschild.identity_residuals`` are formed from it.  The table is
+    kept on the operation index, so the rule that ``_index`` is set to None
+    after an edit of ``ops`` drops it as well.
     """
     index = _operation_index(algebra)
     if index.relations is None:
-        index.relations = _residual_table(algebra, index.nonzero)
+        support = {word for words in index.nonzero.values() for outer in words
+                   for word in uninsertions(algebra, outer, inf)}
+        relations: Dict[int, OpTable] = {}
+        for word in sorted(support, key=lambda word: (len(word), word)):
+            residual: Dict[int, RingElement] = {}
+            for i, l, inner, sign in insertions(algebra, word):
+                for comp, value in inner.items():
+                    outer = word[:i] + (comp,) + word[i + l :]
+                    for ocomp, ovalue in index.nonzero.get(len(outer), {}).get(outer, {}).items():
+                        piece = value * ovalue
+                        add_term(residual, ocomp, -piece if sign < 0 else piece)
+            if residual:
+                relations.setdefault(len(word), {})[word] = residual
+        index.relations = relations
     return index.relations
-
-
-def on_degree_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
-    """R_on, the curved relation residual table of the entries on the
-    A-infinity degree alone, built on first use.
-
-    R_on(u) is R(u) of ``relation_residuals`` with both the inner and the
-    outer operation read from ``nonzero_words`` less ``off_degree_words``.
-    Where no entry is off the degree it is R itself, the same table, so a
-    table with the A-infinity degree (every corpus document) builds one.
-    The b^2 map of ``hochschild.identity_residuals`` is formed from it.
-    """
-    index = _operation_index(algebra)
-    if index.on_relations is None:
-        if index.off_degree:
-            on: Dict[int, OpTable] = {}
-            for k, words in index.nonzero.items():
-                off = index.off_degree.get(k, {})
-                for word, out in words.items():
-                    kept = {comp: value for comp, value in out.items()
-                            if comp not in off.get(word, ())}
-                    if kept:
-                        on.setdefault(k, {})[word] = kept
-            index.on_relations = _residual_table(algebra, on)
-        else:
-            index.on_relations = relation_residuals(algebra)
-    return index.on_relations
 
 
 def unit_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:

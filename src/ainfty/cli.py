@@ -5,7 +5,7 @@ echoes the cutoffs and the seed in force, so a pass is always a bounded and
 reproducible claim.  Output is deterministic for fixed inputs and flags:
 exact arithmetic, canonical term ordering, fixed iteration orders.
 
-``check``'s chain identity suite evaluates the six identities once per
+``check``'s chain identity suite evaluates the identities once per
 distinct basis key of its seeded chains and once more per chain that has a
 failing key (see ``chain_identity_suite`` for why that is exact).  It draws
 its chains as raw term maps and passes them to
@@ -79,13 +79,18 @@ def _vanishes(raw: dict) -> bool:
 def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     """Randomized differential and rotation identities, exact per chain.
 
-    The six identities (``hh.identity_residuals``) are checked on ``count``
-    seeded reduced chains of up to four terms c = sum_k a_k key_k.  Each
-    distinct basis key (module, word) of the drawn chains is checked once,
-    as the chain key with coefficient 1, and a chain all of whose keys pass
-    passes; any other chain is evaluated exactly, and its failures are
-    reported from that evaluation.  This is exact, not a sample of a
-    sample:
+    Six identities are checked on ``count`` seeded reduced chains of up to
+    four terms c = sum_k a_k key_k: b^2, B^2, bB+Bb, b'^2, b(1-t)-(1-t)b'
+    and b'N-Nb, six counted per chain.  ``hh.identity_residuals`` forms the
+    three that can fail, b^2, bB+Bb and b'^2; the other three hold at every
+    chain of every algebra that loads, B^2 because B(c) has no key that B
+    reads and the rotation identities because every entry of a loaded
+    table has the A-infinity degree (proofs in ``hh.identity_residuals``),
+    so they are counted and never fail.  Each distinct basis key
+    (module, word) of the drawn chains is checked once, as the chain key
+    with coefficient 1, and a chain all of whose keys pass passes; any
+    other chain is evaluated exactly, and its failures are reported from
+    that evaluation.  This is exact, not a sample of a sample:
 
       * every operator b, B, b', t, N and the reduced quotient is linear
         over the coefficient ring: it multiplies a chain's coefficients by
@@ -106,15 +111,12 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     cost is one evaluation per distinct key (on G1 at the default seed,
     231 keys for 200 chains of 421 terms) plus one per chain that fails;
     the certificates live only for this call.  An evaluation reads b'^2
-    off the curved relation residuals that ``check_ainfty`` reports, b^2
-    off those of the entries on the A-infinity degree, and the wrap-arounds
-    of bB+Bb off the strict-unit residuals, and it forms the two rotation
-    identities only where twin terms do not cancel (see
-    ``hh.identity_residuals``).  Where the relations and unit laws hold
-    and no entry is off the degree, b' and D are formed only on the keys
-    whose module is the unit: on G1 at K = 8 and the default seed the
-    suite makes 272 ``coeff.mul_into`` calls.
-    The draws share one table of their nine monomials.
+    and b^2 off the curved relation residuals that ``check_ainfty``
+    reports, and the wrap-arounds of bB+Bb off the strict-unit residuals
+    (see ``hh.identity_residuals``).  Where the relations and unit laws
+    hold, b is formed only on the keys whose module is the unit: on G1 at
+    K = 8 and the default seed the suite makes 272 ``coeff.mul_into``
+    calls.  The draws share one table of their nine monomials.
     """
     rng = random.Random(seed)
     report = Report("chain-identities")
@@ -127,7 +129,7 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     verdicts = {}
 
     def certified(key):
-        """Do all six identities hold at the key with coefficient 1?"""
+        """Do the identities hold at the key with coefficient 1?"""
         if key not in verdicts:
             verdicts[key] = all(
                 _vanishes(raw) for _, raw in hh.identity_residuals(algebra, {key: one}))

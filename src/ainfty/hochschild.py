@@ -12,12 +12,15 @@ Sign conventions, all derived from shifted degrees:
     output marked at slot 0: a sum over ``ainfty.insertions``, the insertion
     loop of every differential but one (the dual absorption of delta' in
     ``ainfty.delta_dual``).
-  * b (module differential) = b' + D.  D adds the wrap-around terms whose
-    tail block has at least one letter: the block is absorbed together
-    with the module slot and pays the Koszul cost of crossing everything it
-    moves past (module slot plus the remaining prefix).  D also subtracts
-    m_0 inserted in front of the module slot, which b' has and b does not.
-    The b of a reduced chain is the quotient of b' + D.
+  * b (module differential): one term per cyclic window of the marked
+    word.  A window in the word is an insertion with the sign of the
+    letters in front of it, the module slot included; a window through the
+    module slot is a wrap-around, whose output is the new module slot and
+    whose tail block pays the Koszul cost of crossing everything it moves
+    past (module slot plus the remaining prefix).  b = b' + D, where D
+    adds the wrap-arounds whose tail block has at least one letter and
+    subtracts m_0 inserted in front of the module slot, which b' has and b
+    does not.  The b of a reduced chain is the quotient of the unreduced b.
   * t: signed rotation of the full marked word (last factor to the front),
     the module marking travelling with the rotation.
   * N = 1 + t + ... + t^{n-1} on length-n marked words.
@@ -33,60 +36,51 @@ the rotation identities relating them to b hold there.
 A chain is its raw term map {key: {Monomial: scalar}}: per key, the term
 map of its coefficient, the scalars nonzero and in stored form, no empty
 maps, and no unit words in a reduced chain.  The maps are never mutated once
-built, so operators share them.  Each of b', D, t, N and B has one
-implementation, a private core on raw maps: ``_bar_into`` and ``_N_into``
-add sign * op(chain) into a caller's raw map, ``_B_into`` and ``_D_into``
-add B(chain) and D(chain), and ``_t`` returns t(chain); only ``cyclic_t``
-reaches ``_t``.
-b' and D add each signed product coeff * m(...) straight into a raw map
-per output key with ``coeff.mul_into``, which applies the level cutoff to
-every product; t, N and B add signed copies of the input maps with
-``coeff.add_into``.  The
-signs of a word come from one prefix pass (``maltese_prefixes``); a
-rotation keeps the total shifted degree, so the powers of t cost O(1) each
-after one ``maltese`` per word.  The sign of a rotation and of a wrap-around
-is the Koszul cost of moving a block past the rest of the cyclic word, which
-has one home, ``graded.crossing_sign``.  b's core ``_b_into`` is
-``_bar_into`` plus ``_D_into`` on the unreduced space, so b has no insertion
-loop of its own; D's wrap-arounds, whose tail block has at least one
-letter, are a loop of ``_D_into``.  ``_windows_into`` walks the terms of b
-one cyclic window at a time, on a part of the operation table or on a
-residual table.
+built, so operators share them.  Each of b, b', t, N and B has one
+implementation, a private core on raw maps: ``_b_into``, ``_bar_into``
+and ``_N_into`` add op(chain) (N with a sign) into a caller's raw map,
+``_B_into`` adds B(chain), and ``_t`` returns t(chain); only ``cyclic_t``
+reaches ``_t``.  b and b' add each signed product coeff * m(...) straight
+into a raw map per output key with ``coeff.mul_into``, which applies the
+level cutoff to every product; t, N and B add signed copies of the input
+maps with ``coeff.add_into``.  The signs of a word come from one prefix
+pass (``maltese_prefixes``); a rotation keeps the total shifted degree, so
+the powers of t cost O(1) each after one ``maltese`` per word.  The sign
+of a rotation and of a wrap-around is the Koszul cost of moving a block
+past the rest of the cyclic word, which has one home,
+``graded.crossing_sign``.  b's core ``_b_into`` is ``_windows_into`` on
+the operation table: it walks the cyclic windows of each key once, so b
+has no insertion loop of its own, and b^2 is the same walk on the
+relation residual table.
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
-with no intermediate chain sum, and reads three residual tables of the
+with no intermediate chain sum, and reads two residual tables of the
 operation index where the operators would form products that cancel:
 
   * b'^2 is ``_bar_square_into`` on u, which puts the curved relation
     residual of each window of a key in its place, reading the table
-    ``ainfty.relation_residuals`` that ``check_ainfty`` reports from, and
-    adds the disjoint pairs of insertions only where the table has entries
-    off the A-infinity degree;
-  * b^2 is the quotient of ``_b_square_into`` on u, which puts the relation
-    residual of the entries on the degree (``ainfty.on_degree_residuals``)
-    at each cyclic window that b reads, plus the composites with b at the
-    entries off the degree, less b of the terms of b(u) with the unit in a
-    tensor slot (``_unit_outputs_into``);
+    ``ainfty.relation_residuals`` that ``check_ainfty`` reports from;
+  * b^2 is the quotient of ``_windows_into`` on u and the same table,
+    which puts the relation residual at each cyclic window that b reads,
+    less b of the terms of b(u) with the unit in a tensor slot
+    (``_unit_outputs_into``);
   * bB+Bb is ``_unit_wraps_into``, the wrap-arounds of b on B(c) read off
-    the strict-unit residual table ``ainfty.unit_residuals``, plus the
-    b'N-Nb residual of the keys whose module is not the unit, less
-    ``_N_into`` of b(u''); B^2 is ``_B_into`` on B(c).
+    the strict-unit residual table ``ainfty.unit_residuals``, less
+    ``_N_into`` of b(u'').
 
-The two rotation identities have a core each,
-``_bar_N_residual_into`` for b'N-Nb and ``_rotation_residual_into`` for
-b(1-t)-(1-t)b': each walks the cyclic windows of a key once and forms a
-product only for a pair of twin terms whose signs differ.  Twins can differ
-only at an operation entry off the A-infinity degree, so the cores walk
-only those entries (``ainfty.off_degree_words``) and do nothing on a table
-that has none.  So on a table whose relations and unit laws hold, with no
-entry off the degree, b is formed only on the keys whose module is the
-unit, for N(b u''); the docstring of ``identity_residuals`` proves the
-identities, the pairings, the off-degree criterion and the table readings
-this rests on.  All
-the operators are linear over the coefficient ring, and the level cutoff is
-an ideal, which is what lets ``cli.chain_identity_suite`` check each basis
-key once instead of each drawn chain.
+B^2, b(1-t)-(1-t)b' and b'N-Nb hold by construction and are not formed.
+B(c) has no key that B reads.  Each term of one side of a rotation
+identity has a twin on the other with the same key and product, and the
+twins' signs can differ only at an operation entry off the A-infinity
+degree, which no algebra that loads has (``ainfty.OperationIndex``).  So on
+a table whose relations and unit laws hold, b is formed only on the keys
+whose module is the unit, for N(b u''); the docstring of
+``identity_residuals`` proves the identities, the pairings, the parity
+lemma and the table readings this rests on.  All the operators are linear
+over the coefficient ring, and the level cutoff is an ideal, which is what
+lets ``cli.chain_identity_suite`` check each basis key once instead of each
+drawn chain.
 
 ``HochschildChain`` is the wrapper of the public operators
 (``hochschild_b``, ``chain_bar``, ``cyclic_t``, ``operator_N``,
@@ -108,8 +102,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, off_degree_words,
-                     on_degree_residuals, relation_residuals, unit_residuals, words_by_output)
+from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, relation_residuals,
+                     unit_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, crossing_sign, maltese, maltese_prefixes, word_count, words_over
@@ -236,10 +230,10 @@ def _level_cutoff(chain: HochschildChain, spec):
 
 
 def _b_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add b(chain) into acc on the unreduced space, b = b' + D (fact D of
-    ``identity_residuals``); products above the level cutoff ``top`` are
-    never formed."""
-    return _D_into(_bar_into(acc, algebra, chain, top), algebra, chain, top)
+    """Add b(chain) into acc on the unreduced space, one term per cyclic
+    window of each key (``_windows_into``); products above the level
+    cutoff ``top`` are never formed."""
+    return _windows_into(acc, algebra, chain, top, nonzero_words(algebra), False)
 
 
 def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildChain:
@@ -249,42 +243,6 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     if chain.reduced:
         raw = _quotient(raw, algebra.basis.unit)
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
-
-
-def _D_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add D(chain) into acc, D = b - b' on unreduced chains: the
-    wrap-arounds of b with a tail block i >= 1, minus m_0 inserted in front
-    of the module slot (see ``identity_residuals`` for the proof).
-
-    At a key (v, a_1..a_k), m_a(a_{k-i+1}..a_k, v, a_1..a_j), i + j + 1 = a,
-    puts its output in the module slot and keeps a_{j+1}..a_{k-i}.  The tail
-    block crosses v and the kept prefix a_1..a_{k-i} (``crossing_sign``).
-    """
-    degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
-    for (v, word), terms in chain.items():
-        # prefixes[p]: shifted degree of the first p factors of v, a_1..a_k
-        prefixes = maltese_prefixes([degrees[x] for x in (v,) + word])
-        k = len(word)
-        total = prefixes[-1]
-        for a, words in tables.items():
-            if a > k + 1:
-                break
-            for i in range(1, a):
-                j = a - 1 - i
-                inner = words.get(word[k - i :] + (v,) + word[:j])
-                if not inner:
-                    continue
-                wrap = crossing_sign(total, prefixes[k - i + 1])
-                rest = word[j : k - i]
-                for comp, value in inner.items():
-                    mul_into(acc.setdefault((comp, rest), {}), terms, value.terms, top, wrap)
-    curvature = tables.get(0, {}).get(())
-    if curvature:
-        for (v, word), terms in chain.items():
-            for comp, value in curvature.items():
-                mul_into(acc.setdefault((comp, (v,) + word), {}), terms, value.terms, top, -1)
-    return acc
 
 
 def _bar_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
@@ -391,32 +349,16 @@ def _unit_front_into(acc: dict, raw: dict, unit: int, sign: int) -> dict:
     return acc
 
 
-def _twice_into(acc: dict, key: Word, terms: dict, value: dict, top: int, sign: int) -> None:
-    """Add 2 * sign * terms * value at the chain key of the marked word
-    ``key``: a pair of terms with the same product that do not cancel."""
-    into = acc.setdefault((key[0], key[1:]), {})
-    mul_into(into, terms, value, top, sign)
-    mul_into(into, terms, value, top, sign)
-
-
 def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
     """Add b'(b'(chain)) into acc on the unreduced space, from the curved
-    relation residuals and the disjoint pairs (the b'^2 fact of
-    ``identity_residuals``).
+    relation residuals (the b'^2 fact of ``identity_residuals``).
 
     Each window f[q:q+n] of a marked word f with a nonzero residual R, the
     empty ones in front of every letter and after the last included, adds
-    f[:q] R(f[q:q+n]) f[q+n:] with sign +1.  Where the table has entries
-    off the A-infinity degree, each pair of disjoint windows whose left one
-    reads such an entry adds twice its product with the sign of both
-    insertions.  On a table whose relations hold and which has no entry off
-    the degree, no product is formed.
+    f[:q] R(f[q:q+n]) f[q+n:] with sign +1.  On a table whose relations
+    hold, no product is formed.
     """
     relations = relation_residuals(algebra)
-    tables = off_degree_words(algebra)
-    if not relations and not tables:
-        return acc
-    degrees = algebra.basis.degrees
     for (v, word), terms in chain.items():
         f = (v,) + word
         for n, residuals in relations.items():
@@ -426,31 +368,15 @@ def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -
                     for comp, value in residual.items():
                         out = f[:q] + (comp,) + f[q + n :]
                         mul_into(acc.setdefault((out[0], out[1:]), {}), terms, value.terms, top)
-        if not tables:
-            continue
-        prefixes = maltese_prefixes([degrees[x] for x in f])
-        for a, words in tables.items():
-            for i in range(len(f) - a + 1):
-                left = words.get(f[i : i + a])
-                if not left:
-                    continue
-                # the right window at j = i + a + p: (-1)^{|f[:i]|' + |f[:j]|'}
-                rest = f[i + a :]
-                for p, b, right, sign in insertions(algebra, rest, prefixes[i + a] - prefixes[i]):
-                    for lcomp, lvalue in left.items():
-                        for rcomp, rvalue in right.items():
-                            out = f[:i] + (lcomp,) + rest[:p] + (rcomp,) + rest[p + b :]
-                            _twice_into(acc, out, terms, (lvalue * rvalue).terms, top, sign)
     return acc
 
 
 def _windows_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int, tables: dict,
                   nested: bool) -> dict:
-    """Add, at each cyclic window W of a key that b reads, the entries
-    tables[W] where b writes its output: b on the entries of ``tables``
-    (a part of ``nonzero_words`` in its shape), or, for ``nested``, the
-    nested pairs of b applied twice, ``tables`` a relation residual table
-    (the b^2 fact of ``identity_residuals``).
+    """Add, at each cyclic window W of a key, the entries tables[W] where b
+    writes its output: b itself for ``tables`` = ``nonzero_words``, or, for
+    ``nested``, b applied twice for ``tables`` = ``relation_residuals`` (the
+    b^2 fact of ``identity_residuals``).
 
     A window in the word, at q >= 1, keeps the module slot f[0] in front
     and is written in place with b's sign ``insertion_sign`` at q, or +1
@@ -459,7 +385,8 @@ def _windows_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int, tabl
     c = n standing for 0; its output becomes the new module slot in front
     of the rest of the cyclic word, with the sign of the rotation taking
     f[c:] to the front (``crossing_sign``; +1 for c = n).  These are the
-    terms of b = b' + D, one per window (the pairing by cyclic window).
+    terms of b, one per window (the pairing by cyclic window of
+    ``identity_residuals``).
     """
     if not tables:
         return acc
@@ -486,31 +413,6 @@ def _windows_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int, tabl
                     for comp, value in inner.items():
                         mul_into(acc.setdefault((comp, ring[c + length : c + n]), {}),
                                  terms, value.terms, top, turn)
-    return acc
-
-
-def _b_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add b(b(chain)) into acc on the unreduced space, from the relation
-    residuals of the entries on the A-infinity degree and the off-degree
-    composites (the b^2 fact of ``identity_residuals``).
-
-    Each cyclic window W of a key that b reads adds R_on(W)
-    (``on_degree_residuals``) where b would write its output: in place with
-    sign +1 for a window in the word, as the new module slot with the sign
-    of the rotation for one through the module slot.  Where the table has
-    entries off the degree, b(b_off chain) + b_off(b_on chain) is added,
-    b_on = b - b_off.  On a table whose relations hold and which has no
-    entry off the degree, no product is formed.
-    """
-    _windows_into(acc, algebra, chain, top, on_degree_residuals(algebra), True)
-    tables = off_degree_words(algebra)
-    if tables:
-        off = _windows_into({}, algebra, chain, top, tables, False)
-        _b_into(acc, algebra, off, top)
-        on = _b_into({}, algebra, chain, top)
-        for key, terms in off.items():
-            add_into(on.setdefault(key, {}), terms, -1)
-        _windows_into(acc, algebra, on, top, tables, False)
     return acc
 
 
@@ -580,142 +482,32 @@ def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -
     return acc
 
 
-def _bar_N_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add b'N(chain) - N b(chain) into acc on the unreduced space.
-
-    Each term of b'N has a twin in N b with the same key and product (the
-    first pairing of ``identity_residuals``), so the core walks the cyclic
-    windows of each key once, arity-0 gaps included, reads the sign of both
-    twins, and forms a product only where they differ.  Only the operation
-    entries off the A-infinity degree are walked: at any other the twins
-    agree.
-    """
-    tables = off_degree_words(algebra)
-    if not tables:
-        return acc
-    degrees = algebra.basis.degrees
-    for (v, word), terms in chain.items():
-        f = (v,) + word
-        n = len(f)
-        # every cyclic window of f is a slice of f + f, and t^r f is
-        # ring[n - r : 2n - r]; prefixes[q] is the shifted degree of ring[:q]
-        ring = f + f
-        prefixes = maltese_prefixes([degrees[x] for x in ring])
-        total = prefixes[n]
-        # the sign of t^r f in N f over the sign of the letters in front of it
-        rotated = [insertion_sign(prefixes, n - r) * crossing_sign(total, total - prefixes[n - r])
-                   for r in range(n)]
-        for a, words in tables.items():
-            if a > n:
-                break
-            m = n - a + 1
-            for c in range(n):
-                # b's arity-0 term at the gap before f[0] is the one after f[-1]
-                q = n if a == 0 and c == 0 else c
-                inner = words.get(ring[q : q + a])
-                if not inner:
-                    continue
-                # b's term of the window: its output letter goes to position at
-                if q + a <= n:
-                    head, tail, at, sign = f[:q], f[q + a :], q, insertion_sign(prefixes, q)
-                else:
-                    head, tail, at = (), f[q + a - n : q], 0
-                    sign = crossing_sign(total, prefixes[q])
-                for comp, value in inner.items():
-                    out = head + (comp,) + tail
-                    out_prefixes = maltese_prefixes([degrees[x] for x in out])
-                    out_total = out_prefixes[m]
-                    # the sign of t^s out in N b, for s = 0 .. m - 1
-                    turned = [sign * crossing_sign(out_total, out_total - out_prefixes[m - s])
-                              for s in range(m)]
-                    for p in range(m):
-                        r = (p - c) % n
-                        s = (p - at) % m
-                        bar = rotated[r] * insertion_sign(prefixes, n - r + p)
-                        if bar != turned[s]:
-                            _twice_into(acc, out[m - s :] + out[: m - s], terms, value.terms,
-                                        top, bar)
-    return acc
-
-
-def _rotation_residual_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add D(chain) + t b'(chain) - b t(chain) into acc on the unreduced
-    space: the b(1-t) - (1-t)b' residual less b(chain) - b'(chain) - D(chain),
-    which is zero.
-
-    Each term of b t has a twin in D or t b' with the same key and product
-    (the second pairing of ``identity_residuals``), and one pair of D and
-    t b' terms meet each other; the core walks the cyclic windows of each
-    key once and forms a product only where a pair does not cancel.  As in
-    ``_bar_N_residual_into``, only the entries off the A-infinity degree
-    are walked.
-    """
-    tables = off_degree_words(algebra)
-    if not tables:
-        return acc
-    degrees = algebra.basis.degrees
-    for (v, word), terms in chain.items():
-        f = (v,) + word
-        n = len(f)
-        ring = f + f
-        prefixes = maltese_prefixes([degrees[x] for x in f])
-        total = prefixes[n]
-        # t f and the sign of t on f
-        shifted = maltese_prefixes([degrees[x] for x in f[-1:] + f[:-1]])
-        t_sign = crossing_sign(total, total - prefixes[n - 1])
-        for a, words in tables.items():
-            if a > n:
-                break
-            for c in range(n):
-                inner = words.get(ring[c : c + a])
-                if not inner:
-                    continue
-                # b's term of t f at the window, which starts at c + 1 there
-                d = c + 1 if a == 0 else (c + 1) % n
-                bt = t_sign * (insertion_sign(shifted, d) if d + a <= n
-                               else crossing_sign(total, shifted[d]))
-                for comp, value in inner.items():
-                    if c + a > n:
-                        # a wrap-around of D
-                        key, sign = (comp,) + f[c + a - n : c], crossing_sign(total, prefixes[c])
-                    else:
-                        # t b'(f): the insertion at c, then its last letter to the front
-                        out = f[:c] + (comp,) + f[c + a :]
-                        last = degrees[out[-1]] - 1
-                        out_total = total - prefixes[c + a] + prefixes[c] + degrees[comp] - 1
-                        key = out[-1:] + out[:-1]
-                        sign = insertion_sign(prefixes, c) * crossing_sign(out_total, last)
-                    if sign != bt:
-                        _twice_into(acc, key, terms, value.terms, top, sign)
-        # t b'(f) at the gap after f[-1] meets D's -m_0 in front of f
-        for comp, value in tables.get(0, {}).get((), {}).items():
-            last = degrees[comp] - 1
-            gap_sign = insertion_sign(prefixes, n) * crossing_sign(total + last, last)
-            if gap_sign == -1:
-                _twice_into(acc, (comp,) + f, terms, value.terms, top, -1)
-    return acc
-
-
 def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
-    """The six chain identities at a reduced chain c, as raw residual maps.
+    """The chain identities that can fail at a reduced chain c, as raw
+    residual maps.
 
     ``u`` is the raw map of c, in the algebra's ring.  Returns
-    [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
-    b(1-t)-(1-t)b' and b'N-Nb, in that order.  An identity holds at c
-    exactly when every scalar of its map is zero.  Each map is the full sum
-    of its identity's operator composites, scalar by scalar
-    (``oracles.identity_residuals_reference`` computes them image by
-    image); nothing is skipped by appeal to strict unitality or to the
-    A-infinity relations.  Write b for the classical
-    module differential: the wrap-arounds plus the interior insertions into
-    the word with base |v|', as ``oracles.hochschild_b_reference`` forms
-    it.  The b images rest on three facts that hold for any tables;
-    ``_b_into`` takes D, and ``hochschild_b`` reduced b, as b's
-    definition:
+    [(tag, {key: {Monomial: scalar}})] for b^2, bB+Bb and b'^2, in that
+    order.  An identity holds at c exactly when every scalar of its map is
+    zero.  Each map is the full sum of its identity's operator composites,
+    scalar by scalar (``oracles.identity_residuals_reference`` computes
+    them image by image); nothing is skipped by appeal to strict unitality
+    or to the A-infinity relations.  The other three identities of the
+    chain identity suite, B^2, b(1-t)-(1-t)b' and b'N-Nb, hold at every
+    chain of every algebra that loads: B^2 on any tables, by item 1 below,
+    and the two rotation identities by the pairing by cyclic window and
+    the parity lemma.  So they are not formed.
+
+    Write b for the classical module differential: the wrap-arounds plus
+    the interior insertions into the word with base |v|', as
+    ``oracles.hochschild_b_reference`` forms it.  ``_b_into`` forms it one
+    term per cyclic window (``_windows_into``; the pairing below), and
+    ``hochschild_b`` takes reduced b as its definition.  The b images rest
+    on three facts that hold for any tables:
 
       * D.  D(x) := b(x) - b'(x) on unreduced chains is the wrap-arounds
         of b with a tail block i >= 1, minus m_0 inserted in front of the
-        module slot (``_D_into``).  Proof: b' inserts into the full word
+        module slot.  Proof: b' inserts into the full word
         (v, a_1..a_k).  At p = 0 its arity-a >= 1 insertion
         m_a(v, a_1..a_{a-1}) gives the key (comp, word[a-1:]) with sign
         +1; so does b's wrap with i = 0, whose empty tail block crosses
@@ -738,6 +530,17 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
       * Reduced b.  On keys with unit-free words, b_red = q b: the
         insertions it skips are the ones that put the unit in the word,
         and a wrap keeps a subword.
+
+    The parity lemma.  Every entry m_a(W)[comp] of an algebra that loads
+    has the A-infinity degree, |comp|' = |W|' + 1 mod 2, with |W|' the sum
+    of the shifted degrees of W's letters.  ``AInftyAlgebra.validate``
+    refuses an entry of m_{a,beta} whose output degree is not
+    sum deg(W) + 2 - a - mu(beta), the coefficient's degree included, and
+    mu and every coefficient degree are even (``RingSpec`` and
+    ``validate`` refuse odd ones), so |comp| = sum deg(W) - a mod 2, which
+    is |comp|' = |W|' + 1.  The sums that assemble m_word keep the parity
+    (``ainfty.OperationIndex``).  The arguments below read the degrees of
+    the tables only through it.
 
     The b'^2 map comes from one more fact, the coderivation property of
     b' (Stasheff 1963; Getzler-Jones 1990), which ``_bar_square_into``
@@ -762,17 +565,12 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         f[:i] c f[i+a:j] d f[j+b:] in two orders.  B first, then A, has
         the sign (-1)^{|f[:j]|' + |f[:i]|'}; A first, then B, has
         (-1)^{|f[:i]|' + |f[:i]|' + |c|' + |f[i+a:j]|'}.  The parities
-        differ by |A|' + |c|' mod 2, and no letter of B enters: at an
-        entry m(A)[c] with the A-infinity degree, |c|' = |A|' + 1, the
-        two orders cancel.  At an entry off it
-        (``ainfty.off_degree_words``) they agree, and the pair adds
-        2 (-1)^{|f[:i]|' + |f[:j]|'} x m(A)[c] m(B)[d].  The criterion is
-        read on the left entry only; the right entry may have any degree.
+        differ by |A|' + |c|' mod 2, which the parity lemma makes odd, so
+        the two orders cancel.
 
     Each term is one product of structure constants times x, and the
-    level cutoff is an ideal, so forming x R(W)[c], or x (m(A)[c] m(B)[d]),
-    with each factor truncated drops exactly the terms that b' applied
-    twice drops.  The
+    level cutoff is an ideal, so forming x R(W)[c] with each factor
+    truncated drops exactly the terms that b' applied twice drops.  The
     windows of a chain of L letters have up to L + 1 letters, past the
     arity cutoff K when L + 1 > K; the chain identities read no arity
     cutoff (``check --kmax 0`` still runs them on the stored tables), so
@@ -781,46 +579,39 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     zero in R, as it is for ``insertions``, so on tables not marked
     higher-arities-zero b'^2 is still b' applied twice, where
     ``check_ainfty`` refuses a cutoff past the tables.  On a table whose
-    relations hold and which has no entry off the degree, every corpus
-    document, b'^2 forms no product.
+    relations hold, every corpus document, b'^2 forms no product.
 
     Read as an unreduced chain, c is u.  Let u' and u'' be its keys whose
     module is not and is the unit, and eps = (-1)^{|1|'} from the unit's
     degree.  Then:
 
-      1. b(u) = b'(u) + D(u), by D.
-      2. The rotation residual b(u) - b(tu) - b'(u) + t b'(u) is
-         D(u) + t b'(u) - b(tu), which ``_rotation_residual_into`` forms
-         by the pairing below.
-      3. Let Res(x) := b'(N x) - N(b x), the b'N-Nb residual at x, which
-         ``_bar_N_residual_into`` forms by the pairing below, and
-         R := b'(N u') - N(b u) = Res(u') - N(b u'').  By (a),
-         B(c) = q s_1 N(u) = s_1 N(u'): every key of s_1 N(u'') holds the
-         unit and no key of s_1 N(u') does, which is why ``_B_into`` skips
-         the keys of u''.  So b_red(B c) = W(B c) +
-         eps q s_1 b'(N u') by (b), applied to y = N(u').  B(b_red c) =
-         q s_1 N(q b u) = q s_1 N(b u), by (a) and reduced b, since
-         q s_1 N drops every key with a unit word.  So bB+Bb =
-         W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and the last term
-         is zero because ``GradedBasis`` gives the unit degree 0.  q s_1 R
-         is summed once R has cancelled, over its nonzero keys, and W(B c)
-         is formed from the strict-unit residuals (the W(B c) fact below,
-         ``_unit_wraps_into``).  The b'N-Nb residual is
-         Res(u) = Res(u') + Res(u'').
-      4. b_red b_red c = q b(q b u) by reduced b, applied twice, so
+      1. B^2.  By (a), B(c) = q s_1 N(u) = s_1 N(u'): every key of
+         s_1 N(u'') holds the unit and no key of s_1 N(u') does, which is
+         why ``_B_into`` skips the keys of u''.  Every key of B(c) has the
+         unit as its module, so ``_B_into`` skips all of them: B(B c) = 0.
+      2. bB+Bb.  The b'N-Nb residual b'(N x) - N(b x) is zero at every x
+         (the pairing below), so R := b'(N u') - N(b u) = -N(b u'').
+         b_red(B c) = W(B c) + eps q s_1 b'(N u') by (b), applied to
+         y = N(u').  B(b_red c) = q s_1 N(q b u) = q s_1 N(b u), by (a)
+         and reduced b, since q s_1 N drops every key with a unit word.
+         So bB+Bb = W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and
+         the last term is zero because ``GradedBasis`` gives the unit
+         degree 0.  q s_1 R is summed once R has cancelled, over its
+         nonzero keys, and W(B c) is formed from the strict-unit residuals
+         (the W(B c) fact below, ``_unit_wraps_into``).
+      3. b^2.  b_red b_red c = q b(q b u) by reduced b, applied twice, so
          b^2 = q b(b u) - q b((1 - q) b u).  q b(b u) is the quotient of
-         the unreduced b^2, which ``_b_square_into`` forms from the
-         relation residuals of the entries on the A-infinity degree (the
-         b^2 fact below).  (1 - q) b u, the terms of b u with the unit in
-         a tensor slot, is formed by ``_unit_outputs_into``: the words of
-         u hold no unit, a wrap keeps a subword and b''s insertions of
-         arity >= 1 at slot 0 make the module slot, so the unit reaches a
-         tensor slot only through an insertion at a slot p >= 1 that
-         outputs it, a window equal to a unit-free word that
-         ``words_by_output`` lists under the unit.  b''s m_0 in front of a
-         unit module also puts the unit in the word, and D's -m_0 takes
-         it away.  (1 - q) b u is empty unless a unit-free word outputs
-         the unit (E2's m_0).
+         the unreduced b^2, which ``_windows_into`` forms from the
+         relation residuals (the b^2 fact below).  (1 - q) b u, the terms
+         of b u with the unit in a tensor slot, is formed by
+         ``_unit_outputs_into``: the words of u hold no unit, a wrap
+         keeps a subword and b''s insertions of arity >= 1 at slot 0 make
+         the module slot, so the unit reaches a tensor slot only through
+         an insertion at a slot p >= 1 that outputs it, a window equal to
+         a unit-free word that ``words_by_output`` lists under the unit.
+         b''s m_0 in front of a unit module also puts the unit in the
+         word, and D's -m_0 takes it away.  (1 - q) b u is empty unless a
+         unit-free word outputs the unit (E2's m_0).
 
     The pairing by cyclic window.  Let f = (f_0..f_{n-1}) be the marked
     word of a key with coefficient x, M its ``maltese_prefixes`` and
@@ -858,17 +649,16 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         when c + a > n, and of t b'(f)'s insertion at c when c + a <= n:
         (comp,) + f[c+a-n:c], (comp,) + f[:c] when c + a = n, and
         (f_{n-1},) + f[:c] + (comp,) + f[c+a:n-1] otherwise.  That pairs
-        every term of b(t f) with one of D(f) + t b'(f).  Two are left:
-        t b'(f) at the gap after f_{n-1}, key t(f + (comp,)) = (comp, f),
-        and D's -m_0 in front of the module slot, at the same key with
-        the same product.  They pair with each other.
+        every term of b(t f) with one of D(f) + t b'(f), which is
+        b(f) - b'(f) + t b'(f).  Two are left: t b'(f) at the gap after
+        f_{n-1}, key t(f + (comp,)) = (comp, f), and D's -m_0 in front of
+        the module slot, at the same key with the same product.  They
+        pair with each other.
 
     A pair of twins adds its product times the difference of the two
     signs (the sum, for the last pair of the rotation identity): nothing
-    where the signs agree, and twice the product with the first sign
-    where they differ.  Twins have the same product, so truncation drops
-    both or neither.  Each core reads the signs from ``insertion_sign`` and
-    ``crossing_sign``, the homes of the operators' conventions.
+    where the signs agree, and twice the product where they differ.  Twins
+    have the same product, so truncation drops both or neither.
 
     When twins agree.  Let W be the window, e = |comp|', and rho(x -> y)
     the parity of the rotation between two linear words x, y of one cyclic
@@ -908,11 +698,9 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     of shape (ii) with P = X = f and W, Q empty, parity (e + 1) T, and D's
     -m_0 in front is minus the shape-(i) term with H empty, parity 0; the
     two cancel when (e - 1) T is even.  So a pair can fail to cancel only
-    at an entry m_a(W)[comp] off the degree of an A-infinity structure,
-    where |comp|' - |W|' - 1 is odd.  The cores walk only those entries
-    (``ainfty.off_degree_words``), and return at once when the table has
-    none; at such an entry a pair still cancels where |X|' is even, which
-    the cores see as two equal signs.
+    at an entry where |comp|' - |W|' - 1 is odd, and the parity lemma
+    leaves none: every pair cancels, and b'N - Nb and
+    b(1-t) - (1-t)b' are zero at every chain.
 
     The W(B c) fact: W(B c) is formed from the strict-unit residual
     U(S) = sum_i (-1)^{|S[:i]|'} m(S[:i] 1 S[i:]) (``ainfty.unit_residuals``).
@@ -949,16 +737,13 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     at q >= 1 in the word (f_0 stays in front), and as the new module slot
     in front of the rest of the cyclic word with sign rho_c for a window
     through f_0 that starts at c (``_windows_into``).  Both are of shape
-    (i) above.  By the computation of "When twins agree", at an entry on
-    the A-infinity degree a term of b may be read from any linear word
-    H W K of f with W linear in it: rotate f to H W K, insert after H,
-    and rotate the output to the word that starts at its module letter;
-    every choice of H gives the same sign.  Let b_on and b_off be b on the
-    entries on and off the degree, and R_on(W) = m_on(b'_on W) the
-    relation residual of the entries on the degree
-    (``ainfty.on_degree_residuals``; R itself when none is off).  Then
-    b_on(b_on f) has two kinds of pairs: a first term at a window W1 with
-    output c1, then a second at a window W2 of the output.
+    (i) above.  By the computation of "When twins agree" and the parity
+    lemma, a term of b may be read from any linear word H W K of f with W
+    linear in it: rotate f to H W K, insert after H, and rotate the
+    output to the word that starts at its module letter; every choice of
+    H gives the same sign.  b(b f) has two kinds of pairs: a first term at
+    a window W1 with output c1, then a second at a window W2 of the
+    output.
 
       * Nested: W2 holds c1.  Then W2 with W1 put back for c1 is a cyclic
         window W of f, and W1 = W[i:i+k].  Read both terms from b's own
@@ -972,62 +757,47 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
         insertions into W, the arity-0 ones at each of the l + 1 slots of
         W included (the first and last slot of a window of all n letters
         are one gap of f, reached by two pairs that W2 reads in two
-        orders), and over the outputs: R_on(W) in place with sign +1, or
-        rho_c R_on(W) as the new module slot.
+        orders), and over the outputs: R(W) in place with sign +1, or
+        rho_c R(W) as the new module slot.
       * Disjoint: W2 does not hold c1.  W1 and W2 are disjoint cyclic
         windows A and B, and the pair reaches one output in two orders.
         Read both from a linear word A M B K: A first costs 0 and then B
         costs |c1|' + |M|'; B first costs |A|' + |M|' and then A costs 0;
-        both end at c1 M d K and rotate it alike.  On the degree
+        both end at c1 M d K and rotate it alike.  By the parity lemma
         |c1|' = |A|' + 1, so the two orders cancel.
 
-    So b_on(b_on f) = sum over the windows W of b of R_on(W), written
-    where b writes its output, with sign +1 in the word and rho_c through
-    f_0, and b(b f) = b_on(b_on f) + b(b_off f) + b_off(b_on f), since
-    b = b_on + b_off.  ``_b_square_into`` forms the sum from the table,
-    and the other two, with b_on f = b f - b_off f, only where the table
-    has entries off the degree.  Each term is x times a product of
-    structure constants, so truncation drops what b applied twice drops;
-    R_on, like R, has no length cap and reads a word past the stored
-    tables as zero.  On a table whose relations hold and which has no
-    entry off the degree, b^2 forms no product but those of
-    (1 - q) b u.
+    So b(b f) = sum over the windows W of b of R(W), written where b
+    writes its output, with sign +1 in the word and rho_c through f_0:
+    ``_windows_into`` on the relation residual table.  Each term is x
+    times a product of structure constants, so truncation drops what b
+    applied twice drops; R has no length cap and reads a word past the
+    stored tables as zero.  On a table whose relations hold, b^2 forms no
+    product but those of (1 - q) b u.
 
-    So the images are B(c), B(B c), b'(u'') and D(u'') for N(b u''),
-    (1 - q) b u and b of it where a unit-free word outputs the unit, and,
-    only where the table has entries off the A-infinity degree, b_off(u),
-    b(b_off u), b(u), b_on(u) and b_off(b_on u); b^2 is read off R_on,
-    b'^2 off R and the off-degree pairs, and W(B c) off U.  b'(u), D(u),
-    t(u), b(tu), t b'(u), b'(b'u), b'(N u), N(b'u') and N(D u') are never
-    formed, nor are b(b c), b(B c) and B(b c).
+    So the images are b(u'') for N(b u''), and (1 - q) b u and b of it
+    where a unit-free word outputs the unit; b^2 and b'^2 are read off R,
+    and W(B c) off U.  b'(u), D(u), t(u), b(tu), t b'(u), b'(b'u),
+    b'(N u), N(b'u'), N(D u'), B(c) and B(B c) are never formed, nor are
+    b(b c), b(B c) and B(b c).
     """
     basis = algebra.basis
     unit = basis.require_unit()
     top = algebra.spec.level_cutoff
 
     # b_red^2 c = q b(b u) - q b((1 - q) b u)
-    square = _b_square_into({}, algebra, u, top)
+    square = _windows_into({}, algebra, u, top, relation_residuals(algebra), True)
     for key, terms in _b_into({}, algebra, _unit_outputs_into({}, algebra, u, top), top).items():
         add_into(square.setdefault(key, {}), terms, -1)
 
-    rotation = _rotation_residual_into({}, algebra, u, top)
-
     front = {key: terms for key, terms in u.items() if key[0] != unit}
     units = {key: terms for key, terms in u.items() if key[0] == unit}
-    bar_N = _bar_N_residual_into({}, algebra, units, top)
-    R = _bar_N_residual_into({}, algebra, front, top)
-    for key, terms in R.items():
-        add_into(bar_N.setdefault(key, {}), terms)
-    _N_into(R, basis, _b_into({}, algebra, units, top), -1)
+    R = _N_into({}, basis, _b_into({}, algebra, units, top), -1)
     eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
     bB = _unit_front_into(_unit_wraps_into({}, algebra, front, top), R, unit, eps)
     return [
         ("b^2", _quotient(square, unit)),
-        ("B^2", _B_into({}, basis, _cleaned(_B_into({}, basis, u)))),
         ("bB+Bb", bB),
         ("b'^2", _bar_square_into({}, algebra, u, top)),
-        ("b(1-t)-(1-t)b'", rotation),
-        ("b'N-Nb", bar_N),
     ]
 
 

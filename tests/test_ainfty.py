@@ -599,6 +599,28 @@ def test_degree_homogeneity_enforced():
         AInftyAlgebra(basis, ((Fraction(0), 0), (Fraction(1), 0)), ops, spec)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(degrees=st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+       word=st.lists(st.integers(0, 2), max_size=3).map(tuple), comp=st.integers(0, 2),
+       mu=st.sampled_from((0, 2, 4)), s=st.integers(0, 2), s_degree=st.sampled_from((2, 4)))
+def test_a_loaded_entry_has_the_ainfty_degree(degrees, word, comp, mu, s, s_degree):
+    # the parity lemma the chain identities rest on: the constructor refuses
+    # an entry m(u)[c] unless |c|' = |u|' + 1 mod 2, whatever the even mu
+    # of its monoid label and the even degree of its coefficient
+    spec = RingSpec(s_degree=s_degree, t_degrees=(), cutoff=Fraction(3))
+    basis = GradedBasis(("1", "x", "y"), (0,) + degrees, unit=0)
+    ops = {(len(word), 1): {word: {comp: ring(spec, 1, s=s)}}}
+    try:
+        algebra = AInftyAlgebra(basis, ((Fraction(0), 0), (Fraction(1), mu)), ops, spec)
+    except ConfigurationError as exc:
+        assert "not degree-homogeneous" in str(exc)
+        return
+    shifted = sum(basis.degree(x) - 1 for x in word)
+    assert (basis.degree(comp) - 1 + shifted) % 2 == 1
+    assembled = ring(spec, 1, lam=1, e=mu // 2, s=s)
+    assert ainfty.nonzero_words(algebra) == {len(word): {word: {comp: assembled}}}
+
+
 def test_neutral_curvature_rejected():
     spec = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(3))
     basis = GradedBasis(("1", "x"), (0, 1), unit=0)

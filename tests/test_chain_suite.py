@@ -5,38 +5,37 @@ chains once and passes a chain whose keys all pass; only the other chains
 are evaluated whole.  Its report must be the report of
 ``oracles.chain_identity_suite_reference``, which evaluates every operator
 and every residual on every drawn chain.  The comparison runs on the
-conftest algebras, on sign-flipped copies of them (one structure constant
-negated: b^2, b'^2 and bB+Bb fail) and on degree-shifted copies (one basis
-degree raised by one after the tables were validated, so the operations
-lose their degree and the rotation identities fail as well).  The
-certificate argument rests on every operator being linear over the
+conftest algebras and on sign-flipped copies of them (one structure
+constant negated: b^2, b'^2 and bB+Bb fail), all built through the
+``AInftyAlgebra`` constructor, so every entry has the A-infinity degree.
+The certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
-one; both are properties here.  ``hochschild.identity_residuals`` reads
-b'^2 off the curved relation residual table and the disjoint pairs of
-insertions, b^2 off the relation residuals of the entries on the
-A-infinity degree at the cyclic windows of b, the wraps of bB+Bb off the
-strict-unit residual table, and the two rotation identities from pairs of
-twin terms whose signs differ, walking only the operation entries off the
-A-infinity degree; its six maps must equal those of
+one; both are properties here.  ``hochschild.identity_residuals`` forms
+b'^2 and b^2 off the curved relation residual table, at the windows of a
+key and at the cyclic windows of b, and the wraps of bB+Bb off the
+strict-unit residual table; its three maps must equal those of
 ``oracles.identity_residuals_reference``, which forms every image in full,
 on drawn chains and on every basis key of three letters or fewer, also
-with the basis degrees redrawn, and the operator identities it rests on
-(b = b' + D, and reduced b after the unit is put in front) are properties
-too.  b^2 is also compared with ``oracles.hochschild_b_reference`` applied
-twice, and the wraps of B(c) with ``oracles.wraps_reference`` of
-``oracles.connes_B_reference``, which run no engine core.  A curved
-variant with m_1(m_0) != 0 (SV1 + w) reaches the empty window of b'^2 and
-the gap after the last letter of b^2, variants with a unit entry in m_3
-reach two-letter segments of the unit residual, and E2 with m2(1,x)
-negated reaches the unit that m_0 puts in front of a unit module; the
+with the basis degrees redrawn.  The reference's other three maps, B^2,
+b(1-t)-(1-t)b' and b'N-Nb, which the engine does not form, must be empty
+on the same keys and on the corpus documents, and the operator identities
+the kernel rests on (b = b' + D, and reduced b after the unit is put in
+front) are properties too.  b^2 is also compared with
+``oracles.hochschild_b_reference`` applied twice, and the wraps of B(c)
+with ``oracles.wraps_reference`` of ``oracles.connes_B_reference``, which
+run no engine core.  A curved variant with m_1(m_0) != 0 (SV1 + w)
+reaches the empty window of b'^2 and the gap after the last letter of
+b^2, variants with a unit entry in m_3 reach two-letter segments of the
+unit residual, E2 with m2(1,x) negated reaches the unit that m_0 puts in
+front of a unit module, and X1, whose relation residual at a letter is the
+unit, fails b'^2 alone on keys where q drops that residual from b^2; the
 failing variants at arity cutoff 2 show that the residual tables read no
 arity cutoff, and on the algebras whose relations and unit laws hold b'^2,
 b^2 and the wraps of B(c) form no product (but E2's (1 - q) b u).  The
 mutant catalog breaks the certificate and each term of the residual kernel
-one way each, and the off-degree filter two ways.
+one way each.
 """
 
-import copy
 import os
 from fractions import Fraction
 
@@ -45,9 +44,10 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import ainfty, cli, hochschild
 from ainfty.ainfty import AInftyAlgebra
-from ainfty.coeff import canonical, mul_into
+from ainfty.coeff import RingElement, RingSpec, canonical, mul_into
 from ainfty.document import load
-from ainfty.graded import GradedBasis
+from ainfty.errors import ConfigurationError
+from ainfty.graded import GradedBasis, add_term
 from ainfty.hochschild import (
     HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, identity_residuals,
     iter_basis_chains, operator_N,
@@ -57,7 +57,7 @@ from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
     connes_B_reference, crossing_sign_mutant, hochschild_b_reference, identity_residuals_reference,
-    mutant_module, wraps_reference,
+    mutant_module, ring_terms, wraps_reference,
 )
 
 
@@ -68,24 +68,6 @@ def sign_flipped(maker, arity, word, comp):
     table[comp] = -table[comp]
     return AInftyAlgebra(algebra.basis, algebra.monoid, algebra.ops, algebra.spec,
                          name=algebra.name)
-
-
-def with_degrees(algebra, degrees):
-    """A copy of the algebra on its basis with other degrees: its tables
-    are not validated again, and it builds its own operation index."""
-    out = copy.copy(algebra)
-    out.basis = GradedBasis(algebra.basis.names, degrees, unit=algebra.basis.unit)
-    out._index = None
-    return out
-
-
-def degree_shifted(maker, letter):
-    """The algebra with the degree of one basis letter raised by one after
-    its tables were validated."""
-    algebra = maker()
-    degrees = list(algebra.basis.degrees)
-    degrees[letter] += 1
-    return with_degrees(algebra, degrees)
 
 
 def with_entry(maker, word, comp, name):
@@ -111,6 +93,24 @@ def sv1_with_w():
     return AInftyAlgebra(basis, sv1.monoid, ops, sv1.spec, name="SV1 + w")
 
 
+def make_x1():
+    """A degree-0 letter x and a degree-1 letter y, m_1(x) = y and
+    m_1(y) = T e 1, unit laws kept: the relation residual at (x) is
+    m_1(m_1(x)) = T e 1, which b^2 writes in the word, where q drops it, at
+    every key whose module is not x; b'^2 keeps it."""
+    spec = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(3))
+    basis = GradedBasis(("1", "x", "y"), (0, 0, 1), unit=0)
+    one = RingElement.one(spec)
+    ops = {
+        (2, 0): {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
+                 (1, 0): {1: one}, (2, 0): {2: -one}},
+        (1, 0): {(1,): {2: one}},
+        (1, 1): {(2,): {0: one}},
+    }
+    return AInftyAlgebra(basis, ((Fraction(0), 0), (Fraction(1), 2)), ops, spec,
+                         name="X1 m1(m1(x)) = T e 1")
+
+
 PASSING = {"E1": make_e1(), "E2": make_e2(), "G1": make_g1(), "Q1": make_q1()}
 FAILING = {
     "E1 m2(1,x) negated": sign_flipped(make_e1, 2, (0, 1), 1),
@@ -118,20 +118,15 @@ FAILING = {
     "G1 m2(1,z) negated": sign_flipped(make_g1, 2, (0, 3), 3),
     "G1 m2(x,1) negated": sign_flipped(make_g1, 2, (1, 0), 1),
     "Q1 m2(1,u) negated": sign_flipped(make_q1, 2, (0, 1), 1),
-    "G1 |y| + 1": degree_shifted(make_g1, 2),
-    "Q1 |z| + 1": degree_shifted(make_q1, 2),
-    "OB1 |z| + 1": degree_shifted(make_ob1, 2),
     "SV1 + w, m1(z) = w": sv1_with_w(),
-    # a unit entry past m_2: two-letter segments of the unit residual U,
-    # and the wrap that crosses the segment in front of the unit
-    # an entry off the degree inside a failing relation: R(1, x, y) reads
-    # m_2(x, y), so R_on differs from R
-    "G1 |y| + 1, m2(1,z) negated": degree_shifted(
-        lambda: sign_flipped(make_g1, 2, (0, 3), 3), 2),
     # m_0 outputs the unit, and the left unit law fails on it
     "E2 m2(1,x) negated": sign_flipped(make_e2, 2, (0, 1), 1),
+    # a unit entry past m_2: two-letter segments of the unit residual U,
+    # and the wrap that crosses the segment in front of the unit
     "G1 m3(x,1,y) = x": with_entry(make_g1, (1, 0, 2), 1, "G1 m3(x,1,y) = x"),
     "G1 m3(z,1,x) = z": with_entry(make_g1, (3, 0, 1), 3, "G1 m3(z,1,x) = z"),
+    # a relation residual that is the unit: b'^2 alone fails at [1|x]
+    "X1 m1(m1(x)) = T e 1": make_x1(),
 }
 VARIANTS = {**PASSING, **FAILING}
 
@@ -221,6 +216,10 @@ RESIDUAL_ALGEBRAS = {**{(name, None): algebra for name, algebra in VARIANTS.item
                      **RINGED, ("SV1", Fraction(1, 2)): make_sv1(Fraction(1, 2)),
                      ("SV1", Fraction(3)): make_sv1()}
 
+# The identities of the suite that the engine does not form: they hold at
+# every chain of an algebra that loads.
+HELD_BY_CONSTRUCTION = ("B^2", "b(1-t)-(1-t)b'", "b'N-Nb")
+
 
 def _nonzero(raw: dict) -> dict:
     """A raw map with its zero scalars and emptied keys dropped."""
@@ -248,21 +247,28 @@ def residual_cases(draw):
     return algebra, _draw_chain(draw, algebra, range(len(basis)), basis.reduced_letters(), True)
 
 
+def _residual_mismatch(algebra, u):
+    """The first tag at which ``identity_residuals`` at u differs from the
+    reference, or None; the tags it does not form must be empty there."""
+    got = identity_residuals(algebra, u)
+    want = dict(identity_residuals_reference(algebra, u))
+    assert [tag for tag, _ in got] == [tag for tag in want if tag not in HELD_BY_CONSTRUCTION]
+    for tag, raw in got:
+        if _nonzero(raw) != _nonzero(want[tag]):
+            return tag
+    return None
+
+
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(case=residual_cases())
 def test_identity_residuals_match_their_reference(case):
     algebra, chain = case
-    got = identity_residuals(algebra, chain.terms)
-    want = identity_residuals_reference(algebra, chain.terms)
-    assert [tag for tag, _ in got] == [tag for tag, _ in want]
-    for (tag, raw), (_, reference) in zip(got, want):
-        assert _nonzero(raw) == _nonzero(reference), (tag, chain.text())
+    assert _residual_mismatch(algebra, chain.terms) is None, chain.text()
 
 
 # Every basis key with coefficient 1, on every residual algebra and on OB1
-# (curved, with no differential to absorb m_0): the two pairing cores of
-# b'N-Nb and of the rotation identity form only the pairs whose signs differ,
-# and the reference forms every image.
+# (curved, with no differential to absorb m_0), against the reference that
+# forms every image.
 BASIS_KEY_ALGEBRAS = {**{name if cutoff is None else "%s at E %s" % (name, cutoff): algebra
                          for (name, cutoff), algebra in RESIDUAL_ALGEBRAS.items()},
                       "OB1": make_ob1()}
@@ -273,41 +279,58 @@ def _first_residual_mismatch(algebra):
     residual map differs from the reference, or None."""
     one = algebra.one_ring().terms
     for key in iter_basis_chains(algebra, 3):
-        got = identity_residuals(algebra, {key: one})
-        want = identity_residuals_reference(algebra, {key: one})
-        for (tag, raw), (_, reference) in zip(got, want):
-            if _nonzero(raw) != _nonzero(reference):
-                return tag, key
+        tag = _residual_mismatch(algebra, {key: one})
+        if tag is not None:
+            return tag, key
     return None
-
-
-def _residuals_match_on_every_basis_key(algebra):
-    assert _first_residual_mismatch(algebra) is None
 
 
 @pytest.mark.parametrize("name", sorted(BASIS_KEY_ALGEBRAS))
 def test_identity_residuals_match_their_reference_on_every_basis_key(name):
-    _residuals_match_on_every_basis_key(BASIS_KEY_ALGEBRAS[name])
+    assert _first_residual_mismatch(BASIS_KEY_ALGEBRAS[name]) is None
+
+
+CORPUS_ALGEBRAS = [load(os.path.join(os.path.dirname(ainfty.__file__), "corpus", name + ".json"))
+                   .algebra for name in ("e1", "e2", "g1_gauge", "g1_wallcross", "sv1")]
+HELD_ALGEBRAS = {**BASIS_KEY_ALGEBRAS,
+                 **{"corpus " + algebra.name: algebra for algebra in CORPUS_ALGEBRAS}}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_ALGEBRAS))
+def test_identities_held_by_construction_have_empty_reference_maps(name):
+    # B^2, b(1-t)-(1-t)b' and b'N-Nb formed image by image: the engine
+    # relies on their being zero at every key of an algebra that loads
+    algebra = HELD_ALGEBRAS[name]
+    one = algebra.one_ring().terms
+    for key in iter_basis_chains(algebra, 3):
+        want = dict(identity_residuals_reference(algebra, {key: one}))
+        assert not any(_nonzero(want[tag]) for tag in HELD_BY_CONSTRUCTION), key
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(BASIS_KEY_ALGEBRAS)), data=st.data())
 def test_identity_residuals_match_their_reference_at_redrawn_degrees(name, data):
-    # the rotation cores walk only the entries off the A-infinity degree,
-    # which the basis degrees decide: redrawn degrees put entries on and
-    # off it in every mix
+    # the algebra's tables on a basis with redrawn degrees, through the
+    # constructor: a draw that puts an entry off the A-infinity degree is
+    # refused, and any other is compared with the reference
     algebra = BASIS_KEY_ALGEBRAS[name]
     basis = algebra.basis
-    degrees = [0 if letter == basis.unit else data.draw(st.integers(-2, 3))
-               for letter in range(len(basis))]
-    _residuals_match_on_every_basis_key(with_degrees(algebra, degrees))
+    degrees = [0 if letter == basis.unit
+               else data.draw(st.one_of(st.just(degree), st.integers(-2, 3)))
+               for letter, degree in enumerate(basis.degrees)]
+    try:
+        redrawn = AInftyAlgebra(GradedBasis(basis.names, degrees, unit=basis.unit),
+                                algebra.monoid, algebra.ops, algebra.spec, name=algebra.name)
+    except ConfigurationError as exc:
+        assert "not degree-homogeneous" in str(exc)
+        return
+    assert _first_residual_mismatch(redrawn) is None
 
 
 def _build_residual_tables(module, algebra):
-    """Build the algebra's operation index and its three residual tables
+    """Build the algebra's operation index and its two residual tables
     with the functions of ``module``."""
     module.relation_residuals(algebra)
-    module.on_degree_residuals(algebra)
     module.unit_residuals(algebra)
 
 
@@ -329,13 +352,8 @@ def test_identity_residuals_read_no_arity_cutoff():
     assert not _residuals_disagree_past_the_arity_cutoff(ainfty)
 
 
-CORPUS_ALGEBRAS = [load(os.path.join(os.path.dirname(ainfty.__file__), "corpus", name + ".json"))
-                   .algebra for name in ("e1", "e2", "g1_gauge", "g1_wallcross", "sv1")]
-
-
 def test_bar_square_forms_no_product_where_the_relations_hold(monkeypatch):
-    # on a table whose relations hold and with no entry off the A-infinity
-    # degree, b'^2 is read off two empty tables
+    # on a table whose relations hold, b'^2 is read off an empty table
     calls = []
 
     def counted(*args):
@@ -346,7 +364,6 @@ def test_bar_square_forms_no_product_where_the_relations_hold(monkeypatch):
     makers = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
     for algebra in [maker() for maker in makers] + CORPUS_ALGEBRAS:
         assert ainfty.relation_residuals(algebra) == {}
-        assert ainfty.off_degree_words(algebra) == {}
         one = algebra.one_ring().terms
         top = algebra.spec.level_cutoff
         for key in iter_basis_chains(algebra, 3):
@@ -396,10 +413,9 @@ def test_unit_residuals_of_a_unit_entry_in_m3():
 
 
 def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch):
-    # on a table whose relations and unit laws hold, with no entry off the
-    # A-infinity degree, b^2 reads R_on = R and W(B c) reads U, both empty;
-    # only a unit-free word whose operation outputs the unit (E2's m_0)
-    # makes (1 - q) b u, and b of it
+    # on a table whose relations and unit laws hold, b^2 reads R and
+    # W(B c) reads U, both empty; only a unit-free word whose operation
+    # outputs the unit (E2's m_0) makes (1 - q) b u, and b of it
     calls = []
 
     def counted(*args):
@@ -410,7 +426,8 @@ def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch
     for algebra in [maker() for maker in (make_e1, make_e2, make_g1, make_q1)] + CORPUS_ALGEBRAS:
         unit = algebra.basis.unit
         assert ainfty.unit_residuals(algebra) == {}
-        assert ainfty.on_degree_residuals(algebra) is ainfty.relation_residuals(algebra) == {}
+        relations = ainfty.relation_residuals(algebra)
+        assert relations == {}
         curved_unit = any(unit not in word for word in ainfty.words_by_output(algebra)[unit])
         assert curved_unit == (algebra.name == "E2")
         one = algebra.one_ring().terms
@@ -418,7 +435,7 @@ def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch
         for key in iter_basis_chains(algebra, 3):
             u = {key: one}
             front = u if key[0] != unit else {}
-            assert hochschild._b_square_into({}, algebra, u, top) == {}
+            assert hochschild._windows_into({}, algebra, u, top, relations, True) == {}
             assert hochschild._unit_wraps_into({}, algebra, front, top) == {}
             if not curved_unit:
                 assert hochschild._unit_outputs_into({}, algebra, u, top) == {}
@@ -427,9 +444,9 @@ def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch
 
 
 def test_suite_on_G1_forms_at_most_300_products(monkeypatch):
-    # what is left on G1 at K = 8 and the default seed: b' and D on the keys
-    # whose module is the unit, for N(b u''); b^2, b'^2, the wraps of B(c)
-    # and the rotation identities read empty tables
+    # what is left on G1 at K = 8 and the default seed: b on the keys whose
+    # module is the unit, for N(b u''); b^2, b'^2 and the wraps of B(c) read
+    # empty tables
     calls = []
 
     def counted(*args):
@@ -442,42 +459,33 @@ def test_suite_on_G1_forms_at_most_300_products(monkeypatch):
     assert len(calls) <= 300
 
 
-def _off_degree_entries(algebra):
-    return {(word, comp) for words in ainfty.off_degree_words(algebra).values()
-            for word, out in words.items() for comp in out}
-
-
-def test_off_degree_holds_the_entries_off_the_degree():
-    for maker in (make_e1, make_e2, make_g1, make_q1, make_sv1, make_ob1):
-        assert ainfty.off_degree_words(maker()) == {}
-    # |y|' = 1 on G1 |y| + 1: m_2(x, y) and m_1(y) output z, |z|' = 1
-    assert _off_degree_entries(VARIANTS["G1 |y| + 1"]) == {((1, 2), 3), ((2,), 3)}
-    # |z|' = 5 on Q1 |z| + 1: m_3(u, u, u) outputs z, |u u u|' = 3
-    assert _off_degree_entries(VARIANTS["Q1 |z| + 1"]) == {((1, 1, 1), 2)}
-    # |z|' = 2 on OB1 |z| + 1: m_0 outputs z
-    assert _off_degree_entries(VARIANTS["OB1 |z| + 1"]) == {((), 2)}
-    for algebra in VARIANTS.values():
-        index = ainfty.nonzero_words(algebra)
-        for k, words in ainfty.off_degree_words(algebra).items():
-            for word, out in words.items():
-                assert all(value is index[k][word][comp] for comp, value in out.items())
-
-
 def _operator_algebras():
     return st.sampled_from(sorted(RESIDUAL_ALGEBRAS, key=str)).map(RESIDUAL_ALGEBRAS.get)
+
+
+def _slot_zero_reference(algebra, chain):
+    """b''s insertions at slot 0 of each marked word f, m_0 in front
+    included: m_a(f[:a]) as the new module slot, with sign +1."""
+    out = {}
+    for (v, word), coeff in ring_terms(chain).items():
+        full = (v,) + word
+        for a in range(len(full) + 1):
+            for comp, value in algebra.m_word(full[:a]).items():
+                add_term(out, (comp, full[a:]), coeff * value)
+    return HochschildChain(algebra.basis, out, False)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), algebra=_operator_algebras())
 def test_b_is_bar_plus_D_on_unreduced_chains(data, algebra):
     # D(x) = b(x) - b'(x): the wraps with a tail block of at least one
-    # letter, minus m_0 in front of the module slot; unit letters anywhere
+    # letter, minus m_0 in front of the module slot, which is every wrap
+    # (``oracles.wraps_reference``) less b''s insertions at slot 0; unit
+    # letters anywhere
     letters = range(len(algebra.basis))
     x = _draw_chain(data.draw, algebra, letters, letters, False)
-    top = algebra.spec.level_cutoff
-    D = hochschild._built(algebra.basis, algebra.spec,
-                          hochschild._D_into({}, algebra, x.terms, top), False)
-    assert D == chain_sum(hochschild_b(algebra, x), chain_bar(algebra, x), -1), x.text()
+    D = chain_sum(wraps_reference(algebra, x), _slot_zero_reference(algebra, x), -1)
+    assert chain_sum(hochschild_b(algebra, x), chain_bar(algebra, x), -1) == D, x.text()
 
 
 def _s1(basis, chain, sign=1):
@@ -516,11 +524,8 @@ def test_E2_puts_the_unit_in_a_tensor_slot_of_bar_u():
                                                                   False)).terms)
 
 
-# Seeded draws on every variant; the reference lines are computed once.  On
-# Q1 |z| + 1, b'N-Nb alone fails at [1|z,u,u,u], and seed 12 draws it as
-# chain #15 next to keys at which every identity holds.
-MUTANT_CASES = [(name, 30, seed, 4) for name in sorted(VARIANTS) for seed in (1, 2)] + [
-    ("Q1 |z| + 1", 30, 12, 4)]
+# Seeded draws on every variant; the reference lines are computed once.
+MUTANT_CASES = [(name, 30, seed, 4) for name in sorted(VARIANTS) for seed in (1, 2)]
 _REFERENCE_LINES = {}
 
 
@@ -538,21 +543,6 @@ def _suite_disagrees(suite) -> bool:
     return False
 
 
-# the disjoint pairs of b'^2: the criterion read on the right entry walks
-# every left entry and only the right entries off the degree
-DISJOINT_PAIRS = """\
-        for a, words in tables.items():
-            for i in range(len(f) - a + 1):
-                left = words.get(f[i : i + a])
-                if not left:
-                    continue
-                # the right window at j = i + a + p: (-1)^{|f[:i]|' + |f[:j]|'}
-                rest = f[i + a :]
-                for p, b, right, sign in insertions(algebra, rest, prefixes[i + a] - prefixes[i]):
-                    for lcomp, lvalue in left.items():
-                        for rcomp, rvalue in right.items():
-"""
-
 CERTIFICATE = """\
         if key not in verdicts:
             verdicts[key] = all(
@@ -563,50 +553,45 @@ CERTIFICATE = """\
 # name -> (module, original fragment, mutated fragment).  A hochschild
 # mutant reaches the suite through the cli module's binding of it, and an
 # ainfty mutant through the operation index it builds for every variant.
-# The rotation cores walk only the off-degree entries of the index; a filter
-# that kept extra entries would only make them slower, so the two filter
-# mutants below drop entries that the cores need.
 CHAIN_SUITE_MUTANTS = {
     "certificate keyed by word only": (
         cli, CERTIFICATE, CERTIFICATE.replace("key not in verdicts", "key[1] not in verdicts")
         .replace("verdicts[key]", "verdicts[key[1]]")),
-    "certificate skips b'N-Nb": (
+    # killed through X1, on whose key [1|x] b'^2 alone fails
+    "certificate skips b'^2": (
         cli, "hh.identity_residuals(algebra, {key: one}))",
-        "hh.identity_residuals(algebra, {key: one})[:5])"),
-    # the b(tu) images are gone: the rotation core compares each D or t b'
-    # term with its b(tu) twin, and here it never emits
-    "b(1-t) without -b(tu)": (hochschild, "if sign != bt:", "if False:"),
+        "hh.identity_residuals(algebra, {key: one})[:2])"),
     "quotient keeps unit words": (
         hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
-    "D without its m0-in-front term": (hochschild, "if curvature:", "if False:"),
-    "tail start 0 in D": (hochschild, "for i in range(1, a):", "for i in range(a):"),
-    # D has no sign parameter any more: the rotation core reads the sign of
-    # D's wrap-arounds as +1
+    # b is b' + D term by term, one term per cyclic window: D's -m_0 in
+    # front cancels b''s, the wraps through the module slot include slot 0
+    # (the empty tail block) and pay the rotation sign, and a window in the
+    # word pays the sign of the letters in front of it
+    "D without its m0-in-front term": (
+        hochschild, "for q in range(1, n - length + 1):",
+        "for q in range(length > 0, n - length + 1):"),
+    "tail start 0 in D": (
+        hochschild, "range(n - length + 1, n + 1)", "range(n - length + 1, n)"),
     "D ignores its sign": (
-        hochschild, "sign = (comp,) + f[c + a - n : c], crossing_sign(total, prefixes[c])",
-        "sign = (comp,) + f[c + a - n : c], 1"),
+        hochschild, "turn = crossing_sign(prefixes[n], prefixes[c])", "turn = 1"),
+    "b in-word sign dropped": (hochschild, "insertion_sign(prefixes, q)", "1"),
     "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
     "bB remap keeps unit words": (
         hochschild, "if v != unit and unit not in word and any(", "if any("),
-    # b^2 from the cyclic windows of R_on: D's part of b^2 is the windows
-    # through the module slot, and b'(Z) the b' half of b((1 - q) b u)
+    # b^2 from the cyclic windows of R: D's part of b^2 is the windows
+    # through the module slot
     "b^2 without b_red(q D u)": (
         hochschild, "for c in range(n - length + 1, n + 1):", "for c in ():"),
-    "b^2 without -q b'(Z)": (
-        hochschild, "_b_into({}, algebra, _unit_outputs_into(", "_D_into({}, algebra, _unit_outputs_into("),
     "b^2 skips the gap after the last letter": (
         hochschild, "for q in range(1, n - length + 1):",
         "for q in range(1, n - length + (length > 0)):"),
-    # killed through G1 |y| + 1, m2(1,z) negated, the one variant whose
-    # off-degree entries reach a nonzero relation term
-    "R_on read as R": (
-        hochschild, "on_degree_residuals(algebra), True)", "relation_residuals(algebra), True)"),
-    "b_off(b_on u) dropped": (
-        hochschild, "        _windows_into(acc, algebra, on, top, tables, False)\n", ""),
     # killed through E2 m2(x,1) negated, whose m_0 puts the unit in the word
     "-q b((1-q) b u) dropped": (
         hochschild, "        add_into(square.setdefault(key, {}), terms, -1)\n",
         "        pass\n"),
+    "-q b((1-q) b u) reads b' for b": (
+        hochschild, "_b_into({}, algebra, _unit_outputs_into(",
+        "_bar_into({}, algebra, _unit_outputs_into("),
     "unit-output lookup ignores D's -m0 in front": (
         hochschild, "for p in range(1, len(f) - a + 1):", "for p in range(v != unit, len(f) - a + 1):"),
     # W(B c) from the unit residual table; the G1 m_3 variants reach its
@@ -618,33 +603,9 @@ CHAIN_SUITE_MUTANTS = {
     "unit segments shorter than the word": (
         hochschild, "in units.items():\n            if length > n:",
         "in units.items():\n            if length >= n:"),
-    "b'N-Nb window-to-rotation index (p + c) % n": (
-        hochschild, "r = (p - c) % n", "r = (p + c) % n"),
-    "b'N-Nb ignores the rotation parity of the output": (
-        hochschild, "out_total - out_prefixes[m - s]", "0"),
-    "rotation core drops the parity of t on f": (hochschild, "bt = t_sign * (", "bt = ("),
-    # the self-pair is walked only for an m_0 off the A-infinity degree:
-    # killed through OB1 |z| + 1, whose m_0 outputs z with |z|' even
-    "rotation core inverts the arity-0 self-pair test": (
-        hochschild, "if gap_sign == -1:", "if gap_sign != -1:"),
-    # killed through the |.| + 1 variants; G1 |y| + 1 and Q1 |z| + 1 mix
-    # entries on and off the degree
-    "off-degree filter parity inverted": (ainfty, "% 2 == 0}", "% 2}"),
-    "off-degree filter keeps no entry": (ainfty, "if off:", "if False:"),
-    # b'^2 from the relation table: the pair mutants are killed through the
-    # |.| + 1 variants, the n = 0 one through SV1 + w, whose m_1(m_0) is
-    # not zero, and the capped table only at an arity cutoff below the
-    # windows (see KILLED_PAST_THE_ARITY_CUTOFF)
-    "b'^2 drops the disjoint pairs": (
-        hochschild, "if not tables:\n            continue", "continue"),
-    "b'^2 adds a disjoint pair once": (
-        hochschild, "_twice_into(acc, out, terms, (lvalue * rvalue).terms, top, sign)",
-        "mul_into(acc.setdefault((out[0], out[1:]), {}), terms, (lvalue * rvalue).terms, top,"
-        " sign)"),
-    "b'^2 reads the off-degree criterion on the right entry": (
-        hochschild, DISJOINT_PAIRS, DISJOINT_PAIRS.replace(
-            "words in tables.items()", "words in nonzero_words(algebra).items()").replace(
-            "in right.items()", "in tables.get(b, {}).get(rest[p : p + b], {}).items()")),
+    # b'^2 from the relation table: the n = 0 mutant is killed through
+    # SV1 + w, whose m_1(m_0) is not zero, and the capped table only at an
+    # arity cutoff below the windows (see KILLED_PAST_THE_ARITY_CUTOFF)
     "b'^2 skips the n = 0 windows": (
         hochschild, "for q in range(len(f) - n + 1):", "for q in range(len(f) - n + 1 if n else 0):"),
     "relation table capped at k_max": (
@@ -685,17 +646,18 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
     assert _suite_disagrees(mutant.chain_identity_suite)
 
 
-def test_rotation_parity_mutant_is_killed_through_both_pairing_cores(monkeypatch):
+def test_crossing_sign_mutant_is_killed_through_b_square_and_bB(monkeypatch):
     # HOCHSCHILD_MUTANTS mutates the one home of the rotation sign,
-    # graded.crossing_sign; both cores read their rotation signs there, and
-    # each must see the mutant.  The reference runs the hochschild
-    # operators, so it is formed before the mutant is patched in.
+    # graded.crossing_sign; b's wraps read it for b^2 and for N(b u''), and
+    # N and the unit wraps for bB+Bb, and both maps must see the mutant.
+    # The reference runs the hochschild operators, so it is formed before
+    # the mutant is patched in.
     cases = [(algebra, {key: algebra.one_ring().terms})
              for _, algebra in sorted(BASIS_KEY_ALGEBRAS.items())
              for key in iter_basis_chains(algebra, 2)]
     wants = [dict(identity_residuals_reference(algebra, u)) for algebra, u in cases]
     monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
-    missed = {"b(1-t)-(1-t)b'", "b'N-Nb"}
+    missed = {"b^2", "bB+Bb"}
     for (algebra, u), want in zip(cases, wants):
         got = dict(hochschild.identity_residuals(algebra, u))
         missed -= {tag for tag in missed if _nonzero(got[tag]) != _nonzero(want[tag])}

@@ -238,6 +238,23 @@ def test_cli_rejects_bad_emax_located(capsys, emax, message):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ("check", "cocycle", "mc", "potential", "gauge", "wallcross"))
+def test_entry_off_the_ainfty_degree_exits_2_located(tmp_path, capsys, command):
+    # y's degree raised by one: m_2(x, y) = z no longer has degree 2 - k,
+    # so no subcommand gets an algebra with an entry off the A-infinity degree
+    with open(corpus("g1_gauge.json")) as handle:
+        raw = json.load(handle)
+    assert raw["basis"][2]["name"] == "y"
+    raw["basis"][2]["degree"] += 1
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert ("  operations: m_{2,beta0}('x', 'y') is not degree-homogeneous"
+            in captured.err.splitlines()[1])
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_rejects_negative_cutoff_from_document(tmp_path, capsys):
     raw = minimal_doc()
     raw["cutoffs"]["arity"] = -1

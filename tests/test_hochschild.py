@@ -561,7 +561,8 @@ def _kernels_disagree(module, sums=chain_sum) -> bool:
 HOCHSCHILD_MUTANTS = {
     "sign dropped in mul_into": (coeff, "v1 = -v1", "v1 = v1"),
     "level cutoff skipped in mul_into": (coeff, "if lvl > top:", "if False:"),
-    "wrap-around split off by one": (hochschild, "j = a - 1 - i", "j = a - i"),
+    "wrap-around split off by one": (
+        hochschild, "range(n - length + 1, n + 1)", "range(n - length, n + 1)"),
     "rotation parity uses total, not total - last": (graded, *CROSSING_MUTATION),
     "N misses its last rotation": (hochschild, "(v,) + word, 1 + len(word))",
                                    "(v,) + word, len(word))"),
