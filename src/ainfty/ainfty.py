@@ -37,7 +37,6 @@ with the pairing layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -60,7 +59,6 @@ class MonoidElement(NamedTuple):
 OpTable = Dict[Word, Dict[int, RingElement]]
 
 
-@dataclass
 class OperationIndex:
     """The assembled operation table of an algebra; see ``_operation_index``.
 
@@ -77,29 +75,42 @@ class OperationIndex:
     function fills it.
     """
 
-    nonzero: Dict[int, OpTable]
-    by_output: Dict[int, tuple]
-    arities: tuple
-    relations: Optional[Dict[int, OpTable]] = None
-    units: Optional[Dict[int, OpTable]] = None
+    def __init__(self, nonzero: Dict[int, OpTable], by_output: Dict[int, tuple],
+                 arities: tuple):
+        self.nonzero = nonzero
+        self.by_output = by_output
+        self.arities = arities
+        self.relations: Optional[Dict[int, OpTable]] = None
+        self.units: Optional[Dict[int, OpTable]] = None
 
 
-@dataclass
 class AInftyAlgebra:
-    basis: GradedBasis
-    monoid: tuple
-    ops: Dict[Tuple[int, int], OpTable]
-    spec: RingSpec
-    k_max: int = 6
-    l_max: int = 4
-    n_max: int = 5
-    higher_arities_zero: bool = True
-    name: str = "algebra"
-    _index: Optional[OperationIndex] = field(default=None, init=False, repr=False, compare=False)
+    """A validated curved A-infinity algebra with its cutoffs.
 
-    def __post_init__(self):
-        self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in self.monoid)
+    Two algebras are equal when their tables, basis, monoid, ring, cutoffs,
+    flag and name are; the operation index (``_index``, built from the
+    tables on first use and cached) is not compared.
+    """
+
+    def __init__(self, basis: GradedBasis, monoid: tuple, ops: Dict[Tuple[int, int], OpTable],
+                 spec: RingSpec, k_max: int = 6, l_max: int = 4, n_max: int = 5,
+                 higher_arities_zero: bool = True, name: str = "algebra"):
+        self.basis = basis
+        self.monoid = tuple(MonoidElement(as_fraction(l), int(m)) for l, m in monoid)
+        self.ops = ops
+        self.spec = spec
+        self.k_max, self.l_max, self.n_max = k_max, l_max, n_max
+        self.higher_arities_zero = higher_arities_zero
+        self.name = name
+        self._index: Optional[OperationIndex] = None
         self.validate()
+
+    def _key(self) -> tuple:
+        return (self.basis, self.monoid, self.ops, self.spec, self.k_max, self.l_max,
+                self.n_max, self.higher_arities_zero, self.name)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, AInftyAlgebra) else NotImplemented
 
     # -- load-time validation ------------------------------------------------
 
@@ -541,10 +552,12 @@ def validate_right_inverse(algebra: AInftyAlgebra, h: Dict[int, Element]) -> Non
             )
 
 
-@dataclass
 class Obstruction:
-    level: Fraction
-    residual: Element
+    """The first energy level whose residual ``solve_mc`` cannot absorb."""
+
+    def __init__(self, level: Fraction, residual: Element):
+        self.level = level
+        self.residual = residual
 
     def text(self) -> str:
         return "obstruction at energy %s: %s" % (self.level, self.residual.text())

@@ -40,7 +40,6 @@ that made them, and integral arithmetic stays in ints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, inf
 from operator import add
@@ -106,10 +105,6 @@ class Poly:
     def constant(cls, c) -> "Poly":
         return cls((as_fraction(c),))
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((0, 1))
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -169,10 +164,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -222,37 +213,47 @@ class Monomial(NamedTuple):
 _new_monomial = tuple.__new__
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """Configuration of the coefficient ring: variable degrees, cutoff, grid.
 
     Energies lie on the grid (1/grid)Z; ``level_cutoff`` = floor(grid *
-    cutoff) bounds the scaled levels of the monomials kept.  The grid is how
-    energies are stored, not part of the ring, so specs that differ only in
-    their grids are equal.
+    cutoff) bounds the scaled levels of the monomials kept.  The energy
+    cutoff defaults to ``RingSpec.cutoff`` = 10.  The grid is how energies
+    are stored, not part of the ring, so two specs are equal, and hash the
+    same, when their ``s_degree``, ``t_degrees`` and ``cutoff`` are, whatever
+    their grids.
     """
 
-    s_degree: int = 2
-    t_degrees: tuple = ()
-    cutoff: Fraction = Fraction(10)
-    grid: int = field(default=2, compare=False)
-    level_cutoff: int = field(init=False, repr=False, compare=False)
+    # the default energy cutoff, which ``document.load_dict`` also reads
+    cutoff = Fraction(10)
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_degrees", tuple(self.t_degrees))
-        object.__setattr__(self, "cutoff", as_fraction(self.cutoff))
+    def __init__(self, s_degree: int = 2, t_degrees: tuple = (), cutoff: Fraction = cutoff,
+                 grid: int = 2):
+        self.s_degree = s_degree
+        self.t_degrees = tuple(t_degrees)
+        self.cutoff = as_fraction(cutoff)
+        self.grid = grid
         if self.cutoff < 0:
             raise ConfigurationError("energy cutoff must be nonnegative")
-        if not isinstance(self.grid, int) or isinstance(self.grid, bool) or self.grid < 1:
-            raise ConfigurationError("energy grid must be a positive integer: %r" % (self.grid,))
-        object.__setattr__(self, "level_cutoff", floor(self.cutoff * self.grid))
-        if self.s_degree % 2 != 0:
+        if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
+            raise ConfigurationError("energy grid must be a positive integer: %r" % (grid,))
+        self.level_cutoff = floor(self.cutoff * self.grid)
+        if s_degree % 2 != 0:
             raise ConfigurationError("deg(s) must be even (odd coefficient variables unsupported)")
         for i, d in enumerate(self.t_degrees):
             if d % 2 != 0:
                 raise ConfigurationError(
                     "deg(t%d) must be even (odd coefficient variables unsupported)" % i
                 )
+
+    def _key(self) -> tuple:
+        return self.s_degree, self.t_degrees, self.cutoff
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, RingSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_t(self) -> int:

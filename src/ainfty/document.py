@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional
@@ -27,21 +26,27 @@ from .hochschild import CocycleTower, Functional
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class LoadedDocument:
-    name: str
-    algebra: AInftyAlgebra
-    towers: Dict[str, CocycleTower] = field(default_factory=dict)
-    candidates: Dict[str, Element] = field(default_factory=dict)
-    # the gauge path b_t: a degree-1 element with polynomial scalars
-    gauge_path: Optional[Element] = None
-    # zero in the document's ring when the document omits them
-    m_minus_one: Optional[RingElement] = None
-    gw_tilde: Optional[RingElement] = None
-    wall_pair: Optional[tuple] = None
-    right_inverse: Optional[Dict[int, Element]] = None
-    # the parsed JSON, so that ``load_dict`` can load it again at a lower cutoff
-    raw: Optional[dict] = field(default=None, repr=False, compare=False)
+    """A loaded document: its algebra and the objects it names over it.
+
+    ``load_dict`` fills the towers, candidates and optional entries after
+    construction.
+    """
+
+    def __init__(self, name: str, algebra: AInftyAlgebra, raw: Optional[dict] = None):
+        self.name = name
+        self.algebra = algebra
+        self.towers: Dict[str, CocycleTower] = {}
+        self.candidates: Dict[str, Element] = {}
+        # the gauge path b_t: a degree-1 element with polynomial scalars
+        self.gauge_path: Optional[Element] = None
+        # zero in the document's ring when the document omits them
+        self.m_minus_one: Optional[RingElement] = None
+        self.gw_tilde: Optional[RingElement] = None
+        self.wall_pair: Optional[tuple] = None
+        self.right_inverse: Optional[Dict[int, Element]] = None
+        # the parsed JSON, so that ``load_dict`` can load it again at a lower cutoff
+        self.raw = raw
 
 
 class _Collector:

@@ -17,7 +17,6 @@ coefficient as its raw Monomial -> scalar map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .coeff import RingElement
@@ -26,23 +25,32 @@ from .errors import ConfigurationError
 Word = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class GradedBasis:
-    """Finite graded basis with an optional strict unit designation."""
+    """Finite graded basis with an optional strict unit designation.
 
-    names: tuple
-    degrees: tuple
-    unit: Optional[int] = None
+    Two bases are equal, and hash the same, when their names, degrees and
+    unit are.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+    def __init__(self, names: tuple, degrees: tuple, unit: Optional[int] = None):
+        self.names = tuple(names)
+        self.degrees = tuple(int(d) for d in degrees)
+        self.unit = unit
         if len(self.names) != len(set(self.names)):
             raise ConfigurationError("basis names must be unique")
         if len(self.names) != len(self.degrees):
             raise ConfigurationError("basis names and degrees must align")
-        if self.unit is not None and self.degrees[self.unit] != 0:
+        if unit is not None and self.degrees[unit] != 0:
             raise ConfigurationError("the unit must have degree 0")
+
+    def _key(self) -> tuple:
+        return self.names, self.degrees, self.unit
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, GradedBasis) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
         return len(self.names)

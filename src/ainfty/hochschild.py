@@ -99,7 +99,6 @@ validated by pulling each level back through b and B, key by key
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, relation_residuals,
@@ -873,7 +872,6 @@ def iter_basis_chains(algebra: AInftyAlgebra, l_max: int):
                 yield module, word
 
 
-@dataclass
 class CocycleTower:
     """Finite tower (psi_0, ..., psi_D) of functionals, one per u-power.
 
@@ -881,11 +879,9 @@ class CocycleTower:
     d_0 is the degree of the lowest nonzero level.
     """
 
-    levels: tuple
-    name: str = "tower"
-
-    def __post_init__(self):
-        self.levels = tuple(self.levels)
+    def __init__(self, levels: tuple, name: str = "tower"):
+        self.levels = tuple(levels)
+        self.name = name
         if not self.levels:
             raise ConfigurationError("a tower needs at least one level")
         base = None

@@ -33,7 +33,6 @@ level the energy cutoff reaches, and the decomposition to ``algebra.n_max``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, inf
 from typing import Dict, Tuple
@@ -129,7 +128,6 @@ def gauge_invariance_check(
 # -- wall crossing --------------------------------------------------------------
 
 
-@dataclass
 class WallCrossingDecomposition:
     """The six sums of the wall-crossing identity chain plus residuals.
 
@@ -141,16 +139,20 @@ class WallCrossingDecomposition:
     as diagnostics only and asserted nowhere.
     """
 
-    ksplit: RingElement
-    psplit: RingElement
-    qsplit: RingElement
-    output: RingElement
-    clsum: RingElement
-    error_term: RingElement
-    i1_rhs: RingElement
-    residual_i1: RingElement
-    residual_i2: RingElement
-    diagnostics: Dict[str, RingElement]
+    def __init__(self, ksplit: RingElement, psplit: RingElement, qsplit: RingElement,
+                 output: RingElement, clsum: RingElement, error_term: RingElement,
+                 i1_rhs: RingElement, residual_i1: RingElement, residual_i2: RingElement,
+                 diagnostics: Dict[str, RingElement]):
+        self.ksplit = ksplit
+        self.psplit = psplit
+        self.qsplit = qsplit
+        self.output = output
+        self.clsum = clsum
+        self.error_term = error_term
+        self.i1_rhs = i1_rhs
+        self.residual_i1 = residual_i1
+        self.residual_i2 = residual_i2
+        self.diagnostics = diagnostics
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,6 @@ bound of the un-insertions and the extension of failing words are also
 mutated and must be caught.
 """
 
-import dataclasses
 import functools
 import random
 
@@ -27,7 +26,7 @@ from ainfty.pairing import InfinityInnerProduct
 from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1, random_coboundary_tower, ring
 from oracles import (
     at_cutoffs, check_bimodule_hom_reference, crossing_sign_mutant, mutant_module,
-    validate_negative_cocycle_reference,
+    validate_negative_cocycle_reference, with_cutoff,
 )
 
 MAKERS = (make_e1, make_e2, make_g1, make_sv1, make_q1)
@@ -136,7 +135,7 @@ FAILING_CASES = {
 def _foreign(algebra, tower, level):
     """The tower with one level moved to a ring whose energy cutoff is one
     more than the algebra's, which no product may mix with the algebra's."""
-    spec = dataclasses.replace(algebra.spec, cutoff=algebra.spec.cutoff + 1)
+    spec = with_cutoff(algebra.spec, algebra.spec.cutoff + 1)
     levels = list(tower.levels)
     levels[level] = Functional(algebra.basis, spec, {
         key: RingElement(spec, value.terms) for key, value in levels[level].table.items()})

@@ -135,7 +135,7 @@ def test_path_specialize_roundtrip():
 
 
 def test_path_polynomial_evaluation():
-    t = Poly.variable()
+    t = Poly((0, 1))
     one_minus_t = Poly((1, -1))
     path = RingElement.monomial(SPEC, one_minus_t, lam=1)
     assert path.specialize(1).is_zero()
@@ -147,7 +147,7 @@ def test_path_polynomial_evaluation():
 
 def test_specialization_is_ring_hom():
     rng = random.Random(5)
-    t = Poly.variable()
+    t = Poly((0, 1))
     for _ in range(50):
         a = random_element(rng) * t
         b = random_element(rng) + RingElement.monomial(SPEC, t, lam=1)
@@ -157,7 +157,7 @@ def test_specialization_is_ring_hom():
 
 
 def test_formal_derivative():
-    t = Poly.variable()
+    t = Poly((0, 1))
     path = RingElement.monomial(SPEC, t * t, lam=1)
     derived = path.formal_derivative()
     assert derived.specialize(3) == el(6, lam=1)
@@ -167,7 +167,7 @@ def test_formal_derivative():
 def test_scalar_has_one_stored_type_per_value():
     # t - t cancels to nothing mid-way in one order and leaves the constant
     # polynomial 1 in the other; both sums store the integer 1
-    t = Poly.variable()
+    t = Poly((0, 1))
     a, b, c = (el(x) for x in (t, 1, -t))
     assert ((a + c) + b).text() == ((a + b) + c).text() == "1"
     assert ((a + b) + c).terms == el(1).terms
@@ -313,6 +313,19 @@ def test_energy_grid_must_be_a_positive_integer():
     for grid in (0, -2, Fraction(1, 2), True, "2"):
         with pytest.raises(ConfigurationError, match="energy grid"):
             RingSpec(grid=grid)
+
+
+def test_spec_equality_reads_variable_degrees_and_cutoff_not_grid():
+    # RingElement.__eq__ and __hash__ compare specs, so these are ring laws
+    assert SPEC == SPEC_SIXTHS and hash(SPEC) == hash(SPEC_SIXTHS)
+    assert SPEC == RingSpec(2, (2,), Fraction(4), 2)
+    assert SPEC != with_cutoff(SPEC, 5)
+    assert SPEC != RingSpec(s_degree=4, t_degrees=(2,), cutoff=Fraction(4))
+    assert SPEC != RingSpec(s_degree=2, t_degrees=(2, 2), cutoff=Fraction(4))
+    for other in (None, 4, (2, (2,), Fraction(4))):
+        assert not SPEC == other and SPEC != other
+    assert RingSpec().cutoff == RingSpec.cutoff == 10
+    assert RingSpec(cutoff="7/2").cutoff == Fraction(7, 2)
 
 
 def _grid_laws(ring):

@@ -239,6 +239,16 @@ def test_unit_scalar_split():
     assert rest == Element.generator(BASIS, 1, RingElement.one(SPEC))
 
 
+def test_basis_equality_reads_names_degrees_and_unit():
+    same = GradedBasis(["1", "x", "y", "z"], [0, 1, 2, 3], unit=0)
+    assert same == BASIS and hash(same) == hash(BASIS)
+    for other in (GradedBasis(("1", "x", "y", "w"), (0, 1, 2, 3), unit=0),
+                  GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 5), unit=0),
+                  GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3)),
+                  None, BASIS.names):
+        assert not BASIS == other and BASIS != other
+
+
 def test_unit_must_have_degree_zero():
     with pytest.raises(ConfigurationError):
         GradedBasis(("1", "x"), (1, 2), unit=0)
