@@ -6,11 +6,13 @@ m_k = sum_beta T^{lam(beta)} e^{mu(beta)/2} m_{k,beta} once per algebra, on
 first use, into one operation index (``_operation_index``) that ``m_word``,
 ``apply_m``, ``insertions`` and ``uninsertions`` all read.  Every entry of a
 loaded table has the A-infinity degree (see ``OperationIndex``), so the
-index keeps no entry apart.  It also keeps two residual tables, each built
+index keeps no entry apart.  It also keeps the residual tables, each built
 on first use: the curved relation residual table (``relation_residuals``),
 which ``check_ainfty`` reports from and the b^2 and b'^2 maps of
-``hochschild`` are formed from, and the strict-unit residual table
-(``unit_residuals``), which the wrap-arounds of bB+Bb are formed from.
+``hochschild`` are formed from, and, in one walk, the per-slot strict-unit
+residual table (``unit_slot_residuals``) and its signed sum over slots
+(``unit_residuals``), which the rest of the b^2 and bB+Bb maps are formed
+from.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -70,9 +72,9 @@ class OperationIndex:
     |c| = sum deg(u) - k mod 2, which is |c|' = |u|' + 1.  Assembly
     multiplies by T^lam e^{mu/2}, of even degree, so the parity holds for
     m_word too.  The chain identities of ``hochschild`` rest on it.
-    ``relations`` and ``units`` are the residual tables of
-    ``relation_residuals`` and ``unit_residuals``, each None until its
-    function fills it.
+    ``relations``, ``units`` and ``slots`` are the residual tables of
+    ``relation_residuals``, ``unit_residuals`` and ``unit_slot_residuals``,
+    each None until its function fills it (the last two together).
     """
 
     def __init__(self, nonzero: Dict[int, OpTable], by_output: Dict[int, tuple],
@@ -82,6 +84,7 @@ class OperationIndex:
         self.arities = arities
         self.relations: Optional[Dict[int, OpTable]] = None
         self.units: Optional[Dict[int, OpTable]] = None
+        self.slots: Optional[Dict[int, OpTable]] = None
 
 
 class AInftyAlgebra:
@@ -352,55 +355,100 @@ def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     if index.relations is None:
         support = {word for words in index.nonzero.values() for outer in words
                    for word in uninsertions(algebra, outer, inf)}
-        relations: Dict[int, OpTable] = {}
-        for word in sorted(support, key=lambda word: (len(word), word)):
-            residual: Dict[int, RingElement] = {}
+        relations: Dict[Word, Dict[int, RingElement]] = {}
+        for word in support:
+            residual = relations[word] = {}
             for i, l, inner, sign in insertions(algebra, word):
                 for comp, value in inner.items():
                     outer = word[:i] + (comp,) + word[i + l :]
                     for ocomp, ovalue in index.nonzero.get(len(outer), {}).get(outer, {}).items():
                         piece = value * ovalue
                         add_term(residual, ocomp, -piece if sign < 0 else piece)
-            if residual:
-                relations.setdefault(len(word), {})[word] = residual
-        index.relations = relations
+        index.relations = _by_length(relations)
     return index.relations
 
 
-def unit_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
-    """The strict-unit residual table, built on first use.
+def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
+    """The operation index with its two strict-unit residual tables filled,
+    in one walk over the stored words that hold the unit.
 
-    U(S) = sum_i (-1)^{|S[:i]|'} m(S[:i] + (1,) + S[i:]), over the slots
-    i = 0..len(S) of a word S with no unit letter, is what strict unitality
-    makes zero: m_2(1, x) = x, m_2(x, 1) = (-1)^{|x|} x and every other
-    operation with the unit in a slot zero give U((x,)) = x - x and
-    U(S) = 0 at every other S.  The table is {l: {S: {c: U(S)[c]}}} over
-    the words S of nonzero U(S), lengths ascending, in the shape of
-    ``nonzero_words``; each stored word that holds the unit exactly once
-    adds its operation to U of the word without it.  The wrap-arounds of
-    the bB+Bb map of ``hochschild.identity_residuals`` are formed from it.
+    V(W) = m(W) - law(W) at each word W that holds the unit, where law is
+    what the strict unit laws make m: law(1, x) = x and
+    law(x, 1) = (-1)^{|x|} x for every letter x (the two agree on (1, 1)),
+    and zero at every other word.  So V is empty exactly when the unit laws
+    hold strictly, m_2(1, 1) = 1 included.  A word that holds the unit once
+    is S[:i] + (1,) + S[i:] for one unit-free S and slot i, so V(W) is the
+    residual at one slot of S; U(S) = sum_i (-1)^{|S[:i]|'} V(S[:i] 1 S[i:])
+    is V's signed sum over the slots, the law values cancelling:
+    x - (-1)^{|x|'} (-1)^{|x|} x = 0.
     """
     index = _operation_index(algebra)
     if index.units is None:
-        unit = algebra.basis.require_unit()
-        degrees = algebra.basis.degrees
-        units: Dict[int, OpTable] = {}
+        basis = algebra.basis
+        unit = basis.require_unit()
+        degrees = basis.degrees
+        one = algebra.one_ring()
+        slots: Dict[Word, Dict[int, RingElement]] = {}
         for words in index.nonzero.values():
+            for word, out in words.items():
+                if unit in word:
+                    slots[word] = dict(out)
+        for x in range(len(basis)):
+            add_term(slots.setdefault((unit, x), {}), x, -one)
+            if x != unit:
+                add_term(slots.setdefault((x, unit), {}), x, one if degrees[x] % 2 else -one)
+        index.slots = _by_length(slots)
+        units: Dict[Word, Dict[int, RingElement]] = {}
+        for words in index.slots.values():
             for word, out in words.items():
                 if word.count(unit) != 1:
                     continue
                 i = word.index(unit)
                 segment = word[:i] + word[i + 1 :]
                 odd = maltese([degrees[x] for x in segment], i) % 2
-                residual = units.setdefault(len(segment), {}).setdefault(segment, {})
+                residual = units.setdefault(segment, {})
                 for comp, value in out.items():
                     add_term(residual, comp, -value if odd else value)
-        index.units = {}
-        for length, segments in units.items():
-            kept = {segment: residual for segment, residual in segments.items() if residual}
-            if kept:
-                index.units[length] = kept
-    return index.units
+        index.units = _by_length(units)
+    return index
+
+
+def _by_length(table: Dict[Word, Dict[int, RingElement]]) -> Dict[int, OpTable]:
+    """{n: {word: out}} over the words of nonempty out, lengths ascending
+    and words sorted: the shape of ``nonzero_words``."""
+    out: Dict[int, OpTable] = {}
+    for word in sorted(table, key=lambda word: (len(word), word)):
+        if table[word]:
+            out.setdefault(len(word), {})[word] = table[word]
+    return out
+
+
+def unit_slot_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """The per-slot strict-unit residual table V, built on first use with
+    ``unit_residuals`` (see ``_unit_tables``): {n: {W: {c: V(W)[c]}}} over
+    the words W that hold the unit and have nonzero V(W).  The seams of the
+    bB+Bb map and the unit-law part of the b^2 map of
+    ``hochschild.identity_residuals`` are formed from it, and
+    ``cli.chain_identity_suite`` certifies every chain where it and the
+    relation table are empty."""
+    return _unit_tables(algebra).slots
+
+
+def unit_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+    """The strict-unit residual table U, built on first use with
+    ``unit_slot_residuals``.
+
+    U(S) = sum_i (-1)^{|S[:i]|'} m(S[:i] + (1,) + S[i:]), over the slots
+    i = 0..len(S) of a word S with no unit letter, is what strict unitality
+    makes zero: m_2(1, x) = x, m_2(x, 1) = (-1)^{|x|} x and every other
+    operation with the unit in a slot zero give U((x,)) = x - x and
+    U(S) = 0 at every other S.  The table is {l: {S: {c: U(S)[c]}}} over
+    the words S of nonzero U(S), in the shape of ``nonzero_words``, summed
+    from V over the words that hold the unit exactly once.  U can be empty
+    where V is not: each slot reads a different word.  The wrap-arounds of
+    the bB+Bb map of ``hochschild.identity_residuals`` are formed from it.
+    """
+    return _unit_tables(algebra).units
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> Report:

@@ -5,12 +5,14 @@ echoes the cutoffs and the seed in force, so a pass is always a bounded and
 reproducible claim.  Output is deterministic for fixed inputs and flags:
 exact arithmetic, canonical term ordering, fixed iteration orders.
 
-``check``'s chain identity suite evaluates the identities once per
-distinct basis key of its seeded chains and once more per chain that has a
-failing key (see ``chain_identity_suite`` for why that is exact).  It draws
-its chains as raw term maps and passes them to
-``hochschild.identity_residuals`` as they are, so no ``HochschildChain`` is
-built; a failing residual is printed by ``hochschild.chain_text``.  The
+``check``'s chain identity suite certifies every chain without a draw
+where the relation table and the per-slot unit table are empty; elsewhere
+it evaluates the identities once per distinct basis key of its seeded
+chains and once more per chain that has a failing key (see
+``chain_identity_suite`` for why both are exact).  It draws its chains as
+raw term maps and passes them to ``hochschild.identity_residuals`` as they
+are, so no ``HochschildChain`` is built; a failing residual is printed by
+``hochschild.chain_text``.  The
 argument parser is built on the first ``main`` call and reused by later
 calls in the same process.
 """
@@ -55,14 +57,16 @@ def _random_reduced_chain(algebra, rng, max_len, monomials):
 
     Per term the draws are the word length, its letters, the module v, then
     c in -3..3, 2 lam in 0..2 and m in -1..1; a term whose coefficient is
-    zero is skipped.  ``monomials`` is ``_draw_monomials`` of the algebra's
-    ring.
+    zero is skipped.  A basis of the unit alone has no reduced letter, so
+    its words are empty and their length is not drawn.  ``monomials`` is
+    ``_draw_monomials`` of the algebra's ring.
     """
     basis = algebra.basis
     letters = basis.reduced_letters()
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+        length = rng.randint(0, max_len) if letters else 0
+        word = tuple(rng.choice(letters) for _ in range(length))
         module = rng.randrange(len(basis))
         c = rng.randint(-3, 3)
         mono = monomials[rng.randint(0, 2), rng.randint(-1, 1)]
@@ -77,7 +81,8 @@ def _vanishes(raw: dict) -> bool:
 
 
 def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
-    """Randomized differential and rotation identities, exact per chain.
+    """Differential and rotation identities on ``count`` seeded chains,
+    exact per chain, and certified at every chain where the tables allow.
 
     Six identities are checked on ``count`` seeded reduced chains of up to
     four terms c = sum_k a_k key_k: b^2, B^2, bB+Bb, b'^2, b(1-t)-(1-t)b'
@@ -86,11 +91,27 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
     chain of every algebra that loads, B^2 because B(c) has no key that B
     reads and the rotation identities because every entry of a loaded
     table has the A-infinity degree (proofs in ``hh.identity_residuals``),
-    so they are counted and never fail.  Each distinct basis key
-    (module, word) of the drawn chains is checked once, as the chain key
-    with coefficient 1, and a chain all of whose keys pass passes; any
-    other chain is evaluated exactly, and its failures are reported from
-    that evaluation.  This is exact, not a sample of a sample:
+    so they are counted and never fail.
+
+    Certification.  ``hh.identity_residuals`` proves that at every reduced
+    chain c, of any length and with any coefficients, each of the three
+    maps is a sum of windows of two tables of the operation index, the
+    curved relation residuals R (``core.relation_residuals``) and the
+    per-slot strict-unit residuals V (``core.unit_slot_residuals``):
+    b'^2 = the windows of R in place; b^2 = q of the cyclic windows of R,
+    less q of the windows of V on (1 - q) b u; bB+Bb = the wraps of B(c)
+    read off U, V's signed sum over slots, plus B of the seam windows of V.
+    So where R = V = {}, every term of every map is zero, and each of the
+    six identities holds at every chain, drawn or not.  The suite then
+    counts its 6 * count checks, prints the same notes, and neither draws
+    nor evaluates: a passing suite prints only its notes and its count, so
+    its lines are those of the per-chain evaluation.
+
+    Otherwise each distinct basis key (module, word) of the drawn chains is
+    checked once, as the chain key with coefficient 1, and a chain all of
+    whose keys pass passes; any other chain is evaluated exactly, and its
+    failures are reported from that evaluation.  This is exact, not a
+    sample of a sample:
 
       * every operator b, B, b', t, N and the reduced quotient is linear
         over the coefficient ring: it multiplies a chain's coefficients by
@@ -107,23 +128,21 @@ def chain_identity_suite(algebra, count, seed, max_len=5) -> Report:
         up a sign crossing an operator, R(a x) = +-a R(x): a sign can at
         most flip a zero, so the argument would still hold.
 
-    Report lines are those of the per-chain evaluation of every chain.  The
-    cost is one evaluation per distinct key (on G1 at the default seed,
-    231 keys for 200 chains of 421 terms) plus one per chain that fails;
-    the certificates live only for this call.  An evaluation reads b'^2
-    and b^2 off the curved relation residuals that ``check_ainfty``
-    reports, and the wrap-arounds of bB+Bb off the strict-unit residuals
-    (see ``hh.identity_residuals``).  Where the relations and unit laws
-    hold, b is formed only on the keys whose module is the unit: on G1 at
-    K = 8 and the default seed the suite makes 272 ``coeff.mul_into``
-    calls.  The draws share one table of their nine monomials.
+    Report lines are those of the per-chain evaluation of every chain; the
+    certificates live only for this call.  On every corpus document R and V
+    are empty, so the suite forms no product and makes no draw there
+    (``check --chains 100000000`` costs what ``--chains 1`` does).  The
+    draws share one table of their nine monomials.
     """
-    rng = random.Random(seed)
     report = Report("chain-identities")
     report.note("E_max", algebra.spec.cutoff)
     report.note("chains", count)
     report.note("max_length", max_len)
     report.note("seed", seed)
+    if not core.relation_residuals(algebra) and not core.unit_slot_residuals(algebra):
+        report.tick(6 * count)
+        return report
+    rng = random.Random(seed)
     one = algebra.one_ring().terms
     monomials = _draw_monomials(algebra.spec)
     verdicts = {}
@@ -252,12 +271,20 @@ def cmd_check(args, doc) -> int:
     return _emit(reports, args, doc)
 
 
+def _tower(doc, name):
+    """The document's tower of this name; exits 2 at ``--tower`` if none."""
+    if name not in doc.towers:
+        raise DocumentError([("--tower", "unknown tower %r" % name)])
+    return doc.towers[name]
+
+
 def cmd_cocycle(args, doc) -> int:
     algebra = doc.algebra
     reports = []
     if not doc.towers:
         raise DocumentError([("towers", "the cocycle command needs a tower section")])
-    for name, tower in doc.towers.items():
+    towers = doc.towers if args.tower is None else {args.tower: _tower(doc, args.tower)}
+    for name, tower in towers.items():
         validation = hh.validate_negative_cocycle(algebra, tower)
         validation.name = "negative-cocycle:%s" % name
         reports.append(validation)
@@ -310,10 +337,8 @@ def cmd_mc(args, doc) -> int:
 def _phi_for(doc, args):
     if not doc.towers:
         raise DocumentError([("towers", "this command needs a tower section")])
-    name = args.tower or next(iter(doc.towers))
-    if name not in doc.towers:
-        raise DocumentError([("--tower", "unknown tower %r" % name)])
-    return name, pr.build_phi(doc.algebra, doc.towers[name])
+    name = next(iter(doc.towers)) if args.tower is None else args.tower
+    return name, pr.build_phi(doc.algebra, _tower(doc, name))
 
 
 def cmd_potential(args, doc) -> int:

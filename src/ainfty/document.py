@@ -273,14 +273,21 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
     doc_name = _str(raw.get("name", "algebra"), "name", errors, "algebra")
     coeffs = _object(raw.get("coefficients", {}), "coefficients", errors) or {}
     cutoffs = _object(raw.get("cutoffs", {}), "cutoffs", errors) or {}
+    # one line per fault, at the cutoff's own location: a refused cutoff
+    # leaves the default in place, so the ring below does not refuse it again
     energy = RingSpec.cutoff
     if "energy" in cutoffs:
-        energy = _fraction(cutoffs["energy"], "cutoffs.energy", errors, energy)
+        stated = _fraction(cutoffs["energy"], "cutoffs.energy", errors, energy)
+        if stated < 0:
+            errors.error("cutoffs.energy", "must be >= 0")
+        else:
+            energy = stated
     if cutoff is not None:
         if not 0 <= cutoff <= energy:
             errors.error("--emax", "must be >= 0" if cutoff < 0 else
                          "cannot exceed the document cutoff %s" % energy)
-        energy = cutoff
+        else:
+            energy = cutoff
     try:
         spec = RingSpec(
             s_degree=_int(coeffs.get("s_degree", 2), "coefficients.s_degree", errors, 2),

@@ -38,7 +38,7 @@ map of its coefficient, the scalars nonzero and in stored form, no empty
 maps, and no unit words in a reduced chain.  The maps are never mutated once
 built, so operators share them.  Each of b, b', t, N and B has one
 implementation, a private core on raw maps: ``_b_into``, ``_bar_into``
-and ``_N_into`` add op(chain) (N with a sign) into a caller's raw map,
+and ``_N_into`` add op(chain) into a caller's raw map,
 ``_B_into`` adds B(chain), and ``_t`` returns t(chain); only ``cyclic_t``
 reaches ``_t``.  b and b' add each signed product coeff * m(...) straight
 into a raw map per output key with ``coeff.mul_into``, which applies the
@@ -55,32 +55,35 @@ relation residual table.
 
 ``identity_residuals`` and ``cli.chain_identity_suite`` work on raw maps
 only.  The residual kernel runs the cores into one map per chain identity
-with no intermediate chain sum, and reads two residual tables of the
+with no intermediate chain sum, and reads three residual tables of the
 operation index where the operators would form products that cancel:
 
   * b'^2 is ``_bar_square_into`` on u, which puts the curved relation
-    residual of each window of a key in its place, reading the table
-    ``ainfty.relation_residuals`` that ``check_ainfty`` reports from;
-  * b^2 is the quotient of ``_windows_into`` on u and the same table,
-    which puts the relation residual at each cyclic window that b reads,
-    less b of the terms of b(u) with the unit in a tensor slot
-    (``_unit_outputs_into``);
-  * bB+Bb is ``_unit_wraps_into``, the wrap-arounds of b on B(c) read off
-    the strict-unit residual table ``ainfty.unit_residuals``, less
-    ``_N_into`` of b(u'').
+    residual of each window of a key in its place, reading the table R
+    (``ainfty.relation_residuals``) that ``check_ainfty`` reports from;
+  * b^2 is the quotient of ``_windows_into`` on u and R, which puts the
+    relation residual at each cyclic window that b reads, less the
+    windows of the per-slot strict-unit table V
+    (``ainfty.unit_slot_residuals``) on the terms of b(u) with the unit in
+    a tensor slot (``_unit_outputs_into``, formed only where V is not
+    empty);
+  * bB+Bb is ``_unit_wraps_into`` on U (``ainfty.unit_residuals``), the
+    wrap-arounds of b on B(c), plus B of ``_unit_wraps_into`` on V, the
+    seams: the windows of V through the unit module of the keys of u''.
 
 B^2, b(1-t)-(1-t)b' and b'N-Nb hold by construction and are not formed.
 B(c) has no key that B reads.  Each term of one side of a rotation
 identity has a twin on the other with the same key and product, and the
 twins' signs can differ only at an operation entry off the A-infinity
-degree, which no algebra that loads has (``ainfty.OperationIndex``).  So on
-a table whose relations and unit laws hold, b is formed only on the keys
-whose module is the unit, for N(b u''); the docstring of
-``identity_residuals`` proves the identities, the pairings, the parity
-lemma and the table readings this rests on.  All the operators are linear
-over the coefficient ring, and the level cutoff is an ideal, which is what
-lets ``cli.chain_identity_suite`` check each basis key once instead of each
-drawn chain.
+degree, which no algebra that loads has (``ainfty.OperationIndex``).  So
+every map is a sum of windows of R and V (U is V's signed sum over slots),
+and a table with R = V = {} forms no product at any chain; the docstring
+of ``identity_residuals`` proves the identities, the pairings, the parity
+lemma and the table readings this rests on, and
+``cli.chain_identity_suite`` certifies every chain of such a table without
+a draw.  All the operators are linear over the coefficient ring, and the
+level cutoff is an ideal, which is what lets the suite check each basis
+key once instead of each drawn chain elsewhere.
 
 ``HochschildChain`` is the wrapper of the public operators
 (``hochschild_b``, ``chain_bar``, ``cyclic_t``, ``operator_N``,
@@ -102,7 +105,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, relation_residuals,
-                     unit_residuals, words_by_output)
+                     unit_residuals, unit_slot_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
 from .graded import Word, crossing_sign, maltese, maltese_prefixes, word_count, words_over
@@ -296,12 +299,12 @@ def cyclic_t(basis, chain: HochschildChain) -> HochschildChain:
     return HochschildChain._clean(basis, chain.spec, _t(basis, chain.terms), False)
 
 
-def _N_into(acc: dict, basis, chain: dict, sign: int = 1) -> dict:
-    """Add sign * N(chain) into acc, a raw {key: {Monomial: scalar}} map."""
+def _N_into(acc: dict, basis, chain: dict) -> dict:
+    """Add N(chain) into acc, a raw {key: {Monomial: scalar}} map."""
     degrees = basis.degrees
     for (v, word), terms in chain.items():
         for rotated, turn in _rotations(degrees, (v,) + word, 1 + len(word)):
-            add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, sign * turn)
+            add_into(acc.setdefault((rotated[0], rotated[1:]), {}), terms, turn)
     return acc
 
 
@@ -336,16 +339,6 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
 def _quotient(raw: dict, unit: int) -> dict:
     """q on a raw map: its keys with no unit in a tensor slot, maps shared."""
     return {key: terms for key, terms in raw.items() if unit not in key[1]}
-
-
-def _unit_front_into(acc: dict, raw: dict, unit: int, sign: int) -> dict:
-    """Add sign * q s_1 of a raw map into acc, over its nonzero keys only:
-    s_1 puts the unit in front, (v, w) -> (1, (v,) + w), and q drops the
-    result when v or w holds the unit."""
-    for (v, word), terms in raw.items():
-        if v != unit and unit not in word and any(terms.values()):
-            add_into(acc.setdefault((unit, (v,) + word), {}), terms, sign)
-    return acc
 
 
 def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
@@ -446,20 +439,25 @@ def _unit_outputs_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int)
     return acc
 
 
-def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add W(B chain) into acc, the wrap-arounds of b (tail blocks of every
-    length, the empty one included) on the B image of the keys of
-    ``chain``, whose modules are not the unit; from the strict-unit
-    residuals (the W(B c) fact of ``identity_residuals``).
+def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
+                     table: dict) -> dict:
+    """Add into acc, at each cyclic segment f°[c:c+l] of the marked word f
+    of a key of ``chain``, c < n and 0 <= l <= n, with a nonzero entry in
+    ``table``, that entry as the new module slot in front of the rest of
+    the cyclic word, with the sign of the rotation taking f[c:] to the
+    front.
 
-    Each cyclic segment f°[c:c+l] of a marked word f, c < n and
-    0 <= l <= n, with a nonzero residual U (``unit_residuals``), adds U of
-    it as the new module slot in front of the rest of the cyclic word,
-    with the sign of the rotation taking f[c:] to the front.  On a table
-    whose unit laws hold strictly, no product is formed.
+    On the keys whose modules are not the unit and the strict-unit
+    residuals U (``unit_residuals``), this is W(B chain), the wrap-arounds
+    of b (tail blocks of every length, the empty one included) on the B
+    image of the keys (the W(B c) fact of ``identity_residuals``).  On the
+    keys whose modules are the unit and the per-slot residuals V
+    (``unit_slot_residuals``), it is the seams Z of the seam fact there:
+    V holds only words with the unit, so the segments it reads are the
+    windows through the unit module.  On a table whose unit laws hold
+    strictly, both tables are empty and no product is formed.
     """
-    units = unit_residuals(algebra)
-    if not units:
+    if not table:
         return acc
     degrees = algebra.basis.degrees
     for (v, word), terms in chain.items():
@@ -467,7 +465,7 @@ def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -
         n = len(f)
         ring = f + f
         prefixes = maltese_prefixes([degrees[x] for x in f])
-        for length, segments in units.items():
+        for length, segments in table.items():
             if length > n:
                 break
             for c in range(n):
@@ -581,23 +579,21 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     relations hold, every corpus document, b'^2 forms no product.
 
     Read as an unreduced chain, c is u.  Let u' and u'' be its keys whose
-    module is not and is the unit, and eps = (-1)^{|1|'} from the unit's
-    degree.  Then:
+    module is not and is the unit.  Then:
 
       1. B^2.  By (a), B(c) = q s_1 N(u) = s_1 N(u'): every key of
          s_1 N(u'') holds the unit and no key of s_1 N(u') does, which is
          why ``_B_into`` skips the keys of u''.  Every key of B(c) has the
          unit as its module, so ``_B_into`` skips all of them: B(B c) = 0.
       2. bB+Bb.  The b'N-Nb residual b'(N x) - N(b x) is zero at every x
-         (the pairing below), so R := b'(N u') - N(b u) = -N(b u'').
-         b_red(B c) = W(B c) + eps q s_1 b'(N u') by (b), applied to
-         y = N(u').  B(b_red c) = q s_1 N(q b u) = q s_1 N(b u), by (a)
-         and reduced b, since q s_1 N drops every key with a unit word.
-         So bB+Bb = W(B c) + eps q s_1 R + (1 + eps) q s_1 N(b u), and
-         the last term is zero because ``GradedBasis`` gives the unit
-         degree 0.  q s_1 R is summed once R has cancelled, over its
-         nonzero keys, and W(B c) is formed from the strict-unit residuals
-         (the W(B c) fact below, ``_unit_wraps_into``).
+         (the pairing below), so b'(N u') - N(b u) = -N(b u'').
+         b_red(B c) = W(B c) - q s_1 b'(N u') by (b), applied to
+         y = N(u'), since ``GradedBasis`` gives the unit degree 0 and so
+         (-1)^{|1|'} = -1.  B(b_red c) = q s_1 N(q b u) = q s_1 N(b u), by
+         (a) and reduced b, since q s_1 N drops every key with a unit
+         word.  So bB+Bb = W(B c) + q s_1 N(b u'').  W(B c) is read off U
+         (the W(B c) fact below) and q s_1 N(b u'') off V (the seam fact
+         below), both by ``_unit_wraps_into``.
       3. b^2.  b_red b_red c = q b(q b u) by reduced b, applied twice, so
          b^2 = q b(b u) - q b((1 - q) b u).  q b(b u) is the quotient of
          the unreduced b^2, which ``_windows_into`` forms from the
@@ -610,7 +606,9 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
          a unit-free word that ``words_by_output`` lists under the unit.
          b''s m_0 in front of a unit module also puts the unit in the
          word, and D's -m_0 takes it away.  (1 - q) b u is empty unless a
-         unit-free word outputs the unit (E2's m_0).
+         unit-free word outputs the unit (E2's m_0).  q b of it is q of
+         the windows of V on it (the unit-output fact below), so it is
+         formed only where V is not empty.
 
     The pairing by cyclic window.  Let f = (f_0..f_{n-1}) be the marked
     word of a key with coefficient x, M its ``maltese_prefixes`` and
@@ -770,29 +768,87 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     ``_windows_into`` on the relation residual table.  Each term is x
     times a product of structure constants, so truncation drops what b
     applied twice drops; R has no length cap and reads a word past the
-    stored tables as zero.  On a table whose relations hold, b^2 forms no
-    product but those of (1 - q) b u.
+    stored tables as zero.  On a table whose relations hold, the quotient
+    of b(b u) forms no product.
 
-    So the images are b(u'') for N(b u''), and (1 - q) b u and b of it
-    where a unit-free word outputs the unit; b^2 and b'^2 are read off R,
-    and W(B c) off U.  b'(u), D(u), t(u), b(tu), t b'(u), b'(b'u),
-    b'(N u), N(b'u'), N(D u'), B(c) and B(B c) are never formed, nor are
-    b(b c), b(B c) and B(b c).
+    The unit tables.  V(W) = m(W) - law(W) at the words W that hold the
+    unit (``ainfty.unit_slot_residuals``), law(1, x) = x and
+    law(x, 1) = (-1)^{|x|} x.  The law entries have the A-infinity degree
+    (|x|' = |x|' + |1|' + 1), so the parity lemma and every reading below
+    hold for them and for V as for m.  Splitting m = V + law at a window
+    splits its term of b, and truncation is linear, so x V truncates as
+    x m less x law.  Each fact below shows that the law terms cancel.
+
+    The seam fact: q s_1 N(b u'') = B(Z), Z the seams of V.  Let (1, w)
+    be a key of u'' with coefficient x, k = |w|, f = (1,) + w of
+    n = k + 1 letters and T = |f|'.  q s_1 N drops every key whose marked word holds the unit,
+    as rotations keep the letters and s_1 moves the module into the word.
+    So of b(f) only the wraps through f_0 = 1 with an output comp other
+    than the unit count: a window in the word keeps the module 1.  Such a
+    window is S[:i] 1 S[i:] with S[:i] = w[k-i:] and S[i:] = w[:j],
+    i + j <= k, with the key (comp, w[j:k-i]) and the sign sigma_i of the
+    rotation taking w[k-i:] to the front.  Call their sum Z_m, and Z with
+    V for m; both have reduced keys, so q s_1 N of them is B of them by
+    (a), B skipping the keys whose module is the unit.  The law is
+    nonzero only at (1, w_1), i = 0, with the term x (w_1, w_2..w_k), and
+    at (w_k, 1), i = 1, with sigma_1 (-1)^{|w_k|} x (w_k, w_1..w_{k-1}).
+    With a = |w_k|', sigma_1 = (-1)^{a (T - a)} and (-1)^{|w_k|} =
+    (-1)^{a + 1}, so the second is minus t of the first: t moves w_k past
+    w_1..w_{k-1}, of shifted degree T + 1 - a, at the sign
+    (-1)^{a (T + 1 - a)}.  N t = N on words of one length, t^n being the
+    identity (``validate_negative_cocycle``), so B(t y) = B(y) and the
+    two law terms cancel under B: B(Z_m) = B(Z).  The window of Z at
+    (i, j) is the cyclic segment f°[d:d+l] of f, d = n - i mod n and
+    l = i + j + 1, with the kept word f°[d+l:d+n] and the sign rho_d of
+    the W(B c) fact; V holds only words with the unit, and f holds it only
+    at f_0, so Z is ``_unit_wraps_into`` on V, and where V = {} it is
+    zero.
+
+    The unit-output fact: q b(y) = q of the windows of V on y, for
+    y = (1 - q) b u.  Each term of y has a marked word g with the unit at
+    a slot p >= 1 that came from an insertion (the module g_0 may be the
+    unit too; no other letter is).  A term of b(g) whose window misses
+    slot p keeps that unit in the word, in place or in the rest of a
+    wrap, and q drops it.  So q b(y) reads only windows that hold slot p,
+    and each of them holds the unit: it is a word of V or a word where
+    V = m = 0.  The law is nonzero at two of them, (g_{p-1}, 1) and
+    (1, g_{p+1}), indices mod |g|, and both write g with the unit at p
+    deleted.  Read both from the linear word of g that starts at g_{p-1}
+    (b's reading of a term from any linear word, the b^2 fact): the first
+    with H empty and the sign (-1)^{|g_{p-1}|}, the second with
+    H = (g_{p-1}) and the sign (-1)^{|g_{p-1}|'}, then rotated alike; the
+    signs are opposite and the two cancel.  For |g| = 2 the two windows
+    are both of g, (g_0, 1) at c = 0 and (1, g_0) at c = 1, and the law
+    value times the window's sign is (-1)^{|g_0|} and (-1)^{|g_0|'}:
+    again opposite.  The key of both is g with the unit at p deleted,
+    whose word is made of letters of u's words, so q keeps both.  So
+    q b(y) is q of ``_windows_into`` on V and y, and where V = {} it is
+    zero.
+
+    So the one image formed is (1 - q) b u, and only where V is not empty
+    and a unit-free word outputs the unit; b^2 and b'^2 are read off R,
+    W(B c) off U, and the seams and q b((1 - q) b u) off V.  b(u), b'(u),
+    D(u), t(u), b(tu), t b'(u), b'(b'u), b'(N u), N(b u), N(b'u'),
+    N(D u'), B(c) and B(B c) are never formed, nor are b(b c), b(B c) and
+    B(b c).  Where R = V = {}, which U = {} does not imply (each slot of V
+    reads a different word of the chain), no map forms a product.
     """
     basis = algebra.basis
     unit = basis.require_unit()
     top = algebra.spec.level_cutoff
 
-    # b_red^2 c = q b(b u) - q b((1 - q) b u)
+    # b_red^2 c = q b(b u) - q b((1 - q) b u), the second read off V
     square = _windows_into({}, algebra, u, top, relation_residuals(algebra), True)
-    for key, terms in _b_into({}, algebra, _unit_outputs_into({}, algebra, u, top), top).items():
-        add_into(square.setdefault(key, {}), terms, -1)
+    slots = unit_slot_residuals(algebra)
+    if slots:
+        unit_outputs = _unit_outputs_into({}, algebra, u, top)
+        for key, terms in _windows_into({}, algebra, unit_outputs, top, slots, False).items():
+            add_into(square.setdefault(key, {}), terms, -1)
 
     front = {key: terms for key, terms in u.items() if key[0] != unit}
     units = {key: terms for key, terms in u.items() if key[0] == unit}
-    R = _N_into({}, basis, _b_into({}, algebra, units, top), -1)
-    eps = -1 if (basis.degrees[unit] - 1) % 2 else 1
-    bB = _unit_front_into(_unit_wraps_into({}, algebra, front, top), R, unit, eps)
+    seams = _unit_wraps_into({}, algebra, units, top, slots)
+    bB = _B_into(_unit_wraps_into({}, algebra, front, top, unit_residuals(algebra)), basis, seams)
     return [
         ("b^2", _quotient(square, unit)),
         ("bB+Bb", bB),

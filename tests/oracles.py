@@ -30,7 +30,8 @@ chain identity suite is here in its per-chain form, with no per-key
 certificates: every operator image and every residual built as a chain,
 with chain sums, on every drawn chain; and the six residual maps at one
 chain with every operator image computed in full, as the reference for
-``hochschild.identity_residuals``.  Also the test-only algebra, chain,
+``hochschild.identity_residuals``.  Both run only the reference operators
+here, which share no kernel and no sign function with ``hochschild``.  Also the test-only algebra, chain,
 ring and potential helpers: a copy of an algebra at other cutoffs
 (``at_cutoffs``), chain sums on raw term maps (``chain_sum``), truncation
 of a ring element at an energy, a ring with another cutoff, a scalar of the
@@ -58,7 +59,7 @@ from ainfty.ainfty import (
     apply_m, check_weak_mc, curvature, delta_diagonal, delta_dual, insertions, phi_hat,
     require_candidate,
 )
-from ainfty import graded, hochschild as hh
+from ainfty import graded
 from ainfty.cli import _draw_monomials, _random_reduced_chain
 from ainfty.coeff import (
     Poly, RingElement, RingSpec, add_into, as_fraction, canonical, require_compatible,
@@ -728,41 +729,42 @@ def functional_apply_reference(functional, chain) -> RingElement:
     return acc
 
 
+def _identity_images(algebra, c) -> list:
+    """The six chain identities at a reduced chain c as chains, with every
+    operator image computed in full by the reference operators above, which
+    share no kernel and no sign function with ``hochschild``."""
+    basis = algebra.basis
+    u = HochschildChain(basis, ring_terms(c), reduced=False)
+    bu = hochschild_b_reference(algebra, u)
+    bc = HochschildChain(basis, ring_terms(bu), reduced=True)
+    Bc = connes_B_reference(basis, c)
+    bar_u = chain_bar_reference(algebra, u)
+    tu = cyclic_t_reference(basis, u)
+    rotation = chain_sum_reference(
+        chain_sum_reference(hochschild_b_reference(algebra, chain_sum_reference(u, tu, -1)),
+                            bar_u, -1), cyclic_t_reference(basis, bar_u), 1)
+    return [
+        ("b^2", hochschild_b_reference(algebra, bc)),
+        ("B^2", connes_B_reference(basis, Bc)),
+        ("bB+Bb", chain_sum_reference(hochschild_b_reference(algebra, Bc),
+                                      connes_B_reference(basis, bc), 1)),
+        ("b'^2", chain_bar_reference(algebra, bar_u)),
+        ("b(1-t)-(1-t)b'", rotation),
+        ("b'N-Nb", chain_sum_reference(chain_bar_reference(algebra, operator_N_reference(basis, u)),
+                                       operator_N_reference(basis, bu), -1)),
+    ]
+
+
 def identity_residuals_reference(algebra, raw) -> list:
     """The six chain identities at a reduced chain c, given by its raw map
     ``raw``, as raw residual maps, with every operator image of each
     identity computed in full.
 
     Returns [(tag, {key: {Monomial: scalar}})] for b^2, B^2, bB+Bb, b'^2,
-    b(1-t)-(1-t)b' and b'N-Nb, in that order.  With u the unreduced c: b(u),
-    then b(c) as its quotient, B(c), b'(u), t(u), t(b'u) and N(u); the
-    outer operator of each identity adds into that identity's map through
-    the engine's private operator cores, or is the public operator where
-    the quotient is taken.
+    b(1-t)-(1-t)b' and b'N-Nb, in that order (``_identity_images``).
     """
-    basis = algebra.basis
-    top = algebra.spec.level_cutoff
-    chain = HochschildChain._clean(basis, algebra.spec, raw, True)
-    u = chain.unreduced()
-    bu = hochschild_b(algebra, u)
-    bc = HochschildChain._clean(basis, bu.spec, {
-        key: terms for key, terms in bu.terms.items() if basis.unit not in key[1]}, True)
-    Bc = connes_B_reduced(basis, chain)
-    bar_u = hh.chain_bar(algebra, u)
-    rotation: dict = {}
-    for image, sign in ((bu, 1), (bar_u, -1), (hh.cyclic_t(basis, bar_u), 1),
-                        (hochschild_b(algebra, hh.cyclic_t(basis, u)), -1)):
-        for key, terms in image.terms.items():
-            add_into(rotation.setdefault(key, {}), terms, sign)
-    return [
-        ("b^2", hochschild_b(algebra, bc).terms),
-        ("B^2", hh._B_into({}, basis, Bc.terms)),
-        ("bB+Bb", hh._B_into(dict(hochschild_b(algebra, Bc).terms), basis, bc.terms)),
-        ("b'^2", hh._bar_into({}, algebra, bar_u.terms, top)),
-        ("b(1-t)-(1-t)b'", rotation),
-        ("b'N-Nb", hh._N_into(hh._bar_into({}, algebra, hh.operator_N(basis, u).terms, top),
-                              basis, bu.terms, -1)),
-    ]
+    chain = HochschildChain._clean(algebra.basis, algebra.spec, raw, True)
+    return [(tag, image.terms) for tag, image in _identity_images(algebra, chain)]
 
 
 def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
@@ -778,22 +780,7 @@ def chain_identity_suite_reference(algebra, count, seed, max_len=5) -> Report:
     for n in range(count):
         c = HochschildChain._clean(basis, algebra.spec,
                                    _random_reduced_chain(algebra, rng, max_len, monomials), True)
-        u = c.unreduced()
-        bc = hh.hochschild_b(algebra, c)
-        Bc = hh.connes_B_reduced(basis, c)
-        bar_u = hh.chain_bar(algebra, u)
-        checks = [
-            ("b^2", hh.hochschild_b(algebra, bc)),
-            ("B^2", hh.connes_B_reduced(basis, Bc)),
-            ("bB+Bb",
-             chain_sum(hh.hochschild_b(algebra, Bc), hh.connes_B_reduced(basis, bc))),
-            ("b'^2", hh.chain_bar(algebra, bar_u)),
-            ("b(1-t)-(1-t)b'",
-             chain_sum(hh.hochschild_b(algebra, chain_sum(u, hh.cyclic_t(basis, u), -1)),
-                       chain_sum(bar_u, hh.cyclic_t(basis, bar_u), -1), -1)),
-            ("b'N-Nb", chain_sum(hh.chain_bar(algebra, hh.operator_N(basis, u)),
-                                 hh.operator_N(basis, hh.hochschild_b(algebra, u)), -1)),
-        ]
+        checks = _identity_images(algebra, c)
         report.tick(len(checks))
         for tag, value in checks:
             if not value.is_zero():

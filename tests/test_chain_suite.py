@@ -1,39 +1,44 @@
 """The chain identity suite: per-key certificates against per-chain evaluation.
 
-``cli.chain_identity_suite`` checks each distinct basis key of its drawn
-chains once and passes a chain whose keys all pass; only the other chains
-are evaluated whole.  Its report must be the report of
+Where the relation table R and the per-slot unit table V are both empty,
+``cli.chain_identity_suite`` certifies every chain at once, with no draw;
+elsewhere it checks each distinct basis key of its drawn chains once and
+passes a chain whose keys all pass, and only the other chains are
+evaluated whole.  Its report must be the report of
 ``oracles.chain_identity_suite_reference``, which evaluates every operator
-and every residual on every drawn chain.  The comparison runs on the
-conftest algebras and on sign-flipped copies of them (one structure
-constant negated: b^2, b'^2 and bB+Bb fail), all built through the
+and every residual on every drawn chain with the reference operators,
+which share no kernel with ``hochschild``.  The comparison runs on the
+conftest algebras and on failing variants of them, all built through the
 ``AInftyAlgebra`` constructor, so every entry has the A-infinity degree.
 The certificate argument rests on every operator being linear over the
 coefficient ring and on the reduced b being the quotient of the unreduced
 one; both are properties here.  ``hochschild.identity_residuals`` forms
-b'^2 and b^2 off the curved relation residual table, at the windows of a
-key and at the cyclic windows of b, and the wraps of bB+Bb off the
-strict-unit residual table; its three maps must equal those of
-``oracles.identity_residuals_reference``, which forms every image in full,
-on drawn chains and on every basis key of three letters or fewer, also
-with the basis degrees redrawn.  The reference's other three maps, B^2,
-b(1-t)-(1-t)b' and b'N-Nb, which the engine does not form, must be empty
-on the same keys and on the corpus documents, and the operator identities
-the kernel rests on (b = b' + D, and reduced b after the unit is put in
-front) are properties too.  b^2 is also compared with
-``oracles.hochschild_b_reference`` applied twice, and the wraps of B(c)
-with ``oracles.wraps_reference`` of ``oracles.connes_B_reference``, which
-run no engine core.  A curved variant with m_1(m_0) != 0 (SV1 + w)
-reaches the empty window of b'^2 and the gap after the last letter of
-b^2, variants with a unit entry in m_3 reach two-letter segments of the
-unit residual, E2 with m2(1,x) negated reaches the unit that m_0 puts in
-front of a unit module, and X1, whose relation residual at a letter is the
-unit, fails b'^2 alone on keys where q drops that residual from b^2; the
-failing variants at arity cutoff 2 show that the residual tables read no
-arity cutoff, and on the algebras whose relations and unit laws hold b'^2,
-b^2 and the wraps of B(c) form no product (but E2's (1 - q) b u).  The
-mutant catalog breaks the certificate and each term of the residual kernel
-one way each.
+b'^2 and b^2 off R, at the windows of a key and at the cyclic windows of
+b, the part of b^2 that the unit put in the word by (1 - q) b u makes off
+V, and bB+Bb off U (the wraps of B(c)) and V (the seams); its three maps
+must equal those of ``oracles.identity_residuals_reference``, which forms
+every image in full, on drawn chains and on every basis key of three
+letters or fewer, also with the basis degrees redrawn.  The reference's
+other three maps, B^2, b(1-t)-(1-t)b' and b'N-Nb, which the engine does
+not form, must be empty on the same keys and on the corpus documents, and
+the operator identities the kernel rests on (b = b' + D, and reduced b
+after the unit is put in front) are properties too.  b^2 is also compared
+with ``oracles.hochschild_b_reference`` applied twice, the wraps of B(c)
+with ``oracles.wraps_reference`` of ``oracles.connes_B_reference``, and
+the seams and the V reading of q b((1 - q) b u) with the reference b and
+N.  A curved variant with m_1(m_0) != 0 (SV1 + w) reaches the empty window
+of b'^2 and the gap after the last letter of b^2, variants with a unit
+entry in m_3 reach two-letter segments of the unit residual, E2 with
+m2(1,x) negated reaches the unit that m_0 puts in front of a unit module,
+X1, whose relation residual at a letter is the unit, fails b'^2 alone on
+keys where q drops that residual from b^2, X1 with m2(1,x) = 1 has a seam
+that outputs the unit, and C1, whose unit is central but not a unit, has
+U = R = {} and V != {}.  The failing variants at arity cutoff 2 show that
+the residual tables read no arity cutoff, and on the algebras whose
+relations and unit laws hold, E2 included, no map forms a product and the
+suite neither draws nor evaluates.  The mutant catalog breaks the
+certificate, the early exit and each term of the residual kernel one way
+each.
 """
 
 import os
@@ -57,7 +62,7 @@ from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
     connes_B_reference, crossing_sign_mutant, hochschild_b_reference, identity_residuals_reference,
-    mutant_module, ring_terms, wraps_reference,
+    mutant_module, operator_N_reference, ring_terms, wraps_reference,
 )
 
 
@@ -111,6 +116,20 @@ def make_x1():
                          name="X1 m1(m1(x)) = T e 1")
 
 
+def make_c1():
+    """Degree-0 letters 1, x, y with 1 central but not a unit:
+    m_2(1, 1) = 1, m_2(1, x) = m_2(x, 1) = y, m_2(1, y) = m_2(y, 1) = y.
+    The product is associative, so R = {}, and 1 commutes with every
+    letter, so U = {}; but V((1, x)) = V((x, 1)) = y - x, and the seams of
+    bB+Bb fail, first at [1|x,x]."""
+    spec = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(3))
+    basis = GradedBasis(("1", "x", "y"), (0, 0, 0), unit=0)
+    one = RingElement.one(spec)
+    ops = {(2, 0): {(0, 0): {0: one}, (0, 1): {2: one}, (1, 0): {2: one},
+                    (0, 2): {2: one}, (2, 0): {2: one}}}
+    return AInftyAlgebra(basis, ((Fraction(0), 0),), ops, spec, name="C1 central 1")
+
+
 PASSING = {"E1": make_e1(), "E2": make_e2(), "G1": make_g1(), "Q1": make_q1()}
 FAILING = {
     "E1 m2(1,x) negated": sign_flipped(make_e1, 2, (0, 1), 1),
@@ -127,6 +146,11 @@ FAILING = {
     "G1 m3(z,1,x) = z": with_entry(make_g1, (3, 0, 1), 3, "G1 m3(z,1,x) = z"),
     # a relation residual that is the unit: b'^2 alone fails at [1|x]
     "X1 m1(m1(x)) = T e 1": make_x1(),
+    # a unit-law residual at the unit: a seam of bB+Bb outputs the unit,
+    # which B must drop
+    "X1 m2(1,x) = 1": with_entry(make_x1, (0, 1), 0, "X1 m2(1,x) = 1"),
+    # R = U = {} but V != {}: the early exit must read V
+    "C1 central 1, m2(1,x) = y": make_c1(),
 }
 VARIANTS = {**PASSING, **FAILING}
 
@@ -398,7 +422,7 @@ def test_unit_wraps_are_the_wraps_of_B(name):
     top = algebra.spec.level_cutoff
     for key, chain in _chains_of_basis_keys(algebra, 3):
         front = {k: terms for k, terms in chain.terms.items() if k[0] != algebra.basis.unit}
-        got = hochschild._unit_wraps_into({}, algebra, front, top)
+        got = hochschild._unit_wraps_into({}, algebra, front, top, ainfty.unit_residuals(algebra))
         want = wraps_reference(algebra, connes_B_reference(algebra.basis, chain))
         assert _nonzero(got) == want.terms, key
 
@@ -412,10 +436,55 @@ def test_unit_residuals_of_a_unit_entry_in_m3():
         2: {(3, 1): {3: -make_g1().one_ring()}}}
 
 
+def test_unit_slot_residuals_of_a_central_non_unit():
+    # V((1, x)) = m_2(1, x) - x = y - x, V((x, 1)) = y - (-1)^{|x|} x; their
+    # signed sum U((x,)) = V((1, x)) + (-1)^{|x|'} V((x, 1)) is zero
+    c1 = VARIANTS["C1 central 1, m2(1,x) = y"]
+    one = c1.one_ring()
+    assert ainfty.unit_slot_residuals(c1) == {2: {(0, 1): {2: one, 1: -one},
+                                                  (1, 0): {2: one, 1: -one}}}
+    assert ainfty.unit_residuals(c1) == {}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_unit_seams_are_q_s1_N_of_b_on_unit_modules(name):
+    # the seam fact: q s_1 N(b u'') for a key of u'' against the seams read
+    # off V, with b and N formed by the reference operators
+    algebra = VARIANTS[name]
+    basis = algebra.basis
+    top = algebra.spec.level_cutoff
+    for key, chain in _chains_of_basis_keys(algebra, 3):
+        if key[0] != basis.unit:
+            continue
+        seams = hochschild._unit_wraps_into({}, algebra, chain.terms, top,
+                                            ainfty.unit_slot_residuals(algebra))
+        got = hochschild._B_into({}, basis, seams)
+        want = _s1(basis, operator_N_reference(basis, hochschild_b_reference(
+            algebra, chain.unreduced())))
+        assert _nonzero(got) == want.terms, key
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_q_b_of_unit_outputs_reads_V(name):
+    # q b((1 - q) b u) against the quotient of the windows of V on
+    # (1 - q) b u, with b formed by the reference operator
+    algebra = VARIANTS[name]
+    basis = algebra.basis
+    top = algebra.spec.level_cutoff
+    slots = ainfty.unit_slot_residuals(algebra)
+    for key, chain in _chains_of_basis_keys(algebra, 3):
+        outputs = hochschild._unit_outputs_into({}, algebra, chain.terms, top)
+        got = hochschild._quotient(
+            hochschild._windows_into({}, algebra, outputs, top, slots, False), basis.unit)
+        unreduced = HochschildChain._clean(basis, algebra.spec, _nonzero(outputs), False)
+        want = HochschildChain(basis, ring_terms(hochschild_b_reference(algebra, unreduced)))
+        assert _nonzero(got) == want.terms, key
+
+
 def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch):
-    # on a table whose relations and unit laws hold, b^2 reads R and
-    # W(B c) reads U, both empty; only a unit-free word whose operation
-    # outputs the unit (E2's m_0) makes (1 - q) b u, and b of it
+    # on a table whose relations and unit laws hold, R, U and V are empty,
+    # and no map forms a product: not even E2's (1 - q) b u, whose part of
+    # b^2 is read off V
     calls = []
 
     def counted(*args):
@@ -424,39 +493,54 @@ def test_b_square_and_unit_wraps_form_no_product_where_the_laws_hold(monkeypatch
 
     monkeypatch.setattr(hochschild, "mul_into", counted)
     for algebra in [maker() for maker in (make_e1, make_e2, make_g1, make_q1)] + CORPUS_ALGEBRAS:
-        unit = algebra.basis.unit
+        assert ainfty.relation_residuals(algebra) == {}
         assert ainfty.unit_residuals(algebra) == {}
-        relations = ainfty.relation_residuals(algebra)
-        assert relations == {}
-        curved_unit = any(unit not in word for word in ainfty.words_by_output(algebra)[unit])
-        assert curved_unit == (algebra.name == "E2")
+        assert ainfty.unit_slot_residuals(algebra) == {}
         one = algebra.one_ring().terms
-        top = algebra.spec.level_cutoff
         for key in iter_basis_chains(algebra, 3):
-            u = {key: one}
-            front = u if key[0] != unit else {}
-            assert hochschild._windows_into({}, algebra, u, top, relations, True) == {}
-            assert hochschild._unit_wraps_into({}, algebra, front, top) == {}
-            if not curved_unit:
-                assert hochschild._unit_outputs_into({}, algebra, u, top) == {}
-        assert not calls or curved_unit
-        calls.clear()
+            assert not any(_nonzero(raw) for _, raw in identity_residuals(algebra, {key: one}))
+    assert not calls
 
 
-def test_suite_on_G1_forms_at_most_300_products(monkeypatch):
-    # what is left on G1 at K = 8 and the default seed: b on the keys whose
-    # module is the unit, for N(b u''); b^2, b'^2 and the wraps of B(c) read
-    # empty tables
+@pytest.mark.parametrize("seed", (20240601, 7, 424242))
+def test_suite_on_the_corpus_forms_no_product_and_draws_nothing(monkeypatch, seed):
+    # R = V = {} on every corpus document, so the suite certifies every
+    # chain at once: no draw, no residual map, no product
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return mul_into(*args)
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
 
-    g1 = at_cutoffs(CORPUS_ALGEBRAS[2], k_max=8)  # g1_gauge, as check-g1 runs it
-    monkeypatch.setattr(hochschild, "mul_into", counted)
-    assert cli.chain_identity_suite(g1, 200, 20240601).passed
-    assert len(calls) <= 300
+    monkeypatch.setattr(hochschild, "mul_into", counted("mul_into", mul_into))
+    monkeypatch.setattr(cli, "_random_reduced_chain",
+                        counted("draw", cli._random_reduced_chain))
+    monkeypatch.setattr(hochschild, "identity_residuals",
+                        counted("identity_residuals", identity_residuals))
+    for algebra in CORPUS_ALGEBRAS + [at_cutoffs(CORPUS_ALGEBRAS[2], k_max=8)]:
+        assert cli.chain_identity_suite(algebra, 200, seed).lines() == [
+            "[chain-identities] PASS", "  E_max = 3", "  chains = 200", "  max_length = 5",
+            "  seed = %d" % seed, "  checked = 1200"]
+    assert calls == []
+
+
+def test_suite_on_a_basis_of_the_unit_alone():
+    # no reduced letter, so every drawn word is empty; with m_2(1, 1) = 1
+    # the suite certifies at once, and with m_2(1, 1) = 2, V((1, 1)) = 1,
+    # so it draws and evaluates: every identity holds at the one basis
+    # chain [1|], and strict-unit is what fails (test_document_cli)
+    spec = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(3))
+    basis = GradedBasis(("1",), (0,), unit=0)
+    for c, slots in ((1, {}), (2, {2: {(0, 0): {0: RingElement.one(spec)}}})):
+        ops = {(2, 0): {(0, 0): {0: RingElement.monomial(spec, c)}}}
+        algebra = AInftyAlgebra(basis, ((Fraction(0), 0),), ops, spec, name="unit only")
+        assert ainfty.unit_slot_residuals(algebra) == slots
+        assert ainfty.relation_residuals(algebra) == ainfty.unit_residuals(algebra) == {}
+        report = cli.chain_identity_suite(algebra, 20, 3)
+        assert report.passed and report.checked == 120
+        assert report.lines() == chain_identity_suite_reference(algebra, 20, 3).lines()
 
 
 def _operator_algebras():
@@ -575,9 +659,16 @@ CHAIN_SUITE_MUTANTS = {
     "D ignores its sign": (
         hochschild, "turn = crossing_sign(prefixes[n], prefixes[c])", "turn = 1"),
     "b in-word sign dropped": (hochschild, "insertion_sign(prefixes, q)", "1"),
-    "+q s_1 R in bB+Bb": (hochschild, "R, unit, eps)", "R, unit, -eps)"),
+    # the seams of bB+Bb, B of the windows of V through a unit module, are
+    # the one path of the suite that runs B: the sign of the term in bB+Bb,
+    # the rotation signs B gives it, and B's drop of a seam that outputs
+    # the unit (X1 m2(1,x) = 1)
+    "+q s_1 R in bB+Bb": (
+        hochschild, "(unit, rotated), {}), terms, sign)", "(unit, rotated), {}), terms, -sign)"),
+    "seam term drops its sign": (
+        hochschild, "(unit, rotated), {}), terms, sign)", "(unit, rotated), {}), terms, 1)"),
     "bB remap keeps unit words": (
-        hochschild, "if v != unit and unit not in word and any(", "if any("),
+        hochschild, "if v == unit:\n            continue", "if False:\n            continue"),
     # b^2 from the cyclic windows of R: D's part of b^2 is the windows
     # through the module slot
     "b^2 without b_red(q D u)": (
@@ -590,8 +681,8 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "        add_into(square.setdefault(key, {}), terms, -1)\n",
         "        pass\n"),
     "-q b((1-q) b u) reads b' for b": (
-        hochschild, "_b_into({}, algebra, _unit_outputs_into(",
-        "_bar_into({}, algebra, _unit_outputs_into("),
+        hochschild, "_windows_into({}, algebra, unit_outputs, top, slots, False)",
+        "_bar_into({}, algebra, unit_outputs, top)"),
     "unit-output lookup ignores D's -m0 in front": (
         hochschild, "for p in range(1, len(f) - a + 1):", "for p in range(v != unit, len(f) - a + 1):"),
     # W(B c) from the unit residual table; the G1 m_3 variants reach its
@@ -601,8 +692,8 @@ CHAIN_SUITE_MUTANTS = {
     "unit wraps drop the rotation sign": (
         hochschild, "terms, value.terms, top, rho)", "terms, value.terms, top)"),
     "unit segments shorter than the word": (
-        hochschild, "in units.items():\n            if length > n:",
-        "in units.items():\n            if length >= n:"),
+        hochschild, "in table.items():\n            if length > n:",
+        "in table.items():\n            if length >= n:"),
     # b'^2 from the relation table: the n = 0 mutant is killed through
     # SV1 + w, whose m_1(m_0) is not zero, and the capped table only at an
     # arity cutoff below the windows (see KILLED_PAST_THE_ARITY_CUTOFF)
@@ -610,6 +701,11 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "for q in range(len(f) - n + 1):", "for q in range(len(f) - n + 1 if n else 0):"),
     "relation table capped at k_max": (
         ainfty, "uninsertions(algebra, outer, inf)", "uninsertions(algebra, outer, algebra.k_max)"),
+    # the certificate of every chain where R = V = {}: C1 has U = {} and
+    # V != {}, and SV1 + w and X1 have V = {} and R != {}
+    "early exit reads U for V": (
+        cli, "not core.unit_slot_residuals(algebra)", "not core.unit_residuals(algebra)"),
+    "early exit ignores R": (cli, "not core.relation_residuals(algebra) and not", "not"),
     "uncertified chain passes without the fallback": (
         cli, "for tag, raw in hh.identity_residuals(algebra, c):", "for tag, raw in ():"),
 }
@@ -648,10 +744,10 @@ def test_chain_suite_mutant_killed(name, monkeypatch):
 
 def test_crossing_sign_mutant_is_killed_through_b_square_and_bB(monkeypatch):
     # HOCHSCHILD_MUTANTS mutates the one home of the rotation sign,
-    # graded.crossing_sign; b's wraps read it for b^2 and for N(b u''), and
-    # N and the unit wraps for bB+Bb, and both maps must see the mutant.
-    # The reference runs the hochschild operators, so it is formed before
-    # the mutant is patched in.
+    # graded.crossing_sign; b^2 reads it at the windows through the module
+    # slot, and bB+Bb in the unit wraps, the seams and B, and both maps must
+    # see the mutant.  The reference runs no hochschild code, so it would
+    # not see the mutant either way.
     cases = [(algebra, {key: algebra.one_ring().terms})
              for _, algebra in sorted(BASIS_KEY_ALGEBRAS.items())
              for key in iter_basis_chains(algebra, 2)]
@@ -665,9 +761,8 @@ def test_crossing_sign_mutant_is_killed_through_b_square_and_bB(monkeypatch):
 
 
 def test_crossing_sign_mutant_is_killed_through_the_suite(monkeypatch):
-    # the suite reads the crossing sign through hochschild's binding alone;
-    # the reference lines run the hochschild operators, so the detector
-    # caches them before the mutant is patched in
+    # the suite reads the crossing sign through hochschild's binding alone,
+    # and the reference lines read none of hochschild's code
     assert not _suite_disagrees(cli.chain_identity_suite)
     monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
     assert _suite_disagrees(cli.chain_identity_suite)

@@ -557,3 +557,83 @@ def test_main_calls_in_one_process_match_separate_calls():
     assert together == apart
     assert [code for code, _, _ in together] == [0, 0, 2, 0, 0]
     assert "invalid int value: 'many'" in together[2][2]
+
+
+def _unit_only_document(tmp_path, coeff):
+    """e1.json cut down to the unit, with m_2(1, 1) = coeff * 1 and no
+    tower or candidate."""
+    with open(corpus("e1.json")) as handle:
+        raw = json.load(handle)
+    raw["basis"] = raw["basis"][:1]
+    raw["operations"] = [{"arity": 2, "monoid": 0, "inputs": ["1", "1"],
+                          "output": [{"basis": "1", "coeff": coeff}]}]
+    del raw["towers"]
+    raw["candidates"] = []
+    path = tmp_path / ("unit_only_%s.json" % coeff)
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("coeff,code", (("1", 0), ("2", 1)))
+def test_check_on_a_basis_of_the_unit_alone_reports(tmp_path, capsys, coeff, code):
+    # a basis with no reduced letter draws only empty words; with
+    # m_2(1, 1) = 2 the unit tables are not empty, so the chain suite draws
+    # and evaluates, and the strict-unit report fails
+    assert main(["check", "--input", _unit_only_document(tmp_path, coeff)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.split("\n\n")
+    assert out[2].splitlines() == [
+        "[strict-unit] %s" % ("PASS" if code == 0 else "FAIL"), "  E_max = 3", "  K_max = 6",
+        "  checked = 3"] + ([] if code == 0 else [
+            "  failures = 2", "    m2(1,1) != 1", "    m2(1,1) != (-1)^{|1|} 1"])
+    assert out[3].splitlines() == [
+        "[chain-identities] PASS", "  E_max = 3", "  chains = 200", "  max_length = 5",
+        "  seed = 20240601", "  checked = 1200"]
+
+
+def test_cocycle_validates_only_the_tower_it_names(tmp_path, capsys):
+    with open(corpus("e1.json")) as handle:
+        raw = json.load(handle)
+    twice = json.loads(json.dumps(raw["towers"][0]))
+    twice["name"] = "twice"
+    twice["levels"][0]["entries"][0]["value"][0]["coeff"] = "2"
+    raw["towers"].append(twice)
+    path = tmp_path / "two_towers.json"
+    path.write_text(json.dumps(raw))
+
+    def reports(*flags):
+        code = main(["cocycle", "--input", str(path)] + list(flags))
+        captured = capsys.readouterr()
+        return code, [line for line in captured.out.splitlines() if line.startswith("[")], \
+            captured.err
+
+    code, every, _ = reports()
+    assert code == 0 and {line.split(":")[1].split("]")[0] for line in every} == {
+        "poincare", "twice"}
+    for name in ("poincare", "twice"):
+        code, named, err = reports("--tower", name)
+        assert code == 0 and err == ""
+        assert named == [line for line in every if line.startswith("[") and
+                         line.split(":")[1].split("]")[0] == name]
+    assert reports("--tower", "nope") == (
+        2, [], "input document rejected:\n  --tower: unknown tower 'nope'\n")
+
+
+def test_negative_energy_cutoff_is_one_line_at_its_location(tmp_path, capsys):
+    with open(corpus("e2.json")) as handle:
+        raw = json.load(handle)
+    raw["cutoffs"]["energy"] = "-1"
+    path = tmp_path / "negative_energy.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "input document rejected:\n  cutoffs.energy: must be >= 0\n"
+    assert main(["check", "--input", corpus("e2.json"), "--emax", "-1"]) == 2
+    assert capsys.readouterr().err == "input document rejected:\n  --emax: must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ("cocycle", "potential", "gauge", "wallcross"))
+def test_every_tower_command_refuses_an_empty_tower_name(capsys, command):
+    # an empty --tower names no tower; it does not fall back to the first
+    assert main([command, "--input", corpus("g1_gauge.json"), "--tower", ""]) == 2
+    assert capsys.readouterr().err == "input document rejected:\n  --tower: unknown tower ''\n"
