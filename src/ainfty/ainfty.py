@@ -12,7 +12,8 @@ which ``check_ainfty`` reports from and the b^2 and b'^2 maps of
 ``hochschild`` are formed from, and, in one walk, the per-slot strict-unit
 residual table (``unit_slot_residuals``) and its signed sum over slots
 (``unit_residuals``), which the rest of the b^2 and bB+Bb maps are formed
-from.
+from; ``check_strict_unit`` reports from the per-slot table too, so the
+strict unit laws are written once, in ``_unit_tables``.
 
 Conventions:
   * operations act on the shift A[1]; m_k has uniform degree 2 - k;
@@ -171,8 +172,9 @@ class AInftyAlgebra:
         self.check_arity_cutoff()
 
     def check_arity_cutoff(self):
-        """Refuse a k_max past the stored tables unless higher arities are zero."""
-        if not self.higher_arities_zero and self.ops and max(k for k, _ in self.ops) <= self.k_max:
+        """Refuse a k_max past the stored tables unless higher arities are
+        zero; with no table stored, the tables stop at arity 0."""
+        if not self.higher_arities_zero and max((k for k, _ in self.ops), default=0) <= self.k_max:
             raise ConfigurationError(
                 "relation checking at arity %d needs tables up to %d; "
                 "either supply them or mark higher arities zero"
@@ -372,15 +374,19 @@ def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
     """The operation index with its two strict-unit residual tables filled,
     in one walk over the stored words that hold the unit.
 
-    V(W) = m(W) - law(W) at each word W that holds the unit, where law is
-    what the strict unit laws make m: law(1, x) = x and
+    This is the one home of the strict unit laws: law(1, x) = x and
     law(x, 1) = (-1)^{|x|} x for every letter x (the two agree on (1, 1)),
-    and zero at every other word.  So V is empty exactly when the unit laws
-    hold strictly, m_2(1, 1) = 1 included.  A word that holds the unit once
-    is S[:i] + (1,) + S[i:] for one unit-free S and slot i, so V(W) is the
-    residual at one slot of S; U(S) = sum_i (-1)^{|S[:i]|'} V(S[:i] 1 S[i:])
-    is V's signed sum over the slots, the law values cancelling:
-    x - (-1)^{|x|'} (-1)^{|x|} x = 0.
+    and law(W) = 0 at every other word W that holds the unit.  V(W) =
+    m(W) - law(W) at each such W, so V is empty exactly when the unit laws
+    hold strictly, m_2(1, 1) = 1 included, and V's words are exactly those
+    at which a law fails: the m_2 words (1, x) and (x, 1) whose m_2 is not
+    the law, and the stored words of nonzero m of every other arity (a word
+    past the stored tables has m = 0 = law).  ``check_strict_unit`` and
+    the chain identities both read the laws off V.  A word that holds the
+    unit once is S[:i] + (1,) + S[i:] for one unit-free S and slot i, so
+    V(W) is the residual at one slot of S;
+    U(S) = sum_i (-1)^{|S[:i]|'} V(S[:i] 1 S[i:]) is V's signed sum over
+    the slots, the law values cancelling: x - (-1)^{|x|'} (-1)^{|x|} x = 0.
     """
     index = _operation_index(algebra)
     if index.units is None:
@@ -426,10 +432,11 @@ def _by_length(table: Dict[Word, Dict[int, RingElement]]) -> Dict[int, OpTable]:
 def unit_slot_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     """The per-slot strict-unit residual table V, built on first use with
     ``unit_residuals`` (see ``_unit_tables``): {n: {W: {c: V(W)[c]}}} over
-    the words W that hold the unit and have nonzero V(W).  The seams of the
-    bB+Bb map and the unit-law part of the b^2 map of
-    ``hochschild.identity_residuals`` are formed from it, and
-    ``cli.chain_identity_suite`` certifies every chain where it and the
+    the words W that hold the unit and have nonzero V(W), the words at
+    which a strict unit law fails.  ``check_strict_unit`` reports its
+    failures from it; the seams of the bB+Bb map and the unit-law part of
+    the b^2 map of ``hochschild.identity_residuals`` are formed from it,
+    and ``cli.chain_identity_suite`` certifies every chain where it and the
     relation table are empty."""
     return _unit_tables(algebra).slots
 
@@ -489,40 +496,47 @@ def check_ainfty(algebra: AInftyAlgebra) -> Report:
 
 
 def check_strict_unit(algebra: AInftyAlgebra) -> Report:
-    """Unit laws for m_2 and vanishing of all other unit insertions, up to
-    the arity cutoff ``algebra.k_max``."""
+    """Verify the strict unit laws of ``_unit_tables`` on every word with
+    the unit in a slot, up to the arity cutoff k_max = ``algebra.k_max``.
+
+    The per-slot table V (``unit_slot_residuals``) holds exactly the words
+    at which a law fails, so the failure lines are read off it in the order
+    of the all-words loop: for each letter x in basis order, the left law
+    where V holds (1, x), then the right law where V holds (x, 1), both at
+    (1, 1); then, for each arity k != 2 up to reach = min(k_max, top stored
+    arity) and each slot s < k, V's words of length k with the unit at s,
+    sorted, which is ``words_over``'s order on the rest of the word.  A
+    word with the unit in two slots fails once per slot.  ``checked``
+    counts the 2 |basis| m_2 laws and the k |basis|^(k-1) words with the
+    unit in a slot at each arity k <= reach (``marked_word_count``, whose
+    k = 2 term is the m_2 laws).  Where higher arities are not marked zero,
+    a law past the stored tables raises as m_word does on it: arity 2 where
+    the tables stop below it, else top + 1 where k_max passes top.
+    """
     k_max = algebra.k_max
     report = Report("strict-unit")
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
+    top = algebra.max_stored_arity()
+    algebra._check_arity(max(2, min(k_max, top + 1)))
     basis = algebra.basis
     unit = basis.require_unit()
-    one = algebra.one_ring()
-    for i in range(len(basis)):
-        report.tick(2)
-        left = algebra.m_word((unit, i))
-        expect = {i: one}
-        if {j: v for j, v in left.items() if v} != expect:
-            report.fail("m2(1,%s) != %s" % (basis.names[i], basis.names[i]))
-        right = algebra.m_word((i, unit))
-        sign = -1 if basis.degree(i) % 2 else 1
-        expect = {i: one.scale(sign)}
-        if {j: v for j, v in right.items() if v} != expect:
-            report.fail("m2(%s,1) != (-1)^{|%s|} %s" % (basis.names[i], basis.names[i], basis.names[i]))
-    for k in range(k_max + 1):
-        if k == 2:
-            continue
-        if k > algebra.max_stored_arity() and algebra.higher_arities_zero:
-            continue
-        for slot in range(k):
-            for rest in words_over(range(len(basis)), k - 1):
-                word = rest[:slot] + (unit,) + rest[slot:]
-                report.tick()
-                if algebra.m_word(word):
-                    report.fail(
-                        "m%d%s nonzero with the unit in slot %d"
-                        % (k, algebra.word_text(word), slot)
-                    )
+    reach = min(k_max, top)
+    report.tick(marked_word_count(len(basis), reach - 1) + (2 * len(basis) if reach < 2 else 0))
+    slots = unit_slot_residuals(algebra)
+    laws = slots.get(2, {})
+    for x, name in enumerate(basis.names):
+        if (unit, x) in laws:
+            report.fail("m2(1,%s) != %s" % (name, name))
+        if (x, unit) in laws:
+            report.fail("m2(%s,1) != (-1)^{|%s|} %s" % (name, name, name))
+    for k, words in slots.items():
+        if k != 2 and k <= reach:
+            for slot in range(k):
+                for word in words:
+                    if word[slot] == unit:
+                        report.fail("m%d%s nonzero with the unit in slot %d"
+                                    % (k, algebra.word_text(word), slot))
     return report
 
 

@@ -26,14 +26,12 @@ because the tower lives on reduced chains.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Dict, Sequence, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
-from .errors import ConfigurationError, TowerError
-from .exactla import column_space_pivots, kernel_basis, rank
+from .errors import TowerError
 from .graded import (Element, Word, add_term, crossing_sign, maltese_prefixes, marked_word_count,
                      tensor_coefficient)
 from .hochschild import CocycleTower, validate_negative_cocycle
@@ -358,74 +356,3 @@ def weak_cyclic_check(
         if lhs != rhs:
             report.fail("N=%d: lhs %s, rhs %s" % (N, lhs.text(), rhs.text()))
     return report
-
-
-def homological_nondegeneracy(algebra: AInftyAlgebra, phi: InfinityInnerProduct):
-    """Full-rank test of phi_{0,0} on the homology of the classical part.
-
-    Reduces the algebra at energy zero and the neutral monoid element, takes
-    homology of m_{1,(0,0)} by exact elimination, evaluates the pairing
-    matrix on the lexicographically first representatives at valuation zero
-    (with the index variable e specialized to 1), and reports the rank.
-    Returns (nondegenerate, certificate).
-    """
-    basis = algebra.basis
-    n = len(basis)
-    neutral = [i for i, beta in enumerate(algebra.monoid) if beta.lam == 0]
-    d = [[Fraction(0)] * n for _ in range(n)]
-    for (k, bidx), table in algebra.ops.items():
-        if k != 1 or bidx not in neutral:
-            continue
-        for word, out in table.items():
-            for comp, value in out.items():
-                mono = algebra.spec.one_monomial()
-                d[comp][word[0]] += Fraction(value.coefficient(mono))
-    # d must square to zero on the classical part
-    for i in range(n):
-        for j in range(n):
-            if sum(d[i][k] * d[k][j] for k in range(n)) != 0:
-                raise ConfigurationError("classical differential does not square to zero")
-    kernel = kernel_basis(d)
-    image_cols = [[d[i][j] for j in range(n)] for i in range(n)]
-    # representatives: kernel vectors independent modulo the image, kept in
-    # the elimination order (lexicographically first complement basis)
-    spanning = [[d[i][c] for i in range(n)] for c in column_space_pivots(image_cols)]
-    reps = []
-    for vec in kernel:
-        candidate = spanning + [list(vec)]
-        if rank(candidate) > len(spanning):
-            reps.append(list(vec))
-            spanning.append(list(vec))
-    hom_dim = len(reps)
-
-    def classical_value(value: RingElement) -> Fraction:
-        total = Fraction(0)
-        for mono, c in value.terms.items():
-            if mono.lvl == 0 and mono.s == 0 and all(a == 0 for a in mono.t):
-                total += Fraction(c)  # e specialized to 1
-        return total
-
-    pairing = [[Fraction(0)] * hom_dim for _ in range(hom_dim)]
-    for a in range(hom_dim):
-        for c in range(hom_dim):
-            total = Fraction(0)
-            for i in range(n):
-                if reps[a][i] == 0:
-                    continue
-                for j in range(n):
-                    if reps[c][j] == 0:
-                        continue
-                    total += reps[a][i] * reps[c][j] * classical_value(
-                        phi.eval_word((), i, (), j)
-                    )
-            pairing[a][c] = total
-    prank = rank(pairing) if hom_dim else 0
-    certificate = {
-        "homology_dimension": hom_dim,
-        "representatives": [
-            {basis.names[i]: str(v) for i, v in enumerate(vec) if v} for vec in reps
-        ],
-        "pairing_matrix": [[str(x) for x in row] for row in pairing],
-        "rank": prank,
-    }
-    return prank == hom_dim, certificate

@@ -1,4 +1,5 @@
-"""Small exact linear algebra over the rationals (dense, Fraction entries)."""
+"""Small exact linear algebra over the rationals (dense, Fraction entries),
+for the rank computations of the tests."""
 
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ These are the brute-force forms: expand every tensor product of the inputs
 into pure words, evaluate each word, and only then find out whether the
 structure tables have an entry there; assemble the operation on one word
 straight from the tables; expand the curved relations on every basis word,
-not only where the tables reach; read phi_{p,q} on one basis word straight
+not only where the tables reach, and the strict unit laws on every word
+with the unit in a slot; read phi_{p,q} on one basis word straight
 from psi_0, and check skew-symmetry and closedness on every tuple of their
 quantifiers; check the bimodule homomorphism identity on every bar word and
 the negative cocycle condition on every basis chain; build every term of a
@@ -25,7 +26,9 @@ Also here: hypothesis strategies for their inputs, a helper that builds a
 mutated copy of an engine module from its source, for mutation tests, and
 the test-side tower builders (lazy dual images f o b and f o B, their
 tabulation, coboundary towers and the connecting map) with the arithmetic
-of functionals they need, and the unit-insertion vanishing check.  The
+of functionals they need, the unit-insertion vanishing check, and the
+homological nondegeneracy check of a pairing, a rank computation with
+``exactla`` that no command runs.  The
 chain identity suite is here in its per-chain form, with no per-key
 certificates: every operator image and every residual built as a chain,
 with chain sums, on every drawn chain; and the six residual maps at one
@@ -72,6 +75,8 @@ from ainfty.hochschild import (
 )
 from ainfty.potential import WallCrossingDecomposition, _auto_n_max
 from ainfty.report import Report
+
+from exactla import column_space_pivots, kernel_basis, rank
 
 
 SCALARS = ("rational", "poly", "mixed")
@@ -276,6 +281,45 @@ def check_ainfty_reference(algebra) -> Report:
                     "relation at n=%d %s: residual %s"
                     % (n, algebra.word_text(word), Element(basis, residual).text())
                 )
+    return report
+
+
+def check_strict_unit_reference(algebra) -> Report:
+    """check_strict_unit calling m_word on every word with the unit in a
+    slot: the m_2 laws of each letter, then each arity k != 2 up to the
+    cutoff, each slot, and each word of the other k - 1 letters."""
+    k_max = algebra.k_max
+    report = Report("strict-unit")
+    report.note("E_max", algebra.spec.cutoff)
+    report.note("K_max", k_max)
+    basis = algebra.basis
+    unit = basis.require_unit()
+    one = algebra.one_ring()
+    for i in range(len(basis)):
+        report.tick(2)
+        left = algebra.m_word((unit, i))
+        expect = {i: one}
+        if {j: v for j, v in left.items() if v} != expect:
+            report.fail("m2(1,%s) != %s" % (basis.names[i], basis.names[i]))
+        right = algebra.m_word((i, unit))
+        sign = -1 if basis.degree(i) % 2 else 1
+        expect = {i: one.scale(sign)}
+        if {j: v for j, v in right.items() if v} != expect:
+            report.fail("m2(%s,1) != (-1)^{|%s|} %s" % (basis.names[i], basis.names[i], basis.names[i]))
+    for k in range(k_max + 1):
+        if k == 2:
+            continue
+        if k > algebra.max_stored_arity() and algebra.higher_arities_zero:
+            continue
+        for slot in range(k):
+            for rest in words_over(range(len(basis)), k - 1):
+                word = rest[:slot] + (unit,) + rest[slot:]
+                report.tick()
+                if algebra.m_word(word):
+                    report.fail(
+                        "m%d%s nonzero with the unit in slot %d"
+                        % (k, algebra.word_text(word), slot)
+                    )
     return report
 
 
@@ -889,6 +933,77 @@ def unit_insertion_vanishing(algebra, phi, b) -> Report:
                     % (p, q, value.text())
                 )
     return report
+
+
+def homological_nondegeneracy(algebra, phi):
+    """Full-rank test of phi_{0,0} on the homology of the classical part.
+
+    Reduces the algebra at energy zero and the neutral monoid element, takes
+    homology of m_{1,(0,0)} by exact elimination, evaluates the pairing
+    matrix on the lexicographically first representatives at valuation zero
+    (with the index variable e specialized to 1), and reports the rank.
+    Returns (nondegenerate, certificate).
+    """
+    basis = algebra.basis
+    n = len(basis)
+    neutral = [i for i, beta in enumerate(algebra.monoid) if beta.lam == 0]
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for (k, bidx), table in algebra.ops.items():
+        if k != 1 or bidx not in neutral:
+            continue
+        for word, out in table.items():
+            for comp, value in out.items():
+                mono = algebra.spec.one_monomial()
+                d[comp][word[0]] += Fraction(value.coefficient(mono))
+    # d must square to zero on the classical part
+    for i in range(n):
+        for j in range(n):
+            if sum(d[i][k] * d[k][j] for k in range(n)) != 0:
+                raise ConfigurationError("classical differential does not square to zero")
+    kernel = kernel_basis(d)
+    image_cols = [[d[i][j] for j in range(n)] for i in range(n)]
+    # representatives: kernel vectors independent modulo the image, kept in
+    # the elimination order (lexicographically first complement basis)
+    spanning = [[d[i][c] for i in range(n)] for c in column_space_pivots(image_cols)]
+    reps = []
+    for vec in kernel:
+        candidate = spanning + [list(vec)]
+        if rank(candidate) > len(spanning):
+            reps.append(list(vec))
+            spanning.append(list(vec))
+    hom_dim = len(reps)
+
+    def classical_value(value: RingElement) -> Fraction:
+        total = Fraction(0)
+        for mono, c in value.terms.items():
+            if mono.lvl == 0 and mono.s == 0 and all(a == 0 for a in mono.t):
+                total += Fraction(c)  # e specialized to 1
+        return total
+
+    pairing = [[Fraction(0)] * hom_dim for _ in range(hom_dim)]
+    for a in range(hom_dim):
+        for c in range(hom_dim):
+            total = Fraction(0)
+            for i in range(n):
+                if reps[a][i] == 0:
+                    continue
+                for j in range(n):
+                    if reps[c][j] == 0:
+                        continue
+                    total += reps[a][i] * reps[c][j] * classical_value(
+                        phi.eval_word((), i, (), j)
+                    )
+            pairing[a][c] = total
+    prank = rank(pairing) if hom_dim else 0
+    certificate = {
+        "homology_dimension": hom_dim,
+        "representatives": [
+            {basis.names[i]: str(v) for i, v in enumerate(vec) if v} for vec in reps
+        ],
+        "pairing_matrix": [[str(x) for x in row] for row in pairing],
+        "rank": prank,
+    }
+    return prank == hom_dim, certificate
 
 
 def infty_cyclic_potential_reference(algebra, phi, x) -> RingElement:

@@ -1,11 +1,17 @@
-"""Every private function and class of the package is read somewhere in it.
+"""Every definition of the package is read somewhere.
 
-Each module of ``src/ainfty`` is parsed with ``ast``.  A module-level
-function or class whose name starts with one underscore is private: only
-the package calls it.  It counts as used when some module of the package
-reads its name, as a name or as an attribute, outside the object's own
-definition, so recursion alone does not keep it.  A private core left behind
-when its last caller goes fails here.
+Each module of ``src/ainfty`` and of ``bench`` is parsed with ``ast``.  A
+module-level function or class whose name starts with one underscore is
+private: only the package calls it.  It counts as used when some module of
+the package reads its name, as a name or as an attribute, outside the
+object's own definition, so recursion alone does not keep it.  A private
+core left behind when its last caller goes fails here.
+
+Any other module-level function or class is public.  It counts as used
+when the package reads it in the same way, or ``bench`` reads it or names
+it in a dotted string (the tracer wraps its targets by name).  A public
+definition that only tests call is on ``UNREAD_PUBLIC`` with the ROADMAP
+item that will wire it to a command or move it to the tests.
 """
 
 import ast
@@ -17,18 +23,34 @@ import pytest
 import ainfty
 
 PACKAGE = os.path.dirname(ainfty.__file__)
-TREES = {}
-for _name in sorted(os.listdir(PACKAGE)):
-    if _name.endswith(".py"):
-        with open(os.path.join(PACKAGE, _name), encoding="utf-8") as _handle:
-            TREES[_name] = ast.parse(_handle.read())
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _private(tree):
-    """The module-level private functions and classes of a module."""
+def _parsed(directory):
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read())
+    return trees
+
+
+TREES = _parsed(PACKAGE)
+BENCH_TREES = _parsed(BENCH)
+
+# Public definitions read by no command and no bench module, each with the
+# ROADMAP item that will wire or move it.
+UNREAD_PUBLIC = {
+    "hochschild.py:iter_basis_chains": "item 2(b): the chain suite over every basis chain",
+    "pairing.py:weak_cyclic_check": "item 5: wire it as potential --weak-cyclic, or move it",
+}
+
+
+def _definitions(tree, public):
+    """The module-level public or private functions and classes of a module."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
+                and not node.name.startswith("__") and node.name.startswith("_") != public):
             yield node
 
 
@@ -39,11 +61,21 @@ def _reads(node) -> Counter:
                    if isinstance(child, (ast.Name, ast.Attribute)))
 
 
-def _unread(trees) -> list:
+def _named(node) -> Counter:
+    """The names that the dotted-name strings below node hold."""
+    return Counter(part for child in ast.walk(node)
+                   if isinstance(child, ast.Constant) and isinstance(child.value, str)
+                   and all(part.isidentifier() for part in child.value.split("."))
+                   for part in child.value.split("."))
+
+
+def _unread(trees, public=False, bench=None) -> list:
     everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    if public:
+        everywhere += sum((_reads(tree) + _named(tree) for tree in bench.values()), Counter())
     return sorted("%s:%s" % (module, definition.name)
                   for module, tree in trees.items()
-                  for definition in _private(tree)
+                  for definition in _definitions(tree, public)
                   if everywhere[definition.name] == _reads(definition)[definition.name])
 
 
@@ -52,9 +84,34 @@ def test_every_private_definition_is_read(module):
     assert [name for name in _unread(TREES) if name.startswith(module + ":")] == []
 
 
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_public_definition_is_read_or_listed(module):
+    unread = _unread(TREES, public=True, bench=BENCH_TREES)
+    assert [name for name in unread
+            if name.startswith(module + ":") and name not in UNREAD_PUBLIC] == []
+
+
+def test_every_listed_public_definition_is_unread():
+    # an entry whose definition got a caller, or left, comes off the list
+    assert sorted(UNREAD_PUBLIC) == [name for name in _unread(TREES, public=True,
+                                                             bench=BENCH_TREES)
+                                     if name in UNREAD_PUBLIC]
+
+
 def test_an_unread_private_definition_is_found():
     trees = {"a.py": ast.parse("def _kept():\n    return 1\n"
                                "def _recursive(n):\n    return _recursive(n - 1)\n"
                                "class _Orphan:\n    pass\n"),
              "b.py": ast.parse("from . import a\nX = a._kept()\n")}
     assert _unread(trees) == ["a.py:_Orphan", "a.py:_recursive"]
+
+
+def test_an_unread_public_definition_is_found():
+    trees = {"a.py": ast.parse("def kept():\n    return 1\n"
+                               "def traced():\n    return 2\n"
+                               "def recursive(n):\n    return recursive(n - 1)\n"
+                               "def _private():\n    return 3\n"
+                               "class Orphan:\n    '''Named in prose: recursive, Orphan.'''\n"),
+             "b.py": ast.parse("from . import a\nX = a.kept()\n")}
+    bench = {"tracer.py": ast.parse("TARGETS = [('a.traced', 'a', 'Orphan x')]\n")}
+    assert _unread(trees, public=True, bench=bench) == ["a.py:Orphan", "a.py:recursive"]

@@ -255,6 +255,24 @@ def test_entry_off_the_ainfty_degree_exits_2_located(tmp_path, capsys, command):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ("check", "cocycle", "mc", "potential", "gauge", "wallcross"))
+def test_unflagged_document_with_no_tables_exits_2_located(tmp_path, capsys, command):
+    # with no operation stored, the tables stop at arity 0, below any
+    # arity cutoff, so the document is refused at load
+    with open(corpus("e1.json")) as handle:
+        raw = json.load(handle)
+    raw["operations"] = []
+    raw["higher_arities_zero"] = False
+    path = tmp_path / "no_tables.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[1] == (
+        "  operations: relation checking at arity 6 needs tables up to 7; "
+        "either supply them or mark higher arities zero")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_rejects_negative_cutoff_from_document(tmp_path, capsys):
     raw = minimal_doc()
     raw["cutoffs"]["arity"] = -1

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ainfty import coeff, graded, hochschild
 from ainfty.coeff import Poly, RingElement, _scalar
 from ainfty.errors import ConfigurationError
-from ainfty.exactla import rank
 from ainfty.hochschild import (
     CocycleTower,
     Functional,
@@ -28,6 +27,7 @@ from conftest import (
     make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1,
     poincare_tower, random_coboundary_tower, random_functional, ring,
 )
+from exactla import rank
 import oracles
 from oracles import (
     CROSSING_MUTATION, SCALARS, chain_bar_reference, chain_sum, chain_sum_reference, coderivation,

@@ -16,7 +16,6 @@ from ainfty.pairing import (
     build_phi,
     check_closed,
     check_skew,
-    homological_nondegeneracy,
     trace_identity,
     weak_cyclic_check,
 )
@@ -28,7 +27,8 @@ from conftest import (
 )
 from oracles import (
     SCALARS, at_cutoffs, check_closed_reference, check_skew_reference, crossing_sign_mutant,
-    elements, eval_word_reference, expand_eval_elements, mutant_module, phi_hat_all_arguments,
+    elements, eval_word_reference, expand_eval_elements, homological_nondegeneracy,
+    mutant_module, phi_hat_all_arguments,
 )
 
 
