@@ -173,12 +173,22 @@ class AInftyAlgebra:
 
     def check_arity_cutoff(self):
         """Refuse a k_max past the stored tables unless higher arities are
-        zero; with no table stored, the tables stop at arity 0."""
-        if not self.higher_arities_zero and max((k for k, _ in self.ops), default=0) <= self.k_max:
+        zero; with no table stored, the tables stop at arity 0.  Unflagged
+        tables must also reach arity 2, which the strict unit laws and the
+        trace identity read at every k_max."""
+        if self.higher_arities_zero:
+            return
+        top = max((k for k, _ in self.ops), default=0)
+        if top <= self.k_max:
             raise ConfigurationError(
                 "relation checking at arity %d needs tables up to %d; "
                 "either supply them or mark higher arities zero"
                 % (self.k_max, self.k_max + 1)
+            )
+        if top < 2:
+            raise ConfigurationError(
+                "tables stop at arity %d, below the arity 2 that the strict unit laws "
+                "read; either supply it or mark higher arities zero" % top
             )
 
     # -- evaluation ----------------------------------------------------------

@@ -65,8 +65,8 @@ operation index where the operators would form products that cancel:
     relation residual at each cyclic window that b reads, less the
     windows of the per-slot strict-unit table V
     (``ainfty.unit_slot_residuals``) on the terms of b(u) with the unit in
-    a tensor slot (``_unit_outputs_into``, formed only where V is not
-    empty);
+    a tensor slot (the keys of ``_b_into`` whose word holds the unit,
+    formed only where V is not empty);
   * bB+Bb is ``_unit_wraps_into`` on U (``ainfty.unit_residuals``), the
     wrap-arounds of b on B(c), plus B of ``_unit_wraps_into`` on V, the
     seams: the windows of V through the unit module of the keys of u''.
@@ -81,9 +81,7 @@ and a table with R = V = {} forms no product at any chain; the docstring
 of ``identity_residuals`` proves the identities, the pairings, the parity
 lemma and the table readings this rests on, and
 ``cli.chain_identity_suite`` certifies every chain of such a table without
-a draw.  All the operators are linear over the coefficient ring, and the
-level cutoff is an ideal, which is what lets the suite check each basis
-key once instead of each drawn chain elsewhere.
+a draw.
 
 ``HochschildChain`` is the wrapper of the public operators
 (``hochschild_b``, ``chain_bar``, ``cyclic_t``, ``operator_N``,
@@ -408,37 +406,6 @@ def _windows_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int, tabl
     return acc
 
 
-def _unit_outputs_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
-    """Add (1 - q) b(chain) into acc for the raw map of a reduced chain:
-    the terms of b with the unit in a tensor slot.
-
-    The words of the chain hold no unit, so b keeps the unit out of them
-    except where an insertion at a slot p >= 1 outputs it: a window equal
-    to a unit-free word that ``words_by_output`` lists under the unit.  At
-    p = 0, b' puts m_0 in front of the module slot, which holds the unit
-    in the word when the module is the unit, and D's -m_0 takes it away;
-    an insertion of arity >= 1 there makes the module slot.
-    """
-    unit = algebra.basis.unit
-    sources = [x for x in words_by_output(algebra).get(unit, ()) if unit not in x]
-    if not sources:
-        return acc
-    degrees = algebra.basis.degrees
-    tables = nonzero_words(algebra)
-    for (v, word), terms in chain.items():
-        f = (v,) + word
-        prefixes = maltese_prefixes([degrees[x] for x in f])
-        for x in sources:
-            a = len(x)
-            value = tables[a][x][unit].terms
-            for p in range(1, len(f) - a + 1):
-                if f[p : p + a] == x:
-                    out = f[:p] + (unit,) + f[p + a :]
-                    mul_into(acc.setdefault((out[0], out[1:]), {}), terms, value, top,
-                             insertion_sign(prefixes, p))
-    return acc
-
-
 def _unit_wraps_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int,
                      table: dict) -> dict:
     """Add into acc, at each cyclic segment f°[c:c+l] of the marked word f
@@ -598,17 +565,15 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
          b^2 = q b(b u) - q b((1 - q) b u).  q b(b u) is the quotient of
          the unreduced b^2, which ``_windows_into`` forms from the
          relation residuals (the b^2 fact below).  (1 - q) b u, the terms
-         of b u with the unit in a tensor slot, is formed by
-         ``_unit_outputs_into``: the words of u hold no unit, a wrap
-         keeps a subword and b''s insertions of arity >= 1 at slot 0 make
-         the module slot, so the unit reaches a tensor slot only through
-         an insertion at a slot p >= 1 that outputs it, a window equal to
-         a unit-free word that ``words_by_output`` lists under the unit.
-         b''s m_0 in front of a unit module also puts the unit in the
-         word, and D's -m_0 takes it away.  (1 - q) b u is empty unless a
-         unit-free word outputs the unit (E2's m_0).  q b of it is q of
-         the windows of V on it (the unit-output fact below), so it is
-         formed only where V is not empty.
+         of b u with the unit in a tensor slot, is formed as the keys of
+         ``_b_into`` on u whose word holds the unit: the words of u hold
+         no unit, a wrap keeps a subword, and b never forms m_0 in front
+         of the module slot (b''s there and D's -m_0 cancel, the pairing
+         below), so the unit reaches a tensor slot only through an
+         insertion in the word that outputs it.  (1 - q) b u is empty
+         unless a unit-free word outputs the unit (E2's m_0).  q b of it
+         is q of the windows of V on it (the unit-output fact below), so
+         it is formed only where V is not empty.
 
     The pairing by cyclic window.  Let f = (f_0..f_{n-1}) be the marked
     word of a key with coefficient x, M its ``maltese_prefixes`` and
@@ -825,13 +790,26 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     q b(y) is q of ``_windows_into`` on V and y, and where V = {} it is
     zero.
 
-    So the one image formed is (1 - q) b u, and only where V is not empty
-    and a unit-free word outputs the unit; b^2 and b'^2 are read off R,
-    W(B c) off U, and the seams and q b((1 - q) b u) off V.  b(u), b'(u),
+    So the one image formed is b u, and only where V is not empty, for its
+    keys with the unit in a tensor slot; b^2 and b'^2 are read off R,
+    W(B c) off U, and the seams and q b((1 - q) b u) off V.  b'(u),
     D(u), t(u), b(tu), t b'(u), b'(b'u), b'(N u), N(b u), N(b'u'),
     N(D u'), B(c) and B(B c) are never formed, nor are b(b c), b(B c) and
     B(b c).  Where R = V = {}, which U = {} does not imply (each slot of V
     reads a different word of the chain), no map forms a product.
+
+    Linearity.  Every operator b, B, b', t, N and the reduced quotient is
+    linear over the coefficient ring: it multiplies a chain's coefficients
+    by structure constants or signs, with no sign taken from a scalar.
+    Levels are nonnegative and add under products, so the level cutoff is
+    an ideal: truncating op(key) before scaling by a coefficient a drops
+    only products whose level already exceeds the cutoff, which
+    ``mul_into`` would drop anyway in op(a key).  So each residual map M
+    satisfies M(sum_k a_k key_k) = sum_k a_k M(key_k) exactly modulo
+    T^{>E_max}, and M vanishes at every chain exactly when it vanishes at
+    every basis key with coefficient 1.  Under a convention in which a
+    scalar of odd degree picked up a sign crossing an operator, M(a x) =
+    +-a M(x): a sign can at most flip a zero, so this would still hold.
     """
     basis = algebra.basis
     unit = basis.require_unit()
@@ -841,7 +819,8 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     square = _windows_into({}, algebra, u, top, relation_residuals(algebra), True)
     slots = unit_slot_residuals(algebra)
     if slots:
-        unit_outputs = _unit_outputs_into({}, algebra, u, top)
+        unit_outputs = {key: terms for key, terms in _b_into({}, algebra, u, top).items()
+                        if unit in key[1]}
         for key, terms in _windows_into({}, algebra, unit_outputs, top, slots, False).items():
             add_into(square.setdefault(key, {}), terms, -1)
 

@@ -1,21 +1,22 @@
-"""The chain identity suite: per-key certificates against per-chain evaluation.
+"""The chain identity suite against per-chain evaluation.
 
 Where the relation table R and the per-slot unit table V are both empty,
 ``cli.chain_identity_suite`` certifies every chain at once, with no draw;
-elsewhere it checks each distinct basis key of its drawn chains once and
-passes a chain whose keys all pass, and only the other chains are
-evaluated whole.  Its report must be the report of
-``oracles.chain_identity_suite_reference``, which evaluates every operator
-and every residual on every drawn chain with the reference operators,
-which share no kernel with ``hochschild``.  The comparison runs on the
-conftest algebras and on failing variants of them, all built through the
-``AInftyAlgebra`` constructor, so every entry has the A-infinity degree.
-The certificate argument rests on every operator being linear over the
-coefficient ring and on the reduced b being the quotient of the unreduced
-one; both are properties here.  ``hochschild.identity_residuals`` forms
-b'^2 and b^2 off R, at the windows of a key and at the cyclic windows of
-b, the part of b^2 that the unit put in the word by (1 - q) b u makes off
-V, and bB+Bb off U (the wraps of B(c)) and V (the seams); its three maps
+elsewhere it evaluates the residual maps of every drawn chain.  Its report
+must be the report of ``oracles.chain_identity_suite_reference``, which
+evaluates every operator and every residual on every drawn chain with the
+reference operators, which share no kernel with ``hochschild``.  The
+comparison runs on the conftest algebras and on failing variants of them,
+all built through the ``AInftyAlgebra`` constructor, so every entry has
+the A-infinity degree.  Two facts the residual kernel's proofs use are
+properties here: every operator is linear over the coefficient ring (the
+linearity paragraph of ``hochschild.identity_residuals``), and the reduced
+b is the quotient of the unreduced one.  ``hochschild.identity_residuals``
+forms b'^2 and b^2 off R, at the windows of a key and at the cyclic
+windows of b, the part of b^2 that the unit put in the word by
+(1 - q) b u makes off V, (1 - q) b u being the keys of b u with the unit
+in the word, and bB+Bb off U (the wraps of B(c)) and V (the seams); its
+three maps
 must equal those of ``oracles.identity_residuals_reference``, which forms
 every image in full, on drawn chains and on every basis key of three
 letters or fewer, also with the basis degrees redrawn.  The reference's
@@ -36,9 +37,9 @@ that outputs the unit, and C1, whose unit is central but not a unit, has
 U = R = {} and V != {}.  The failing variants at arity cutoff 2 show that
 the residual tables read no arity cutoff, and on the algebras whose
 relations and unit laws hold, E2 included, no map forms a product and the
-suite neither draws nor evaluates.  The mutant catalog breaks the
-certificate, the early exit and each term of the residual kernel one way
-each.
+suite neither draws nor evaluates.  The mutant catalog breaks the early
+exit, the per-chain evaluation and each term of the residual kernel one
+way each.
 """
 
 import os
@@ -466,14 +467,19 @@ def test_unit_seams_are_q_s1_N_of_b_on_unit_modules(name):
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_q_b_of_unit_outputs_reads_V(name):
-    # q b((1 - q) b u) against the quotient of the windows of V on
-    # (1 - q) b u, with b formed by the reference operator
+    # (1 - q) b u as the keys of b u with the unit in the word, and
+    # q b((1 - q) b u) against the quotient of the windows of V on it, with
+    # b formed by the reference operator
     algebra = VARIANTS[name]
     basis = algebra.basis
     top = algebra.spec.level_cutoff
     slots = ainfty.unit_slot_residuals(algebra)
     for key, chain in _chains_of_basis_keys(algebra, 3):
-        outputs = hochschild._unit_outputs_into({}, algebra, chain.terms, top)
+        outputs = {k: terms for k, terms in hochschild._b_into({}, algebra, chain.terms, top)
+                   .items() if basis.unit in k[1]}
+        b_u = hochschild_b_reference(algebra, chain.unreduced()).terms
+        assert _nonzero(outputs) == {k: terms for k, terms in b_u.items()
+                                     if basis.unit in k[1]}, key
         got = hochschild._quotient(
             hochschild._windows_into({}, algebra, outputs, top, slots, False), basis.unit)
         unreduced = HochschildChain._clean(basis, algebra.spec, _nonzero(outputs), False)
@@ -627,24 +633,10 @@ def _suite_disagrees(suite) -> bool:
     return False
 
 
-CERTIFICATE = """\
-        if key not in verdicts:
-            verdicts[key] = all(
-                _vanishes(raw) for _, raw in hh.identity_residuals(algebra, {key: one}))
-        return verdicts[key]
-"""
-
 # name -> (module, original fragment, mutated fragment).  A hochschild
 # mutant reaches the suite through the cli module's binding of it, and an
 # ainfty mutant through the operation index it builds for every variant.
 CHAIN_SUITE_MUTANTS = {
-    "certificate keyed by word only": (
-        cli, CERTIFICATE, CERTIFICATE.replace("key not in verdicts", "key[1] not in verdicts")
-        .replace("verdicts[key]", "verdicts[key[1]]")),
-    # killed through X1, on whose key [1|x] b'^2 alone fails
-    "certificate skips b'^2": (
-        cli, "hh.identity_residuals(algebra, {key: one}))",
-        "hh.identity_residuals(algebra, {key: one})[:2])"),
     "quotient keeps unit words": (
         hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
     # b is b' + D term by term, one term per cyclic window: D's -m_0 in
@@ -677,14 +669,15 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "for q in range(1, n - length + 1):",
         "for q in range(1, n - length + (length > 0)):"),
     # killed through E2 m2(x,1) negated, whose m_0 puts the unit in the word
+    "(1-q) b u keeps every key of b": (hochschild, "if unit in key[1]}", "}"),
+    "(1-q) b u keeps the unit-free keys": (
+        hochschild, "if unit in key[1]}", "if unit not in key[1]}"),
     "-q b((1-q) b u) dropped": (
         hochschild, "        add_into(square.setdefault(key, {}), terms, -1)\n",
         "        pass\n"),
     "-q b((1-q) b u) reads b' for b": (
         hochschild, "_windows_into({}, algebra, unit_outputs, top, slots, False)",
         "_bar_into({}, algebra, unit_outputs, top)"),
-    "unit-output lookup ignores D's -m0 in front": (
-        hochschild, "for p in range(1, len(f) - a + 1):", "for p in range(v != unit, len(f) - a + 1):"),
     # W(B c) from the unit residual table; the G1 m_3 variants reach its
     # two-letter segments
     "U's prefix sign dropped": (
@@ -701,8 +694,9 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "for q in range(len(f) - n + 1):", "for q in range(len(f) - n + 1 if n else 0):"),
     "relation table capped at k_max": (
         ainfty, "uninsertions(algebra, outer, inf)", "uninsertions(algebra, outer, algebra.k_max)"),
-    # the certificate of every chain where R = V = {}: C1 has U = {} and
-    # V != {}, and SV1 + w and X1 have V = {} and R != {}
+    # the early exit, which certifies every chain where R = V = {} (C1 has
+    # U = {} and V != {}, and SV1 + w and X1 have V = {} and R != {}), and
+    # the per-chain evaluation everywhere else
     "early exit reads U for V": (
         cli, "not core.unit_slot_residuals(algebra)", "not core.unit_residuals(algebra)"),
     "early exit ignores R": (cli, "not core.relation_residuals(algebra) and not", "not"),

@@ -13,6 +13,8 @@ from ainfty.cli import main
 from ainfty.document import load, load_dict
 from ainfty.errors import DocumentError
 
+from test_corpus_reports import _flipped_m2_z1_document
+
 CORPUS = os.path.join(os.path.dirname(ainfty.__file__), "corpus")
 
 
@@ -271,6 +273,68 @@ def test_unflagged_document_with_no_tables_exits_2_located(tmp_path, capsys, com
         "  operations: relation checking at arity 6 needs tables up to 7; "
         "either supply them or mark higher arities zero")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ("check", "cocycle", "mc", "potential", "gauge", "wallcross"))
+def test_unflagged_tables_below_arity_2_exit_2_located(tmp_path, capsys, command):
+    # an arity-1 table under arity cutoff 0 is past the cutoff, but the
+    # strict unit laws and the trace identity read m_2 at every cutoff
+    with open(corpus("e1.json")) as handle:
+        raw = json.load(handle)
+    raw["operations"] = [{"arity": 1, "monoid": 0, "inputs": ["1"],
+                          "output": [{"basis": "x", "coeff": "1"}]}]
+    raw["higher_arities_zero"] = False
+    raw["cutoffs"]["arity"] = 0
+    path = tmp_path / "arity_1.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "input document rejected:\n  operations: tables stop at arity 1, below the arity 2 "
+        "that the strict unit laws read; either supply it or mark higher arities zero\n")
+    assert captured.out == ""
+
+
+def _failing_tower_document(path):
+    """g1_gauge.json with the tower entry [y|x,x,z] doubled: the tower 'pair'
+    fails the negative cocycle condition at six places at L_max = 4."""
+    with open(corpus("g1_gauge.json")) as handle:
+        raw = json.load(handle)
+    (entry,) = [entry for level in raw["towers"][0]["levels"] for entry in level["entries"]
+                if entry["module"] == "y" and entry["word"] == ["x", "x", "z"]]
+    entry["value"][0]["coeff"] = "2"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("potential", "gauge", "wallcross"))
+@pytest.mark.parametrize("flags,location", (((), "towers[0]"), (("--tower", "pair"), "--tower")))
+def test_failing_tower_exits_2_located(tmp_path, capsys, command, flags, location):
+    # phi is built only from a tower that passes; cocycle prints the failures
+    path = _failing_tower_document(tmp_path / "g1_tower_x2.json")
+    assert main(["cocycle", "--input", path]) == 1
+    assert "  failures = 6\n" in capsys.readouterr().out
+    assert main([command, "--input", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "input document rejected:\n  %s: tower 'pair' fails the negative cocycle condition at "
+        "L_max = 4 (failures = 6); the cocycle command prints them\n" % location)
+    assert captured.out == ""
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that closes the pipe early: the report's status, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ainfty.cli", "check", "--input", corpus("g1_gauge.json"),
+             "--kmax", "8", "--report", str(tmp_path / "report.txt")],
+            env=_engine_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "report.txt").read_text().startswith("ainfty report\n")
 
 
 def test_cli_rejects_negative_cutoff_from_document(tmp_path, capsys):
@@ -547,15 +611,24 @@ print(json.dumps(results))
 """
 
 
-def _run_in_one_process(argvs):
-    """(exit code, stdout, stderr) of each ``main(argv)``, all made in one
-    fresh interpreter, in order."""
+def _engine_env(hash_seed=None):
+    """The environment of a fresh interpreter that imports this package,
+    with PYTHONHASHSEED set when a hash seed is given."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(ainfty.__file__))
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                                  else []))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return env
+
+
+def _run_in_one_process(argvs, hash_seed=None):
+    """(exit code, stdout, stderr) of each ``main(argv)``, all made in one
+    fresh interpreter, in order."""
     done = subprocess.run([sys.executable, "-c", RUN_IN_ONE_PROCESS, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_engine_env(hash_seed), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     return [tuple(result) for result in json.loads(done.stdout)]
 
@@ -575,6 +648,25 @@ def test_main_calls_in_one_process_match_separate_calls():
     assert together == apart
     assert [code for code, _, _ in together] == [0, 0, 2, 0, 0]
     assert "invalid int value: 'many'" in together[2][2]
+
+
+def test_reports_are_the_same_under_every_hash_seed(tmp_path):
+    # byte-identical reports for the same inputs and flags: no output may
+    # depend on the order of a set or of a dict keyed by hashed strings
+    flipped = tmp_path / "g1_flipped.json"
+    _flipped_m2_z1_document(flipped)
+    argvs = [
+        ["check", "--input", corpus("g1_gauge.json"), "--kmax", "8"],
+        ["check", "--input", str(flipped), "--chains", "800", "--seed", "7"],
+        ["cocycle", "--input", corpus("g1_gauge.json")],
+        ["gauge", "--input", corpus("g1_gauge.json")],
+        ["potential", "--input", corpus("g1_wallcross.json")],
+        ["wallcross", "--input", corpus("g1_wallcross.json")],
+        ["mc", "--input", corpus("sv1.json"), "--solve"],
+    ]
+    runs = [_run_in_one_process(argvs, hash_seed) for hash_seed in (0, 1, 12345)]
+    assert [code for code, _, _ in runs[0]] == [0, 1, 0, 0, 0, 0, 0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def _unit_only_document(tmp_path, coeff):
