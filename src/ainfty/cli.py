@@ -10,18 +10,20 @@ where the relation table and the per-slot unit table are empty; elsewhere
 it evaluates the identities on each of its seeded chains.  It draws its
 chains as raw term maps and passes them to ``hochschild.identity_residuals``
 as they are, so no ``HochschildChain`` is built; a failing residual is
-printed by ``hochschild.chain_text``.  The argument parser is built on the
-first ``main`` call and reused by later calls in the same process.
+printed by ``hochschild.chain_text``.  ``parse_args`` reads the command line
+from two tables, ``SUBCOMMANDS`` and ``FLAGS``, which also write the
+``--help`` text; it keeps no state between calls, and a malformed flag exits
+2 with one located line, like every other input error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import ainfty as core
 from . import hochschild as hh
@@ -138,14 +140,19 @@ def _emit(reports, args, doc) -> int:
                 handle.write(text + "\n")
         except OSError as exc:
             raise DocumentError([("--report", str(exc))])
+    _print(text)
+    return 0 if ok else 1
+
+
+def _print(text):
+    """Print to stdout; a reader that closes the pipe early ends it quietly."""
     try:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe: send the rest, and the flush at exit,
-        # to devnull, so the command ends quietly with the report's status
+        # send the rest, and the flush at exit, to devnull, so the command
+        # ends quietly with its own status
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if ok else 1
 
 
 def _count_printable(doc, cutoff: int) -> bool:
@@ -358,62 +365,193 @@ def cmd_wallcross(args, doc) -> int:
     return _emit(reports, args, doc)
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "cocycle": cmd_cocycle,
-    "mc": cmd_mc,
-    "potential": cmd_potential,
-    "gauge": cmd_gauge,
-    "wallcross": cmd_wallcross,
-}
+# The command-line grammar, read by the parser and by --help.  Each
+# subcommand with the function that runs it and its help text; each flag with
+# the type of its value (None for a switch, which takes none), its default,
+# its help text and the subcommands that take it (None: every one).
+SUBCOMMANDS = (
+    ("check", cmd_check, "relations, strict unit, chain-level identities"),
+    ("cocycle", cmd_cocycle, "tower validation plus inner-product checks"),
+    ("mc", cmd_mc, "weak Maurer-Cartan check, optionally order-by-order solving"),
+    ("potential", cmd_potential, "cyclic and full potentials of the candidates"),
+    ("gauge", cmd_gauge, "gauge path check: MC over the extended ring, d/dt = 0"),
+    ("wallcross", cmd_wallcross, "wall-crossing decomposition and pair report"),
+)
+REQUIRED = object()
+FLAGS = (
+    ("--input", str, REQUIRED, "document path", None),
+    ("--emax", str, None, "energy cutoff override (fraction)", None),
+    ("--kmax", int, None, "arity cutoff override", None),
+    ("--lmax", int, None, "word-length cutoff override", None),
+    ("--nmax", int, None, "level cutoff override", None),
+    ("--seed", int, DEFAULT_SEED, "seed for randomized suites (default %d)" % DEFAULT_SEED, None),
+    ("--report", str, None, "also write the report to this path", None),
+    ("--chains", int, 200, "random chains for the identity suite", ("check",)),
+    ("--solve", None, False, "run the order-by-order solver from the seed candidate", ("mc",)),
+    ("--tower", str, None, "tower name (default: first)",
+     ("cocycle", "potential", "gauge", "wallcross")),
+)
+COMMANDS = {name: run for name, run, _ in SUBCOMMANDS}
+HELP = ("-h", "--help")
+# a token that names no flag but reads as a negative number is a value; re
+# compiles the pattern on first use, which most command lines never reach
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ainfty",
-        description="exact verification engine for curved A-infinity algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "relations, strict unit, chain-level identities"),
-        ("cocycle", "tower validation plus inner-product checks"),
-        ("mc", "weak Maurer-Cartan check, optionally order-by-order solving"),
-        ("potential", "cyclic and full potentials of the candidates"),
-        ("gauge", "gauge path check: MC over the extended ring, d/dt = 0"),
-        ("wallcross", "wall-crossing decomposition and pair report"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="document path")
-        p.add_argument("--emax", default=None, help="energy cutoff override (fraction)")
-        p.add_argument("--kmax", type=int, default=None, help="arity cutoff override")
-        p.add_argument("--lmax", type=int, default=None, help="word-length cutoff override")
-        p.add_argument("--nmax", type=int, default=None, help="level cutoff override")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized suites (default %d)" % DEFAULT_SEED)
-        p.add_argument("--report", default=None, help="also write the report to this path")
-        if name == "check":
-            p.add_argument("--chains", type=int, default=200,
-                           help="random chains for the identity suite")
-        if name == "mc":
-            p.add_argument("--solve", action="store_true",
-                           help="run the order-by-order solver from the seed candidate")
-        if name in ("cocycle", "potential", "gauge", "wallcross"):
-            p.add_argument("--tower", default=None, help="tower name (default: first)")
-    return parser
+class _Help(Exception):
+    """-h or --help: the usage text to print, in place of a run."""
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused by the next
-    ones in the process: parsing leaves it unchanged."""
-    return build_parser()
+def _usage(command=None) -> str:
+    """The help text: every subcommand and every flag, or one subcommand's
+    flags, from the grammar tables."""
+    if command is None:
+        lines = ["usage: ainfty {%s} --input INPUT [flags]" % ",".join(COMMANDS), "",
+                 "exact verification engine for curved A-infinity algebras", "", "subcommands:"]
+        lines += ["  %-10s %s" % (name, text) for name, _, text in SUBCOMMANDS]
+        lines.append("")
+    else:
+        lines = ["usage: ainfty %s --input INPUT [flags]" % command, ""]
+        lines += [text for name, _, text in SUBCOMMANDS if name == command] + [""]
+    lines += ["flags (a value follows its flag or is attached with '='; a unique prefix",
+              "names a flag; the last repeat wins; integers are ASCII digits):",
+              "  %-16s %s" % ("-h, --help", "show this help and exit")]
+    for flag, kind, default, text, commands in FLAGS:
+        if command is None or commands is None or command in commands:
+            name = flag if kind is None else "%s %s" % (flag, flag[2:].upper())
+            if default is REQUIRED:
+                text += " (required)"
+            if command is None and commands is not None:
+                text += " [%s]" % ", ".join(commands)
+            lines.append("  %-16s %s" % (name, text))
+    return "\n".join(lines)
+
+
+def _option(token, names):
+    """How argparse reads a token against these option names: None for a
+    value, else the option it names (None for no known option) and the value
+    attached with '=' (None for none).
+
+    An exact name comes first, then a name before '=', then the unique name
+    the token (before any '=') is a prefix of; past those, a negative number
+    or a token with a space is a value.  A short option takes the rest of
+    its token as its attached value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, attached = token.partition("=")
+    if eq and name in names:
+        return name, attached
+    if token == "--":
+        # no flag reads it and no subcommand takes a positional
+        return None, None
+    if token[1] == "-":
+        matches = [(option, attached if eq else None) for option in names
+                   if option.startswith(name)]
+    else:
+        matches = [(option, token[2:]) for option in names if option == token[:2]]
+    if len(matches) > 1:
+        raise DocumentError([("ambiguous option", "%s could match %s"
+                              % (token, ", ".join(option for option, _ in matches)))])
+    if matches:
+        return matches[0]
+    if re.match(_NEGATIVE, token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(option, attached, command=None):
+    """Raise the help of the parser that read -h or --help."""
+    # argparse reads -hh, like -h=h, as -h given twice, and refuses what
+    # follows the last h of -hhx
+    if option == "-h" and attached:
+        attached = attached.lstrip("h") or None
+    if attached is not None:
+        raise DocumentError([("-h/--help", "ignored explicit argument %r" % attached)])
+    raise _Help(_usage(command))
+
+
+def _integer(flag, text) -> int:
+    """A flag's integer: an optional '-' and ASCII digits.  int() alone would
+    also take ' 3', '+3', '3_0' and other scripts' digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass  # more digits than int() converts
+    raise DocumentError([(flag, "invalid int value: %r" % text)])
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The values of a command line, read by the grammar tables.
+
+    A flag's value follows it or is attached with '=', a unique prefix names
+    a flag, and the last repeat wins; a token that starts with '-' is a
+    value only when it reads as a negative number (or holds a space).  This
+    is the language the argparse parser of ``tests/oracles.argparse_reference``
+    accepts, with the same values, except that an integer is an optional '-'
+    and ASCII digits.  Any other command line, and any with a bare '--',
+    raises ``DocumentError`` with one located line in argparse's words;
+    -h or --help raises ``_Help``.
+    """
+    argv = list(argv)
+    extras = []
+    for at, token in enumerate(argv):
+        option = _option(token, HELP)
+        if option is None:
+            break
+        if option[0] is None:
+            extras.append(token)
+        else:
+            _help(*option)
+    else:
+        raise DocumentError([("command", "the following arguments are required")])
+    command, rest = argv[at], argv[at + 1:]
+    if command not in COMMANDS:
+        raise DocumentError([("command", "invalid choice: %r (choose from %s)"
+                              % (command, ", ".join(COMMANDS)))])
+    flags = {row[0]: row for row in FLAGS if row[4] is None or command in row[4]}
+    options = [_option(token, HELP + tuple(flags)) for token in rest]
+    values = {"command": command}
+    values.update((flag[2:], default) for flag, _, default, _, _ in flags.values())
+    at = 0
+    while at < len(rest):
+        flag, attached = options[at] or (None, None)
+        if flag is None:
+            extras.append(rest[at])
+        elif flag in HELP:
+            _help(flag, attached, command)
+        elif flags[flag][1] is None:
+            if attached is not None:
+                raise DocumentError([(flag, "ignored explicit argument %r" % attached)])
+            values[flag[2:]] = True
+        else:
+            if attached is None:
+                if at + 1 == len(rest) or options[at + 1] is not None:
+                    raise DocumentError([(flag, "expected one argument")])
+                at += 1
+                attached = rest[at]
+            values[flag[2:]] = _integer(flag, attached) if flags[flag][1] is int else attached
+        at += 1
+    missing = [flag for flag in flags if values[flag[2:]] is REQUIRED]
+    if missing:
+        raise DocumentError([(", ".join(missing), "the following arguments are required")])
+    if extras:
+        raise DocumentError([("unrecognized arguments", " ".join(extras))])
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         doc = _load(args)
         return COMMANDS[args.command](args, doc)
+    except _Help as shown:
+        _print(str(shown))
+        return 0
     except DocumentError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -40,11 +40,13 @@ Also the test-only algebra, chain, ring and potential helpers: a copy of an alge
 of a ring element at an energy, a ring with another cutoff, a scalar of the
 ring, the unit of an algebra as an element, a gauge path at one value of its
 variable, the strictly cyclic test on towers, and the degenerate potential
-formula of strict towers.
+formula of strict towers.  And the argparse parser that ``cli.parse_args``
+replaced, as the reference for the command-line grammar.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import inspect
 import random
@@ -63,7 +65,7 @@ from ainfty.ainfty import (
     require_candidate,
 )
 from ainfty import graded
-from ainfty.cli import _random_reduced_chain
+from ainfty.cli import DEFAULT_SEED, _random_reduced_chain
 from ainfty.coeff import (
     Poly, RingElement, RingSpec, add_into, as_fraction, canonical, require_compatible,
 )
@@ -1224,3 +1226,37 @@ def mutant_module(module, old: str, new: str):
     finally:
         del sys.modules[mutant.__name__]
     return mutant
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ainfty",
+        description="exact verification engine for curved A-infinity algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+        ("check", "relations, strict unit, chain-level identities"),
+        ("cocycle", "tower validation plus inner-product checks"),
+        ("mc", "weak Maurer-Cartan check, optionally order-by-order solving"),
+        ("potential", "cyclic and full potentials of the candidates"),
+        ("gauge", "gauge path check: MC over the extended ring, d/dt = 0"),
+        ("wallcross", "wall-crossing decomposition and pair report"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="document path")
+        p.add_argument("--emax", default=None, help="energy cutoff override (fraction)")
+        p.add_argument("--kmax", type=int, default=None, help="arity cutoff override")
+        p.add_argument("--lmax", type=int, default=None, help="word-length cutoff override")
+        p.add_argument("--nmax", type=int, default=None, help="level cutoff override")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed for randomized suites (default %d)" % DEFAULT_SEED)
+        p.add_argument("--report", default=None, help="also write the report to this path")
+        if name == "check":
+            p.add_argument("--chains", type=int, default=200,
+                           help="random chains for the identity suite")
+        if name == "mc":
+            p.add_argument("--solve", action="store_true",
+                           help="run the order-by-order solver from the seed candidate")
+        if name in ("cocycle", "potential", "gauge", "wallcross"):
+            p.add_argument("--tower", default=None, help="tower name (default: first)")
+    return parser

@@ -602,10 +602,7 @@ results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
@@ -634,8 +631,9 @@ def _run_in_one_process(argvs, hash_seed=None):
 
 
 def test_main_calls_in_one_process_match_separate_calls():
-    # the parser is built once per process and reused: a later call, after a
+    # the parser keeps no state between calls: a later call, after a
     # different subcommand, other flags or a bad-flag exit, parses the same
+    # in one process as in a process of its own
     argvs = [
         ["check", "--input", corpus("e1.json"), "--chains", "5", "--seed", "3"],
         ["mc", "--input", corpus("sv1.json"), "--solve"],
