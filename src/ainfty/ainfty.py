@@ -47,8 +47,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .coeff import RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError
 from .graded import (Element, GradedBasis, Word, add_term, crossing_sign, maltese,
-                     maltese_prefixes, marked_word_count, tensor_coefficient, word_count,
-                     words_over)
+                     maltese_prefixes, marked_word_count, quotient, reduced, tensor_coefficient,
+                     word_count, words_over)
 from .report import Report
 
 
@@ -119,7 +119,6 @@ class AInftyAlgebra:
     # -- load-time validation ------------------------------------------------
 
     def validate(self):
-        unit = self.basis.require_unit()
         for idx, beta in enumerate(self.monoid):
             if beta.lam < 0:
                 raise ConfigurationError("monoid element %d has negative energy" % idx)
@@ -401,13 +400,13 @@ def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
     index = _operation_index(algebra)
     if index.units is None:
         basis = algebra.basis
-        unit = basis.require_unit()
+        unit = basis.unit
         degrees = basis.degrees
         one = algebra.one_ring()
         slots: Dict[Word, Dict[int, RingElement]] = {}
         for words in index.nonzero.values():
             for word, out in words.items():
-                if unit in word:
+                if not reduced(word, unit):
                     slots[word] = dict(out)
         for x in range(len(basis)):
             add_term(slots.setdefault((unit, x), {}), x, -one)
@@ -530,7 +529,7 @@ def check_strict_unit(algebra: AInftyAlgebra) -> Report:
     top = algebra.max_stored_arity()
     algebra._check_arity(max(2, min(k_max, top + 1)))
     basis = algebra.basis
-    unit = basis.require_unit()
+    unit = basis.unit
     reach = min(k_max, top)
     report.tick(marked_word_count(len(basis), reach - 1) + (2 * len(basis) if reach < 2 else 0))
     slots = unit_slot_residuals(algebra)
@@ -682,7 +681,7 @@ def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
 
     One pass over the insertions into lw + (y,) + rw: a window holding y
     makes the new module slot, any other rewrites the left or right word,
-    whose unit outputs are quotiented away (the bar factors are reduced).
+    whose unit outputs ``quotient`` drops (the bar factors are reduced).
     Past unflagged tables this raises as ``m_word`` does on the first
     absorbing window lw[p:] + (y,) + rw[:q] (by p, then q) that is too long.
     """
@@ -699,11 +698,9 @@ def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:
             absorbs = i <= n < i + k
             # y's slot after a window that does not hold it
             at = n - k + 1 if i + k <= n else n
-            for comp, value in inner.items():
+            for comp, value in (inner if absorbs else quotient(inner, unit)).items():
                 if absorbs:
                     key = (lw[:i], comp, rw[i + k - n - 1 :])
-                elif comp == unit:
-                    continue
                 else:
                     new = full[:i] + (comp,) + full[i + k :]
                     key = (new[:at], y, new[at + 1 :])
@@ -731,7 +728,8 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
     differential squares to zero, the bimodule homomorphism check closes on
     generic cocycle towers, and p = q = 0 reduces to (-1)^{|cov|'} cov(m_1(w)).
     The result is again evaluated on basis arguments, keeping the
-    representation flat.
+    representation flat.  An insertion into lw or rw whose output is the
+    unit is dropped by ``quotient``, as in ``delta_diagonal``.
     """
     basis = algebra.basis
     unit = basis.unit
@@ -742,16 +740,12 @@ def delta_dual(algebra: AInftyAlgebra, words: DualSum) -> DualSum:
         prefixes = maltese_prefixes([basis.degree(i) for i in lw + rw])
         for i, k, inner, sign in insertions(algebra, lw):
             signed = coeff.scale(sign) if sign < 0 else coeff
-            for comp, value in inner.items():
-                if comp != unit:
-                    add_term(out, (lw[:i] + (comp,) + lw[i + k :], cdeg, arg, rw),
-                             signed * value)
+            for comp, value in quotient(inner, unit).items():
+                add_term(out, (lw[:i] + (comp,) + lw[i + k :], cdeg, arg, rw), signed * value)
         for i, k, inner, sign in insertions(algebra, rw, prefixes[n] + cdeg):
             signed = coeff.scale(sign) if sign < 0 else coeff
-            for comp, value in inner.items():
-                if comp != unit:
-                    add_term(out, (lw, cdeg, arg, rw[:i] + (comp,) + rw[i + k :]),
-                             signed * value)
+            for comp, value in quotient(inner, unit).items():
+                add_term(out, (lw, cdeg, arg, rw[:i] + (comp,) + rw[i + k :]), signed * value)
         # dual structure maps absorbing the covector slot, signed by (-1)^{c + 1},
         # the letters in front, and L crossing c + R + |w|' = new_cdeg + |w| - 2 - L
         covector_sign = 1 if cdeg % 2 else -1
@@ -836,7 +830,8 @@ def _corestriction_support(algebra: AInftyAlgebra, phi, l_max: int) -> list:
     letter u[j] into the covector at w.  So x is an un-insertion of a or b,
     or (a + u[:j], u[j], u[j+1:] + b) for u listed under v, or
     (u[j+1:] + a, v, b + u[:j]) for u listed under w.  Listed in the
-    quantifier's order: unit-free outer words of total length <= l_max.
+    quantifier's order: outer words of total length <= l_max that
+    ``reduced`` accepts together.
     """
     index = words_by_output(algebra)
     unit = algebra.basis.unit
@@ -849,7 +844,7 @@ def _corestriction_support(algebra: AInftyAlgebra, phi, l_max: int) -> list:
         for u in index.get(w, ()):
             found.update((u[j + 1 :] + a, v, b + u[:j]) for j in range(len(u)))
     return sorted((x for x in found if len(x[0]) + len(x[2]) <= l_max
-                   and unit not in x[0] and unit not in x[2]), key=_bar_order)
+                   and reduced(x[0] + x[2], unit)), key=_bar_order)
 
 
 def _extensions(middles, letters, l_max: int) -> list:

@@ -12,7 +12,10 @@ word is rewritten and are never stored separately.
 A tensor word is a tuple of basis indices; linear combinations of words are
 plain dicts mapping word -> RingElement ("word sums").  The Hochschild
 layer keys its chains by (module slot, word) instead, and keeps each
-coefficient as its raw Monomial -> scalar map.
+coefficient as its raw Monomial -> scalar map.  The reduced complex
+quotients away the words with the unit in a tensor slot, by two rules
+that every layer calls: ``reduced`` tells a word with no unit in it, and
+``quotient`` drops the outputs that put the unit into a tensor slot.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ Word = Tuple[int, ...]
 
 
 class GradedBasis:
-    """Finite graded basis with an optional strict unit designation.
+    """Finite graded basis with its strict unit: the index of a letter of
+    degree 0.
 
     Two bases are equal, and hash the same, when their names, degrees and
     unit are.
     """
 
-    def __init__(self, names: tuple, degrees: tuple, unit: Optional[int] = None):
+    def __init__(self, names: tuple, degrees: tuple, unit: int):
         self.names = tuple(names)
         self.degrees = tuple(int(d) for d in degrees)
         self.unit = unit
@@ -40,7 +44,10 @@ class GradedBasis:
             raise ConfigurationError("basis names must be unique")
         if len(self.names) != len(self.degrees):
             raise ConfigurationError("basis names and degrees must align")
-        if unit is not None and self.degrees[unit] != 0:
+        if type(unit) is not int or not 0 <= unit < len(self.names):
+            raise ConfigurationError("the unit must be the index of a basis element, not %r"
+                                     % (unit,))
+        if self.degrees[unit] != 0:
             raise ConfigurationError("the unit must have degree 0")
 
     def _key(self) -> tuple:
@@ -64,15 +71,26 @@ class GradedBasis:
     def degree(self, i: int) -> int:
         return self.degrees[i]
 
-    def require_unit(self) -> int:
-        if self.unit is None:
-            raise ConfigurationError("no unit designated")
-        return self.unit
-
     def reduced_letters(self) -> list:
         """The basis indices other than the unit: the letters of reduced words."""
-        unit = self.require_unit()
-        return [i for i in range(len(self.names)) if i != unit]
+        return [i for i in range(len(self.names)) if reduced((i,), self.unit)]
+
+
+def reduced(word: Word, unit: int) -> bool:
+    """Rule 2 of the reduced quotient: is ``word`` a word of the reduced
+    complex, with no unit in a tensor slot?  A reader of words skips or
+    refuses one that is not."""
+    return unit not in word
+
+
+def quotient(raw: dict, unit: int) -> dict:
+    """Rule 1 of the reduced quotient, q: the entries of ``raw`` whose output
+    puts no unit into a tensor slot, values shared.  A key is a chain key
+    (module, word), whose tensor slots are its word's (the module slot may
+    be the unit), or a letter that an operation outputs into one tensor
+    slot."""
+    return {key: value for key, value in raw.items()
+            if (key != unit if type(key) is int else unit not in key[1])}
 
 
 def maltese(degrees: Sequence[int], i: int) -> int:
@@ -181,9 +199,8 @@ class Element:
 
     def unit_scalar_split(self):
         """Split off the unit component: returns (c, rest) with self = c*1 + rest."""
-        unit = self.basis.require_unit()
         comp = dict(self.components)
-        c = comp.pop(unit, None)
+        c = comp.pop(self.basis.unit, None)
         return c, Element(self.basis, comp)
 
     def sorted_components(self):

@@ -4,7 +4,12 @@ A chain is a linear combination of keys (module slot, tensor word) with ring
 coefficients.  Reduced chains quotient by words with the unit in a tensor
 slot; the module slot itself may be the unit.  All operators below descend
 to the reduced quotient (strict unitality), and the reduced flag of the
-input decides whether the quotient map is applied to the output.
+input decides whether the quotient map is applied to the output.  The
+quotient's two rules each have one home in ``graded``: ``quotient`` drops
+the outputs that put the unit into a tensor slot (a reduced chain's terms,
+reduced b, and the b^2 map and (1 - q) b u of ``identity_residuals``), and
+``reduced`` tells a word with no unit in it (``Functional`` refuses any
+other, and the tower validation skips a chain whose word it rejects).
 
 Sign conventions, all derived from shifted degrees:
 
@@ -106,7 +111,8 @@ from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, r
                      unit_residuals, unit_slot_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
 from .errors import ConfigurationError
-from .graded import Word, crossing_sign, maltese, maltese_prefixes, word_count, words_over
+from .graded import (Word, crossing_sign, maltese, maltese_prefixes, quotient, reduced,
+                     word_count, words_over)
 from .report import Report
 
 ChainKey = Tuple[int, Word]
@@ -129,16 +135,17 @@ class HochschildChain:
 
         The keys of ``terms`` are distinct, so nothing is summed here.
         """
-        unit = basis.unit if reduced else None
+        terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
+        if reduced:
+            terms = quotient(terms, basis.unit)
         spec = None
         raw = {}
-        for key, coeff in (terms or {}).items():
-            if coeff and (unit is None or unit not in key[1]):
-                if spec is None:
-                    spec = coeff.spec
-                else:
-                    require_compatible(spec, coeff.spec)
-                raw[key] = coeff.terms
+        for key, coeff in terms.items():
+            if spec is None:
+                spec = coeff.spec
+            else:
+                require_compatible(spec, coeff.spec)
+            raw[key] = coeff.terms
         self.basis, self.spec, self.terms, self.reduced = basis, spec, raw, reduced
 
     @classmethod
@@ -151,10 +158,6 @@ class HochschildChain:
         chain = cls.__new__(cls)
         chain.basis, chain.spec, chain.terms, chain.reduced = basis, spec, terms, reduced
         return chain
-
-    def unreduced(self) -> "HochschildChain":
-        """The canonical unreduced representative (same terms, no quotient)."""
-        return HochschildChain._clean(self.basis, self.spec, self.terms, False)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -241,7 +244,7 @@ def hochschild_b(algebra: AInftyAlgebra, chain: HochschildChain) -> HochschildCh
     signs; the b of a reduced chain is the quotient of the unreduced b."""
     raw = _b_into({}, algebra, chain.terms, _level_cutoff(chain, algebra.spec))
     if chain.reduced:
-        raw = _quotient(raw, algebra.basis.unit)
+        raw = quotient(raw, algebra.basis.unit)
     return _built(algebra.basis, algebra.spec, raw, chain.reduced)
 
 
@@ -313,7 +316,7 @@ def operator_N(basis, chain: HochschildChain) -> HochschildChain:
 
 def _B_into(acc: dict, basis, chain: dict) -> dict:
     """Add B(chain) into acc for the raw map of a reduced chain."""
-    unit = basis.require_unit()
+    unit = basis.unit
     degrees = basis.degrees
     for (v, word), terms in chain.items():
         # words are unit-free, so a rotation has the unit exactly when v is
@@ -332,11 +335,6 @@ def connes_B_reduced(basis, chain: HochschildChain) -> HochschildChain:
             "the Connes operator is only available on reduced chains"
         )
     return _built(basis, chain.spec, _B_into({}, basis, chain.terms), True)
-
-
-def _quotient(raw: dict, unit: int) -> dict:
-    """q on a raw map: its keys with no unit in a tensor slot, maps shared."""
-    return {key: terms for key, terms in raw.items() if unit not in key[1]}
 
 
 def _bar_square_into(acc: dict, algebra: AInftyAlgebra, chain: dict, top: int) -> dict:
@@ -812,15 +810,16 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     +-a M(x): a sign can at most flip a zero, so this would still hold.
     """
     basis = algebra.basis
-    unit = basis.require_unit()
+    unit = basis.unit
     top = algebra.spec.level_cutoff
 
     # b_red^2 c = q b(b u) - q b((1 - q) b u), the second read off V
     square = _windows_into({}, algebra, u, top, relation_residuals(algebra), True)
     slots = unit_slot_residuals(algebra)
     if slots:
-        unit_outputs = {key: terms for key, terms in _b_into({}, algebra, u, top).items()
-                        if unit in key[1]}
+        bu = _b_into({}, algebra, u, top)
+        kept = quotient(bu, unit)
+        unit_outputs = {key: terms for key, terms in bu.items() if key not in kept}
         for key, terms in _windows_into({}, algebra, unit_outputs, top, slots, False).items():
             add_into(square.setdefault(key, {}), terms, -1)
 
@@ -829,7 +828,7 @@ def identity_residuals(algebra: AInftyAlgebra, u: dict) -> list:
     seams = _unit_wraps_into({}, algebra, units, top, slots)
     bB = _B_into(_unit_wraps_into({}, algebra, front, top, unit_residuals(algebra)), basis, seams)
     return [
-        ("b^2", _quotient(square, unit)),
+        ("b^2", quotient(square, unit)),
         ("bB+Bb", bB),
         ("b'^2", _bar_square_into({}, algebra, u, top)),
     ]
@@ -855,11 +854,10 @@ class Functional:
         self.spec = spec
         self.table: ChainTerms = {}
         if table:
-            unit = basis.unit
             for (v, word), value in table.items():
                 if not value:
                     continue
-                if unit is not None and unit in word:
+                if not reduced(word, basis.unit):
                     raise ConfigurationError(
                         "functional entry on a non-reduced word (unit in a tensor slot)"
                     )
@@ -961,7 +959,7 @@ def _pull_b_into(acc: dict, algebra: AInftyAlgebra, psi: Functional, top: int,
         prefixes = maltese_prefixes([degrees[x] for x in (v0,) + w0])
         for q, letter in enumerate(w0):
             for u in index.get(letter, ()):
-                if len(w0) - 1 + len(u) <= l_max and unit not in u:
+                if len(w0) - 1 + len(u) <= l_max and reduced(u, unit):
                     mul_into(acc.setdefault((v0, w0[:q] + u + w0[q + 1 :]), {}), value.terms,
                              tables[len(u)][u][letter].terms, top, insertion_sign(prefixes, q + 1))
         for x in index.get(v0, ()):
@@ -969,7 +967,7 @@ def _pull_b_into(acc: dict, algebra: AInftyAlgebra, psi: Functional, top: int,
             crossed = maltese_prefixes([degrees[y] for y in x + w0])
             for i in range(len(x)):
                 rest = x[i + 1 :] + w0 + x[:i]
-                if len(rest) <= l_max and unit not in rest:
+                if len(rest) <= l_max and reduced(rest, unit):
                     mul_into(acc.setdefault((x[i], rest), {}), value.terms,
                              tables[len(x)][x][v0].terms, top,
                              crossing_sign(crossed[-1], crossed[i]))
@@ -1030,15 +1028,17 @@ def validate_negative_cocycle(algebra: AInftyAlgebra, tower: CocycleTower) -> Re
     rhs_i[c] sums the rotations of each key (1, w1), a periodic w1
     reaching one c more than once.
 
-    The reduced quotient: a family member whose word holds the unit is no
-    reduced chain and is skipped, and reduced b drops only output keys
-    with the unit in a tensor slot, where no functional has a key.  The
-    truncation: psi_i(b c) truncates each term of b c, then each product
-    with psi_i; here each product psi_i(kappa) * m(...) is truncated once.
-    Levels are nonnegative and add under products, so the cutoff is an
-    ideal: a product with a term above it is above it, and both drop the
-    same terms.  B needs the unit, and the ring of each level is checked
-    against the algebra's once, before any sum.
+    The reduced quotient: a family member whose word ``reduced`` rejects is
+    no reduced chain and is skipped, and reduced b drops only output keys
+    with the unit in a tensor slot, where no functional has a key.  Where
+    the unit laws hold, b sends a chain whose word holds the unit to such
+    chains only, so psi_i(b c) vanishes there and the skip shows only on a
+    table whose unit laws fail.  The truncation: psi_i(b c) truncates each
+    term of b c, then each product with psi_i; here each product
+    psi_i(kappa) * m(...) is truncated once.  Levels are nonnegative and
+    add under products, so the cutoff is an ideal: a product with a term
+    above it is above it, and both drop the same terms.  The ring of each
+    level is checked against the algebra's once, before any sum.
     """
     l_max = algebra.l_max
     report = Report("negative-cocycle")
@@ -1046,9 +1046,8 @@ def validate_negative_cocycle(algebra: AInftyAlgebra, tower: CocycleTower) -> Re
     report.note("L_max", l_max)
     report.note("depth", tower.depth)
     basis = algebra.basis
-    reduced = len(basis.reduced_letters())
-    report.tick(len(tower.levels) * len(basis) * word_count(reduced, l_max))
-    basis.require_unit()
+    letters = len(basis.reduced_letters())
+    report.tick(len(tower.levels) * len(basis) * word_count(letters, l_max))
     spec = algebra.spec
     for psi in tower.levels:
         require_compatible(spec, psi.spec)

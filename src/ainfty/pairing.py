@@ -21,7 +21,9 @@ flip; the engine's diagonal consequence -- phi_{0,0}(v)(v) = 0 for even
 signs from ``crossing_sign`` too.
 
 Words with the unit in a non-module, non-final slot evaluate to zero
-because the tower lives on reduced chains.
+because the tower lives on reduced chains: ``hochschild.Functional``
+refuses a psi_0 entry on a word that ``graded.reduced`` rejects, so no
+reading of psi_0, and no ``unit_trace``, puts the unit in a tensor slot.
 """
 
 from __future__ import annotations
@@ -81,16 +83,10 @@ class InfinityInnerProduct:
                 beta = after, with sign -(-1)^{W(A+V+B)};
 
         where A, V, B, W are the shifted-degree parities of alpha, v, beta, w.
-        Entries whose word holds the unit are skipped: the tower lives on
-        reduced chains.  The constructor of ``Functional`` refuses such
-        words, so this only matters for a table edited in place.
         """
         degrees = self.algebra.basis.degrees
-        unit = self.algebra.basis.unit
         table: dict = {}
         for (v0, word), value in self.tower.psi0.table.items():
-            if unit is not None and unit in word:
-                continue
             # prefixes[i]: shifted degree of the first i letters of v0, word
             prefixes = maltese_prefixes([degrees[i] for i in (v0,) + word])
             total = prefixes[-1]
@@ -257,14 +253,15 @@ def check_closed(algebra: AInftyAlgebra, phi: InfinityInnerProduct) -> Report:
 
 
 def unit_trace(phi: InfinityInnerProduct, components: dict) -> RingElement:
-    """psi_0[1 | x] = sum over c != 1 of psi_0[1 | c] x_c, for x given by
-    its components {c: x_c}; the unit slot is skipped, because a unit tensor
-    slot dies in the reduced complex."""
-    unit = phi.algebra.basis.require_unit()
+    """psi_0[1 | x] = sum over c of psi_0[1 | c] x_c, for x given by its
+    components {c: x_c}.  A unit tensor slot dies in the reduced complex,
+    and psi_0 has no entry there: ``hochschild.Functional`` refuses the key
+    (1 | 1), whose word ``graded.reduced`` rejects."""
+    unit = phi.algebra.basis.unit
     table = phi.tower.psi0.table
     acc = RingElement.zero(phi.algebra.spec)
     for comp, value in components.items():
-        entry = table.get((unit, (comp,))) if comp != unit else None
+        entry = table.get((unit, (comp,)))
         if entry:
             acc = acc + entry * value
     return acc

@@ -23,8 +23,9 @@ the rotation identity check are here as loops over every (N, p, k, q) that
 recompute each m_k(b^k) and each split or y-insertion per term and weight
 every term by its own 1/(N+1) (or N).
 Also here: hypothesis strategies for their inputs, a helper that builds a
-mutated copy of an engine module from its source, for mutation tests, and
-the test-side tower builders (lazy dual images f o b and f o B, their
+mutated copy of an engine module from its source, for mutation tests, with
+the mutants of the crossing sign and of the two rules of the reduced
+quotient that it builds, and the test-side tower builders (lazy dual images f o b and f o B, their
 tabulation, coboundary towers and the connecting map) with the arithmetic
 of functionals they need, the unit-insertion vanishing check, and the
 homological nondegeneracy check of a pairing, a rank computation with
@@ -34,9 +35,12 @@ operator image and every residual built as a chain, with chain sums, on
 every drawn chain; and the six residual maps at one chain with every
 operator image computed in full, as the reference for
 ``hochschild.identity_residuals``.  Both run only the reference operators
-here, which share no kernel and no sign function with ``hochschild``.
+here, which share no kernel, no sign function and no quotient with
+``hochschild``; so do the negative cocycle reference and the lazy dual
+images that the tower builders tabulate.
 Also the test-only algebra, chain, ring and potential helpers: a copy of an algebra at other cutoffs
-(``at_cutoffs``), chain sums on raw term maps (``chain_sum``), truncation
+(``at_cutoffs``), chain sums on raw term maps (``chain_sum``), the
+unreduced representative of a chain (``unreduced``), truncation
 of a ring element at an energy, a ring with another cutoff, a scalar of the
 ring, the unit of an algebra as an element, a gauge path at one value of its
 variable, the strictly cyclic test on towers, and the degenerate potential
@@ -71,10 +75,7 @@ from ainfty.coeff import (
 )
 from ainfty.errors import ConfigurationError, DivergenceError
 from ainfty.graded import Element, add_term, maltese, words_over
-from ainfty.hochschild import (
-    CocycleTower, Functional, HochschildChain, connes_B_reduced, hochschild_b,
-    iter_basis_chains,
-)
+from ainfty.hochschild import CocycleTower, Functional, HochschildChain, iter_basis_chains
 from ainfty.potential import WallCrossingDecomposition, _auto_n_max
 from ainfty.report import Report
 
@@ -123,7 +124,7 @@ def ring_scalar(spec, c) -> RingElement:
 
 def unit_element(algebra) -> Element:
     """The unit of the algebra as a module element with coefficient 1."""
-    return Element.generator(algebra.basis, algebra.basis.require_unit(), algebra.one_ring())
+    return Element.generator(algebra.basis, algebra.basis.unit, algebra.one_ring())
 
 
 def gauge_path_at(path, t) -> Element:
@@ -295,7 +296,7 @@ def check_strict_unit_reference(algebra) -> Report:
     report.note("E_max", algebra.spec.cutoff)
     report.note("K_max", k_max)
     basis = algebra.basis
-    unit = basis.require_unit()
+    unit = basis.unit
     one = algebra.one_ring()
     for i in range(len(basis)):
         report.tick(2)
@@ -432,7 +433,10 @@ def check_bimodule_hom_reference(algebra, phi) -> Report:
 
 
 def validate_negative_cocycle_reference(algebra, tower) -> Report:
-    """validate_negative_cocycle comparing both sides on every basis chain."""
+    """validate_negative_cocycle comparing both sides on every basis chain,
+    with b and B the reference operators.  Every level meets the algebra's
+    ring in a product, so each is checked against it first, the algebra's
+    cutoff first in the message."""
     l_max = algebra.l_max
     report = Report("negative-cocycle")
     report.note("E_max", algebra.spec.cutoff)
@@ -440,10 +444,12 @@ def validate_negative_cocycle_reference(algebra, tower) -> Report:
     report.note("depth", tower.depth)
     basis = algebra.basis
     names = basis.names
+    for psi in tower.levels:
+        require_compatible(algebra.spec, psi.spec)
     for module, word in iter_basis_chains(algebra, l_max):
         chain = HochschildChain.generator(basis, module, word, algebra.one_ring())
-        bc = hochschild_b(algebra, chain)
-        Bc = connes_B_reduced(basis, chain)
+        bc = hochschild_b_reference(algebra, chain)
+        Bc = connes_B_reference(basis, chain)
         for i, psi in enumerate(tower.levels):
             lhs = psi.apply(bc)
             rhs = (tower.levels[i + 1].apply(Bc) if i + 1 < len(tower.levels)
@@ -664,9 +670,24 @@ def _wraps_reference(algebra, chain) -> dict:
     return out
 
 
+def reference_chain(basis, terms: dict, reduced: bool) -> HochschildChain:
+    """The chain of {key: RingElement} terms, a reduced one with every key
+    whose word holds the unit dropped here, so that the references do not
+    read the quotient of ``hochschild``."""
+    if reduced:
+        terms = {key: coeff for key, coeff in terms.items() if basis.unit not in key[1]}
+    return HochschildChain(basis, terms, reduced)
+
+
+def unreduced(chain) -> HochschildChain:
+    """The canonical unreduced representative of a chain: the same terms,
+    no quotient."""
+    return HochschildChain._clean(chain.basis, chain.spec, chain.terms, False)
+
+
 def wraps_reference(algebra, chain) -> HochschildChain:
     """W(chain): the wrap-arounds of b with tail blocks of every length."""
-    return HochschildChain(algebra.basis, _wraps_reference(algebra, chain), chain.reduced)
+    return reference_chain(algebra.basis, _wraps_reference(algebra, chain), chain.reduced)
 
 
 def hochschild_b_reference(algebra, chain) -> HochschildChain:
@@ -678,7 +699,7 @@ def hochschild_b_reference(algebra, chain) -> HochschildChain:
             for comp, value in inner.items():
                 add_term(out, (v, word[:p] + (comp,) + word[p + arity:]),
                          coeff.scale(sign) * value)
-    return HochschildChain(basis, out, chain.reduced)
+    return reference_chain(basis, out, chain.reduced)
 
 
 def chain_bar_reference(algebra, chain) -> HochschildChain:
@@ -720,7 +741,7 @@ def connes_B_reference(basis, chain) -> HochschildChain:
     """B as the unit put in front of every rotation that has no unit in it."""
     if not chain.reduced:
         raise ConfigurationError("the Connes operator is only available on reduced chains")
-    unit = basis.require_unit()
+    unit = basis.unit
     out = {}
     for (v, word), coeff in ring_terms(chain).items():
         current = (v,) + word
@@ -761,7 +782,7 @@ def chain_sum_reference(left, right, sign: int) -> HochschildChain:
     out = ring_terms(left)
     for key, coeff in ring_terms(right).items():
         add_term(out, key, coeff if sign > 0 else -coeff)
-    return HochschildChain(left.basis, out, left.reduced)
+    return reference_chain(left.basis, out, left.reduced)
 
 
 def functional_apply_reference(functional, chain) -> RingElement:
@@ -782,7 +803,7 @@ def _identity_images(algebra, c) -> list:
     basis = algebra.basis
     u = HochschildChain(basis, ring_terms(c), reduced=False)
     bu = hochschild_b_reference(algebra, u)
-    bc = HochschildChain(basis, ring_terms(bu), reduced=True)
+    bc = reference_chain(basis, ring_terms(bu), reduced=True)
     Bc = connes_B_reference(basis, c)
     bar_u = chain_bar_reference(algebra, u)
     tu = cyclic_t_reference(basis, u)
@@ -856,9 +877,9 @@ class PrecomposedFunctional:
 
     def apply(self, chain) -> RingElement:
         if self.operator == "b":
-            return self.base.apply(hochschild_b(self.algebra, chain))
+            return self.base.apply(hochschild_b_reference(self.algebra, chain))
         if self.operator == "B":
-            return self.base.apply(connes_B_reduced(self.algebra.basis, chain))
+            return self.base.apply(connes_B_reference(self.algebra.basis, chain))
         raise ConfigurationError("unknown dual operator %r" % self.operator)
 
 
@@ -1080,7 +1101,7 @@ def strict_cyclic_potential(algebra, tower, b) -> RingElement:
         raise ConfigurationError("strict potential needs a strictly cyclic tower")
     require_candidate(algebra, b)
     basis = algebra.basis
-    unit = basis.require_unit()
+    unit = basis.unit
     table = tower.psi0.table
 
     def pair(velt: Element, welt: Element) -> RingElement:
@@ -1172,7 +1193,7 @@ def wall_crossing_decomposition_reference(algebra, phi, b):
             error_term = error_term + phi.eval_elements([b] * p, shifted, [b] * q, shifted)
     diag_deformed = phi.eval_elements([], cur, [], cur)
     m2_cur = apply_m(algebra, [cur, cur])
-    unit = algebra.basis.require_unit()
+    unit = algebra.basis.unit
     diag_trace = zero
     for comp, value in m2_cur.components.items():
         entry = phi.tower.psi0.table.get((unit, (comp,))) if comp != unit else None
@@ -1204,6 +1225,28 @@ def crossing_sign_mutant():
     consumer it means to reach.
     """
     return mutant_module(graded, *CROSSING_MUTATION).crossing_sign
+
+
+# The two rules of the reduced quotient, each mutated to keep everything:
+# (original fragment, mutated fragment) in ``graded``.
+REDUCED_MUTATION = ("return unit not in word", "return True")
+QUOTIENT_MUTATION = ("return {key: value for key, value in raw.items()\n"
+                     "            if (key != unit if type(key) is int else unit not in key[1])}",
+                     "return raw")
+
+
+def reduced_mutant():
+    """``graded.reduced`` with REDUCED_MUTATION applied: every word is
+    reduced.  Each consumer reads its own binding of the rule, so a test
+    patches this into the binding of the consumer it means to reach."""
+    return mutant_module(graded, *REDUCED_MUTATION).reduced
+
+
+def quotient_mutant():
+    """``graded.quotient`` with QUOTIENT_MUTATION applied: the identity,
+    which drops no output; patched in one binding at a time, as
+    ``reduced_mutant``."""
+    return mutant_module(graded, *QUOTIENT_MUTATION).quotient
 
 
 def mutant_module(module, old: str, new: str):

@@ -30,7 +30,7 @@ from conftest import (
 from oracles import (
     SCALARS, Covector, at_cutoffs, check_ainfty_reference, coderivation, crossing_sign_mutant,
     delta_diagonal_reference, delta_dual_reference, dual_action, elements, expand_apply_m,
-    m_word_reference, mutant_module, unit_element,
+    m_word_reference, mutant_module, quotient_mutant, unit_element,
 )
 
 ALL_MAKERS = (make_e1, make_e2, make_g1, make_p1, make_q1, make_sv1, make_ob1)
@@ -565,6 +565,21 @@ def test_crossing_sign_mutant_is_killed_through_delta_dual(monkeypatch):
     assert all(delta_dual(g1, start) == want for start, want in cases)
     monkeypatch.setattr(ainfty, "crossing_sign", crossing_sign_mutant())
     assert any(delta_dual(g1, start) != want for start, want in cases)
+
+
+def test_quotient_mutant_is_killed_through_delta_diagonal_and_delta_dual(monkeypatch):
+    # both differentials drop a unit output in a word slot through ainfty's
+    # binding of graded.quotient: m_2(1, 1) = 1 makes one in delta_diagonal
+    # on the whole basis, and E2's m_0 = T e 1 one at every gap of the
+    # reduced words of delta_dual; the references share no quotient
+    e2 = make_e2()
+    one = e2.one_ring()
+    cases = [({key: one}, delta_dual_reference(e2, {key: one})) for key in _dual_start_words(e2)]
+    assert all(delta_dual(e2, start) == want for start, want in cases)
+    assert not _delta_disagrees(ainfty.delta_diagonal)
+    monkeypatch.setattr(ainfty, "quotient", quotient_mutant())
+    assert _delta_disagrees(ainfty.delta_diagonal)
+    assert any(delta_dual(e2, start) != want for start, want in cases)
 
 
 def test_coderivation_squares_to_zero(e2, rng):

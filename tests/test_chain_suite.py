@@ -53,7 +53,7 @@ from ainfty.ainfty import AInftyAlgebra
 from ainfty.coeff import RingElement, RingSpec, canonical, mul_into
 from ainfty.document import load
 from ainfty.errors import ConfigurationError
-from ainfty.graded import GradedBasis, add_term
+from ainfty.graded import GradedBasis, add_term, quotient
 from ainfty.hochschild import (
     HochschildChain, chain_bar, connes_B_reduced, cyclic_t, hochschild_b, identity_residuals,
     iter_basis_chains, operator_N,
@@ -63,7 +63,8 @@ from conftest import make_e1, make_e2, make_g1, make_ob1, make_p1, make_q1, make
 from oracles import (
     SCALARS, at_cutoffs, chain_identity_suite_reference, chain_sum, coefficients,
     connes_B_reference, crossing_sign_mutant, hochschild_b_reference, identity_residuals_reference,
-    mutant_module, operator_N_reference, ring_terms, wraps_reference,
+    mutant_module, operator_N_reference, quotient_mutant, reduced_mutant, ring_terms, unreduced,
+    wraps_reference,
 )
 
 
@@ -226,11 +227,11 @@ def test_reduced_b_is_the_quotient_of_unreduced_b(case):
     algebra, chain = case
     if not chain.reduced:
         chain = HochschildChain(chain.basis, {key: chain.coefficient(key) for key in chain.terms})
-    unreduced = hochschild_b(algebra, chain.unreduced())
-    quotient = HochschildChain(algebra.basis, {key: unreduced.coefficient(key)
-                                               for key in unreduced.terms}, reduced=True)
+    image = hochschild_b(algebra, unreduced(chain))
+    want = HochschildChain(algebra.basis, {key: image.coefficient(key) for key in image.terms},
+                           reduced=True)
     got = hochschild_b(algebra, chain)
-    assert got == quotient and got.terms == quotient.terms
+    assert got == want and got.terms == want.terms
 
 
 # The residual kernel against the image-by-image reference, and the three
@@ -461,7 +462,7 @@ def test_unit_seams_are_q_s1_N_of_b_on_unit_modules(name):
                                             ainfty.unit_slot_residuals(algebra))
         got = hochschild._B_into({}, basis, seams)
         want = _s1(basis, operator_N_reference(basis, hochschild_b_reference(
-            algebra, chain.unreduced())))
+            algebra, unreduced(chain))))
         assert _nonzero(got) == want.terms, key
 
 
@@ -477,13 +478,13 @@ def test_q_b_of_unit_outputs_reads_V(name):
     for key, chain in _chains_of_basis_keys(algebra, 3):
         outputs = {k: terms for k, terms in hochschild._b_into({}, algebra, chain.terms, top)
                    .items() if basis.unit in k[1]}
-        b_u = hochschild_b_reference(algebra, chain.unreduced()).terms
+        b_u = hochschild_b_reference(algebra, unreduced(chain)).terms
         assert _nonzero(outputs) == {k: terms for k, terms in b_u.items()
                                      if basis.unit in k[1]}, key
-        got = hochschild._quotient(
-            hochschild._windows_into({}, algebra, outputs, top, slots, False), basis.unit)
-        unreduced = HochschildChain._clean(basis, algebra.spec, _nonzero(outputs), False)
-        want = HochschildChain(basis, ring_terms(hochschild_b_reference(algebra, unreduced)))
+        got = quotient(hochschild._windows_into({}, algebra, outputs, top, slots, False),
+                       basis.unit)
+        y = HochschildChain._clean(basis, algebra.spec, _nonzero(outputs), False)
+        want = HochschildChain(basis, ring_terms(hochschild_b_reference(algebra, y)))
         assert _nonzero(got) == want.terms, key
 
 
@@ -637,8 +638,7 @@ def _suite_disagrees(suite) -> bool:
 # mutant reaches the suite through the cli module's binding of it, and an
 # ainfty mutant through the operation index it builds for every variant.
 CHAIN_SUITE_MUTANTS = {
-    "quotient keeps unit words": (
-        hochschild, "raw.items() if unit not in key[1]}", "raw.items()}"),
+    "quotient keeps unit words": (hochschild, '("b^2", quotient(square, unit))', '("b^2", square)'),
     # b is b' + D term by term, one term per cyclic window: D's -m_0 in
     # front cancels b''s, the wraps through the module slot include slot 0
     # (the empty tail block) and pay the rotation sign, and a window in the
@@ -669,9 +669,8 @@ CHAIN_SUITE_MUTANTS = {
         hochschild, "for q in range(1, n - length + 1):",
         "for q in range(1, n - length + (length > 0)):"),
     # killed through E2 m2(x,1) negated, whose m_0 puts the unit in the word
-    "(1-q) b u keeps every key of b": (hochschild, "if unit in key[1]}", "}"),
-    "(1-q) b u keeps the unit-free keys": (
-        hochschild, "if unit in key[1]}", "if unit not in key[1]}"),
+    "(1-q) b u keeps every key of b": (hochschild, "if key not in kept}", "}"),
+    "(1-q) b u keeps the unit-free keys": (hochschild, "if key not in kept}", "if key in kept}"),
     "-q b((1-q) b u) dropped": (
         hochschild, "        add_into(square.setdefault(key, {}), terms, -1)\n",
         "        pass\n"),
@@ -759,4 +758,26 @@ def test_crossing_sign_mutant_is_killed_through_the_suite(monkeypatch):
     # and the reference lines read none of hochschild's code
     assert not _suite_disagrees(cli.chain_identity_suite)
     monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
+    assert _suite_disagrees(cli.chain_identity_suite)
+
+
+def test_quotient_mutant_is_killed_through_the_suite(monkeypatch):
+    # the b^2 map and (1 - q) b u of the suite read hochschild's binding of
+    # graded.quotient; the reference lines, cached before the patch, drop
+    # unit words themselves, so they come out the same under it
+    assert not _suite_disagrees(cli.chain_identity_suite)
+    monkeypatch.setattr(hochschild, "quotient", quotient_mutant())
+    assert _suite_disagrees(cli.chain_identity_suite)
+    case = MUTANT_CASES[0]
+    assert _lines(chain_identity_suite_reference, *case) == _REFERENCE_LINES[case]
+
+
+def test_reduced_mutant_is_killed_through_the_suite(monkeypatch):
+    # the unit tables of every variant select the stored words that hold
+    # the unit through ainfty's binding of graded.reduced; each variant
+    # builds its index afresh under the mutant
+    assert not _suite_disagrees(cli.chain_identity_suite)
+    monkeypatch.setattr(ainfty, "reduced", reduced_mutant())
+    for algebra in VARIANTS.values():
+        monkeypatch.setattr(algebra, "_index", None)
     assert _suite_disagrees(cli.chain_identity_suite)

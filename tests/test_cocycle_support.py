@@ -25,9 +25,10 @@ from ainfty.pairing import InfinityInnerProduct
 
 from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1, random_coboundary_tower, ring
 from oracles import (
-    at_cutoffs, check_bimodule_hom_reference, crossing_sign_mutant, mutant_module,
+    at_cutoffs, check_bimodule_hom_reference, crossing_sign_mutant, mutant_module, reduced_mutant,
     validate_negative_cocycle_reference, with_cutoff,
 )
+from test_chain_suite import sign_flipped
 
 MAKERS = (make_e1, make_e2, make_g1, make_sv1, make_q1)
 EDITS = ("negate", "scale", "add")
@@ -245,10 +246,10 @@ SUPPORT_MUTANTS = {
         ainfty, "for nr in range(room - nl + 1):", "for nr in range(room - nl):",
         "G1 interior, right"),
     "validation interior family dropped": (
-        hochschild, "if len(w0) - 1 + len(u) <= l_max and unit not in u:", "if False:",
+        hochschild, "if len(w0) - 1 + len(u) <= l_max and reduced(u, unit):", "if False:",
         "G1 interior, right"),
     "validation wrap family dropped": (
-        hochschild, "if len(rest) <= l_max and unit not in rest:", "if False:",
+        hochschild, "if len(rest) <= l_max and reduced(rest, unit):", "if False:",
         "SV1 wrap, left, module"),
     "validation B-rotation family dropped": (
         hochschild, "if v1 == basis.unit and len(w1) <= l_max + 1:", "if False:",
@@ -286,3 +287,38 @@ def test_crossing_sign_mutant_is_killed_through_the_validation(case, monkeypatch
     monkeypatch.setattr(hochschild, "crossing_sign", crossing_sign_mutant())
     assert not _same(hochschild.validate_negative_cocycle(at_cutoffs(algebra, l_max=3), tower),
                      want)
+
+
+# A tower over G1 with its right unit law broken, m_2(x, 1) = -x.  Where
+# the unit laws hold, b keeps the chains whose word holds the unit among
+# themselves, so psi(b c) vanishes at each of them and a check that does
+# not skip them prints the same lines; here it does not.
+UNIT_LAW_BROKEN = (functools.partial(sign_flipped, make_g1, 2, (1, 0), 1), 1, 0, 0)
+
+
+def _unit_law_broken_case():
+    """The case with its two reports at L = 3, both formed before any patch."""
+    algebra, tower, phi = make_case(*UNIT_LAW_BROKEN)
+    at3 = at_cutoffs(algebra, l_max=3)
+    wants = (validate_negative_cocycle_reference(at3, tower),
+             check_bimodule_hom_reference(at3, phi))
+    assert _same(hochschild.validate_negative_cocycle(at3, tower), wants[0])
+    assert _same(ainfty.check_bimodule_hom(at_cutoffs(algebra, l_max=3), phi), wants[1])
+    return algebra, tower, phi, wants
+
+
+def test_reduced_mutant_is_killed_through_the_validation(monkeypatch):
+    # both pullback families of the validation skip a chain whose word holds
+    # the unit through hochschild's binding of graded.reduced
+    algebra, tower, _, (want, _) = _unit_law_broken_case()
+    monkeypatch.setattr(hochschild, "reduced", reduced_mutant())
+    assert not _same(hochschild.validate_negative_cocycle(at_cutoffs(algebra, l_max=3), tower),
+                     want)
+
+
+def test_reduced_mutant_is_killed_through_the_corestriction_support(monkeypatch):
+    # the support of the bimodule check lists only reduced outer words
+    # through ainfty's binding of graded.reduced
+    algebra, _, phi, (_, want) = _unit_law_broken_case()
+    monkeypatch.setattr(ainfty, "reduced", reduced_mutant())
+    assert not _same(ainfty.check_bimodule_hom(at_cutoffs(algebra, l_max=3), phi), want)

@@ -145,6 +145,22 @@ def test_path_polynomial_evaluation():
     assert mixed.specialize(0) == el(1, lam=1)
 
 
+def test_negation_and_subtraction_with_polynomial_scalars():
+    # a = t T^{1/2} + (1 - t) T and c = (2 + t) T, against coefficients
+    # worked out by hand
+    t, one_minus_t = Poly((0, 1)), Poly((1, -1))
+    half, whole = SPEC.monomial(lam=Fraction(1, 2)), SPEC.monomial(lam=1)
+    a = RingElement.monomial(SPEC, t, lam=Fraction(1, 2)) + RingElement.monomial(
+        SPEC, one_minus_t, lam=1)
+    c = RingElement.monomial(SPEC, Poly((2, 1)), lam=1)
+    assert (-a).terms == {half: Poly((0, -1)), whole: Poly((-1, 1))}
+    assert (c - a).terms == {half: Poly((0, -1)), whole: Poly((1, 2))}
+    assert (a - a).is_zero()
+    assert -t == Poly((0, -1))
+    assert Poly((2, 1)) - one_minus_t == Poly((1, 2))
+    assert 3 - one_minus_t == Poly((2, 1))
+
+
 def test_specialization_is_ring_hom():
     rng = random.Random(5)
     t = Poly((0, 1))

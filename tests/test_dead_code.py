@@ -9,9 +9,14 @@ core left behind when its last caller goes fails here.
 
 Any other module-level function or class is public.  It counts as used
 when the package reads it in the same way, or ``bench`` reads it or names
-it in a dotted string (the tracer wraps its targets by name).  A public
-definition that only tests call is on ``UNREAD_PUBLIC`` with the ROADMAP
-item that will wire it to a command or move it to the tests.
+it in a dotted string (the tracer wraps its targets by name).  So does
+every method of a module-level class whose name has no leading
+underscore; dunders are called by the language, not by name, and are
+left out.  A method name is read as an attribute of any object, so a
+method counts as used when any object's attribute of its name is read.
+A public definition or method that only tests call is on
+``UNREAD_PUBLIC`` with the ROADMAP item that will wire it to a command or
+move it to the tests.
 """
 
 import ast
@@ -54,6 +59,17 @@ def _definitions(tree, public):
             yield node
 
 
+def _methods(tree):
+    """The public methods of the module-level classes of a module, each
+    named class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
 def _reads(node) -> Counter:
     """How often each name is read below node, as a name or an attribute."""
     return Counter(child.id if isinstance(child, ast.Name) else child.attr
@@ -71,11 +87,13 @@ def _named(node) -> Counter:
 
 def _unread(trees, public=False, bench=None) -> list:
     everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    found = [(module, definition.name, definition) for module, tree in trees.items()
+             for definition in _definitions(tree, public)]
     if public:
         everywhere += sum((_reads(tree) + _named(tree) for tree in bench.values()), Counter())
-    return sorted("%s:%s" % (module, definition.name)
-                  for module, tree in trees.items()
-                  for definition in _definitions(tree, public)
+        found += [(module, name, method) for module, tree in trees.items()
+                  for name, method in _methods(tree)]
+    return sorted("%s:%s" % (module, name) for module, name, definition in found
                   if everywhere[definition.name] == _reads(definition)[definition.name])
 
 
@@ -115,3 +133,17 @@ def test_an_unread_public_definition_is_found():
              "b.py": ast.parse("from . import a\nX = a.kept()\n")}
     bench = {"tracer.py": ast.parse("TARGETS = [('a.traced', 'a', 'Orphan x')]\n")}
     assert _unread(trees, public=True, bench=bench) == ["a.py:Orphan", "a.py:recursive"]
+
+
+def test_an_unread_public_method_is_found():
+    trees = {"a.py": ast.parse("class Kept:\n"
+                               "    def __init__(self):\n        self.used()\n"
+                               "    def used(self):\n        return 1\n"
+                               "    def traced(self):\n        return 2\n"
+                               "    def recursive(self):\n        return self.recursive()\n"
+                               "    def unread(self):\n        return 3\n"
+                               "    def _private(self):\n        return 4\n"),
+             "b.py": ast.parse("from . import a\nX = a.Kept()\n")}
+    bench = {"tracer.py": ast.parse("TARGETS = [('a.Kept.traced', 'a', 'x')]\n")}
+    assert _unread(trees, public=True, bench=bench) == ["a.py:Kept.recursive",
+                                                        "a.py:Kept.unread"]

@@ -728,6 +728,18 @@ def test_cocycle_validates_only_the_tower_it_names(tmp_path, capsys):
         2, [], "input document rejected:\n  --tower: unknown tower 'nope'\n")
 
 
+def test_energy_cutoff_zero_loads():
+    # only a negative stated cutoff is refused; at 0 only level-0 terms stay
+    raw = minimal_doc()
+    raw["cutoffs"]["energy"] = "0"
+    assert load_dict(raw).algebra.spec.cutoff == 0
+
+
+def test_cli_accepts_an_emax_between_zero_and_one(capsys):
+    assert main(["check", "--input", corpus("e2.json"), "--emax", "1/2"]) == 0
+    assert "E_max = 1/2 | K_max = 6" in capsys.readouterr().out
+
+
 def test_negative_energy_cutoff_is_one_line_at_its_location(tmp_path, capsys):
     with open(corpus("e2.json")) as handle:
         raw = json.load(handle)

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import graded
 from ainfty.ainfty import AInftyAlgebra, insertions
 from ainfty.coeff import RingElement, RingSpec
 from ainfty.errors import ConfigurationError
 from ainfty.graded import (Element, GradedBasis, add_term, crossing_sign, maltese,
-                           maltese_prefixes, marked_word_count, word_count, words_over)
+                           maltese_prefixes, marked_word_count, quotient, reduced, word_count,
+                           words_over)
 from ainfty.hochschild import HochschildChain, cyclic_t
 
-from oracles import coderivation, koszul_sign_cyclic
+from oracles import coderivation, koszul_sign_cyclic, reduced_mutant
 
 SPEC = RingSpec(s_degree=2, t_degrees=(), cutoff=Fraction(4))
 BASIS = GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3), unit=0)
@@ -244,9 +246,37 @@ def test_basis_equality_reads_names_degrees_and_unit():
     assert same == BASIS and hash(same) == hash(BASIS)
     for other in (GradedBasis(("1", "x", "y", "w"), (0, 1, 2, 3), unit=0),
                   GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 5), unit=0),
-                  GradedBasis(("1", "x", "y", "z"), (0, 1, 2, 3)),
                   None, BASIS.names):
         assert not BASIS == other and BASIS != other
+    # two bases that differ only in which degree-0 letter is the unit
+    first, second = (GradedBasis(("1", "e", "x"), (0, 0, 1), unit=unit) for unit in (0, 1))
+    assert not first == second and first != second
+
+
+@pytest.mark.parametrize("unit", (-1, 2, 5, None, True, 0.0, "1"))
+def test_unit_must_be_the_index_of_a_letter(unit):
+    # -1 would read the last letter, so reduced_letters would keep the unit
+    with pytest.raises(ConfigurationError, match="the unit must be the index of a basis"):
+        GradedBasis(("x", "1"), (1, 0), unit=unit)
+    assert GradedBasis(("x", "1"), (1, 0), unit=1).reduced_letters() == [0]
+
+
+def test_reduced_mutant_is_killed_through_reduced_letters(monkeypatch):
+    # the letters of reduced words, which every count and loop over the
+    # reduced complex reads, come from graded's own binding of the rule
+    assert BASIS.reduced_letters() == [1, 2, 3]
+    monkeypatch.setattr(graded, "reduced", reduced_mutant())
+    assert BASIS.reduced_letters() == [0, 1, 2, 3]
+
+
+def test_the_two_rules_of_the_reduced_quotient():
+    assert reduced((), 0) and reduced((1, 2), 0)
+    assert not reduced((1, 0), 0) and not reduced((0,), 0)
+    one = RingElement.one(SPEC)
+    chain = {(0, ()): one, (0, (1,)): one, (1, (0,)): one, (2, (1, 0, 3)): one}
+    assert quotient(chain, 0) == {(0, ()): one, (0, (1,)): one}
+    assert quotient({0: one, 1: one, 3: one}, 0) == {1: one, 3: one}
+    assert quotient({}, 0) == {}
 
 
 def test_unit_must_have_degree_zero():

@@ -33,7 +33,7 @@ from oracles import (
     CROSSING_MUTATION, SCALARS, chain_bar_reference, chain_sum, chain_sum_reference, coderivation,
     coefficients, connecting_map, connes_B_reference, cyclic_t_reference, dual_B_star,
     dual_b_star, functional_apply_reference, hochschild_b_reference, mutant_module,
-    operator_N_reference, ring_terms, tabulate,
+    operator_N_reference, quotient_mutant, reduced_mutant, ring_terms, tabulate, unreduced,
 )
 
 
@@ -54,8 +54,33 @@ def random_chain(algebra, rng, max_len=5):
 def test_reduced_chains_drop_unit_words(e2):
     chain = HochschildChain(e2.basis, {(1, (0, 1)): e2.one_ring()}, reduced=True)
     assert chain.is_zero()
-    unreduced = HochschildChain(e2.basis, {(1, (0, 1)): e2.one_ring()}, reduced=False)
-    assert not unreduced.is_zero()
+    kept = HochschildChain(e2.basis, {(1, (0, 1)): e2.one_ring()}, reduced=False)
+    assert not kept.is_zero()
+
+
+def test_reduced_mutant_is_killed_through_the_functional_refusal(e2, monkeypatch):
+    # Functional refuses a non-reduced word through hochschild's binding of
+    # graded.reduced
+    table = {(1, (0,)): e2.one_ring()}
+    with pytest.raises(ConfigurationError, match="non-reduced word"):
+        Functional(e2.basis, e2.spec, table)
+    monkeypatch.setattr(hochschild, "reduced", reduced_mutant())
+    assert Functional(e2.basis, e2.spec, table).table == table
+
+
+def test_quotient_mutant_is_killed_through_the_chain_and_b(e2, monkeypatch):
+    # a reduced chain and the b of one drop their unit words through
+    # hochschild's binding of graded.quotient; E2's m_0 = T e 1 puts the
+    # unit in the word of b at every gap, and the reference b drops it
+    # itself
+    one = e2.one_ring()
+    cases = [(chain, hochschild_b_reference(e2, chain))
+             for chain in (HochschildChain.generator(e2.basis, v, word, one)
+                           for v in range(2) for word in ((), (1,), (1, 1)))]
+    assert all(hochschild_b(e2, chain) == want for chain, want in cases)
+    monkeypatch.setattr(hochschild, "quotient", quotient_mutant())
+    assert not HochschildChain(e2.basis, {(1, (0, 1)): one}).is_zero()
+    assert any(hochschild_b(e2, chain) != want for chain, want in cases)
 
 
 def test_b_on_zero_chain(e2):
@@ -93,7 +118,7 @@ def test_chain_identities(maker):
         anti = chain_sum(hochschild_b(algebra, connes_B_reduced(basis, c)),
                          connes_B_reduced(basis, hochschild_b(algebra, c)))
         assert anti.is_zero()
-        u = c.unreduced()
+        u = unreduced(c)
         assert chain_bar(algebra, chain_bar(algebra, u)).is_zero()
         lhs = hochschild_b(algebra, chain_sum(u, cyclic_t(basis, u), -1))
         bar = chain_bar(algebra, u)
@@ -107,7 +132,7 @@ def test_chain_identities(maker):
 def test_rotation_is_periodic(g1, rng):
     basis = g1.basis
     for _ in range(50):
-        c = random_chain(g1, rng, max_len=4).unreduced()
+        c = unreduced(random_chain(g1, rng, max_len=4))
         n_fold = c
         lengths = {1 + len(word) for (_, word) in c.terms}
         if len(lengths) != 1:
@@ -119,14 +144,14 @@ def test_rotation_is_periodic(g1, rng):
 
 
 def test_N_on_length_one_component(e2):
-    c = HochschildChain.generator(e2.basis, 1, (), e2.one_ring()).unreduced()
+    c = unreduced(HochschildChain.generator(e2.basis, 1, (), e2.one_ring()))
     assert operator_N(e2.basis, c) == c
 
 
 def test_telescoping_both_orders(g1, rng):
     basis = g1.basis
     for _ in range(40):
-        c = random_chain(g1, rng, max_len=4).unreduced()
+        c = unreduced(random_chain(g1, rng, max_len=4))
         assert operator_N(basis, chain_sum(c, cyclic_t(basis, c), -1)).is_zero()
         n_of_c = operator_N(basis, c)
         assert chain_sum(n_of_c, cyclic_t(basis, n_of_c), -1).is_zero()
@@ -159,7 +184,7 @@ def test_bar_differential_on_plain_words(e1, e2):
 
 
 def test_B_requires_reduced(e2):
-    c = HochschildChain.generator(e2.basis, 1, (1,), e2.one_ring()).unreduced()
+    c = unreduced(HochschildChain.generator(e2.basis, 1, (1,), e2.one_ring()))
     with pytest.raises(ConfigurationError):
         connes_B_reduced(e2.basis, c)
 
@@ -189,7 +214,7 @@ def test_chains_keep_one_ring(e2):
     with pytest.raises(ConfigurationError):
         hochschild_b(e2, chain)
     with pytest.raises(ConfigurationError):
-        chain_bar(e2, chain.unreduced())
+        chain_bar(e2, unreduced(chain))
     with pytest.raises(ConfigurationError):
         Functional(e2.basis, e2.spec, {(1, (1,)): e2.one_ring()}).apply(chain)
     with pytest.raises(ConfigurationError):
@@ -273,6 +298,17 @@ def test_tower_degree_ladder_enforced(e2):
     CocycleTower((f0, f2))  # ladder 0, 2 is legal
     with pytest.raises(ConfigurationError):
         CocycleTower((f0, f0))  # level 1 must sit two degrees higher
+
+
+def test_tower_degree_ladder_starts_at_the_lowest_nonzero_level(e2):
+    # with psi_0 zero, the ladder is read from psi_1: degrees d and d + 2 at
+    # levels 1 and 2 are legal, and d at both is not
+    zero = Functional(e2.basis, e2.spec, {})
+    f0 = Functional(e2.basis, e2.spec, {(0, (1,)): e2.one_ring()})  # degree 0
+    f2 = Functional(e2.basis, e2.spec, {(0, (1,)): ring(e2.spec, 1, e=1)})  # degree 2
+    assert CocycleTower((zero, f0, f2)).degree() == -2
+    with pytest.raises(ConfigurationError, match="tower level 2 has degree 0, expected 2"):
+        CocycleTower((zero, f0, f0))
 
 
 def test_connecting_map_of_trace(e1):
@@ -381,8 +417,8 @@ def _operator_outputs(module, algebra, chain, sums=chain_sum):
 def _is_clean(chain) -> bool:
     """What every chain keeps: nonzero scalars in stored form, no empty
     maps, and no unit in a tensor slot of a reduced chain."""
-    unit = chain.basis.unit if chain.reduced else None
-    return all(terms and (unit is None or unit not in word)
+    unit = chain.basis.unit
+    return all(terms and not (chain.reduced and unit in word)
                and all(value and _scalar(value) is value for value in terms.values())
                for (_, word), terms in chain.terms.items())
 
@@ -432,7 +468,7 @@ def test_operators_match_their_references_on_inputs_that_cancel(case):
     # b b, b' b' and N (1 - t) vanish: the second operator sums terms that all cancel
     algebra, chain = case
     basis = algebra.basis
-    u = chain.unreduced()
+    u = unreduced(chain)
     for got, want in (
         (hochschild_b(algebra, hochschild_b(algebra, chain)),
          hochschild_b_reference(algebra, hochschild_b_reference(algebra, chain))),

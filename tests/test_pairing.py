@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import pairing
+from ainfty import hochschild, pairing
 from ainfty.ainfty import check_bimodule_hom, phi_hat
 from ainfty.coeff import RingElement
-from ainfty.errors import DivergenceError, TowerError
+from ainfty.errors import ConfigurationError, DivergenceError, TowerError
 from ainfty.graded import Element, words_over
-from ainfty.hochschild import CocycleTower, Functional
+from ainfty.hochschild import CocycleTower, Functional, chain_degree
 from ainfty.pairing import (
     InfinityInnerProduct,
     build_phi,
@@ -296,22 +296,30 @@ def _corpus_g1():
     return doc.algebra, doc.towers["pair"]
 
 
-def _nonstrict_psi0(functional_cls, algebra, rng):
-    """psi_0 on words of length up to 4, plus entries on words with the unit.
+def _nonstrict_psi0(algebra, rng):
+    """psi_0 on reduced words of length up to 4, of degree 0 or 1."""
+    return random_functional(algebra, rng, d=rng.choice((0, 1)), max_len=4)
 
-    The constructor refuses words containing the unit, so those entries are
-    written into the table afterwards; they stand for a table edited in
-    place, which every evaluation must ignore as it ignores unreduced words.
-    """
-    fixed = random_functional(algebra, rng, d=rng.choice((0, 1)), max_len=4)
-    psi0 = functional_cls(algebra.basis, algebra.spec, fixed.table)
-    unit = algebra.basis.require_unit()
-    n = len(algebra.basis)
-    for _ in range(4):
+
+def _offered_unit_words(functional_cls, algebra, rng):
+    """``_nonstrict_psi0`` with entries of its degree on words that hold the
+    unit, offered to ``functional_cls``.  ``Functional`` refuses them and
+    the reduced psi_0 is kept; a class that takes them reads psi_0 off the
+    reduced complex, which every evaluation of phi must then show."""
+    psi0 = _nonstrict_psi0(algebra, rng)
+    basis, unit, n = algebra.basis, algebra.basis.unit, len(algebra.basis)
+    table = dict(psi0.table)
+    for _ in range(8):
         word = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
         word[rng.randrange(len(word))] = unit
-        psi0.table[(rng.randrange(n), tuple(word))] = ring(algebra.spec, rng.choice((-1, 2)))
-    return psi0
+        key = (rng.randrange(n), tuple(word))
+        degree = psi0.degree + chain_degree(basis, *key)
+        if degree % 2 == 0:
+            table[key] = ring(algebra.spec, rng.choice((-1, 2)), e=degree // 2)
+    try:
+        return functional_cls(basis, algebra.spec, table)
+    except ConfigurationError:
+        return psi0
 
 
 def _phi_case(case, rng):
@@ -323,7 +331,7 @@ def _phi_case(case, rng):
         algebra, pair = _corpus_g1()
         return algebra, InfinityInnerProduct(algebra, pair)
     algebra = make_g1()
-    psi0 = _nonstrict_psi0(Functional, algebra, rng)
+    psi0 = _nonstrict_psi0(algebra, rng)
     return algebra, InfinityInnerProduct(algebra, CocycleTower((psi0,)))
 
 
@@ -474,31 +482,34 @@ def test_skew_closed_references_see_failures():
     assert len(check_closed_reference(at3, phi).failures) > 1
 
 
-# Mutants of the table builder, each applied to a fresh copy of the pairing
-# module: (original fragment, mutated fragment).
+# Mutants of the table builder, each applied to a fresh copy of its module:
+# name -> (module, original fragment, mutated fragment).  The table reads
+# psi_0 only on reduced words because ``Functional`` refuses any other, so
+# the unit exclusion is mutated there.
 KERNEL_MUTANTS = {
     "reading-2 sign flipped": (
-        "second = -value if crossing_sign(total, prefixes[1]) > 0 else value",
+        pairing, "second = -value if crossing_sign(total, prefixes[1]) > 0 else value",
         "second = value if crossing_sign(total, prefixes[1]) > 0 else -value"),
-    "unit exclusion dropped": (
-        "            if unit is not None and unit in word:\n"
-        "                continue\n", ""),
+    "unit exclusion dropped": (hochschild, "if not reduced(word, basis.unit):", "if False:"),
     "reading-1 split off by one": (
-        "add_term(table, (after, v0, before, letter),",
+        pairing, "add_term(table, (after, v0, before, letter),",
         "add_term(table, (word[m:], v0, before, letter),"),
 }
 
 
-def _kernel_disagrees(pairing_mod) -> bool:
+def _kernel_disagrees(pairing_mod, functional_cls=Functional) -> bool:
     """Does eval_elements from this module differ from the expansion anywhere?
 
-    The expansion reads psi_0 directly (``eval_word_reference``).  Every
+    psi_0 is built by ``functional_cls`` from a table offered entries on
+    words with the unit (``_offered_unit_words``).  The expansion reads
+    psi_0 directly (``eval_word_reference``), a word with the unit as
+    zero.  Every
     input carries every basis component, with scalars differing from slot
     to slot so that the two readings cannot cancel, so every table entry of
     the right shape is selected.  A mutant that crashes counts as detected.
     """
     algebra = make_g1()
-    psi0 = _nonstrict_psi0(Functional, algebra, random.Random(4))
+    psi0 = _offered_unit_words(functional_cls, algebra, random.Random(4))
     tower = CocycleTower((psi0,))
     mutant = pairing_mod.InfinityInnerProduct(algebra, tower)
     rng = random.Random(5)
@@ -523,4 +534,9 @@ def test_kernel_detector_accepts_the_kernel():
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
 def test_kernel_mutant_killed(name):
-    assert _kernel_disagrees(mutant_module(pairing, *KERNEL_MUTANTS[name]))
+    module, old, new = KERNEL_MUTANTS[name]
+    mutant = mutant_module(module, old, new)
+    if module is hochschild:
+        assert _kernel_disagrees(pairing, mutant.Functional)
+    else:
+        assert _kernel_disagrees(mutant)

@@ -22,8 +22,8 @@ from ainfty.document import load
 from ainfty.errors import ConfigurationError
 from ainfty.graded import GradedBasis
 
-from conftest import make_e2, make_g1, make_q1, make_sv1
-from oracles import at_cutoffs, check_strict_unit_reference, mutant_module
+from conftest import make_e1, make_e2, make_g1, make_q1, make_sv1
+from oracles import at_cutoffs, check_strict_unit_reference, mutant_module, reduced_mutant
 from test_chain_suite import RINGED, VARIANTS
 
 CORPUS = os.path.join(os.path.dirname(package.__file__), "corpus")
@@ -45,7 +45,7 @@ def _random_table(rng):
     rescaled, (1, 1) included.  Each output letter has the A-infinity
     degree, so the table loads."""
     algebra = rng.choice((make_e2, make_g1, make_q1, make_sv1))()
-    basis, unit, one = algebra.basis, algebra.basis.require_unit(), algebra.one_ring()
+    basis, unit, one = algebra.basis, algebra.basis.unit, algebra.one_ring()
     ops = {key: {word: dict(out) for word, out in table.items()}
            for key, table in algebra.ops.items()}
     for _ in range(rng.randint(1, 4)):
@@ -139,7 +139,7 @@ def test_the_random_tables_reach_every_branch():
     # the unit in two slots, a failure at the third slot, a failing (1, 1)
     lines, twice = [], 0
     for algebra in RANDOM_TABLES:
-        unit = algebra.basis.require_unit()
+        unit = algebra.basis.unit
         twice += any(word.count(unit) == 2 for table in algebra.ops.values() for word in table)
         top = algebra.max_stored_arity()
         lines += ainfty.check_strict_unit(at_cutoffs(algebra, k_max=top)).failures
@@ -171,3 +171,15 @@ MUTANT_CASES = [case for case in _cases() if not case[0].startswith("random ")] 
 def test_strict_unit_mutant_killed(name):
     old, new = STRICT_UNIT_MUTANTS[name]
     assert _disagreements(mutant_module(ainfty, old, new), MUTANT_CASES)
+
+
+def test_reduced_mutant_is_killed_through_the_unit_tables(monkeypatch):
+    # _unit_tables selects the stored words that hold the unit through
+    # ainfty's binding of graded.reduced; the copies build their index, and
+    # so V, under the mutant, and the reference reads no unit table
+    algebras = [maker() for maker in (make_e1, make_g1)]
+    wants = [check_strict_unit_reference(algebra).text() for algebra in algebras]
+    assert [ainfty.check_strict_unit(at_cutoffs(a)).text() for a in algebras] == wants
+    monkeypatch.setattr(ainfty, "reduced", reduced_mutant())
+    assert all(ainfty.check_strict_unit(at_cutoffs(algebra)).text() != want
+               for algebra, want in zip(algebras, wants))
