@@ -40,26 +40,32 @@ with the pairing layer.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from math import inf
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
 
-from .coeff import RingElement, RingSpec, as_fraction
-from .errors import ConfigurationError, DivergenceError
+from .coeff import Rational, RingElement, RingSpec, as_fraction
+from .errors import ArityError, ConfigurationError, DivergenceError
 from .graded import (Element, GradedBasis, Word, add_term, crossing_sign, maltese,
                      maltese_prefixes, marked_word_count, quotient, reduced, tensor_coefficient,
                      word_count, words_over)
 from .report import Report
 
 
-class MonoidElement(NamedTuple):
-    """Energy-index pair (lam, mu) with lam >= 0 rational and mu even."""
+class MonoidElement(tuple):
+    """Energy-index pair (lam, mu) with lam >= 0 a Rational and mu an even
+    int: a plain tuple with a read-only property per field."""
 
-    lam: Fraction
-    mu: int
+    __slots__ = ()
+
+    def __new__(cls, lam: Rational, mu: int):
+        return tuple.__new__(cls, (lam, mu))
+
+    lam = property(itemgetter(0))
+    mu = property(itemgetter(1))
 
 
-OpTable = Dict[Word, Dict[int, RingElement]]
+OpTable = dict[Word, dict[int, RingElement]]
 
 
 class OperationIndex:
@@ -78,14 +84,14 @@ class OperationIndex:
     each None until its function fills it (the last two together).
     """
 
-    def __init__(self, nonzero: Dict[int, OpTable], by_output: Dict[int, tuple],
+    def __init__(self, nonzero: dict[int, OpTable], by_output: dict[int, tuple],
                  arities: tuple):
         self.nonzero = nonzero
         self.by_output = by_output
         self.arities = arities
-        self.relations: Optional[Dict[int, OpTable]] = None
-        self.units: Optional[Dict[int, OpTable]] = None
-        self.slots: Optional[Dict[int, OpTable]] = None
+        self.relations: dict[int, OpTable] | None = None
+        self.units: dict[int, OpTable] | None = None
+        self.slots: dict[int, OpTable] | None = None
 
 
 class AInftyAlgebra:
@@ -96,7 +102,7 @@ class AInftyAlgebra:
     tables on first use and cached) is not compared.
     """
 
-    def __init__(self, basis: GradedBasis, monoid: tuple, ops: Dict[Tuple[int, int], OpTable],
+    def __init__(self, basis: GradedBasis, monoid: tuple, ops: dict[tuple[int, int], OpTable],
                  spec: RingSpec, k_max: int = 6, l_max: int = 4, n_max: int = 5,
                  higher_arities_zero: bool = True, name: str = "algebra"):
         self.basis = basis
@@ -106,7 +112,7 @@ class AInftyAlgebra:
         self.k_max, self.l_max, self.n_max = k_max, l_max, n_max
         self.higher_arities_zero = higher_arities_zero
         self.name = name
-        self._index: Optional[OperationIndex] = None
+        self._index: OperationIndex | None = None
         self.validate()
 
     def _key(self) -> tuple:
@@ -207,7 +213,7 @@ class AInftyAlgebra:
                 % (k, self.max_stored_arity())
             )
 
-    def m_word(self, word: Word) -> Dict[int, RingElement]:
+    def m_word(self, word: Word) -> dict[int, RingElement]:
         """Assembled operation of arity len(word) on a pure basis word."""
         self._check_arity(len(word))
         return _operation_index(self).nonzero.get(len(word), {}).get(word, {})
@@ -238,7 +244,7 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
     ``_index`` to None, which drops the residual tables with the rest.
     """
     if algebra._index is None:
-        assembled: Dict[Word, Dict[int, RingElement]] = {}
+        assembled: dict[Word, dict[int, RingElement]] = {}
         for (k, bidx), table in algebra.ops.items():
             beta = algebra.monoid[bidx]
             factor = RingElement.monomial(algebra.spec, 1, lam=beta.lam, e=beta.mu // 2)
@@ -246,8 +252,8 @@ def _operation_index(algebra: AInftyAlgebra) -> OperationIndex:
                 out = assembled.setdefault(word, {})
                 for comp, value in entry.items():
                     add_term(out, comp, factor * value)
-        nonzero: Dict[int, OpTable] = {}
-        by_output: Dict[int, list] = {}
+        nonzero: dict[int, OpTable] = {}
+        by_output: dict[int, list] = {}
         for word in sorted(assembled, key=lambda u: (len(u), u)):
             out = assembled[word]
             if out:
@@ -272,11 +278,11 @@ def apply_m(algebra: AInftyAlgebra, inputs: Sequence[Element]) -> Element:
     """
     k = len(inputs)
     if k > algebra.k_max:
-        raise ConfigurationError("arity %d exceeds the arity cutoff %d" % (k, algebra.k_max))
+        raise ArityError("arity %d exceeds the arity cutoff %d" % (k, algebra.k_max))
     algebra._check_arity(k)
     if not k:
         return Element(algebra.basis, algebra.m_word(()))
-    acc: Dict[int, RingElement] = {}
+    acc: dict[int, RingElement] = {}
     for word, out in nonzero_words(algebra).get(k, {}).items():
         coeff = tensor_coefficient(inputs, word)
         if not coeff:
@@ -314,13 +320,13 @@ def insertion_sign(prefixes: list, i: int) -> int:
     return -1 if prefixes[i] % 2 else 1
 
 
-def nonzero_words(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+def nonzero_words(algebra: AInftyAlgebra) -> dict[int, OpTable]:
     """{k: {u: m_word(u)}} over the stored words of nonzero m_word; an
     insertion looks its windows up here."""
     return _operation_index(algebra).nonzero
 
 
-def words_by_output(algebra: AInftyAlgebra) -> Dict[int, tuple]:
+def words_by_output(algebra: AInftyAlgebra) -> dict[int, tuple]:
     """Each letter c to the stored words u whose m_word(u) has a term at c:
     the words an insertion can turn into the letter c."""
     return _operation_index(algebra).by_output
@@ -342,7 +348,7 @@ def uninsertions(algebra: AInftyAlgebra, word: Word, max_len: int):
                 yield word[:i] + inner + word[i + 1 :]
 
 
-def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+def relation_residuals(algebra: AInftyAlgebra) -> dict[int, OpTable]:
     """The curved relation residual table, built on first use.
 
     R(u) = m(b'(u)) = sum_{l,i} (-1)^{maltese_i} m(u[:i], m_l(u[i:i+l]), u[i+l:])
@@ -366,7 +372,7 @@ def relation_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     if index.relations is None:
         support = {word for words in index.nonzero.values() for outer in words
                    for word in uninsertions(algebra, outer, inf)}
-        relations: Dict[Word, Dict[int, RingElement]] = {}
+        relations: dict[Word, dict[int, RingElement]] = {}
         for word in support:
             residual = relations[word] = {}
             for i, l, inner, sign in insertions(algebra, word):
@@ -403,7 +409,7 @@ def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
         unit = basis.unit
         degrees = basis.degrees
         one = algebra.one_ring()
-        slots: Dict[Word, Dict[int, RingElement]] = {}
+        slots: dict[Word, dict[int, RingElement]] = {}
         for words in index.nonzero.values():
             for word, out in words.items():
                 if not reduced(word, unit):
@@ -413,7 +419,7 @@ def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
             if x != unit:
                 add_term(slots.setdefault((x, unit), {}), x, one if degrees[x] % 2 else -one)
         index.slots = _by_length(slots)
-        units: Dict[Word, Dict[int, RingElement]] = {}
+        units: dict[Word, dict[int, RingElement]] = {}
         for words in index.slots.values():
             for word, out in words.items():
                 if word.count(unit) != 1:
@@ -428,17 +434,17 @@ def _unit_tables(algebra: AInftyAlgebra) -> OperationIndex:
     return index
 
 
-def _by_length(table: Dict[Word, Dict[int, RingElement]]) -> Dict[int, OpTable]:
+def _by_length(table: dict[Word, dict[int, RingElement]]) -> dict[int, OpTable]:
     """{n: {word: out}} over the words of nonempty out, lengths ascending
     and words sorted: the shape of ``nonzero_words``."""
-    out: Dict[int, OpTable] = {}
+    out: dict[int, OpTable] = {}
     for word in sorted(table, key=lambda word: (len(word), word)):
         if table[word]:
             out.setdefault(len(word), {})[word] = table[word]
     return out
 
 
-def unit_slot_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+def unit_slot_residuals(algebra: AInftyAlgebra) -> dict[int, OpTable]:
     """The per-slot strict-unit residual table V, built on first use with
     ``unit_residuals`` (see ``_unit_tables``): {n: {W: {c: V(W)[c]}}} over
     the words W that hold the unit and have nonzero V(W), the words at
@@ -450,7 +456,7 @@ def unit_slot_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
     return _unit_tables(algebra).slots
 
 
-def unit_residuals(algebra: AInftyAlgebra) -> Dict[int, OpTable]:
+def unit_residuals(algebra: AInftyAlgebra) -> dict[int, OpTable]:
     """The strict-unit residual table U, built on first use with
     ``unit_slot_residuals``.
 
@@ -589,7 +595,7 @@ def check_weak_mc(algebra: AInftyAlgebra, b: Element):
     return rest.is_zero(), c, rest
 
 
-def validate_right_inverse(algebra: AInftyAlgebra, h: Dict[int, Element]) -> None:
+def validate_right_inverse(algebra: AInftyAlgebra, h: dict[int, Element]) -> None:
     """h must satisfy m1 o h = id on the image of m1 (neutral part, degree 2)."""
     basis = algebra.basis
     neutral = [i for i, beta in enumerate(algebra.monoid) if beta.lam == 0]
@@ -626,7 +632,7 @@ def validate_right_inverse(algebra: AInftyAlgebra, h: Dict[int, Element]) -> Non
 class Obstruction:
     """The first energy level whose residual ``solve_mc`` cannot absorb."""
 
-    def __init__(self, level: Fraction, residual: Element):
+    def __init__(self, level: Rational, residual: Element):
         self.level = level
         self.residual = residual
 
@@ -634,7 +640,7 @@ class Obstruction:
         return "obstruction at energy %s: %s" % (self.level, self.residual.text())
 
 
-def solve_mc(algebra: AInftyAlgebra, h: Dict[int, Element], seed: Element):
+def solve_mc(algebra: AInftyAlgebra, h: dict[int, Element], seed: Element):
     """Order-by-order correction of the curvature toward a weak MC element.
 
     Iterates b <- b - h(m_0^b - c 1) on the lowest uncorrected energy level.
@@ -670,10 +676,10 @@ def solve_mc(algebra: AInftyAlgebra, h: Dict[int, Element], seed: Element):
 
 # -- bimodule words and the homomorphism check --------------------------------
 
-BimodWord = Tuple[Word, int, Word]
-BimodSum = Dict[BimodWord, RingElement]
-DualWord = Tuple[Word, int, int, Word]  # (left, covector degree, argument, right)
-DualSum = Dict[DualWord, RingElement]
+BimodWord = tuple[Word, int, Word]
+BimodSum = dict[BimodWord, RingElement]
+DualWord = tuple[Word, int, int, Word]  # (left, covector degree, argument, right)
+DualSum = dict[DualWord, RingElement]
 
 
 def delta_diagonal(algebra: AInftyAlgebra, words: BimodSum) -> BimodSum:

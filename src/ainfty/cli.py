@@ -22,16 +22,15 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import ainfty as core
 from . import hochschild as hh
 from . import pairing as pr
 from . import potential as pt
-from .coeff import as_fraction
+from .coeff import Rational, as_fraction
 from .document import load, load_dict, not_a_fraction
-from .errors import ConfigurationError, DocumentError, EngineError, TowerError
+from .errors import ArityError, ConfigurationError, DocumentError, EngineError, TowerError
 from .graded import Element
 from .report import Report
 
@@ -57,7 +56,7 @@ def _random_reduced_chain(algebra, rng, max_len):
         word = tuple(rng.choice(letters) for _ in range(length))
         module = rng.randrange(len(basis))
         c = rng.randint(-3, 3)
-        mono = spec.monomial(lam=Fraction(rng.randint(0, 2), 2), e=rng.randint(-1, 1))
+        mono = spec.monomial(lam=Rational(rng.randint(0, 2), 2), e=rng.randint(-1, 1))
         if c and mono.lvl <= spec.level_cutoff:
             terms[(module, word)] = {mono: c}
     return terms
@@ -548,7 +547,11 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         doc = _load(args)
-        return COMMANDS[args.command](args, doc)
+        try:
+            return COMMANDS[args.command](args, doc)
+        except ArityError as exc:
+            # a command asked for an arity past K: located where K was set
+            raise DocumentError([("cutoffs.arity" if args.kmax is None else "--kmax", str(exc))])
     except _Help as shown:
         _print(str(shown))
         return 0

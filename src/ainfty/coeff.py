@@ -28,10 +28,14 @@ configuration data carried by :class:`RingSpec` and must be even (this keeps
 the coefficient ring strictly commutative, which the rest of the engine
 relies on for Koszul bookkeeping).
 
+Exact rationals are :class:`Rational`, the engine's own small class, which
+prints, hashes and compares as ``fractions.Fraction`` does; ``as_fraction``
+is the one way in from ints, other exact rationals and fraction strings.
+
 For gauge paths the same element type is reused with coefficients that are
 polynomials in a formal degree-0 variable (class :class:`Poly`) instead of
 rationals; ``specialize`` evaluates them at a rational point.  A scalar has
-one stored type per value: an int when it is integral, else a Fraction, and
+one stored type per value: an int when it is integral, else a Rational, and
 a Poly only when its degree is at least 1; a constant Poly is stored as its
 constant.  So equal values render the same whatever the order of the sums
 that made them, and integral arithmetic stays in ints.
@@ -39,49 +43,217 @@ that made them, and integral arithmetic stays in ints.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-from math import floor, inf
-from operator import add
-from typing import Iterable, NamedTuple, Union
+from collections.abc import Iterable
+from math import floor, gcd, inf, isfinite
+from operator import add, eq, ge, gt, itemgetter, le, lt
+from sys import hash_info
 
 from .errors import ConfigurationError
 
-Rational = Union[int, Fraction]
 
-# An exact fraction string: an optional sign, digits, and an optional
-# denominator of digits.  No decimal point, exponent, blank or underscore.
-_FRACTION_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+class Rational:
+    """An exact rational number: an int ``numerator`` over a positive int
+    ``denominator``, in lowest terms.
 
+    The engine's one rational type.  ``fractions.Fraction`` would do the
+    same arithmetic, but importing it pulls in ``decimal`` and ``numbers``
+    and costs every command milliseconds of start-up.  A Rational agrees
+    with ``Fraction`` on ``str``, ``repr``, ``hash``, equality, comparisons
+    (with floats too, so with the ``math.inf`` that the valuation of zero
+    returns), ``floor``, ``ceil`` and the four operations.  The operations
+    take ints, Rationals and any other exact rational with int
+    ``numerator`` and ``denominator`` (a ``Fraction``), and return a
+    Rational; a float, a Poly or anything else gets ``NotImplemented``, so
+    no float enters the arithmetic.  Build one from a pair of ints, or with
+    ``as_fraction``; treat it as immutable.
+    """
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and exact fraction strings like "3/4"; not
-    bools, decimals ("0.5"), exponents ("1e-1") or a zero denominator."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
-        numerator, _, denominator = value.partition("/")
-        try:
-            numerator, denominator = int(numerator), int(denominator or 1)
-        except ValueError:  # past the interpreter's digit limit for int()
-            raise ConfigurationError("fraction with more digits than int() reads")
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
         if denominator == 0:
-            raise ConfigurationError("zero denominator: %r" % (value,))
-        return Fraction(numerator, denominator)
+            raise ZeroDivisionError("Fraction(%s, 0)" % numerator)
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        self.numerator = numerator // g
+        self.denominator = denominator // g
+
+    def __add__(self, other):
+        na, da = self.numerator, self.denominator
+        if type(other) is int:
+            return _rational(na + other * da, da)
+        try:
+            nb, db = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        return _rational(t // g, s * (db // g))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _rational(-self.numerator, self.denominator)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        na, da = self.numerator, self.denominator
+        if type(other) is int:
+            g = gcd(other, da)
+            return _rational(na * (other // g), da // g)
+        try:
+            nb, db = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        g1, g2 = gcd(na, db), gcd(nb, da)
+        return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        try:
+            return self * Rational(other.denominator, other.numerator)
+        except AttributeError:
+            return NotImplemented
+
+    def __rtruediv__(self, other):
+        return Rational(self.denominator, self.numerator) * other
+
+    def __floor__(self):
+        return self.numerator // self.denominator
+
+    def __ceil__(self):
+        return -(-self.numerator // self.denominator)
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def _compare(self, other, op):
+        """op(self, other) for an exact rational or a float other; an
+        infinite or NaN float compares as with a zero on the left."""
+        if isinstance(other, float):
+            if not isfinite(other):
+                return op(0.0, other)
+            nb, db = other.as_integer_ratio()
+        else:
+            try:
+                nb, db = other.numerator, other.denominator
+            except AttributeError:
+                return NotImplemented
+        return op(self.numerator * db, self.denominator * nb)
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self.denominator == 1 and self.numerator == other
+        return self._compare(other, eq)
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
+
+    def __hash__(self):
+        # the numeric hash every exact number shares: |n| / d mod the hash
+        # modulus, with the sign of n; the inverse of d is missing only when
+        # the modulus divides d
+        try:
+            inverse = pow(self.denominator, -1, hash_info.modulus)
+        except ValueError:
+            value = hash_info.inf
+        else:
+            value = hash(hash(abs(self.numerator)) * inverse)
+        value = value if self.numerator >= 0 else -value
+        return -2 if value == -1 else value
+
+    def __str__(self):
+        if self.denominator == 1:
+            return str(self.numerator)
+        return "%d/%d" % (self.numerator, self.denominator)
+
+    def __repr__(self):
+        # the expression of the standard-library value equal to this one
+        return "Fraction(%d, %d)" % (self.numerator, self.denominator)
+
+
+_new_object = object.__new__
+
+
+def _rational(numerator: int, denominator: int) -> Rational:
+    """A Rational from ints already in lowest terms with a positive
+    denominator, without the gcd of the constructor."""
+    q = _new_object(Rational)
+    q.numerator = numerator
+    q.denominator = denominator
+    return q
+
+
+def _digits(text: str) -> bool:
+    """Is text one or more ASCII digits 0-9?"""
+    return text.isascii() and text.isdigit()
+
+
+def as_fraction(value) -> Rational:
+    """Coerce ints, Rationals, other exact rationals with int ``numerator``
+    and ``denominator`` (a ``fractions.Fraction``) and exact fraction strings
+    like "3/4" to a Rational; not bools, floats, decimals ("0.5"),
+    exponents ("1e-1") or a zero denominator.
+
+    A fraction string is an optional sign, ASCII digits, and an optional
+    "/" and ASCII digits: no blank, underscore, decimal point or other
+    digit that ``int`` would read.
+    """
+    kind = type(value)
+    if kind is Rational:
+        return value
+    if kind is int:
+        return _rational(value, 1)
+    if kind is str:
+        head, slash, tail = value.partition("/")
+        if _digits(head[1:] if head[:1] in ("+", "-") else head) and (
+                not slash or _digits(tail)):
+            try:
+                numerator, denominator = int(head), int(tail or 1)
+            except ValueError:  # past the interpreter's digit limit for int()
+                raise ConfigurationError("fraction with more digits than int() reads")
+            if denominator == 0:
+                raise ConfigurationError("zero denominator: %r" % (value,))
+            return Rational(numerator, denominator)
+    elif kind is not bool:
+        numerator = getattr(value, "numerator", None)
+        denominator = getattr(value, "denominator", None)
+        if isinstance(numerator, int) and isinstance(denominator, int) and denominator:
+            return Rational(numerator, denominator)
     raise ConfigurationError("not an exact rational: %r" % (value,))
 
 
 def _scalar(value):
-    """The stored form of a scalar: an int when integral, else a Fraction; a
+    """The stored form of a scalar: an int when integral, else a Rational; a
     Poly of degree at most 0 is stored as its constant."""
     if isinstance(value, Poly):
         if len(value.coeffs) > 1:
             return value
         value = value.coeffs[0] if value.coeffs else 0
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
+    if type(value) is not int:
+        value = as_fraction(value)
+        if value.denominator == 1:
+            return value.numerator
     return value
 
 
@@ -95,7 +267,7 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
+    def __init__(self, coeffs: Iterable = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -111,7 +283,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             return self == Poly.constant(other)
         return NotImplemented
 
@@ -119,13 +291,13 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
+        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return Poly(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -140,13 +312,13 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             return Poly(c * other for c in self.coeffs)
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -154,9 +326,9 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, point) -> Fraction:
+    def __call__(self, point) -> Rational:
         point = as_fraction(point)
-        acc = Fraction(0)
+        acc = _rational(0, 1)
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
@@ -175,19 +347,26 @@ class Poly:
         return "Poly(%s)" % " + ".join(parts)
 
 
-class Monomial(NamedTuple):
+class Monomial(tuple):
     """One coefficient monomial T^lam e^e s^s t^t on a grid D, in sort order.
 
-    ``lam`` is the scaled energy D*lam, and ``lvl`` the scaled level
+    A plain tuple (lam, e, s, t, lvl) of ints and a tuple of ints, with a
+    read-only property per field, so it sorts, compares and hashes as that
+    tuple.  ``lam`` is the scaled energy D*lam, and ``lvl`` the scaled level
     D*(lam + s + sum(t)).  The level is a function of the other fields, so
     as the last field it never changes the order of the monomials.
     """
 
-    lam: int
-    e: int
-    s: int
-    t: tuple
-    lvl: int
+    __slots__ = ()
+
+    def __new__(cls, lam: int, e: int, s: int, t: tuple, lvl: int):
+        return tuple.__new__(cls, (lam, e, s, t, lvl))
+
+    lam = property(itemgetter(0))
+    e = property(itemgetter(1))
+    s = property(itemgetter(2))
+    t = property(itemgetter(3))
+    lvl = property(itemgetter(4))
 
     def degree(self, spec: "RingSpec") -> int:
         return 2 * self.e + self.s * spec.s_degree + sum(
@@ -197,7 +376,7 @@ class Monomial(NamedTuple):
     def text(self, grid: int) -> str:
         parts = []
         if self.lam:
-            parts.append("T^%s" % Fraction(self.lam, grid))
+            parts.append("T^%s" % Rational(self.lam, grid))
         if self.e:
             parts.append("e^%d" % self.e)
         if self.s:
@@ -208,8 +387,8 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-# Builds a Monomial from a tuple without the NamedTuple constructor's Python
-# frame, in the product loop ``mul_into``.
+# Builds a Monomial from a tuple without the constructor's Python frame, in
+# the product loop ``mul_into``.
 _new_monomial = tuple.__new__
 
 
@@ -225,9 +404,9 @@ class RingSpec:
     """
 
     # the default energy cutoff, which ``document.load_dict`` also reads
-    cutoff = Fraction(10)
+    cutoff = Rational(10)
 
-    def __init__(self, s_degree: int = 2, t_degrees: tuple = (), cutoff: Fraction = cutoff,
+    def __init__(self, s_degree: int = 2, t_degrees: tuple = (), cutoff: Rational = cutoff,
                  grid: int = 2):
         self.s_degree = s_degree
         self.t_degrees = tuple(t_degrees)
@@ -285,7 +464,7 @@ class RingElement:
     """Finite normalized sum of coefficient monomials.
 
     Immutable after construction.  ``terms`` maps Monomial -> scalar, where a
-    scalar is an int, a Fraction that is not integral or (for gauge paths) a
+    scalar is an int, a Rational that is not integral or (for gauge paths) a
     Poly of degree at least 1.  Construction stores each scalar in that one
     form, and drops zero scalars and monomials whose valuation exceeds the
     cutoff, so structural equality of the term maps is semantic equality mod
@@ -337,7 +516,7 @@ class RingElement:
         return RingElement(self.spec, add_into(dict(self.terms), other.terms, -1))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Rational, Poly)):
             return self.scale(other)
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -346,25 +525,25 @@ class RingElement:
         return RingElement(self.spec, mul_into({}, self.terms, other.terms, top))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Rational, Poly)):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, c) -> "RingElement":
         if type(c) is not int:
-            c = _scalar(c if isinstance(c, Poly) else as_fraction(c))
+            c = _scalar(c)
         return RingElement(self.spec, {m: c * v for m, v in self.terms.items()})
 
     def divide_int(self, n: int) -> "RingElement":
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        return self.scale(Fraction(1, n))
+        return self.scale(Rational(1, n))
 
     def _value(self) -> dict:
         """The terms keyed by exact rational energies: the same for one value
         on every grid."""
         grid = self.spec.grid
-        return {(Fraction(m.lam, grid), m.e, m.s, m.t): v for m, v in self.terms.items()}
+        return {(Rational(m.lam, grid), m.e, m.s, m.t): v for m, v in self.terms.items()}
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):
@@ -390,7 +569,7 @@ class RingElement:
         """Minimum of lam + s + sum(t) over stored terms; +inf for zero."""
         if not self.terms:
             return inf
-        return Fraction(min(m.lvl for m in self.terms), self.spec.grid)
+        return Rational(min(m.lvl for m in self.terms), self.spec.grid)
 
     def degrees(self) -> set:
         return {m.degree(self.spec) for m in self.terms}

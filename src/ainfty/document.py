@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional
 
 from .ainfty import AInftyAlgebra, require_candidate
-from .coeff import Poly, RingElement, RingSpec, as_fraction
+from .coeff import Poly, Rational, RingElement, RingSpec, as_fraction
 from .errors import ConfigurationError, DivergenceError, DocumentError
 from .graded import Element, GradedBasis
 from .hochschild import CocycleTower, Functional
@@ -33,18 +31,18 @@ class LoadedDocument:
     construction.
     """
 
-    def __init__(self, name: str, algebra: AInftyAlgebra, raw: Optional[dict] = None):
+    def __init__(self, name: str, algebra: AInftyAlgebra, raw: dict | None = None):
         self.name = name
         self.algebra = algebra
-        self.towers: Dict[str, CocycleTower] = {}
-        self.candidates: Dict[str, Element] = {}
+        self.towers: dict[str, CocycleTower] = {}
+        self.candidates: dict[str, Element] = {}
         # the gauge path b_t: a degree-1 element with polynomial scalars
-        self.gauge_path: Optional[Element] = None
+        self.gauge_path: Element | None = None
         # zero in the document's ring when the document omits them
-        self.m_minus_one: Optional[RingElement] = None
-        self.gw_tilde: Optional[RingElement] = None
-        self.wall_pair: Optional[tuple] = None
-        self.right_inverse: Optional[Dict[int, Element]] = None
+        self.m_minus_one: RingElement | None = None
+        self.gw_tilde: RingElement | None = None
+        self.wall_pair: tuple | None = None
+        self.right_inverse: dict[int, Element] | None = None
         # the parsed JSON, so that ``load_dict`` can load it again at a lower cutoff
         self.raw = raw
 
@@ -155,7 +153,7 @@ def _energy_grid(raw: dict) -> int:
 
 def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False):
     """One serialized monomial term -> (Monomial, scalar)."""
-    lam = _fraction(term.get("T", "0"), where + ".T", errors, Fraction(0))
+    lam = _fraction(term.get("T", "0"), where + ".T", errors, Rational(0))
     e = _int(term.get("e", 0), where + ".e", errors)
     s = _int(term.get("s", 0), where + ".s", errors)
     t = [_int(a, "%s.t[%d]" % (where, j), errors)
@@ -164,7 +162,7 @@ def _term_value(term, spec, where, errors, allow_poly=False, forbid_energy=False
         return None
     if forbid_energy and (lam != 0 or e != 0):
         errors.error(where, "structure constants must not carry T or e exponents")
-        lam, e = Fraction(0), 0
+        lam, e = Rational(0), 0
     if "poly" in term:
         if not allow_poly:
             errors.error(where, "polynomial coefficients are only valid in gauge paths")
@@ -256,7 +254,7 @@ def load(path) -> LoadedDocument:
     return load_dict(raw)
 
 
-def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
+def load_dict(raw: dict, cutoff: Rational | None = None) -> LoadedDocument:
     """The document of parsed JSON, at its own energy cutoff or at the
     lower ``cutoff`` of ``--emax``: truncation only discards terms."""
     if not isinstance(raw, dict):
@@ -324,10 +322,10 @@ def load_dict(raw: dict, cutoff: Optional[Fraction] = None) -> LoadedDocument:
 
     monoid = []
     for _, loc, entry in _objects(raw.get("monoid", []), "monoid", errors):
-        lam = _fraction(entry.get("energy", "0"), loc + ".energy", errors, Fraction(0))
+        lam = _fraction(entry.get("energy", "0"), loc + ".energy", errors, Rational(0))
         monoid.append((lam, _int(entry.get("index", 0), loc + ".index", errors, 0)))
     if not monoid:
-        monoid = [(Fraction(0), 0)]
+        monoid = [(Rational(0), 0)]
 
     ops: dict = {}
     for _, where, entry in _objects(raw.get("operations", []), "operations", errors):

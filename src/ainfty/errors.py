@@ -9,6 +9,11 @@ class ConfigurationError(EngineError):
     """Incompatible or invalid configuration (cutoffs, degrees, tables)."""
 
 
+class ArityError(ConfigurationError):
+    """An operation of arity past the arity cutoff K was requested; the CLI
+    locates it at the flag or the field that set K."""
+
+
 class DivergenceError(EngineError):
     """An infinite sum was requested outside its domain of convergence."""
 

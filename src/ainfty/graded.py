@@ -20,12 +20,12 @@ that every layer calls: ``reduced`` tells a word with no unit in it, and
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .coeff import RingElement
 from .errors import ConfigurationError
 
-Word = Tuple[int, ...]
+Word = tuple[int, ...]
 
 
 class GradedBasis:
@@ -234,7 +234,7 @@ def add_term(acc: dict, key, value: RingElement) -> None:
         del acc[key]
 
 
-def tensor_coefficient(elements: Sequence[Element], word: Word) -> Optional[RingElement]:
+def tensor_coefficient(elements: Sequence[Element], word: Word) -> RingElement | None:
     """Coefficient of the pure tensor ``word`` in elements[0] (x) ... (x) elements[-1].
 
     The product of the coefficient each element has at its letter of the

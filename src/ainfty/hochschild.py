@@ -105,8 +105,6 @@ validated by pulling each level back through b and B, key by key
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 from .ainfty import (AInftyAlgebra, insertion_sign, insertions, nonzero_words, relation_residuals,
                      unit_residuals, unit_slot_residuals, words_by_output)
 from .coeff import RingElement, add_into, canonical, mul_into, require_compatible
@@ -115,8 +113,8 @@ from .graded import (Word, crossing_sign, maltese, maltese_prefixes, quotient, r
                      word_count, words_over)
 from .report import Report
 
-ChainKey = Tuple[int, Word]
-ChainTerms = Dict[ChainKey, RingElement]
+ChainKey = tuple[int, Word]
+ChainTerms = dict[ChainKey, RingElement]
 
 
 class HochschildChain:
@@ -129,7 +127,7 @@ class HochschildChain:
 
     __slots__ = ("basis", "spec", "terms", "reduced")
 
-    def __init__(self, basis, terms: Optional[ChainTerms] = None, reduced: bool = True):
+    def __init__(self, basis, terms: ChainTerms | None = None, reduced: bool = True):
         """The chain of the nonzero RingElement coefficients in ``terms``,
         which must share one ring; a reduced chain drops words with the unit.
 
@@ -849,7 +847,7 @@ class Functional:
 
     __slots__ = ("basis", "spec", "table", "degree")
 
-    def __init__(self, basis, spec, table: Optional[ChainTerms] = None):
+    def __init__(self, basis, spec, table: ChainTerms | None = None):
         self.basis = basis
         self.spec = spec
         self.table: ChainTerms = {}

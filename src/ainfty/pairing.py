@@ -28,8 +28,8 @@ reading of psi_0, and no ``unit_trace``, puts the unit in a tensor slot.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
-from typing import Dict, Sequence, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, require_candidate
 from .coeff import RingElement
@@ -57,7 +57,7 @@ class InfinityInnerProduct:
         self.table = self._read_psi0()
         # table entries by shape (p, q), each as the flat word
         # alpha + (v,) + beta + (w,) with its value, for eval_elements
-        self._by_shape: Dict[Tuple[int, int], list] = {}
+        self._by_shape: dict[tuple[int, int], list] = {}
         for (alpha, v, beta, w), value in self.table.items():
             self._by_shape.setdefault((len(alpha), len(beta)), []).append(
                 (alpha + (v,) + beta + (w,), value))

@@ -33,12 +33,10 @@ level the energy cutoff reaches, and the decomposition to ``algebra.n_max``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor, inf
-from typing import Dict, Tuple
 
 from .ainfty import AInftyAlgebra, apply_m, check_weak_mc, curvature, require_candidate
-from .coeff import RingElement, as_fraction
+from .coeff import Rational, RingElement, as_fraction
 from .graded import Element
 from .pairing import InfinityInnerProduct, rotation_terms, unit_trace
 from .report import Report
@@ -142,7 +140,7 @@ class WallCrossingDecomposition:
     def __init__(self, ksplit: RingElement, psplit: RingElement, qsplit: RingElement,
                  output: RingElement, clsum: RingElement, error_term: RingElement,
                  i1_rhs: RingElement, residual_i1: RingElement, residual_i2: RingElement,
-                 diagnostics: Dict[str, RingElement]):
+                 diagnostics: dict[str, RingElement]):
         self.ksplit = ksplit
         self.psplit = psplit
         self.qsplit = qsplit
@@ -180,7 +178,7 @@ def wall_crossing_decomposition(
     mk = _powers(algebra, b, n_max + 1)
     shapes = sorted(phi.shapes)
     # k2 -> the insertions of y = m_{k2}(b^{k2}) by (k1, r), for this call only
-    split: Dict[int, dict] = {}
+    split: dict[int, dict] = {}
     ksplit = psplit = qsplit = output = values = zero
     for N in range(n_max + 1):
         splits = [zero] * 3  # this level's ksplit, psplit and qsplit, unweighted
@@ -201,7 +199,7 @@ def wall_crossing_decomposition(
                 values = values + value
                 if k2:
                     weighted = weighted + value.scale(k2)
-        weight = Fraction(1, N + 1)
+        weight = Rational(1, N + 1)
         ksplit = ksplit + splits[0].scale(weight)
         psplit = psplit + splits[1].scale(weight)
         qsplit = qsplit + splits[2].scale(weight)
@@ -245,8 +243,8 @@ def wall_crossing_report(
     algebra: AInftyAlgebra,
     phi: InfinityInnerProduct,
     tower: str,
-    minus: Tuple[str, Element],
-    plus: Tuple[str, Element],
+    minus: tuple[str, Element],
+    plus: tuple[str, Element],
     m_minus_one: RingElement,
     gw: RingElement,
 ) -> Report:

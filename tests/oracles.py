@@ -45,7 +45,9 @@ of a ring element at an energy, a ring with another cutoff, a scalar of the
 ring, the unit of an algebra as an element, a gauge path at one value of its
 variable, the strictly cyclic test on towers, and the degenerate potential
 formula of strict towers.  And the argparse parser that ``cli.parse_args``
-replaced, as the reference for the command-line grammar.
+replaced, as the reference for the command-line grammar, and the regular
+expression that ``coeff.as_fraction`` read fraction strings with, as the
+reference for its hand-written reader.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import argparse
 import copy
 import inspect
 import random
+import re
 import sys
 import types
 from dataclasses import dataclass
@@ -1303,3 +1306,23 @@ def argparse_reference() -> argparse.ArgumentParser:
         if name in ("cocycle", "potential", "gauge", "wallcross"):
             p.add_argument("--tower", default=None, help="tower name (default: first)")
     return parser
+
+
+# An exact fraction string as coeff.as_fraction once matched it: an optional
+# sign, ASCII digits, and an optional denominator of ASCII digits.
+FRACTION_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def fraction_text_reference(text: str) -> Fraction:
+    """The value of a fraction string, read with ``FRACTION_TEXT``; the
+    same ConfigurationError as ``as_fraction`` for one it refuses."""
+    if not FRACTION_TEXT.fullmatch(text):
+        raise ConfigurationError("not an exact rational: %r" % (text,))
+    numerator, _, denominator = text.partition("/")
+    try:
+        numerator, denominator = int(numerator), int(denominator or 1)
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise ConfigurationError("fraction with more digits than int() reads")
+    if denominator == 0:
+        raise ConfigurationError("zero denominator: %r" % (text,))
+    return Fraction(numerator, denominator)

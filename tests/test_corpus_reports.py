@@ -303,7 +303,8 @@ def test_wallcross_arity_error_at_level_9(capsys):
                  "--input", os.path.join(CORPUS, "g1_wallcross.json")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: arity 7 exceeds the arity cutoff 6\n"
+    assert captured.err == ("input document rejected:\n"
+                            "  --kmax: arity 7 exceeds the arity cutoff 6\n")
 
 
 # sha256 of stdout for `mc --solve --input sv1.json`, exit 0

@@ -295,6 +295,36 @@ def test_unflagged_tables_below_arity_2_exit_2_located(tmp_path, capsys, command
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,line", (
+    (["mc", "--kmax", "0"], "--kmax: arity 1 exceeds the arity cutoff 0"),
+    (["potential", "--kmax", "1"], "--kmax: arity 2 exceeds the arity cutoff 1"),
+    (["wallcross", "--nmax", "12"], "cutoffs.arity: arity 7 exceeds the arity cutoff 6"),
+))
+def test_arity_past_the_cutoff_exits_2_located(capsys, argv, line):
+    # the commands reach the arity only while they run: b^7 at level 6 of the
+    # wall-crossing sum, so the refusal names the flag or field that set K
+    assert main(argv + ["--input", corpus("g1_wallcross.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input document rejected:\n  %s\n" % line
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ("gauge", "potential", "wallcross"))
+@pytest.mark.parametrize("kmax", ("0", "1", "2", "3"))
+def test_small_arity_cutoffs_give_a_report_or_a_located_refusal(capsys, command, kmax):
+    for name in sorted(os.listdir(CORPUS)):
+        code = main([command, "--input", corpus(name), "--kmax", kmax])
+        captured = capsys.readouterr()
+        if code == 2:
+            lines = captured.err.splitlines()
+            assert lines[0] == "input document rejected:" and captured.out == ""
+            for located in lines[1:]:
+                location, _, message = located.strip().partition(": ")
+                assert "arity cutoff" not in message or location == "--kmax", located
+        else:
+            assert code in (0, 1) and captured.err == "" and captured.out
+
+
 def _failing_tower_document(path):
     """g1_gauge.json with the tower entry [y|x,x,z] doubled: the tower 'pair'
     fails the negative cocycle condition at six places at L_max = 4."""

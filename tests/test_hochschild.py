@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import coeff, graded, hochschild
-from ainfty.coeff import Poly, RingElement, _scalar
+from ainfty.coeff import Monomial, Poly, RingElement, _scalar
 from ainfty.errors import ConfigurationError
 from ainfty.hochschild import (
     CocycleTower,
@@ -525,7 +525,7 @@ def functional_cases(draw):
             values = draw(st.lists(coefficients(spec, scalars), min_size=1, max_size=2))
             # the value sits in degree 2e = shift: move every monomial there
             table[(module, word)] = sum(
-                (RingElement(spec, {mono._replace(e=shift // 2): c
+                (RingElement(spec, {Monomial(mono.lam, shift // 2, mono.s, mono.t, mono.lvl): c
                                     for mono, c in v.terms.items()}) for v in values),
                 RingElement.zero(spec))
     return Functional(basis, spec, table), chain

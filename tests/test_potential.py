@@ -502,7 +502,7 @@ POTENTIAL_MUTANTS = {
     "y in the wrong left slot": (
         pairing, "[b] * r + [y] + [b] * (p - 1 - r)", "[y] + [b] * (p - 1)"),
     "level weight 1/N": (
-        potential, "weight = Fraction(1, N + 1)", "weight = Fraction(1, N)"),
+        potential, "weight = Rational(1, N + 1)", "weight = Rational(1, N)"),
     "clsum keeps the k2 part": (potential, "clsum = values - output", "clsum = values"),
     "i1_rhs loop without its shape test": (
         potential, "for p, q in shapes:\n        if p + q <= reach:",
